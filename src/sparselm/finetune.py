@@ -19,7 +19,8 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError
-from .model import INIT_STD, ModelConfig, ParamStore, clone_params, forward_logits
+from .model import (INIT_STD, ModelConfig, ParamStore, clone_params, forward_logits,
+                    next_token_loss)
 from .tensor import Tensor
 from .training import OptimizerState, Schedule, adamw_step, lr_at
 
@@ -108,13 +109,14 @@ def prompt_slot_positions(ids, prompt: SoftPrompt):
 
 
 def prompt_forward(params: ParamStore, config: ModelConfig, prompt: SoftPrompt | None,
-                   ids, masks=None) -> Tensor:
-    """Forward pass with virtual positions read from the prompt matrix."""
+                   ids, head=True) -> Tensor:
+    """Forward pass with virtual positions read from the prompt matrix;
+    `head` as in `forward_logits`."""
     if prompt is None or prompt.n == 0:
-        return forward_logits(params, config, ids, masks=masks)
+        return forward_logits(params, config, ids, head=head)
     positions = prompt_slot_positions(ids, prompt)
-    return forward_logits(params, config, ids, masks=masks,
-                          prompt_embeddings=prompt.embeddings, prompt_positions=positions)
+    return forward_logits(params, config, ids, prompt_embeddings=prompt.embeddings,
+                          prompt_positions=positions, head=head)
 
 
 def sequence_loss(params, config, ids, loss_mask, prompt=None) -> Tensor:
@@ -124,10 +126,8 @@ def sequence_loss(params, config, ids, loss_mask, prompt=None) -> Tensor:
     loss_mask = np.asarray(loss_mask)
     if ids.shape != loss_mask.shape or ids.ndim != 2:
         raise ContractError(f"ids {ids.shape} / loss_mask {loss_mask.shape} must be equal 2-d shapes")
-    bsz, seq = ids.shape
-    logits = prompt_forward(params, config, prompt, ids)
-    pred = T.reshape(T.narrow(logits, 1, 0, seq - 1), (bsz * (seq - 1), config.vocab_size))
-    return T.cross_entropy(pred, ids[:, 1:].reshape(-1), loss_mask[:, 1:].reshape(-1))
+    hidden = prompt_forward(params, config, prompt, ids, head=False)
+    return next_token_loss(params, config, hidden, ids, loss_mask)
 
 
 def pad_batch(sequences, pad_id: int):

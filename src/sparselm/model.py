@@ -160,38 +160,32 @@ def store_param_count(store: ParamStore) -> int:
     return sum(t.data.size for t in store.values())
 
 
-def _project(x, w, b=None):
-    """(batch, seq, d_in) @ (d_in, d_out) + bias."""
-    bsz, seq, d_in = x.data.shape
-    flat = T.reshape(x, (bsz * seq, d_in))
-    out = T.matmul(flat, w)
-    if b is not None:
-        out = T.add(out, b)
-    return T.reshape(out, (bsz, seq, w.data.shape[1]))
+def _head(params: ParamStore, config: ModelConfig):
+    """Output projection and whether it is read transposed: the tied head
+    is the (vocab, d_model) token-embedding table itself."""
+    if config.tie_embeddings:
+        return params["tok_emb"], True
+    return params["lm_head"], False
 
 
 def forward_logits(params: ParamStore, config: ModelConfig, tokens,
-                   masks=None, prompt_embeddings=None, prompt_positions=None) -> Tensor:
+                   prompt_embeddings=None, prompt_positions=None, head=True) -> Tensor:
     """Causal decoder forward pass; returns logits (batch, seq, vocab).
 
-    With `masks`, every sparsifiable weight is used as mask*weight. With
-    prompt injection, the given embedding rows replace the token-embedding
-    lookups at `prompt_positions` before position embeddings are added.
+    With prompt injection, the given embedding rows replace the
+    token-embedding lookups at `prompt_positions` before position
+    embeddings are added. With head=False it returns the final normalized
+    hidden state (batch, seq, d_model) instead, which `next_token_loss`
+    feeds to the fused head and loss.
     """
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
         raise ContractError(f"tokens must be (batch, seq), got shape {tokens.shape}")
-    bsz, seq = tokens.shape
+    seq = tokens.shape[1]
     if seq > config.context_window:
         raise ContractError(f"sequence length {seq} exceeds context window {config.context_window}")
     if tokens.size and (tokens.min() < 0 or tokens.max() >= config.vocab_size):
         raise ContractError(f"token id outside [0, {config.vocab_size})")
-
-    def eff(path):
-        w = params[path]
-        if masks is not None and path in masks:
-            return T.mul(w, masks[path])
-        return w
 
     dtype = params["tok_emb"].data.dtype
     x = T.embedding(params["tok_emb"], tokens)
@@ -200,47 +194,48 @@ def forward_logits(params: ParamStore, config: ModelConfig, tokens,
     x = T.add(x, T.narrow(params["pos_emb"], 0, 0, seq))
 
     causal_bias = np.triu(np.full((seq, seq), NEG_INF_BIAS, dtype=dtype), k=1)
-    scale = 1.0 / math.sqrt(config.d_head)
-    h, dh = config.n_heads, config.d_head
-
     for i in range(config.n_layers):
         p = f"layers.{i}"
-        attn_in = T.layer_norm(x, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"], LN_EPS)
+        a = T.layer_norm(x, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"], LN_EPS)
+        q = T.linear(a, params[f"{p}.wq"], params[f"{p}.bq"])
+        k = T.linear(a, params[f"{p}.wk"], params[f"{p}.bk"])
+        v = T.linear(a, params[f"{p}.wv"], params[f"{p}.bv"])
+        ctx = T.causal_attention(q, k, v, config.n_heads, causal_bias)
+        x = T.add(x, T.linear(ctx, params[f"{p}.wo"], params[f"{p}.bo"]))
 
-        def heads(t):
-            return T.transpose(T.reshape(t, (bsz, seq, h, dh)), (0, 2, 1, 3))
-
-        q = heads(_project(attn_in, eff(f"{p}.wq"), params[f"{p}.bq"]))
-        k = heads(_project(attn_in, eff(f"{p}.wk"), params[f"{p}.bk"]))
-        v = heads(_project(attn_in, eff(f"{p}.wv"), params[f"{p}.bv"]))
-
-        scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), scale)
-        weights = T.softmax(T.add(scores, causal_bias), axis=-1)
-        ctx = T.reshape(T.transpose(T.matmul(weights, v), (0, 2, 1, 3)), (bsz, seq, h * dh))
-        x = T.add(x, _project(ctx, eff(f"{p}.wo"), params[f"{p}.bo"]))
-
-        ff_in = T.layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"], LN_EPS)
-        hidden = T.gelu(_project(ff_in, eff(f"{p}.w_ff_in"), params[f"{p}.b_ff_in"]))
-        x = T.add(x, _project(hidden, eff(f"{p}.w_ff_out"), params[f"{p}.b_ff_out"]))
+        a = T.layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"], LN_EPS)
+        hidden = T.gelu(T.linear(a, params[f"{p}.w_ff_in"], params[f"{p}.b_ff_in"]))
+        x = T.add(x, T.linear(hidden, params[f"{p}.w_ff_out"], params[f"{p}.b_ff_out"]))
 
     x = T.layer_norm(x, params["ln_f.gain"], params["ln_f.bias"], LN_EPS)
-    if config.tie_embeddings:
-        head = T.transpose(params["tok_emb"], (1, 0))
-    else:
-        head = params["lm_head"]
-    return _project(x, head)
+    if not head:
+        return x
+    w, tied = _head(params, config)
+    return T.linear(x, w, transpose_w=tied)
 
 
-def lm_loss(params: ParamStore, config: ModelConfig, tokens, masks=None) -> Tensor:
+def next_token_loss(params: ParamStore, config: ModelConfig, hidden: Tensor, tokens,
+                    loss_mask=None) -> Tensor:
+    """Mean cross-entropy of each position's prediction of the token after
+    it, from the final hidden state through the output head. With
+    `loss_mask`, only the predictions of tokens whose mask is 1 count, and
+    only their logits are computed."""
+    tokens = np.asarray(tokens)
+    targets = np.zeros_like(tokens)
+    targets[:, :-1] = tokens[:, 1:]
+    scored = np.zeros(tokens.shape, dtype=bool)
+    scored[:, :-1] = True if loss_mask is None else np.asarray(loss_mask)[:, 1:] != 0
+    w, tied = _head(params, config)
+    return T.cross_entropy(hidden, w, targets, scored, transpose_w=tied)
+
+
+def lm_loss(params: ParamStore, config: ModelConfig, tokens) -> Tensor:
     """Mean next-token cross-entropy over shifted targets."""
     tokens = np.asarray(tokens)
     if tokens.ndim != 2 or tokens.shape[1] < 2:
         raise ContractError(f"lm_loss needs (batch, seq>=2) tokens, got shape {tokens.shape}")
-    bsz, seq = tokens.shape
-    logits = forward_logits(params, config, tokens, masks=masks)
-    pred = T.reshape(T.narrow(logits, 1, 0, seq - 1), (bsz * (seq - 1), config.vocab_size))
-    targets = tokens[:, 1:].reshape(-1)
-    return T.cross_entropy(pred, targets)
+    hidden = forward_logits(params, config, tokens, head=False)
+    return next_token_loss(params, config, hidden, tokens)
 
 
 def clone_params(store: ParamStore) -> ParamStore:

@@ -5,6 +5,16 @@ global tape that is rebuilt each forward pass and consumed by `backward`.
 float32 is the training dtype; float64 exists so gradient checks can run
 at tight tolerance. A tensor may be read from many threads, but mutation
 and tape recording assume a single writer.
+
+Gradient buffers have one owner. The first gradient a tensor receives
+becomes its `.grad` as is (copied only when its dtype or shape differs
+from the tensor's), and later ones are added into it in place. So a
+buffer an adjoint hands to `_accum` must not go to a second tensor: when
+both parents of `add` need the same pass-through gradient, the second
+gets a copy, and the views made by `reshape`, `transpose` and an identity
+`_unbroadcast` each go to a single parent. No two tensors' `.grad` share
+memory, and in-place updates of one gradient (masking, clipping) never
+reach another.
 """
 
 from __future__ import annotations
@@ -179,11 +189,16 @@ def _pair(a, b, op):
 
 
 def _accum(t, g):
+    """Add gradient `g` into t.grad, adopting `g` as the buffer when it is
+    the first (see the module docstring for who may own it)."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        if g.dtype != t.data.dtype or g.shape != t.data.shape:
+            g = np.array(g, dtype=t.data.dtype).reshape(t.data.shape)
+        t.grad = g
+    else:
+        t.grad += g
 
 
 def _finish(out, inputs, bwd):
@@ -208,8 +223,12 @@ def add(a, b):
     out = Tensor(a.data + b.data)
 
     def bwd(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        ga = _unbroadcast(g, a.data.shape)
+        gb = _unbroadcast(g, b.data.shape)
+        if gb is g and ga is g and a.requires_grad:
+            gb = g.copy()
+        _accum(a, ga)
+        _accum(b, gb)
 
     return _finish(out, (a, b), bwd)
 
@@ -313,45 +332,150 @@ def gelu(x):
     return _finish(out, (x,), bwd)
 
 
-def cross_entropy(logits, targets, ignore_mask=None):
-    """Mean negative log-probability of `targets` under row softmaxes.
+def linear(x, w, b=None, transpose_w=False):
+    """x @ w + b over the last axis of x, whatever its leading shape.
 
-    logits: (n, vocab). targets: (n,) int ids. ignore_mask, when given,
-    marks rows with 0 to exclude them from the mean.
+    w is (d_in, d_out), or with transpose_w a (d_out, d_in) matrix read as
+    its transpose in place (a tied embedding table). One tape node.
     """
-    logits = _as_tensor(logits)
-    if logits.data.ndim != 2:
-        raise ContractError(f"cross_entropy expects 2-d logits, got {logits.shape}")
-    n, v = logits.data.shape
-    targets = np.asarray(targets)
-    if targets.shape != (n,):
-        raise ContractError(f"cross_entropy: targets shape {targets.shape} != ({n},)")
-    if targets.size and (targets.min() < 0 or targets.max() >= v):
-        raise IndexError(f"cross_entropy: target id outside [0, {v})")
-    if ignore_mask is None:
-        active = np.ones(n, dtype=logits.data.dtype)
-    else:
-        active = np.asarray(ignore_mask).astype(logits.data.dtype)
-        if active.shape != (n,):
-            raise ContractError(f"cross_entropy: ignore_mask shape {active.shape} != ({n},)")
-    n_active = active.sum()
-    if n_active == 0:
-        raise ContractError("cross_entropy: no active positions")
-
-    m = logits.data.max(axis=1, keepdims=True)
-    z = logits.data - m
-    ez = np.exp(z)
-    lse = np.log(ez.sum(axis=1)) + m[:, 0]
-    nll = lse - logits.data[np.arange(n), targets]
-    out = Tensor((nll * active).sum() / n_active)
+    x, w = _pair(x, w, "linear")
+    if w.data.ndim != 2:
+        raise ContractError(f"linear: weight must be 2-d, got {w.shape}")
+    wm = w.data.T if transpose_w else w.data
+    d_in, d_out = wm.shape
+    if x.data.shape[-1] != d_in:
+        raise ContractError(f"linear shape mismatch: {x.shape} x {wm.shape}")
+    inputs = (x, w)
+    if b is not None:
+        b = _as_tensor(b, w.data.dtype)
+        _check_dtypes(w, b, "linear")
+        if b.data.shape != (d_out,):
+            raise ContractError(f"linear: bias {b.shape} != ({d_out},)")
+        inputs += (b,)
+    rows = x.data.reshape(-1, d_in)
+    y = rows @ wm
+    if b is not None:
+        y += b.data
+    out = Tensor(y.reshape(x.data.shape[:-1] + (d_out,)))
 
     def bwd(g):
-        p = ez / ez.sum(axis=1, keepdims=True)
-        p[np.arange(n), targets] -= 1.0
-        p *= (active / n_active)[:, None]
-        _accum(logits, g * p)
+        g = g.reshape(-1, d_out)
+        if x.requires_grad:
+            _accum(x, (g @ wm.T).reshape(x.data.shape))
+        if w.requires_grad:
+            _accum(w, g.T @ rows if transpose_w else rows.T @ g)
+        if b is not None and b.requires_grad:
+            _accum(b, g.sum(axis=0))
 
-    return _finish(out, (logits,), bwd)
+    return _finish(out, inputs, bwd)
+
+
+def causal_attention(q, k, v, n_heads, bias):
+    """Multi-head softmax(Q Kᵀ / sqrt(d_head) + bias) V as one op.
+
+    q, k, v: (batch, seq, d) with the heads side by side along d, which is
+    also the layout of the output. bias: (seq, seq) additive pre-softmax
+    mask, e.g. a large negative value above the diagonal. The backward is
+    written by hand and keeps only Q, K, V and the softmax output.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    _check_dtypes(q, k, "causal_attention")
+    _check_dtypes(q, v, "causal_attention")
+    bsz, seq, d = q.data.shape
+    if k.data.shape != q.data.shape or v.data.shape != q.data.shape:
+        raise ContractError(f"causal_attention: q {q.shape}, k {k.shape}, v {v.shape} differ")
+    if n_heads < 1 or d % n_heads:
+        raise ContractError(f"causal_attention: {n_heads} heads do not divide width {d}")
+    dh = d // n_heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def split(a):  # (b, t, d) -> (b, h, t, dh) view
+        return a.reshape(bsz, seq, n_heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(a):  # (b, h, t, dh) -> (b, t, d) copy
+        return a.transpose(0, 2, 1, 3).reshape(bsz, seq, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    p = qh @ kh.swapaxes(-1, -2)
+    p *= scale
+    p += bias
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = Tensor(merge(p @ vh))
+
+    def bwd(g):
+        gh = split(g)
+        if v.requires_grad:
+            _accum(v, merge(p.swapaxes(-1, -2) @ gh))
+        if q.requires_grad or k.requires_grad:
+            ds = gh @ vh.swapaxes(-1, -2)
+            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds *= p
+            ds *= scale
+            if q.requires_grad:
+                _accum(q, merge(ds @ kh))
+            if k.requires_grad:
+                _accum(k, merge(ds.swapaxes(-1, -2) @ qh))
+
+    return _finish(out, (q, k, v), bwd)
+
+
+def cross_entropy(x, w, targets, ignore_mask=None, transpose_w=False):
+    """Mean negative log-probability of `targets` under softmax(x @ w): the
+    output head fused with the loss.
+
+    x: (..., d) rows. w: (d, vocab), or with transpose_w a (vocab, d) table
+    read in place. targets: int ids of shape x.shape[:-1]. ignore_mask, of
+    the same shape, marks positions with 0 to leave out: their logits are
+    never computed and their rows get zero gradient.
+    """
+    x, w = _pair(x, w, "cross_entropy")
+    if w.data.ndim != 2:
+        raise ContractError(f"cross_entropy: weight must be 2-d, got {w.shape}")
+    wm = w.data.T if transpose_w else w.data
+    d, v = wm.shape
+    if x.data.ndim < 2 or x.data.shape[-1] != d:
+        raise ContractError(f"cross_entropy shape mismatch: {x.shape} x {wm.shape}")
+    lead = x.data.shape[:-1]
+    targets = np.asarray(targets)
+    if targets.shape != lead:
+        raise ContractError(f"cross_entropy: targets shape {targets.shape} != {lead}")
+    if targets.size and (targets.min() < 0 or targets.max() >= v):
+        raise ContractError(f"cross_entropy: target id outside [0, {v})")
+    active = np.ones(lead, dtype=bool) if ignore_mask is None else np.asarray(ignore_mask)
+    if active.shape != lead:
+        raise ContractError(f"cross_entropy: ignore_mask shape {active.shape} != {lead}")
+    scored = np.flatnonzero(active)
+    flat = x.data.reshape(-1, d)
+    rows, picked = flat[scored], targets.reshape(-1)[scored]
+    n = rows.shape[0]
+    if n == 0:
+        raise ContractError("cross_entropy: no active positions")
+
+    logits = rows @ wm
+    at = (np.arange(n), picked)
+    target_logits = logits[at]
+    m = logits.max(axis=1, keepdims=True)
+    ez = logits
+    ez -= m
+    np.exp(ez, out=ez)
+    lse = np.log(ez.sum(axis=1)) + m[:, 0]
+    out = Tensor((lse - target_logits).sum() / x.data.dtype.type(n))
+
+    def bwd(g):
+        p = ez
+        p /= p.sum(axis=1, keepdims=True)
+        p[at] -= 1.0
+        p *= g / x.data.dtype.type(n)
+        if x.requires_grad:
+            gx = np.zeros_like(flat)
+            gx[scored] = p @ wm.T
+            _accum(x, gx.reshape(x.data.shape))
+        if w.requires_grad:
+            _accum(w, p.T @ rows if transpose_w else rows.T @ p)
+
+    return _finish(out, (x, w), bwd)
 
 
 def embedding(table, ids):
@@ -361,14 +485,16 @@ def embedding(table, ids):
     if table.data.ndim != 2:
         raise ContractError(f"embedding table must be 2-d, got {table.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-        raise IndexError(f"embedding: id outside [0, {table.data.shape[0]})")
+        raise ContractError(f"embedding: id outside [0, {table.data.shape[0]})")
     out = Tensor(table.data[ids])
 
     def bwd(g):
+        # scatter straight into the table's gradient; with a tied output
+        # head, the head's gradient is already there
         if table.requires_grad:
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
-            _accum(table, gt)
+            if table.grad is None:
+                table.grad = np.zeros_like(table.data)
+            np.add.at(table.grad, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
 
     return _finish(out, (table,), bwd)
 
@@ -401,9 +527,8 @@ def inject_rows(x, rows, positions):
         if rows.requires_grad:
             _accum(rows, g[bidx, positions].sum(axis=0))
         if x.requires_grad:
-            gx = g.copy()
-            gx[bidx, positions] = 0.0
-            _accum(x, gx)
+            g[bidx, positions] = 0.0  # g is this op's own buffer, handed on to x alone
+            _accum(x, g)
 
     return _finish(out, (x, rows), bwd)
 

@@ -78,10 +78,10 @@ class OptimizerState:
         return cls(m=m, v=v, **hyper)
 
 
-def adamw_step(params, grads, opt: OptimizerState, lr: float, masks: MaskSet | None = None):
+def adamw_step(params, grads, opt: OptimizerState, lr: float):
     """One bias-corrected AdamW update with decoupled weight decay
-    (theta -= lr*lambda*theta separately from the adaptive step). Grads are
-    expected to be mask-filtered already; `masks` re-filters defensively."""
+    (theta -= lr*lambda*theta separately from the adaptive step). Grads of
+    sparse weights must be mask-filtered already (`mask_gradients`)."""
     opt.step += 1
     bc1 = 1.0 - opt.beta1 ** opt.step
     bc2 = 1.0 - opt.beta2 ** opt.step
@@ -91,8 +91,6 @@ def adamw_step(params, grads, opt: OptimizerState, lr: float, masks: MaskSet | N
             continue
         if g.shape != tensor.data.shape:
             raise ContractError(f"grad shape {g.shape} != param shape {tensor.data.shape} at {path!r}")
-        if masks is not None and path in masks:
-            g = g * masks[path]
         m, v = opt.m[path], opt.v[path]
         m *= opt.beta1
         m += (1.0 - opt.beta1) * g
@@ -183,7 +181,7 @@ def train_steps(state: TrainState, dataset: PackedDataset, n_steps=None,
                 scale = grad_clip / norm
                 for g in grads.values():
                     g *= scale
-        adamw_step(state.params, grads, state.opt, lr, masks=state.masks)
+        adamw_step(state.params, grads, state.opt, lr)
 
         state.step = step
         state.smoothed = (loss_value if state.smoothed is None

@@ -150,11 +150,14 @@ def test_criterion_05_densify_equivalence(sparse_run):
     with criterion(5, "densify: logits bit-identical, zeros exact, capacity regained"):
         cfg, state, masks = sparse_run
         dense = S.densify(state.params, masks)
+        masked = M.ParamStore(
+            (path, T.Tensor(t.data * masks[path] if path in masks else t.data, dtype=t.dtype))
+            for path, t in state.params.items())
         rng = np.random.default_rng(11)
         for _ in range(10):
             tokens = rng.integers(0, cfg.vocab_size, size=(4, 32))
             with T.no_grad():
-                before = M.forward_logits(state.params, cfg, tokens, masks=masks).data
+                before = M.forward_logits(masked, cfg, tokens).data
                 after = M.forward_logits(dense, cfg, tokens).data
             assert np.max(np.abs(before - after)) == 0.0
         probe_path = "layers.0.w_ff_in"

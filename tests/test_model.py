@@ -8,6 +8,7 @@ from sparselm import model as M
 from sparselm import tensor as T
 
 from reference_forward import ref_forward
+from toytask import toy_model_config
 
 
 def tiny_config(**kw):
@@ -218,6 +219,18 @@ def test_lm_loss_matches_bruteforce_two_token_sequence():
     with T.no_grad():
         got = M.lm_loss(store, cfg, tokens).item()
     assert got == pytest.approx(expected, rel=1e-10)
+
+
+def test_lm_loss_tape_stays_small():
+    # fused linear, attention and head-loss ops: 97 nodes before fusion
+    cfg = toy_model_config()
+    store = M.init_params(cfg, seed=0)
+    tokens = np.random.default_rng(0).integers(0, cfg.vocab_size, size=(8, cfg.context_window))
+    T.reset_tape()
+    M.lm_loss(store, cfg, tokens)
+    nodes = T.tape_size()
+    T.reset_tape()
+    assert nodes <= 40
 
 
 def test_lm_loss_needs_two_tokens():

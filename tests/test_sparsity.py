@@ -138,16 +138,29 @@ def test_mask_gradients():
     assert np.array_equal(out["tok_emb"], [2.0, 2.0])
 
 
+def masked_by_hand(store, masks):
+    """numpy w * mask for every masked path, built without the library."""
+    out = M.ParamStore()
+    for path, t in store.items():
+        data = t.data * masks[path] if path in masks else t.data.copy()
+        out[path] = Tensor(data, requires_grad=True, dtype=t.dtype)
+    return out
+
+
 def test_mask_transparency_bitwise():
-    # forward with masks == forward over the materialized masked store
+    # the library's materialized store == numpy w * mask, and so are its logits
     cfg = tiny_config()
     store = M.init_params(cfg, seed=0)
     masks = S.build_masks(store, S.SparsityPlan(level=0.5, seed=1))
     tokens = np.random.default_rng(0).integers(0, cfg.vocab_size, size=(2, 5))
+    by_hand = masked_by_hand(store, masks)
+    applied = S.apply_masks(masks, store)
+    for path in store:
+        assert np.array_equal(applied[path].data, by_hand[path].data)
     with T.no_grad():
-        via_masks = M.forward_logits(store, cfg, tokens, masks=masks).data
-        materialized = M.forward_logits(S.apply_masks(masks, store), cfg, tokens).data
-    assert np.array_equal(via_masks, materialized)
+        via_hand = M.forward_logits(by_hand, cfg, tokens).data
+        materialized = M.forward_logits(applied, cfg, tokens).data
+    assert np.array_equal(via_hand, materialized)
 
 
 def test_densify_preserves_logits_and_zeros():
@@ -160,7 +173,7 @@ def test_densify_preserves_logits_and_zeros():
     dense = S.densify(store, masks)
     tokens = np.random.default_rng(2).integers(0, cfg.vocab_size, size=(3, 6))
     with T.no_grad():
-        before = M.forward_logits(store, cfg, tokens, masks=masks).data
+        before = M.forward_logits(masked_by_hand(store, masks), cfg, tokens).data
         after = M.forward_logits(dense, cfg, tokens).data
     assert np.max(np.abs(before - after)) == 0.0
     for path in masks.paths():

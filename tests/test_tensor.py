@@ -96,34 +96,38 @@ def test_gelu_values():
 
 def test_cross_entropy_uniform_logits():
     logits = t64(np.zeros((3, 4)))
-    loss = T.cross_entropy(logits, [0, 1, 3])
+    loss = T.cross_entropy(logits, np.eye(4), [0, 1, 3])
     assert loss.item() == pytest.approx(math.log(4.0), abs=1e-12)
 
 
 def test_cross_entropy_confident_correct_class():
     logits = np.zeros((1, 4))
     logits[0, 2] = 1000.0
-    loss = T.cross_entropy(t64(logits), [2])
+    loss = T.cross_entropy(t64(logits), np.eye(4), [2])
     assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cross_entropy_mask_selects_single_position():
     logits = np.array([[1.0, 2.0, 0.5], [0.0, 0.0, 0.0]])
     targets = [1, 0]
-    loss = T.cross_entropy(t64(logits), targets, ignore_mask=[1, 0])
+    loss = T.cross_entropy(t64(logits), np.eye(3), targets, ignore_mask=[1, 0])
     row = logits[0]
     expected = math.log(np.exp(row).sum()) - row[1]
     assert loss.item() == pytest.approx(expected, abs=1e-12)
 
 
 def test_cross_entropy_target_out_of_range():
-    with pytest.raises(IndexError):
-        T.cross_entropy(T.Tensor(np.zeros((2, 4))), [0, 4])
+    with pytest.raises(ContractError, match=r"target id outside \[0, 4\)"):
+        T.cross_entropy(T.Tensor(np.zeros((2, 4))), np.eye(4), [0, 4])
+    with pytest.raises(ContractError):
+        T.cross_entropy(T.Tensor(np.zeros((2, 3))), np.zeros((4, 3)), [-1, 0], transpose_w=True)
 
 
 def test_embedding_out_of_range():
-    with pytest.raises(IndexError):
+    with pytest.raises(ContractError, match=r"id outside \[0, 4\)"):
         T.embedding(T.Tensor(np.zeros((4, 2))), [[0, 5]])
+    with pytest.raises(ContractError):
+        T.embedding(T.Tensor(np.zeros((4, 2))), [[-1, 0]])
 
 
 def test_inject_rows_duplicate_position():
@@ -187,6 +191,30 @@ def test_mixed_dtypes_rejected():
     b = T.Tensor(np.zeros(3), dtype="float64")
     with pytest.raises(ContractError):
         T.add(a, b)
+
+
+def test_first_gradients_have_one_owner():
+    # each leaf owns its adopted first gradient; a second backward pass
+    # accumulates into it without reaching any other leaf
+    rng = np.random.default_rng(0)
+    w = rng.normal(size=(3, 4))
+    a, b, x, c = (t64(rng.normal(size=(3, 4))) for _ in range(4))
+    y, z = t64(rng.normal(size=(4, 3))), t64(rng.normal(size=12))
+    graphs = [
+        (lambda: T.add(a, b), [(a, w), (b, w)]),
+        (lambda: T.add(x, x), [(x, 2.0 * w)]),
+        (lambda: T.add(T.add(T.transpose(y, (1, 0)), T.reshape(z, (3, 4))), c),
+         [(y, w.T), (z, w.reshape(12)), (c, w)]),
+    ]
+    for make_out, want in graphs:
+        for _ in range(2):
+            T.backward(weighted(make_out(), w))
+        for leaf, once in want:
+            assert np.allclose(leaf.grad, 2.0 * once, rtol=0.0, atol=1e-12)
+    leaves = [a, b, x, y, z, c]
+    for i, first in enumerate(leaves):
+        for second in leaves[i + 1:]:
+            assert not np.shares_memory(first.grad, second.grad)
 
 
 def test_determinism_bitwise():
@@ -258,6 +286,34 @@ def op_cases(rng):
     w_inj = rng.normal(size=(2, 5, 3))
     targets = rng.integers(0, 4, size=3)
     mask = np.array([1.0, 0.0, 1.0])
+    x234 = rng.normal(size=(2, 3, 4))
+    w45 = rng.normal(size=(4, 5))
+    b5 = rng.normal(size=5)
+    w_lin = rng.normal(size=(2, 3, 5))
+    qkv = [rng.normal(size=(2, 4, 6)) for _ in range(3)]  # 2 heads of width 3, seq 4
+    w_att = rng.normal(size=(2, 4, 6))
+    causal = np.triu(np.full((4, 4), -1e9), k=1)
+    w54 = rng.normal(size=(5, 4))  # a tied (vocab, d) table
+    head_targets = rng.integers(0, 5, size=(2, 3))
+    head_mask = np.array([[1, 0, 1], [1, 1, 0]])
+    emb_ids = rng.integers(0, 5, size=(2, 3))
+
+    def linear(t):
+        return weighted(T.linear(t[0], t[1], t[2]), w_lin)
+
+    def attention(t):
+        return weighted(T.causal_attention(t[0], t[1], t[2], 2, causal), w_att)
+
+    def head_loss(t):
+        return T.cross_entropy(t[0], t[1], head_targets, head_mask)
+
+    def tied_head_loss(t):
+        return T.cross_entropy(t[0], t[1], head_targets, head_mask, transpose_w=True)
+
+    def embedding_and_tied_head(t):
+        return T.cross_entropy(T.embedding(t[0], emb_ids), t[0], head_targets, head_mask,
+                               transpose_w=True)
+
     return [
         ("add_a", [a34, b34], 0, lambda t: weighted(T.add(t[0], t[1]), w34)),
         ("add_b", [a34, b34], 1, lambda t: weighted(T.add(t[0], t[1]), w34)),
@@ -275,7 +331,7 @@ def op_cases(rng):
         ("layer_norm_bias", [a34, 1.0 + 0.1 * bias, bias], 2,
          lambda t: weighted(T.layer_norm(t[0], t[1], t[2]), w_ln)),
         ("gelu", [a34], 0, lambda t: weighted(T.gelu(t[0]), w34)),
-        ("cross_entropy", [a34], 0, lambda t: T.cross_entropy(t[0], targets, mask)),
+        ("cross_entropy", [a34], 0, lambda t: T.cross_entropy(t[0], np.eye(4), targets, mask)),
         ("embedding", [table], 0, lambda t: weighted(T.embedding(t[0], ids), w_emb)),
         ("inject_rows_base", [base, rows], 0,
          lambda t: weighted(T.inject_rows(t[0], t[1], pos), w_inj)),
@@ -285,6 +341,17 @@ def op_cases(rng):
         ("reshape", [a34], 0, lambda t: weighted(T.reshape(t[0], (4, 3)), w34.reshape(4, 3))),
         ("transpose", [a34], 0, lambda t: weighted(T.transpose(t[0], (1, 0)), b43)),
         ("tsum", [a34], 0, lambda t: T.tsum(T.mul(t[0], t[0]))),
+        ("linear_x", [x234, w45, b5], 0, linear),
+        ("linear_w", [x234, w45, b5], 1, linear),
+        ("linear_b", [x234, w45, b5], 2, linear),
+        ("causal_attention_q", qkv, 0, attention),
+        ("causal_attention_k", qkv, 1, attention),
+        ("causal_attention_v", qkv, 2, attention),
+        ("head_loss_x", [x234, w45], 0, head_loss),
+        ("head_loss_w", [x234, w45], 1, head_loss),
+        ("tied_head_loss_x", [x234, w54], 0, tied_head_loss),
+        ("tied_head_loss_w", [x234, w54], 1, tied_head_loss),
+        ("embedding_and_tied_head", [w54], 0, embedding_and_tied_head),
     ]
 
 

@@ -80,14 +80,15 @@ def test_adamw_zero_grads_no_decay_is_identity():
 
 
 def test_adamw_masked_coordinate_stays_zero():
+    mask = np.array([0.0, 1.0], dtype=np.float32)
     store = M.ParamStore()
-    store["layers.0.wq"] = Tensor(np.array([0.0, 1.0]), requires_grad=True)
-    masks = S.MaskSet(masks={"layers.0.wq": np.array([0.0, 1.0], dtype=np.float32)},
-                      plan=S.SparsityPlan(level=0.5))
+    store["layers.0.wq"] = Tensor(np.array([3.0, 1.0], dtype=np.float32) * mask,
+                                  requires_grad=True)
+    masks = S.MaskSet(masks={"layers.0.wq": mask}, plan=S.SparsityPlan(level=0.5))
     opt = TR.OptimizerState.for_params(store, weight_decay=0.1)
     for _ in range(5):
         grads = S.mask_gradients({"layers.0.wq": np.array([1.0, 1.0], dtype=np.float32)}, masks)
-        TR.adamw_step(store, grads, opt, lr=0.1, masks=masks)
+        TR.adamw_step(store, grads, opt, lr=0.1)
     assert store["layers.0.wq"].data[0] == 0.0
     assert opt.m["layers.0.wq"][0] == 0.0 and opt.v["layers.0.wq"][0] == 0.0
     assert store["layers.0.wq"].data[1] != 1.0
