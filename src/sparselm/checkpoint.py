@@ -14,12 +14,16 @@ Section payload encodings:
                  [bits packed little-endian, one per element]
     json         UTF-8 JSON, sorted keys (byte-stable)
     u64          one unsigned 64-bit integer
-    dataset      [u32 msl][u64 rows][row-major '<u4' ids][' <u8' offsets]
+
+Every read goes through `_take`, which bounds-checks it, so a truncated
+file raises ContractError. What the sections of a model and of a train
+checkpoint are is decided in `training`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -45,24 +49,35 @@ def save_container(path, sections: dict[str, bytes]):
             fh.write(payload)
 
 
+def _take(buf, off, n):
+    """(buf[off:off + n], off + n); ContractError when buf ends before that.
+    Every read of a checkpoint goes through here."""
+    end = off + n
+    if end > len(buf):
+        raise ContractError(f"checkpoint truncated: {n} bytes wanted at offset {off}, "
+                            f"{len(buf) - off} left")
+    return buf[off:end], end
+
+
+def _unpack(fmt, buf, off):
+    raw, off = _take(buf, off, struct.calcsize(fmt))
+    return struct.unpack(fmt, raw), off
+
+
 def load_container(path) -> dict[str, bytes]:
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != MAGIC:
         raise ContractError(f"{path}: not a checkpoint container (bad magic)")
-    (version,) = struct.unpack_from("<I", blob, 8)
+    (version,), off = _unpack("<I", blob, 8)
     if version != FORMAT_VERSION:
         raise ContractError(f"{path}: unsupported container version {version}")
-    sections, off = {}, 12
+    sections = {}
     while off < len(blob):
-        (name_len,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off:off + name_len].decode("utf-8")
-        off += name_len
-        (payload_len,) = struct.unpack_from("<Q", blob, off)
-        off += 8
-        sections[name] = blob[off:off + payload_len]
-        off += payload_len
+        (name_len,), off = _unpack("<H", blob, off)
+        name, off = _take(blob, off, name_len)
+        (payload_len,), off = _unpack("<Q", blob, off)
+        sections[name.decode("utf-8")], off = _take(blob, off, payload_len)
     return sections
 
 
@@ -88,21 +103,28 @@ def encode_tensor_map(arrays: dict[str, np.ndarray]) -> bytes:
     return b"".join(chunks)
 
 
+def _read_header(buf, off, with_dtype):
+    """Parse one map entry's header (the inverse of `_pack_header`):
+    (path, dtype or None, shape, offset of the entry's payload)."""
+    (path_len,), off = _unpack("<H", buf, off)
+    raw, off = _take(buf, off, path_len)
+    path, dtype = raw.decode("utf-8"), None
+    if with_dtype:
+        (code,), off = _unpack("<B", buf, off)
+        if code not in _CODE_DTYPES:
+            raise ContractError(f"checkpoint tensor {path!r}: unknown dtype code {code}")
+        dtype = np.dtype(_CODE_DTYPES[code])
+    (ndim,), off = _unpack("<B", buf, off)
+    shape, off = _unpack(f"<{ndim}I", buf, off)
+    return path, dtype, shape, off
+
+
 def decode_tensor_map(buf: bytes) -> dict[str, np.ndarray]:
     out, off = {}, 0
     while off < len(buf):
-        (path_len,) = struct.unpack_from("<H", buf, off)
-        off += 2
-        path = buf[off:off + path_len].decode("utf-8")
-        off += path_len
-        code, ndim = struct.unpack_from("<BB", buf, off)
-        off += 2
-        shape = struct.unpack_from(f"<{ndim}I", buf, off)
-        off += 4 * ndim
-        dtype = np.dtype(_CODE_DTYPES[code])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        out[path] = np.frombuffer(buf[off:off + nbytes], dtype=dtype).reshape(shape).copy()
-        off += nbytes
+        path, dtype, shape, off = _read_header(buf, off, with_dtype=True)
+        raw, off = _take(buf, off, math.prod(shape) * dtype.itemsize)
+        out[path] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     return out
 
 
@@ -119,19 +141,10 @@ def encode_bitset_map(masks: dict[str, np.ndarray]) -> bytes:
 def decode_bitset_map(buf: bytes, dtype=np.float32) -> dict[str, np.ndarray]:
     out, off = {}, 0
     while off < len(buf):
-        (path_len,) = struct.unpack_from("<H", buf, off)
-        off += 2
-        path = buf[off:off + path_len].decode("utf-8")
-        off += path_len
-        (ndim,) = struct.unpack_from("<B", buf, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", buf, off)
-        off += 4 * ndim
-        size = int(np.prod(shape, dtype=np.int64))
-        nbytes = (size + 7) // 8
-        bits = np.frombuffer(buf[off:off + nbytes], dtype=np.uint8)
-        off += nbytes
-        flat = np.unpackbits(bits, bitorder="little")[:size]
+        path, _, shape, off = _read_header(buf, off, with_dtype=False)
+        size = math.prod(shape)
+        raw, off = _take(buf, off, (size + 7) // 8)
+        flat = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[:size]
         out[path] = flat.reshape(shape).astype(dtype)
     return out
 
@@ -141,7 +154,10 @@ def encode_json(obj) -> bytes:
 
 
 def decode_json(buf: bytes):
-    return json.loads(buf.decode("utf-8"))
+    try:
+        return json.loads(buf.decode("utf-8"))
+    except ValueError as exc:
+        raise ContractError(f"checkpoint JSON section is malformed: {exc}") from exc
 
 
 def encode_u64(value: int) -> bytes:
@@ -149,40 +165,4 @@ def encode_u64(value: int) -> bytes:
 
 
 def decode_u64(buf: bytes) -> int:
-    return struct.unpack("<Q", buf)[0]
-
-
-def encode_dataset(sequences: np.ndarray, offsets: np.ndarray, msl: int) -> bytes:
-    return b"".join([
-        struct.pack("<I", msl),
-        struct.pack("<Q", sequences.shape[0]),
-        np.ascontiguousarray(sequences, dtype="<u4").tobytes(),
-        np.ascontiguousarray(offsets, dtype="<u8").tobytes(),
-    ])
-
-
-def decode_dataset(buf: bytes):
-    (msl,) = struct.unpack_from("<I", buf, 0)
-    (rows,) = struct.unpack_from("<Q", buf, 4)
-    off = 12
-    seq_bytes = rows * msl * 4
-    sequences = np.frombuffer(buf[off:off + seq_bytes], dtype="<u4").reshape(rows, msl).copy()
-    off += seq_bytes
-    offsets = np.frombuffer(buf[off:off + rows * 8], dtype="<u8").copy()
-    return sequences, offsets, msl
-
-
-def save_packed_dataset(path, dataset):
-    """Write a PackedDataset as a container with a single dataset section."""
-    save_container(path, {"dataset": encode_dataset(dataset.sequences,
-                                                    dataset.offsets, dataset.msl)})
-
-
-def load_packed_dataset(path):
-    from .data import PackedDataset
-
-    sections = load_container(path)
-    if "dataset" not in sections:
-        raise ContractError(f"{path}: no dataset section")
-    sequences, offsets, msl = decode_dataset(sections["dataset"])
-    return PackedDataset(sequences=sequences, offsets=offsets, msl=msl)
+    return _unpack("<Q", buf, 0)[0][0]

@@ -29,7 +29,6 @@ from . import flops as F
 from . import model as M
 from . import sparsity as S
 from . import training as TR
-from . import checkpoint as C
 from .errors import ContractError
 
 EXIT_OK = 0
@@ -174,7 +173,7 @@ def cmd_pretrain(args):
     run_name = cfg["run_name"] or os.path.basename(os.path.normpath(args.out))
     TR.save_train_state(os.path.join(args.out, "final.ckpt"), state)
     _write_text(os.path.join(args.out, "loss.csv"),
-                TR.emit_loss_curves({run_name: state.trace}))
+                TR.emit_loss_curves({run_name: [(r.step, r.loss) for r in state.trace]}))
     resolved = dict(cfg, run_name=run_name, model=dataclasses.asdict(model_cfg))
     _write_text(os.path.join(args.out, "config.json"),
                 json.dumps(resolved, indent=2, sort_keys=True) + "\n")
@@ -220,23 +219,6 @@ def _load_label_space(path, vocab):
     return E.label_space_from_vocab(vocab, spec["labels"],
                                     multi_label=bool(spec.get("multi_label", False)),
                                     separator=spec.get("separator", " "))
-
-
-def _prompt_sections(prompt):
-    return {
-        "prompt": C.encode_tensor_map({"embeddings": prompt.embeddings.data}),
-        "prompt_meta": C.encode_json({"virtual_ids": list(prompt.virtual_ids)}),
-    }
-
-
-def _load_prompt(sections):
-    if "prompt" not in sections:
-        return None
-    emb = C.decode_tensor_map(sections["prompt"])["embeddings"]
-    meta = C.decode_json(sections["prompt_meta"])
-    from .tensor import Tensor
-    return FT.SoftPrompt(embeddings=Tensor(emb, requires_grad=True),
-                         virtual_ids=tuple(meta["virtual_ids"]))
 
 
 def cmd_finetune(args):
@@ -305,9 +287,8 @@ def cmd_finetune(args):
     else:
         result = FT.finetune_dense(params, config, job, metric_fn)
 
-    extra = _prompt_sections(result.prompt) if result.prompt is not None else {}
     TR.save_model_checkpoint(os.path.join(args.out, "model.ckpt"), config, result.params,
-                             extra=extra)
+                             prompt=result.prompt)
     _write_text(os.path.join(args.out, "report.csv"), FT.report_to_csv(result.report))
     resolved = dataclasses.asdict(dataclasses.replace(job, stages=[]))
     resolved["stages"] = [s.name for s in job.stages]
@@ -321,8 +302,7 @@ def cmd_finetune(args):
 
 
 def cmd_eval(args):
-    config, params, _step, _masks, sections = TR.load_model_checkpoint(args.checkpoint)
-    prompt = _load_prompt(sections)
+    config, params, _step, _masks, prompt = TR.load_model_checkpoint(args.checkpoint)
     vocab = D.load_vocab(args.vocab)
     space = _load_label_space(args.labels, vocab)
     examples = _read_task_examples(args.dataset, vocab)
@@ -395,7 +375,7 @@ def cmd_report(args):
             parsed = TR.parse_loss_curves(fh.read())
         for run, records in parsed.items():
             label = run if run not in merged else f"{os.path.basename(os.path.normpath(run_dir))}/{run}"
-            merged[label] = [TR.StepRecord(step, loss, loss, 0.0) for step, loss in records]
+            merged[label] = records
     _write_text(args.out, TR.emit_loss_curves(merged))
     total = sum(len(v) for v in merged.values())
     print(f"wrote {total} rows for {len(merged)} runs to {args.out}")

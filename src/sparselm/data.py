@@ -224,12 +224,15 @@ def load_vocab(path) -> Vocab:
         header = fh.readline().strip().split()
         if len(header) != 4 or header[0] != "sparselm-vocab" or header[1] != f"v{VOCAB_FORMAT_VERSION}":
             raise ContractError(f"{path}: not a sparselm vocab file (header {header!r})")
-        n_merges = int(header[2].split("=")[1])
-        n_prompt = int(header[3].split("=")[1])
-        merges = []
-        for _ in range(n_merges):
-            left, right = fh.readline().split()
-            merges.append((bytes.fromhex(left), bytes.fromhex(right)))
+        try:
+            n_merges = int(header[2].partition("=")[2])
+            n_prompt = int(header[3].partition("=")[2])
+            merges = []
+            for _ in range(n_merges):
+                left, right = fh.readline().split()
+                merges.append((bytes.fromhex(left), bytes.fromhex(right)))
+        except ValueError as exc:  # a short merge list, a bad count or non-hex bytes
+            raise ContractError(f"{path}: truncated or malformed vocab file ({exc})") from exc
     return Vocab(merges=merges, n_prompt_slots=n_prompt)
 
 

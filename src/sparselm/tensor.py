@@ -11,10 +11,9 @@ becomes its `.grad` as is (copied only when its dtype or shape differs
 from the tensor's), and later ones are added into it in place. So a
 buffer an adjoint hands to `_accum` must not go to a second tensor: when
 both parents of `add` need the same pass-through gradient, the second
-gets a copy, and the views made by `reshape`, `transpose` and an identity
-`_unbroadcast` each go to a single parent. No two tensors' `.grad` share
-memory, and in-place updates of one gradient (masking, clipping) never
-reach another.
+gets a copy, and a view made by an identity `_unbroadcast` goes to a
+single parent. No two tensors' `.grad` share memory, and in-place updates
+of one gradient (masking, clipping) never reach another.
 """
 
 from __future__ import annotations
@@ -58,9 +57,6 @@ class Tensor:
     def dtype(self):
         return "float64" if self.data.dtype == np.float64 else "float32"
 
-    def zero_grad(self):
-        self.grad = None
-
     def item(self):
         return self.data.item()
 
@@ -77,14 +73,8 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Tape:
@@ -233,17 +223,6 @@ def add(a, b):
     return _finish(out, (a, b), bwd)
 
 
-def sub(a, b):
-    a, b = _pair(a, b, "sub")
-    out = Tensor(a.data - b.data)
-
-    def bwd(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
-
-    return _finish(out, (a, b), bwd)
-
-
 def mul(a, b):
     a, b = _pair(a, b, "mul")
     out = Tensor(a.data * b.data)
@@ -253,39 +232,6 @@ def mul(a, b):
         _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _finish(out, (a, b), bwd)
-
-
-def matmul(a, b):
-    """Matrix product. 2-D x 2-D, or stacked with identical leading dims."""
-    a, b = _pair(a, b, "matmul")
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ContractError(f"matmul needs >=2-d operands, got {a.shape} x {b.shape}")
-    if a.data.shape[-1] != b.data.shape[-2] or a.data.shape[:-2] != b.data.shape[:-2]:
-        raise ContractError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accum(a, g @ b.data.swapaxes(-1, -2))
-        if b.requires_grad:
-            _accum(b, a.data.swapaxes(-1, -2) @ g)
-
-    return _finish(out, (a, b), bwd)
-
-
-def softmax(x, axis=-1):
-    """Exp-normalize along `axis`, stabilized by max subtraction."""
-    x = _as_tensor(x)
-    m = x.data.max(axis=axis, keepdims=True)
-    e = np.exp(x.data - m)
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y)
-
-    def bwd(g):
-        s = (g * y).sum(axis=axis, keepdims=True)
-        _accum(x, y * (g - s))
-
-    return _finish(out, (x,), bwd)
 
 
 def layer_norm(x, gain, bias, eps=1e-5):
@@ -549,27 +495,6 @@ def narrow(x, axis, start, length):
             gx = np.zeros_like(x.data)
             gx[index] = g
             _accum(x, gx)
-
-    return _finish(out, (x,), bwd)
-
-
-def reshape(x, shape):
-    x = _as_tensor(x)
-    out = Tensor(x.data.reshape(shape))
-
-    def bwd(g):
-        _accum(x, g.reshape(x.data.shape))
-
-    return _finish(out, (x,), bwd)
-
-
-def transpose(x, axes):
-    x = _as_tensor(x)
-    out = Tensor(np.ascontiguousarray(x.data.transpose(axes)))
-    inverse = np.argsort(axes)
-
-    def bwd(g):
-        _accum(x, g.transpose(inverse))
 
     return _finish(out, (x,), bwd)
 

@@ -208,12 +208,13 @@ def pretrain(params, config, dataset, schedule, batch_size, seed,
 # ------------------------------------------------------------- loss curves
 
 
-def emit_loss_curves(traces: dict[str, list[StepRecord]]) -> str:
-    """CSV with columns run,step,loss; float text round-trips exactly."""
+def emit_loss_curves(curves: dict[str, list[tuple[int, float]]]) -> str:
+    """CSV with columns run,step,loss from {run: [(step, loss), ...]}, the
+    shape `parse_loss_curves` returns; float text round-trips exactly."""
     lines = ["run,step,loss"]
-    for run, records in traces.items():
-        for rec in records:
-            lines.append(f"{run},{rec.step},{rec.loss!r}")
+    for run, points in curves.items():
+        for step, loss in points:
+            lines.append(f"{run},{step},{loss!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -231,75 +232,19 @@ def parse_loss_curves(text: str) -> dict[str, list[tuple[int, float]]]:
 # ------------------------------------------------------------ checkpoints
 
 
-def save_train_state(path, state: TrainState):
-    sections = {
-        "config": C.encode_json(dataclasses.asdict(state.config)),
-        "schedule": C.encode_json(dataclasses.asdict(state.schedule)),
-        "params": C.encode_tensor_map({p: t.data for p, t in state.params.items()}),
-        "opt_m": C.encode_tensor_map(state.opt.m),
-        "opt_v": C.encode_tensor_map(state.opt.v),
-        "opt_meta": C.encode_json({
-            "step": state.opt.step, "beta1": state.opt.beta1, "beta2": state.opt.beta2,
-            "eps": state.opt.eps, "weight_decay": state.opt.weight_decay,
-        }),
-        "trainer": C.encode_json({
-            "step": state.step, "batch_size": state.batch_size,
-            "micro_batch_size": state.micro_batch_size, "seed": state.seed,
-            "smoothed": state.smoothed,
-        }),
-        "rng": C.encode_json(state.rng.bit_generator.state),
-        "step": C.encode_u64(state.step),
-    }
-    if state.masks is not None:
-        sections["masks"] = C.encode_bitset_map(state.masks.masks)
-        sections["plan"] = C.encode_json({
-            "level": state.masks.plan.level,
-            "levels": state.masks.plan.levels,
-            "seed": state.masks.plan.seed,
-            "resolved": state.masks.levels,
-        })
-    C.save_container(path, sections)
+# A model checkpoint is the sections config, params and step, plus masks and
+# plan when sparse and prompt and prompt_meta with a soft prompt. A train
+# checkpoint is a model checkpoint plus schedule, opt_m, opt_v, opt_meta,
+# trainer and rng. Sections are read by name, so their order does not matter.
 
 
-def _decode_masks(sections, dtype):
-    if "masks" not in sections:
-        return None
-    raw = C.decode_bitset_map(sections["masks"], dtype=dtype)
-    meta = C.decode_json(sections["plan"])
-    plan = SparsityPlan(level=meta["level"], levels=meta["levels"], seed=meta["seed"])
-    return MaskSet(masks=raw, plan=plan, levels=meta.get("resolved", {}))
+def _require(path, sections, names):
+    for name in names:
+        if name not in sections:
+            raise ContractError(f"{path}: missing checkpoint section {name!r}")
 
 
-def load_train_state(path) -> TrainState:
-    sections = C.load_container(path)
-    for required in ("config", "schedule", "params", "opt_m", "opt_v", "trainer"):
-        if required not in sections:
-            raise ContractError(f"{path}: missing checkpoint section {required!r}")
-    config = ModelConfig(**C.decode_json(sections["config"]))
-    schedule = Schedule(**C.decode_json(sections["schedule"]))
-    arrays = C.decode_tensor_map(sections["params"])
-    params = ParamStore()
-    for p, arr in arrays.items():
-        params[p] = Tensor(arr, requires_grad=True,
-                           dtype="float64" if arr.dtype == np.float64 else "float32")
-    opt_meta = C.decode_json(sections["opt_meta"])
-    opt = OptimizerState(m=C.decode_tensor_map(sections["opt_m"]),
-                         v=C.decode_tensor_map(sections["opt_v"]), **opt_meta)
-    trainer = C.decode_json(sections["trainer"])
-    rng = np.random.default_rng()
-    rng.bit_generator.state = C.decode_json(sections["rng"])
-    dtype = params["tok_emb"].data.dtype
-    return TrainState(
-        params=params, config=config, schedule=schedule, opt=opt, rng=rng,
-        batch_size=trainer["batch_size"], seed=trainer["seed"], step=trainer["step"],
-        masks=_decode_masks(sections, dtype), micro_batch_size=trainer["micro_batch_size"],
-        smoothed=trainer["smoothed"],
-    )
-
-
-def save_model_checkpoint(path, config: ModelConfig, params: ParamStore, step: int = 0,
-                          masks: MaskSet | None = None, extra: dict | None = None):
-    """Inference/fine-tune style checkpoint: config + weights (+ masks)."""
+def _encode_model(config, params, step, masks=None, prompt=None) -> dict[str, bytes]:
     sections = {
         "config": C.encode_json(dataclasses.asdict(config)),
         "params": C.encode_tensor_map({p: t.data for p, t in params.items()}),
@@ -311,23 +256,72 @@ def save_model_checkpoint(path, config: ModelConfig, params: ParamStore, step: i
             "level": masks.plan.level, "levels": masks.plan.levels,
             "seed": masks.plan.seed, "resolved": masks.levels,
         })
-    for name, payload in (extra or {}).items():
-        sections[name] = payload
-    C.save_container(path, sections)
+    if prompt is not None:
+        sections["prompt"] = C.encode_tensor_map({"embeddings": prompt.embeddings.data})
+        sections["prompt_meta"] = C.encode_json({"virtual_ids": list(prompt.virtual_ids)})
+    return sections
+
+
+def _decode_model(path, sections):
+    """(config, params, step, masks or None, prompt or None)."""
+    _require(path, sections, ("config", "params", "step"))
+    config = ModelConfig(**C.decode_json(sections["config"]))
+    params = ParamStore((p, Tensor(arr, requires_grad=True))
+                        for p, arr in C.decode_tensor_map(sections["params"]).items())
+    masks = prompt = None
+    if "masks" in sections:
+        _require(path, sections, ("plan",))
+        meta = C.decode_json(sections["plan"])
+        plan = SparsityPlan(level=meta["level"], levels=meta["levels"], seed=meta["seed"])
+        raw = C.decode_bitset_map(sections["masks"], params["tok_emb"].data.dtype)
+        masks = MaskSet(masks=raw, plan=plan, levels=meta.get("resolved", {}))
+    if "prompt" in sections:
+        from .finetune import SoftPrompt  # finetune imports this module
+        _require(path, sections, ("prompt_meta",))
+        emb = C.decode_tensor_map(sections["prompt"])["embeddings"]
+        ids = tuple(C.decode_json(sections["prompt_meta"])["virtual_ids"])
+        prompt = SoftPrompt(embeddings=Tensor(emb, requires_grad=True), virtual_ids=ids)
+    return config, params, C.decode_u64(sections["step"]), masks, prompt
+
+
+def save_train_state(path, state: TrainState):
+    opt = state.opt
+    C.save_container(path, _encode_model(state.config, state.params, state.step, state.masks) | {
+        "schedule": C.encode_json(dataclasses.asdict(state.schedule)),
+        "opt_m": C.encode_tensor_map(opt.m),
+        "opt_v": C.encode_tensor_map(opt.v),
+        "opt_meta": C.encode_json({"step": opt.step, "beta1": opt.beta1, "beta2": opt.beta2,
+                                   "eps": opt.eps, "weight_decay": opt.weight_decay}),
+        "trainer": C.encode_json({"batch_size": state.batch_size, "seed": state.seed,
+                                  "micro_batch_size": state.micro_batch_size,
+                                  "smoothed": state.smoothed}),
+        "rng": C.encode_json(state.rng.bit_generator.state),
+    })
+
+
+def load_train_state(path) -> TrainState:
+    sections = C.load_container(path)
+    _require(path, sections, ("schedule", "opt_m", "opt_v", "opt_meta", "trainer", "rng"))
+    config, params, step, masks, _ = _decode_model(path, sections)
+    opt = OptimizerState(m=C.decode_tensor_map(sections["opt_m"]),
+                         v=C.decode_tensor_map(sections["opt_v"]),
+                         **C.decode_json(sections["opt_meta"]))
+    trainer = C.decode_json(sections["trainer"])
+    rng = np.random.default_rng()
+    rng.bit_generator.state = C.decode_json(sections["rng"])
+    return TrainState(
+        params=params, config=config, schedule=Schedule(**C.decode_json(sections["schedule"])),
+        opt=opt, rng=rng, batch_size=trainer["batch_size"], seed=trainer["seed"], step=step,
+        masks=masks, micro_batch_size=trainer["micro_batch_size"], smoothed=trainer["smoothed"],
+    )
+
+
+def save_model_checkpoint(path, config: ModelConfig, params: ParamStore, step: int = 0,
+                          masks: MaskSet | None = None, prompt=None):
+    """Config and weights, plus masks when sparse and a fine-tuned soft prompt."""
+    C.save_container(path, _encode_model(config, params, step, masks, prompt))
 
 
 def load_model_checkpoint(path):
-    """Returns (config, params, step, masks or None, raw sections)."""
-    sections = C.load_container(path)
-    for required in ("config", "params"):
-        if required not in sections:
-            raise ContractError(f"{path}: missing checkpoint section {required!r}")
-    config = ModelConfig(**C.decode_json(sections["config"]))
-    arrays = C.decode_tensor_map(sections["params"])
-    params = ParamStore()
-    for p, arr in arrays.items():
-        params[p] = Tensor(arr, requires_grad=True,
-                           dtype="float64" if arr.dtype == np.float64 else "float32")
-    step = C.decode_u64(sections["step"]) if "step" in sections else 0
-    masks = _decode_masks(sections, params["tok_emb"].data.dtype)
-    return config, params, step, masks, sections
+    """(config, params, step, masks or None, prompt or None); reads train checkpoints too."""
+    return _decode_model(path, C.load_container(path))

@@ -143,6 +143,27 @@ def test_densify_pipeline(tmp_path, corpus_path, vocab_path):
         assert np.all(params[path].data[pruned] == 0.0)
 
 
+def test_densify_truncated_checkpoint_exits_2(tmp_path, vocab_path, capsys):
+    ckpt = model_ckpt(tmp_path, vocab_path)
+    blob = ckpt.read_bytes()
+    ckpt.write_bytes(blob[: len(blob) // 2])
+    assert cli.main(["densify", "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "dense.ckpt")]) == 2
+    assert "truncated" in capsys.readouterr().err
+
+
+def test_eval_truncated_vocab_exits_2(tmp_path, vocab_path):
+    ckpt = model_ckpt(tmp_path, vocab_path)
+    lines = vocab_path.read_text().splitlines(keepends=True)
+    vocab_path.write_text("".join(lines[: len(lines) // 2]))
+    dataset = tmp_path / "d.jsonl"
+    write_task_file(dataset, [("alpha", "yes", ["yes"])])
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps({"labels": ["yes", "no"]}))
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
+                     "--dataset", str(dataset), "--labels", str(labels)]) == 2
+
+
 # ------------------------------------------------------------------ flops
 
 

@@ -115,6 +115,23 @@ def test_load_vocab_rejects_garbage(tmp_path):
         D.load_vocab(path)
 
 
+def test_load_vocab_rejects_truncated_merge_list(tmp_path):
+    vocab = D.learn_bpe(["abab abab cdcd cdcd"] * 3, 2 + D.DEFAULT_PROMPT_SLOTS + 256 + 3)
+    path = tmp_path / "vocab.txt"
+    D.save_vocab(path, vocab)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:2]))  # header promises 3 merges, 1 follows
+    with pytest.raises(ContractError, match="truncated or malformed"):
+        D.load_vocab(path)
+
+
+def test_load_vocab_rejects_non_integer_count(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("sparselm-vocab v1 merges=three prompt_slots=16\n")
+    with pytest.raises(ContractError, match="truncated or malformed"):
+        D.load_vocab(path)
+
+
 # ------------------------------------------------------------------ split
 
 
@@ -180,15 +197,3 @@ def test_pack_preserves_order(docs, msl):
 def test_pack_msl_contract():
     with pytest.raises(ContractError):
         D.pack_sequences([[1, 2]], msl=1, eod_id=0)
-
-
-def test_packed_dataset_container_roundtrip(tmp_path):
-    from sparselm import checkpoint as C
-
-    ds = D.pack_sequences([[1, 2, 3], [4, 5, 6, 7]], msl=4, eod_id=9)
-    path = tmp_path / "data.ckpt"
-    C.save_packed_dataset(path, ds)
-    loaded = C.load_packed_dataset(path)
-    assert np.array_equal(loaded.sequences, ds.sequences)
-    assert np.array_equal(loaded.offsets, ds.offsets)
-    assert loaded.msl == ds.msl

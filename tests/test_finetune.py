@@ -138,8 +138,8 @@ def test_loss_mask_exactness_via_logit_grads():
     ids, mask = ids[None, :], mask[None, :]
     logits = FT.prompt_forward(params, cfg, prompt, ids)
     seq = ids.shape[1]
-    pred = T.reshape(T.narrow(logits, 1, 0, seq - 1), (seq - 1, cfg.vocab_size))
-    loss = T.cross_entropy(pred, np.eye(cfg.vocab_size), ids[0, 1:], mask[0, 1:])
+    pred = T.narrow(logits, 1, 0, seq - 1)
+    loss = T.cross_entropy(pred, np.eye(cfg.vocab_size), ids[:, 1:], mask[:, 1:])
     T.backward(loss)
     active = mask[0, 1:].astype(bool)
     grads = logits.grad[0, : seq - 1]

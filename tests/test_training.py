@@ -1,9 +1,18 @@
+import dataclasses
+import functools
 import math
+import os
+import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparselm.errors import ContractError
+from sparselm import checkpoint as C
+from sparselm import finetune as FT
 from sparselm import model as M
 from sparselm import sparsity as S
 from sparselm import training as TR
@@ -220,6 +229,113 @@ def test_model_checkpoint_roundtrip(tmp_path):
         assert np.array_equal(loaded[p].data, params[p].data)
 
 
+def test_model_checkpoint_prompt_roundtrip(tmp_path):
+    cfg = tiny_config()
+    prompt = FT.init_soft_prompt(cfg, 3, virtual_ids=(2, 3, 4), seed=5)
+    path = tmp_path / "model.ckpt"
+    TR.save_model_checkpoint(path, cfg, M.init_params(cfg, seed=0), prompt=prompt)
+    *_, masks, loaded = TR.load_model_checkpoint(path)
+    assert masks is None
+    assert loaded.embeddings.data.dtype == prompt.embeddings.data.dtype
+    assert np.array_equal(loaded.embeddings.data, prompt.embeddings.data)
+    assert loaded.virtual_ids == prompt.virtual_ids
+
+
+def sparse_state(steps=2):
+    cfg = tiny_config()
+    masks = S.build_masks(M.init_params(cfg, seed=0), S.SparsityPlan(level=0.5, seed=4))
+    state = TR.init_train_state(M.init_params(cfg, seed=0), cfg, TR.Schedule(1e-3, 8), 4,
+                                seed=9, masks=masks)
+    return TR.train_steps(state, toy_dataset(), n_steps=steps)
+
+
+def test_train_checkpoint_reads_as_model_checkpoint(tmp_path):
+    state = sparse_state()
+    path = tmp_path / "train.ckpt"
+    TR.save_train_state(path, state)
+    config, params, step, masks, prompt = TR.load_model_checkpoint(path)
+    assert config == state.config and step == 2 and prompt is None
+    for p in state.params:
+        assert np.array_equal(params[p].data, state.params[p].data), p
+    assert masks.paths() == state.masks.paths()
+    for p in masks.paths():
+        assert np.array_equal(masks[p], state.masks[p]), p
+
+
+def test_train_checkpoint_in_older_layout_loads(tmp_path):
+    # the earlier layout: train sections first, the step both in `trainer`
+    # and in a `step` section after `rng`, masks and plan last
+    state = sparse_state()
+    opt, plan = state.opt, state.masks.plan
+    path = tmp_path / "old.ckpt"
+    C.save_container(path, {
+        "config": C.encode_json(dataclasses.asdict(state.config)),
+        "schedule": C.encode_json(dataclasses.asdict(state.schedule)),
+        "params": C.encode_tensor_map({p: t.data for p, t in state.params.items()}),
+        "opt_m": C.encode_tensor_map(opt.m),
+        "opt_v": C.encode_tensor_map(opt.v),
+        "opt_meta": C.encode_json({"step": opt.step, "beta1": opt.beta1, "beta2": opt.beta2,
+                                   "eps": opt.eps, "weight_decay": opt.weight_decay}),
+        "trainer": C.encode_json({"step": state.step, "batch_size": state.batch_size,
+                                  "micro_batch_size": state.micro_batch_size,
+                                  "seed": state.seed, "smoothed": state.smoothed}),
+        "rng": C.encode_json(state.rng.bit_generator.state),
+        "step": C.encode_u64(state.step),
+        "masks": C.encode_bitset_map(state.masks.masks),
+        "plan": C.encode_json({"level": plan.level, "levels": plan.levels, "seed": plan.seed,
+                               "resolved": state.masks.levels}),
+    })
+    loaded = TR.load_train_state(path)
+    assert (loaded.config, loaded.schedule, loaded.step) == (state.config, state.schedule, 2)
+    assert (loaded.batch_size, loaded.micro_batch_size, loaded.seed, loaded.smoothed) == \
+        (state.batch_size, state.micro_batch_size, state.seed, state.smoothed)
+    assert loaded.rng.bit_generator.state == state.rng.bit_generator.state
+    assert dataclasses.replace(loaded.opt, m=None, v=None) == \
+        dataclasses.replace(state.opt, m=None, v=None)
+    for p in state.params:
+        assert np.array_equal(loaded.params[p].data, state.params[p].data), p
+        assert np.array_equal(loaded.opt.m[p], state.opt.m[p]), p
+        assert np.array_equal(loaded.opt.v[p], state.opt.v[p]), p
+    assert loaded.masks.plan == plan and loaded.masks.levels == state.masks.levels
+    for p in state.masks.paths():
+        assert np.array_equal(loaded.masks[p], state.masks[p]), p
+
+
+@functools.lru_cache(maxsize=None)
+def sparse_checkpoint_bytes():
+    """A real sparse train checkpoint and the offsets at which its sections end."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "train.ckpt")
+        TR.save_train_state(path, sparse_state())
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    ends, off = [], 12
+    while off < len(blob):
+        (name_len,) = struct.unpack_from("<H", blob, off)
+        (payload_len,) = struct.unpack_from("<Q", blob, off + 2 + name_len)
+        off += 2 + name_len + 8 + payload_len
+        ends.append(off)
+    return blob, tuple(ends)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_truncated_checkpoint_raises_contract_error(data):
+    blob, ends = sparse_checkpoint_bytes()
+    cut = data.draw(st.one_of(st.sampled_from(ends[:-1]), st.integers(0, len(blob) - 1)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cut.ckpt")
+        with open(path, "wb") as fh:
+            fh.write(blob[:cut])
+        # the train sections come last, so every cut loses part of them
+        with pytest.raises(ContractError):
+            TR.load_train_state(path)
+        try:
+            TR.load_model_checkpoint(path)
+        except ContractError:
+            pass
+
+
 def test_corrupt_checkpoint_rejected(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
@@ -231,20 +347,19 @@ def test_corrupt_checkpoint_rejected(tmp_path):
 
 
 def test_loss_curve_roundtrip_exact():
-    traces = {
-        "dense": [TR.StepRecord(1, 4.135289573669434, 4.1, 1e-4),
-                  TR.StepRecord(2, 3.9000001, 4.0, 2e-4)],
-        "sparse": [TR.StepRecord(1, 1 / 3, 1 / 3, 1e-4)],
+    curves = {
+        "dense": [(1, 4.135289573669434), (2, 3.9000001)],
+        "sparse": [(1, 1 / 3)],
     }
-    csv_text = TR.emit_loss_curves(traces)
+    csv_text = TR.emit_loss_curves(curves)
     assert csv_text.splitlines()[0] == "run,step,loss"
     assert len(csv_text.strip().splitlines()) == 4
     parsed = TR.parse_loss_curves(csv_text)
-    for run, records in traces.items():
-        assert parsed[run] == [(r.step, r.loss) for r in records]
+    for run, points in curves.items():
+        assert parsed[run] == points
 
 
 def test_loss_curve_two_runs_row_count():
-    rec = [TR.StepRecord(s, float(s), float(s), 1e-4) for s in range(1, 11)]
-    csv_text = TR.emit_loss_curves({"a": rec, "b": rec})
+    points = [(s, float(s)) for s in range(1, 11)]
+    csv_text = TR.emit_loss_curves({"a": points, "b": points})
     assert len(csv_text.strip().splitlines()) == 21
