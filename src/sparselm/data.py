@@ -10,9 +10,10 @@ never emits for text.
 
 from __future__ import annotations
 
+import heapq
 import json
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,6 +95,8 @@ class Vocab:
     _encode_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
+        if self.n_prompt_slots < 0:
+            raise ContractError(f"prompt slot count must be >= 0, got {self.n_prompt_slots}")
         self.eod_id = 0
         self.pad_id = 1
         self.prompt_ids = tuple(range(2, 2 + self.n_prompt_slots))
@@ -162,7 +165,13 @@ def learn_bpe(corpus, target_vocab_size: int,
               n_prompt_slots: int = DEFAULT_PROMPT_SLOTS) -> Vocab:
     """Merge the most frequent adjacent symbol pair until the target size is
     reached or no pair repeats. Ties break on the lexicographically smallest
-    pair, so learning is deterministic for a given corpus."""
+    pair, so learning is deterministic for a given corpus.
+
+    Incremental (Sennrich et al., 2016): pair counts and a pair -> word index
+    are built once; each merge rewrites only the words that hold the chosen
+    pair and moves their pair counts. The next pair comes off a heap keyed
+    (-count, pair); an entry whose count has since changed is stale and
+    skipped, because every change pushes a fresh entry."""
     base_size = 2 + n_prompt_slots + N_BYTE_TOKENS
     if target_vocab_size < base_size:
         raise ContractError(
@@ -173,36 +182,63 @@ def learn_bpe(corpus, target_vocab_size: int,
         text = document_text(item) if isinstance(item, Document) else item
         piece_freq.update(pre_tokenize(text))
 
-    words = {tuple(bytes([b]) for b in piece.encode("utf-8")): freq
-             for piece, freq in piece_freq.items()}
+    words = [[bytes([b]) for b in piece.encode("utf-8")] for piece in piece_freq]
+    freqs = list(piece_freq.values())
+    pair_counts = Counter()
+    where = defaultdict(set)  # pair -> indices of words that held it at some point
+    for i, (word, freq) in enumerate(zip(words, freqs)):
+        for pair in zip(word, word[1:]):
+            pair_counts[pair] += freq
+            where[pair].add(i)
+    heap = [(-count, pair) for pair, count in pair_counts.items()]
+    heapq.heapify(heap)
+
     merges = []
-    while base_size + len(merges) < target_vocab_size:
-        pair_counts = Counter()
-        for word, freq in words.items():
-            for pair in zip(word, word[1:]):
-                pair_counts[pair] += freq
-        if not pair_counts:
+    while heap and base_size + len(merges) < target_vocab_size:
+        neg_count, best = heapq.heappop(heap)
+        if pair_counts.get(best) != -neg_count:
+            continue
+        if -neg_count < 2:
             break
-        best_count = max(pair_counts.values())
-        if best_count < 2:
-            break
-        best = min(p for p, c in pair_counts.items() if c == best_count)
         merges.append(best)
         left, right = best
         merged = left + right
-        new_words = {}
-        for word, freq in words.items():
-            out, i = [], 0
-            while i < len(word):
-                if i + 1 < len(word) and word[i] == left and word[i + 1] == right:
+        delta = Counter()
+        for i in where.pop(best):
+            word, freq = words[i], freqs[i]
+            out, j = [], 0
+            while j < len(word):
+                if j + 1 < len(word) and word[j] == left and word[j + 1] == right:
                     out.append(merged)
-                    i += 2
+                    j += 2
                 else:
-                    out.append(word[i])
-                    i += 1
-            new_words[tuple(out)] = new_words.get(tuple(out), 0) + freq
-        words = new_words
+                    out.append(word[j])
+                    j += 1
+            if len(out) == len(word):  # an earlier merge already took the pair apart
+                continue
+            for pair in zip(word, word[1:]):
+                delta[pair] -= freq
+            for pair in zip(out, out[1:]):
+                delta[pair] += freq
+                where[pair].add(i)
+            words[i] = out
+        for pair, change in delta.items():
+            if change:
+                count = pair_counts[pair] + change
+                if count:
+                    pair_counts[pair] = count
+                    heapq.heappush(heap, (-count, pair))
+                else:
+                    del pair_counts[pair]
     return Vocab(merges=merges, n_prompt_slots=n_prompt_slots)
+
+
+def _special_table(vocab: Vocab) -> list[str]:
+    """The `#special` lines that close a vocab file."""
+    lines = [f"#special eod {vocab.eod_id}", f"#special pad {vocab.pad_id}"]
+    if vocab.prompt_ids:
+        lines.append(f"#special prompt {vocab.prompt_ids[0]} {vocab.prompt_ids[-1]}")
+    return lines
 
 
 def save_vocab(path, vocab: Vocab):
@@ -213,27 +249,41 @@ def save_vocab(path, vocab: Vocab):
                  f"merges={len(vocab.merges)} prompt_slots={vocab.n_prompt_slots}\n")
         for left, right in vocab.merges:
             fh.write(f"{left.hex()} {right.hex()}\n")
-        fh.write(f"#special eod {vocab.eod_id}\n")
-        fh.write(f"#special pad {vocab.pad_id}\n")
-        if vocab.prompt_ids:
-            fh.write(f"#special prompt {vocab.prompt_ids[0]} {vocab.prompt_ids[-1]}\n")
+        for line in _special_table(vocab):
+            fh.write(line + "\n")
 
 
 def load_vocab(path) -> Vocab:
-    with open(path, encoding="ascii") as fh:
-        header = fh.readline().strip().split()
-        if len(header) != 4 or header[0] != "sparselm-vocab" or header[1] != f"v{VOCAB_FORMAT_VERSION}":
-            raise ContractError(f"{path}: not a sparselm vocab file (header {header!r})")
-        try:
-            n_merges = int(header[2].partition("=")[2])
-            n_prompt = int(header[3].partition("=")[2])
-            merges = []
-            for _ in range(n_merges):
-                left, right = fh.readline().split()
-                merges.append((bytes.fromhex(left), bytes.fromhex(right)))
-        except ValueError as exc:  # a short merge list, a bad count or non-hex bytes
-            raise ContractError(f"{path}: truncated or malformed vocab file ({exc})") from exc
-    return Vocab(merges=merges, n_prompt_slots=n_prompt)
+    """Read a `save_vocab` file; anything else raises ContractError."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ContractError(f"{path}: not a sparselm vocab file ({exc})") from exc
+    header = lines[0].split() if lines else []
+    if (len(header) != 4 or header[0] != "sparselm-vocab"
+            or header[1] != f"v{VOCAB_FORMAT_VERSION}"
+            or not header[2].startswith("merges=") or not header[3].startswith("prompt_slots=")):
+        raise ContractError(f"{path}: not a sparselm vocab file (header {header!r})")
+    try:
+        n_merges = int(header[2].partition("=")[2])
+        n_prompt = int(header[3].partition("=")[2])
+        if n_merges < 0:
+            raise ValueError(f"negative merge count {n_merges}")
+        if len(lines) < 1 + n_merges:
+            raise ValueError(f"header promises {n_merges} merges, {len(lines) - 1} lines follow")
+        merges = []
+        for line in lines[1:1 + n_merges]:
+            left, right = line.split()
+            merges.append((bytes.fromhex(left), bytes.fromhex(right)))
+    except ValueError as exc:  # a short merge list, a bad count or non-hex bytes
+        raise ContractError(f"{path}: truncated or malformed vocab file ({exc})") from exc
+    vocab = Vocab(merges=merges, n_prompt_slots=n_prompt)
+    table, expected = lines[1 + n_merges:], _special_table(vocab)
+    if table != expected:
+        raise ContractError(f"{path}: special-token table {table[:4]!r} does not match "
+                            f"the ids of this vocab {expected!r}")
+    return vocab
 
 
 def split_train_val(docs, val_fraction: float = 0.03, seed: int = 0):

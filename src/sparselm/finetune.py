@@ -252,6 +252,19 @@ def finetune_dense(params: ParamStore, config: ModelConfig, job: FinetuneJob,
     if not trainable:
         raise ContractError("freeze_base without a prompt leaves nothing to train")
 
+    # a frozen base collects no gradients: no backward work, no .grad kept
+    frozen = [t for t in params.values() if t.requires_grad] if job.freeze_base else []
+    for t in frozen:
+        t.requires_grad = False
+    try:
+        return _run_stages(params, config, job, prompt, trainable, metric_fn)
+    finally:
+        for t in frozen:
+            t.requires_grad = True
+
+
+def _run_stages(params, config, job, prompt, trainable, metric_fn) -> FinetuneResult:
+    """The body of `finetune_dense`: each stage in order, `trainable` updated."""
     rng = np.random.default_rng(job.seed)
     report: list[EpochRecord] = []
     best_val_loss = None

@@ -65,6 +65,12 @@ def test_tokenizer_vocab_below_alphabet_exits_2(tmp_path, corpus_path):
     assert code == 2
 
 
+def test_tokenizer_negative_prompt_slots_exits_2(tmp_path, corpus_path):
+    code = cli.main(["tokenizer", "--corpus", str(corpus_path), "--prompt-slots", "-3",
+                     "--out", str(tmp_path / "v.txt")])
+    assert code == 2
+
+
 def test_unknown_flag_exits_1(corpus_path):
     assert cli.main(["tokenizer", "--corpus", str(corpus_path), "--bogus", "x"]) == 1
 
@@ -162,6 +168,19 @@ def test_eval_truncated_vocab_exits_2(tmp_path, vocab_path):
     labels.write_text(json.dumps({"labels": ["yes", "no"]}))
     assert cli.main(["eval", "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
                      "--dataset", str(dataset), "--labels", str(labels)]) == 2
+
+
+def test_eval_non_ascii_vocab_header_exits_2(tmp_path, vocab_path, capsys):
+    ckpt = model_ckpt(tmp_path, vocab_path)
+    blob = vocab_path.read_bytes()
+    vocab_path.write_bytes(blob.replace(b"sparselm-vocab", "sparselm-vocäb".encode("utf-8"), 1))
+    dataset = tmp_path / "d.jsonl"
+    write_task_file(dataset, [("alpha", "yes", ["yes"])])
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps({"labels": ["yes", "no"]}))
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
+                     "--dataset", str(dataset), "--labels", str(labels)]) == 2
+    assert "not a sparselm vocab file" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ flops

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,6 +131,156 @@ def test_load_vocab_rejects_non_integer_count(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("sparselm-vocab v1 merges=three prompt_slots=16\n")
     with pytest.raises(ContractError, match="truncated or malformed"):
+        D.load_vocab(path)
+
+
+def reference_learn_bpe(corpus, target_vocab_size, n_prompt_slots=D.DEFAULT_PROMPT_SLOTS):
+    """The full-recount learner: every merge recounts every pair of every
+    word and rewrites every word. Slow, but plainly right; the incremental
+    `learn_bpe` must return the same merges."""
+    base_size = 2 + n_prompt_slots + D.N_BYTE_TOKENS
+    piece_freq = Counter()
+    for item in corpus:
+        text = D.document_text(item) if isinstance(item, D.Document) else item
+        piece_freq.update(D.pre_tokenize(text))
+    words = {tuple(bytes([b]) for b in piece.encode("utf-8")): freq
+             for piece, freq in piece_freq.items()}
+    merges = []
+    while base_size + len(merges) < target_vocab_size:
+        pair_counts = Counter()
+        for word, freq in words.items():
+            for pair in zip(word, word[1:]):
+                pair_counts[pair] += freq
+        if not pair_counts:
+            break
+        best_count = max(pair_counts.values())
+        if best_count < 2:
+            break
+        best = min(p for p, c in pair_counts.items() if c == best_count)
+        merges.append(best)
+        left, right = best
+        new_words = {}
+        for word, freq in words.items():
+            out, i = [], 0
+            while i < len(word):
+                if i + 1 < len(word) and word[i] == left and word[i + 1] == right:
+                    out.append(left + right)
+                    i += 2
+                else:
+                    out.append(word[i])
+                    i += 1
+            new_words[tuple(out)] = new_words.get(tuple(out), 0) + freq
+        words = new_words
+    return merges
+
+
+def zipf_texts(seed, n_docs, doc_words, n_words=2000):
+    """Seeded documents over a fixed list of random words used by a Zipf law."""
+    rng = np.random.default_rng(seed)
+    letters = list("etaoinshrdlcumwfgypbvk")
+    words = ["".join(rng.choice(letters, size=int(n))) for n in rng.integers(2, 10, size=n_words)]
+    weights = 1.0 / np.arange(1, n_words + 1) ** 1.05
+    picks = rng.choice(n_words, size=n_docs * doc_words, p=weights / weights.sum())
+    return [" ".join(words[i] for i in picks[at:at + doc_words]) + "."
+            for at in range(0, len(picks), doc_words)]
+
+
+BASE_4 = 2 + 4 + 256  # base size with 4 prompt slots
+
+
+@pytest.mark.parametrize("corpus, extra", [
+    (["aaaa aaaa"], 3),                       # overlapping run: aaaa -> aa aa -> aaaa
+    (["aaa aaaaa a aa"], 5),                  # odd runs leave a lone a behind
+    (["abab abab", "abab"], 4),               # duplicate words
+    (["ab ba", "cd dc"], 6),                  # ties broken on the smallest pair
+    (["abc abc abd abd"], 6),                 # (b, c), (b, d) fall to zero once (a, b) merges
+    (["naïve café — ünïcode ✓✓ ✓✓"], 12),    # multi-byte UTF-8 pieces
+    (["f(x) = x**2, y[3]!!\n\t\ttabbed\n\n  "], 10),  # punctuation and whitespace
+    (["a"], 5),                               # nothing repeats
+    (["abab abab"], 0),                       # target is the base size
+])
+def test_learner_matches_full_recount(corpus, extra):
+    got = D.learn_bpe(corpus, BASE_4 + extra, n_prompt_slots=4).merges
+    assert got == reference_learn_bpe(corpus, BASE_4 + extra, n_prompt_slots=4)
+
+
+def test_overlapping_run_merges_left_to_right():
+    vocab = D.learn_bpe(["aaaa aaaa"], BASE_4 + 3, n_prompt_slots=4)
+    assert vocab.merges == [(b"a", b"a"), (b"aa", b"aa")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.text(alphabet="ab é✓.,! \n\t", max_size=40), max_size=6),
+       st.integers(min_value=0, max_value=40))
+def test_learner_matches_full_recount_property(corpus, extra):
+    got = D.learn_bpe(corpus, BASE_4 + extra, n_prompt_slots=4).merges
+    assert got == reference_learn_bpe(corpus, BASE_4 + extra, n_prompt_slots=4)
+
+
+def test_learner_vocab_file_matches_full_recount_on_zipf_corpus(tmp_path):
+    corpus = zipf_texts(seed=11, n_docs=60, doc_words=100)
+    target = 2 + D.DEFAULT_PROMPT_SLOTS + 256 + 220
+    vocab = D.learn_bpe(corpus, target)
+    assert len(vocab.merges) == 220
+    D.save_vocab(tmp_path / "got.txt", vocab)
+    D.save_vocab(tmp_path / "want.txt", D.Vocab(merges=reference_learn_bpe(corpus, target)))
+    assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+
+
+def test_load_vocab_rejects_negative_merge_count(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("sparselm-vocab v1 merges=-1 prompt_slots=16\n")
+    with pytest.raises(ContractError, match="negative merge count"):
+        D.load_vocab(path)
+
+
+def test_load_vocab_rejects_non_ascii_header(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes("sparselm-vocab v1 merges=0 prompt_slots=16 é\n".encode("utf-8"))
+    with pytest.raises(ContractError, match="not a sparselm vocab file"):
+        D.load_vocab(path)
+
+
+def test_negative_prompt_slots_rejected(tmp_path):
+    with pytest.raises(ContractError, match="prompt slot count"):
+        D.Vocab(merges=[], n_prompt_slots=-3)
+    path = tmp_path / "bad.txt"
+    path.write_text("sparselm-vocab v1 merges=0 prompt_slots=-3\n#special eod 0\n#special pad 1\n")
+    with pytest.raises(ContractError, match="prompt slot count"):
+        D.load_vocab(path)
+
+
+@pytest.mark.parametrize("slots", [0, 1, 4])
+def test_vocab_file_special_table_roundtrip(tmp_path, slots):
+    vocab = make_vocab(["abab abab cdcd"], extra=3, slots=slots)
+    path = tmp_path / "vocab.txt"
+    D.save_vocab(path, vocab)
+    assert path.read_text().count("#special prompt") == (1 if slots else 0)
+    loaded = D.load_vocab(path)
+    assert loaded.merges == vocab.merges and loaded.specials == vocab.specials
+
+
+def test_load_vocab_rejects_missing_special_table(tmp_path):
+    path = tmp_path / "vocab.txt"
+    D.save_vocab(path, make_vocab(["abab abab cdcd"], extra=3))
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if not line.startswith("#special")))
+    with pytest.raises(ContractError, match="special-token table"):
+        D.load_vocab(path)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("#special eod 0", "#special eod 1"),
+    ("#special prompt 2 5", "#special prompt 2 6"),
+    ("#special prompt 2 5\n", ""),
+])
+def test_load_vocab_rejects_mismatched_special_table(tmp_path, old, new):
+    path = tmp_path / "vocab.txt"
+    D.save_vocab(path, make_vocab(["abab abab cdcd"], extra=3))
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    with pytest.raises(ContractError, match="special-token table"):
         D.load_vocab(path)
 
 

@@ -191,6 +191,35 @@ def test_prompt_only_tuning_decreases_loss_and_freezes_base():
         assert np.array_equal(params[p].data, before[p]), p
 
 
+def prompt_only_job():
+    train = [FT.TaskExample(source=[11, 12, 13], target=[9]) for _ in range(4)]
+    return FT.FinetuneJob(stages=[FT.FinetuneStage("a", train, val=train[:2])], epochs=1,
+                          batch_size=2, prompt_length=2, virtual_ids=(2, 3),
+                          freeze_base=True)
+
+
+def test_prompt_only_tuning_leaves_no_base_gradients():
+    cfg = tiny_config()
+    params = M.init_params(cfg, seed=0)
+    result = FT.finetune_dense(params, cfg, prompt_only_job())
+    assert result.prompt.embeddings.grad is not None
+    assert [p for p, t in params.items() if t.grad is not None] == []
+    assert all(t.requires_grad for t in params.values())
+
+
+def test_frozen_base_flags_restored_when_tuning_raises():
+    cfg = tiny_config()
+    params = M.init_params(cfg, seed=0)
+
+    def failing_metric(params, prompt, examples):
+        assert not any(t.requires_grad for t in params.values())
+        raise RuntimeError("metric failed")
+
+    with pytest.raises(RuntimeError, match="metric failed"):
+        FT.finetune_dense(params, cfg, prompt_only_job(), metric_fn=failing_metric)
+    assert all(t.requires_grad for t in params.values())
+
+
 def test_freeze_base_without_prompt_rejected():
     cfg = tiny_config()
     job = FT.FinetuneJob(stages=[FT.FinetuneStage("a", signal_task(4))], freeze_base=True)
