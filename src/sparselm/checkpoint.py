@@ -3,9 +3,15 @@
 Layout (all integers little-endian):
 
     magic   8 bytes  b"SPLMCKPT"
-    version u32
+    version u32      2 (version 1 files are still read)
     then repeated sections:
-        u16 name length, name (UTF-8), u64 payload length, payload
+        u16 name length (>= 1), name (UTF-8), u64 payload length, payload,
+        u32 CRC32 (zlib) of the section's bytes before it
+    then the end marker:
+        u16 0, u32 number of sections
+
+Version 1 has neither the CRC nor the end marker; its sections run to the
+end of the file.
 
 Section payload encodings:
     tensor map   repeated [u16 path len][path][u8 dtype 0=f32/1=f64]
@@ -16,37 +22,70 @@ Section payload encodings:
     u64          one unsigned 64-bit integer
 
 Every read goes through `_take`, which bounds-checks it, so a truncated
-file raises ContractError. What the sections of a model and of a train
+file raises ContractError, as do a CRC mismatch and a missing or
+misplaced end marker. What the sections of a model and of a train
 checkpoint are is decided in `training`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import secrets
 import struct
+import zlib
 
 import numpy as np
 
 from .errors import ContractError
 
 MAGIC = b"SPLMCKPT"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: "<f4", 1: "<f8"}
 
 
-def save_container(path, sections: dict[str, bytes]):
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
+@contextlib.contextmanager
+def atomic_open(path, mode="wb", **kwargs):
+    """Open a new file beside `path` for writing and, when the block ends
+    without an exception, move it onto `path` with one `os.replace`; on an
+    exception it is removed. So a failed or interrupted write leaves `path`
+    with its old bytes (there is no fsync: a power loss is not covered)."""
+    path = os.fspath(path)
+    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+    try:
+        with open(tmp, mode.replace("w", "x"), **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def save_container(path, sections):
+    """Write `sections`, name -> payload, atomically. A payload is bytes or
+    a list of bytes-like chunks (arrays included), which are streamed to
+    the file one by one under a running CRC and never joined."""
+    with atomic_open(path) as fh:
+        fh.write(MAGIC + struct.pack("<I", FORMAT_VERSION))
         for name, payload in sections.items():
+            chunks = [payload] if isinstance(payload, bytes) else payload
             encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<Q", len(payload)))
-            fh.write(payload)
+            if not encoded:
+                raise ContractError("checkpoint section names must not be empty")
+            head = (struct.pack("<H", len(encoded)) + encoded
+                    + struct.pack("<Q", sum(memoryview(c).nbytes for c in chunks)))
+            fh.write(head)
+            crc = zlib.crc32(head)
+            for chunk in chunks:
+                fh.write(chunk)
+                crc = zlib.crc32(chunk, crc)
+            fh.write(struct.pack("<I", crc))
+        fh.write(struct.pack("<HI", 0, len(sections)))
 
 
 def _take(buf, off, n):
@@ -70,14 +109,30 @@ def load_container(path) -> dict[str, bytes]:
     if blob[:8] != MAGIC:
         raise ContractError(f"{path}: not a checkpoint container (bad magic)")
     (version,), off = _unpack("<I", blob, 8)
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise ContractError(f"{path}: unsupported container version {version}")
     sections = {}
-    while off < len(blob):
+    while version > 1 or off < len(blob):
+        start = off
         (name_len,), off = _unpack("<H", blob, off)
+        if name_len == 0 and version > 1:
+            (count,), off = _unpack("<I", blob, off)
+            if count != len(sections) or off != len(blob):
+                raise ContractError(f"{path}: end marker does not close the "
+                                    f"{len(sections)} sections read")
+            break
         name, off = _take(blob, off, name_len)
         (payload_len,), off = _unpack("<Q", blob, off)
-        sections[name.decode("utf-8")], off = _take(blob, off, payload_len)
+        payload, off = _take(blob, off, payload_len)
+        if version > 1:
+            (crc,), end = _unpack("<I", blob, off)
+            if zlib.crc32(memoryview(blob)[start:off]) != crc:
+                raise ContractError(f"{path}: section at offset {start} fails its CRC check")
+            off = end
+        name = _utf8(name, "section name")
+        if name in sections:
+            raise ContractError(f"{path}: duplicate checkpoint section {name!r}")
+        sections[name] = payload
     return sections
 
 
@@ -91,7 +146,9 @@ def _pack_header(path: str, arr: np.ndarray, with_dtype: bool) -> bytes:
     return b"".join(parts)
 
 
-def encode_tensor_map(arrays: dict[str, np.ndarray]) -> bytes:
+def encode_tensor_map(arrays: dict[str, np.ndarray]) -> list:
+    """Chunks of the payload: each header, then the array itself (a
+    little-endian view where the machine's byte order allows, not a copy)."""
     chunks = []
     for path, arr in arrays.items():
         arr = np.ascontiguousarray(arr)
@@ -99,8 +156,15 @@ def encode_tensor_map(arrays: dict[str, np.ndarray]) -> bytes:
             raise ContractError(f"{path}: dtype {arr.dtype} is not checkpointable")
         code = _DTYPE_CODES[arr.dtype]
         chunks.append(_pack_header(path, arr, with_dtype=True))
-        chunks.append(arr.astype(_CODE_DTYPES[code], copy=False).tobytes())
-    return b"".join(chunks)
+        chunks.append(arr.astype(_CODE_DTYPES[code], copy=False).reshape(-1))
+    return chunks
+
+
+def _utf8(raw, what):
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ContractError(f"checkpoint {what} is not UTF-8") from exc
 
 
 def _read_header(buf, off, with_dtype):
@@ -108,7 +172,7 @@ def _read_header(buf, off, with_dtype):
     (path, dtype or None, shape, offset of the entry's payload)."""
     (path_len,), off = _unpack("<H", buf, off)
     raw, off = _take(buf, off, path_len)
-    path, dtype = raw.decode("utf-8"), None
+    path, dtype = _utf8(raw, "tensor path"), None
     if with_dtype:
         (code,), off = _unpack("<B", buf, off)
         if code not in _CODE_DTYPES:
@@ -128,14 +192,14 @@ def decode_tensor_map(buf: bytes) -> dict[str, np.ndarray]:
     return out
 
 
-def encode_bitset_map(masks: dict[str, np.ndarray]) -> bytes:
+def encode_bitset_map(masks: dict[str, np.ndarray]) -> list:
+    """Chunks of the payload, as for `encode_tensor_map`."""
     chunks = []
     for path, mask in masks.items():
         mask = np.ascontiguousarray(mask)
         chunks.append(_pack_header(path, mask, with_dtype=False))
-        bits = np.packbits((mask != 0).reshape(-1).astype(np.uint8), bitorder="little")
-        chunks.append(bits.tobytes())
-    return b"".join(chunks)
+        chunks.append(np.packbits((mask != 0).reshape(-1), bitorder="little"))
+    return chunks
 
 
 def decode_bitset_map(buf: bytes, dtype=np.float32) -> dict[str, np.ndarray]:

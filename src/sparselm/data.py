@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import atomic_open
 from .errors import ContractError
 
 # whitespace runs / word runs / single punctuation marks; concatenation of
@@ -243,8 +244,8 @@ def _special_table(vocab: Vocab) -> list[str]:
 
 def save_vocab(path, vocab: Vocab):
     """Versioned text format: header, one hex-encoded merge per line, then
-    the special-token table."""
-    with open(path, "w", encoding="ascii") as fh:
+    the special-token table. Written atomically (`atomic_open`)."""
+    with atomic_open(path, "w", encoding="ascii") as fh:
         fh.write(f"sparselm-vocab v{VOCAB_FORMAT_VERSION} "
                  f"merges={len(vocab.merges)} prompt_slots={vocab.n_prompt_slots}\n")
         for left, right in vocab.merges:

@@ -229,6 +229,8 @@ def finetune_dense(params: ParamStore, config: ModelConfig, job: FinetuneJob,
     All weights train (the dense increment has the full dimensionality of
     the model) unless freeze_base, in which case only the prompt moves.
     metric_fn(params, prompt, examples) -> float scores validation sets.
+    A non-finite training or validation loss raises ContractError naming
+    the stage and epoch.
     """
     if not job.stages:
         raise ContractError("job has no stages")
@@ -295,14 +297,21 @@ def _run_stages(params, config, job, prompt, trainable, metric_fn) -> FinetuneRe
                 for t in trainable.values():
                     t.grad = None
                 loss = sequence_loss(params, config, ids, mask, prompt)
+                value = loss.item()
+                if not math.isfinite(value):
+                    raise ContractError(f"stage {stage.name!r}, epoch {epoch}: training loss "
+                                        f"is {value}; fine-tuning diverged")
                 T.backward(loss)
                 grads = {p: t.grad for p, t in trainable.items() if t.grad is not None}
                 adamw_step(trainable, grads, opt, lr_at(schedule, min(step, schedule.total_steps)))
-                epoch_loss += loss.item() * ids.shape[0]
+                epoch_loss += value * ids.shape[0]
                 rows += ids.shape[0]
             train_loss = epoch_loss / rows
             val_loss = (_mean_loss(params, config, val_batches, prompt)
                         if val_batches else None)
+            if val_loss is not None and not math.isfinite(val_loss):
+                raise ContractError(f"stage {stage.name!r}, epoch {epoch}: validation loss "
+                                    f"is {val_loss}; fine-tuning diverged")
             metric = (metric_fn(params, prompt, stage.val)
                       if metric_fn is not None and stage.val else None)
             report.append(EpochRecord(stage.name, epoch, train_loss, val_loss, metric))

@@ -149,7 +149,10 @@ def _global_grad_norm(grads):
 def train_steps(state: TrainState, dataset: PackedDataset, n_steps=None,
                 grad_clip=None, out_dir=None, checkpoint_every=None,
                 log_every=0) -> TrainState:
-    """Run `n_steps` updates (default: to the end of the schedule)."""
+    """Run `n_steps` updates (default: to the end of the schedule).
+
+    A non-finite loss, or with clipping a non-finite gradient norm, raises
+    ContractError naming the step, before that step's update."""
     if len(dataset) == 0:
         raise ContractError("dataset is empty")
     total = state.schedule.total_steps
@@ -172,11 +175,15 @@ def train_steps(state: TrainState, dataset: PackedDataset, n_steps=None,
             loss_value += loss.item() * frac
             T.backward(T.mul(loss, frac))
 
+        if not math.isfinite(loss_value):
+            raise ContractError(f"step {step}: loss is {loss_value}; training diverged")
         grads = {p: t.grad for p, t in state.params.items() if t.grad is not None}
         if state.masks is not None:
             mask_gradients(grads, state.masks)
         if grad_clip is not None:
             norm = _global_grad_norm(grads)
+            if not math.isfinite(norm):
+                raise ContractError(f"step {step}: gradient norm is {norm}; training diverged")
             if norm > grad_clip:
                 scale = grad_clip / norm
                 for g in grads.values():

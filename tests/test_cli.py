@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sparselm
 from sparselm import cli
 from sparselm import data as D
 from sparselm import model as M
@@ -45,6 +49,18 @@ def model_ckpt(tmp_path, vocab_path, seed=0):
     path = tmp_path / "model.ckpt"
     TR.save_model_checkpoint(path, cfg, M.init_params(cfg, seed=seed))
     return path
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the one runtime dependency; scipy is only the tests' oracle
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sparselm.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, sparselm.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # -------------------------------------------------------------- tokenizer
@@ -121,6 +137,19 @@ def test_pretrain_missing_corpus_exits_1(tmp_path, vocab_path):
                      "--corpus", str(tmp_path / "missing.jsonl"),
                      "--vocab", str(vocab_path), "--out", str(tmp_path / "o")])
     assert code == 1
+
+
+def test_pretrain_divergence_exits_2(tmp_path, corpus_path, vocab_path, capsys):
+    cfg = json.loads(run_config(tmp_path).read_text())
+    cfg.update(peak_lr=1e6, steps=20)
+    path = tmp_path / "hot.json"
+    path.write_text(json.dumps(cfg))
+    with np.errstate(all="ignore"):
+        code = cli.main(["pretrain", "--config", str(path), "--corpus", str(corpus_path),
+                         "--vocab", str(vocab_path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "training diverged" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "final.ckpt").exists()
 
 
 def test_pretrain_sparsity_out_of_range_exits_2(tmp_path, corpus_path, vocab_path):

@@ -260,6 +260,21 @@ def test_vocab_file_special_table_roundtrip(tmp_path, slots):
     assert loaded.merges == vocab.merges and loaded.specials == vocab.specials
 
 
+def test_save_vocab_failure_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "vocab.txt"
+    D.save_vocab(path, make_vocab(["abab abab cdcd"], extra=3))
+    before = path.read_bytes()
+
+    def broken_table(vocab):  # fails after the header and merges are written
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(D, "_special_table", broken_table)
+    with pytest.raises(RuntimeError):
+        D.save_vocab(path, make_vocab(["the cat sat on the mat"], extra=5))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]
+
+
 def test_load_vocab_rejects_missing_special_table(tmp_path):
     path = tmp_path / "vocab.txt"
     D.save_vocab(path, make_vocab(["abab abab cdcd"], extra=3))

@@ -173,6 +173,24 @@ def test_finetune_learns_signal_task():
     assert result.best_val_loss is not None
 
 
+def test_finetune_divergence_names_stage_and_epoch():
+    cfg = tiny_config()
+    job = FT.FinetuneJob(stages=[FT.FinetuneStage("warm", signal_task(32))],
+                         epochs=4, batch_size=8, peak_lr=1e6, seed=0)
+    with np.errstate(all="ignore"), \
+            pytest.raises(ContractError, match=r"stage 'warm', epoch 1: training loss is nan"):
+        FT.finetune_dense(M.init_params(cfg, seed=0), cfg, job)
+
+
+def test_finetune_nonfinite_validation_loss_raises(monkeypatch):
+    cfg = tiny_config()
+    job = FT.FinetuneJob(stages=[FT.FinetuneStage("a", signal_task(8), signal_task(4, 1))],
+                         epochs=2, batch_size=8, seed=0)
+    monkeypatch.setattr(FT, "_mean_loss", lambda *args: float("inf"))
+    with pytest.raises(ContractError, match=r"stage 'a', epoch 1: validation loss is inf"):
+        FT.finetune_dense(M.init_params(cfg, seed=0), cfg, job)
+
+
 def test_prompt_only_tuning_decreases_loss_and_freezes_base():
     cfg = tiny_config()
     params = M.init_params(cfg, seed=0)

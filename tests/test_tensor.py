@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf as scipy_erf
 
 from sparselm.errors import ContractError
 from sparselm import tensor as T
@@ -105,6 +106,79 @@ def test_gelu_values():
     assert out.data[0] == 0.0
     assert out.data[1] == pytest.approx(0.8413447460685429, abs=1e-12)
     assert out.data[2] == pytest.approx(10.0, abs=1e-6)
+
+
+# the float32 erf's stated maximum absolute error (README, `tensor._erf`)
+ERF32_MAX_ABS_ERROR = 4.5e-7
+
+
+def erf32(z):
+    return T._erf(np.array(z, dtype=np.float32))
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float32).view(np.uint32)
+
+
+def test_erf32_error_bound_on_dense_grid():
+    z = np.linspace(-6.0, 6.0, 1_200_001, dtype=np.float32)
+    got = erf32(z)
+    assert got.dtype == np.float32
+    err = np.abs(got.astype(np.float64) - scipy_erf(z.astype(np.float64)))
+    assert err.max() < ERF32_MAX_ABS_ERROR
+
+
+def test_erf32_is_odd_to_the_bit_and_zero_at_zero():
+    z = np.linspace(0.0, 6.0, 600_001, dtype=np.float32)
+    assert np.array_equal(bits(erf32(-z)), bits(-erf32(z)))
+    assert bits(erf32([0.0]))[0] == bits(0.0)
+    assert bits(erf32([-0.0]))[0] == bits(-0.0)
+
+
+def test_erf32_range_and_special_values():
+    z = np.linspace(-6.0, 6.0, 1_200_001, dtype=np.float32)
+    assert np.abs(erf32(z)).max() <= 1.0
+    assert erf32([np.inf, -np.inf]).tolist() == [1.0, -1.0]
+    assert np.isnan(erf32([np.nan, -np.nan])).all()
+
+
+def test_erf32_subnormal_and_huge_inputs():
+    info = np.finfo(np.float32)
+    tiny = np.array([info.smallest_subnormal, 3e-45, 1e-40, info.tiny, 1e-30], dtype=np.float32)
+    for z in (tiny, -tiny):
+        got = erf32(z)
+        true = scipy_erf(z.astype(np.float64))
+        assert np.isfinite(got).all()
+        assert np.array_equal(np.signbit(got), np.signbit(z))
+        # z * alpha_1 falls into the subnormal range, so a few subnormal steps are lost
+        assert np.all(np.abs(got - true) <= 1e-3 * np.abs(true) + 4 * info.smallest_subnormal)
+    huge = np.array([5.0, 100.0, 1e30, info.max], dtype=np.float32)
+    assert erf32(huge).tolist() == [1.0] * 4
+    assert erf32(-huge).tolist() == [-1.0] * 4
+
+
+def test_erf64_matches_scipy():
+    z = np.linspace(-6.0, 6.0, 120_001)
+    got = T._erf(z)
+    assert got.dtype == np.float64
+    assert np.abs(got - scipy_erf(z)).max() <= 1e-15
+    assert T._erf(np.array(0.5)) == scipy_erf(0.5)
+
+
+def test_gelu_float32_tracks_float64():
+    x = np.linspace(-8.0, 8.0, 160_001)
+    g = np.random.default_rng(0).standard_normal(x.shape)
+    out = {}
+    for dtype in ("float32", "float64"):
+        t = T.Tensor(x, requires_grad=True, dtype=dtype)
+        y = T.gelu(t)
+        T.backward(T.tsum(T.mul(y, g)))
+        out[dtype] = y.data, t.grad
+    (y32, g32), (y64, g64) = out["float32"], out["float64"]
+    # Phi carries half the erf error; float32 rounding adds a few ulps
+    assert np.all(np.abs(y32 - y64) <= 0.5 * ERF32_MAX_ABS_ERROR * np.abs(x) + 4e-7 * np.abs(y64)
+                  + 1e-7)
+    assert np.allclose(g32, g64, rtol=1e-5, atol=1e-6)
 
 
 def test_cross_entropy_uniform_logits():

@@ -179,6 +179,31 @@ def test_grad_clip_runs():
     assert state.step == 3
 
 
+def test_nonfinite_loss_stops_training_at_its_step():
+    cfg = tiny_config()
+    state = TR.init_train_state(M.init_params(cfg, seed=0), cfg, TR.Schedule(1e6, 20), 4, seed=0)
+    with np.errstate(all="ignore"), pytest.raises(ContractError) as info:
+        TR.train_steps(state, toy_dataset())
+    # the failing step is named and not applied
+    assert f"step {state.step + 1}:" in str(info.value)
+    assert state.step < 20 and len(state.trace) == state.step
+
+
+def test_nonfinite_gradient_norm_stops_clipped_training(monkeypatch):
+    cfg = tiny_config()
+    state = TR.init_train_state(M.init_params(cfg, seed=0), cfg, TR.Schedule(1e-3, 4), 4, seed=0)
+    TR.train_steps(state, toy_dataset(), n_steps=1, grad_clip=1.0)
+    monkeypatch.setattr(TR, "_global_grad_norm", lambda grads: math.inf)
+    before = {p: t.data.copy() for p, t in state.params.items()}
+    with pytest.raises(ContractError, match=r"step 2: gradient norm is inf"):
+        TR.train_steps(state, toy_dataset(), n_steps=1, grad_clip=1.0)
+    assert state.step == 1
+    for p in before:
+        assert np.array_equal(state.params[p].data, before[p]), p
+    TR.train_steps(state, toy_dataset(), n_steps=1)  # without clipping the norm is not taken
+    assert state.step == 2
+
+
 # ------------------------------------------------------------ checkpoints
 
 
@@ -262,13 +287,46 @@ def test_train_checkpoint_reads_as_model_checkpoint(tmp_path):
         assert np.array_equal(masks[p], state.masks[p]), p
 
 
+def write_v1_container(path, sections):
+    """Container version 1, as `save_container` wrote it before CRCs and
+    the end marker: sections run to the end of the file."""
+    with open(path, "wb") as fh:
+        fh.write(C.MAGIC + struct.pack("<I", 1))
+        for name, payload in sections.items():
+            chunks = [payload] if isinstance(payload, bytes) else payload
+            payload = b"".join(memoryview(c).tobytes() for c in chunks)
+            raw = name.encode("utf-8", "surrogateescape")
+            fh.write(struct.pack("<H", len(raw)) + raw + struct.pack("<Q", len(payload)))
+            fh.write(payload)
+
+
+def assert_same_train_state(loaded, state):
+    assert (loaded.config, loaded.schedule, loaded.step) == (state.config, state.schedule,
+                                                            state.step)
+    assert (loaded.batch_size, loaded.micro_batch_size, loaded.seed, loaded.smoothed) == \
+        (state.batch_size, state.micro_batch_size, state.seed, state.smoothed)
+    assert loaded.rng.bit_generator.state == state.rng.bit_generator.state
+    assert dataclasses.replace(loaded.opt, m=None, v=None) == \
+        dataclasses.replace(state.opt, m=None, v=None)
+    assert list(loaded.params) == list(state.params)
+    for p in state.params:
+        assert np.array_equal(loaded.params[p].data, state.params[p].data), p
+        assert np.array_equal(loaded.opt.m[p], state.opt.m[p]), p
+        assert np.array_equal(loaded.opt.v[p], state.opt.v[p]), p
+    assert loaded.masks.plan == state.masks.plan and loaded.masks.levels == state.masks.levels
+    assert loaded.masks.paths() == state.masks.paths()
+    for p in state.masks.paths():
+        assert np.array_equal(loaded.masks[p], state.masks[p]), p
+
+
 def test_train_checkpoint_in_older_layout_loads(tmp_path):
-    # the earlier layout: train sections first, the step both in `trainer`
-    # and in a `step` section after `rng`, masks and plan last
+    # the earlier layout, in a version-1 container: train sections first,
+    # the step both in `trainer` and in a `step` section after `rng`,
+    # masks and plan last
     state = sparse_state()
     opt, plan = state.opt, state.masks.plan
     path = tmp_path / "old.ckpt"
-    C.save_container(path, {
+    write_v1_container(path, {
         "config": C.encode_json(dataclasses.asdict(state.config)),
         "schedule": C.encode_json(dataclasses.asdict(state.schedule)),
         "params": C.encode_tensor_map({p: t.data for p, t in state.params.items()}),
@@ -285,55 +343,146 @@ def test_train_checkpoint_in_older_layout_loads(tmp_path):
         "plan": C.encode_json({"level": plan.level, "levels": plan.levels, "seed": plan.seed,
                                "resolved": state.masks.levels}),
     })
-    loaded = TR.load_train_state(path)
-    assert (loaded.config, loaded.schedule, loaded.step) == (state.config, state.schedule, 2)
-    assert (loaded.batch_size, loaded.micro_batch_size, loaded.seed, loaded.smoothed) == \
-        (state.batch_size, state.micro_batch_size, state.seed, state.smoothed)
-    assert loaded.rng.bit_generator.state == state.rng.bit_generator.state
-    assert dataclasses.replace(loaded.opt, m=None, v=None) == \
-        dataclasses.replace(state.opt, m=None, v=None)
-    for p in state.params:
-        assert np.array_equal(loaded.params[p].data, state.params[p].data), p
-        assert np.array_equal(loaded.opt.m[p], state.opt.m[p]), p
-        assert np.array_equal(loaded.opt.v[p], state.opt.v[p]), p
-    assert loaded.masks.plan == plan and loaded.masks.levels == state.masks.levels
-    for p in state.masks.paths():
-        assert np.array_equal(loaded.masks[p], state.masks[p]), p
+    assert_same_train_state(TR.load_train_state(path), state)
+
+
+def test_version_1_checkpoint_loads(tmp_path):
+    # a train checkpoint of today's sections in a version-1 container
+    state = sparse_state()
+    path = tmp_path / "v1.ckpt"
+    TR.save_train_state(path, state)
+    write_v1_container(path, C.load_container(path))
+    with open(path, "rb") as fh:
+        assert struct.unpack("<I", fh.read(12)[8:])[0] == 1
+    assert_same_train_state(TR.load_train_state(path), state)
+    config, params, step, masks, _ = TR.load_model_checkpoint(path)
+    assert (config, step, masks.paths()) == (state.config, state.step, state.masks.paths())
+
+
+def test_version_1_checkpoint_with_bad_utf8_raises(tmp_path):
+    # version 1 has no CRC, so a flipped name byte reaches the decoder
+    cfg = tiny_config()
+    path = tmp_path / "v1.ckpt"
+    sections = TR._encode_model(cfg, M.init_params(cfg, seed=0), 0)
+    bad_path = C.encode_tensor_map({"abcd": np.zeros(2)})
+    bad_path[0] = bad_path[0].replace(b"abcd", b"ab\xff\xfe")
+    for broken in ({**sections, "\udcff": b""}, {**sections, "params": bad_path}):
+        write_v1_container(path, broken)
+        with pytest.raises(ContractError, match="not UTF-8"):
+            TR.load_model_checkpoint(path)
 
 
 @functools.lru_cache(maxsize=None)
 def sparse_checkpoint_bytes():
-    """A real sparse train checkpoint and the offsets at which its sections end."""
+    """A real sparse train checkpoint, the offsets at which its sections end
+    (the last one where the end marker ends) and the offsets of every
+    header and CRC byte."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "train.ckpt")
         TR.save_train_state(path, sparse_state())
         with open(path, "rb") as fh:
             blob = fh.read()
-    ends, off = [], 12
-    while off < len(blob):
+    ends, framing, off = {}, list(range(12)), 12
+    while True:
         (name_len,) = struct.unpack_from("<H", blob, off)
+        if name_len == 0:
+            framing += range(off, off + 6)
+            ends["end marker"] = off + 6
+            break
+        name = blob[off + 2:off + 2 + name_len].decode()
         (payload_len,) = struct.unpack_from("<Q", blob, off + 2 + name_len)
-        off += 2 + name_len + 8 + payload_len
-        ends.append(off)
-    return blob, tuple(ends)
+        payload_at = off + 2 + name_len + 8
+        framing += range(off, payload_at)
+        off = payload_at + payload_len + 4
+        framing += range(off - 4, off)
+        ends[name] = off
+    assert ends["end marker"] == len(blob)
+    return blob, ends, tuple(framing)
+
+
+def load_both(blob):
+    """Load `blob` as a train and as a model checkpoint: the results, or the
+    ContractError each raised."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "probe.ckpt")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        results = []
+        for loader in (TR.load_train_state, TR.load_model_checkpoint):
+            try:
+                results.append(loader(path))
+            except ContractError as exc:
+                results.append(exc)
+        return results
+
+
+def test_cut_after_step_section_raises():
+    # without an end marker this cut read as a dense model checkpoint
+    blob, ends, _ = sparse_checkpoint_bytes()
+    train, model = load_both(blob[:ends["step"]])
+    assert isinstance(train, ContractError)
+    assert isinstance(model, ContractError)
+
+
+def test_checkpoint_without_a_whole_section_raises():
+    # every remaining section keeps a valid CRC; the end marker's count is short
+    blob, ends, _ = sparse_checkpoint_bytes()
+    names = list(ends)
+    start = ends[names[names.index("masks") - 1]]
+    train, model = load_both(blob[:start] + blob[ends["masks"]:])
+    assert isinstance(train, ContractError)
+    assert isinstance(model, ContractError)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_truncated_checkpoint_raises_contract_error(data):
-    blob, ends = sparse_checkpoint_bytes()
-    cut = data.draw(st.one_of(st.sampled_from(ends[:-1]), st.integers(0, len(blob) - 1)))
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "cut.ckpt")
-        with open(path, "wb") as fh:
-            fh.write(blob[:cut])
-        # the train sections come last, so every cut loses part of them
-        with pytest.raises(ContractError):
-            TR.load_train_state(path)
-        try:
-            TR.load_model_checkpoint(path)
-        except ContractError:
-            pass
+    blob, ends, _ = sparse_checkpoint_bytes()
+    cut = data.draw(st.one_of(st.sampled_from(sorted(ends.values())[:-1]),
+                              st.integers(0, len(blob) - 1)))
+    assert all(isinstance(r, ContractError) for r in load_both(blob[:cut]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_flipped_checkpoint_bytes_raise_or_load_identically(data):
+    blob, _, framing = sparse_checkpoint_bytes()
+    position = st.one_of(st.sampled_from(framing), st.integers(0, len(blob) - 1))
+    flips = data.draw(st.lists(st.tuples(position, st.integers(1, 255)), min_size=1, max_size=3))
+    bad = bytearray(blob)
+    for at, mask in flips:
+        bad[at] ^= mask
+    train, model = load_both(bytes(bad))
+    if bytes(bad) == blob:  # flips that cancel
+        return
+    # nothing but ContractError escapes (load_both lets any other exception
+    # through); a file that does load must decode to the original arrays
+    reference_train, reference_model = load_both(blob)
+    if not isinstance(train, ContractError):
+        assert_same_train_state(train, reference_train)
+    if not isinstance(model, ContractError):
+        config, params, step, masks, prompt = model
+        ref_config, ref_params, ref_step, ref_masks, _ = reference_model
+        assert (config, step, prompt) == (ref_config, ref_step, None)
+        assert list(params) == list(ref_params)
+        for p in params:
+            assert np.array_equal(params[p].data, ref_params[p].data), p
+        assert masks.paths() == ref_masks.paths()
+        for p in masks.paths():
+            assert np.array_equal(masks[p], ref_masks[p]), p
+
+
+def test_save_container_failure_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    cfg = tiny_config()
+    TR.save_model_checkpoint(path, cfg, M.init_params(cfg, seed=0))
+    before = path.read_bytes()
+    # the second section's chunk is not bytes-like: the write stops after
+    # the first section
+    with pytest.raises(TypeError):
+        C.save_container(path, {"config": C.encode_json({}), "params": [b"ok", object()]})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.ckpt"]
 
 
 def test_corrupt_checkpoint_rejected(tmp_path):
