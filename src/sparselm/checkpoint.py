@@ -21,10 +21,10 @@ Section payload encodings:
     json         UTF-8 JSON, sorted keys (byte-stable)
     u64          one unsigned 64-bit integer
 
-Every read goes through `_take`, which bounds-checks it, so a truncated
-file raises ContractError, as do a CRC mismatch and a missing or
-misplaced end marker. What the sections of a model and of a train
-checkpoint are is decided in `training`.
+Every read goes through `_read` (of the file) or `_take` (of a payload),
+which bounds-check it, so a truncated file raises ContractError, as do a
+CRC mismatch and a missing or misplaced end marker. What the sections of a
+model and of a train checkpoint are is decided in `training`.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def save_container(path, sections):
 
 def _take(buf, off, n):
     """(buf[off:off + n], off + n); ContractError when buf ends before that.
-    Every read of a checkpoint goes through here."""
+    Every read of a payload goes through here."""
     end = off + n
     if end > len(buf):
         raise ContractError(f"checkpoint truncated: {n} bytes wanted at offset {off}, "
@@ -103,36 +103,50 @@ def _unpack(fmt, buf, off):
     return struct.unpack(fmt, raw), off
 
 
+def _read(fh, n, size):
+    """The next n bytes of the open file `fh` of `size` bytes; ContractError
+    when the file ends before that. Every read after the magic goes through
+    here, so a length read from a damaged file never sizes a buffer."""
+    off = fh.tell()
+    if off + n > size:
+        raise ContractError(f"checkpoint truncated: {n} bytes wanted at offset {off}, "
+                            f"{size - off} left")
+    return fh.read(n)
+
+
 def load_container(path) -> dict[str, bytes]:
+    """Section name -> payload. Each payload is read from the file straight
+    into its own bytes object, so no copy of the whole file is held beside
+    them, and a caller that drops a payload once it is decoded frees it."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:8] != MAGIC:
-        raise ContractError(f"{path}: not a checkpoint container (bad magic)")
-    (version,), off = _unpack("<I", blob, 8)
-    if version not in (1, FORMAT_VERSION):
-        raise ContractError(f"{path}: unsupported container version {version}")
-    sections = {}
-    while version > 1 or off < len(blob):
-        start = off
-        (name_len,), off = _unpack("<H", blob, off)
-        if name_len == 0 and version > 1:
-            (count,), off = _unpack("<I", blob, off)
-            if count != len(sections) or off != len(blob):
-                raise ContractError(f"{path}: end marker does not close the "
-                                    f"{len(sections)} sections read")
-            break
-        name, off = _take(blob, off, name_len)
-        (payload_len,), off = _unpack("<Q", blob, off)
-        payload, off = _take(blob, off, payload_len)
-        if version > 1:
-            (crc,), end = _unpack("<I", blob, off)
-            if zlib.crc32(memoryview(blob)[start:off]) != crc:
-                raise ContractError(f"{path}: section at offset {start} fails its CRC check")
-            off = end
-        name = _utf8(name, "section name")
-        if name in sections:
-            raise ContractError(f"{path}: duplicate checkpoint section {name!r}")
-        sections[name] = payload
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(8) != MAGIC:
+            raise ContractError(f"{path}: not a checkpoint container (bad magic)")
+        (version,) = struct.unpack("<I", _read(fh, 4, size))
+        if version not in (1, FORMAT_VERSION):
+            raise ContractError(f"{path}: unsupported container version {version}")
+        sections = {}
+        while version > 1 or fh.tell() < size:
+            start = fh.tell()
+            head = _read(fh, 2, size)
+            (name_len,) = struct.unpack("<H", head)
+            if name_len == 0 and version > 1:
+                (count,) = struct.unpack("<I", _read(fh, 4, size))
+                if count != len(sections) or fh.tell() != size:
+                    raise ContractError(f"{path}: end marker does not close the "
+                                        f"{len(sections)} sections read")
+                break
+            head += _read(fh, name_len + 8, size)
+            (payload_len,) = struct.unpack("<Q", head[-8:])
+            payload = _read(fh, payload_len, size)
+            if version > 1:
+                (crc,) = struct.unpack("<I", _read(fh, 4, size))
+                if zlib.crc32(payload, zlib.crc32(head)) != crc:
+                    raise ContractError(f"{path}: section at offset {start} fails its CRC check")
+            name = _utf8(head[2:-8], "section name")
+            if name in sections:
+                raise ContractError(f"{path}: duplicate checkpoint section {name!r}")
+            sections[name] = payload
     return sections
 
 
@@ -162,7 +176,7 @@ def encode_tensor_map(arrays: dict[str, np.ndarray]) -> list:
 
 def _utf8(raw, what):
     try:
-        return raw.decode("utf-8")
+        return str(raw, "utf-8")
     except UnicodeDecodeError as exc:
         raise ContractError(f"checkpoint {what} is not UTF-8") from exc
 
@@ -184,7 +198,9 @@ def _read_header(buf, off, with_dtype):
 
 
 def decode_tensor_map(buf: bytes) -> dict[str, np.ndarray]:
-    out, off = {}, 0
+    """Each array is copied once out of `buf` (slices of the memoryview are
+    views), so the arrays own their memory and `buf` can be freed."""
+    buf, out, off = memoryview(buf), {}, 0
     while off < len(buf):
         path, dtype, shape, off = _read_header(buf, off, with_dtype=True)
         raw, off = _take(buf, off, math.prod(shape) * dtype.itemsize)

@@ -22,6 +22,7 @@ import sys
 
 import numpy as np
 
+from . import checkpoint as C
 from . import data as D
 from . import evaluation as E
 from . import finetune as FT
@@ -105,7 +106,8 @@ def _resolved_pretrain_config(args):
 
 
 def _write_text(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write atomically: a failed write leaves `path` with its old bytes."""
+    with C.atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 

@@ -5,6 +5,13 @@ Masks are materialized into the weights once at state construction;
 thereafter gradients are filtered every step. With zero-initialized
 moments, decoupled decay and zero gradients, pruned coordinates stay at
 exactly 0.0 for the whole run.
+
+A step masks the gradients, then, with clipping on, takes the global norm
+of the masked gradients (a non-finite norm stops the run before any
+update) and passes grad_clip / norm to `adamw_step` as `clip_scale`, which
+folds it into the moment coefficients instead of rescaling the gradients.
+`adamw_step` updates every parameter in place through one reused scratch
+buffer; fine-tuning calls the same function.
 """
 
 from __future__ import annotations
@@ -61,7 +68,9 @@ def lr_at(schedule: Schedule, step: int) -> float:
 @dataclass
 class OptimizerState:
     """AdamW moments and constants. Moment buffers of pruned coordinates
-    stay exactly zero throughout sparse pre-training."""
+    stay exactly zero throughout sparse pre-training. `scratch` is the one
+    work buffer every update reuses: raw bytes as large as the largest
+    parameter, built on the first step and never checkpointed."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
@@ -70,6 +79,7 @@ class OptimizerState:
     beta2: float = 0.95
     eps: float = 1e-8
     weight_decay: float = 0.1
+    scratch: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def for_params(cls, params, **hyper):
@@ -78,26 +88,55 @@ class OptimizerState:
         return cls(m=m, v=v, **hyper)
 
 
-def adamw_step(params, grads, opt: OptimizerState, lr: float):
-    """One bias-corrected AdamW update with decoupled weight decay
-    (theta -= lr*lambda*theta separately from the adaptive step). Grads of
-    sparse weights must be mask-filtered already (`mask_gradients`)."""
+def adamw_step(params, grads, opt: OptimizerState, lr: float, clip_scale: float = 1.0):
+    """One bias-corrected AdamW update with decoupled weight decay, in place.
+
+    The moments see the gradient times `clip_scale` (global-norm clipping;
+    the gradients themselves are left as they are). With t = opt.step,
+    bc1 = 1 - beta1^t and bc2 = 1 - beta2^t:
+
+        m = beta1*m + (1 - beta1)*clip_scale*g
+        v = beta2*v + (1 - beta2)*clip_scale^2*g^2
+        p = p*(1 - lr*lambda) - (lr*sqrt(bc2)/bc1) * m / (sqrt(v) + eps*sqrt(bc2))
+
+    which is p -= lr*(m/bc1)/(sqrt(v/bc2) + eps) + lr*lambda*p with the
+    bias corrections folded into scalars, so each parameter takes a few
+    in-place passes through `opt.scratch` and allocates nothing. Grads of
+    sparse weights must be mask-filtered already (`mask_gradients`): a zero
+    gradient keeps zero moments and a zero weight at exactly 0.0."""
     opt.step += 1
     bc1 = 1.0 - opt.beta1 ** opt.step
     bc2 = 1.0 - opt.beta2 ** opt.step
+    m_coef = (1.0 - opt.beta1) * clip_scale
+    v_coef = (1.0 - opt.beta2) * clip_scale * clip_scale
+    step_size = lr * math.sqrt(bc2) / bc1
+    eps = opt.eps * math.sqrt(bc2)
+    decay = 1.0 - lr * opt.weight_decay
+    largest = max((t.data.nbytes for t in params.values()), default=0)
+    if opt.scratch is None or opt.scratch.nbytes < largest:
+        opt.scratch = np.empty(largest, dtype=np.uint8)
     for path, tensor in params.items():
         g = grads.get(path)
         if g is None:
             continue
-        if g.shape != tensor.data.shape:
-            raise ContractError(f"grad shape {g.shape} != param shape {tensor.data.shape} at {path!r}")
+        p = tensor.data
+        if g.shape != p.shape:
+            raise ContractError(f"grad shape {g.shape} != param shape {p.shape} at {path!r}")
         m, v = opt.m[path], opt.v[path]
+        tmp = opt.scratch[:p.nbytes].view(p.dtype).reshape(p.shape)
+        np.multiply(g, m_coef, out=tmp)
         m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
+        m += tmp
+        np.multiply(g, g, out=tmp)
+        tmp *= v_coef
         v *= opt.beta2
-        v += (1.0 - opt.beta2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
-        tensor.data -= lr * update + lr * opt.weight_decay * tensor.data
+        v += tmp
+        np.sqrt(v, out=tmp)
+        tmp += eps
+        np.divide(m, tmp, out=tmp)
+        tmp *= step_size
+        p *= decay
+        p -= tmp
     return params
 
 
@@ -143,7 +182,7 @@ def init_train_state(params, config, schedule, batch_size, seed,
 
 
 def _global_grad_norm(grads):
-    return math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    return math.sqrt(sum(float(np.dot(g.ravel(), g.ravel())) for g in grads.values()))
 
 
 def train_steps(state: TrainState, dataset: PackedDataset, n_steps=None,
@@ -180,15 +219,14 @@ def train_steps(state: TrainState, dataset: PackedDataset, n_steps=None,
         grads = {p: t.grad for p, t in state.params.items() if t.grad is not None}
         if state.masks is not None:
             mask_gradients(grads, state.masks)
+        clip_scale = 1.0
         if grad_clip is not None:
             norm = _global_grad_norm(grads)
             if not math.isfinite(norm):
                 raise ContractError(f"step {step}: gradient norm is {norm}; training diverged")
             if norm > grad_clip:
-                scale = grad_clip / norm
-                for g in grads.values():
-                    g *= scale
-        adamw_step(state.params, grads, state.opt, lr)
+                clip_scale = grad_clip / norm
+        adamw_step(state.params, grads, state.opt, lr, clip_scale=clip_scale)
 
         state.step = step
         state.smoothed = (loss_value if state.smoothed is None
@@ -270,11 +308,13 @@ def _encode_model(config, params, step, masks=None, prompt=None) -> dict[str, by
 
 
 def _decode_model(path, sections):
-    """(config, params, step, masks or None, prompt or None)."""
+    """(config, params, step, masks or None, prompt or None). Tensor sections
+    are popped as they are decoded, so each payload is freed once its arrays
+    exist and a load never holds all payloads and all arrays at once."""
     _require(path, sections, ("config", "params", "step"))
     config = ModelConfig(**C.decode_json(sections["config"]))
     params = ParamStore((p, Tensor(arr, requires_grad=True))
-                        for p, arr in C.decode_tensor_map(sections["params"]).items())
+                        for p, arr in C.decode_tensor_map(sections.pop("params")).items())
     masks = prompt = None
     if "masks" in sections:
         _require(path, sections, ("plan",))
@@ -285,7 +325,7 @@ def _decode_model(path, sections):
     if "prompt" in sections:
         from .finetune import SoftPrompt  # finetune imports this module
         _require(path, sections, ("prompt_meta",))
-        emb = C.decode_tensor_map(sections["prompt"])["embeddings"]
+        emb = C.decode_tensor_map(sections.pop("prompt"))["embeddings"]
         ids = tuple(C.decode_json(sections["prompt_meta"])["virtual_ids"])
         prompt = SoftPrompt(embeddings=Tensor(emb, requires_grad=True), virtual_ids=ids)
     return config, params, C.decode_u64(sections["step"]), masks, prompt
@@ -310,8 +350,8 @@ def load_train_state(path) -> TrainState:
     sections = C.load_container(path)
     _require(path, sections, ("schedule", "opt_m", "opt_v", "opt_meta", "trainer", "rng"))
     config, params, step, masks, _ = _decode_model(path, sections)
-    opt = OptimizerState(m=C.decode_tensor_map(sections["opt_m"]),
-                         v=C.decode_tensor_map(sections["opt_v"]),
+    opt = OptimizerState(m=C.decode_tensor_map(sections.pop("opt_m")),
+                         v=C.decode_tensor_map(sections.pop("opt_v")),
                          **C.decode_json(sections["opt_meta"]))
     trainer = C.decode_json(sections["trainer"])
     rng = np.random.default_rng()

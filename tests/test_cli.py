@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import sparselm
+from sparselm import checkpoint as C
 from sparselm import cli
 from sparselm import data as D
 from sparselm import model as M
@@ -130,6 +132,39 @@ def test_pretrain_writes_reproducible_artifacts(tmp_path, corpus_path, vocab_pat
         outs.append(out)
     assert (outs[0] / "loss.csv").read_bytes() == (outs[1] / "loss.csv").read_bytes()
     assert (outs[0] / "final.ckpt").read_bytes() == (outs[1] / "final.ckpt").read_bytes()
+
+
+def test_failed_text_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    # loss.csv, config.json, the reports and the eval CSV all go through
+    # _write_text; here the disk fills halfway through the new text
+    path = tmp_path / "loss.csv"
+    path.write_text("run,step,loss\nold,1,2.5\n", encoding="utf-8")
+    before = path.read_bytes()
+
+    class HalfWrite:
+        """A file that takes the first half of a write, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    real_open = open
+    monkeypatch.setattr(C, "open", lambda *a, **kw: HalfWrite(real_open(*a, **kw)),
+                        raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        cli._write_text(path, "run,step,loss\n" + "new,1,1.0\n" * 500)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["loss.csv"]
 
 
 def test_pretrain_missing_corpus_exits_1(tmp_path, vocab_path):

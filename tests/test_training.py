@@ -103,6 +103,95 @@ def test_adamw_masked_coordinate_stays_zero():
     assert store["layers.0.wq"].data[1] != 1.0
 
 
+def reference_adamw_step(params, grads, opt, lr, grad_clip=None):
+    """The unfused update: clipping rescales the gradients in place by
+    grad_clip / norm, then the textbook bias-corrected AdamW step with
+    decoupled decay. Returns whether clipping fired."""
+    clipped = False
+    if grad_clip is not None:
+        norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        if norm > grad_clip:
+            for g in grads.values():
+                g *= grad_clip / norm
+            clipped = True
+    opt.step += 1
+    bc1 = 1.0 - opt.beta1 ** opt.step
+    bc2 = 1.0 - opt.beta2 ** opt.step
+    for path, tensor in params.items():
+        g = grads[path]
+        m, v = opt.m[path], opt.v[path]
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+        tensor.data -= lr * update + lr * opt.weight_decay * tensor.data
+    return clipped
+
+
+def test_fused_adamw_matches_reference_in_float64():
+    rng = np.random.default_rng(5)
+    shapes = {"layers.0.wq": (6, 5), "layers.0.w_ff_in": (5, 7), "tok_emb": (9, 5),
+              "ln_f.gain": (5,)}
+    masks = S.MaskSet(masks={"layers.0.wq": (rng.random((6, 5)) > 0.5).astype(np.float64),
+                             "layers.0.w_ff_in": (rng.random((5, 7)) > 0.75).astype(np.float64)},
+                      plan=S.SparsityPlan(level=0.5))
+    # weights of magnitude 0.5-1.5 and gradients of one sign per coordinate,
+    # so no value passes near zero and a relative tolerance is meaningful
+    init = {p: rng.choice([-1.0, 1.0], size=s) * rng.uniform(0.5, 1.5, size=s)
+            for p, s in shapes.items()}
+    signs = {p: rng.choice([-1.0, 1.0], size=s) for p, s in shapes.items()}
+    stores = []
+    for _ in range(2):
+        store = M.ParamStore()
+        for p, arr in init.items():
+            data = arr * masks[p] if p in masks else arr.copy()
+            store[p] = Tensor(data, requires_grad=True, dtype="float64")
+        stores.append(store)
+    fused, reference = stores
+    opt = TR.OptimizerState.for_params(fused, weight_decay=0.1)
+    ref_opt = TR.OptimizerState.for_params(reference, weight_decay=0.1)
+    grad_clip, fired = 1.0, []
+    for step in range(20):
+        scale = 3.0 if step % 3 == 0 else 0.05
+        raw = {p: signs[p] * rng.uniform(0.5, 1.5, size=s) * scale for p, s in shapes.items()}
+        grads = S.mask_gradients({p: g.copy() for p, g in raw.items()}, masks)
+        before = {p: g.copy() for p, g in grads.items()}
+        norm = TR._global_grad_norm(grads)
+        TR.adamw_step(fused, grads, opt, lr=1e-2,
+                      clip_scale=grad_clip / norm if norm > grad_clip else 1.0)
+        for p in grads:  # the fused step leaves the gradients as they were
+            assert np.array_equal(grads[p], before[p]), p
+        ref_grads = S.mask_gradients({p: g.copy() for p, g in raw.items()}, masks)
+        fired.append(reference_adamw_step(reference, ref_grads, ref_opt, 1e-2, grad_clip))
+    assert any(fired) and not all(fired)
+    assert opt.step == ref_opt.step == 20
+    for p in shapes:
+        np.testing.assert_allclose(fused[p].data, reference[p].data, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(opt.m[p], ref_opt.m[p], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(opt.v[p], ref_opt.v[p], rtol=1e-12, atol=0)
+    for p in masks.paths():
+        pruned = masks[p] == 0
+        assert np.all(fused[p].data[pruned] == 0.0)
+        assert np.all(opt.m[p][pruned] == 0.0) and np.all(opt.v[p][pruned] == 0.0)
+
+
+def test_adamw_scratch_is_one_buffer_of_the_largest_parameter():
+    store = M.ParamStore()
+    store["small"] = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    store["large"] = Tensor(np.ones((4, 5), dtype=np.float64), requires_grad=True,
+                            dtype="float64")
+    opt = TR.OptimizerState.for_params(store)
+    assert opt.scratch is None
+    grads = {"small": np.ones(3, dtype=np.float32), "large": np.ones((4, 5))}
+    TR.adamw_step(store, grads, opt, lr=0.1)
+    scratch = opt.scratch
+    assert scratch.nbytes == store["large"].data.nbytes
+    TR.adamw_step(store, grads, opt, lr=0.1)
+    assert opt.scratch is scratch
+    assert store["small"].data.dtype == np.float32
+
+
 # ------------------------------------------------------------------- loop
 
 
@@ -174,9 +263,44 @@ def test_smoothed_loss_is_ema():
 
 def test_grad_clip_runs():
     cfg = tiny_config()
-    state = TR.pretrain(M.init_params(cfg, seed=0), cfg, toy_dataset(),
-                        TR.Schedule(1e-2, 3), 4, seed=0, grad_clip=0.1)
-    assert state.step == 3
+
+    def run(grad_clip):
+        return TR.pretrain(M.init_params(cfg, seed=0), cfg, toy_dataset(),
+                           TR.Schedule(1e-2, 3), 4, seed=0, grad_clip=grad_clip)
+
+    unclipped, clipped, loose = run(None), run(1e-3), run(1e9)
+    assert clipped.step == 3
+    # a clip far below the norm changes the run
+    assert any(not np.array_equal(clipped.params[p].data, unclipped.params[p].data)
+               for p in unclipped.params)
+    # a clip above the norm never fires: the same bits as no clipping
+    for p in unclipped.params:
+        assert np.array_equal(loose.params[p].data, unclipped.params[p].data), p
+        assert np.array_equal(loose.opt.m[p], unclipped.opt.m[p]), p
+        assert np.array_equal(loose.opt.v[p], unclipped.opt.v[p]), p
+
+
+def test_clipped_sparse_float32_training_keeps_pruned_coordinates_zero(monkeypatch):
+    norms = []
+
+    def recording_norm(grads, norm=TR._global_grad_norm):
+        norms.append(norm(grads))
+        return norms[-1]
+
+    monkeypatch.setattr(TR, "_global_grad_norm", recording_norm)
+    cfg = tiny_config(n_layers=2)
+    params = M.init_params(cfg, seed=0)
+    masks = S.build_masks(params, S.SparsityPlan(level=0.75, seed=3))
+    state = TR.pretrain(params, cfg, toy_dataset(), TR.Schedule(3e-3, 20), 4, seed=0,
+                        masks=masks, grad_clip=0.5, micro_batch_size=2)
+    assert len(norms) == 20 and any(n > 0.5 for n in norms)
+    for path in masks.paths():
+        assert state.params[path].data.dtype == np.float32
+        pruned = masks[path] == 0
+        assert np.all(state.params[path].data[pruned] == 0.0), path
+        assert np.all(state.opt.m[path][pruned] == 0.0), path
+        assert np.all(state.opt.v[path][pruned] == 0.0), path
+        assert np.any(state.params[path].data[~pruned] != 0.0), path
 
 
 def test_nonfinite_loss_stops_training_at_its_step():
@@ -222,6 +346,38 @@ def test_checkpoint_resume_is_bitwise_identical(tmp_path):
     resumed = TR.load_train_state(path)
     assert resumed.step == 4
     TR.train_steps(resumed, toy_dataset(), n_steps=4)
+
+    for p in uninterrupted.params:
+        assert np.array_equal(uninterrupted.params[p].data, resumed.params[p].data), p
+        assert np.array_equal(uninterrupted.opt.m[p], resumed.opt.m[p]), p
+        assert np.array_equal(uninterrupted.opt.v[p], resumed.opt.v[p]), p
+    assert uninterrupted.trace[-1].loss == resumed.trace[-1].loss
+
+
+TRAIN_SECTIONS = ["config", "params", "step", "masks", "plan", "schedule", "opt_m", "opt_v",
+                  "opt_meta", "trainer", "rng"]
+
+
+def test_clipped_micro_batched_resume_is_bitwise_identical(tmp_path):
+    cfg = tiny_config(n_layers=2)
+    sched = TR.Schedule(3e-3, 8)
+    masks = S.build_masks(M.init_params(cfg, seed=0), S.SparsityPlan(level=0.75, seed=4))
+    run = dict(masks=masks, micro_batch_size=2)
+
+    uninterrupted = TR.pretrain(M.init_params(cfg, seed=0), cfg, toy_dataset(), sched, 4,
+                                seed=9, grad_clip=0.5, **run)
+
+    state = TR.init_train_state(M.init_params(cfg, seed=0), cfg, sched, 4, seed=9, **run)
+    TR.train_steps(state, toy_dataset(), n_steps=4, grad_clip=0.5)
+    assert state.opt.scratch is not None
+    path = tmp_path / "mid.ckpt"
+    TR.save_train_state(path, state)
+    # the optimizer's scratch buffer is not serialized: the sections are the same
+    assert list(C.load_container(path)) == TRAIN_SECTIONS
+    resumed = TR.load_train_state(path)
+    assert resumed.step == 4 and resumed.micro_batch_size == 2
+    assert resumed.opt.scratch is None
+    TR.train_steps(resumed, toy_dataset(), n_steps=4, grad_clip=0.5)
 
     for p in uninterrupted.params:
         assert np.array_equal(uninterrupted.params[p].data, resumed.params[p].data), p
