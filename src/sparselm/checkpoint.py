@@ -17,7 +17,7 @@ Section payload encodings:
     tensor map   repeated [u16 path len][path][u8 dtype 0=f32/1=f64]
                  [u8 ndim][u32 extents...][raw little-endian floats]
     bitset map   repeated [u16 path len][path][u8 ndim][u32 extents...]
-                 [bits packed little-endian, one per element]
+                 [bits packed little-endian, one per element]; read as bool
     json         UTF-8 JSON, sorted keys (byte-stable)
     u64          one unsigned 64-bit integer
 
@@ -218,14 +218,15 @@ def encode_bitset_map(masks: dict[str, np.ndarray]) -> list:
     return chunks
 
 
-def decode_bitset_map(buf: bytes, dtype=np.float32) -> dict[str, np.ndarray]:
+def decode_bitset_map(buf: bytes) -> dict[str, np.ndarray]:
+    """Bool arrays, one byte per element (the unpacked bits, not a copy)."""
     out, off = {}, 0
     while off < len(buf):
         path, _, shape, off = _read_header(buf, off, with_dtype=False)
         size = math.prod(shape)
         raw, off = _take(buf, off, (size + 7) // 8)
         flat = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[:size]
-        out[path] = flat.reshape(shape).astype(dtype)
+        out[path] = flat.view(bool).reshape(shape)
     return out
 
 

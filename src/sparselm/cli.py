@@ -20,8 +20,6 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from . import checkpoint as C
 from . import data as D
 from . import evaluation as E
@@ -205,7 +203,14 @@ def _read_task_examples(path, vocab):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ContractError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
+            if not (isinstance(rec, dict) and isinstance(rec.get("source"), str)
+                    and isinstance(rec.get("target"), str)
+                    and isinstance(rec.get("labels", []), list)):
+                raise ContractError(f"{path}:{line_no}: needs string source/target, list labels")
             examples.append(FT.TaskExample(
                 source=vocab.encode(rec["source"]),
                 target=vocab.encode(rec["target"]),
@@ -327,7 +332,7 @@ def cmd_eval(args):
             if not ex.labels:
                 raise ContractError(f"example {i} has no gold label")
             scores = E.score_labels(params, config, prompt, ex.source, space)
-            pred = space.labels[int(np.argmax(scores))]
+            pred = space.best(scores)
             preds.append(pred)
             golds.append(ex.labels[0])
             score_cols = ",".join(repr(float(s)) for s in scores)

@@ -71,15 +71,6 @@ def read_corpus(path) -> list[Document]:
     return docs
 
 
-def write_corpus(path, docs):
-    with open(path, "w", encoding="utf-8") as fh:
-        for d in docs:
-            rec = {"id": d.id, "title": d.title, "abstract": d.abstract}
-            if d.body is not None:
-                rec["body"] = d.body
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
-
-
 def pre_tokenize(text: str) -> list[str]:
     return _PRETOKEN_RE.findall(text)
 
@@ -308,10 +299,6 @@ class PackedDataset:
 
     def __len__(self):
         return self.sequences.shape[0]
-
-    @property
-    def token_count(self):
-        return int(self.sequences.size)
 
 
 def pack_sequences(encoded_docs, msl: int, eod_id: int) -> PackedDataset:

@@ -3,8 +3,12 @@
 Single-label tasks are scored over the closed candidate set: each
 candidate's token sequence is appended after [source; prompt] and its
 summed conditional log-probability ranks it (deterministic; ties keep the
-first declared label). Multi-label tasks use constrained greedy decoding
-over the label vocabulary plus a stop token, since label-set sizes vary.
+first declared label, `LabelSpace.best`). Multi-label tasks use constrained
+greedy decoding over the label vocabulary plus a stop token, since
+label-set sizes vary. Both score continuations of a non-empty context in
+`_continuation_logprobs` (the stop token is a one-token one): a no-grad
+forward per continuation length, and the head on the scored rows only,
+through the training loss's logsumexp (`model.head_logprobs`).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError
 from .finetune import SoftPrompt, prompt_forward
-from .model import ModelConfig, ParamStore
+from .model import ModelConfig, ParamStore, head_logprobs
 
 
 @dataclass(frozen=True)
@@ -39,6 +43,10 @@ class LabelSpace:
         if any(not seq for seq in self.token_ids):
             raise ContractError("candidate token sequences must be non-empty")
 
+    def best(self, scores) -> str:
+        """The label of the highest score; a tie goes to the first declared."""
+        return self.labels[int(np.argmax(scores))]  # argmax keeps the first tie
+
 
 def label_space_from_vocab(vocab, labels, multi_label=False, separator=" ") -> LabelSpace:
     return LabelSpace(
@@ -50,53 +58,54 @@ def label_space_from_vocab(vocab, labels, multi_label=False, separator=" ") -> L
     )
 
 
-def serialize_label_set(space: LabelSpace, chosen) -> list[int]:
-    """Target serialization for multi-label training: chosen labels in
-    canonical (declared) order, joined by the separator."""
-    unknown = set(chosen) - set(space.labels)
-    if unknown:
-        raise ContractError(f"labels not in the space: {sorted(unknown)}")
-    ids: list[int] = []
-    for label, tokens in zip(space.labels, space.token_ids):
-        if label in chosen:
-            if ids:
-                ids.extend(space.separator_ids)
-            ids.extend(tokens)
-    return ids
+def _context(source_ids, prompt: SoftPrompt | None) -> list[int]:
+    """[source; prompt]: the source ids, then the prompt's virtual ids."""
+    virtual = list(prompt.virtual_ids) if prompt is not None and prompt.n else []
+    return [int(i) for i in source_ids] + virtual
 
 
-def log_softmax(row: np.ndarray) -> np.ndarray:
-    m = row.max()
-    z = row - m
-    return z - np.log(np.exp(z).sum())
+def _continuation_logprobs(params, config, prompt, context, continuations) -> np.ndarray:
+    """Summed log-probability of each continuation's tokens after `context`.
+
+    A continuation of length L is fed without its last token, and its
+    tokens are read off the L rows from the context's last one on. So a
+    one-token continuation reads the context's last row, and continuations
+    of one length share one batched forward over their distinct inputs."""
+    if not context:
+        raise ContractError("scoring needs a non-empty context; got an empty source and no prompt")
+    start = len(context)
+    scores = np.zeros(len(continuations))
+    with T.no_grad():
+        for length in dict.fromkeys(len(cont) for cont in continuations):
+            members = [c for c, cont in enumerate(continuations) if len(cont) == length]
+            fed = [tuple(continuations[c][:-1]) for c in members]
+            batch_row = {f: i for i, f in enumerate(dict.fromkeys(fed))}  # distinct inputs
+            ids = np.asarray([context + list(f) for f in batch_row])
+            hidden = prompt_forward(params, config, prompt, ids, head=False).data[:, start - 1:]
+            rows = hidden[[batch_row[f] for f in fed]]
+            targets = np.asarray([continuations[c] for c in members])
+            logprobs = head_logprobs(params, config, rows.reshape(-1, rows.shape[-1]),
+                                     targets.reshape(-1))
+            scores[members] = logprobs.reshape(len(members), length).sum(axis=1)
+    return scores
 
 
 def score_labels(params: ParamStore, config: ModelConfig, prompt: SoftPrompt | None,
                  source_ids, space: LabelSpace) -> np.ndarray:
     """Per-candidate summed log-probability of the candidate's tokens
     appended after [source; prompt]."""
-    source = [int(i) for i in source_ids]
-    virtual = list(prompt.virtual_ids) if prompt is not None and prompt.n else []
-    start = len(source) + len(virtual)
-    scores = np.zeros(len(space.labels))
-    with T.no_grad():
-        for c, cand in enumerate(space.token_ids):
-            ids = source + virtual + list(cand)
-            if len(ids) > config.context_window:
-                raise ContractError(
-                    f"candidate {space.labels[c]!r}: sequence {len(ids)} exceeds "
-                    f"context window {config.context_window}"
-                )
-            logits = prompt_forward(params, config, prompt, np.asarray([ids])).data[0]
-            scores[c] = sum(
-                log_softmax(logits[start + t - 1])[tok] for t, tok in enumerate(cand)
+    context = _context(source_ids, prompt)
+    for label, cand in zip(space.labels, space.token_ids):
+        if len(context) + len(cand) > config.context_window:
+            raise ContractError(
+                f"candidate {label!r}: sequence {len(context) + len(cand)} exceeds "
+                f"context window {config.context_window}"
             )
-    return scores
+    return _continuation_logprobs(params, config, prompt, context, space.token_ids)
 
 
 def predict_label(params, config, prompt, source_ids, space: LabelSpace) -> str:
-    scores = score_labels(params, config, prompt, source_ids, space)
-    return space.labels[int(np.argmax(scores))]  # argmax keeps the first tie
+    return space.best(score_labels(params, config, prompt, source_ids, space))
 
 
 def accuracy(preds, golds) -> float:
@@ -141,39 +150,22 @@ def generate_labels(params, config, prompt, source_ids, space: LabelSpace,
         raise ContractError("generate_labels needs a multi_label space")
     if space.stop_id is None:
         raise ContractError("label space has no stop token")
-    context = [int(i) for i in source_ids]
-    if prompt is not None and prompt.n:
-        context += list(prompt.virtual_ids)
+    context = _context(source_ids, prompt)
     emitted: list[str] = []
     truncated = True
-    with T.no_grad():
-        for _ in range(max_steps):
-            next_dist = log_softmax(
-                prompt_forward(params, config, prompt, np.asarray([context])).data[0, -1]
-            )
-            stop_score = next_dist[space.stop_id]
-            best_idx, best_score = None, -np.inf
-            for c, cand in enumerate(space.token_ids):
-                full = context + list(cand)
-                if len(full) > config.context_window:
-                    continue
-                if len(cand) == 1:
-                    score = next_dist[cand[0]]
-                else:
-                    logits = prompt_forward(params, config, prompt, np.asarray([full])).data[0]
-                    score = sum(
-                        log_softmax(logits[len(context) + t - 1])[tok]
-                        for t, tok in enumerate(cand)
-                    )
-                if score > best_score:
-                    best_idx, best_score = c, score
-            if best_idx is None or stop_score >= best_score:
-                truncated = False
-                break
-            label = space.labels[best_idx]
-            if label not in emitted:
-                emitted.append(label)
-            context += list(space.token_ids[best_idx]) + list(space.separator_ids)
+    for _ in range(max_steps):
+        fits = [c for c, cand in enumerate(space.token_ids)
+                if len(context) + len(cand) <= config.context_window]
+        scores = _continuation_logprobs(params, config, prompt, context,
+                                        [(space.stop_id,)] + [space.token_ids[c] for c in fits])
+        if not fits or scores[0] >= scores[1:].max():
+            truncated = False
+            break
+        best = fits[int(np.argmax(scores[1:]))]  # argmax keeps the first tie
+        label = space.labels[best]
+        if label not in emitted:
+            emitted.append(label)
+        context += list(space.token_ids[best]) + list(space.separator_ids)
     return GenerationOutcome(labels=tuple(emitted), truncated=truncated)
 
 

@@ -103,11 +103,6 @@ def forward_flops_per_token(config: ModelConfig, sparsity: float = 0.0) -> Flops
     )
 
 
-def train_flops(config: ModelConfig, token_budget: float, sparsity: float = 0.0) -> float:
-    """Total training FLOPs: 3 x forward-per-token x tokens."""
-    return forward_flops_per_token(config, sparsity).train_total(token_budget)
-
-
 @dataclass(frozen=True)
 class TableRow:
     model: str

@@ -156,10 +156,6 @@ def sparse_matrix_params(config: ModelConfig, sparsity: float) -> int:
     return total - zeros
 
 
-def store_param_count(store: ParamStore) -> int:
-    return sum(t.data.size for t in store.values())
-
-
 def _head(params: ParamStore, config: ModelConfig):
     """Output projection and whether it is read transposed: the tied head
     is the (vocab, d_model) token-embedding table itself."""
@@ -176,7 +172,7 @@ def forward_logits(params: ParamStore, config: ModelConfig, tokens,
     token-embedding lookups at `prompt_positions` before position
     embeddings are added. With head=False it returns the final normalized
     hidden state (batch, seq, d_model) instead, which `next_token_loss`
-    feeds to the fused head and loss.
+    feeds to the fused head and loss, and eval to `head_logprobs`.
     """
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
@@ -227,6 +223,15 @@ def next_token_loss(params: ParamStore, config: ModelConfig, hidden: Tensor, tok
     scored[:, :-1] = True if loss_mask is None else np.asarray(loss_mask)[:, 1:] != 0
     w, tied = _head(params, config)
     return T.cross_entropy(hidden, w, targets, scored, transpose_w=tied)
+
+
+def head_logprobs(params: ParamStore, config: ModelConfig, rows, targets) -> np.ndarray:
+    """log p(targets[i] | rows[i]) through the output head, without a tape:
+    rows are final hidden states (n, d_model), targets (n,) token ids. Only
+    these rows' logits are computed, and the logsumexp is the one of the
+    training loss (`tensor.target_nll`)."""
+    w, tied = _head(params, config)
+    return -T.target_nll(rows @ (w.data.T if tied else w.data), np.asarray(targets))
 
 
 def lm_loss(params: ParamStore, config: ModelConfig, tokens) -> Tensor:

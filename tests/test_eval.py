@@ -44,14 +44,6 @@ def test_label_space_rejects_duplicates_and_empties():
         space([], [])
 
 
-def test_serialize_label_set_canonical_order():
-    sp = space(["a", "b", "c"], [[5], [6], [7]], multi_label=True, separator_ids=(9,))
-    assert E.serialize_label_set(sp, {"c", "a"}) == [5, 9, 7]
-    assert E.serialize_label_set(sp, set()) == []
-    with pytest.raises(ContractError):
-        E.serialize_label_set(sp, {"zzz"})
-
-
 # ---------------------------------------------------------------- scoring
 
 
@@ -216,3 +208,122 @@ def test_bound_accuracy_metric():
     examples = [FT.TaskExample(source=[11], target=[9], labels=("A",)),
                 FT.TaskExample(source=[12], target=[10], labels=("B",))]
     assert metric(store, None, examples) == 0.5
+
+
+# ------------------------------------------- reference scorer and decoder
+
+
+def reference_logprobs(params, cfg, prompt, context, cand):
+    """One full forward of [context; cand] and a float64 log-softmax over
+    every logit of each scored row."""
+    with T.no_grad():
+        logits = FT.prompt_forward(params, cfg, prompt,
+                                   np.asarray([list(context) + list(cand)])).data[0]
+    total = 0.0
+    for t, tok in enumerate(cand):
+        row = logits[len(context) + t - 1].astype(np.float64)
+        total += row[tok] - row.max() - np.log(np.exp(row - row.max()).sum())
+    return total
+
+
+def reference_context(source, prompt):
+    return list(source) + (list(prompt.virtual_ids) if prompt is not None else [])
+
+
+MIXED = space(["a", "b", "ac", "ad", "bce", "ace", "b2"],
+              [[5], [6], [5, 7], [5, 8], [6, 7, 9], [5, 7, 9], [6]])
+
+
+@pytest.mark.parametrize("dtype,tolerance", [("float64", dict(rel=0, abs=1e-12)),
+                                             ("float32", dict(rel=1e-6))])
+@pytest.mark.parametrize("with_prompt", [False, True])
+def test_scores_match_full_logit_reference(dtype, tolerance, with_prompt):
+    cfg = tiny_config()
+    store = M.init_params(cfg, seed=4, dtype=dtype)
+    prompt = (FT.init_soft_prompt(cfg, 2, virtual_ids=(2, 3), seed=1, dtype=dtype)
+              if with_prompt else None)
+    source = [10, 11, 12, 4]
+    scores = E.score_labels(store, cfg, prompt, source, MIXED)
+    context = reference_context(source, prompt)
+    for c, cand in enumerate(MIXED.token_ids):
+        assert scores[c] == pytest.approx(
+            reference_logprobs(store, cfg, prompt, context, cand), **tolerance), MIXED.labels[c]
+
+
+def reference_generate(params, cfg, prompt, source, sp, max_steps):
+    """Greedy decoding, each candidate and the stop token scored by its own
+    full forward; the stop token wins a tie, then the first label."""
+    context = reference_context(source, prompt)
+    emitted = []
+    for _ in range(max_steps):
+        stop = reference_logprobs(params, cfg, prompt, context, [sp.stop_id])
+        best, best_score = None, -np.inf
+        for c, cand in enumerate(sp.token_ids):
+            if len(context) + len(cand) <= cfg.context_window:
+                score = reference_logprobs(params, cfg, prompt, context, cand)
+                if score > best_score:
+                    best, best_score = c, score
+        if best is None or stop >= best_score:
+            return tuple(emitted), False
+        if sp.labels[best] not in emitted:
+            emitted.append(sp.labels[best])
+        context += list(sp.token_ids[best]) + list(sp.separator_ids)
+    return tuple(emitted), True
+
+
+def test_generate_matches_reference_decoder():
+    cfg = tiny_config()
+    sp = space(["A", "B", "CD", "EFG"], [[9], [10], [12, 13], [11, 15, 4]],
+               multi_label=True, separator_ids=(14,), stop_id=0)
+    outcomes = []
+    for seed in range(12):
+        store = M.init_params(cfg, seed=seed, dtype="float64")
+        store["lm_head"].data *= 30.0  # sharpen the next-token distributions
+        store["ln_f.bias"].data[0] = 1.0  # and favour tokens 12 and 13 everywhere
+        store["lm_head"].data[0, [12, 13]] += 2.0
+        source = np.random.default_rng(seed).integers(4, 16, size=3).tolist()
+        out = E.generate_labels(store, cfg, None, source, sp, max_steps=3)
+        assert (out.labels, out.truncated) == reference_generate(store, cfg, None, source,
+                                                                 sp, max_steps=3), seed
+        outcomes.append(out)
+    # the seeds cover a stop first, one-token labels, a two-token label and truncation
+    emitted = {label for out in outcomes for label in out.labels}
+    assert any(out.labels == () for out in outcomes) and {"A", "B", "CD"} <= emitted
+    assert any(out.truncated for out in outcomes)
+
+
+# ------------------------------------------------------ forwards per call
+
+
+def count_forwards(monkeypatch):
+    calls = []
+
+    def counted(params, config, prompt, ids, head=True):
+        calls.append(np.asarray(ids).shape)
+        return FT.prompt_forward(params, config, prompt, ids, head=head)
+
+    monkeypatch.setattr(E, "prompt_forward", counted)
+    return calls
+
+
+def test_one_forward_per_distinct_candidate_length(monkeypatch):
+    cfg = tiny_config()
+    store = M.init_params(cfg, seed=0)
+    calls = count_forwards(monkeypatch)
+    E.score_labels(store, cfg, None, [10, 11], space(["a", "b", "c"], [[5], [6], [7]]))
+    assert calls == [(1, 2)]  # the three one-token labels read the context's last row
+    calls.clear()
+    E.score_labels(store, cfg, None, [10, 11], MIXED)
+    # lengths 1, 2 and 3; distinct inputs [], [5] and [6, 7], [5, 7]
+    assert sorted(calls) == [(1, 2), (1, 3), (2, 4)]
+
+
+def test_scoring_needs_a_non_empty_context():
+    cfg = tiny_config()
+    store = M.init_params(cfg, seed=0)
+    with pytest.raises(ContractError, match="non-empty context"):
+        E.score_labels(store, cfg, None, [], space(["a", "b"], [[5], [6, 7]]))
+    with pytest.raises(ContractError, match="non-empty context"):
+        E.generate_labels(store, cfg, None, [], multi_space())
+    prompt = FT.init_soft_prompt(cfg, 2, virtual_ids=(2, 3), seed=1)
+    assert E.score_labels(store, cfg, prompt, [], space(["a"], [[5]])).shape == (1,)

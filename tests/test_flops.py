@@ -56,7 +56,7 @@ def test_dense_ratio_is_one():
 
 
 def test_zero_token_budget():
-    assert F.train_flops(PRESETS["med"], 0, 0.5) == 0.0
+    assert F.forward_flops_per_token(PRESETS["med"], 0.5).train_total(0) == 0.0
 
 
 def test_components_sum_to_total():
@@ -77,7 +77,7 @@ def test_reference_table_reproduced(preset, s):
 def test_monotonic_in_sparsity():
     prev = float("inf")
     for s in (0.0, 0.25, 0.5, 0.75, 0.9):
-        total = F.train_flops(PRESETS["xl"], TOKENS, s)
+        total = F.forward_flops_per_token(PRESETS["xl"], s).train_total(TOKENS)
         assert total < prev
         prev = total
 

@@ -99,7 +99,7 @@ def test_preset_architecture_rows(preset, arch):
 def test_count_params_matches_store_sum():
     cfg = tiny_config()
     store = M.init_params(cfg, seed=0)
-    assert M.count_params(cfg, include_embeddings=True) == M.store_param_count(store)
+    assert M.count_params(cfg, include_embeddings=True) == sum(t.data.size for t in store.values())
 
 
 def test_count_params_without_embeddings_formula():

@@ -128,6 +128,34 @@ def test_apply_idempotent(n, level):
     assert masks.zeros_in("layers.0.wq") == S.zero_count(level, n)
 
 
+def test_masks_are_held_as_bool():
+    masks = S.build_masks(M.init_params(tiny_config(), seed=0), S.SparsityPlan(level=0.5, seed=1))
+    assert all(masks[p].dtype == np.bool_ for p in masks.paths())
+    given_float = S.MaskSet(masks={"layers.0.wq": np.array([[1.0, 0.0]], dtype=np.float32)},
+                            plan=S.SparsityPlan(level=0.5))
+    assert given_float["layers.0.wq"].dtype == np.bool_
+    assert given_float["layers.0.wq"].tolist() == [[True, False]]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bool_mask_gives_the_bits_of_a_float_mask(dtype):
+    w = np.array([-1.5, -0.0, np.nan, -np.inf, 2.0, -0.0, np.nan, np.inf], dtype=dtype)
+    mask = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=bool)
+    g_bool, g_float = w.copy(), w.copy()
+    with np.errstate(invalid="ignore"):  # inf * 0 is NaN either way
+        assert (w * mask).tobytes() == (w * mask.astype(dtype)).tobytes()
+        g_bool *= mask
+        g_float *= mask.astype(dtype)
+    assert g_bool.dtype == dtype and g_bool.tobytes() == g_float.tobytes()
+
+
+def test_densify_rejects_a_mask_of_another_shape():
+    masks = S.MaskSet(masks={"layers.0.wq": np.zeros((1, 1), dtype=bool)},
+                      plan=S.SparsityPlan(level=0.5))
+    with pytest.raises(ContractError, match="mask shape"):
+        S.densify(single_path_store(8), masks)
+
+
 def test_mask_gradients():
     masks = S.MaskSet(masks={"layers.0.wq": np.array([0.0, 1.0], dtype=np.float32)},
                       plan=S.SparsityPlan(level=0.5))

@@ -14,6 +14,17 @@ def t64(a, grad=True):
     return T.Tensor(np.asarray(a, dtype=np.float64), requires_grad=grad, dtype="float64")
 
 
+def tsum(x):
+    """Full reduction to a scalar: the finite-difference checks' loss."""
+    x = T._as_tensor(x)
+    out = T.Tensor(x.data.sum())
+
+    def bwd(g):
+        T._accum(x, np.broadcast_to(g, x.data.shape).astype(x.data.dtype))
+
+    return T._finish(out, (x,), bwd)
+
+
 # ---------------------------------------------------------------- op values
 
 
@@ -172,7 +183,7 @@ def test_gelu_float32_tracks_float64():
     for dtype in ("float32", "float64"):
         t = T.Tensor(x, requires_grad=True, dtype=dtype)
         y = T.gelu(t)
-        T.backward(T.tsum(T.mul(y, g)))
+        T.backward(tsum(T.mul(y, g)))
         out[dtype] = y.data, t.grad
     (y32, g32), (y64, g64) = out["float32"], out["float64"]
     # Phi carries half the erf error; float32 rounding adds a few ulps
@@ -231,7 +242,7 @@ def test_backward_bilinear_form():
     rng = np.random.default_rng(0)
     x = t64(rng.normal(size=(3, 4)))
     y = rng.normal(size=(3, 4))
-    loss = T.tsum(T.mul(x, y))
+    loss = tsum(T.mul(x, y))
     T.backward(loss)
     assert np.allclose(x.grad, y, atol=1e-12)
 
@@ -246,7 +257,7 @@ def test_backward_requires_scalar():
 
 def test_backward_twice_is_contract_error():
     x = t64(np.ones(3))
-    loss = T.tsum(x)
+    loss = tsum(x)
     T.backward(loss)
     with pytest.raises(ContractError):
         T.backward(loss)
@@ -260,15 +271,15 @@ def test_backward_on_leaf_is_contract_error():
 
 def test_grads_accumulate_across_separate_forwards():
     x = t64(np.ones(4))
-    T.backward(T.tsum(x))
-    T.backward(T.tsum(T.mul(x, 2.0)))
+    T.backward(tsum(x))
+    T.backward(tsum(T.mul(x, 2.0)))
     assert np.allclose(x.grad, 3.0)
 
 
 def test_no_grad_suppresses_recording():
     x = t64(np.ones(4))
     with T.no_grad():
-        out = T.tsum(x)
+        out = tsum(x)
     assert not out.requires_grad
     assert T.tape_size() == 0
 
@@ -352,7 +363,7 @@ def fd_check(make_loss, arrays, wrt):
 
 
 def weighted(out, w):
-    return T.tsum(T.mul(out, w))
+    return tsum(T.mul(out, w))
 
 
 def op_cases(rng):
@@ -418,7 +429,7 @@ def op_cases(rng):
         ("inject_rows_rows", [base, rows], 1,
          lambda t: weighted(T.inject_rows(t[0], t[1], pos), w_inj)),
         ("narrow", [a34], 0, lambda t: weighted(T.narrow(t[0], 1, 1, 2), w34[:, 1:3])),
-        ("tsum", [a34], 0, lambda t: T.tsum(T.mul(t[0], t[0]))),
+        ("tsum", [a34], 0, lambda t: tsum(T.mul(t[0], t[0]))),
         ("linear_x", [x234, w45, b5], 0, linear),
         ("linear_w", [x234, w45, b5], 1, linear),
         ("linear_b", [x234, w45, b5], 2, linear),

@@ -443,6 +443,31 @@ def test_train_checkpoint_reads_as_model_checkpoint(tmp_path):
         assert np.array_equal(masks[p], state.masks[p]), p
 
 
+def test_train_checkpoint_masks_load_as_bool(tmp_path):
+    state = sparse_state()
+    path = tmp_path / "train.ckpt"
+    TR.save_train_state(path, state)
+    loaded = TR.load_train_state(path).masks
+    for p in state.masks.paths():
+        assert state.masks[p].dtype == loaded[p].dtype == np.bool_, p
+        assert np.array_equal(loaded[p], state.masks[p]), p
+
+
+@pytest.mark.parametrize("mask_path,shape,error", [
+    ("layers.0.wq", (1, 16), r"'layers\.0\.wq' has shape \(1, 16\)"),
+    ("layers.3.wq", (16, 16), r"unknown parameter 'layers\.3\.wq'"),
+])
+def test_checkpoint_mask_must_match_a_parameter(tmp_path, mask_path, shape, error):
+    # the CRCs are valid: only the load's own check can catch these
+    cfg = tiny_config()
+    masks = S.MaskSet(masks={mask_path: np.ones(shape, dtype=bool)},
+                      plan=S.SparsityPlan(level=0.5))
+    path = tmp_path / "m.ckpt"
+    TR.save_model_checkpoint(path, cfg, M.init_params(cfg, seed=0), masks=masks)
+    with pytest.raises(ContractError, match=error):
+        TR.load_model_checkpoint(path)
+
+
 def write_v1_container(path, sections):
     """Container version 1, as `save_container` wrote it before CRCs and
     the end marker: sections run to the end of the file."""

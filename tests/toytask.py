@@ -9,6 +9,8 @@ predict well; capacity differences between dense and sparse models show
 up as a loss gap at a fixed step budget.
 """
 
+import json
+
 import numpy as np
 
 from sparselm import data as D
@@ -47,6 +49,16 @@ def toy_dataset(n_tokens=200_000, msl=64, seed=0):
         offsets=np.arange(n, dtype=np.uint64) * msl,
         msl=msl,
     )
+
+
+def write_corpus(path, docs):
+    """The inverse of `data.read_corpus`: one JSON object per document."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for d in docs:
+            rec = {"id": d.id, "title": d.title, "abstract": d.abstract}
+            if d.body is not None:
+                rec["body"] = d.body
+            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
 def yes_no_maybe_task(n_examples, vocab_size, seed=0, source_len=8):
