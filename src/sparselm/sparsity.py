@@ -111,25 +111,34 @@ def global_sparsity(masks: MaskSet, total_params: int | None = None) -> float:
     return masks.total_zeros() / denom
 
 
+def check_masks(masks: MaskSet, params: ParamStore):
+    """ContractError unless every mask names a parameter of `params` and
+    has its shape."""
+    for path, mask in masks.masks.items():
+        if path not in params:
+            raise ContractError(f"mask for unknown parameter {path!r}")
+        if mask.shape != params[path].data.shape:
+            raise ContractError(f"mask shape mismatch: mask {path!r} has shape {mask.shape}, "
+                                f"the parameter {params[path].data.shape}")
+
+
 def apply_masks(masks: MaskSet, params: ParamStore) -> ParamStore:
-    """Materialize mask*weights; unmasked paths pass through as copies."""
+    """Materialize mask*weights into a new store; unmasked paths pass
+    through as copies. Training masks its own tensors in place instead
+    (`mask_gradients` on the weights)."""
+    check_masks(masks, params)
     out = ParamStore()
     for path, t in params.items():
-        if path in masks:
-            if masks[path].shape != t.data.shape:
-                raise ContractError(
-                    f"mask shape {masks[path].shape} != parameter shape {t.data.shape} at {path!r}"
-                )
-            data = t.data * masks[path]
-        else:
-            data = t.data.copy()
+        data = t.data * masks[path] if path in masks else t.data.copy()
         out[path] = Tensor(data, requires_grad=t.requires_grad, dtype=t.dtype)
     return out
 
 
 def mask_gradients(grads, masks: MaskSet):
-    """Zero gradient entries wherever the mask is 0, in place. Run before
-    any optimizer-state update so moments of pruned coordinates stay 0."""
+    """Zero entries wherever the mask is False, in place: each step's
+    gradients, before any optimizer-state update so moments of pruned
+    coordinates stay 0, and the weights once when a train state is built.
+    Shapes are checked by `check_masks` up front, not here."""
     for path, g in grads.items():
         if path in masks:
             g *= masks[path]

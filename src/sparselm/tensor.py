@@ -6,6 +6,13 @@ float32 is the training dtype; float64 exists so gradient checks can run
 at tight tolerance. A tensor may be read from many threads, but mutation
 and tape recording assume a single writer.
 
+`backward` pops each node off the tape before running its adjoint, so the
+arrays a node's closure saved and its output tensor are freed before the
+next adjoint runs, unless the caller still holds them: the saved
+activations of a layer are gone before the layer below runs its adjoint.
+A non-leaf keeps its `.grad` only while the caller holds the tensor; one
+the caller dropped is freed, gradient included, once its node is consumed.
+
 Gradient buffers have one owner. The first gradient a tensor receives
 becomes its `.grad` as is (copied only when its dtype or shape differs
 from the tensor's), and later ones are added into it in place. So a
@@ -86,8 +93,8 @@ class Tape:
         self.nodes = []
         self._output_ids = set()
 
-    def record(self, out, inputs, backward):
-        self.nodes.append((out, inputs, backward))
+    def record(self, out, backward):
+        self.nodes.append((out, backward))
         self._output_ids.add(id(out))
 
     def clear(self):
@@ -128,9 +135,10 @@ def tape_size():
 def backward(loss):
     """Populate .grad on every requires_grad tensor reachable from `loss`.
 
-    The tape is consumed: a second call without a fresh forward pass is a
-    contract error. Gradients accumulate into existing buffers, which is
-    what gradient accumulation over micro-batches relies on.
+    The tape is consumed node by node, and cleared even when an adjoint
+    raises: a second call without a fresh forward pass is a contract
+    error. Gradients accumulate into existing buffers, which is what
+    gradient accumulation over micro-batches relies on.
     """
     if not isinstance(loss, Tensor):
         raise ContractError("backward expects a Tensor loss")
@@ -142,10 +150,16 @@ def backward(loss):
             "(backward already consumed it, or no input required grad)"
         )
     loss.grad = np.ones_like(loss.data)
-    for out, _inputs, bwd in reversed(_tape.nodes):
-        if out.grad is not None:
-            bwd(out.grad)
-    _tape.clear()
+    nodes = _tape.nodes
+    try:
+        while nodes:
+            # popped first, so the previous node's closure and output are
+            # already released when this adjoint runs
+            out, bwd = nodes.pop()
+            if out.grad is not None:
+                bwd(out.grad)
+    finally:
+        _tape.clear()
 
 
 def _as_tensor(x, ref_dtype=None):
@@ -192,7 +206,7 @@ def _accum(t, g):
 def _finish(out, inputs, bwd):
     if _grad_enabled and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        _tape.record(out, inputs, bwd)
+        _tape.record(out, bwd)
     return out
 
 

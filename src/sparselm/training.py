@@ -1,10 +1,14 @@
 """Pre-training loop: AdamW, linear warmup + cosine decay, masked updates,
 checkpointing and loss tracing.
 
-Masks are materialized into the weights once at state construction;
-thereafter gradients are filtered every step. With zero-initialized
-moments, decoupled decay and zero gradients, pruned coordinates stay at
-exactly 0.0 for the whole run.
+`init_train_state` and `pretrain` train the tensors they are given, in
+place, masked or not: the masks are multiplied into those weights once at
+state construction (no copy of the store is made), and thereafter
+gradients are filtered every step. With zero-initialized moments,
+decoupled decay and zero gradients, pruned coordinates stay at exactly 0.0
+for the whole run. A gradient lives from the backward pass to the update:
+`train_steps` drops every parameter's `.grad` right after `adamw_step`,
+so none is held between steps.
 
 A step masks the gradients, then, with clipping on, takes the global norm
 of the masked gradients (a non-finite norm stops the run before any
@@ -29,7 +33,7 @@ from . import tensor as T
 from .data import PackedDataset
 from .errors import ContractError
 from .model import ModelConfig, ParamStore, lm_loss
-from .sparsity import MaskSet, SparsityPlan, apply_masks, mask_gradients
+from .sparsity import MaskSet, SparsityPlan, check_masks, mask_gradients
 from .tensor import Tensor
 
 # exponential moving average coefficient for the reported smoothed loss
@@ -169,16 +173,24 @@ class TrainState:
 
 def init_train_state(params, config, schedule, batch_size, seed,
                      masks=None, micro_batch_size=None, weight_decay=0.1) -> TrainState:
+    """A state that trains `params` itself; with `masks`, the weights are
+    masked in place first."""
     if batch_size < 1:
         raise ContractError("batch_size must be >= 1")
     if masks is not None:
-        params = apply_masks(masks, params)
+        check_masks(masks, params)
+        mask_gradients({p: t.data for p, t in params.items()}, masks)
     opt = OptimizerState.for_params(params, weight_decay=weight_decay)
     return TrainState(
         params=params, config=config, schedule=schedule, opt=opt,
         rng=np.random.default_rng(seed), batch_size=batch_size, seed=seed,
         masks=masks, micro_batch_size=micro_batch_size,
     )
+
+
+def _drop_grads(params):
+    for t in params.values():
+        t.grad = None
 
 
 def _global_grad_norm(grads):
@@ -198,14 +210,13 @@ def train_steps(state: TrainState, dataset: PackedDataset, n_steps=None,
     if n_steps is None:
         n_steps = total - state.step
     micro = state.micro_batch_size or state.batch_size
+    _drop_grads(state.params)
     for _ in range(n_steps):
         step = state.step + 1
         lr = lr_at(state.schedule, min(step, total))
         idx = state.rng.integers(0, len(dataset), size=state.batch_size)
         batch = dataset.sequences[idx].astype(np.int64)
 
-        for t in state.params.values():
-            t.grad = None
         loss_value = 0.0
         for start in range(0, state.batch_size, micro):
             chunk = batch[start:start + micro]
@@ -227,6 +238,8 @@ def train_steps(state: TrainState, dataset: PackedDataset, n_steps=None,
             if norm > grad_clip:
                 clip_scale = grad_clip / norm
         adamw_step(state.params, grads, state.opt, lr, clip_scale=clip_scale)
+        del grads
+        _drop_grads(state.params)
 
         state.step = step
         state.smoothed = (loss_value if state.smoothed is None
@@ -320,14 +333,12 @@ def _decode_model(path, sections):
         _require(path, sections, ("plan",))
         meta = C.decode_json(sections["plan"])
         plan = SparsityPlan(level=meta["level"], levels=meta["levels"], seed=meta["seed"])
-        raw = C.decode_bitset_map(sections["masks"])
-        for p, mask in raw.items():
-            if p not in params:
-                raise ContractError(f"{path}: mask for unknown parameter {p!r}")
-            if mask.shape != params[p].data.shape:
-                raise ContractError(f"{path}: mask {p!r} has shape {mask.shape}, "
-                                    f"the parameter {params[p].data.shape}")
-        masks = MaskSet(masks=raw, plan=plan, levels=meta.get("resolved", {}))
+        masks = MaskSet(masks=C.decode_bitset_map(sections["masks"]), plan=plan,
+                        levels=meta.get("resolved", {}))
+        try:
+            check_masks(masks, params)
+        except ContractError as exc:
+            raise ContractError(f"{path}: {exc}") from None
     if "prompt" in sections:
         from .finetune import SoftPrompt  # finetune imports this module
         _require(path, sections, ("prompt_meta",))

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -261,6 +262,52 @@ def test_backward_twice_is_contract_error():
     T.backward(loss)
     with pytest.raises(ContractError):
         T.backward(loss)
+
+
+def chain_grads(raising):
+    """x.grad after backward through mul, mul, add, (identity), sum: five
+    nodes, the fourth's adjoint raising when asked to."""
+    x = t64(np.arange(1.0, 5.0))
+    h = T.add(T.mul(T.mul(x, 2.0), 3.0), 1.0)
+
+    def bwd(g):
+        if raising:
+            raise RuntimeError("adjoint failed")
+        T._accum(h, g)
+
+    T.backward(tsum(T._finish(T.Tensor(h.data.copy()), (h,), bwd)))
+    return x.grad
+
+
+def test_backward_clears_the_tape_when_an_adjoint_raises():
+    clean = chain_grads(raising=False)
+    with pytest.raises(RuntimeError, match="adjoint failed"):
+        chain_grads(raising=True)
+    assert T.tape_size() == 0
+    assert np.array_equal(chain_grads(raising=False), clean)
+
+
+def test_backward_frees_a_consumed_nodes_saved_arrays():
+    """An array only a later node's adjoint holds is gone before an
+    earlier node's adjoint runs."""
+    x = t64(np.ones(3))
+    alive = []
+
+    def probe_bwd(g):
+        alive.append(saved_ref() is not None)
+        T._accum(x, g)
+
+    def dot(h, w):  # the later op: its adjoint alone keeps `w`
+        return T._finish(T.Tensor(h.data @ w), (h,), lambda g: T._accum(h, g * w))
+
+    h = T._finish(T.Tensor(x.data.copy()), (x,), probe_bwd)
+    saved = np.full(3, 2.0)
+    saved_ref = weakref.ref(saved)
+    loss = dot(h, saved)
+    del saved
+    T.backward(loss)
+    assert alive == [False]
+    assert np.array_equal(x.grad, np.full(3, 2.0))
 
 
 def test_backward_on_leaf_is_contract_error():

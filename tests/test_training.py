@@ -4,12 +4,14 @@ import math
 import os
 import struct
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import toytask
 from sparselm.errors import ContractError
 from sparselm import checkpoint as C
 from sparselm import finetune as FT
@@ -326,6 +328,72 @@ def test_nonfinite_gradient_norm_stops_clipped_training(monkeypatch):
         assert np.array_equal(state.params[p].data, before[p]), p
     TR.train_steps(state, toy_dataset(), n_steps=1)  # without clipping the norm is not taken
     assert state.step == 2
+
+
+# ----------------------------------------------------------------- memory
+
+
+def test_init_train_state_masks_the_given_tensors_in_place():
+    cfg = tiny_config()
+    params = M.init_params(cfg, seed=0)
+    tensors = dict(params)
+    masks = S.build_masks(params, S.SparsityPlan(level=0.5, seed=1))
+    expected = S.apply_masks(masks, params)
+    state = TR.init_train_state(params, cfg, TR.Schedule(1e-3, 5), 2, seed=0, masks=masks)
+    assert state.params is params
+    for p, t in state.params.items():
+        assert t is tensors[p], p
+        assert t.data.tobytes() == expected[p].data.tobytes(), p
+
+
+@pytest.mark.parametrize("mask_path,shape,error", [
+    ("layers.0.wq", (1, 16), r"'layers\.0\.wq' has shape \(1, 16\)"),
+    ("layers.3.wq", (16, 16), r"unknown parameter 'layers\.3\.wq'"),
+])
+def test_init_train_state_rejects_a_mask_that_fits_no_parameter(mask_path, shape, error):
+    cfg = tiny_config()
+    params = M.init_params(cfg, seed=0)
+    before = {p: t.data.copy() for p, t in params.items()}
+    masks = S.MaskSet(masks={"layers.0.wk": np.zeros((16, 16), dtype=bool),
+                             mask_path: np.zeros(shape, dtype=bool)},
+                      plan=S.SparsityPlan(level=0.5))
+    with pytest.raises(ContractError, match=error):
+        TR.init_train_state(params, cfg, TR.Schedule(1e-3, 5), 2, seed=0, masks=masks)
+    for p in before:  # every mask is checked before any weight is touched
+        assert np.array_equal(params[p].data, before[p]), p
+
+
+def test_train_steps_leaves_no_parameter_grad():
+    cfg = tiny_config()
+    params = M.init_params(cfg, seed=0)
+    masks = S.build_masks(params, S.SparsityPlan(level=0.5, seed=1))
+    state = TR.init_train_state(params, cfg, TR.Schedule(1e-3, 4), 4, seed=0, masks=masks,
+                                micro_batch_size=2)
+    TR.train_steps(state, toy_dataset(), n_steps=2, grad_clip=1.0)
+    assert [p for p, t in state.params.items() if t.grad is not None] == []
+
+
+def test_a_step_traces_a_bounded_peak_over_the_state():
+    """One toy-config step (batch 8, s=0.5) allocates at its peak 5.7 times
+    the bytes of the parameters and moments, with the tape consumed as
+    backward walks it and no gradient held between steps; 8.9 times when
+    the tape lives until backward returns and gradients until the next
+    step."""
+    cfg = toytask.toy_model_config()
+    params = M.init_params(cfg, seed=0)
+    masks = S.build_masks(params, S.SparsityPlan(level=0.5, seed=1))
+    state = TR.init_train_state(params, cfg, TR.Schedule(1e-3, 10), 8, seed=0, masks=masks)
+    data = toytask.toy_dataset(n_tokens=20_000)
+    TR.train_steps(state, data, n_steps=1)  # builds the optimizer's scratch buffer
+    resident = sum(a.nbytes for a in [t.data for t in state.params.values()]
+                   + list(state.opt.m.values()) + list(state.opt.v.values()))
+    tracemalloc.start()
+    try:
+        TR.train_steps(state, data, n_steps=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.0 * resident, peak / resident
 
 
 # ------------------------------------------------------------ checkpoints
