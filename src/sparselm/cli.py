@@ -239,6 +239,8 @@ def cmd_finetune(args):
     preset = TASK_PRESETS.get(args.task_preset, {})
     prompt_length = args.prompt_length if args.prompt_length is not None \
         else preset.get("prompt_length", 0)
+    if args.no_prompt:
+        prompt_length = 0
     epochs = args.epochs if args.epochs is not None else preset.get("epochs", 5)
     if prompt_length > len(vocab.prompt_ids):
         raise ContractError(f"prompt length {prompt_length} exceeds the vocab's "
@@ -255,8 +257,7 @@ def cmd_finetune(args):
     job = FT.FinetuneJob(
         stages=stages, epochs=epochs, batch_size=args.batch_size, peak_lr=args.lr,
         patience=args.patience, prompt_length=prompt_length,
-        virtual_ids=vocab.prompt_ids[:prompt_length],
-        use_prompt=not args.no_prompt, freeze_base=args.freeze_base,
+        virtual_ids=vocab.prompt_ids[:prompt_length], freeze_base=args.freeze_base,
         pad_id=vocab.pad_id, eos_id=None if args.no_eos else vocab.eod_id,
         seed=args.seed, prompt_seed=args.seed,
     )
@@ -451,7 +452,7 @@ def build_parser():
     p.add_argument("--lr", type=float, default=1e-4)
     p.add_argument("--patience", type=int)
     p.add_argument("--prompt-length", type=int, dest="prompt_length")
-    p.add_argument("--no-prompt", action="store_true", help="drop the soft-prompt arm")
+    p.add_argument("--no-prompt", action="store_true", help="no soft prompt: --prompt-length 0")
     p.add_argument("--ablation", action="store_true",
                    help="run both prompt arms from the same starting weights")
     p.add_argument("--freeze-base", action="store_true", dest="freeze_base")

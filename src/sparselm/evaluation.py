@@ -6,9 +6,9 @@ summed conditional log-probability ranks it (deterministic; ties keep the
 first declared label, `LabelSpace.best`). Multi-label tasks use constrained
 greedy decoding over the label vocabulary plus a stop token, since
 label-set sizes vary. Both score continuations of a non-empty context in
-`_continuation_logprobs` (the stop token is a one-token one): a no-grad
-forward per continuation length, and the head on the scored rows only,
-through the training loss's logsumexp (`model.head_logprobs`).
+`_continuation_logprobs` (the stop token is a one-token one): one
+right-padded no-grad forward per call, and the head on the scored rows
+only, through the training loss's logsumexp (`model.head_logprobs`).
 """
 
 from __future__ import annotations
@@ -65,29 +65,30 @@ def _context(source_ids, prompt: SoftPrompt | None) -> list[int]:
 
 
 def _continuation_logprobs(params, config, prompt, context, continuations) -> np.ndarray:
-    """Summed log-probability of each continuation's tokens after `context`.
-
-    A continuation of length L is fed without its last token, and its
-    tokens are read off the L rows from the context's last one on. So a
-    one-token continuation reads the context's last row, and continuations
-    of one length share one batched forward over their distinct inputs."""
+    """Summed log-probability of each continuation's tokens after `context`,
+    from one forward. A row is the context, then a continuation without its
+    last token, right-padded with the smallest id that is not a virtual id
+    (each virtual id must appear once per row); attention is causal, so the
+    padding never reaches a row that is read. Rows that feed the same tokens
+    run once. A continuation of length L is read off the L rows from the
+    context's last one on."""
     if not context:
         raise ContractError("scoring needs a non-empty context; got an empty source and no prompt")
     start = len(context)
-    scores = np.zeros(len(continuations))
+    virtual = set(prompt.virtual_ids) if prompt is not None else set()
+    pad = min(set(range(len(virtual) + 1)) - virtual)
+    ids = np.full((len(continuations), start - 1 + max(map(len, continuations))), pad)
+    ids[:, :start] = context
+    scored = np.zeros(ids.shape, dtype=bool)
+    for c, cont in enumerate(continuations):
+        ids[c, start:start + len(cont) - 1] = cont[:-1]
+        scored[c, start - 1:start - 1 + len(cont)] = True
+    fed, inverse = np.unique(ids, axis=0, return_inverse=True)
     with T.no_grad():
-        for length in dict.fromkeys(len(cont) for cont in continuations):
-            members = [c for c, cont in enumerate(continuations) if len(cont) == length]
-            fed = [tuple(continuations[c][:-1]) for c in members]
-            batch_row = {f: i for i, f in enumerate(dict.fromkeys(fed))}  # distinct inputs
-            ids = np.asarray([context + list(f) for f in batch_row])
-            hidden = prompt_forward(params, config, prompt, ids, head=False).data[:, start - 1:]
-            rows = hidden[[batch_row[f] for f in fed]]
-            targets = np.asarray([continuations[c] for c in members])
-            logprobs = head_logprobs(params, config, rows.reshape(-1, rows.shape[-1]),
-                                     targets.reshape(-1))
-            scores[members] = logprobs.reshape(len(members), length).sum(axis=1)
-    return scores
+        hidden = prompt_forward(params, config, prompt, fed, head=False).data[inverse]
+    logprobs = np.zeros(ids.shape)  # row-major, the scored rows are the tokens in turn
+    logprobs[scored] = head_logprobs(params, config, hidden[scored], np.concatenate(continuations))
+    return logprobs.sum(axis=1)
 
 
 def score_labels(params: ParamStore, config: ModelConfig, prompt: SoftPrompt | None,
@@ -152,21 +153,20 @@ def generate_labels(params, config, prompt, source_ids, space: LabelSpace,
         raise ContractError("label space has no stop token")
     context = _context(source_ids, prompt)
     emitted: list[str] = []
-    truncated = True
     for _ in range(max_steps):
         fits = [c for c, cand in enumerate(space.token_ids)
                 if len(context) + len(cand) <= config.context_window]
-        scores = _continuation_logprobs(params, config, prompt, context,
-                                        [(space.stop_id,)] + [space.token_ids[c] for c in fits])
+        if fits:
+            scores = _continuation_logprobs(params, config, prompt, context,
+                                            [(space.stop_id,)] + [space.token_ids[c] for c in fits])
         if not fits or scores[0] >= scores[1:].max():
-            truncated = False
-            break
+            return GenerationOutcome(labels=tuple(emitted), truncated=False)
         best = fits[int(np.argmax(scores[1:]))]  # argmax keeps the first tie
         label = space.labels[best]
         if label not in emitted:
             emitted.append(label)
         context += list(space.token_ids[best]) + list(space.separator_ids)
-    return GenerationOutcome(labels=tuple(emitted), truncated=truncated)
+    return GenerationOutcome(labels=tuple(emitted), truncated=True)
 
 
 def bind_accuracy_metric(config: ModelConfig, space: LabelSpace):

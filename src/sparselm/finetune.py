@@ -161,7 +161,6 @@ class FinetuneJob:
     patience: int | None = None          # early stopping off when None
     prompt_length: int = 0
     virtual_ids: tuple[int, ...] = ()
-    use_prompt: bool = True              # ablation switch: drop the prompt arm
     freeze_base: bool = False            # prompt-only tuning
     pad_id: int = 1
     eos_id: int | None = None
@@ -238,7 +237,7 @@ def finetune_dense(params: ParamStore, config: ModelConfig, job: FinetuneJob,
         raise ContractError(f"pad id {job.pad_id} outside vocab {config.vocab_size}")
 
     prompt = None
-    if job.prompt_length > 0 and job.use_prompt:
+    if job.prompt_length > 0:
         if len(job.virtual_ids) < job.prompt_length:
             raise ContractError(
                 f"{job.prompt_length} prompt slots need {job.prompt_length} virtual ids, "
@@ -409,7 +408,7 @@ def run_prompt_ablation(params: ParamStore, config: ModelConfig, job: FinetuneJo
     if job.prompt_length <= 0:
         raise ContractError("ablation needs a prompt_length > 0")
     arms = {}
-    for label, use_prompt in (("with_prompt", True), ("without_prompt", False)):
-        arm_job = dataclasses.replace(job, use_prompt=use_prompt)
+    for label, prompt_length in (("with_prompt", job.prompt_length), ("without_prompt", 0)):
+        arm_job = dataclasses.replace(job, prompt_length=prompt_length)
         arms[label] = finetune_dense(clone_params(params), config, arm_job, metric_fn)
     return arms

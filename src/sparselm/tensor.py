@@ -469,17 +469,25 @@ def cross_entropy(x, w, targets, ignore_mask=None, transpose_w=False):
 
 def target_nll(logits, targets):
     """-log softmax(logits[i])[targets[i]] for each row i of a (n, vocab)
-    array, by a max-shifted logsumexp. No tape. It overwrites `logits`
-    with exp(logits - row max), which `cross_entropy`'s backward
-    normalizes into the softmax."""
+    array, by a max-shifted logsumexp: log1p(sum of exp(z - max) over the
+    entries but the max) + (max - target). A confident target keeps its
+    digits, since neither the max's 1.0 nor a rounding to the ulp of the
+    max enters a near-zero result. No tape. It overwrites `logits` with
+    exp(logits - row max), which `cross_entropy`'s backward normalizes
+    into the softmax."""
     n, v = logits.shape
     if targets.size and (targets.min() < 0 or targets.max() >= v):
         raise ContractError(f"target id outside [0, {v})")
-    target_logits = logits[np.arange(n), targets]
-    m = logits.max(axis=1, keepdims=True)
-    logits -= m
+    rows = np.arange(n)
+    target_logits = logits[rows, targets]
+    top = logits.argmax(axis=1)
+    m = logits[rows, top]
+    logits -= m[:, None]
     np.exp(logits, out=logits)
-    return np.log(logits.sum(axis=1)) + m[:, 0] - target_logits
+    logits[rows, top] = 0.0
+    rest = logits.sum(axis=1)
+    logits[rows, top] = 1.0  # exp(0), as the backward expects
+    return np.log1p(rest) + (m - target_logits)
 
 
 def embedding(table, ids):

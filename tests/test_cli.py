@@ -342,6 +342,24 @@ def test_finetune_ablation_writes_both_arms(tmp_path, vocab_path):
     assert (out / "without_prompt_report.csv").exists()
 
 
+def test_finetune_no_prompt_is_prompt_length_zero(tmp_path, vocab_path):
+    train, val, labels = finetune_fixtures(tmp_path)
+    ckpt = model_ckpt(tmp_path, vocab_path)
+    runs = {"no_prompt": ["--no-prompt"], "overridden": ["--prompt-length", "2", "--no-prompt"],
+            "zero": ["--prompt-length", "0"]}
+    written = {}
+    for name, flags in runs.items():
+        out = tmp_path / name
+        code = cli.main(["finetune", "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
+                         "--train", str(train), "--val", str(val), "--out", str(out),
+                         "--epochs", "1", "--labels", str(labels), "--lr", "1e-3"] + flags)
+        assert code == 0
+        written[name] = [(out / f).read_bytes()
+                         for f in ("model.ckpt", "report.csv", "config.json")]
+    assert written["no_prompt"] == written["overridden"] == written["zero"]
+    assert json.loads(written["zero"][2])["prompt_length"] == 0
+
+
 def test_eval_single_candidate_is_always_right(tmp_path, vocab_path):
     ckpt = model_ckpt(tmp_path, vocab_path)
     dataset = tmp_path / "d.jsonl"

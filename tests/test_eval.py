@@ -306,7 +306,7 @@ def count_forwards(monkeypatch):
     return calls
 
 
-def test_one_forward_per_distinct_candidate_length(monkeypatch):
+def test_one_forward_per_scoring_call(monkeypatch):
     cfg = tiny_config()
     store = M.init_params(cfg, seed=0)
     calls = count_forwards(monkeypatch)
@@ -314,8 +314,57 @@ def test_one_forward_per_distinct_candidate_length(monkeypatch):
     assert calls == [(1, 2)]  # the three one-token labels read the context's last row
     calls.clear()
     E.score_labels(store, cfg, None, [10, 11], MIXED)
-    # lengths 1, 2 and 3; distinct inputs [], [5] and [6, 7], [5, 7]
-    assert sorted(calls) == [(1, 2), (1, 3), (2, 4)]
+    # lengths 1, 2 and 3 in one right-padded batch of the distinct fed rows
+    # [], [5], [6, 7] and [5, 7]
+    assert calls == [(4, 4)]
+
+
+def test_one_forward_per_generation_step(monkeypatch):
+    cfg = tiny_config()
+    row = np.zeros(16)
+    row[9] = 10.0  # label A wins every step
+    store = fixed_logit_model(cfg, row)
+    sp = space(["A", "BC"], [[9], [10, 11]], multi_label=True, separator_ids=(14,), stop_id=0)
+    calls = count_forwards(monkeypatch)
+    out = E.generate_labels(store, cfg, None, [12, 13], sp, max_steps=3)
+    assert (out.labels, out.truncated) == (("A",), True)
+    # the stop token and A feed the context alone, BC feeds one more token;
+    # each step appends A and the separator
+    assert calls == [(2, 3), (2, 5), (2, 7)]
+
+
+def test_generate_makes_no_forward_when_no_candidate_fits(monkeypatch):
+    cfg = tiny_config(context_window=3)
+    store = M.init_params(cfg, seed=0)
+    calls = count_forwards(monkeypatch)
+    out = E.generate_labels(store, cfg, None, [11, 12, 13], multi_space())
+    assert (out.labels, out.truncated, calls) == ((), False, [])
+
+
+@pytest.mark.parametrize("with_prompt", [False, True])
+def test_each_candidate_scores_the_same_alone_as_among_the_others(with_prompt):
+    # alone, a candidate runs unpadded, so padding never reaches a read row
+    cfg = tiny_config()
+    store = M.init_params(cfg, seed=4, dtype="float64")
+    prompt = (FT.init_soft_prompt(cfg, 2, virtual_ids=(2, 3), seed=1, dtype="float64")
+              if with_prompt else None)
+    source = [10, 11, 12, 4]
+    together = E.score_labels(store, cfg, prompt, source, MIXED)
+    for c, (label, cand) in enumerate(zip(MIXED.labels, MIXED.token_ids)):
+        alone = E.score_labels(store, cfg, prompt, source, space([label], [cand]))[0]
+        assert together[c] == pytest.approx(alone, rel=0, abs=1e-12), label
+
+
+def test_padding_is_never_a_virtual_id():
+    # the shorter row is padded; a pad of id 0 would repeat a virtual id and raise
+    cfg = tiny_config()
+    store = M.init_params(cfg, seed=2, dtype="float64")
+    prompt = FT.init_soft_prompt(cfg, 2, virtual_ids=(0, 1), seed=1, dtype="float64")
+    sp = space(["a", "bcd"], [[5], [6, 7, 8]])
+    scores = E.score_labels(store, cfg, prompt, [], sp)
+    for c, cand in enumerate(sp.token_ids):
+        assert scores[c] == pytest.approx(
+            reference_logprobs(store, cfg, prompt, [0, 1], cand), rel=0, abs=1e-12), sp.labels[c]
 
 
 def test_scoring_needs_a_non_empty_context():

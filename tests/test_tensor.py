@@ -206,6 +206,22 @@ def test_cross_entropy_confident_correct_class():
     assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
 
+def test_target_nll_keeps_the_digits_of_a_confident_target():
+    rng = np.random.default_rng(0)
+    n, v = 2000, 64
+    logits = (2.0 * rng.standard_normal((n, v))).astype(np.float32)
+    targets = rng.integers(0, v, size=n)
+    # a larger lead would leave the float64 reference itself short of digits
+    logits[np.arange(n), targets] += rng.uniform(8.0, 16.0, size=n).astype(np.float32)
+    z = logits.astype(np.float64)
+    m = z.max(axis=1, keepdims=True)
+    reference = np.log(np.exp(z - m).sum(axis=1)) + m[:, 0] - z[np.arange(n), targets]
+    buffer = logits.copy()
+    np.testing.assert_allclose(T.target_nll(buffer, targets), reference, rtol=1e-5, atol=0)
+    # the buffer is left holding exp(logits - row max) for the backward
+    assert buffer.tobytes() == np.exp(logits - logits.max(axis=1, keepdims=True)).tobytes()
+
+
 def test_cross_entropy_mask_selects_single_position():
     logits = np.array([[1.0, 2.0, 0.5], [0.0, 0.0, 0.0]])
     targets = [1, 0]
