@@ -184,10 +184,10 @@ def forward_logits(params: ParamStore, config: ModelConfig, tokens,
         raise ContractError(f"token id outside [0, {config.vocab_size})")
 
     dtype = params["tok_emb"].data.dtype
-    x = T.embedding(params["tok_emb"], tokens)
-    if prompt_embeddings is not None and prompt_embeddings.data.shape[0] > 0:
-        x = T.inject_rows(x, prompt_embeddings, prompt_positions)
-    x = T.add(x, T.narrow(params["pos_emb"], 0, 0, seq))
+    if prompt_embeddings is not None and prompt_embeddings.data.shape[0] == 0:
+        prompt_embeddings = None
+    x = T.embedding(params["tok_emb"], params["pos_emb"], tokens,
+                    prompt_embeddings, prompt_positions)
 
     causal_bias = np.triu(np.full((seq, seq), NEG_INF_BIAS, dtype=dtype), k=1)
     for i in range(config.n_layers):
@@ -197,11 +197,11 @@ def forward_logits(params: ParamStore, config: ModelConfig, tokens,
         k = T.linear(a, params[f"{p}.wk"], params[f"{p}.bk"])
         v = T.linear(a, params[f"{p}.wv"], params[f"{p}.bv"])
         ctx = T.causal_attention(q, k, v, config.n_heads, causal_bias)
-        x = T.add(x, T.linear(ctx, params[f"{p}.wo"], params[f"{p}.bo"]))
+        x = T.linear(ctx, params[f"{p}.wo"], params[f"{p}.bo"], residual=x)
 
         a = T.layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"], LN_EPS)
-        hidden = T.gelu(T.linear(a, params[f"{p}.w_ff_in"], params[f"{p}.b_ff_in"]))
-        x = T.add(x, T.linear(hidden, params[f"{p}.w_ff_out"], params[f"{p}.b_ff_out"]))
+        hidden = T.linear(a, params[f"{p}.w_ff_in"], params[f"{p}.b_ff_in"], gelu=True)
+        x = T.linear(hidden, params[f"{p}.w_ff_out"], params[f"{p}.b_ff_out"], residual=x)
 
     x = T.layer_norm(x, params["ln_f.gain"], params["ln_f.bias"], LN_EPS)
     if not head:

@@ -16,11 +16,12 @@ the caller dropped is freed, gradient included, once its node is consumed.
 Gradient buffers have one owner. The first gradient a tensor receives
 becomes its `.grad` as is (copied only when its dtype or shape differs
 from the tensor's), and later ones are added into it in place. So a
-buffer an adjoint hands to `_accum` must not go to a second tensor: when
-both parents of `add` need the same pass-through gradient, the second
-gets a copy, and a view made by an identity `_unbroadcast` goes to a
-single parent. No two tensors' `.grad` share memory, and in-place updates
-of one gradient (masking, clipping) never reach another.
+buffer an adjoint hands to `_accum` must not go to a second tensor, nor
+be read after it is handed on: `linear`'s fused residual add passes its
+output gradient `g` on to the residual input as is, and only after the
+GEMMs and the bias sum have read it. No two leaves' `.grad` share memory,
+and in-place updates of one gradient (masking, clipping) never reach
+another.
 """
 
 from __future__ import annotations
@@ -82,30 +83,9 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
 
 
-class Tape:
-    """Execution-ordered op record; reverse traversal replays adjoints.
-
-    Construction order is already topological (inputs precede users), so
-    one reversed pass visits each node exactly once.
-    """
-
-    def __init__(self):
-        self.nodes = []
-        self._output_ids = set()
-
-    def record(self, out, backward):
-        self.nodes.append((out, backward))
-        self._output_ids.add(id(out))
-
-    def clear(self):
-        self.nodes.clear()
-        self._output_ids.clear()
-
-    def __len__(self):
-        return len(self.nodes)
-
-
-_tape = Tape()
+# (output, adjoint) pairs in execution order, which is already topological
+# (inputs precede users): one reversed pass visits each node exactly once
+_tape = []
 _grad_enabled = True
 
 
@@ -132,8 +112,10 @@ def tape_size():
     return len(_tape)
 
 
-def backward(loss):
-    """Populate .grad on every requires_grad tensor reachable from `loss`.
+def backward(loss, scale=1.0):
+    """Populate .grad on every requires_grad tensor reachable from `loss`,
+    seeding the loss's own gradient with `scale` (a micro-batch's share of
+    the batch mean, say) instead of 1.
 
     The tape is consumed node by node, and cleared even when an adjoint
     raises: a second call without a fresh forward pass is a contract
@@ -144,18 +126,17 @@ def backward(loss):
         raise ContractError("backward expects a Tensor loss")
     if loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
-    if id(loss) not in _tape._output_ids:
+    if not any(out is loss for out, _ in _tape):
         raise ContractError(
             "loss was not produced on the current tape "
             "(backward already consumed it, or no input required grad)"
         )
-    loss.grad = np.ones_like(loss.data)
-    nodes = _tape.nodes
+    loss.grad = np.full_like(loss.data, scale)
     try:
-        while nodes:
+        while _tape:
             # popped first, so the previous node's closure and output are
             # already released when this adjoint runs
-            out, bwd = nodes.pop()
+            out, bwd = _tape.pop()
             if out.grad is not None:
                 bwd(out.grad)
     finally:
@@ -206,44 +187,8 @@ def _accum(t, g):
 def _finish(out, inputs, bwd):
     if _grad_enabled and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        _tape.record(out, bwd)
+        _tape.append((out, bwd))
     return out
-
-
-def _unbroadcast(g, shape):
-    """Reduce gradient `g` back down to `shape` after numpy broadcasting."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
-
-
-def add(a, b):
-    a, b = _pair(a, b, "add")
-    out = Tensor(a.data + b.data)
-
-    def bwd(g):
-        ga = _unbroadcast(g, a.data.shape)
-        gb = _unbroadcast(g, b.data.shape)
-        if gb is g and ga is g and a.requires_grad:
-            gb = g.copy()
-        _accum(a, ga)
-        _accum(b, gb)
-
-    return _finish(out, (a, b), bwd)
-
-
-def mul(a, b):
-    a, b = _pair(a, b, "mul")
-    out = Tensor(a.data * b.data)
-
-    def bwd(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _finish(out, (a, b), bwd)
 
 
 def layer_norm(x, gain, bias, eps=1e-5):
@@ -294,47 +239,39 @@ def _erf(z):
     scratch buffers; it overwrites `z`."""
     if z.dtype == np.float64:
         return np.asarray(_erf64(z), dtype=np.float64)
-    np.minimum(z, 4.0, out=z)
-    np.maximum(z, -4.0, out=z)
+    np.clip(z, -4.0, 4.0, out=z)
     z2 = z * z
     p = _even_poly(_ERF32_NUM, z2, np.empty_like(z))
     p *= z
     p /= _even_poly(_ERF32_DEN, z2, z)
     # the rational overshoots 1 by up to 4e-7 for z in (3.6, 4]
-    np.minimum(p, 1.0, out=p)
-    np.maximum(p, -1.0, out=p)
+    np.clip(p, -1.0, 1.0, out=p)
     return p
 
 
-def gelu(x):
-    """x * Phi(x) with the erf form of the normal CDF, no tanh
-    approximation (erf as in `_erf`: double precision in float64, within
-    4.5e-7 in float32)."""
-    x = _as_tensor(x)
-    cdf = _erf(x.data * _INV_SQRT2)
-    cdf *= 0.5
-    cdf += 0.5
-    out = Tensor(x.data * cdf)
-
-    def bwd(g):
-        # g * (Phi(x) + x * phi(x)) in one buffer, phi the normal density
-        d = x.data * x.data
-        d *= -0.5
-        np.exp(d, out=d)
-        d *= _INV_SQRT_2PI
-        d *= x.data
-        d += cdf
-        d *= g
-        _accum(x, d)
-
-    return _finish(out, (x,), bwd)
+def _gelu_grad(x, cdf, g):
+    """g * (Phi(x) + x * phi(x)) in one buffer, phi the normal density:
+    the gradient of x * Phi(x) given Phi(x) = `cdf`."""
+    d = x * x
+    d *= -0.5
+    np.exp(d, out=d)
+    d *= _INV_SQRT_2PI
+    d *= x
+    d += cdf
+    d *= g
+    return d
 
 
-def linear(x, w, b=None, transpose_w=False):
-    """x @ w + b over the last axis of x, whatever its leading shape.
+def linear(x, w, b=None, transpose_w=False, residual=None, gelu=False):
+    """x @ w + b over the last axis of x, whatever its leading shape, then
+    optionally GELU or a residual add, all in one tape node.
 
     w is (d_in, d_out), or with transpose_w a (d_out, d_in) matrix read as
-    its transpose in place (a tied embedding table). One tape node.
+    its transpose in place (a tied embedding table). gelu=True applies
+    x * Phi(x) with the erf form of the normal CDF, no tanh approximation
+    (erf as in `_erf`: double precision in float64, within 4.5e-7 in
+    float32). `residual`, a tensor of the output's shape and dtype, is added
+    last: `residual + linear(x)`, as in a pre-norm block's skip connection.
     """
     x, w = _pair(x, w, "linear")
     if w.data.ndim != 2:
@@ -343,6 +280,7 @@ def linear(x, w, b=None, transpose_w=False):
     d_in, d_out = wm.shape
     if x.data.shape[-1] != d_in:
         raise ContractError(f"linear shape mismatch: {x.shape} x {wm.shape}")
+    out_shape = x.data.shape[:-1] + (d_out,)
     inputs = (x, w)
     if b is not None:
         b = _as_tensor(b, w.data.dtype)
@@ -350,20 +288,39 @@ def linear(x, w, b=None, transpose_w=False):
         if b.data.shape != (d_out,):
             raise ContractError(f"linear: bias {b.shape} != ({d_out},)")
         inputs += (b,)
+    if residual is not None:
+        residual = _as_tensor(residual)
+        _check_dtypes(w, residual, "linear")
+        if residual.data.shape != out_shape:
+            raise ContractError(f"linear: residual {residual.shape} != output {out_shape}")
+        inputs += (residual,)
     rows = x.data.reshape(-1, d_in)
     y = rows @ wm
     if b is not None:
         y += b.data
-    out = Tensor(y.reshape(x.data.shape[:-1] + (d_out,)))
+    if gelu:
+        pre = y
+        cdf = _erf(pre * _INV_SQRT2)
+        cdf *= 0.5
+        cdf += 0.5
+        y = pre * cdf
+    if residual is not None:
+        y += residual.data.reshape(-1, d_out)
+    out = Tensor(y.reshape(out_shape))
 
     def bwd(g):
-        g = g.reshape(-1, d_out)
+        gy = g.reshape(-1, d_out)
+        if gelu:
+            gy = _gelu_grad(pre, cdf, gy)
         if x.requires_grad:
-            _accum(x, (g @ wm.T).reshape(x.data.shape))
+            _accum(x, (gy @ wm.T).reshape(x.data.shape))
         if w.requires_grad:
-            _accum(w, g.T @ rows if transpose_w else rows.T @ g)
+            _accum(w, gy.T @ rows if transpose_w else rows.T @ gy)
         if b is not None and b.requires_grad:
-            _accum(b, g.sum(axis=0))
+            _accum(b, gy.sum(axis=0))
+        if residual is not None:
+            # last: the residual may own `g` and update it in place
+            _accum(residual, g)
 
     return _finish(out, inputs, bwd)
 
@@ -490,77 +447,59 @@ def target_nll(logits, targets):
     return np.log1p(rest) + (m - target_logits)
 
 
-def embedding(table, ids):
-    """Row gather: out[..., :] = table[ids[...], :]."""
-    table = _as_tensor(table)
+def embedding(table, pos, ids, prompt=None, positions=None):
+    """Token and position embeddings of a (batch, seq) id array.
+
+    out[b, i] = table[ids[b, i]] + pos[i], except that with a prompt the
+    token row at (b, positions[b, j]) is replaced by prompt[j] before the
+    position row is added: trainable virtual-token embeddings spliced into
+    the sequence. positions is (batch, n_prompt), unique within each row.
+    """
+    table, pos = _pair(table, pos, "embedding")
     ids = np.asarray(ids)
     if table.data.ndim != 2:
         raise ContractError(f"embedding table must be 2-d, got {table.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-        raise ContractError(f"embedding: id outside [0, {table.data.shape[0]})")
-    out = Tensor(table.data[ids])
+    n_ids, d = table.data.shape
+    if ids.ndim != 2:
+        raise ContractError(f"embedding: ids must be (batch, seq), got shape {ids.shape}")
+    bsz, t = ids.shape
+    if pos.data.ndim != 2 or pos.data.shape[0] < t or pos.data.shape[1] != d:
+        raise ContractError(f"embedding: position table {pos.shape} must be (>= {t}, {d})")
+    if ids.size and (ids.min() < 0 or ids.max() >= n_ids):
+        raise ContractError(f"embedding: id outside [0, {n_ids})")
+    inputs = (table, pos)
+    data = table.data[ids]
+    if prompt is not None:
+        prompt = _as_tensor(prompt)
+        _check_dtypes(table, prompt, "embedding")
+        positions = np.asarray(positions)
+        if prompt.data.ndim != 2 or prompt.data.shape[1] != d:
+            raise ContractError(f"embedding: prompt rows {prompt.shape} must be (n, {d})")
+        n = prompt.data.shape[0]
+        if positions.shape != (bsz, n):
+            raise ContractError(f"embedding: positions shape {positions.shape} != ({bsz}, {n})")
+        if n and any(len(set(row.tolist())) != n for row in positions):
+            raise ContractError("embedding: duplicate prompt position within a batch row")
+        bidx = np.arange(bsz)[:, None]
+        data[bidx, positions] = prompt.data
+        inputs += (prompt,)
+    data += pos.data[:t]
+    out = Tensor(data)
 
     def bwd(g):
+        if pos.requires_grad:
+            gpos = np.zeros_like(pos.data)
+            gpos[:t] = g.sum(axis=0)
+            _accum(pos, gpos)
+        if prompt is not None:
+            if prompt.requires_grad:
+                _accum(prompt, g[bidx, positions].sum(axis=0))
+            g[bidx, positions] = 0.0  # g is this op's own buffer
         # scatter straight into the table's gradient; with a tied output
         # head, the head's gradient is already there
         if table.requires_grad:
             if table.grad is None:
                 table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
+            np.add.at(table.grad, ids.reshape(-1), g.reshape(-1, d))
 
-    return _finish(out, (table,), bwd)
-
-
-def inject_rows(x, rows, positions):
-    """Overwrite x[b, positions[b, i], :] with rows[i, :] for every batch row b.
-
-    Used to splice trainable virtual-token embeddings into an embedded
-    sequence; gradient flows to both `rows` and the untouched part of `x`.
-    Positions must be unique within each batch row.
-    """
-    x, rows = _pair(x, rows, "inject_rows")
-    positions = np.asarray(positions)
-    if x.data.ndim != 3 or rows.data.ndim != 2:
-        raise ContractError(f"inject_rows expects x (b,t,d) and rows (n,d), got {x.shape}, {rows.shape}")
-    b, t, d = x.data.shape
-    n = rows.data.shape[0]
-    if rows.data.shape[1] != d:
-        raise ContractError(f"inject_rows: row width {rows.data.shape[1]} != {d}")
-    if positions.shape != (b, n):
-        raise ContractError(f"inject_rows: positions shape {positions.shape} != ({b}, {n})")
-    if n and any(len(set(row.tolist())) != n for row in positions):
-        raise ContractError("inject_rows: duplicate position within a batch row")
-    bidx = np.arange(b)[:, None]
-    data = x.data.copy()
-    data[bidx, positions] = rows.data
-    out = Tensor(data)
-
-    def bwd(g):
-        if rows.requires_grad:
-            _accum(rows, g[bidx, positions].sum(axis=0))
-        if x.requires_grad:
-            g[bidx, positions] = 0.0  # g is this op's own buffer, handed on to x alone
-            _accum(x, g)
-
-    return _finish(out, (x, rows), bwd)
-
-
-def narrow(x, axis, start, length):
-    """Contiguous slice [start, start+length) along `axis`."""
-    x = _as_tensor(x)
-    extent = x.data.shape[axis]
-    if start < 0 or length < 0 or start + length > extent:
-        raise ContractError(f"narrow: [{start}, {start + length}) outside axis extent {extent}")
-    index = [slice(None)] * x.data.ndim
-    index[axis] = slice(start, start + length)
-    index = tuple(index)
-    out = Tensor(x.data[index].copy())
-
-    def bwd(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            gx[index] = g
-            _accum(x, gx)
-
-    return _finish(out, (x,), bwd)
-
+    return _finish(out, inputs, bwd)

@@ -223,7 +223,7 @@ def train_steps(state: TrainState, dataset: PackedDataset, n_steps=None,
             frac = chunk.shape[0] / state.batch_size
             loss = lm_loss(state.params, state.config, chunk)
             loss_value += loss.item() * frac
-            T.backward(T.mul(loss, frac))
+            T.backward(loss, scale=frac)
 
         if not math.isfinite(loss_value):
             raise ContractError(f"step {step}: loss is {loss_value}; training diverged")

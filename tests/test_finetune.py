@@ -138,8 +138,10 @@ def test_loss_mask_exactness_via_logit_grads():
     ids, mask = ids[None, :], mask[None, :]
     logits = FT.prompt_forward(params, cfg, prompt, ids)
     seq = ids.shape[1]
-    pred = T.narrow(logits, 1, 0, seq - 1)
-    loss = T.cross_entropy(pred, np.eye(cfg.vocab_size), ids[:, 1:], mask[:, 1:])
+    # position i predicts token i + 1; the last position predicts nothing
+    targets = np.roll(ids, -1, axis=1)
+    scored = np.concatenate([mask[:, 1:], np.zeros((1, 1), dtype=mask.dtype)], axis=1)
+    loss = T.cross_entropy(logits, np.eye(cfg.vocab_size), targets, scored)
     T.backward(loss)
     active = mask[0, 1:].astype(bool)
     grads = logits.grad[0, : seq - 1]

@@ -222,15 +222,26 @@ def test_lm_loss_matches_bruteforce_two_token_sequence():
 
 
 def test_lm_loss_tape_stays_small():
-    # fused linear, attention and head-loss ops: 97 nodes before fusion
+    # one embedding node (positions and prompt folded in), nine per layer
+    # (residual adds and GELU folded into their linears), the final norm and
+    # the fused head loss
     cfg = toy_model_config()
     store = M.init_params(cfg, seed=0)
-    tokens = np.random.default_rng(0).integers(0, cfg.vocab_size, size=(8, cfg.context_window))
-    T.reset_tape()
-    M.lm_loss(store, cfg, tokens)
-    nodes = T.tape_size()
-    T.reset_tape()
-    assert nodes <= 40
+    rng = np.random.default_rng(0)
+    tokens = rng.integers(0, cfg.vocab_size, size=(8, cfg.context_window))
+    prompt = T.Tensor(rng.normal(size=(3, cfg.d_model)).astype(np.float32), requires_grad=True)
+    positions = np.tile([0, 1, 2], (8, 1))
+    forwards = [
+        lambda: M.lm_loss(store, cfg, tokens),
+        lambda: M.next_token_loss(store, cfg, M.forward_logits(
+            store, cfg, tokens, prompt, positions, head=False), tokens),
+    ]
+    for forward in forwards:
+        T.reset_tape()
+        forward()
+        nodes = T.tape_size()
+        T.reset_tape()
+        assert nodes == 21
 
 
 def test_lm_loss_needs_two_tokens():

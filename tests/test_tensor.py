@@ -26,6 +26,29 @@ def tsum(x):
     return T._finish(out, (x,), bwd)
 
 
+def _reduce_to(g, shape):
+    """Sum gradient `g` back down to `shape` after numpy broadcasting."""
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for ax, n in enumerate(shape):
+        if n == 1 and g.shape[ax] != 1:
+            g = g.sum(axis=ax, keepdims=True)
+    return g
+
+
+def mul(a, b):
+    """Broadcasting elementwise product: the finite-difference checks'
+    weighting of an op's output."""
+    a, b = T._pair(a, b, "mul")
+    out = T.Tensor(a.data * b.data)
+
+    def bwd(g):
+        T._accum(a, _reduce_to(g * b.data, a.data.shape))
+        T._accum(b, _reduce_to(g * a.data, b.data.shape))
+
+    return T._finish(out, (a, b), bwd)
+
+
 # ---------------------------------------------------------------- op values
 
 
@@ -114,10 +137,11 @@ def test_layer_norm_shape_contract():
 
 
 def test_gelu_values():
-    out = T.gelu(t64([0.0, 1.0, 10.0]))
-    assert out.data[0] == 0.0
-    assert out.data[1] == pytest.approx(0.8413447460685429, abs=1e-12)
-    assert out.data[2] == pytest.approx(10.0, abs=1e-6)
+    # x * 1 is exact, so this is the fused op's GELU alone
+    out = T.linear(t64([[0.0], [1.0], [10.0]]), np.eye(1), gelu=True).data[:, 0]
+    assert out[0] == 0.0
+    assert out[1] == pytest.approx(0.8413447460685429, abs=1e-12)
+    assert out[2] == pytest.approx(10.0, abs=1e-6)
 
 
 # the float32 erf's stated maximum absolute error (README, `tensor._erf`)
@@ -182,10 +206,10 @@ def test_gelu_float32_tracks_float64():
     g = np.random.default_rng(0).standard_normal(x.shape)
     out = {}
     for dtype in ("float32", "float64"):
-        t = T.Tensor(x, requires_grad=True, dtype=dtype)
-        y = T.gelu(t)
-        T.backward(tsum(T.mul(y, g)))
-        out[dtype] = y.data, t.grad
+        t = T.Tensor(x[:, None], requires_grad=True, dtype=dtype)
+        y = T.linear(t, np.eye(1), gelu=True)
+        T.backward(tsum(mul(y, g[:, None])))
+        out[dtype] = y.data[:, 0], t.grad[:, 0]
     (y32, g32), (y64, g64) = out["float32"], out["float64"]
     # Phi carries half the erf error; float32 rounding adds a few ulps
     assert np.all(np.abs(y32 - y64) <= 0.5 * ERF32_MAX_ABS_ERROR * np.abs(x) + 4e-7 * np.abs(y64)
@@ -240,16 +264,111 @@ def test_cross_entropy_target_out_of_range():
 
 def test_embedding_out_of_range():
     with pytest.raises(ContractError, match=r"id outside \[0, 4\)"):
-        T.embedding(T.Tensor(np.zeros((4, 2))), [[0, 5]])
+        T.embedding(T.Tensor(np.zeros((4, 2))), np.zeros((2, 2)), [[0, 5]])
     with pytest.raises(ContractError):
-        T.embedding(T.Tensor(np.zeros((4, 2))), [[-1, 0]])
+        T.embedding(T.Tensor(np.zeros((4, 2))), np.zeros((2, 2)), [[-1, 0]])
 
 
-def test_inject_rows_duplicate_position():
-    x = T.Tensor(np.zeros((1, 4, 2)))
-    rows = T.Tensor(np.ones((2, 2)))
-    with pytest.raises(ContractError):
-        T.inject_rows(x, rows, [[1, 1]])
+def embed_with_prompt(prompt_shape=(2, 2), positions=((1, 3),), pos_rows=4, t=4):
+    table, pos = T.Tensor(np.zeros((5, 2))), T.Tensor(np.zeros((pos_rows, 2)))
+    return T.embedding(table, pos, np.zeros((len(positions), t), dtype=np.int64),
+                       T.Tensor(np.ones(prompt_shape)), positions)
+
+
+def test_embedding_duplicate_prompt_position():
+    embed_with_prompt()
+    with pytest.raises(ContractError, match="duplicate"):
+        embed_with_prompt(positions=((1, 1),))
+
+
+def test_embedding_prompt_contracts():
+    with pytest.raises(ContractError, match="prompt rows"):
+        embed_with_prompt(prompt_shape=(2, 3))
+    with pytest.raises(ContractError, match="positions shape"):
+        embed_with_prompt(positions=((1, 3, 0),))
+    with pytest.raises(ContractError, match="mixed dtypes"):
+        T.embedding(T.Tensor(np.zeros((5, 2)), dtype="float32"), np.zeros((4, 2)), [[0, 1]],
+                    T.Tensor(np.ones((1, 2)), dtype="float64"), [[0]])
+
+
+def test_embedding_position_table_shorter_than_sequence():
+    with pytest.raises(ContractError, match="position table"):
+        embed_with_prompt(pos_rows=3)
+    with pytest.raises(ContractError, match="position table"):
+        T.embedding(T.Tensor(np.zeros((5, 2))), np.zeros((4, 3)), [[0, 1]])
+
+
+def test_linear_residual_contracts():
+    x, w = T.Tensor(np.ones((3, 4))), T.Tensor(np.ones((4, 2)))
+    with pytest.raises(ContractError, match="residual"):
+        T.linear(x, w, residual=T.Tensor(np.ones((3, 4))))
+    with pytest.raises(ContractError, match="mixed dtypes"):
+        T.linear(x, w, residual=T.Tensor(np.ones((3, 2)), dtype="float32"))
+
+
+# fused ops keep the bits of the unfused float32 arithmetic, values and gradients
+
+def f32(rng, *shape):
+    return rng.normal(size=shape).astype(np.float32)
+
+
+def fused_grads(out, upstream, leaves):
+    """Gradients of sum(out * upstream): `out` receives `upstream` exactly."""
+    T.backward(tsum(mul(out, upstream)))
+    return [leaf.grad for leaf in leaves]
+
+
+def test_linear_residual_keeps_unfused_bits():
+    rng = np.random.default_rng(0)
+    x, w, b, r, up = f32(rng, 6, 8), f32(rng, 8, 5), f32(rng, 5), f32(rng, 6, 5), f32(rng, 6, 5)
+    leaves = [T.Tensor(a, requires_grad=True) for a in (x, w, b, r)]
+    out = T.linear(*leaves[:3], residual=leaves[3])
+    assert out.data.tobytes() == (r + (x @ w + b)).tobytes()
+    gx, gw, gb, gr = fused_grads(out, up, leaves)
+    assert gx.tobytes() == (up @ w.T).tobytes()
+    assert gw.tobytes() == (x.T @ up).tobytes()
+    assert gb.tobytes() == up.sum(axis=0).tobytes()
+    assert gr.tobytes() == up.tobytes()
+
+
+def test_linear_gelu_keeps_unfused_bits():
+    rng = np.random.default_rng(1)
+    x, w, b, up = f32(rng, 6, 8), 2.0 * f32(rng, 8, 5), f32(rng, 5), f32(rng, 6, 5)
+    leaves = [T.Tensor(a, requires_grad=True) for a in (x, w, b)]
+    out = T.linear(*leaves, gelu=True)
+    # the expressions of the unfused GELU op, on the unfused linear's output
+    pre = x @ w + b
+    cdf = T._erf(pre * (1.0 / math.sqrt(2.0))) * 0.5 + 0.5
+    assert out.data.tobytes() == (pre * cdf).tobytes()
+    gpre = (np.exp(pre * pre * -0.5) * (1.0 / math.sqrt(2.0 * math.pi)) * pre + cdf) * up
+    gx, gw, gb = fused_grads(out, up, leaves)
+    assert gx.tobytes() == (gpre @ w.T).tobytes()
+    assert gw.tobytes() == (x.T @ gpre).tobytes()
+    assert gb.tobytes() == gpre.sum(axis=0).tobytes()
+
+
+def test_embedding_with_prompt_keeps_unfused_bits():
+    rng = np.random.default_rng(2)
+    table, pos, prompt = f32(rng, 7, 4), f32(rng, 9, 4), f32(rng, 3, 4)
+    ids = rng.integers(0, 7, size=(2, 6))
+    positions = np.array([[0, 2, 5], [4, 1, 3]])
+    up = f32(rng, 2, 6, 4)
+    leaves = [T.Tensor(a, requires_grad=True) for a in (table, pos, prompt)]
+    out = T.embedding(leaves[0], leaves[1], ids, leaves[2], positions)
+    bidx = np.arange(2)[:, None]
+    gathered = table[ids]
+    gathered[bidx, positions] = prompt
+    assert out.data.tobytes() == (gathered + pos[:6]).tobytes()
+    gtable, gpos, gprompt = fused_grads(out, up, leaves)
+    want_pos = np.zeros_like(pos)
+    want_pos[:6] = up.sum(axis=0)
+    assert gpos.tobytes() == want_pos.tobytes()
+    assert gprompt.tobytes() == up[bidx, positions].sum(axis=0).tobytes()
+    token_up = up.copy()
+    token_up[bidx, positions] = 0.0
+    want_table = np.zeros_like(table)
+    np.add.at(want_table, ids.reshape(-1), token_up.reshape(-1, 4))
+    assert gtable.tobytes() == want_table.tobytes()
 
 
 # ---------------------------------------------------------------- backward
@@ -259,14 +378,14 @@ def test_backward_bilinear_form():
     rng = np.random.default_rng(0)
     x = t64(rng.normal(size=(3, 4)))
     y = rng.normal(size=(3, 4))
-    loss = tsum(T.mul(x, y))
+    loss = tsum(mul(x, y))
     T.backward(loss)
     assert np.allclose(x.grad, y, atol=1e-12)
 
 
 def test_backward_requires_scalar():
     x = t64(np.ones((2, 2)))
-    out = T.mul(x, 2.0)
+    out = mul(x, 2.0)
     with pytest.raises(ContractError):
         T.backward(out)
     T.reset_tape()
@@ -281,10 +400,10 @@ def test_backward_twice_is_contract_error():
 
 
 def chain_grads(raising):
-    """x.grad after backward through mul, mul, add, (identity), sum: five
+    """x.grad after backward through mul, mul, linear, (identity), sum: five
     nodes, the fourth's adjoint raising when asked to."""
     x = t64(np.arange(1.0, 5.0))
-    h = T.add(T.mul(T.mul(x, 2.0), 3.0), 1.0)
+    h = T.linear(mul(mul(x, 2.0), 3.0), np.eye(4), np.ones(4))
 
     def bwd(g):
         if raising:
@@ -335,7 +454,7 @@ def test_backward_on_leaf_is_contract_error():
 def test_grads_accumulate_across_separate_forwards():
     x = t64(np.ones(4))
     T.backward(tsum(x))
-    T.backward(tsum(T.mul(x, 2.0)))
+    T.backward(tsum(mul(x, 2.0)))
     assert np.allclose(x.grad, 3.0)
 
 
@@ -349,27 +468,29 @@ def test_no_grad_suppresses_recording():
 
 def test_mixed_dtypes_rejected():
     a = T.Tensor(np.zeros(3), dtype="float32")
-    b = T.Tensor(np.zeros(3), dtype="float64")
+    b = T.Tensor(np.zeros((3, 3)), dtype="float64")
     with pytest.raises(ContractError):
-        T.add(a, b)
+        T.linear(a, b)
 
 
 def test_first_gradients_have_one_owner():
     # each leaf owns its adopted first gradient; a second backward pass
-    # accumulates into it without reaching any other leaf
+    # accumulates into it without reaching any other leaf, also when the
+    # fused residual add hands its output gradient on to the residual as is
     rng = np.random.default_rng(0)
     w = rng.normal(size=(3, 4))
-    a, b, x = (t64(rng.normal(size=(3, 4))) for _ in range(3))
+    a, x, r = (t64(rng.normal(size=(3, 4))) for _ in range(3))
+    m1, m2 = (t64(rng.normal(size=(4, 4))) for _ in range(2))
     graphs = [
-        (lambda: T.add(a, b), [(a, w), (b, w)]),
-        (lambda: T.add(x, x), [(x, 2.0 * w)]),
+        (lambda: T.linear(a, m1, residual=r), [(a, w @ m1.data.T), (r, w), (m1, a.data.T @ w)]),
+        (lambda: T.linear(x, m2, residual=x), [(x, w @ m2.data.T + w), (m2, x.data.T @ w)]),
     ]
     for make_out, want in graphs:
         for _ in range(2):
             T.backward(weighted(make_out(), w))
         for leaf, once in want:
             assert np.allclose(leaf.grad, 2.0 * once, rtol=0.0, atol=1e-12)
-    leaves = [a, b, x]
+    leaves = [a, r, x, m1, m2]
     for i, first in enumerate(leaves):
         for second in leaves[i + 1:]:
             assert not np.shares_memory(first.grad, second.grad)
@@ -426,27 +547,25 @@ def fd_check(make_loss, arrays, wrt):
 
 
 def weighted(out, w):
-    return tsum(T.mul(out, w))
+    return tsum(mul(out, w))
 
 
 def op_cases(rng):
     a34 = rng.normal(size=(3, 4))
-    b34 = rng.normal(size=(3, 4))
     bias = rng.normal(size=4)
-    w34 = rng.normal(size=(3, 4))
     w_ln = rng.normal(size=(3, 4))
-    ids = rng.integers(0, 3, size=(2, 3))
-    table = rng.normal(size=(3, 4))
-    w_emb = rng.normal(size=(2, 3, 4))
-    base = rng.normal(size=(2, 5, 3))
-    rows = rng.normal(size=(2, 3))
-    pos = np.array([[1, 3], [0, 4]])
-    w_inj = rng.normal(size=(2, 5, 3))
+    ids = rng.integers(0, 4, size=(2, 5))
+    table = rng.normal(size=(4, 3))
+    pos_table = rng.normal(size=(6, 3))  # one row longer than the sequence
+    prompt = rng.normal(size=(2, 3))
+    positions = np.array([[1, 3], [0, 4]])
+    w_emb = rng.normal(size=(2, 5, 3))
     targets = rng.integers(0, 4, size=3)
     mask = np.array([1.0, 0.0, 1.0])
     x234 = rng.normal(size=(2, 3, 4))
     w45 = rng.normal(size=(4, 5))
     b5 = rng.normal(size=5)
+    r235 = rng.normal(size=(2, 3, 5))
     w_lin = rng.normal(size=(2, 3, 5))
     qkv = [rng.normal(size=(2, 4, 6)) for _ in range(3)]  # 2 heads of width 3, seq 4
     w_att = rng.normal(size=(2, 4, 6))
@@ -459,6 +578,15 @@ def op_cases(rng):
     def linear(t):
         return weighted(T.linear(t[0], t[1], t[2]), w_lin)
 
+    def linear_gelu(t):
+        return weighted(T.linear(t[0], t[1], t[2], gelu=True), w_lin)
+
+    def linear_residual(t):
+        return weighted(T.linear(t[0], t[1], t[2], residual=t[3]), w_lin)
+
+    def embedding(t):
+        return weighted(T.embedding(t[0], t[1], ids, t[2], positions), w_emb)
+
     def attention(t):
         return weighted(T.causal_attention(t[0], t[1], t[2], 2, causal), w_att)
 
@@ -469,33 +597,30 @@ def op_cases(rng):
         return T.cross_entropy(t[0], t[1], head_targets, head_mask, transpose_w=True)
 
     def embedding_and_tied_head(t):
-        return T.cross_entropy(T.embedding(t[0], emb_ids), t[0], head_targets, head_mask,
-                               transpose_w=True)
+        return T.cross_entropy(T.embedding(t[0], np.zeros((3, 4)), emb_ids), t[0], head_targets,
+                               head_mask, transpose_w=True)
 
     return [
-        ("add_a", [a34, b34], 0, lambda t: weighted(T.add(t[0], t[1]), w34)),
-        ("add_b", [a34, b34], 1, lambda t: weighted(T.add(t[0], t[1]), w34)),
-        ("add_broadcast_bias", [a34, bias], 1, lambda t: weighted(T.add(t[0], t[1]), w34)),
-        ("mul_a", [a34, b34], 0, lambda t: weighted(T.mul(t[0], t[1]), w34)),
-        ("mul_broadcast", [a34, bias], 1, lambda t: weighted(T.mul(t[0], t[1]), w34)),
         ("layer_norm_x", [a34, 1.0 + 0.1 * bias, bias], 0,
          lambda t: weighted(T.layer_norm(t[0], t[1], t[2]), w_ln)),
         ("layer_norm_gain", [a34, 1.0 + 0.1 * bias, bias], 1,
          lambda t: weighted(T.layer_norm(t[0], t[1], t[2]), w_ln)),
         ("layer_norm_bias", [a34, 1.0 + 0.1 * bias, bias], 2,
          lambda t: weighted(T.layer_norm(t[0], t[1], t[2]), w_ln)),
-        ("gelu", [a34], 0, lambda t: weighted(T.gelu(t[0]), w34)),
         ("cross_entropy", [a34], 0, lambda t: T.cross_entropy(t[0], np.eye(4), targets, mask)),
-        ("embedding", [table], 0, lambda t: weighted(T.embedding(t[0], ids), w_emb)),
-        ("inject_rows_base", [base, rows], 0,
-         lambda t: weighted(T.inject_rows(t[0], t[1], pos), w_inj)),
-        ("inject_rows_rows", [base, rows], 1,
-         lambda t: weighted(T.inject_rows(t[0], t[1], pos), w_inj)),
-        ("narrow", [a34], 0, lambda t: weighted(T.narrow(t[0], 1, 1, 2), w34[:, 1:3])),
-        ("tsum", [a34], 0, lambda t: tsum(T.mul(t[0], t[0]))),
+        ("embedding", [table], 0, lambda t: weighted(T.embedding(t[0], pos_table, ids), w_emb)),
+        ("embedding_table", [table, pos_table, prompt], 0, embedding),
+        ("embedding_pos", [table, pos_table, prompt], 1, embedding),
+        ("embedding_prompt", [table, pos_table, prompt], 2, embedding),
+        ("tsum", [a34], 0, lambda t: tsum(mul(t[0], t[0]))),
         ("linear_x", [x234, w45, b5], 0, linear),
         ("linear_w", [x234, w45, b5], 1, linear),
         ("linear_b", [x234, w45, b5], 2, linear),
+        ("linear_gelu_x", [x234, w45, b5], 0, linear_gelu),
+        ("linear_gelu_w", [x234, w45, b5], 1, linear_gelu),
+        ("linear_gelu_b", [x234, w45, b5], 2, linear_gelu),
+        ("linear_residual_x", [x234, w45, b5, r235], 0, linear_residual),
+        ("linear_residual_residual", [x234, w45, b5, r235], 3, linear_residual),
         ("causal_attention_q", qkv, 0, attention),
         ("causal_attention_k", qkv, 1, attention),
         ("causal_attention_v", qkv, 2, attention),
