@@ -2,9 +2,11 @@
 
 Pre-LN blocks, learned absolute position embeddings, attention logits
 scaled by 1/sqrt(d_head), output projection tied to the token embedding
-by default. The six weight matrices per block (wq, wk, wv, wo, w_ff_in,
-w_ff_out) are the sparsifiable set; embeddings, LayerNorm parameters and
-biases stay dense.
+by default. A block is six tape ops: LayerNorm, attention with its q/k/v
+projections, the output projection with the residual add, LayerNorm, the
+feed-forward input with GELU and its output with the residual add. The six
+weight matrices per block (wq, wk, wv, wo, w_ff_in, w_ff_out) are the
+sparsifiable set; embeddings, LayerNorm parameters and biases stay dense.
 """
 
 from __future__ import annotations
@@ -193,10 +195,8 @@ def forward_logits(params: ParamStore, config: ModelConfig, tokens,
     for i in range(config.n_layers):
         p = f"layers.{i}"
         a = T.layer_norm(x, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"], LN_EPS)
-        q = T.linear(a, params[f"{p}.wq"], params[f"{p}.bq"])
-        k = T.linear(a, params[f"{p}.wk"], params[f"{p}.bk"])
-        v = T.linear(a, params[f"{p}.wv"], params[f"{p}.bv"])
-        ctx = T.causal_attention(q, k, v, config.n_heads, causal_bias)
+        qkv = [params[f"{p}.{role}"] for role in ("wq", "bq", "wk", "bk", "wv", "bv")]
+        ctx = T.attention(a, *qkv, config.n_heads, causal_bias)
         x = T.linear(ctx, params[f"{p}.wo"], params[f"{p}.bo"], residual=x)
 
         a = T.layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"], LN_EPS)

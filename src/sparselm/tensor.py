@@ -19,9 +19,10 @@ from the tensor's), and later ones are added into it in place. So a
 buffer an adjoint hands to `_accum` must not go to a second tensor, nor
 be read after it is handed on: `linear`'s fused residual add passes its
 output gradient `g` on to the residual input as is, and only after the
-GEMMs and the bias sum have read it. No two leaves' `.grad` share memory,
-and in-place updates of one gradient (masking, clipping) never reach
-another.
+GEMMs and the bias sum have read it. `attention` keeps its q, k and v
+gradients in one scratch buffer and hands on only products and sums of it.
+No two leaves' `.grad` share memory, and in-place updates of one gradient
+(masking, clipping) never reach another.
 """
 
 from __future__ import annotations
@@ -193,30 +194,31 @@ def _finish(out, inputs, bwd):
 
 def layer_norm(x, gain, bias, eps=1e-5):
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
+    x, gain = _pair(x, gain, "layer_norm")
+    x, bias = _pair(x, bias, "layer_norm")
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ContractError(
             f"layer_norm: gain {gain.shape} / bias {bias.shape} must match last axis ({d},)"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    # two passes: the mean square of the centered rows, never E[x^2] - E[x]^2
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.einsum("...i,...i->...", xhat, xhat)[..., None] / d + eps)
+    xhat *= inv
     out = Tensor(xhat * gain.data + bias.data)
 
     def bwd(g):
         if gain.requires_grad:
-            _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0))
+            _accum(gain, np.einsum("ij,ij->j", g.reshape(-1, d), xhat.reshape(-1, d)))
         if bias.requires_grad:
             _accum(bias, g.reshape(-1, d).sum(axis=0))
         if x.requires_grad:
             gg = g * gain.data
-            dx = inv * (
-                gg
-                - gg.mean(axis=-1, keepdims=True)
-                - xhat * (gg * xhat).mean(axis=-1, keepdims=True)
-            )
+            # inv * (gg - mean(gg) - xhat * mean(gg * xhat)), row by row
+            dx = xhat * (np.einsum("...i,...i->...", gg, xhat)[..., None] / d)
+            dx += gg.mean(axis=-1, keepdims=True)
+            np.subtract(gg, dx, out=dx)
+            dx *= inv
             _accum(x, dx)
 
     return _finish(out, (x, gain, bias), bwd)
@@ -325,55 +327,70 @@ def linear(x, w, b=None, transpose_w=False, residual=None, gelu=False):
     return _finish(out, inputs, bwd)
 
 
-def causal_attention(q, k, v, n_heads, bias):
-    """Multi-head softmax(Q Kᵀ / sqrt(d_head) + bias) V as one op.
+def attention(x, wq, bq, wk, bk, wv, bv, n_heads, bias):
+    """Multi-head softmax(Q Kᵀ / sqrt(d_head) + bias) V, with Q = x @ wq + bq
+    and K and V alike, as one op.
 
-    q, k, v: (batch, seq, d) with the heads side by side along d, which is
-    also the layout of the output. bias: (seq, seq) additive pre-softmax
-    mask, e.g. a large negative value above the diagonal. The backward is
+    x: (batch, seq, d_in); wq, wk, wv: (d_in, d) with the heads side by side
+    along d, as in the output; bq, bk, bv: (d,). bias: (seq, seq) additive
+    pre-softmax mask, e.g. a large negative value above the diagonal. Q, K
+    and V are GEMMs into one buffer, read per head through views, and the
+    output is written through such a view: no merge copies. The backward is
     written by hand and keeps only Q, K, V and the softmax output.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    _check_dtypes(q, k, "causal_attention")
-    _check_dtypes(q, v, "causal_attention")
-    bsz, seq, d = q.data.shape
-    if k.data.shape != q.data.shape or v.data.shape != q.data.shape:
-        raise ContractError(f"causal_attention: q {q.shape}, k {k.shape}, v {v.shape} differ")
+    x = _as_tensor(x)
+    wb = [_pair(x, t, "attention")[1] for t in (wq, bq, wk, bk, wv, bv)]
+    ws, bs = wb[0::2], wb[1::2]
+    d = ws[0].data.shape[-1]
+    if (x.data.ndim != 3 or any(w.data.shape != (x.data.shape[-1], d) for w in ws)
+            or any(b.data.shape != (d,) for b in bs)):
+        raise ContractError(f"attention shape mismatch: x {x.shape}, wq/bq/wk/bk/wv/bv "
+                            f"{[t.shape for t in wb]}")
     if n_heads < 1 or d % n_heads:
-        raise ContractError(f"causal_attention: {n_heads} heads do not divide width {d}")
+        raise ContractError(f"attention: {n_heads} heads do not divide width {d}")
+    bsz, seq, d_in = x.data.shape
     dh = d // n_heads
     scale = 1.0 / math.sqrt(dh)
 
-    def split(a):  # (b, t, d) -> (b, h, t, dh) view
-        return a.reshape(bsz, seq, n_heads, dh).transpose(0, 2, 1, 3)
+    def heads(a):  # (n, b*t, d) or (b, t, d) -> (n, b, h, t, dh) view
+        return a.reshape(-1, bsz, seq, n_heads, dh).transpose(0, 1, 3, 2, 4)
 
-    def merge(a):  # (b, h, t, dh) -> (b, t, d) copy
-        return a.transpose(0, 2, 1, 3).reshape(bsz, seq, d)
-
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    rows = x.data.reshape(-1, d_in)
+    qkv = np.empty((3, len(rows), d), dtype=rows.dtype)
+    for w, b, y in zip(ws, bs, qkv):
+        np.matmul(rows, w.data, out=y)
+        y += b.data
+    qh, kh, vh = heads(qkv)
     p = qh @ kh.swapaxes(-1, -2)
     p *= scale
     p += bias
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    out = Tensor(merge(p @ vh))
+    out = Tensor(np.empty((bsz, seq, d), dtype=rows.dtype))
+    np.matmul(p, vh, out=heads(out.data)[0])
 
     def bwd(g):
-        gh = split(g)
-        if v.requires_grad:
-            _accum(v, merge(p.swapaxes(-1, -2) @ gh))
-        if q.requires_grad or k.requires_grad:
-            ds = gh @ vh.swapaxes(-1, -2)
-            ds -= (ds * p).sum(axis=-1, keepdims=True)
-            ds *= p
-            ds *= scale
-            if q.requires_grad:
-                _accum(q, merge(ds @ kh))
-            if k.requires_grad:
-                _accum(k, merge(ds.swapaxes(-1, -2) @ qh))
+        grads = np.empty_like(qkv)
+        gq, gk, gv = heads(grads)
+        gh = heads(g)[0]
+        np.matmul(p.swapaxes(-1, -2), gh, out=gv)
+        ds = gh @ vh.swapaxes(-1, -2)
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
+        np.matmul(ds, kh, out=gq)
+        np.matmul(ds.swapaxes(-1, -2), qh, out=gk)
+        # v, k, q: the order in which separate projections added into x.grad
+        for w, b, gy in zip(ws[::-1], bs[::-1], grads[::-1]):
+            if x.requires_grad:
+                _accum(x, (gy @ w.data.T).reshape(x.data.shape))
+            if w.requires_grad:
+                _accum(w, rows.T @ gy)
+            if b.requires_grad:
+                _accum(b, gy.sum(axis=0))
 
-    return _finish(out, (q, k, v), bwd)
+    return _finish(out, [x] + wb, bwd)
 
 
 def cross_entropy(x, w, targets, ignore_mask=None, transpose_w=False):
@@ -478,6 +495,8 @@ def embedding(table, pos, ids, prompt=None, positions=None):
         n = prompt.data.shape[0]
         if positions.shape != (bsz, n):
             raise ContractError(f"embedding: positions shape {positions.shape} != ({bsz}, {n})")
+        if positions.size and (positions.min() < 0 or positions.max() >= t):
+            raise ContractError(f"embedding: prompt position outside [0, {t})")
         if n and any(len(set(row.tolist())) != n for row in positions):
             raise ContractError("embedding: duplicate prompt position within a batch row")
         bidx = np.arange(bsz)[:, None]
@@ -500,6 +519,9 @@ def embedding(table, pos, ids, prompt=None, positions=None):
         if table.requires_grad:
             if table.grad is None:
                 table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, ids.reshape(-1), g.reshape(-1, d))
+            # np.add.at's bits over rows, on flat indices to skip its slow row path
+            flat_grad = table.grad.reshape(-1)
+            np.add.at(flat_grad, (ids.reshape(-1, 1) * d + np.arange(d)).reshape(-1), g.reshape(-1))
+            table.grad = flat_grad.reshape(n_ids, d)
 
     return _finish(out, inputs, bwd)

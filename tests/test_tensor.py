@@ -52,7 +52,7 @@ def mul(a, b):
 # ---------------------------------------------------------------- op values
 
 
-# `linear` carries every matrix product and `causal_attention` the softmax
+# `linear` carries every matrix product and `attention` the softmax
 
 
 def test_matmul_identity():
@@ -76,15 +76,17 @@ def test_matmul_shape_mismatch_names_both_shapes():
 
 
 def attention_weights(logits, dtype="float64"):
-    """The softmax weights `causal_attention` gives a query over keys scored
-    `logits`: one head, no mask, and v the identity, so each output row is
+    """The softmax weights `attention` gives a query over keys scored
+    `logits`: one head, no mask and x the identity, so Q, K and V are the
+    weights; every query is e_0 and V is the identity, so each output row is
     the weight vector."""
     n = len(logits)
-    q, k = np.zeros((1, n, n)), np.zeros((1, n, n))
-    q[..., 0] = 1.0
-    k[0, :, 0] = np.asarray(logits) * math.sqrt(n)  # undoes the 1/sqrt(d_head) scale
-    qkv = [T.Tensor(a, dtype=dtype) for a in (q, k, np.eye(n)[None])]
-    return T.causal_attention(*qkv, 1, np.zeros((n, n))).data[0, 0]
+    wq, wk = np.zeros((n, n)), np.zeros((n, n))
+    wq[:, 0] = 1.0
+    wk[:, 0] = np.asarray(logits) * math.sqrt(n)  # undoes the 1/sqrt(d_head) scale
+    x, wq, wk, wv = (T.Tensor(a, dtype=dtype) for a in (np.eye(n)[None], wq, wk, np.eye(n)))
+    zero = np.zeros(n)
+    return T.attention(x, wq, zero, wk, zero, wv, zero, 1, np.zeros((n, n))).data[0, 0]
 
 
 def test_softmax_symmetry():
@@ -126,14 +128,40 @@ def test_layer_norm_hand_values():
 
 def test_layer_norm_zero_gain_gives_bias():
     x = T.Tensor(np.random.default_rng(0).normal(size=(3, 5)).astype(np.float32))
-    bias = T.Tensor(np.full(5, 2.5))
-    out = T.layer_norm(x, T.Tensor(np.zeros(5)), bias)
+    bias = T.Tensor(np.full(5, 2.5), dtype="float32")
+    out = T.layer_norm(x, T.Tensor(np.zeros(5), dtype="float32"), bias)
     assert np.allclose(out.data, 2.5)
 
 
 def test_layer_norm_shape_contract():
     with pytest.raises(ContractError):
         T.layer_norm(T.Tensor(np.zeros((2, 4))), T.Tensor(np.ones(3)), T.Tensor(np.zeros(4)))
+
+
+def test_layer_norm_mixed_dtypes_rejected():
+    x = T.Tensor(np.ones((2, 4)), dtype="float32")
+    with pytest.raises(ContractError, match="mixed dtypes"):
+        T.layer_norm(x, T.Tensor(np.ones(4), dtype="float64"), np.zeros(4))
+    with pytest.raises(ContractError, match="mixed dtypes"):
+        T.layer_norm(x, np.ones(4), T.Tensor(np.zeros(4), dtype="float64"))
+    # raw arrays adopt x's dtype
+    assert T.layer_norm(x, np.ones(4), np.zeros(4)).data.dtype == np.float32
+
+
+def test_layer_norm_float32_rows_far_from_zero():
+    # rows of 1e3 + N(0, 1e-2): a one-pass variance E[x^2] - E[x]^2 loses
+    # every digit here (float32's ulp at 1e6 is 0.06) and is off by O(1);
+    # the two-pass form is off only by float32's mean, within a few ulp of
+    # 1e3 (6e-5 each) against a spread of 1e-2
+    rng = np.random.default_rng(0)
+    for d in (64, 256):
+        x = (1e3 + 1e-2 * rng.standard_normal((32, d))).astype(np.float32)
+        ref = x.astype(np.float64)
+        centered = ref - ref.mean(axis=-1, keepdims=True)
+        want = centered / np.sqrt((centered ** 2).mean(axis=-1, keepdims=True) + 1e-5)
+        got = T.layer_norm(T.Tensor(x), np.ones(d), np.zeros(d), eps=1e-5).data
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, want, rtol=0, atol=2e-2)
 
 
 def test_gelu_values():
@@ -291,6 +319,14 @@ def test_embedding_prompt_contracts():
                     T.Tensor(np.ones((1, 2)), dtype="float64"), [[0]])
 
 
+def test_embedding_prompt_position_outside_the_sequence():
+    embed_with_prompt(positions=((0, 3),))
+    with pytest.raises(ContractError, match=r"prompt position outside \[0, 4\)"):
+        embed_with_prompt(positions=((-1, 3),))
+    with pytest.raises(ContractError, match=r"prompt position outside \[0, 4\)"):
+        embed_with_prompt(positions=((1, 4),))
+
+
 def test_embedding_position_table_shorter_than_sequence():
     with pytest.raises(ContractError, match="position table"):
         embed_with_prompt(pos_rows=3)
@@ -304,6 +340,53 @@ def test_linear_residual_contracts():
         T.linear(x, w, residual=T.Tensor(np.ones((3, 4))))
     with pytest.raises(ContractError, match="mixed dtypes"):
         T.linear(x, w, residual=T.Tensor(np.ones((3, 2)), dtype="float32"))
+
+
+def test_attention_contracts():
+    rng = np.random.default_rng(0)
+    x = T.Tensor(f32(rng, 2, 3, 4))
+    w, b = f32(rng, 4, 6), np.zeros(6, dtype=np.float32)
+
+    def call(x=x, wq=w, bq=b, wk=w, bk=b, wv=w, bv=b, n_heads=2):
+        return T.attention(x, wq, bq, wk, bk, wv, bv, n_heads, np.zeros((3, 3)))
+
+    assert call().shape == (2, 3, 6)
+    with pytest.raises(ContractError, match="mixed dtypes"):
+        call(wk=T.Tensor(w, dtype="float64"))
+    with pytest.raises(ContractError, match="mixed dtypes"):
+        call(bv=T.Tensor(b, dtype="float64"))
+    with pytest.raises(ContractError, match="shape mismatch"):
+        call(x=T.Tensor(f32(rng, 2, 3, 5)))
+    with pytest.raises(ContractError, match="shape mismatch"):
+        call(x=T.Tensor(f32(rng, 6, 4)))
+    with pytest.raises(ContractError, match="shape mismatch"):
+        call(wv=f32(rng, 4, 4))
+    with pytest.raises(ContractError, match="shape mismatch"):
+        call(bk=np.zeros(4, dtype=np.float32))
+    for n_heads in (0, 4):
+        with pytest.raises(ContractError, match="heads do not divide"):
+            call(n_heads=n_heads)
+
+
+def test_attention_is_three_linears_and_reference_attention():
+    """float64: the fused op equals q, k and v from `linear`, followed by a
+    per-head numpy softmax attention."""
+    rng = np.random.default_rng(3)
+    bsz, seq, d_in, d, h = 2, 5, 6, 8, 2
+    dh = d // h
+    x = t64(rng.normal(size=(bsz, seq, d_in)), grad=False)
+    wb = [t64(rng.normal(size=s), grad=False) for s in ((d_in, d), (d,)) * 3]
+    causal = np.triu(np.full((seq, seq), -1e9), k=1)
+    q, k, v = (T.linear(x, wb[i], wb[i + 1]).data for i in (0, 2, 4))
+    want = np.zeros((bsz, seq, d))
+    for b in range(bsz):
+        for head in range(h):
+            sl = slice(head * dh, (head + 1) * dh)
+            s = q[b, :, sl] @ k[b, :, sl].T / math.sqrt(dh) + causal
+            e = np.exp(s - s.max(axis=-1, keepdims=True))
+            want[b, :, sl] = e / e.sum(axis=-1, keepdims=True) @ v[b, :, sl]
+    got = T.attention(x, *wb, h, causal).data
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 # fused ops keep the bits of the unfused float32 arithmetic, values and gradients
@@ -369,6 +452,22 @@ def test_embedding_with_prompt_keeps_unfused_bits():
     want_table = np.zeros_like(table)
     np.add.at(want_table, ids.reshape(-1), token_up.reshape(-1, 4))
     assert gtable.tobytes() == want_table.tobytes()
+
+
+def test_embedding_scatter_matches_row_add_at():
+    # the backward scatters on flat element indices; it must give the bits of
+    # np.add.at over rows, with repeated ids and with a tied head's gradient
+    # already in table.grad
+    rng = np.random.default_rng(4)
+    table, pos = f32(rng, 6, 8), f32(rng, 16, 8)
+    ids = rng.integers(0, 6, size=(3, 16))
+    up, head_grad = f32(rng, 3, 16, 8), f32(rng, 6, 8)
+    leaf = T.Tensor(table, requires_grad=True)
+    leaf.grad = head_grad.copy()
+    (gtable,) = fused_grads(T.embedding(leaf, pos, ids), up, [leaf])
+    want = head_grad.copy()
+    np.add.at(want, ids.reshape(-1), up.reshape(-1, 8))
+    assert gtable.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- backward
@@ -490,7 +589,18 @@ def test_first_gradients_have_one_owner():
             T.backward(weighted(make_out(), w))
         for leaf, once in want:
             assert np.allclose(leaf.grad, 2.0 * once, rtol=0.0, atol=1e-12)
-    leaves = [a, r, x, m1, m2]
+    # the fused attention's seven leaves: q, k and v gradients share one
+    # buffer inside the op, and none of it may become a leaf's .grad
+    xa = t64(rng.normal(size=(2, 3, 4)))
+    wb = [t64(rng.normal(size=s)) for s in ((4, 4), (4,)) * 3]
+    causal = np.triu(np.full((3, 3), -1e9), k=1)
+    wa = rng.normal(size=(2, 3, 4))
+    T.backward(weighted(T.attention(xa, *wb, 2, causal), wa))
+    once = [leaf.grad.copy() for leaf in [xa] + wb]
+    T.backward(weighted(T.attention(xa, *wb, 2, causal), wa))
+    for leaf, first_pass in zip([xa] + wb, once):
+        assert np.allclose(leaf.grad, 2.0 * first_pass, rtol=0.0, atol=1e-12)
+    leaves = [a, r, x, m1, m2, xa] + wb
     for i, first in enumerate(leaves):
         for second in leaves[i + 1:]:
             assert not np.shares_memory(first.grad, second.grad)
@@ -499,12 +609,14 @@ def test_first_gradients_have_one_owner():
 def test_determinism_bitwise():
     def run():
         rng = np.random.default_rng(7)
-        x = T.Tensor(rng.normal(size=(2, 4, 8)).astype(np.float32))
-        h = T.linear(x, rng.normal(size=(8, 8)).astype(np.float32))
+        x = T.Tensor(rng.normal(size=(2, 4, 8)).astype(np.float32), requires_grad=True)
+        wb = [T.Tensor(f32(rng, *s), requires_grad=True) for s in ((8, 8), (8,)) * 3]
         causal = np.triu(np.full((4, 4), -1e9, dtype=np.float32), k=1)
-        return T.causal_attention(h, h, h, 2, causal).data
+        out = T.attention(x, *wb, 2, causal)
+        T.backward(tsum(mul(out, f32(rng, 2, 4, 8))))
+        return [out.data] + [t.grad for t in [x] + wb]
 
-    assert np.array_equal(run(), run())
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(run(), run()))
 
 
 # ------------------------------------------------- finite-difference oracle
@@ -567,7 +679,8 @@ def op_cases(rng):
     b5 = rng.normal(size=5)
     r235 = rng.normal(size=(2, 3, 5))
     w_lin = rng.normal(size=(2, 3, 5))
-    qkv = [rng.normal(size=(2, 4, 6)) for _ in range(3)]  # 2 heads of width 3, seq 4
+    # x (batch 2, seq 4, width 5) into 2 heads of width 3
+    att = [rng.normal(size=s) for s in ((2, 4, 5),) + ((5, 6), (6,)) * 3]
     w_att = rng.normal(size=(2, 4, 6))
     causal = np.triu(np.full((4, 4), -1e9), k=1)
     w54 = rng.normal(size=(5, 4))  # a tied (vocab, d) table
@@ -588,7 +701,15 @@ def op_cases(rng):
         return weighted(T.embedding(t[0], t[1], ids, t[2], positions), w_emb)
 
     def attention(t):
-        return weighted(T.causal_attention(t[0], t[1], t[2], 2, causal), w_att)
+        return weighted(T.attention(*t, 2, causal), w_att)
+
+    def attention_key_bias(t):
+        # a key bias shifts all of a query's logits alike, so softmax ignores
+        # it: its true gradient is 0, which a relative check cannot see. The
+        # same tensor also serves as the value bias, whose gradient is not 0,
+        # so a nonzero key-bias gradient shows against it.
+        x, wq, bq, wk, bk, wv, _ = t
+        return weighted(T.attention(x, wq, bq, wk, bk, wv, bk, 2, causal), w_att)
 
     def head_loss(t):
         return T.cross_entropy(t[0], t[1], head_targets, head_mask)
@@ -621,9 +742,13 @@ def op_cases(rng):
         ("linear_gelu_b", [x234, w45, b5], 2, linear_gelu),
         ("linear_residual_x", [x234, w45, b5, r235], 0, linear_residual),
         ("linear_residual_residual", [x234, w45, b5, r235], 3, linear_residual),
-        ("causal_attention_q", qkv, 0, attention),
-        ("causal_attention_k", qkv, 1, attention),
-        ("causal_attention_v", qkv, 2, attention),
+        ("attention_x", att, 0, attention),
+        ("attention_wq", att, 1, attention),
+        ("attention_bq", att, 2, attention),
+        ("attention_wk", att, 3, attention),
+        ("attention_bk", att, 4, attention_key_bias),
+        ("attention_wv", att, 5, attention),
+        ("attention_bv", att, 6, attention),
         ("head_loss_x", [x234, w45], 0, head_loss),
         ("head_loss_w", [x234, w45], 1, head_loss),
         ("tied_head_loss_x", [x234, w54], 0, tied_head_loss),
