@@ -223,8 +223,13 @@ def _read_task_examples(path, vocab):
 
 def _load_label_space(path, vocab):
     spec = _load_json(path)
-    return E.label_space_from_vocab(vocab, spec["labels"],
-                                    multi_label=bool(spec.get("multi_label", False)),
+    labels = spec.get("labels") if isinstance(spec, dict) else None
+    if not (isinstance(labels, list) and labels and all(isinstance(x, str) for x in labels)
+            and isinstance(spec.get("multi_label", False), bool)
+            and isinstance(spec.get("separator", " "), str)):
+        raise ContractError(f"{path}: needs a non-empty list of string labels, "
+                            "a bool multi_label and a string separator")
+    return E.label_space_from_vocab(vocab, labels, multi_label=spec.get("multi_label", False),
                                     separator=spec.get("separator", " "))
 
 
@@ -330,12 +335,10 @@ def cmd_eval(args):
     else:
         preds, golds = [], []
         for i, ex in enumerate(examples):
-            if not ex.labels:
-                raise ContractError(f"example {i} has no gold label")
+            golds.append(E.gold_label(ex, i, space))
             scores = E.score_labels(params, config, prompt, ex.source, space)
             pred = space.best(scores)
             preds.append(pred)
-            golds.append(ex.labels[0])
             score_cols = ",".join(repr(float(s)) for s in scores)
             rows.append(f"{i},{golds[-1]},{pred},{score_cols}")
         metric_name, metric = "accuracy", E.accuracy(preds, golds)

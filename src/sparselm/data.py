@@ -53,7 +53,7 @@ def filter_corpus(docs):
 
 
 def read_corpus(path) -> list[Document]:
-    """One JSON object {id, title, abstract, body?} per line, UTF-8."""
+    """One JSON object {id, title, abstract, body?} of strings or nulls per line, UTF-8."""
     docs = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
@@ -64,9 +64,12 @@ def read_corpus(path) -> list[Document]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ContractError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
+            if not (isinstance(rec, dict) and all(isinstance(rec.get(key), (str, type(None)))
+                                                  for key in ("title", "abstract", "body"))):
+                raise ContractError(f"{path}:{line_no}: needs an object with string title/abstract/body")
             docs.append(Document(id=str(rec.get("id", line_no)),
-                                 title=rec.get("title", "") or "",
-                                 abstract=rec.get("abstract", "") or "",
+                                 title=rec.get("title") or "",
+                                 abstract=rec.get("abstract") or "",
                                  body=rec.get("body")))
     return docs
 

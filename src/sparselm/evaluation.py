@@ -169,12 +169,20 @@ def generate_labels(params, config, prompt, source_ids, space: LabelSpace,
     return GenerationOutcome(labels=tuple(emitted), truncated=True)
 
 
+def gold_label(example, index: int, space: LabelSpace) -> str:
+    """The first gold label of example `index`, which must be a candidate."""
+    gold = example.labels[0] if example.labels else None
+    if gold not in space.labels:
+        raise ContractError(f"example {index}: gold label {gold!r} is not one of {list(space.labels)}")
+    return gold
+
+
 def bind_accuracy_metric(config: ModelConfig, space: LabelSpace):
     """metric_fn for fine-tuning/grid selection: single-label accuracy with
-    each example's first gold label as the reference."""
+    each example's first gold label (`gold_label`) as the reference."""
     def metric(params, prompt, examples):
+        golds = [gold_label(ex, i, space) for i, ex in enumerate(examples)]
         preds = [predict_label(params, config, prompt, ex.source, space) for ex in examples]
-        golds = [ex.labels[0] if ex.labels else "" for ex in examples]
         return accuracy(preds, golds)
 
     return metric

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .errors import ContractError
 from .model import (INIT_STD, ModelConfig, ParamStore, clone_params, forward_logits,
                     next_token_loss)
 from .tensor import Tensor
-from .training import OptimizerState, Schedule, adamw_step, lr_at
+from .training import OptimizerState, Schedule, _drop_grads, _update, lr_at
 
 # grid-search presets: (batch sizes, peak learning rates)
 PUBMEDQA_GRID = ((8, 16, 32, 64), (2e-4, 1e-4, 5e-5, 2.5e-5))
@@ -155,9 +155,6 @@ class FinetuneJob:
     epochs: int = 5
     batch_size: int = 8
     peak_lr: float = 1e-4
-    warmup_fraction: float = 0.10
-    min_lr_fraction: float = 0.10
-    weight_decay: float = 0.1
     patience: int | None = None          # early stopping off when None
     prompt_length: int = 0
     virtual_ids: tuple[int, ...] = ()
@@ -265,7 +262,8 @@ def finetune_dense(params: ParamStore, config: ModelConfig, job: FinetuneJob,
 
 
 def _run_stages(params, config, job, prompt, trainable, metric_fn) -> FinetuneResult:
-    """The body of `finetune_dense`: each stage in order, `trainable` updated."""
+    """The body of `finetune_dense`: each stage in order, `trainable` updated by `_update`."""
+    _drop_grads(trainable)
     rng = np.random.default_rng(job.seed)
     report: list[EpochRecord] = []
     best_val_loss = None
@@ -278,9 +276,8 @@ def _run_stages(params, config, job, prompt, trainable, metric_fn) -> FinetuneRe
             raise ContractError(f"stage {stage.name!r} has no training examples")
 
         steps_per_epoch = math.ceil(len(stage.train) / job.batch_size)
-        schedule = Schedule(job.peak_lr, max(1, epochs * steps_per_epoch),
-                            job.warmup_fraction, job.min_lr_fraction)
-        opt = OptimizerState.for_params(trainable, weight_decay=job.weight_decay)
+        schedule = Schedule(job.peak_lr, max(1, epochs * steps_per_epoch))
+        opt = OptimizerState.for_params(trainable)
         val_batches = (_build_batches(stage.val, prompt, job, config)
                        if stage.val else None)
 
@@ -293,16 +290,14 @@ def _run_stages(params, config, job, prompt, trainable, metric_fn) -> FinetuneRe
             epoch_loss, rows = 0.0, 0
             for ids, mask in _build_batches(stage.train, prompt, job, config, order):
                 step += 1
-                for t in trainable.values():
-                    t.grad = None
                 loss = sequence_loss(params, config, ids, mask, prompt)
                 value = loss.item()
                 if not math.isfinite(value):
                     raise ContractError(f"stage {stage.name!r}, epoch {epoch}: training loss "
                                         f"is {value}; fine-tuning diverged")
                 T.backward(loss)
-                grads = {p: t.grad for p, t in trainable.items() if t.grad is not None}
-                adamw_step(trainable, grads, opt, lr_at(schedule, min(step, schedule.total_steps)))
+                _update(trainable, opt, lr_at(schedule, min(step, schedule.total_steps)),
+                        f"stage {stage.name!r}, epoch {epoch}")
                 epoch_loss += value * ids.shape[0]
                 rows += ids.shape[0]
             train_loss = epoch_loss / rows

@@ -13,39 +13,26 @@ mask, leaving the previously inactive weights at exactly 0.0 and trainable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError
-from .model import ParamStore, is_sparsifiable
+from .model import ParamStore
 from .tensor import Tensor
 
 
 @dataclass(frozen=True)
 class SparsityPlan:
-    """Uniform level for every sparsifiable path, or explicit per-path levels."""
+    """One uniform sparsity level for every sparsifiable path, and the seed
+    of the random pruning."""
 
-    level: float | None = None
-    levels: dict[str, float] | None = None
+    level: float
     seed: int = 0
 
     def __post_init__(self):
-        if (self.level is None) == (self.levels is None):
-            raise ContractError("SparsityPlan needs exactly one of `level` or `levels`")
-        for s in [self.level] if self.level is not None else self.levels.values():
-            if not (0.0 <= s < 1.0):
-                raise ContractError(f"sparsity level {s} outside [0, 1)")
-
-    def resolve(self, params: ParamStore) -> dict[str, float]:
-        if self.level is not None:
-            return {path: self.level for path in params.sparsifiable_paths()}
-        for path in self.levels:
-            if path not in params:
-                raise ContractError(f"plan targets unknown parameter {path!r}")
-            if not is_sparsifiable(path):
-                raise ContractError(f"plan targets dense-only parameter {path!r}")
-        return dict(self.levels)
+        if self.level is None or not (0.0 <= self.level < 1.0):
+            raise ContractError(f"a sparsity plan needs one level in [0, 1), got {self.level!r}")
 
 
 def zero_count(level: float, size: int) -> int:
@@ -60,7 +47,6 @@ class MaskSet:
 
     masks: dict[str, np.ndarray]
     plan: SparsityPlan
-    levels: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         self.masks = {path: np.asarray(m, dtype=bool) for path, m in self.masks.items()}
@@ -85,20 +71,20 @@ class MaskSet:
 
 
 def build_masks(params: ParamStore, plan: SparsityPlan) -> MaskSet:
-    """Seeded random pruning: per path, exactly round(s*N) zeros at
-    uniformly chosen positions. Deterministic per (plan, seed)."""
-    levels = plan.resolve(params)
+    """Seeded random pruning: in each sparsifiable path, in sorted order,
+    exactly round(s*N) zeros at uniformly chosen positions. Deterministic
+    per plan."""
     rng = np.random.default_rng(plan.seed)
     masks = {}
-    for path in sorted(levels):
+    for path in sorted(params.sparsifiable_paths()):
         tensor = params[path]
         n = tensor.data.size
-        z = zero_count(levels[path], n)
+        z = zero_count(plan.level, n)
         flat = np.ones(n, dtype=bool)
         if z:
             flat[rng.permutation(n)[:z]] = False
         masks[path] = flat.reshape(tensor.data.shape)
-    return MaskSet(masks=masks, plan=plan, levels=levels)
+    return MaskSet(masks=masks, plan=plan)
 
 
 def global_sparsity(masks: MaskSet, total_params: int | None = None) -> float:

@@ -23,6 +23,10 @@ GEMMs and the bias sum have read it. `attention` keeps its q, k and v
 gradients in one scratch buffer and hands on only products and sums of it.
 No two leaves' `.grad` share memory, and in-place updates of one gradient
 (masking, clipping) never reach another.
+
+Every op takes its operands by one rule: a raw array becomes a constant of
+the dtype of the op's first tensor operand, an absent optional operand
+stays None, and tensors of two dtypes raise ContractError ("mixed dtypes").
 """
 
 from __future__ import annotations
@@ -144,32 +148,15 @@ def backward(loss, scale=1.0):
         _tape.clear()
 
 
-def _as_tensor(x, ref_dtype=None):
-    if isinstance(x, Tensor):
-        return x
-    dtype = None
-    if ref_dtype is not None:
-        dtype = "float64" if ref_dtype == np.float64 else "float32"
-    return Tensor(x, dtype=dtype)
-
-
-def _check_dtypes(a, b, op):
-    if a.data.dtype != b.data.dtype:
-        raise ContractError(
-            f"{op}: mixed dtypes {a.dtype} vs {b.dtype}; a computation graph must use one dtype"
-        )
-
-
-def _pair(a, b, op):
-    """Wrap raw operands as constants, adopting the tensor operand's dtype."""
-    if isinstance(a, Tensor) and isinstance(b, Tensor):
-        _check_dtypes(a, b, op)
-        return a, b
-    if isinstance(a, Tensor):
-        return a, Tensor(b, dtype=a.dtype)
-    if isinstance(b, Tensor):
-        return Tensor(a, dtype=b.dtype), b
-    return Tensor(a), Tensor(b)
+def _operands(op, *xs):
+    """The operands of `op` by the rule in the module docstring."""
+    ref = next((x.dtype for x in xs if isinstance(x, Tensor)), None)
+    xs = [x if x is None or isinstance(x, Tensor) else Tensor(x, dtype=ref) for x in xs]
+    dtypes = sorted({x.dtype for x in xs if x is not None})
+    if len(dtypes) > 1:
+        raise ContractError(f"{op}: mixed dtypes {' vs '.join(dtypes)}; "
+                            "a computation graph must use one dtype")
+    return xs
 
 
 def _accum(t, g):
@@ -186,7 +173,7 @@ def _accum(t, g):
 
 
 def _finish(out, inputs, bwd):
-    if _grad_enabled and any(t.requires_grad for t in inputs):
+    if _grad_enabled and any(t is not None and t.requires_grad for t in inputs):
         out.requires_grad = True
         _tape.append((out, bwd))
     return out
@@ -194,8 +181,7 @@ def _finish(out, inputs, bwd):
 
 def layer_norm(x, gain, bias, eps=1e-5):
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    x, gain = _pair(x, gain, "layer_norm")
-    x, bias = _pair(x, bias, "layer_norm")
+    x, gain, bias = _operands("layer_norm", x, gain, bias)
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ContractError(
@@ -264,6 +250,18 @@ def _gelu_grad(x, cdf, g):
     return d
 
 
+def _affine_grads(x, rows, w, wm, b, gy, transpose_w):
+    """Accumulate the x, w and b gradients of `rows @ wm + b` (rows the
+    (n, d_in) view of x, wm as `linear` reads w) from the (n, d_out) output
+    gradient `gy`, in that order."""
+    if x.requires_grad:
+        _accum(x, (gy @ wm.T).reshape(x.data.shape))
+    if w.requires_grad:
+        _accum(w, gy.T @ rows if transpose_w else rows.T @ gy)
+    if b is not None and b.requires_grad:
+        _accum(b, gy.sum(axis=0))
+
+
 def linear(x, w, b=None, transpose_w=False, residual=None, gelu=False):
     """x @ w + b over the last axis of x, whatever its leading shape, then
     optionally GELU or a residual add, all in one tape node.
@@ -275,7 +273,7 @@ def linear(x, w, b=None, transpose_w=False, residual=None, gelu=False):
     float32). `residual`, a tensor of the output's shape and dtype, is added
     last: `residual + linear(x)`, as in a pre-norm block's skip connection.
     """
-    x, w = _pair(x, w, "linear")
+    x, w, b, residual = _operands("linear", x, w, b, residual)
     if w.data.ndim != 2:
         raise ContractError(f"linear: weight must be 2-d, got {w.shape}")
     wm = w.data.T if transpose_w else w.data
@@ -283,19 +281,10 @@ def linear(x, w, b=None, transpose_w=False, residual=None, gelu=False):
     if x.data.shape[-1] != d_in:
         raise ContractError(f"linear shape mismatch: {x.shape} x {wm.shape}")
     out_shape = x.data.shape[:-1] + (d_out,)
-    inputs = (x, w)
-    if b is not None:
-        b = _as_tensor(b, w.data.dtype)
-        _check_dtypes(w, b, "linear")
-        if b.data.shape != (d_out,):
-            raise ContractError(f"linear: bias {b.shape} != ({d_out},)")
-        inputs += (b,)
-    if residual is not None:
-        residual = _as_tensor(residual)
-        _check_dtypes(w, residual, "linear")
-        if residual.data.shape != out_shape:
-            raise ContractError(f"linear: residual {residual.shape} != output {out_shape}")
-        inputs += (residual,)
+    if b is not None and b.data.shape != (d_out,):
+        raise ContractError(f"linear: bias {b.shape} != ({d_out},)")
+    if residual is not None and residual.data.shape != out_shape:
+        raise ContractError(f"linear: residual {residual.shape} != output {out_shape}")
     rows = x.data.reshape(-1, d_in)
     y = rows @ wm
     if b is not None:
@@ -314,17 +303,12 @@ def linear(x, w, b=None, transpose_w=False, residual=None, gelu=False):
         gy = g.reshape(-1, d_out)
         if gelu:
             gy = _gelu_grad(pre, cdf, gy)
-        if x.requires_grad:
-            _accum(x, (gy @ wm.T).reshape(x.data.shape))
-        if w.requires_grad:
-            _accum(w, gy.T @ rows if transpose_w else rows.T @ gy)
-        if b is not None and b.requires_grad:
-            _accum(b, gy.sum(axis=0))
+        _affine_grads(x, rows, w, wm, b, gy, transpose_w)
         if residual is not None:
             # last: the residual may own `g` and update it in place
             _accum(residual, g)
 
-    return _finish(out, inputs, bwd)
+    return _finish(out, (x, w, b, residual), bwd)
 
 
 def attention(x, wq, bq, wk, bk, wv, bv, n_heads, bias):
@@ -338,8 +322,7 @@ def attention(x, wq, bq, wk, bk, wv, bv, n_heads, bias):
     output is written through such a view: no merge copies. The backward is
     written by hand and keeps only Q, K, V and the softmax output.
     """
-    x = _as_tensor(x)
-    wb = [_pair(x, t, "attention")[1] for t in (wq, bq, wk, bk, wv, bv)]
+    x, *wb = _operands("attention", x, wq, bq, wk, bk, wv, bv)
     ws, bs = wb[0::2], wb[1::2]
     d = ws[0].data.shape[-1]
     if (x.data.ndim != 3 or any(w.data.shape != (x.data.shape[-1], d) for w in ws)
@@ -383,12 +366,7 @@ def attention(x, wq, bq, wk, bk, wv, bv, n_heads, bias):
         np.matmul(ds.swapaxes(-1, -2), qh, out=gk)
         # v, k, q: the order in which separate projections added into x.grad
         for w, b, gy in zip(ws[::-1], bs[::-1], grads[::-1]):
-            if x.requires_grad:
-                _accum(x, (gy @ w.data.T).reshape(x.data.shape))
-            if w.requires_grad:
-                _accum(w, rows.T @ gy)
-            if b.requires_grad:
-                _accum(b, gy.sum(axis=0))
+            _affine_grads(x, rows, w, w.data, b, gy, False)
 
     return _finish(out, [x] + wb, bwd)
 
@@ -402,7 +380,7 @@ def cross_entropy(x, w, targets, ignore_mask=None, transpose_w=False):
     the same shape, marks positions with 0 to leave out: their logits are
     never computed and their rows get zero gradient.
     """
-    x, w = _pair(x, w, "cross_entropy")
+    x, w = _operands("cross_entropy", x, w)
     if w.data.ndim != 2:
         raise ContractError(f"cross_entropy: weight must be 2-d, got {w.shape}")
     wm = w.data.T if transpose_w else w.data
@@ -472,7 +450,7 @@ def embedding(table, pos, ids, prompt=None, positions=None):
     position row is added: trainable virtual-token embeddings spliced into
     the sequence. positions is (batch, n_prompt), unique within each row.
     """
-    table, pos = _pair(table, pos, "embedding")
+    table, pos, prompt = _operands("embedding", table, pos, prompt)
     ids = np.asarray(ids)
     if table.data.ndim != 2:
         raise ContractError(f"embedding table must be 2-d, got {table.shape}")
@@ -484,11 +462,8 @@ def embedding(table, pos, ids, prompt=None, positions=None):
         raise ContractError(f"embedding: position table {pos.shape} must be (>= {t}, {d})")
     if ids.size and (ids.min() < 0 or ids.max() >= n_ids):
         raise ContractError(f"embedding: id outside [0, {n_ids})")
-    inputs = (table, pos)
     data = table.data[ids]
     if prompt is not None:
-        prompt = _as_tensor(prompt)
-        _check_dtypes(table, prompt, "embedding")
         positions = np.asarray(positions)
         if prompt.data.ndim != 2 or prompt.data.shape[1] != d:
             raise ContractError(f"embedding: prompt rows {prompt.shape} must be (n, {d})")
@@ -501,7 +476,6 @@ def embedding(table, pos, ids, prompt=None, positions=None):
             raise ContractError("embedding: duplicate prompt position within a batch row")
         bidx = np.arange(bsz)[:, None]
         data[bidx, positions] = prompt.data
-        inputs += (prompt,)
     data += pos.data[:t]
     out = Tensor(data)
 
@@ -524,4 +498,4 @@ def embedding(table, pos, ids, prompt=None, positions=None):
             np.add.at(flat_grad, (ids.reshape(-1, 1) * d + np.arange(d)).reshape(-1), g.reshape(-1))
             table.grad = flat_grad.reshape(n_ids, d)
 
-    return _finish(out, inputs, bwd)
+    return _finish(out, (table, pos, prompt), bwd)

@@ -7,15 +7,15 @@ state construction (no copy of the store is made), and thereafter
 gradients are filtered every step. With zero-initialized moments,
 decoupled decay and zero gradients, pruned coordinates stay at exactly 0.0
 for the whole run. A gradient lives from the backward pass to the update:
-`train_steps` drops every parameter's `.grad` right after `adamw_step`,
-so none is held between steps.
+`_update`, which ends a pre-training and a fine-tuning step, drops every
+`.grad` right after `adamw_step`, so none is held between steps.
 
 A step masks the gradients, then, with clipping on, takes the global norm
 of the masked gradients (a non-finite norm stops the run before any
 update) and passes grad_clip / norm to `adamw_step` as `clip_scale`, which
 folds it into the moment coefficients instead of rescaling the gradients.
 `adamw_step` updates every parameter in place through one reused scratch
-buffer; fine-tuning calls the same function.
+buffer.
 """
 
 from __future__ import annotations
@@ -197,6 +197,25 @@ def _global_grad_norm(grads):
     return math.sqrt(sum(float(np.dot(g.ravel(), g.ravel())) for g in grads.values()))
 
 
+def _update(params, opt, lr, where, masks=None, grad_clip=None):
+    """The update that ends a pre-training or fine-tuning step: gather the
+    gradients of `params`, mask them, clip them (a non-finite norm raises
+    ContractError naming `where`, before any update), apply AdamW and drop
+    every `.grad`."""
+    grads = {p: t.grad for p, t in params.items() if t.grad is not None}
+    if masks is not None:
+        mask_gradients(grads, masks)
+    clip_scale = 1.0
+    if grad_clip is not None:
+        norm = _global_grad_norm(grads)
+        if not math.isfinite(norm):
+            raise ContractError(f"{where}: gradient norm is {norm}; training diverged")
+        if norm > grad_clip:
+            clip_scale = grad_clip / norm
+    adamw_step(params, grads, opt, lr, clip_scale=clip_scale)
+    _drop_grads(params)
+
+
 def train_steps(state: TrainState, dataset: PackedDataset, n_steps=None,
                 grad_clip=None, out_dir=None, checkpoint_every=None,
                 log_every=0) -> TrainState:
@@ -227,19 +246,7 @@ def train_steps(state: TrainState, dataset: PackedDataset, n_steps=None,
 
         if not math.isfinite(loss_value):
             raise ContractError(f"step {step}: loss is {loss_value}; training diverged")
-        grads = {p: t.grad for p, t in state.params.items() if t.grad is not None}
-        if state.masks is not None:
-            mask_gradients(grads, state.masks)
-        clip_scale = 1.0
-        if grad_clip is not None:
-            norm = _global_grad_norm(grads)
-            if not math.isfinite(norm):
-                raise ContractError(f"step {step}: gradient norm is {norm}; training diverged")
-            if norm > grad_clip:
-                clip_scale = grad_clip / norm
-        adamw_step(state.params, grads, state.opt, lr, clip_scale=clip_scale)
-        del grads
-        _drop_grads(state.params)
+        _update(state.params, state.opt, lr, f"step {step}", state.masks, grad_clip)
 
         state.step = step
         state.smoothed = (loss_value if state.smoothed is None
@@ -310,10 +317,7 @@ def _encode_model(config, params, step, masks=None, prompt=None) -> dict[str, by
     }
     if masks is not None:
         sections["masks"] = C.encode_bitset_map(masks.masks)
-        sections["plan"] = C.encode_json({
-            "level": masks.plan.level, "levels": masks.plan.levels,
-            "seed": masks.plan.seed, "resolved": masks.levels,
-        })
+        sections["plan"] = C.encode_json({"level": masks.plan.level, "seed": masks.plan.seed})
     if prompt is not None:
         sections["prompt"] = C.encode_tensor_map({"embeddings": prompt.embeddings.data})
         sections["prompt_meta"] = C.encode_json({"virtual_ids": list(prompt.virtual_ids)})
@@ -331,11 +335,11 @@ def _decode_model(path, sections):
     masks = prompt = None
     if "masks" in sections:
         _require(path, sections, ("plan",))
+        # an older plan section also holds per-path `levels` and `resolved`
         meta = C.decode_json(sections["plan"])
-        plan = SparsityPlan(level=meta["level"], levels=meta["levels"], seed=meta["seed"])
-        masks = MaskSet(masks=C.decode_bitset_map(sections["masks"]), plan=plan,
-                        levels=meta.get("resolved", {}))
         try:
+            plan = SparsityPlan(level=meta.get("level"), seed=meta["seed"])
+            masks = MaskSet(masks=C.decode_bitset_map(sections["masks"]), plan=plan)
             check_masks(masks, params)
         except ContractError as exc:
             raise ContractError(f"{path}: {exc}") from None

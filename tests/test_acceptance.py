@@ -214,7 +214,7 @@ def test_criterion_07_soft_prompting():
                  for _ in range(64)]
         n = 8
         job = FT.FinetuneJob(stages=[FT.FinetuneStage("t", train)],
-                             epochs=4, batch_size=8, peak_lr=0.05, weight_decay=0.0,
+                             epochs=4, batch_size=8, peak_lr=0.05,
                              prompt_length=n, virtual_ids=tuple(range(2, 2 + n)),
                              freeze_base=True, seed=0)
         probe = FT.init_soft_prompt(cfg, n, tuple(range(2, 2 + n)), seed=0)

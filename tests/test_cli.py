@@ -90,6 +90,17 @@ def test_tokenizer_negative_prompt_slots_exits_2(tmp_path, corpus_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("bad_line", ['[1, 2]', '{"title": "t", "abstract": 5}',
+                                      '{"abstract": "a", "body": ["b"]}'])
+def test_tokenizer_malformed_corpus_exits_2_naming_the_line(tmp_path, corpus_path, capsys,
+                                                             bad_line):
+    with open(corpus_path, "a", encoding="utf-8") as fh:
+        fh.write(bad_line + "\n")
+    code = cli.main(["tokenizer", "--corpus", str(corpus_path), "--out", str(tmp_path / "v.txt")])
+    assert code == 2
+    assert f"{corpus_path}:31:" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_1(corpus_path):
     assert cli.main(["tokenizer", "--corpus", str(corpus_path), "--bogus", "x"]) == 1
 
@@ -246,6 +257,23 @@ def test_eval_non_ascii_vocab_header_exits_2(tmp_path, vocab_path, capsys):
     assert cli.main(["eval", "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
                      "--dataset", str(dataset), "--labels", str(labels)]) == 2
     assert "not a sparselm vocab file" in capsys.readouterr().err
+
+
+def test_densify_per_path_plan_exits_2(tmp_path, corpus_path, vocab_path, capsys):
+    out = tmp_path / "sparse_run"
+    assert cli.main(["pretrain", "--config", str(run_config(tmp_path)),
+                     "--corpus", str(corpus_path), "--vocab", str(vocab_path),
+                     "--out", str(out), "--sparsity", "0.5"]) == 0
+    ckpt = out / "final.ckpt"
+    sections = C.load_container(ckpt)
+    assert C.decode_json(sections["plan"]) == {"level": 0.5, "seed": 0}
+    # a plan of per-path levels, in the older layout, without a uniform level
+    sections["plan"] = C.encode_json({"level": None, "levels": {"layers.0.wq": 0.5}, "seed": 0,
+                                      "resolved": {"layers.0.wq": 0.5}})
+    C.save_container(ckpt, sections)
+    assert cli.main(["densify", "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "dense.ckpt")]) == 2
+    assert f"{ckpt}: a sparsity plan needs one level" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ flops
@@ -431,3 +459,39 @@ def test_report_merges_runs(tmp_path, corpus_path, vocab_path):
     parsed = TR.parse_loss_curves(merged.read_text())
     assert set(parsed) == {"r1", "r2"}
     assert len(parsed["r1"]) == 5
+
+
+@pytest.mark.parametrize("command", ["eval", "finetune"])
+@pytest.mark.parametrize("spec", [{"labels": "yes"}, {"labels": [1, 2]}, {}, {"labels": []},
+                                  ["yes", "no"], {"labels": ["yes"], "multi_label": "no"},
+                                  {"labels": ["yes"], "separator": 3}])
+def test_malformed_label_space_exits_2_naming_the_file(tmp_path, vocab_path, capsys,
+                                                       command, spec):
+    train, val, _ = finetune_fixtures(tmp_path)
+    ckpt = model_ckpt(tmp_path, vocab_path)
+    labels = tmp_path / "bad_labels.json"
+    labels.write_text(json.dumps(spec))
+    args = {"eval": ["--dataset", str(val)],
+            "finetune": ["--train", str(train), "--out", str(tmp_path / "ft")]}[command]
+    code = cli.main([command, "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
+                     "--labels", str(labels), *args])
+    assert code == 2
+    assert f"{labels}: needs a non-empty list of string labels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "finetune"])
+@pytest.mark.parametrize("gold", [["maybe"], []])
+def test_gold_label_outside_the_label_space_exits_2(tmp_path, vocab_path, capsys, command,
+                                                    gold):
+    ckpt = model_ckpt(tmp_path, vocab_path)
+    dataset = tmp_path / "d.jsonl"
+    write_task_file(dataset, [("alpha cue", "yes", ["yes"]), ("beta cue", "maybe", gold)])
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps({"labels": ["yes", "no"]}))
+    args = {"eval": ["--dataset", str(dataset)],
+            "finetune": ["--train", str(dataset), "--val", str(dataset), "--epochs", "1",
+                         "--out", str(tmp_path / "ft")]}[command]
+    code = cli.main([command, "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
+                     "--labels", str(labels), *args])
+    assert code == 2
+    assert "example 1: gold label" in capsys.readouterr().err

@@ -208,6 +208,10 @@ def test_bound_accuracy_metric():
     examples = [FT.TaskExample(source=[11], target=[9], labels=("A",)),
                 FT.TaskExample(source=[12], target=[10], labels=("B",))]
     assert metric(store, None, examples) == 0.5
+    for bad in [FT.TaskExample(source=[12], target=[10], labels=("C",)),
+                FT.TaskExample(source=[12], target=[10])]:
+        with pytest.raises(ContractError, match="example 1: gold label"):
+            metric(store, None, [examples[0], bad])
 
 
 # ------------------------------------------- reference scorer and decoder

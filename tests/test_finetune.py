@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -222,9 +224,27 @@ def test_prompt_only_tuning_leaves_no_base_gradients():
     cfg = tiny_config()
     params = M.init_params(cfg, seed=0)
     result = FT.finetune_dense(params, cfg, prompt_only_job())
-    assert result.prompt.embeddings.grad is not None
+    # the prompt trained, and its gradient was dropped after each update
+    assert not np.array_equal(result.prompt.embeddings.data, make_prompt(cfg, 2).embeddings.data)
+    assert result.prompt.embeddings.grad is None
     assert [p for p, t in params.items() if t.grad is not None] == []
     assert all(t.requires_grad for t in params.values())
+
+
+def test_dense_finetuning_holds_no_gradient_and_ignores_a_stale_one():
+    # each update drops every .grad, as pre-training's does, and a gradient
+    # the caller left on a weight does not enter the first update
+    cfg = tiny_config()
+    job = dataclasses.replace(prompt_only_job(), freeze_base=False)
+    clean = FT.finetune_dense(M.init_params(cfg, seed=0), cfg, job)
+    assert [p for p, t in clean.params.items() if t.grad is not None] == []
+    assert clean.prompt.embeddings.grad is None
+    params = M.init_params(cfg, seed=0)
+    params["tok_emb"].grad = np.full_like(params["tok_emb"].data, 1e6)
+    stale = FT.finetune_dense(params, cfg, job)
+    assert np.array_equal(stale.prompt.embeddings.data, clean.prompt.embeddings.data)
+    for p, t in clean.params.items():
+        assert np.array_equal(stale.params[p].data, t.data), p
 
 
 def test_frozen_base_flags_restored_when_tuning_raises():

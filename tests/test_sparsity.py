@@ -44,21 +44,13 @@ def test_zero_sparsity_is_all_ones():
         assert np.all(masks[path] == 1.0)
 
 
-def test_plan_rejects_dense_only_paths():
-    store = M.init_params(tiny_config(), seed=0)
-    with pytest.raises(ContractError):
-        S.build_masks(store, S.SparsityPlan(levels={"tok_emb": 0.5}, seed=0))
-    with pytest.raises(ContractError):
-        S.build_masks(store, S.SparsityPlan(levels={"layers.0.bq": 0.5}, seed=0))
-
-
 def test_plan_level_bounds():
     with pytest.raises(ContractError):
         S.SparsityPlan(level=1.0)
     with pytest.raises(ContractError):
         S.SparsityPlan(level=-0.1)
-    with pytest.raises(ContractError):
-        S.SparsityPlan(level=0.5, levels={"layers.0.wq": 0.5})
+    with pytest.raises(ContractError, match="one level"):
+        S.SparsityPlan(level=None)
 
 
 def test_masks_cover_every_sparsifiable_path():
@@ -70,12 +62,16 @@ def test_masks_cover_every_sparsifiable_path():
 
 
 def test_global_sparsity_hand_example():
+    # round(0.75 * 8) = 6 and round(0.75 * 2) = 2 zeros (half away from
+    # zero); the dense-only bias gets no mask
     store = M.ParamStore()
     store["layers.0.wq"] = Tensor(np.ones((2, 4)), requires_grad=True)
-    store["layers.1.wq"] = Tensor(np.ones((2, 4)), requires_grad=True)
-    plan = S.SparsityPlan(levels={"layers.0.wq": 0.5, "layers.1.wq": 0.75}, seed=0)
-    masks = S.build_masks(store, plan)
-    assert S.global_sparsity(masks) == pytest.approx((4 + 6) / 16)
+    store["layers.1.wq"] = Tensor(np.ones((1, 2)), requires_grad=True)
+    store["layers.1.bq"] = Tensor(np.ones(2), requires_grad=True)
+    masks = S.build_masks(store, S.SparsityPlan(level=0.75, seed=0))
+    assert masks.paths() == ["layers.0.wq", "layers.1.wq"]
+    assert S.global_sparsity(masks) == pytest.approx((6 + 2) / 10)
+    assert S.global_sparsity(masks, total_params=12) == pytest.approx(8 / 12)
 
 
 def test_global_sparsity_zero_for_all_ones():

@@ -17,7 +17,7 @@ def t64(a, grad=True):
 
 def tsum(x):
     """Full reduction to a scalar: the finite-difference checks' loss."""
-    x = T._as_tensor(x)
+    x, = T._operands("tsum", x)
     out = T.Tensor(x.data.sum())
 
     def bwd(g):
@@ -39,7 +39,7 @@ def _reduce_to(g, shape):
 def mul(a, b):
     """Broadcasting elementwise product: the finite-difference checks'
     weighting of an op's output."""
-    a, b = T._pair(a, b, "mul")
+    a, b = T._operands("mul", a, b)
     out = T.Tensor(a.data * b.data)
 
     def bwd(g):
@@ -565,11 +565,40 @@ def test_no_grad_suppresses_recording():
     assert T.tape_size() == 0
 
 
-def test_mixed_dtypes_rejected():
-    a = T.Tensor(np.zeros(3), dtype="float32")
-    b = T.Tensor(np.zeros((3, 3)), dtype="float64")
-    with pytest.raises(ContractError):
-        T.linear(a, b)
+# each op's tensor operands (shapes) and a call that takes them in that order
+OPERAND_OPS = {
+    "layer_norm": (((2, 4), (4,), (4,)), lambda x, g, b: T.layer_norm(x, g, b)),
+    "linear": (((3, 4), (4, 2), (2,), (3, 2)),
+               lambda x, w, b, r: T.linear(x, w, b, residual=r)),
+    "attention": (((2, 3, 4),) + ((4, 6), (6,)) * 3,
+                  lambda *xs: T.attention(*xs, 2, np.zeros((3, 3)))),
+    "cross_entropy": (((2, 3, 4), (4, 5)),
+                      lambda x, w: T.cross_entropy(x, w, np.zeros((2, 3), dtype=np.int64))),
+    "embedding": (((5, 2), (4, 2), (1, 2)),
+                  lambda t, p, q: T.embedding(t, p, [[0, 1]], q, [[0]])),
+}
+OPERAND_CASES = [(op, i) for op, (shapes, _) in OPERAND_OPS.items() for i in range(len(shapes))]
+
+
+@pytest.mark.parametrize("op,i", OPERAND_CASES)
+def test_operands_mixed_dtypes_rejected(op, i):
+    shapes, call = OPERAND_OPS[op]
+    rng = np.random.default_rng(0)
+    xs = [T.Tensor(rng.normal(size=s), dtype="float32") for s in shapes]
+    assert call(*xs).data.dtype == np.float32
+    xs[i] = T.Tensor(xs[i].data, dtype="float64")
+    with pytest.raises(ContractError, match=f"{op}: mixed dtypes"):
+        call(*xs)
+
+
+@pytest.mark.parametrize("op,i", OPERAND_CASES)
+def test_operands_raw_arrays_adopt_the_tensor_dtype(op, i):
+    # operand i is the one tensor (float64); float32 arrays before and after it adopt its dtype
+    shapes, call = OPERAND_OPS[op]
+    rng = np.random.default_rng(0)
+    xs = [rng.normal(size=s).astype(np.float32) for s in shapes]
+    xs[i] = t64(xs[i])
+    assert call(*xs).data.dtype == np.float64
 
 
 def test_first_gradients_have_one_owner():

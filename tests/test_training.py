@@ -562,7 +562,7 @@ def assert_same_train_state(loaded, state):
         assert np.array_equal(loaded.params[p].data, state.params[p].data), p
         assert np.array_equal(loaded.opt.m[p], state.opt.m[p]), p
         assert np.array_equal(loaded.opt.v[p], state.opt.v[p]), p
-    assert loaded.masks.plan == state.masks.plan and loaded.masks.levels == state.masks.levels
+    assert loaded.masks.plan == state.masks.plan
     assert loaded.masks.paths() == state.masks.paths()
     for p in state.masks.paths():
         assert np.array_equal(loaded.masks[p], state.masks[p]), p
@@ -589,11 +589,10 @@ def test_train_checkpoint_in_older_layout_loads(tmp_path):
         "rng": C.encode_json(state.rng.bit_generator.state),
         "step": C.encode_u64(state.step),
         "masks": C.encode_bitset_map(state.masks.masks),
-        "plan": C.encode_json({"level": plan.level, "levels": plan.levels, "seed": plan.seed,
-                               "resolved": state.masks.levels}),
+        "plan": C.encode_json({"level": plan.level, "levels": None, "seed": plan.seed,
+                               "resolved": {p: plan.level for p in state.masks.paths()}}),
     })
     assert_same_train_state(TR.load_train_state(path), state)
-
 
 def test_version_1_checkpoint_loads(tmp_path):
     # a train checkpoint of today's sections in a version-1 container
