@@ -222,7 +222,10 @@ def _read_task_examples(path, vocab):
 
 
 def _load_label_space(path, vocab):
-    spec = _load_json(path)
+    try:
+        spec = _load_json(path)
+    except json.JSONDecodeError as exc:
+        raise ContractError(f"{path}: invalid JSON ({exc})") from exc
     labels = spec.get("labels") if isinstance(spec, dict) else None
     if not (isinstance(labels, list) and labels and all(isinstance(x, str) for x in labels)
             and isinstance(spec.get("multi_label", False), bool)
@@ -324,10 +327,10 @@ def cmd_eval(args):
     if space.multi_label:
         preds, golds = [], []
         for i, ex in enumerate(examples):
+            golds.append(E.gold_labels(ex, i, space))
             out = E.generate_labels(params, config, prompt, ex.source, space,
                                     max_steps=args.max_steps)
             preds.append(set(out.labels))
-            golds.append(set(ex.labels))
             flag = " truncated" if out.truncated else ""
             rows.append(f"{i},{'|'.join(sorted(golds[-1]))},{'|'.join(sorted(out.labels))},{flag.strip()}")
         metric_name, metric = "micro_f1", E.micro_f1(preds, golds)

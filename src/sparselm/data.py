@@ -108,10 +108,6 @@ class Vocab:
     def __len__(self):
         return 2 + self.n_prompt_slots + N_BYTE_TOKENS + len(self.merges)
 
-    @property
-    def specials(self):
-        return {"eod": self.eod_id, "pad": self.pad_id, "prompt": self.prompt_ids}
-
     def _encode_piece(self, piece: str) -> list[int]:
         cached = self._encode_cache.get(piece)
         if cached is not None:

@@ -8,7 +8,10 @@ greedy decoding over the label vocabulary plus a stop token, since
 label-set sizes vary. Both score continuations of a non-empty context in
 `_continuation_logprobs` (the stop token is a one-token one): one
 right-padded no-grad forward per call, and the head on the scored rows
-only, through the training loss's logsumexp (`model.head_logprobs`).
+only, through the training loss's logsumexp (`model.head_logprobs`). The
+prompt is read by virtual id (`finetune.prompt_forward`), so the padding
+may be any id. Every gold label must be a candidate (`gold_label`,
+`gold_labels`).
 """
 
 from __future__ import annotations
@@ -60,24 +63,21 @@ def label_space_from_vocab(vocab, labels, multi_label=False, separator=" ") -> L
 
 def _context(source_ids, prompt: SoftPrompt | None) -> list[int]:
     """[source; prompt]: the source ids, then the prompt's virtual ids."""
-    virtual = list(prompt.virtual_ids) if prompt is not None and prompt.n else []
+    virtual = list(prompt.virtual_ids) if prompt is not None else []
     return [int(i) for i in source_ids] + virtual
 
 
 def _continuation_logprobs(params, config, prompt, context, continuations) -> np.ndarray:
     """Summed log-probability of each continuation's tokens after `context`,
     from one forward. A row is the context, then a continuation without its
-    last token, right-padded with the smallest id that is not a virtual id
-    (each virtual id must appear once per row); attention is causal, so the
-    padding never reaches a row that is read. Rows that feed the same tokens
-    run once. A continuation of length L is read off the L rows from the
-    context's last one on."""
+    last token, right-padded with id 0; attention is causal, so the padding,
+    whatever its id, never reaches a row that is read. Rows that feed the
+    same tokens run once. A continuation of length L is read off the L rows
+    from the context's last one on."""
     if not context:
         raise ContractError("scoring needs a non-empty context; got an empty source and no prompt")
     start = len(context)
-    virtual = set(prompt.virtual_ids) if prompt is not None else set()
-    pad = min(set(range(len(virtual) + 1)) - virtual)
-    ids = np.full((len(continuations), start - 1 + max(map(len, continuations))), pad)
+    ids = np.zeros((len(continuations), start - 1 + max(map(len, continuations))), dtype=int)
     ids[:, :start] = context
     scored = np.zeros(ids.shape, dtype=bool)
     for c, cont in enumerate(continuations):
@@ -169,12 +169,20 @@ def generate_labels(params, config, prompt, source_ids, space: LabelSpace,
     return GenerationOutcome(labels=tuple(emitted), truncated=True)
 
 
-def gold_label(example, index: int, space: LabelSpace) -> str:
-    """The first gold label of example `index`, which must be a candidate."""
-    gold = example.labels[0] if example.labels else None
+def _candidate(gold, index: int, space: LabelSpace) -> str:
     if gold not in space.labels:
         raise ContractError(f"example {index}: gold label {gold!r} is not one of {list(space.labels)}")
     return gold
+
+
+def gold_label(example, index: int, space: LabelSpace) -> str:
+    """The first gold label of example `index`, which must be a candidate."""
+    return _candidate(example.labels[0] if example.labels else None, index, space)
+
+
+def gold_labels(example, index: int, space: LabelSpace) -> set[str]:
+    """The gold label set of example `index`, maybe empty; each must be a candidate."""
+    return {_candidate(gold, index, space) for gold in example.labels}
 
 
 def bind_accuracy_metric(config: ModelConfig, space: LabelSpace):

@@ -1,12 +1,13 @@
 """Dense task fine-tuning with soft prompts.
 
 Sequences are laid out [source; prompt; target]: the n virtual slots sit
-between source and target and their token-embedding lookups are replaced
-by trainable continuous embeddings (position embeddings apply normally).
-The loss covers target positions only. Stages run in order with weights
-carried forward from each stage's best-validation checkpoint; an optional
-end-of-sequence token can be appended after the target for generation
-termination.
+between source and target. A soft prompt is a lookup by id: wherever
+virtual id j occurs, its token-embedding lookup reads row j of n trainable
+continuous embeddings instead (position embeddings apply normally). The
+prompt takes the dtype of the model's token table. The loss covers target
+positions only. Stages run in order with weights carried forward from each
+stage's best-validation checkpoint; an optional end-of-sequence token can
+be appended after the target for generation termination.
 """
 
 from __future__ import annotations
@@ -58,10 +59,6 @@ class SoftPrompt:
         if len(set(self.virtual_ids)) != len(self.virtual_ids):
             raise ContractError("virtual ids must be distinct")
 
-    @property
-    def n(self):
-        return self.embeddings.data.shape[0]
-
 
 def init_soft_prompt(config: ModelConfig, n: int, virtual_ids, seed: int = 0,
                      dtype: str = "float32") -> SoftPrompt:
@@ -93,30 +90,13 @@ def build_sequence(example: TaskExample, prompt: SoftPrompt | None = None,
     return np.asarray(ids, dtype=np.int64), np.asarray(mask, dtype=np.int8)
 
 
-def prompt_slot_positions(ids, prompt: SoftPrompt):
-    """(batch, n) column index of each virtual id, in prompt-row order."""
-    ids = np.asarray(ids)
-    positions = np.zeros((ids.shape[0], prompt.n), dtype=np.int64)
-    for i, vid in enumerate(prompt.virtual_ids):
-        hits = ids == vid
-        counts = hits.sum(axis=1)
-        if not np.all(counts == 1):
-            raise ContractError(
-                f"virtual id {vid} must appear exactly once per row, got counts {counts.tolist()}"
-            )
-        positions[:, i] = hits.argmax(axis=1)
-    return positions
-
-
 def prompt_forward(params: ParamStore, config: ModelConfig, prompt: SoftPrompt | None,
                    ids, head=True) -> Tensor:
-    """Forward pass with virtual positions read from the prompt matrix;
+    """Forward pass in which each virtual id reads its prompt row;
     `head` as in `forward_logits`."""
-    if prompt is None or prompt.n == 0:
+    if prompt is None:
         return forward_logits(params, config, ids, head=head)
-    positions = prompt_slot_positions(ids, prompt)
-    return forward_logits(params, config, ids, prompt_embeddings=prompt.embeddings,
-                          prompt_positions=positions, head=head)
+    return forward_logits(params, config, ids, prompt.embeddings, prompt.virtual_ids, head=head)
 
 
 def sequence_loss(params, config, ids, loss_mask, prompt=None) -> Tensor:
@@ -240,7 +220,8 @@ def finetune_dense(params: ParamStore, config: ModelConfig, job: FinetuneJob,
                 f"{job.prompt_length} prompt slots need {job.prompt_length} virtual ids, "
                 f"got {len(job.virtual_ids)}"
             )
-        prompt = init_soft_prompt(config, job.prompt_length, job.virtual_ids, job.prompt_seed)
+        prompt = init_soft_prompt(config, job.prompt_length, job.virtual_ids, job.prompt_seed,
+                                  params["tok_emb"].dtype)
 
     trainable = {}
     if not job.freeze_base:

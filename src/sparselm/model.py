@@ -167,14 +167,15 @@ def _head(params: ParamStore, config: ModelConfig):
 
 
 def forward_logits(params: ParamStore, config: ModelConfig, tokens,
-                   prompt_embeddings=None, prompt_positions=None, head=True) -> Tensor:
+                   prompt_embeddings=None, prompt_ids=(), head=True) -> Tensor:
     """Causal decoder forward pass; returns logits (batch, seq, vocab).
 
-    With prompt injection, the given embedding rows replace the
-    token-embedding lookups at `prompt_positions` before position
-    embeddings are added. With head=False it returns the final normalized
-    hidden state (batch, seq, d_model) instead, which `next_token_loss`
-    feeds to the fused head and loss, and eval to `head_logprobs`.
+    With prompt injection, row j of `prompt_embeddings` replaces the
+    token-embedding lookup of every occurrence of `prompt_ids[j]` before
+    position embeddings are added (`tensor.embedding`). With head=False it
+    returns the final normalized hidden state (batch, seq, d_model)
+    instead, which `next_token_loss` feeds to the fused head and loss, and
+    eval to `head_logprobs`.
     """
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
@@ -186,10 +187,7 @@ def forward_logits(params: ParamStore, config: ModelConfig, tokens,
         raise ContractError(f"token id outside [0, {config.vocab_size})")
 
     dtype = params["tok_emb"].data.dtype
-    if prompt_embeddings is not None and prompt_embeddings.data.shape[0] == 0:
-        prompt_embeddings = None
-    x = T.embedding(params["tok_emb"], params["pos_emb"], tokens,
-                    prompt_embeddings, prompt_positions)
+    x = T.embedding(params["tok_emb"], params["pos_emb"], tokens, prompt_embeddings, prompt_ids)
 
     causal_bias = np.triu(np.full((seq, seq), NEG_INF_BIAS, dtype=dtype), k=1)
     for i in range(config.n_layers):

@@ -442,13 +442,13 @@ def target_nll(logits, targets):
     return np.log1p(rest) + (m - target_logits)
 
 
-def embedding(table, pos, ids, prompt=None, positions=None):
+def embedding(table, pos, ids, prompt=None, prompt_ids=()):
     """Token and position embeddings of a (batch, seq) id array.
 
-    out[b, i] = table[ids[b, i]] + pos[i], except that with a prompt the
-    token row at (b, positions[b, j]) is replaced by prompt[j] before the
-    position row is added: trainable virtual-token embeddings spliced into
-    the sequence. positions is (batch, n_prompt), unique within each row.
+    out[b, i] = table[ids[b, i]] + pos[i], except that with a prompt every
+    occurrence of prompt_ids[j] reads prompt[j] instead of its table row:
+    trainable virtual-token embeddings, looked up by id wherever they sit.
+    prompt is (len(prompt_ids), d) and prompt_ids are distinct table ids.
     """
     table, pos, prompt = _operands("embedding", table, pos, prompt)
     ids = np.asarray(ids)
@@ -457,25 +457,24 @@ def embedding(table, pos, ids, prompt=None, positions=None):
     n_ids, d = table.data.shape
     if ids.ndim != 2:
         raise ContractError(f"embedding: ids must be (batch, seq), got shape {ids.shape}")
-    bsz, t = ids.shape
+    t = ids.shape[1]
     if pos.data.ndim != 2 or pos.data.shape[0] < t or pos.data.shape[1] != d:
         raise ContractError(f"embedding: position table {pos.shape} must be (>= {t}, {d})")
     if ids.size and (ids.min() < 0 or ids.max() >= n_ids):
         raise ContractError(f"embedding: id outside [0, {n_ids})")
     data = table.data[ids]
     if prompt is not None:
-        positions = np.asarray(positions)
-        if prompt.data.ndim != 2 or prompt.data.shape[1] != d:
-            raise ContractError(f"embedding: prompt rows {prompt.shape} must be (n, {d})")
-        n = prompt.data.shape[0]
-        if positions.shape != (bsz, n):
-            raise ContractError(f"embedding: positions shape {positions.shape} != ({bsz}, {n})")
-        if positions.size and (positions.min() < 0 or positions.max() >= t):
-            raise ContractError(f"embedding: prompt position outside [0, {t})")
-        if n and any(len(set(row.tolist())) != n for row in positions):
-            raise ContractError("embedding: duplicate prompt position within a batch row")
-        bidx = np.arange(bsz)[:, None]
-        data[bidx, positions] = prompt.data
+        n = len(prompt_ids)
+        if prompt.data.shape != (n, d):
+            raise ContractError(f"embedding: prompt rows {prompt.shape} must be ({n}, {d})")
+        if len(set(prompt_ids)) != n or not all(0 <= i < n_ids for i in prompt_ids):
+            raise ContractError(f"embedding: prompt ids must be distinct and in [0, {n_ids})")
+        # the prompt row of each token id, -1 for an id that is not a prompt id
+        slot = np.full(n_ids, -1)
+        slot[list(prompt_ids)] = np.arange(n)
+        rows = slot[ids]
+        hits = rows >= 0
+        data[hits] = prompt.data[rows[hits]]
     data += pos.data[:t]
     out = Tensor(data)
 
@@ -486,8 +485,10 @@ def embedding(table, pos, ids, prompt=None, positions=None):
             _accum(pos, gpos)
         if prompt is not None:
             if prompt.requires_grad:
-                _accum(prompt, g[bidx, positions].sum(axis=0))
-            g[bidx, positions] = 0.0  # g is this op's own buffer
+                gprompt = np.zeros_like(prompt.data)
+                np.add.at(gprompt, rows[hits], g[hits])
+                _accum(prompt, gprompt)
+            g[hits] = 0.0  # g is this op's own buffer
         # scatter straight into the table's gradient; with a tied output
         # head, the head's gradient is already there
         if table.requires_grad:

@@ -495,3 +495,35 @@ def test_gold_label_outside_the_label_space_exits_2(tmp_path, vocab_path, capsys
                      "--labels", str(labels), *args])
     assert code == 2
     assert "example 1: gold label" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("golds,code", [(["yes", "zzz"], 2), ([], 0)])
+def test_multi_label_gold_outside_the_label_space_exits_2(tmp_path, vocab_path, capsys,
+                                                          golds, code):
+    # every gold label of a multi-label example must be a candidate; an
+    # empty gold set is valid
+    ckpt = model_ckpt(tmp_path, vocab_path)
+    dataset = tmp_path / "d.jsonl"
+    write_task_file(dataset, [("alpha cue", "yes", ["yes", "no"]), ("beta cue", "no", golds)])
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps({"labels": ["yes", "no"], "multi_label": True}))
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
+                     "--dataset", str(dataset), "--labels", str(labels),
+                     "--max-steps", "2"]) == code
+    if code:
+        assert "example 1: gold label 'zzz'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "finetune"])
+def test_label_space_that_is_not_json_exits_2_naming_the_file(tmp_path, vocab_path, capsys,
+                                                              command):
+    train, val, _ = finetune_fixtures(tmp_path)
+    ckpt = model_ckpt(tmp_path, vocab_path)
+    labels = tmp_path / "truncated.json"
+    labels.write_text('{"labels": ["yes" "no"]')
+    args = {"eval": ["--dataset", str(val)],
+            "finetune": ["--train", str(train), "--out", str(tmp_path / "ft")]}[command]
+    code = cli.main([command, "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
+                     "--labels", str(labels), *args])
+    assert code == 2
+    assert f"{labels}: invalid JSON" in capsys.readouterr().err

@@ -258,7 +258,9 @@ def test_vocab_file_special_table_roundtrip(tmp_path, slots):
     D.save_vocab(path, vocab)
     assert path.read_text().count("#special prompt") == (1 if slots else 0)
     loaded = D.load_vocab(path)
-    assert loaded.merges == vocab.merges and loaded.specials == vocab.specials
+    assert loaded.merges == vocab.merges
+    assert (loaded.eod_id, loaded.pad_id, loaded.prompt_ids) == \
+        (vocab.eod_id, vocab.pad_id, vocab.prompt_ids)
 
 
 def test_save_vocab_failure_keeps_the_previous_file(tmp_path, monkeypatch):

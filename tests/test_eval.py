@@ -360,7 +360,8 @@ def test_each_candidate_scores_the_same_alone_as_among_the_others(with_prompt):
 
 
 def test_padding_is_never_a_virtual_id():
-    # the shorter row is padded; a pad of id 0 would repeat a virtual id and raise
+    # the shorter row is padded with id 0, here a virtual id: the padding
+    # reads a prompt row, but causal rows never read the padding
     cfg = tiny_config()
     store = M.init_params(cfg, seed=2, dtype="float64")
     prompt = FT.init_soft_prompt(cfg, 2, virtual_ids=(0, 1), seed=1, dtype="float64")

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -122,14 +123,30 @@ def test_prompt_rows_are_position_bound():
     assert not np.array_equal(a, b)
 
 
-def test_prompt_forward_slot_count_mismatch():
+def test_prompt_with_duplicate_or_out_of_range_virtual_ids_rejected():
     cfg = tiny_config()
     params = M.init_params(cfg, seed=0)
-    prompt = make_prompt(cfg, 2)
-    with pytest.raises(ContractError):
-        FT.prompt_forward(params, cfg, prompt, np.array([[10, 2, 12]]))  # slot 3 missing
-    with pytest.raises(ContractError):
-        FT.prompt_forward(params, cfg, prompt, np.array([[2, 2, 3]]))  # slot 2 duplicated
+    with pytest.raises(ContractError, match="distinct"):
+        FT.SoftPrompt(T.Tensor(np.zeros((2, cfg.d_model))), (2, 2))
+    outside = FT.init_soft_prompt(cfg, 2, virtual_ids=(2, cfg.vocab_size))
+    with pytest.raises(ContractError, match="prompt ids must be distinct and in"):
+        FT.prompt_forward(params, cfg, outside, np.array([[10, 2, 12]]))
+
+
+def test_prompt_forward_reads_each_virtual_id_wherever_it_sits():
+    # rows place the virtual ids at different columns, repeat one, or leave
+    # one out: each occurrence reads its prompt row, as if the prompt rows
+    # were the virtual ids' rows of the token table
+    cfg = tiny_config()
+    params = M.init_params(cfg, seed=0)
+    prompt = make_prompt(cfg, 2, seed=1)
+    ids = np.array([[10, 2, 3, 12], [2, 11, 3, 13], [2, 2, 12, 3], [10, 11, 12, 3]])
+    swapped = M.clone_params(params)
+    swapped["tok_emb"].data[[2, 3]] = prompt.embeddings.data
+    with T.no_grad():
+        got = FT.prompt_forward(params, cfg, prompt, ids, head=False).data
+        want = FT.prompt_forward(swapped, cfg, None, ids, head=False).data
+    assert got.tobytes() == want.tobytes()
 
 
 def test_loss_mask_exactness_via_logit_grads():
@@ -175,6 +192,17 @@ def test_finetune_learns_signal_task():
     first, last = result.report[0], result.report[-1]
     assert last.val_loss < first.val_loss
     assert result.best_val_loss is not None
+
+
+def test_float64_finetuning_with_a_prompt_makes_a_float64_prompt():
+    cfg = tiny_config()
+    params = M.init_params(cfg, seed=0, dtype="float64")
+    job = FT.FinetuneJob(stages=[FT.FinetuneStage("a", signal_task(8))], epochs=1,
+                         batch_size=4, prompt_length=2, virtual_ids=(2, 3), seed=0)
+    result = FT.finetune_dense(params, cfg, job)
+    assert result.prompt.embeddings.dtype == "float64"
+    assert all(t.dtype == "float64" for t in result.params.values())
+    assert math.isfinite(result.report[-1].train_loss)
 
 
 def test_finetune_divergence_names_stage_and_epoch():

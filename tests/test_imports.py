@@ -6,6 +6,10 @@ import pytest
 import sparselm
 
 MODULES = sorted(Path(sparselm.__file__).parent.glob("*.py"))
+PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+# public names that nothing reads yet, each with its first planned reader:
+# `global_sparsity` reports per-layer sparsity in the planned `inspect` command
+UNREAD_ALLOWED = {"global_sparsity"}
 
 
 def unused_imports(source):
@@ -32,3 +36,40 @@ def test_unused_import_is_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def public_definitions(source):
+    """(line, name) of each public module-level function and class of
+    `source`, and of each public method and property of those classes."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            found += [(n.lineno, n.name) for n in node.body if isinstance(n, ast.FunctionDef)]
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+    return sorted((line, name) for line, name in found if not name.startswith("_"))
+
+
+def names_read(source):
+    """Every name that `source` loads, bare (`f`) or as an attribute (`x.f`)."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def test_unread_public_name_is_found():
+    source = ("def f():\n    pass\n\ndef _g():\n    pass\n\n"
+              "class C:\n    def m(self):\n        return self.n()\n\n"
+              "    @property\n    def n(self):\n        return f\n")
+    defined = public_definitions(source)
+    assert defined == [(1, "f"), (7, "C"), (8, "m"), (12, "n")]
+    assert [d for d in defined if d[1] not in names_read(source)] == [(7, "C"), (8, "m")]
+
+
+def test_every_public_name_has_a_reader():
+    assert PERFBENCH, "perfbench/ not found next to tests/"
+    read = set().union(*(names_read(p.read_text(encoding="utf-8")) for p in MODULES + PERFBENCH))
+    unread = [f"{path.name}:{line} {name}" for path in MODULES
+              for line, name in public_definitions(path.read_text(encoding="utf-8"))
+              if name not in read and name not in UNREAD_ALLOWED]
+    assert unread == []

@@ -231,11 +231,12 @@ def test_lm_loss_tape_stays_small():
     rng = np.random.default_rng(0)
     tokens = rng.integers(0, cfg.vocab_size, size=(8, cfg.context_window))
     prompt = T.Tensor(rng.normal(size=(3, cfg.d_model)).astype(np.float32), requires_grad=True)
-    positions = np.tile([0, 1, 2], (8, 1))
+    prompted = tokens.copy()
+    prompted[:, :3] = (2, 3, 4)
     forwards = [
         lambda: M.lm_loss(store, cfg, tokens),
         lambda: M.next_token_loss(store, cfg, M.forward_logits(
-            store, cfg, tokens, prompt, positions, head=False), tokens),
+            store, cfg, prompted, prompt, (2, 3, 4), head=False), prompted),
     ]
     for forward in forwards:
         T.reset_tape()

@@ -297,34 +297,50 @@ def test_embedding_out_of_range():
         T.embedding(T.Tensor(np.zeros((4, 2))), np.zeros((2, 2)), [[-1, 0]])
 
 
-def embed_with_prompt(prompt_shape=(2, 2), positions=((1, 3),), pos_rows=4, t=4):
+def embed_with_prompt(prompt_shape=(2, 2), prompt_ids=(1, 3), pos_rows=4, t=4):
     table, pos = T.Tensor(np.zeros((5, 2))), T.Tensor(np.zeros((pos_rows, 2)))
-    return T.embedding(table, pos, np.zeros((len(positions), t), dtype=np.int64),
-                       T.Tensor(np.ones(prompt_shape)), positions)
+    return T.embedding(table, pos, np.zeros((1, t), dtype=np.int64),
+                       T.Tensor(np.ones(prompt_shape)), prompt_ids)
 
 
-def test_embedding_duplicate_prompt_position():
+def test_embedding_duplicate_prompt_ids():
     embed_with_prompt()
-    with pytest.raises(ContractError, match="duplicate"):
-        embed_with_prompt(positions=((1, 1),))
+    with pytest.raises(ContractError, match="distinct"):
+        embed_with_prompt(prompt_ids=(1, 1))
 
 
 def test_embedding_prompt_contracts():
     with pytest.raises(ContractError, match="prompt rows"):
         embed_with_prompt(prompt_shape=(2, 3))
-    with pytest.raises(ContractError, match="positions shape"):
-        embed_with_prompt(positions=((1, 3, 0),))
+    with pytest.raises(ContractError, match="prompt rows"):
+        embed_with_prompt(prompt_ids=(1, 3, 0))
     with pytest.raises(ContractError, match="mixed dtypes"):
         T.embedding(T.Tensor(np.zeros((5, 2)), dtype="float32"), np.zeros((4, 2)), [[0, 1]],
-                    T.Tensor(np.ones((1, 2)), dtype="float64"), [[0]])
+                    T.Tensor(np.ones((1, 2)), dtype="float64"), (0,))
 
 
-def test_embedding_prompt_position_outside_the_sequence():
-    embed_with_prompt(positions=((0, 3),))
-    with pytest.raises(ContractError, match=r"prompt position outside \[0, 4\)"):
-        embed_with_prompt(positions=((-1, 3),))
-    with pytest.raises(ContractError, match=r"prompt position outside \[0, 4\)"):
-        embed_with_prompt(positions=((1, 4),))
+def test_embedding_prompt_id_outside_the_table():
+    embed_with_prompt(prompt_ids=(0, 4))
+    with pytest.raises(ContractError, match=r"prompt ids must be distinct and in \[0, 5\)"):
+        embed_with_prompt(prompt_ids=(-1, 3))
+    with pytest.raises(ContractError, match=r"prompt ids must be distinct and in \[0, 5\)"):
+        embed_with_prompt(prompt_ids=(1, 5))
+
+
+def test_embedding_prompt_is_a_lookup_by_id():
+    # a prompt id repeated in a row, missing from a row, or at different
+    # columns in different rows reads its prompt row every time
+    rng = np.random.default_rng(5)
+    table, pos, prompt = f32(rng, 8, 4), f32(rng, 6, 4), f32(rng, 2, 4)
+    ids = np.array([[6, 1, 6, 7, 2, 6],
+                    [0, 7, 1, 2, 3, 4],
+                    [1, 2, 3, 4, 5, 0],
+                    [7, 3, 0, 0, 2, 6]])
+    out = T.embedding(T.Tensor(table), T.Tensor(pos), ids, T.Tensor(prompt), (6, 7))
+    for b, row in enumerate(ids):
+        for i, token in enumerate(row):
+            want = prompt[token - 6] if token >= 6 else table[token]
+            assert out.data[b, i].tobytes() == (want + pos[i]).tobytes()
 
 
 def test_embedding_position_table_shorter_than_sequence():
@@ -431,14 +447,16 @@ def test_linear_gelu_keeps_unfused_bits():
 
 
 def test_embedding_with_prompt_keeps_unfused_bits():
+    # ids 0-6 are tokens, 7-9 the prompt's, placed at `positions`
     rng = np.random.default_rng(2)
-    table, pos, prompt = f32(rng, 7, 4), f32(rng, 9, 4), f32(rng, 3, 4)
+    table, pos, prompt = f32(rng, 10, 4), f32(rng, 9, 4), f32(rng, 3, 4)
     ids = rng.integers(0, 7, size=(2, 6))
     positions = np.array([[0, 2, 5], [4, 1, 3]])
+    bidx = np.arange(2)[:, None]
+    ids[bidx, positions] = (7, 8, 9)
     up = f32(rng, 2, 6, 4)
     leaves = [T.Tensor(a, requires_grad=True) for a in (table, pos, prompt)]
-    out = T.embedding(leaves[0], leaves[1], ids, leaves[2], positions)
-    bidx = np.arange(2)[:, None]
+    out = T.embedding(leaves[0], leaves[1], ids, leaves[2], (7, 8, 9))
     gathered = table[ids]
     gathered[bidx, positions] = prompt
     assert out.data.tobytes() == (gathered + pos[:6]).tobytes()
@@ -575,7 +593,7 @@ OPERAND_OPS = {
     "cross_entropy": (((2, 3, 4), (4, 5)),
                       lambda x, w: T.cross_entropy(x, w, np.zeros((2, 3), dtype=np.int64))),
     "embedding": (((5, 2), (4, 2), (1, 2)),
-                  lambda t, p, q: T.embedding(t, p, [[0, 1]], q, [[0]])),
+                  lambda t, p, q: T.embedding(t, p, [[0, 1]], q, (0,))),
 }
 OPERAND_CASES = [(op, i) for op, (shapes, _) in OPERAND_OPS.items() for i in range(len(shapes))]
 
@@ -695,11 +713,15 @@ def op_cases(rng):
     a34 = rng.normal(size=(3, 4))
     bias = rng.normal(size=4)
     w_ln = rng.normal(size=(3, 4))
+    # ids 0-3 are tokens and 4, 5 the prompt's: once per row, and then
+    # repeated in row 0 and missing from row 1
     ids = rng.integers(0, 4, size=(2, 5))
-    table = rng.normal(size=(4, 3))
+    ids[[0, 0, 1, 1], [1, 3, 0, 4]] = (4, 5, 4, 5)
+    repeated = ids.copy()
+    repeated[0, 2], repeated[1] = 4, ids[1] % 4
+    table = rng.normal(size=(6, 3))
     pos_table = rng.normal(size=(6, 3))  # one row longer than the sequence
     prompt = rng.normal(size=(2, 3))
-    positions = np.array([[1, 3], [0, 4]])
     w_emb = rng.normal(size=(2, 5, 3))
     targets = rng.integers(0, 4, size=3)
     mask = np.array([1.0, 0.0, 1.0])
@@ -726,8 +748,8 @@ def op_cases(rng):
     def linear_residual(t):
         return weighted(T.linear(t[0], t[1], t[2], residual=t[3]), w_lin)
 
-    def embedding(t):
-        return weighted(T.embedding(t[0], t[1], ids, t[2], positions), w_emb)
+    def embedding(t, ids=ids):
+        return weighted(T.embedding(t[0], t[1], ids, t[2], (4, 5)), w_emb)
 
     def attention(t):
         return weighted(T.attention(*t, 2, causal), w_att)
@@ -762,6 +784,8 @@ def op_cases(rng):
         ("embedding_table", [table, pos_table, prompt], 0, embedding),
         ("embedding_pos", [table, pos_table, prompt], 1, embedding),
         ("embedding_prompt", [table, pos_table, prompt], 2, embedding),
+        ("embedding_prompt_repeated_id", [table, pos_table, prompt], 2,
+         lambda t: embedding(t, repeated)),
         ("tsum", [a34], 0, lambda t: tsum(mul(t[0], t[0]))),
         ("linear_x", [x234, w45, b5], 0, linear),
         ("linear_w", [x234, w45, b5], 1, linear),
