@@ -2,9 +2,10 @@
 eval -> flops -> report, wired for reproducible runs.
 
 Exit codes: 0 success, 1 usage/config error, 2 contract violation,
-3 metric floor not met. Every training run writes its fully resolved
-configuration next to its outputs; reruns with identical config + seed
-produce byte-identical artifacts (no timestamps anywhere).
+3 metric floor not met. `data.read_json`/`read_jsonl` read every JSON input
+(not JSON: exit 2 naming the file), `data.csv_text` writes every CSV. Each
+training run writes its fully resolved configuration next to its outputs;
+reruns with identical config + seed give byte-identical artifacts.
 """
 
 import os
@@ -63,11 +64,6 @@ TASK_PRESETS = {
 }
 
 
-def _load_json(path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _resolve_model_config(cfg, vocab_size=None):
     """Preset or explicit model dict; the actual vocab size, when known,
     overrides the preset's full-scale one."""
@@ -89,7 +85,7 @@ def _resolve_model_config(cfg, vocab_size=None):
 def _resolved_pretrain_config(args):
     cfg = dict(PRETRAIN_DEFAULTS)
     if args.config:
-        file_cfg = _load_json(args.config)
+        file_cfg = D.read_json(args.config)
         unknown = set(file_cfg) - set(cfg)
         if unknown:
             raise ContractError(f"unknown config keys: {sorted(unknown)}")
@@ -198,34 +194,24 @@ def cmd_densify(args):
 
 def _read_task_examples(path, vocab):
     examples = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ContractError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
-            if not (isinstance(rec, dict) and isinstance(rec.get("source"), str)
-                    and isinstance(rec.get("target"), str)
-                    and isinstance(rec.get("labels", []), list)):
-                raise ContractError(f"{path}:{line_no}: needs string source/target, list labels")
-            examples.append(FT.TaskExample(
-                source=vocab.encode(rec["source"]),
-                target=vocab.encode(rec["target"]),
-                labels=tuple(rec.get("labels", ())),
-            ))
+    for line_no, rec in D.read_jsonl(path):
+        if not (isinstance(rec, dict) and isinstance(rec.get("source"), str)
+                and isinstance(rec.get("target"), str)
+                and isinstance(rec.get("labels", []), list)):
+            raise ContractError(f"{path}:{line_no}: needs string source/target, list labels")
+        try:
+            examples.append(FT.TaskExample(source=vocab.encode(rec["source"]),
+                                           target=vocab.encode(rec["target"]),
+                                           labels=tuple(rec.get("labels", ()))))
+        except ContractError as exc:
+            raise ContractError(f"{path}:{line_no}: {exc}") from None
     if not examples:
         raise ContractError(f"{path}: no examples")
     return examples
 
 
 def _load_label_space(path, vocab):
-    try:
-        spec = _load_json(path)
-    except json.JSONDecodeError as exc:
-        raise ContractError(f"{path}: invalid JSON ({exc})") from exc
+    spec = D.read_json(path)
     labels = spec.get("labels") if isinstance(spec, dict) else None
     if not (isinstance(labels, list) and labels and all(isinstance(x, str) for x in labels)
             and isinstance(spec.get("multi_label", False), bool)
@@ -271,11 +257,11 @@ def cmd_finetune(args):
     )
 
     metric_fn = None
-    space = None
     if args.labels:
         space = _load_label_space(args.labels, vocab)
-        if not space.multi_label:
-            metric_fn = E.bind_accuracy_metric(config, space)
+        if space.multi_label:
+            raise ContractError(f"{args.labels}: metric tracking needs a single-label space")
+        metric_fn = E.bind_accuracy_metric(config, space)
 
     os.makedirs(args.out, exist_ok=True)
 
@@ -323,32 +309,28 @@ def cmd_eval(args):
     space = _load_label_space(args.labels, vocab)
     examples = _read_task_examples(args.dataset, vocab)
 
-    rows = []
+    rows, preds, golds = [], [], []
     if space.multi_label:
-        preds, golds = [], []
         for i, ex in enumerate(examples):
             golds.append(E.gold_labels(ex, i, space))
             out = E.generate_labels(params, config, prompt, ex.source, space,
                                     max_steps=args.max_steps)
             preds.append(set(out.labels))
-            flag = " truncated" if out.truncated else ""
-            rows.append(f"{i},{'|'.join(sorted(golds[-1]))},{'|'.join(sorted(out.labels))},{flag.strip()}")
+            rows.append((i, "|".join(sorted(golds[-1])), "|".join(sorted(out.labels)),
+                         "truncated" if out.truncated else None))
         metric_name, metric = "micro_f1", E.micro_f1(preds, golds)
-        header = "id,gold,pred,flags"
+        header = ("id", "gold", "pred", "flags")
     else:
-        preds, golds = [], []
         for i, ex in enumerate(examples):
             golds.append(E.gold_label(ex, i, space))
             scores = E.score_labels(params, config, prompt, ex.source, space)
-            pred = space.best(scores)
-            preds.append(pred)
-            score_cols = ",".join(repr(float(s)) for s in scores)
-            rows.append(f"{i},{golds[-1]},{pred},{score_cols}")
+            preds.append(space.best(scores))
+            rows.append((i, golds[-1], preds[-1], *scores))
         metric_name, metric = "accuracy", E.accuracy(preds, golds)
-        header = "id,gold,pred," + ",".join(f"score_{label}" for label in space.labels)
+        header = ("id", "gold", "pred", *(f"score_{label}" for label in space.labels))
 
     if args.out:
-        _write_text(args.out, "\n".join([header] + rows) + "\n")
+        _write_text(args.out, D.csv_text(header, rows))
     print(f"{metric_name} {metric:.4f} over {len(examples)} examples")
     if args.metric_floor is not None and metric < args.metric_floor:
         print(f"metric {metric:.4f} below floor {args.metric_floor}", file=sys.stderr)
@@ -363,7 +345,7 @@ def cmd_flops(args):
         if args.csv:
             _write_text(args.csv, F.table_to_csv(rows))
         return EXIT_OK
-    cfg = {"preset": args.preset, "model": _load_json(args.model_config) if args.model_config else None}
+    cfg = {"preset": args.preset, "model": D.read_json(args.model_config) if args.model_config else None}
     model_cfg = _resolve_model_config(cfg)
     report = F.forward_flops_per_token(model_cfg, args.sparsity)
     tokens = args.tokens if args.tokens is not None else F.FULL_SCALE_TOKEN_BUDGET
@@ -386,7 +368,7 @@ def cmd_report(args):
     for run_dir in args.runs:
         path = os.path.join(run_dir, "loss.csv")
         with open(path, encoding="utf-8") as fh:
-            parsed = TR.parse_loss_curves(fh.read())
+            parsed = TR.parse_loss_curves(fh.read(), path)
         for run, records in parsed.items():
             label = run if run not in merged else f"{os.path.basename(os.path.normpath(run_dir))}/{run}"
             merged[label] = records
@@ -513,7 +495,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

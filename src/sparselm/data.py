@@ -1,4 +1,5 @@
-"""Corpus ingestion, BPE vocabulary learning, encoding, splitting, packing.
+"""Corpus ingestion, BPE vocabulary learning, encoding, splitting, packing,
+and the one JSON reader (`read_json`, `read_jsonl`) and CSV writer (`csv_text`).
 
 The tokenizer is byte-level beneath a whitespace/punctuation pre-split (a
 stand-in for heavier word tokenizers; pre-tokenized text passes through
@@ -52,26 +53,52 @@ def filter_corpus(docs):
             or (d.body and d.body.strip())]
 
 
+def read_json(path):
+    """The UTF-8 JSON in `path`; anything else raises ContractError naming `path`."""
+    with open(path, "rb") as fh:
+        try:
+            return json.loads(fh.read().decode("utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ContractError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def read_jsonl(path):
+    """Yield (line number, value) for each non-blank line of a UTF-8 JSON-lines
+    file; a line that is not JSON raises ContractError naming `path:line`."""
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, 1):
+            if raw.strip():
+                try:
+                    yield line_no, json.loads(raw.decode("utf-8"))
+                except ValueError as exc:  # not UTF-8, or not JSON
+                    raise ContractError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
+
+
 def read_corpus(path) -> list[Document]:
     """One JSON object {id, title, abstract, body?} of strings or nulls per line, UTF-8."""
     docs = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ContractError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
-            if not (isinstance(rec, dict) and all(isinstance(rec.get(key), (str, type(None)))
-                                                  for key in ("title", "abstract", "body"))):
-                raise ContractError(f"{path}:{line_no}: needs an object with string title/abstract/body")
-            docs.append(Document(id=str(rec.get("id", line_no)),
-                                 title=rec.get("title") or "",
-                                 abstract=rec.get("abstract") or "",
-                                 body=rec.get("body")))
+    for line_no, rec in read_jsonl(path):
+        if not (isinstance(rec, dict) and all(isinstance(rec.get(key), (str, type(None)))
+                                              for key in ("title", "abstract", "body"))):
+            raise ContractError(f"{path}:{line_no}: needs an object with string title/abstract/body")
+        docs.append(Document(id=str(rec.get("id", line_no)),
+                             title=rec.get("title") or "",
+                             abstract=rec.get("abstract") or "",
+                             body=rec.get("body")))
     return docs
+
+
+def csv_text(header, rows) -> str:
+    """One newline-terminated line of comma-joined cells for the header and each
+    row: empty for None, `repr(float(x))` for any float (numpy's included), so
+    the text parses back to the exact value, and `str(x)` for anything else."""
+    def cell(x):
+        if x is None:
+            return ""
+        if isinstance(x, (float, np.floating)):
+            return repr(float(x))
+        return str(x)
+    return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
 
 
 def pre_tokenize(text: str) -> list[str]:
@@ -122,16 +149,7 @@ class Vocab:
             if not ranked:
                 break
             rank, _ = min(ranked)
-            left, right = self.merges[rank]
-            out, i = [], 0
-            while i < len(symbols):
-                if i + 1 < len(symbols) and symbols[i] == left and symbols[i + 1] == right:
-                    out.append(left + right)
-                    i += 2
-                else:
-                    out.append(symbols[i])
-                    i += 1
-            symbols = out
+            symbols = _merge(symbols, *self.merges[rank])
         ids = [self.token_to_id[s] for s in symbols]
         self._encode_cache[piece] = ids
         return ids
@@ -150,6 +168,19 @@ class Vocab:
                 continue
             chunks.append(self.id_to_token[i])
         return b"".join(chunks).decode("utf-8", errors="replace")
+
+
+def _merge(word: list[bytes], left: bytes, right: bytes) -> list[bytes]:
+    """`word` with each (left, right) pair, left to right, joined into one symbol."""
+    out, i = [], 0
+    while i < len(word):
+        if i + 1 < len(word) and word[i] == left and word[i + 1] == right:
+            out.append(left + right)
+            i += 2
+        else:
+            out.append(word[i])
+            i += 1
+    return out
 
 
 def learn_bpe(corpus, target_vocab_size: int,
@@ -192,19 +223,10 @@ def learn_bpe(corpus, target_vocab_size: int,
         if -neg_count < 2:
             break
         merges.append(best)
-        left, right = best
-        merged = left + right
         delta = Counter()
         for i in where.pop(best):
             word, freq = words[i], freqs[i]
-            out, j = [], 0
-            while j < len(word):
-                if j + 1 < len(word) and word[j] == left and word[j + 1] == right:
-                    out.append(merged)
-                    j += 2
-                else:
-                    out.append(word[j])
-                    j += 1
+            out = _merge(word, *best)
             if len(out) == len(word):  # an earlier merge already took the pair apart
                 continue
             for pair in zip(word, word[1:]):

@@ -19,11 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .data import csv_text
 from .errors import ContractError
 from .model import (INIT_STD, ModelConfig, ParamStore, clone_params, forward_logits,
                     next_token_loss)
 from .tensor import Tensor
-from .training import OptimizerState, Schedule, _drop_grads, _update, lr_at
+from .training import OptimizerState, Schedule, _drop_grads, _step, lr_at
 
 # grid-search presets: (batch sizes, peak learning rates)
 PUBMEDQA_GRID = ((8, 16, 32, 64), (2e-4, 1e-4, 5e-5, 2.5e-5))
@@ -243,7 +244,7 @@ def finetune_dense(params: ParamStore, config: ModelConfig, job: FinetuneJob,
 
 
 def _run_stages(params, config, job, prompt, trainable, metric_fn) -> FinetuneResult:
-    """The body of `finetune_dense`: each stage in order, `trainable` updated by `_update`."""
+    """The body of `finetune_dense`: each stage in order, `trainable` updated by `_step`."""
     _drop_grads(trainable)
     rng = np.random.default_rng(job.seed)
     report: list[EpochRecord] = []
@@ -271,14 +272,9 @@ def _run_stages(params, config, job, prompt, trainable, metric_fn) -> FinetuneRe
             epoch_loss, rows = 0.0, 0
             for ids, mask in _build_batches(stage.train, prompt, job, config, order):
                 step += 1
-                loss = sequence_loss(params, config, ids, mask, prompt)
-                value = loss.item()
-                if not math.isfinite(value):
-                    raise ContractError(f"stage {stage.name!r}, epoch {epoch}: training loss "
-                                        f"is {value}; fine-tuning diverged")
-                T.backward(loss)
-                _update(trainable, opt, lr_at(schedule, min(step, schedule.total_steps)),
-                        f"stage {stage.name!r}, epoch {epoch}")
+                value = _step(trainable, opt, lr_at(schedule, min(step, schedule.total_steps)),
+                              f"stage {stage.name!r}, epoch {epoch}",
+                              [(sequence_loss(params, config, ids, mask, prompt), 1.0)])
                 epoch_loss += value * ids.shape[0]
                 rows += ids.shape[0]
             train_loss = epoch_loss / rows
@@ -315,12 +311,8 @@ def _run_stages(params, config, job, prompt, trainable, metric_fn) -> FinetuneRe
 
 
 def report_to_csv(report: list[EpochRecord]) -> str:
-    lines = ["stage,epoch,train_loss,val_loss,metric"]
-    for r in report:
-        val = "" if r.val_loss is None else repr(r.val_loss)
-        met = "" if r.metric is None else repr(r.metric)
-        lines.append(f"{r.stage},{r.epoch},{r.train_loss!r},{val},{met}")
-    return "\n".join(lines) + "\n"
+    return csv_text(("stage", "epoch", "train_loss", "val_loss", "metric"),
+                    [(r.stage, r.epoch, r.train_loss, r.val_loss, r.metric) for r in report])
 
 
 @dataclass
@@ -369,12 +361,8 @@ def grid_search(params: ParamStore, config: ModelConfig, job: FinetuneJob,
 
 
 def grid_to_csv(result: GridResult) -> str:
-    lines = ["batch_size,lr,score,val_loss,metric"]
-    for p in result.table:
-        val = "" if p.val_loss is None else repr(p.val_loss)
-        met = "" if p.metric is None else repr(p.metric)
-        lines.append(f"{p.batch_size},{p.lr!r},{p.score!r},{val},{met}")
-    return "\n".join(lines) + "\n"
+    return csv_text(("batch_size", "lr", "score", "val_loss", "metric"),
+                    [(p.batch_size, p.lr, p.score, p.val_loss, p.metric) for p in result.table])
 
 
 def run_prompt_ablation(params: ParamStore, config: ModelConfig, job: FinetuneJob,

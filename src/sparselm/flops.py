@@ -26,9 +26,9 @@ the totals agree.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
+from .data import csv_text
 from .errors import ContractError
 from .model import PRESETS, ModelConfig, sparse_matrix_params
 
@@ -139,11 +139,8 @@ def human_size(n: int) -> str:
 
 
 def table_to_csv(rows: list[TableRow]) -> str:
-    buf = io.StringIO()
-    buf.write("model,size,sparsity,flops,ratio\n")
-    for r in rows:
-        buf.write(f"{r.model},{r.size},{r.sparsity!r},{r.train_flops!r},{r.ratio!r}\n")
-    return buf.getvalue()
+    return csv_text(("model", "size", "sparsity", "flops", "ratio"),
+                    [(r.model, r.size, r.sparsity, r.train_flops, r.ratio) for r in rows])
 
 
 def format_table(rows: list[TableRow]) -> str:

@@ -146,16 +146,20 @@ def count_params(config: ModelConfig, include_embeddings: bool = True) -> int:
 def count_matrix_params(config: ModelConfig) -> int:
     """Size of the sparsifiable set: the six block matrices, 12*L*d^2 when
     d_ff = 4*d_model. This is the headline 'model size' convention."""
-    return sum(
-        math.prod(shape) for path, shape, _ in param_specs(config) if is_sparsifiable(path)
-    )
+    return sparse_matrix_params(config, 0.0)
+
+
+def zero_count(level: float, size: int) -> int:
+    """Pruned entries of a `size`-entry matrix at sparsity `level`: round(s*N),
+    half away from zero, the one rounding rule of the masks and of the counts."""
+    return int(math.floor(level * size + 0.5))
 
 
 def sparse_matrix_params(config: ModelConfig, sparsity: float) -> int:
-    """Remaining active matrix parameters at uniform sparsity s: (1-s)*matrix count."""
-    total = count_matrix_params(config)
-    zeros = int(math.floor(sparsity * total + 0.5))
-    return total - zeros
+    """Active matrix parameters at uniform sparsity s, rounded per matrix as
+    the masks are: the sum of N - round(s*N) over the sparsifiable set."""
+    sizes = [math.prod(shape) for path, shape, _ in param_specs(config) if is_sparsifiable(path)]
+    return sum(n - zero_count(sparsity, n) for n in sizes)
 
 
 def _head(params: ParamStore, config: ModelConfig):

@@ -12,13 +12,12 @@ mask, leaving the previously inactive weights at exactly 0.0 and trainable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError
-from .model import ParamStore
+from .model import ParamStore, zero_count
 from .tensor import Tensor
 
 
@@ -33,11 +32,6 @@ class SparsityPlan:
     def __post_init__(self):
         if self.level is None or not (0.0 <= self.level < 1.0):
             raise ContractError(f"a sparsity plan needs one level in [0, 1), got {self.level!r}")
-
-
-def zero_count(level: float, size: int) -> int:
-    """round(s*N), half away from zero."""
-    return int(math.floor(level * size + 0.5))
 
 
 @dataclass

@@ -6,14 +6,13 @@ place, masked or not: the masks are multiplied into those weights once at
 state construction (no copy of the store is made), and thereafter
 gradients are filtered every step. With zero-initialized moments,
 decoupled decay and zero gradients, pruned coordinates stay at exactly 0.0
-for the whole run. A gradient lives from the backward pass to the update:
-`_update`, which ends a pre-training and a fine-tuning step, drops every
-`.grad` right after `adamw_step`, so none is held between steps.
-
-A step masks the gradients, then, with clipping on, takes the global norm
-of the masked gradients (a non-finite norm stops the run before any
-update) and passes grad_clip / norm to `adamw_step` as `clip_scale`, which
-folds it into the moment coefficients instead of rescaling the gradients.
+for the whole run. `_step` ends every pre-training and fine-tuning step:
+backward on each micro-batch loss, then the gradient mask and, with
+clipping on, the global norm of the masked gradients, passed as
+grad_clip / norm to `adamw_step` as `clip_scale`, which folds it into the
+moment coefficients instead of rescaling the gradients. A non-finite loss
+or norm stops the run before any update. `_step` drops every `.grad` right
+after `adamw_step`, so none is held between steps.
 `adamw_step` updates every parameter in place through one reused scratch
 buffer.
 """
@@ -30,7 +29,7 @@ import numpy as np
 
 from . import checkpoint as C
 from . import tensor as T
-from .data import PackedDataset
+from .data import PackedDataset, csv_text
 from .errors import ContractError
 from .model import ModelConfig, ParamStore, lm_loss
 from .sparsity import MaskSet, SparsityPlan, check_masks, mask_gradients
@@ -197,11 +196,17 @@ def _global_grad_norm(grads):
     return math.sqrt(sum(float(np.dot(g.ravel(), g.ravel())) for g in grads.values()))
 
 
-def _update(params, opt, lr, where, masks=None, grad_clip=None):
-    """The update that ends a pre-training or fine-tuning step: gather the
-    gradients of `params`, mask them, clip them (a non-finite norm raises
-    ContractError naming `where`, before any update), apply AdamW and drop
-    every `.grad`."""
+def _step(params, opt, lr, where, losses, masks=None, grad_clip=None) -> float:
+    """End a pre-training or fine-tuning step and return its loss: backward on
+    each (loss, batch share) pair of `losses`, a generator when each forward
+    must wait for the previous backward; then, if the share-weighted loss is
+    finite, mask, clip, apply AdamW and drop every `.grad`."""
+    value = 0.0
+    for loss, share in losses:
+        value += loss.item() * share
+        T.backward(loss, scale=share)
+    if not math.isfinite(value):
+        raise ContractError(f"{where}: training loss is {value}; training diverged")
     grads = {p: t.grad for p, t in params.items() if t.grad is not None}
     if masks is not None:
         mask_gradients(grads, masks)
@@ -214,6 +219,7 @@ def _update(params, opt, lr, where, masks=None, grad_clip=None):
             clip_scale = grad_clip / norm
     adamw_step(params, grads, opt, lr, clip_scale=clip_scale)
     _drop_grads(params)
+    return value
 
 
 def train_steps(state: TrainState, dataset: PackedDataset, n_steps=None,
@@ -235,18 +241,11 @@ def train_steps(state: TrainState, dataset: PackedDataset, n_steps=None,
         lr = lr_at(state.schedule, min(step, total))
         idx = state.rng.integers(0, len(dataset), size=state.batch_size)
         batch = dataset.sequences[idx].astype(np.int64)
-
-        loss_value = 0.0
-        for start in range(0, state.batch_size, micro):
-            chunk = batch[start:start + micro]
-            frac = chunk.shape[0] / state.batch_size
-            loss = lm_loss(state.params, state.config, chunk)
-            loss_value += loss.item() * frac
-            T.backward(loss, scale=frac)
-
-        if not math.isfinite(loss_value):
-            raise ContractError(f"step {step}: loss is {loss_value}; training diverged")
-        _update(state.params, state.opt, lr, f"step {step}", state.masks, grad_clip)
+        chunks = (batch[start:start + micro] for start in range(0, state.batch_size, micro))
+        loss_value = _step(state.params, state.opt, lr, f"step {step}",
+                           ((lm_loss(state.params, state.config, chunk),
+                             chunk.shape[0] / state.batch_size) for chunk in chunks),
+                           state.masks, grad_clip)
 
         state.step = step
         state.smoothed = (loss_value if state.smoothed is None
@@ -276,21 +275,26 @@ def pretrain(params, config, dataset, schedule, batch_size, seed,
 def emit_loss_curves(curves: dict[str, list[tuple[int, float]]]) -> str:
     """CSV with columns run,step,loss from {run: [(step, loss), ...]}, the
     shape `parse_loss_curves` returns; float text round-trips exactly."""
-    lines = ["run,step,loss"]
-    for run, points in curves.items():
-        for step, loss in points:
-            lines.append(f"{run},{step},{loss!r}")
-    return "\n".join(lines) + "\n"
+    return csv_text(("run", "step", "loss"), [(run, step, loss) for run, points in curves.items()
+                                              for step, loss in points])
 
 
-def parse_loss_curves(text: str) -> dict[str, list[tuple[int, float]]]:
-    lines = text.strip().splitlines()
-    if not lines or lines[0] != "run,step,loss":
-        raise ContractError("not a loss-curve CSV")
-    out: dict[str, list[tuple[int, float]]] = {}
-    for line in lines[1:]:
-        run, step, loss = line.split(",")
-        out.setdefault(run, []).append((int(step), float(loss)))
+def parse_loss_curves(text: str, path="loss curves") -> dict[str, list[tuple[int, float]]]:
+    """The inverse of `emit_loss_curves`. A wrong header, a row that is not
+    run,int,float and text without the final newline every emitted file has
+    raise ContractError naming `path:line`."""
+    lines = text.splitlines()
+    if not text.endswith("\n"):
+        raise ContractError(f"{path}:{max(len(lines), 1)}: truncated: no final newline")
+    if lines[0] != "run,step,loss":
+        raise ContractError(f"{path}:1: not a loss-curve CSV (header {lines[0]!r})")
+    out = {}
+    for line_no, line in enumerate(lines[1:], 2):
+        try:
+            run, step, loss = line.split(",")
+            out.setdefault(run, []).append((int(step), float(loss)))
+        except ValueError:
+            raise ContractError(f"{path}:{line_no}: not a run,step,loss row: {line!r}") from None
     return out
 
 

@@ -11,6 +11,7 @@ import sparselm
 from sparselm import checkpoint as C
 from sparselm import cli
 from sparselm import data as D
+from sparselm import evaluation as E
 from sparselm import model as M
 from sparselm import training as TR
 from toytask import write_corpus
@@ -346,6 +347,34 @@ def test_finetune_and_eval_pipeline(tmp_path, vocab_path):
     assert len(lines) == 5
 
 
+def test_eval_out_csv_bytes(tmp_path, vocab_path):
+    # single-label rows carry each candidate's score; multi-label rows the
+    # generated set and an empty or `truncated` flag
+    _, val, labels = finetune_fixtures(tmp_path)
+    multi = tmp_path / "multi.json"
+    multi.write_text(json.dumps({"labels": ["yes", "no"], "multi_label": True}))
+    ckpt = model_ckpt(tmp_path, vocab_path)
+    config, params, _, _, prompt = TR.load_model_checkpoint(ckpt)
+    vocab = D.load_vocab(vocab_path)
+    examples = cli._read_task_examples(val, vocab)
+    space = E.label_space_from_vocab(vocab, ["yes", "no"])
+    multi_space = E.label_space_from_vocab(vocab, ["yes", "no"], multi_label=True)
+    expected = {labels: "id,gold,pred,score_yes,score_no\n", multi: "id,gold,pred,flags\n"}
+    for i, ex in enumerate(examples):
+        scores = E.score_labels(params, config, prompt, ex.source, space)
+        expected[labels] += (f"{i},{ex.labels[0]},{space.best(scores)},"
+                             f"{float(scores[0])!r},{float(scores[1])!r}\n")
+        out = E.generate_labels(params, config, prompt, ex.source, multi_space, max_steps=2)
+        expected[multi] += (f"{i},{ex.labels[0]},{'|'.join(sorted(out.labels))},"
+                            f"{'truncated' if out.truncated else ''}\n")
+    for space_path, text in expected.items():
+        eval_out = tmp_path / "eval.csv"
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
+                         "--dataset", str(val), "--labels", str(space_path),
+                         "--max-steps", "2", "--out", str(eval_out)]) == 0
+        assert eval_out.read_text() == text
+
+
 def test_finetune_grid_flag(tmp_path, vocab_path):
     train, val, labels = finetune_fixtures(tmp_path)
     ckpt = model_ckpt(tmp_path, vocab_path)
@@ -427,7 +456,8 @@ def test_eval_duplicate_labels_exit_2(tmp_path, vocab_path):
 @pytest.mark.parametrize("command", ["eval", "finetune"])
 @pytest.mark.parametrize("bad_line", ['{"source": "alpha", "target"', '{"source": "alpha"}',
                                       '["alpha", "yes"]',
-                                      '{"source": "alpha", "target": "yes", "labels": "yes"}'])
+                                      '{"source": "alpha", "target": "yes", "labels": "yes"}',
+                                      '{"source": "", "target": "yes"}'])
 def test_malformed_task_dataset_exits_2_naming_the_line(tmp_path, vocab_path, capsys,
                                                          command, bad_line):
     ckpt = model_ckpt(tmp_path, vocab_path)
@@ -459,6 +489,23 @@ def test_report_merges_runs(tmp_path, corpus_path, vocab_path):
     parsed = TR.parse_loss_curves(merged.read_text())
     assert set(parsed) == {"r1", "r2"}
     assert len(parsed["r1"]) == 5
+
+
+@pytest.mark.parametrize("text,line", [
+    ("run,step,loss\nr1,1,2.5\nr1,2\n", 3),
+    ("run,step,loss\nr1,1,2.", 2),
+    ("run,step,loss\nr1,1.5,2.5\n", 2),
+    ("run,step,loss\nr1,1,2.5,7\n", 2),
+    ("run,step\nr1,1\n", 1),
+    ("", 1),
+], ids=["short-row", "cut-mid-number", "float-step", "long-row", "wrong-header", "empty"])
+def test_report_on_a_malformed_loss_csv_exits_2_naming_the_line(tmp_path, capsys, text, line):
+    run = tmp_path / "r1"
+    run.mkdir()
+    (run / "loss.csv").write_bytes(text.encode())
+    assert cli.main(["report", "--runs", str(run), "--out", str(tmp_path / "m.csv")]) == 2
+    assert f"{run / 'loss.csv'}:{line}: " in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "finetune"])
@@ -514,16 +561,33 @@ def test_multi_label_gold_outside_the_label_space_exits_2(tmp_path, vocab_path, 
         assert "example 1: gold label 'zzz'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["eval", "finetune"])
+@pytest.mark.parametrize("command", ["eval", "finetune", "pretrain", "flops"])
 def test_label_space_that_is_not_json_exits_2_naming_the_file(tmp_path, vocab_path, capsys,
                                                               command):
+    # the label space, and the JSON inputs of pretrain and flops
     train, val, _ = finetune_fixtures(tmp_path)
     ckpt = model_ckpt(tmp_path, vocab_path)
     labels = tmp_path / "truncated.json"
     labels.write_text('{"labels": ["yes" "no"]')
-    args = {"eval": ["--dataset", str(val)],
-            "finetune": ["--train", str(train), "--out", str(tmp_path / "ft")]}[command]
-    code = cli.main([command, "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
-                     "--labels", str(labels), *args])
+    model_args = ["--checkpoint", str(ckpt), "--vocab", str(vocab_path), "--labels", str(labels)]
+    args = {"eval": [*model_args, "--dataset", str(val)],
+            "finetune": [*model_args, "--train", str(train), "--out", str(tmp_path / "ft")],
+            "pretrain": ["--config", str(labels), "--dry-run"],
+            "flops": ["--model-config", str(labels)]}[command]
+    code = cli.main([command, *args])
     assert code == 2
     assert f"{labels}: invalid JSON" in capsys.readouterr().err
+
+
+def test_finetune_with_a_multi_label_space_exits_2_naming_the_file(tmp_path, vocab_path,
+                                                                   capsys):
+    train, val, _ = finetune_fixtures(tmp_path)
+    ckpt = model_ckpt(tmp_path, vocab_path)
+    labels = tmp_path / "multi.json"
+    labels.write_text(json.dumps({"labels": ["yes", "no"], "multi_label": True}))
+    code = cli.main(["finetune", "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
+                     "--train", str(train), "--val", str(val), "--labels", str(labels),
+                     "--out", str(tmp_path / "ft")])
+    assert code == 2
+    assert f"{labels}: metric tracking needs a single-label space" in capsys.readouterr().err
+    assert not (tmp_path / "ft").exists()

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -44,6 +45,19 @@ def test_corpus_roundtrip(tmp_path):
 
 
 # -------------------------------------------------------------------- bpe
+
+
+def test_read_corpus_names_the_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(b'{"abstract": "ok"}\n\n{"abstract": "\xff"}\n')
+    with pytest.raises(ContractError, match=f"{re.escape(str(path))}:3: invalid JSON"):
+        D.read_corpus(path)
+
+
+def test_csv_text_cell_rule():
+    rows = [(None, np.float64(0.1), 3, "x"), (np.float32(0.5), 1 / 3, np.int64(7), None)]
+    assert D.csv_text(("a", "b", "c", "d"), rows) == (
+        "a,b,c,d\n,0.1,3,x\n0.5,0.3333333333333333,7,\n")
 
 
 def test_first_merge_on_abab_fixture():

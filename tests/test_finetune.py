@@ -344,6 +344,16 @@ def test_report_csv_shape():
     assert len(lines) == 3
 
 
+def test_report_and_grid_csv_golden_bytes():
+    report = [FT.EpochRecord("a", 1, 0.5, None, None), FT.EpochRecord("a", 2, 0.25, 1 / 3, 0.75)]
+    assert FT.report_to_csv(report) == ("stage,epoch,train_loss,val_loss,metric\n"
+                                        "a,1,0.5,,\na,2,0.25,0.3333333333333333,0.75\n")
+    grid = FT.GridResult(best_batch_size=4, best_lr=1e-3, best=None, table=[
+        FT.GridPoint(4, 1e-3, -0.5, 0.5, None), FT.GridPoint(8, 5e-4, 0.75, None, 0.75)])
+    assert FT.grid_to_csv(grid) == ("batch_size,lr,score,val_loss,metric\n"
+                                    "4,0.001,-0.5,0.5,\n8,0.0005,0.75,,0.75\n")
+
+
 # ------------------------------------------------------------ grid search
 
 

@@ -111,6 +111,14 @@ def test_table_csv_roundtrip():
     assert float(first[3]) == rows[0].train_flops
 
 
+def test_table_csv_golden_bytes():
+    rows = [F.TableRow("med", 402_653_184, 0.0, 1.5e21, 1.0),
+            F.TableRow("custom", 9676, 0.3, 2.529467301888e16, 0.9064935064935066)]
+    assert F.table_to_csv(rows) == ("model,size,sparsity,flops,ratio\n"
+                                    "med,402653184,0.0,1.5e+21,1.0\n"
+                                    "custom,9676,0.3,2.529467301888e+16,0.9064935064935066\n")
+
+
 def test_format_table_mentions_sizes():
     text = F.format_table(F.ratio_table())
     assert "302M" in text and "1.21B" in text and "510M" in text

@@ -93,6 +93,17 @@ def test_xl_preset_remaining_params_at_75():
     assert M.sparse_matrix_params(cfg, 0.75) == M.count_matrix_params(M.PRESETS["med"])
 
 
+def test_remaining_params_are_the_masks_active_count():
+    # one rounding rule: a count rounded over the total would say 389 for
+    # the first config at s=0.1, where the masks leave 388
+    for cfg in (tiny_config(n_layers=1, d_model=6, n_heads=2, d_head=3), tiny_config(),
+                tiny_config(n_layers=3, d_model=10, n_heads=2, d_head=5, d_ff=7)):
+        for level in (0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 0.9):
+            masks = S.build_masks(M.init_params(cfg, seed=0), S.SparsityPlan(level=level))
+            assert M.sparse_matrix_params(cfg, level) == \
+                masks.total_entries() - masks.total_zeros(), (cfg, level)
+
+
 def test_apply_elementwise_product():
     store = M.ParamStore()
     store["layers.0.wq"] = Tensor(np.array([[1.0, 2.0, 3.0, 4.0]]), requires_grad=True)

@@ -330,6 +330,29 @@ def test_nonfinite_gradient_norm_stops_clipped_training(monkeypatch):
     assert state.step == 2
 
 
+def test_nonfinite_micro_batch_loss_names_the_step_and_applies_nothing(monkeypatch):
+    cfg = tiny_config()
+    state = TR.init_train_state(M.init_params(cfg, seed=0), cfg, TR.Schedule(1e-3, 4), 4,
+                                seed=0, micro_batch_size=2)
+    TR.train_steps(state, toy_dataset(), n_steps=1)
+    real_loss, rows = TR.lm_loss, []
+
+    def second_micro_batch_is_inf(params, config, tokens):
+        loss = real_loss(params, config, tokens)
+        rows.append(tokens.shape[0])
+        if len(rows) == 2:
+            loss.data[...] = np.inf
+        return loss
+
+    monkeypatch.setattr(TR, "lm_loss", second_micro_batch_is_inf)
+    before = {p: t.data.tobytes() for p, t in state.params.items()}
+    with pytest.raises(ContractError, match=r"^step 2: training loss is inf; training diverged$"):
+        TR.train_steps(state, toy_dataset(), n_steps=1)
+    assert rows == [2, 2]
+    assert state.step == state.opt.step == 1 and len(state.trace) == 1
+    assert {p: t.data.tobytes() for p, t in state.params.items()} == before
+
+
 # ----------------------------------------------------------------- memory
 
 
@@ -754,6 +777,11 @@ def test_loss_curve_roundtrip_exact():
     parsed = TR.parse_loss_curves(csv_text)
     for run, points in curves.items():
         assert parsed[run] == points
+
+
+def test_loss_curve_csv_golden_bytes():
+    assert TR.emit_loss_curves({"dense": [(1, 4.25), (2, 0.1)], "s": [(10, 1 / 3)]}) == (
+        "run,step,loss\ndense,1,4.25\ndense,2,0.1\ns,10,0.3333333333333333\n")
 
 
 def test_loss_curve_two_runs_row_count():
