@@ -22,9 +22,9 @@ Section payload encodings:
     u64          one unsigned 64-bit integer
 
 Every read goes through `_read` (of the file) or `_take` (of a payload),
-which bounds-check it, so a truncated file raises ContractError, as do a
-CRC mismatch and a missing or misplaced end marker. What the sections of a
-model and of a train checkpoint are is decided in `training`.
+which bounds-check it, so a truncated file raises ContractError, as do a CRC
+mismatch and a missing or misplaced end marker; each names the file. What the
+sections of a model and of a train checkpoint are is decided in `training`.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import zlib
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, naming
 
 MAGIC = b"SPLMCKPT"
 FORMAT_VERSION = 2
@@ -118,13 +118,13 @@ def load_container(path) -> dict[str, bytes]:
     """Section name -> payload. Each payload is read from the file straight
     into its own bytes object, so no copy of the whole file is held beside
     them, and a caller that drops a payload once it is decoded frees it."""
-    with open(path, "rb") as fh:
+    with open(path, "rb") as fh, naming(path):
         size = os.fstat(fh.fileno()).st_size
         if fh.read(8) != MAGIC:
-            raise ContractError(f"{path}: not a checkpoint container (bad magic)")
+            raise ContractError("not a checkpoint container (bad magic)")
         (version,) = struct.unpack("<I", _read(fh, 4, size))
         if version not in (1, FORMAT_VERSION):
-            raise ContractError(f"{path}: unsupported container version {version}")
+            raise ContractError(f"unsupported container version {version}")
         sections = {}
         while version > 1 or fh.tell() < size:
             start = fh.tell()
@@ -133,7 +133,7 @@ def load_container(path) -> dict[str, bytes]:
             if name_len == 0 and version > 1:
                 (count,) = struct.unpack("<I", _read(fh, 4, size))
                 if count != len(sections) or fh.tell() != size:
-                    raise ContractError(f"{path}: end marker does not close the "
+                    raise ContractError(f"end marker does not close the "
                                         f"{len(sections)} sections read")
                 break
             head += _read(fh, name_len + 8, size)
@@ -142,10 +142,10 @@ def load_container(path) -> dict[str, bytes]:
             if version > 1:
                 (crc,) = struct.unpack("<I", _read(fh, 4, size))
                 if zlib.crc32(payload, zlib.crc32(head)) != crc:
-                    raise ContractError(f"{path}: section at offset {start} fails its CRC check")
+                    raise ContractError(f"section at offset {start} fails its CRC check")
             name = _utf8(head[2:-8], "section name")
             if name in sections:
-                raise ContractError(f"{path}: duplicate checkpoint section {name!r}")
+                raise ContractError(f"duplicate checkpoint section {name!r}")
             sections[name] = payload
     return sections
 

@@ -1,10 +1,10 @@
 """Command-line front end: tokenizer -> pretrain -> densify -> finetune ->
 eval -> flops -> report, wired for reproducible runs.
 
-Exit codes: 0 success, 1 usage/config error, 2 contract violation,
-3 metric floor not met. `data.read_json`/`read_jsonl` read every JSON input
-(not JSON: exit 2 naming the file), `data.csv_text` writes every CSV. Each
-training run writes its fully resolved configuration next to its outputs;
+Exit codes: 0 success, 1 argparse usage error or a file that cannot be opened,
+2 malformed input or other contract violation, 3 metric floor not met.
+`data.read_json`/`read_jsonl` read every JSON input, `data.csv_text` writes
+every CSV. A run's resolved `config.json` is a valid `pretrain --config`, and
 reruns with identical config + seed give byte-identical artifacts.
 """
 
@@ -29,32 +29,34 @@ from . import flops as F
 from . import model as M
 from . import sparsity as S
 from . import training as TR
-from .errors import ContractError
+from .errors import ContractError, naming
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONTRACT = 2
 EXIT_METRIC_FLOOR = 3
 
-PRETRAIN_DEFAULTS = {
-    "run_name": None,
-    "preset": None,
-    "model": None,            # explicit ModelConfig fields
-    "sparsity": 0.0,
-    "mask_seed": 0,
-    "seed": 0,
-    "steps": 1000,
-    "batch_size": 8,
-    "micro_batch_size": None,
-    "msl": 128,
-    "peak_lr": 2e-4,
-    "warmup_fraction": 0.10,
-    "min_lr_fraction": 0.10,
-    "weight_decay": 0.1,
-    "grad_clip": None,
-    "val_fraction": 0.03,
-    "checkpoint_every": None,
-    "log_every": 100,
+# key -> (type, default) of each pretrain setting; all but `model` are flags too.
+# A bool is not an int, an int is a float, null or no flag keeps the default.
+PRETRAIN_SETTINGS = {
+    "run_name": (str, None),
+    "preset": (str, None),
+    "model": (dict, None),            # explicit ModelConfig fields
+    "sparsity": (float, 0.0),
+    "mask_seed": (int, 0),
+    "seed": (int, 0),
+    "steps": (int, 1000),
+    "batch_size": (int, 8),
+    "micro_batch_size": (int, None),
+    "msl": (int, 128),
+    "peak_lr": (float, 2e-4),
+    "warmup_fraction": (float, 0.10),
+    "min_lr_fraction": (float, 0.10),
+    "weight_decay": (float, 0.1),
+    "grad_clip": (float, None),
+    "val_fraction": (float, 0.03),
+    "checkpoint_every": (int, None),
+    "log_every": (int, 100),
 }
 
 TASK_PRESETS = {
@@ -64,35 +66,46 @@ TASK_PRESETS = {
 }
 
 
-def _resolve_model_config(cfg, vocab_size=None):
-    """Preset or explicit model dict; the actual vocab size, when known,
-    overrides the preset's full-scale one."""
-    if cfg.get("preset"):
-        if cfg["preset"] not in M.PRESETS:
-            raise ContractError(f"unknown preset {cfg['preset']!r}; choose from {sorted(M.PRESETS)}")
-        fields = dataclasses.asdict(M.PRESETS[cfg["preset"]])
-    elif cfg.get("model"):
-        fields = dict(cfg["model"])
-    else:
-        raise ContractError("no model given: use --preset or a config with a 'model' section")
-    if vocab_size is not None:
-        fields["vocab_size"] = vocab_size
-    if cfg.get("msl"):
-        fields["context_window"] = max(fields.get("context_window", 0), cfg["msl"])
-    return M.ModelConfig(**fields)
+def _resolve_model_config(cfg, where, vocab_size=None):
+    """The ModelConfig of a preset or of the `model` object read from `where`, with
+    the actual vocab size and a wider msl when known; every ContractError names `where`."""
+    with naming(where):
+        if cfg.get("preset"):
+            if cfg["preset"] not in M.PRESETS:
+                raise ContractError(f"unknown preset {cfg['preset']!r}; "
+                                    f"choose from {sorted(M.PRESETS)}")
+            fields = dataclasses.asdict(M.PRESETS[cfg["preset"]])
+        elif isinstance(cfg.get("model"), dict):
+            fields = dict(cfg["model"])
+        else:
+            raise ContractError("no model given: use --preset or an object of ModelConfig fields")
+        if vocab_size is not None:
+            fields["vocab_size"] = vocab_size
+        try:
+            config = M.ModelConfig(**fields)
+        except TypeError as exc:  # a missing or unknown field
+            raise ContractError(str(exc)) from None
+        if cfg.get("msl", 0) > config.context_window:
+            config = dataclasses.replace(config, context_window=cfg["msl"])
+        return config
 
 
 def _resolved_pretrain_config(args):
-    cfg = dict(PRETRAIN_DEFAULTS)
-    if args.config:
-        file_cfg = D.read_json(args.config)
-        unknown = set(file_cfg) - set(cfg)
-        if unknown:
-            raise ContractError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(file_cfg)
-    for key in PRETRAIN_DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
+    """PRETRAIN_SETTINGS' defaults, then --config's values, then the flags'. A file
+    that is not an object, an unknown key or a wrongly typed value names the file."""
+    cfg = {key: default for key, (_, default) in PRETRAIN_SETTINGS.items()}
+    file_cfg = D.read_json(args.config) if args.config else {}
+    if not isinstance(file_cfg, dict):
+        raise ContractError(f"{args.config}: not a JSON object of pretrain settings")
+    for key, value in file_cfg.items():
+        if key not in PRETRAIN_SETTINGS:
+            raise ContractError(f"{args.config}: unknown config key {key!r}")
+        kind = PRETRAIN_SETTINGS[key][0]
+        if value is not None and (isinstance(value, bool) or not isinstance(
+                value, (int, float) if kind is float else kind)):
+            raise ContractError(f"{args.config}: {key!r} must be {kind.__name__} or null")
+    for key, value in [*file_cfg.items(), *vars(args).items()]:
+        if key in cfg and value is not None:
             cfg[key] = value
     if not (0.0 <= cfg["sparsity"] < 1.0):
         raise ContractError(f"sparsity {cfg['sparsity']} outside [0, 1)")
@@ -119,22 +132,18 @@ def cmd_tokenizer(args):
 
 def cmd_pretrain(args):
     cfg = _resolved_pretrain_config(args)
-    vocab = None
-    if args.vocab:
-        vocab = D.load_vocab(args.vocab)
-    model_cfg = _resolve_model_config(cfg, vocab_size=len(vocab) if vocab else None)
-    matrix = M.count_matrix_params(model_cfg)
-    remaining = M.sparse_matrix_params(model_cfg, cfg["sparsity"])
-    token_budget = cfg["steps"] * cfg["batch_size"] * cfg["msl"]
-    report = F.forward_flops_per_token(model_cfg, cfg["sparsity"])
+    vocab = D.load_vocab(args.vocab) if args.vocab else None
+    model_cfg = _resolve_model_config(cfg, args.config or "pretrain",
+                                      vocab_size=len(vocab) if vocab else None)
 
     if args.dry_run:
-        resolved = dict(cfg, model=dataclasses.asdict(model_cfg))
-        print(json.dumps(resolved, indent=2, sort_keys=True))
+        token_budget = cfg["steps"] * cfg["batch_size"] * cfg["msl"]
+        report = F.forward_flops_per_token(model_cfg, cfg["sparsity"])
+        print(json.dumps(dict(cfg, model=dataclasses.asdict(model_cfg)), indent=2, sort_keys=True))
         print(f"total parameters (with embeddings): {M.count_params(model_cfg, True):,}")
-        print(f"matrix parameters: {matrix:,}")
-        print(f"sparsity {cfg['sparsity'] * 100:.0f}% -> "
-              f"remaining matrix parameters: {remaining:,}")
+        print(f"matrix parameters: {M.count_matrix_params(model_cfg):,}")
+        print(f"sparsity {cfg['sparsity'] * 100:.0f}% -> remaining matrix parameters: "
+              f"{M.sparse_matrix_params(model_cfg, cfg['sparsity']):,}")
         print(f"token budget: {token_budget:,}")
         print(f"estimated training FLOPs: {report.train_total(token_budget):.4g} "
               f"({report.ratio_vs_dense:.2f}x of dense)")
@@ -158,13 +167,11 @@ def cmd_pretrain(args):
                                                      seed=cfg["mask_seed"]))
     schedule = TR.Schedule(cfg["peak_lr"], cfg["steps"],
                            cfg["warmup_fraction"], cfg["min_lr_fraction"])
-    state = TR.pretrain(params, model_cfg, dataset, schedule,
-                        cfg["batch_size"], cfg["seed"], masks=masks,
-                        micro_batch_size=cfg["micro_batch_size"],
-                        weight_decay=cfg["weight_decay"],
-                        grad_clip=cfg["grad_clip"], out_dir=args.out,
-                        checkpoint_every=cfg["checkpoint_every"],
-                        log_every=cfg["log_every"])
+    state = TR.init_train_state(params, model_cfg, schedule, cfg["batch_size"], cfg["seed"],
+                                masks=masks, micro_batch_size=cfg["micro_batch_size"],
+                                weight_decay=cfg["weight_decay"])
+    TR.train_steps(state, dataset, grad_clip=cfg["grad_clip"], out_dir=args.out,
+                   checkpoint_every=cfg["checkpoint_every"], log_every=cfg["log_every"])
 
     run_name = cfg["run_name"] or os.path.basename(os.path.normpath(args.out))
     TR.save_train_state(os.path.join(args.out, "final.ckpt"), state)
@@ -186,8 +193,7 @@ def cmd_densify(args):
         dense = params
     else:
         dense = S.densify(params, masks)
-        zeros = masks.total_zeros()
-        print(f"reactivated {zeros:,} weights at exactly 0.0")
+        print(f"reactivated {masks.total_zeros():,} weights at exactly 0.0")
     TR.save_model_checkpoint(args.out, config, dense, step=step)
     return EXIT_OK
 
@@ -199,12 +205,10 @@ def _read_task_examples(path, vocab):
                 and isinstance(rec.get("target"), str)
                 and isinstance(rec.get("labels", []), list)):
             raise ContractError(f"{path}:{line_no}: needs string source/target, list labels")
-        try:
+        with naming(f"{path}:{line_no}"):
             examples.append(FT.TaskExample(source=vocab.encode(rec["source"]),
                                            target=vocab.encode(rec["target"]),
                                            labels=tuple(rec.get("labels", ()))))
-        except ContractError as exc:
-            raise ContractError(f"{path}:{line_no}: {exc}") from None
     if not examples:
         raise ContractError(f"{path}: no examples")
     return examples
@@ -223,6 +227,12 @@ def _load_label_space(path, vocab):
 
 
 def cmd_finetune(args):
+    if not args.grid and (args.grid_batch_sizes is not None or args.grid_lrs is not None):
+        raise ContractError("--grid-batch-sizes and --grid-lrs need --grid")
+    if args.grid and args.ablation:
+        raise ContractError("--grid and --ablation cannot be combined")
+    if len(args.val or []) > len(args.train):
+        raise ContractError(f"{len(args.val)} --val files for {len(args.train)} --train files")
     config, params, _step, masks, _ = TR.load_model_checkpoint(args.checkpoint)
     if masks is not None:
         raise ContractError("checkpoint still carries masks; run `sparselm densify` first")
@@ -240,13 +250,10 @@ def cmd_finetune(args):
         raise ContractError(f"prompt length {prompt_length} exceeds the vocab's "
                             f"{len(vocab.prompt_ids)} reserved slots")
 
-    stages = []
-    val_paths = args.val or []
-    for i, train_path in enumerate(args.train):
-        val = _read_task_examples(val_paths[i], vocab) if i < len(val_paths) else None
-        stages.append(FT.FinetuneStage(name=os.path.basename(train_path),
-                                       train=_read_task_examples(train_path, vocab),
-                                       val=val))
+    vals = [_read_task_examples(path, vocab) for path in args.val or []]
+    stages = [FT.FinetuneStage(name=os.path.basename(path), train=_read_task_examples(path, vocab),
+                               val=vals[i] if i < len(vals) else None)
+              for i, path in enumerate(args.train)]
 
     job = FT.FinetuneJob(
         stages=stages, epochs=epochs, batch_size=args.batch_size, peak_lr=args.lr,
@@ -275,17 +282,17 @@ def cmd_finetune(args):
                   f"{result.best_val_loss if result.best_val_loss is not None else 'n/a'}{metric}")
         result = arms["with_prompt"]
     elif args.grid:
-        grid = preset.get("grid")
-        if args.grid_batch_sizes and args.grid_lrs:
-            grid = (tuple(args.grid_batch_sizes), tuple(args.grid_lrs))
-        if grid is None:
-            raise ContractError("--grid needs a --task-preset or explicit "
-                                "--grid-batch-sizes/--grid-lrs")
-        search = FT.grid_search(params, config, job, grid[0], grid[1], metric_fn)
+        # each list given replaces its own axis of the preset's grid
+        batch_sizes, lrs = preset.get("grid", (None, None))
+        batch_sizes = batch_sizes if args.grid_batch_sizes is None else args.grid_batch_sizes
+        lrs = lrs if args.grid_lrs is None else args.grid_lrs
+        if batch_sizes is None or lrs is None:
+            raise ContractError("--grid needs a --task-preset or both "
+                                "--grid-batch-sizes and --grid-lrs")
+        search = FT.grid_search(params, config, job, batch_sizes, lrs, metric_fn)
         _write_text(os.path.join(args.out, "grid.csv"), FT.grid_to_csv(search))
         print(f"grid best: batch_size {search.best_batch_size} lr {search.best_lr}")
         result = search.best
-        params = result.params
     else:
         result = FT.finetune_dense(params, config, job, metric_fn)
 
@@ -309,26 +316,8 @@ def cmd_eval(args):
     space = _load_label_space(args.labels, vocab)
     examples = _read_task_examples(args.dataset, vocab)
 
-    rows, preds, golds = [], [], []
-    if space.multi_label:
-        for i, ex in enumerate(examples):
-            golds.append(E.gold_labels(ex, i, space))
-            out = E.generate_labels(params, config, prompt, ex.source, space,
-                                    max_steps=args.max_steps)
-            preds.append(set(out.labels))
-            rows.append((i, "|".join(sorted(golds[-1])), "|".join(sorted(out.labels)),
-                         "truncated" if out.truncated else None))
-        metric_name, metric = "micro_f1", E.micro_f1(preds, golds)
-        header = ("id", "gold", "pred", "flags")
-    else:
-        for i, ex in enumerate(examples):
-            golds.append(E.gold_label(ex, i, space))
-            scores = E.score_labels(params, config, prompt, ex.source, space)
-            preds.append(space.best(scores))
-            rows.append((i, golds[-1], preds[-1], *scores))
-        metric_name, metric = "accuracy", E.accuracy(preds, golds)
-        header = ("id", "gold", "pred", *(f"score_{label}" for label in space.labels))
-
+    metric_name, metric, header, rows = E.evaluate(params, config, prompt, examples, space,
+                                                   args.max_steps)
     if args.out:
         _write_text(args.out, D.csv_text(header, rows))
     print(f"{metric_name} {metric:.4f} over {len(examples)} examples")
@@ -346,7 +335,7 @@ def cmd_flops(args):
             _write_text(args.csv, F.table_to_csv(rows))
         return EXIT_OK
     cfg = {"preset": args.preset, "model": D.read_json(args.model_config) if args.model_config else None}
-    model_cfg = _resolve_model_config(cfg)
+    model_cfg = _resolve_model_config(cfg, args.model_config or "flops")
     report = F.forward_flops_per_token(model_cfg, args.sparsity)
     tokens = args.tokens if args.tokens is not None else F.FULL_SCALE_TOKEN_BUDGET
     for name in F.COMPONENT_ORDER:
@@ -367,14 +356,12 @@ def cmd_report(args):
     merged = {}
     for run_dir in args.runs:
         path = os.path.join(run_dir, "loss.csv")
-        with open(path, encoding="utf-8") as fh:
-            parsed = TR.parse_loss_curves(fh.read(), path)
+        parsed = TR.parse_loss_curves(D.read_text(path), path)
         for run, records in parsed.items():
             label = run if run not in merged else f"{os.path.basename(os.path.normpath(run_dir))}/{run}"
             merged[label] = records
     _write_text(args.out, TR.emit_loss_curves(merged))
-    total = sum(len(v) for v in merged.values())
-    print(f"wrote {total} rows for {len(merged)} runs to {args.out}")
+    print(f"wrote {sum(map(len, merged.values()))} rows for {len(merged)} runs to {args.out}")
     return EXIT_OK
 
 
@@ -403,21 +390,10 @@ def build_parser():
     p.add_argument("--corpus")
     p.add_argument("--vocab")
     p.add_argument("--out")
-    p.add_argument("--preset", choices=sorted(M.PRESETS))
-    p.add_argument("--sparsity", type=float)
-    p.add_argument("--mask-seed", type=int, dest="mask_seed")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--micro-batch-size", type=int, dest="micro_batch_size")
-    p.add_argument("--msl", type=int)
-    p.add_argument("--peak-lr", type=float, dest="peak_lr")
-    p.add_argument("--weight-decay", type=float, dest="weight_decay")
-    p.add_argument("--grad-clip", type=float, dest="grad_clip")
-    p.add_argument("--val-fraction", type=float, dest="val_fraction")
-    p.add_argument("--checkpoint-every", type=int, dest="checkpoint_every")
-    p.add_argument("--log-every", type=int, dest="log_every")
-    p.add_argument("--run-name", dest="run_name")
+    for key, (kind, _) in PRETRAIN_SETTINGS.items():
+        if key != "model":  # a file-only key
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=kind,
+                           choices=sorted(M.PRESETS) if key == "preset" else None)
     p.add_argument("--dry-run", action="store_true")
     p.set_defaults(func=cmd_pretrain)
 

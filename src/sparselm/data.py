@@ -53,13 +53,22 @@ def filter_corpus(docs):
             or (d.body and d.body.strip())]
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of `path`; other bytes raise ContractError naming `path:line`."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ContractError(f"{path}:{raw.count(10, 0, exc.start) + 1}: not UTF-8") from None
+
+
 def read_json(path):
     """The UTF-8 JSON in `path`; anything else raises ContractError naming `path`."""
-    with open(path, "rb") as fh:
-        try:
-            return json.loads(fh.read().decode("utf-8"))
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise ContractError(f"{path}: invalid JSON ({exc})") from exc
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ContractError(f"{path}: invalid JSON ({exc})") from exc
 
 
 def read_jsonl(path):
@@ -289,9 +298,9 @@ def load_vocab(path) -> Vocab:
         for line in lines[1:1 + n_merges]:
             left, right = line.split()
             merges.append((bytes.fromhex(left), bytes.fromhex(right)))
-    except ValueError as exc:  # a short merge list, a bad count or non-hex bytes
+        vocab = Vocab(merges=merges, n_prompt_slots=n_prompt)
+    except ValueError as exc:  # a short merge list, a bad count, non-hex bytes, a bad Vocab
         raise ContractError(f"{path}: truncated or malformed vocab file ({exc})") from exc
-    vocab = Vocab(merges=merges, n_prompt_slots=n_prompt)
     table, expected = lines[1 + n_merges:], _special_table(vocab)
     if table != expected:
         raise ContractError(f"{path}: special-token table {table[:4]!r} does not match "

@@ -10,8 +10,8 @@ label-set sizes vary. Both score continuations of a non-empty context in
 right-padded no-grad forward per call, and the head on the scored rows
 only, through the training loss's logsumexp (`model.head_logprobs`). The
 prompt is read by virtual id (`finetune.prompt_forward`), so the padding
-may be any id. Every gold label must be a candidate (`gold_label`,
-`gold_labels`).
+may be any id. `evaluate` scores a dataset for `eval` and for fine-tuning's
+metric; every gold label must be a candidate.
 """
 
 from __future__ import annotations
@@ -169,28 +169,33 @@ def generate_labels(params, config, prompt, source_ids, space: LabelSpace,
     return GenerationOutcome(labels=tuple(emitted), truncated=True)
 
 
-def _candidate(gold, index: int, space: LabelSpace) -> str:
-    if gold not in space.labels:
-        raise ContractError(f"example {index}: gold label {gold!r} is not one of {list(space.labels)}")
-    return gold
+def _gold(label, index: int, space: LabelSpace) -> str:
+    if label not in space.labels:
+        raise ContractError(f"example {index}: gold label {label!r} is not one of {list(space.labels)}")
+    return label
 
 
-def gold_label(example, index: int, space: LabelSpace) -> str:
-    """The first gold label of example `index`, which must be a candidate."""
-    return _candidate(example.labels[0] if example.labels else None, index, space)
-
-
-def gold_labels(example, index: int, space: LabelSpace) -> set[str]:
-    """The gold label set of example `index`, maybe empty; each must be a candidate."""
-    return {_candidate(gold, index, space) for gold in example.labels}
+def evaluate(params, config, prompt, examples, space: LabelSpace, max_steps: int = 8):
+    """(metric name, value, CSV header, rows) of a dataset: the accuracy of
+    `score_labels`' best candidates, a row per example with every score, or
+    the micro-F1 of `generate_labels`' sets, a row with the `|`-joined sets."""
+    if space.multi_label:
+        golds = [{_gold(g, i, space) for g in ex.labels} for i, ex in enumerate(examples)]
+        outs = [generate_labels(params, config, prompt, ex.source, space, max_steps)
+                for ex in examples]
+        rows = [(i, "|".join(sorted(gold)), "|".join(sorted(out.labels)),
+                 "truncated" if out.truncated else None)
+                for i, (gold, out) in enumerate(zip(golds, outs))]
+        return ("micro_f1", micro_f1([out.labels for out in outs], golds),
+                ("id", "gold", "pred", "flags"), rows)
+    golds = [_gold(ex.labels[0] if ex.labels else None, i, space) for i, ex in enumerate(examples)]
+    scores = [score_labels(params, config, prompt, ex.source, space) for ex in examples]
+    preds = [space.best(s) for s in scores]
+    rows = [(i, gold, pred, *s) for i, (gold, pred, s) in enumerate(zip(golds, preds, scores))]
+    header = ("id", "gold", "pred", *(f"score_{label}" for label in space.labels))
+    return "accuracy", accuracy(preds, golds), header, rows
 
 
 def bind_accuracy_metric(config: ModelConfig, space: LabelSpace):
-    """metric_fn for fine-tuning/grid selection: single-label accuracy with
-    each example's first gold label (`gold_label`) as the reference."""
-    def metric(params, prompt, examples):
-        golds = [gold_label(ex, i, space) for i, ex in enumerate(examples)]
-        preds = [predict_label(params, config, prompt, ex.source, space) for ex in examples]
-        return accuracy(preds, golds)
-
-    return metric
+    """metric_fn for fine-tuning/grid selection: the accuracy of `evaluate`."""
+    return lambda params, prompt, examples: evaluate(params, config, prompt, examples, space)[1]

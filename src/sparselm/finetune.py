@@ -332,30 +332,34 @@ class GridResult:
     table: list[GridPoint]
 
 
+def _finetune_each(params: ParamStore, config: ModelConfig, jobs, metric_fn):
+    """`finetune_dense` of each job on its own copy of `params`, lazily: one at a time."""
+    return (finetune_dense(clone_params(params), config, job, metric_fn) for job in jobs)
+
+
 def grid_search(params: ParamStore, config: ModelConfig, job: FinetuneJob,
                 batch_sizes, lrs, metric_fn=None) -> GridResult:
     """Exhaustive sweep; selection by metric when available, else negative
     validation loss. Ties keep the first point in declared order."""
     if not batch_sizes or not lrs:
         raise ContractError("grid space is empty")
-    best_point = None
-    best_result = None
+    trials = [dataclasses.replace(job, batch_size=bs, peak_lr=lr)
+              for bs in batch_sizes for lr in lrs]
+    best_point = best_result = None
     table = []
-    for bs in batch_sizes:
-        for lr in lrs:
-            trial = dataclasses.replace(job, batch_size=bs, peak_lr=lr)
-            result = finetune_dense(clone_params(params), config, trial, metric_fn)
-            if result.final_metric is not None:
-                score = result.final_metric
-            elif result.best_val_loss is not None:
-                score = -result.best_val_loss
-            else:
-                score = -result.report[-1].train_loss
-            point = GridPoint(bs, lr, score, result.best_val_loss, result.final_metric)
-            table.append(point)
-            if best_point is None or point.score > best_point.score:
-                best_point = point
-                best_result = result
+    for trial, result in zip(trials, _finetune_each(params, config, trials, metric_fn)):
+        if result.final_metric is not None:
+            score = result.final_metric
+        elif result.best_val_loss is not None:
+            score = -result.best_val_loss
+        else:
+            score = -result.report[-1].train_loss
+        point = GridPoint(trial.batch_size, trial.peak_lr, score, result.best_val_loss,
+                          result.final_metric)
+        table.append(point)
+        if best_point is None or point.score > best_point.score:
+            best_point = point
+            best_result = result
     return GridResult(best_batch_size=best_point.batch_size, best_lr=best_point.lr,
                       best=best_result, table=table)
 
@@ -371,8 +375,5 @@ def run_prompt_ablation(params: ParamStore, config: ModelConfig, job: FinetuneJo
     soft prompt, so the two arms are directly comparable."""
     if job.prompt_length <= 0:
         raise ContractError("ablation needs a prompt_length > 0")
-    arms = {}
-    for label, prompt_length in (("with_prompt", job.prompt_length), ("without_prompt", 0)):
-        arm_job = dataclasses.replace(job, prompt_length=prompt_length)
-        arms[label] = finetune_dense(clone_params(params), config, arm_job, metric_fn)
-    return arms
+    arms = {"with_prompt": job, "without_prompt": dataclasses.replace(job, prompt_length=0)}
+    return dict(zip(arms, _finetune_each(params, config, arms.values(), metric_fn)))

@@ -39,17 +39,19 @@ class ModelConfig:
     tie_embeddings: bool = True
 
     def __post_init__(self):
-        if self.d_ff is None:
-            object.__setattr__(self, "d_ff", 4 * self.d_model)
+        if not isinstance(self.tie_embeddings, bool):
+            raise ContractError(f"tie_embeddings must be a bool, got {self.tie_embeddings!r}")
+        for field in ("n_layers", "d_model", "n_heads", "d_head", "vocab_size",
+                      "context_window", "d_ff"):
+            if field == "d_ff" and self.d_ff is None:
+                object.__setattr__(self, "d_ff", 4 * self.d_model)
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ContractError(f"{field} must be a positive int, got {value!r}")
         if self.n_heads * self.d_head != self.d_model:
             raise ContractError(
                 f"n_heads*d_head = {self.n_heads * self.d_head} != d_model = {self.d_model}"
             )
-        if self.context_window < 1:
-            raise ContractError("context_window must be >= 1")
-        for field in ("n_layers", "d_model", "n_heads", "d_head", "vocab_size", "d_ff"):
-            if getattr(self, field) < 1:
-                raise ContractError(f"{field} must be positive")
 
 
 # Architecture rows for the med / large / xl presets; vocab and context

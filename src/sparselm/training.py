@@ -1,9 +1,9 @@
 """Pre-training loop: AdamW, linear warmup + cosine decay, masked updates,
 checkpointing and loss tracing.
 
-`init_train_state` and `pretrain` train the tensors they are given, in
-place, masked or not: the masks are multiplied into those weights once at
-state construction (no copy of the store is made), and thereafter
+`init_train_state` starts a run that `train_steps` continues. It trains
+the tensors it is given, in place, masked or not: the masks are multiplied
+into those weights once (no copy of the store is made), and thereafter
 gradients are filtered every step. With zero-initialized moments,
 decoupled decay and zero gradients, pruned coordinates stay at exactly 0.0
 for the whole run. `_step` ends every pre-training and fine-tuning step:
@@ -30,7 +30,7 @@ import numpy as np
 from . import checkpoint as C
 from . import tensor as T
 from .data import PackedDataset, csv_text
-from .errors import ContractError
+from .errors import ContractError, naming
 from .model import ModelConfig, ParamStore, lm_loss
 from .sparsity import MaskSet, SparsityPlan, check_masks, mask_gradients
 from .tensor import Tensor
@@ -259,16 +259,6 @@ def train_steps(state: TrainState, dataset: PackedDataset, n_steps=None,
     return state
 
 
-def pretrain(params, config, dataset, schedule, batch_size, seed,
-             masks=None, **kwargs) -> TrainState:
-    """Initialize a state and run the whole schedule."""
-    state = init_train_state(params, config, schedule, batch_size, seed,
-                             masks=masks,
-                             micro_batch_size=kwargs.pop("micro_batch_size", None),
-                             weight_decay=kwargs.pop("weight_decay", 0.1))
-    return train_steps(state, dataset, **kwargs)
-
-
 # ------------------------------------------------------------- loss curves
 
 
@@ -305,12 +295,13 @@ def parse_loss_curves(text: str, path="loss curves") -> dict[str, list[tuple[int
 # plan when sparse and prompt and prompt_meta with a soft prompt. A train
 # checkpoint is a model checkpoint plus schedule, opt_m, opt_v, opt_meta,
 # trainer and rng. Sections are read by name, so their order does not matter.
+# The loaders name the file in every ContractError (`errors.naming`).
 
 
-def _require(path, sections, names):
+def _require(sections, names):
     for name in names:
         if name not in sections:
-            raise ContractError(f"{path}: missing checkpoint section {name!r}")
+            raise ContractError(f"missing checkpoint section {name!r}")
 
 
 def _encode_model(config, params, step, masks=None, prompt=None) -> dict[str, bytes]:
@@ -328,28 +319,28 @@ def _encode_model(config, params, step, masks=None, prompt=None) -> dict[str, by
     return sections
 
 
-def _decode_model(path, sections):
+def _decode_model(sections):
     """(config, params, step, masks or None, prompt or None). Tensor sections
     are popped as they are decoded, so each payload is freed once its arrays
     exist and a load never holds all payloads and all arrays at once."""
-    _require(path, sections, ("config", "params", "step"))
-    config = ModelConfig(**C.decode_json(sections["config"]))
+    _require(sections, ("config", "params", "step"))
+    try:
+        config = ModelConfig(**C.decode_json(sections["config"]))
+    except TypeError as exc:  # not an object, or a missing or unknown field
+        raise ContractError(f"config section: {exc}") from None
     params = ParamStore((p, Tensor(arr, requires_grad=True))
                         for p, arr in C.decode_tensor_map(sections.pop("params")).items())
     masks = prompt = None
     if "masks" in sections:
-        _require(path, sections, ("plan",))
+        _require(sections, ("plan",))
         # an older plan section also holds per-path `levels` and `resolved`
         meta = C.decode_json(sections["plan"])
-        try:
-            plan = SparsityPlan(level=meta.get("level"), seed=meta["seed"])
-            masks = MaskSet(masks=C.decode_bitset_map(sections["masks"]), plan=plan)
-            check_masks(masks, params)
-        except ContractError as exc:
-            raise ContractError(f"{path}: {exc}") from None
+        plan = SparsityPlan(level=meta.get("level"), seed=meta["seed"])
+        masks = MaskSet(masks=C.decode_bitset_map(sections["masks"]), plan=plan)
+        check_masks(masks, params)
     if "prompt" in sections:
         from .finetune import SoftPrompt  # finetune imports this module
-        _require(path, sections, ("prompt_meta",))
+        _require(sections, ("prompt_meta",))
         emb = C.decode_tensor_map(sections.pop("prompt"))["embeddings"]
         ids = tuple(C.decode_json(sections["prompt_meta"])["virtual_ids"])
         prompt = SoftPrompt(embeddings=Tensor(emb, requires_grad=True), virtual_ids=ids)
@@ -373,19 +364,21 @@ def save_train_state(path, state: TrainState):
 
 def load_train_state(path) -> TrainState:
     sections = C.load_container(path)
-    _require(path, sections, ("schedule", "opt_m", "opt_v", "opt_meta", "trainer", "rng"))
-    config, params, step, masks, _ = _decode_model(path, sections)
-    opt = OptimizerState(m=C.decode_tensor_map(sections.pop("opt_m")),
-                         v=C.decode_tensor_map(sections.pop("opt_v")),
-                         **C.decode_json(sections["opt_meta"]))
-    trainer = C.decode_json(sections["trainer"])
-    rng = np.random.default_rng()
-    rng.bit_generator.state = C.decode_json(sections["rng"])
-    return TrainState(
-        params=params, config=config, schedule=Schedule(**C.decode_json(sections["schedule"])),
-        opt=opt, rng=rng, batch_size=trainer["batch_size"], seed=trainer["seed"], step=step,
-        masks=masks, micro_batch_size=trainer["micro_batch_size"], smoothed=trainer["smoothed"],
-    )
+    with naming(path):
+        _require(sections, ("schedule", "opt_m", "opt_v", "opt_meta", "trainer", "rng"))
+        config, params, step, masks, _ = _decode_model(sections)
+        opt = OptimizerState(m=C.decode_tensor_map(sections.pop("opt_m")),
+                             v=C.decode_tensor_map(sections.pop("opt_v")),
+                             **C.decode_json(sections["opt_meta"]))
+        trainer = C.decode_json(sections["trainer"])
+        rng = np.random.default_rng()
+        rng.bit_generator.state = C.decode_json(sections["rng"])
+        return TrainState(
+            params=params, config=config,
+            schedule=Schedule(**C.decode_json(sections["schedule"])), opt=opt, rng=rng,
+            batch_size=trainer["batch_size"], seed=trainer["seed"], step=step, masks=masks,
+            micro_batch_size=trainer["micro_batch_size"], smoothed=trainer["smoothed"],
+        )
 
 
 def save_model_checkpoint(path, config: ModelConfig, params: ParamStore, step: int = 0,
@@ -396,4 +389,6 @@ def save_model_checkpoint(path, config: ModelConfig, params: ParamStore, step: i
 
 def load_model_checkpoint(path):
     """(config, params, step, masks or None, prompt or None); reads train checkpoints too."""
-    return _decode_model(path, C.load_container(path))
+    sections = C.load_container(path)
+    with naming(path):
+        return _decode_model(sections)

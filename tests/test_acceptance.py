@@ -25,7 +25,7 @@ from sparselm import tensor as T
 from sparselm import training as TR
 
 from test_tensor import fd_check, op_cases
-from toytask import toy_dataset, toy_model_config, yes_no_maybe_task
+from toytask import pretrain, toy_dataset, toy_model_config, yes_no_maybe_task
 
 TOY_SCHEDULE = TR.Schedule(peak_lr=3e-3, total_steps=500)
 TOY_BATCH = 8
@@ -59,7 +59,7 @@ def sparse_run():
     cfg = toy_model_config()
     params = M.init_params(cfg, seed=0)
     masks = S.build_masks(params, S.SparsityPlan(level=0.5, seed=7))
-    state = TR.pretrain(params, cfg, toy_dataset(seed=0),
+    state = pretrain(params, cfg, toy_dataset(seed=0),
                         TR.Schedule(peak_lr=3e-3, total_steps=100),
                         TOY_BATCH, seed=0, masks=masks)
     return cfg, state, masks
@@ -78,7 +78,7 @@ def nine_runs():
             masks = None
             if level > 0.0:
                 masks = S.build_masks(params, S.SparsityPlan(level=level, seed=seed + 100))
-            state = TR.pretrain(params, cfg, ds, TOY_SCHEDULE, TOY_BATCH,
+            state = pretrain(params, cfg, ds, TOY_SCHEDULE, TOY_BATCH,
                                 seed=seed, masks=masks)
             finals[(level, seed)] = state.trace[-1].smoothed
     return finals, time.monotonic() - start
@@ -204,7 +204,7 @@ def test_criterion_07_soft_prompting():
         assert ids.tolist() == [10, 11, 12] and mask.tolist() == [0, 0, 1]
 
         # frozen-base prompt-only tuning on a short-pretrained base
-        base_state = TR.pretrain(M.init_params(cfg, seed=0), cfg, toy_dataset(seed=0),
+        base_state = pretrain(M.init_params(cfg, seed=0), cfg, toy_dataset(seed=0),
                                  TR.Schedule(peak_lr=3e-3, total_steps=150),
                                  TOY_BATCH, seed=0)
         base = base_state.params

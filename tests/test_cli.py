@@ -12,6 +12,7 @@ from sparselm import checkpoint as C
 from sparselm import cli
 from sparselm import data as D
 from sparselm import evaluation as E
+from sparselm import finetune as FT
 from sparselm import model as M
 from sparselm import training as TR
 from toytask import write_corpus
@@ -207,6 +208,22 @@ def test_pretrain_sparsity_out_of_range_exits_2(tmp_path, corpus_path, vocab_pat
     assert code == 2
 
 
+def test_pretrain_dry_run_on_a_runs_config_prints_that_config(tmp_path, corpus_path,
+                                                             vocab_path, capsys):
+    # a run's config.json is a valid --config: its nulls keep the defaults;
+    # every scalar setting, the schedule's fractions included, is also a flag
+    out = tmp_path / "run"
+    assert cli.main(["pretrain", "--config", str(run_config(tmp_path)),
+                     "--corpus", str(corpus_path), "--vocab", str(vocab_path),
+                     "--out", str(out), "--sparsity", "0.5", "--micro-batch-size", "2",
+                     "--warmup-fraction", "0.2", "--min-lr-fraction", "0.05"]) == 0
+    capsys.readouterr()
+    resolved = json.loads((out / "config.json").read_text())
+    assert (resolved["warmup_fraction"], resolved["min_lr_fraction"]) == (0.2, 0.05)
+    assert cli.main(["pretrain", "--config", str(out / "config.json"), "--dry-run"]) == 0
+    assert capsys.readouterr().out.startswith((out / "config.json").read_text())
+
+
 # ---------------------------------------------------------------- densify
 
 
@@ -232,7 +249,7 @@ def test_densify_truncated_checkpoint_exits_2(tmp_path, vocab_path, capsys):
     ckpt.write_bytes(blob[: len(blob) // 2])
     assert cli.main(["densify", "--checkpoint", str(ckpt),
                      "--out", str(tmp_path / "dense.ckpt")]) == 2
-    assert "truncated" in capsys.readouterr().err
+    assert f"error: {ckpt}: checkpoint truncated" in capsys.readouterr().err
 
 
 def test_eval_truncated_vocab_exits_2(tmp_path, vocab_path):
@@ -385,6 +402,36 @@ def test_finetune_grid_flag(tmp_path, vocab_path):
                      "--grid-lrs", "0.001"])
     assert code == 0
     assert (out / "grid.csv").read_text().startswith("batch_size,lr,score")
+
+
+def test_finetune_grid_list_replaces_its_own_axis_of_the_preset_grid(tmp_path, vocab_path):
+    train, _, _ = finetune_fixtures(tmp_path)
+    ckpt = model_ckpt(tmp_path, vocab_path)
+    out = tmp_path / "grid"
+    code = cli.main(["finetune", "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
+                     "--train", str(train), "--out", str(out), "--epochs", "1",
+                     "--task-preset", "hoc", "--grid", "--grid-lrs", "0.01"])
+    assert code == 0
+    rows = [line.split(",")[:2] for line in (out / "grid.csv").read_text().splitlines()[1:]]
+    assert rows == [[str(bs), "0.01"] for bs in FT.HOC_GRID[0]]
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--grid-lrs", "0.01"], "--grid-batch-sizes and --grid-lrs need --grid"),
+    (["--grid", "--ablation", "--grid-batch-sizes", "4", "--grid-lrs", "0.01"],
+     "--grid and --ablation cannot be combined"),
+    (["--val", "{val}", "{val}"], "2 --val files for 1 --train files"),
+], ids=["grid-list-without-grid", "ablation-with-grid", "more-val-than-train"])
+def test_finetune_flag_that_would_be_ignored_exits_2(tmp_path, vocab_path, capsys, flags,
+                                                     message):
+    train, val, _ = finetune_fixtures(tmp_path)
+    ckpt = model_ckpt(tmp_path, vocab_path)
+    code = cli.main(["finetune", "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
+                     "--train", str(train), "--out", str(tmp_path / "ft"), "--epochs", "1",
+                     "--prompt-length", "2", *(f.format(val=val) for f in flags)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "ft").exists()
 
 
 def test_finetune_ablation_writes_both_arms(tmp_path, vocab_path):
@@ -591,3 +638,47 @@ def test_finetune_with_a_multi_label_space_exits_2_naming_the_file(tmp_path, voc
     assert code == 2
     assert f"{labels}: metric tracking needs a single-label space" in capsys.readouterr().err
     assert not (tmp_path / "ft").exists()
+
+
+# ------------------------------------------------------------- bad inputs
+
+TINY_MODEL = {"n_layers": 1, "d_model": 2, "n_heads": 1, "d_head": 2,
+              "vocab_size": 4, "context_window": 2, "d_ff": 8}
+FLOPS = ["flops", "--model-config", "{path}"]
+DRY_RUN = ["pretrain", "--config", "{path}", "--dry-run"]
+
+# each input as (command, file name, bytes, what the message names besides the file)
+BAD_INPUTS = {
+    "flops-model-not-an-object": (FLOPS, "m.json", '"x"', "ModelConfig fields"),
+    "flops-float-n_layers": (FLOPS, "m.json", json.dumps(dict(TINY_MODEL, n_layers=1.5)),
+                             "n_layers"),
+    "flops-str-tie_embeddings": (FLOPS, "m.json",
+                                 json.dumps(dict(TINY_MODEL, tie_embeddings="no")),
+                                 "tie_embeddings"),
+    "pretrain-null": (DRY_RUN, "c.json", "null", "not a JSON object"),
+    "pretrain-str-sparsity": (DRY_RUN, "c.json", '{"sparsity": "0.5"}', "'sparsity'"),
+    "pretrain-str-peak_lr": (DRY_RUN, "c.json", '{"peak_lr": "a"}', "'peak_lr'"),
+    "pretrain-str-steps": (DRY_RUN, "c.json", '{"steps": "x", "preset": "xl"}', "'steps'"),
+    "pretrain-bool-steps": (DRY_RUN, "c.json", '{"steps": true, "preset": "xl"}', "'steps'"),
+    "pretrain-unknown-key": (DRY_RUN, "c.json", '{"stepz": 3}', "'stepz'"),
+    "pretrain-model-not-an-object": (DRY_RUN, "c.json", '{"model": [1, 2]}', "'model'"),
+    "pretrain-model-missing-fields": (DRY_RUN, "c.json",
+                                      '{"model": {"n_layers": 1, "d_model": 16}}', "'n_heads'"),
+    "pretrain-model-unknown-field": (DRY_RUN, "c.json",
+                                     json.dumps({"model": dict(TINY_MODEL, depth=3)}), "'depth'"),
+    "report-non-utf8-loss-csv": (["report", "--runs", "{dir}", "--out", "{dir}/merged.csv"],
+                                 "loss.csv", b"run,step,loss\nr1,1,2.5\xff\n", ":2: not UTF-8"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_INPUTS)
+def test_bad_input_exits_2_naming_the_file_with_nothing_on_stdout(tmp_path, capsys, name):
+    argv, file_name, content, fragment = BAD_INPUTS[name]
+    path = tmp_path / "in" / file_name
+    path.parent.mkdir()
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    code = cli.main([a.format(path=path, dir=path.parent) for a in argv])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}") and err.count("\n") == 1, err
+    assert fragment in err

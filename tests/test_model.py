@@ -124,6 +124,22 @@ def test_config_contracts():
                       vocab_size=4, context_window=0)
 
 
+@pytest.mark.parametrize("field", ["n_layers", "d_model", "vocab_size", "context_window",
+                                   "d_ff"])
+@pytest.mark.parametrize("value", [True, 1.5, "2"])
+def test_config_rejects_a_bool_a_float_and_a_str_in_an_int_field(field, value):
+    fields = dict(n_layers=1, d_model=8, n_heads=2, d_head=4, vocab_size=4, context_window=4)
+    with pytest.raises(ContractError, match=f"{field} must be a positive int"):
+        M.ModelConfig(**dict(fields, **{field: value}))
+
+
+@pytest.mark.parametrize("value", [1, "no", None])
+def test_config_rejects_a_tie_embeddings_that_is_not_a_bool(value):
+    with pytest.raises(ContractError, match="tie_embeddings must be a bool"):
+        M.ModelConfig(n_layers=1, d_model=8, n_heads=2, d_head=4, vocab_size=4,
+                      context_window=4, tie_embeddings=value)
+
+
 def test_d_ff_defaults_to_4x():
     assert tiny_config().d_ff == 32
     assert M.ModelConfig(n_layers=1, d_model=8, n_heads=2, d_head=4, vocab_size=4,

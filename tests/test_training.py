@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toytask
+from toytask import pretrain
 from sparselm.errors import ContractError
 from sparselm import checkpoint as C
 from sparselm import finetune as FT
@@ -201,7 +202,7 @@ def test_pretrain_zero_steps_leaves_params():
     cfg = tiny_config()
     params = M.init_params(cfg, seed=0)
     before = {p: t.data.copy() for p, t in params.items()}
-    state = TR.pretrain(params, cfg, toy_dataset(), TR.Schedule(1e-3, 10), 4, seed=0, n_steps=0)
+    state = pretrain(params, cfg, toy_dataset(), TR.Schedule(1e-3, 10), 4, seed=0, n_steps=0)
     for p in before:
         assert np.array_equal(state.params[p].data, before[p])
 
@@ -212,7 +213,7 @@ def test_pretrain_same_seed_identical_loss():
 
     def run():
         params = M.init_params(cfg, seed=1)
-        return TR.pretrain(params, cfg, toy_dataset(), sched, 4, seed=7)
+        return pretrain(params, cfg, toy_dataset(), sched, 4, seed=7)
 
     a, b = run(), run()
     assert [r.loss for r in a.trace] == [r.loss for r in b.trace]
@@ -225,14 +226,14 @@ def test_pretrain_empty_dataset_rejected():
     empty = PackedDataset(sequences=np.zeros((0, 8), dtype=np.uint32),
                           offsets=np.zeros(0, dtype=np.uint64), msl=8)
     with pytest.raises(ContractError):
-        TR.pretrain(M.init_params(cfg, seed=0), cfg, empty, TR.Schedule(1e-3, 5), 4, seed=0)
+        pretrain(M.init_params(cfg, seed=0), cfg, empty, TR.Schedule(1e-3, 5), 4, seed=0)
 
 
 def test_mask_stationarity_through_loop():
     cfg = tiny_config()
     params = M.init_params(cfg, seed=0)
     masks = S.build_masks(params, S.SparsityPlan(level=0.5, seed=2))
-    state = TR.pretrain(params, cfg, toy_dataset(), TR.Schedule(1e-3, 30), 4, seed=0, masks=masks)
+    state = pretrain(params, cfg, toy_dataset(), TR.Schedule(1e-3, 30), 4, seed=0, masks=masks)
     for path in masks.paths():
         pruned = masks[path] == 0
         assert np.all(state.params[path].data[pruned] == 0.0)
@@ -244,8 +245,8 @@ def test_mask_stationarity_through_loop():
 def test_gradient_accumulation_matches_full_batch():
     cfg = tiny_config()
     sched = TR.Schedule(1e-3, 3)
-    full = TR.pretrain(M.init_params(cfg, seed=0), cfg, toy_dataset(), sched, 8, seed=3)
-    micro = TR.pretrain(M.init_params(cfg, seed=0), cfg, toy_dataset(), sched, 8, seed=3,
+    full = pretrain(M.init_params(cfg, seed=0), cfg, toy_dataset(), sched, 8, seed=3)
+    micro = pretrain(M.init_params(cfg, seed=0), cfg, toy_dataset(), sched, 8, seed=3,
                         micro_batch_size=2)
     for rec_a, rec_b in zip(full.trace, micro.trace):
         assert rec_a.loss == pytest.approx(rec_b.loss, rel=1e-5)
@@ -255,7 +256,7 @@ def test_gradient_accumulation_matches_full_batch():
 
 def test_smoothed_loss_is_ema():
     cfg = tiny_config()
-    state = TR.pretrain(M.init_params(cfg, seed=0), cfg, toy_dataset(),
+    state = pretrain(M.init_params(cfg, seed=0), cfg, toy_dataset(),
                         TR.Schedule(1e-3, 4), 4, seed=0)
     ema = state.trace[0].loss
     for rec in state.trace[1:]:
@@ -267,7 +268,7 @@ def test_grad_clip_runs():
     cfg = tiny_config()
 
     def run(grad_clip):
-        return TR.pretrain(M.init_params(cfg, seed=0), cfg, toy_dataset(),
+        return pretrain(M.init_params(cfg, seed=0), cfg, toy_dataset(),
                            TR.Schedule(1e-2, 3), 4, seed=0, grad_clip=grad_clip)
 
     unclipped, clipped, loose = run(None), run(1e-3), run(1e9)
@@ -293,7 +294,7 @@ def test_clipped_sparse_float32_training_keeps_pruned_coordinates_zero(monkeypat
     cfg = tiny_config(n_layers=2)
     params = M.init_params(cfg, seed=0)
     masks = S.build_masks(params, S.SparsityPlan(level=0.75, seed=3))
-    state = TR.pretrain(params, cfg, toy_dataset(), TR.Schedule(3e-3, 20), 4, seed=0,
+    state = pretrain(params, cfg, toy_dataset(), TR.Schedule(3e-3, 20), 4, seed=0,
                         masks=masks, grad_clip=0.5, micro_batch_size=2)
     assert len(norms) == 20 and any(n > 0.5 for n in norms)
     for path in masks.paths():
@@ -427,7 +428,7 @@ def test_checkpoint_resume_is_bitwise_identical(tmp_path):
     sched = TR.Schedule(1e-3, 8)
     masks = S.build_masks(M.init_params(cfg, seed=0), S.SparsityPlan(level=0.5, seed=4))
 
-    uninterrupted = TR.pretrain(M.init_params(cfg, seed=0), cfg, toy_dataset(), sched, 4,
+    uninterrupted = pretrain(M.init_params(cfg, seed=0), cfg, toy_dataset(), sched, 4,
                                 seed=9, masks=masks)
 
     state = TR.init_train_state(M.init_params(cfg, seed=0), cfg, sched, 4, seed=9, masks=masks)
@@ -455,7 +456,7 @@ def test_clipped_micro_batched_resume_is_bitwise_identical(tmp_path):
     masks = S.build_masks(M.init_params(cfg, seed=0), S.SparsityPlan(level=0.75, seed=4))
     run = dict(masks=masks, micro_batch_size=2)
 
-    uninterrupted = TR.pretrain(M.init_params(cfg, seed=0), cfg, toy_dataset(), sched, 4,
+    uninterrupted = pretrain(M.init_params(cfg, seed=0), cfg, toy_dataset(), sched, 4,
                                 seed=9, grad_clip=0.5, **run)
 
     state = TR.init_train_state(M.init_params(cfg, seed=0), cfg, sched, 4, seed=9, **run)

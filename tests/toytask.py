@@ -16,6 +16,7 @@ import numpy as np
 from sparselm import data as D
 from sparselm import finetune as FT
 from sparselm import model as M
+from sparselm import training as TR
 
 TOY_VOCAB = 512
 EMISSION_PROBS = np.array([0.55, 0.25, 0.15, 0.05])
@@ -24,6 +25,16 @@ EMISSION_PROBS = np.array([0.55, 0.25, 0.15, 0.05])
 def toy_model_config(vocab=TOY_VOCAB, context=64):
     return M.ModelConfig(n_layers=2, d_model=64, n_heads=4, d_head=16,
                          vocab_size=vocab, context_window=context)
+
+
+def pretrain(params, config, dataset, schedule, batch_size, seed, masks=None,
+             micro_batch_size=None, weight_decay=0.1, **train_kwargs):
+    """Start a run on `params` (`init_train_state`) and train it to the end of
+    its schedule, or for `n_steps` (`train_steps`, which takes the rest of
+    the keyword arguments)."""
+    state = TR.init_train_state(params, config, schedule, batch_size, seed, masks=masks,
+                                micro_batch_size=micro_batch_size, weight_decay=weight_decay)
+    return TR.train_steps(state, dataset, **train_kwargs)
 
 
 def automaton_stream(n_tokens, vocab=TOY_VOCAB, n_states=64, seed=0):
