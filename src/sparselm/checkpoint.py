@@ -17,7 +17,7 @@ Section payload encodings:
     tensor map   repeated [u16 path len][path][u8 dtype 0=f32/1=f64]
                  [u8 ndim][u32 extents...][raw little-endian floats]
     bitset map   repeated [u16 path len][path][u8 ndim][u32 extents...]
-                 [bits packed little-endian, one per element]; read as bool
+                 [bits packed little-endian, one per element]; kept packed
     json         UTF-8 JSON, sorted keys (byte-stable)
     u64          one unsigned 64-bit integer
 
@@ -150,13 +150,13 @@ def load_container(path) -> dict[str, bytes]:
     return sections
 
 
-def _pack_header(path: str, arr: np.ndarray, with_dtype: bool) -> bytes:
+def _pack_header(path: str, shape, dtype=None) -> bytes:
     encoded = path.encode("utf-8")
     parts = [struct.pack("<H", len(encoded)), encoded]
-    if with_dtype:
-        parts.append(struct.pack("<B", _DTYPE_CODES[arr.dtype]))
-    parts.append(struct.pack("<B", arr.ndim))
-    parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
+    if dtype is not None:
+        parts.append(struct.pack("<B", _DTYPE_CODES[dtype]))
+    parts.append(struct.pack("<B", len(shape)))
+    parts.append(struct.pack(f"<{len(shape)}I", *shape))
     return b"".join(parts)
 
 
@@ -169,7 +169,7 @@ def encode_tensor_map(arrays: dict[str, np.ndarray]) -> list:
         if arr.dtype not in _DTYPE_CODES:
             raise ContractError(f"{path}: dtype {arr.dtype} is not checkpointable")
         code = _DTYPE_CODES[arr.dtype]
-        chunks.append(_pack_header(path, arr, with_dtype=True))
+        chunks.append(_pack_header(path, arr.shape, arr.dtype))
         chunks.append(arr.astype(_CODE_DTYPES[code], copy=False).reshape(-1))
     return chunks
 
@@ -208,25 +208,28 @@ def decode_tensor_map(buf: bytes) -> dict[str, np.ndarray]:
     return out
 
 
-def encode_bitset_map(masks: dict[str, np.ndarray]) -> list:
-    """Chunks of the payload, as for `encode_tensor_map`."""
+def encode_bitset_map(bitsets: dict) -> list:
+    """Chunks of the payload, as for `encode_tensor_map`, from path ->
+    (shape, packed bits): the bits are written as they are."""
     chunks = []
-    for path, mask in masks.items():
-        mask = np.ascontiguousarray(mask)
-        chunks.append(_pack_header(path, mask, with_dtype=False))
-        chunks.append(np.packbits((mask != 0).reshape(-1), bitorder="little"))
+    for path, (shape, bits) in bitsets.items():
+        chunks.append(_pack_header(path, shape))
+        chunks.append(bits)
     return chunks
 
 
-def decode_bitset_map(buf: bytes) -> dict[str, np.ndarray]:
-    """Bool arrays, one byte per element (the unpacked bits, not a copy)."""
-    out, off = {}, 0
+def decode_bitset_map(buf: bytes) -> dict:
+    """path -> (shape, packed bits), the bits copied out of `buf` and kept
+    packed; bits past the last entry read as 0."""
+    buf, out, off = memoryview(buf), {}, 0
     while off < len(buf):
         path, _, shape, off = _read_header(buf, off, with_dtype=False)
         size = math.prod(shape)
         raw, off = _take(buf, off, (size + 7) // 8)
-        flat = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[:size]
-        out[path] = flat.view(bool).reshape(shape)
+        bits = np.frombuffer(raw, dtype=np.uint8).copy()
+        if size % 8:
+            bits[-1] &= (1 << size % 8) - 1
+        out[path] = (shape, bits)
     return out
 
 

@@ -59,6 +59,10 @@ PRETRAIN_SETTINGS = {
     "log_every": (int, 100),
 }
 
+# the lower bound of each pretrain setting that has one
+SETTING_MINIMUMS = {"seed": 0, "mask_seed": 0, "steps": 1, "batch_size": 1,
+                    "micro_batch_size": 1}
+
 TASK_PRESETS = {
     "pubmedqa": {"prompt_length": FT.PUBMEDQA_PROMPT_LENGTH, "grid": FT.PUBMEDQA_GRID,
                  "epochs": 5},
@@ -92,7 +96,8 @@ def _resolve_model_config(cfg, where, vocab_size=None):
 
 def _resolved_pretrain_config(args):
     """PRETRAIN_SETTINGS' defaults, then --config's values, then the flags'. A file
-    that is not an object, an unknown key or a wrongly typed value names the file."""
+    that is not an object, an unknown key or a wrongly typed value names the file,
+    as does a value out of range that came from it."""
     cfg = {key: default for key, (_, default) in PRETRAIN_SETTINGS.items()}
     file_cfg = D.read_json(args.config) if args.config else {}
     if not isinstance(file_cfg, dict):
@@ -107,8 +112,18 @@ def _resolved_pretrain_config(args):
     for key, value in [*file_cfg.items(), *vars(args).items()]:
         if key in cfg and value is not None:
             cfg[key] = value
+
+    def out_of_range(key, why):
+        """A ContractError naming the setting, and the file when its value came from there."""
+        if file_cfg.get(key) is not None and getattr(args, key, None) is None:
+            return ContractError(f"{args.config}: {key} {why}")
+        return ContractError(f"--{key.replace('_', '-')} {why}")
+
+    for key, low in SETTING_MINIMUMS.items():
+        if cfg[key] is not None and cfg[key] < low:
+            raise out_of_range(key, f"must be >= {low}, got {cfg[key]}")
     if not (0.0 <= cfg["sparsity"] < 1.0):
-        raise ContractError(f"sparsity {cfg['sparsity']} outside [0, 1)")
+        raise out_of_range("sparsity", f"{cfg['sparsity']} outside [0, 1)")
     return cfg
 
 

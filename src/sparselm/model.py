@@ -2,11 +2,13 @@
 
 Pre-LN blocks, learned absolute position embeddings, attention logits
 scaled by 1/sqrt(d_head), output projection tied to the token embedding
-by default. A block is six tape ops: LayerNorm, attention with its q/k/v
-projections, the output projection with the residual add, LayerNorm, the
-feed-forward input with GELU and its output with the residual add. The six
-weight matrices per block (wq, wk, wv, wo, w_ff_in, w_ff_out) are the
-sparsifiable set; embeddings, LayerNorm parameters and biases stay dense.
+by default. A block is two tape ops, one per pre-norm sublayer:
+`tensor.attention` (LayerNorm, the q/k/v projections, softmax attention,
+the output projection and the residual add) and `tensor.feed_forward`
+(LayerNorm, the feed-forward input with GELU, its output and the residual
+add). The six weight matrices per block (wq, wk, wv, wo, w_ff_in, w_ff_out)
+are the sparsifiable set; embeddings, LayerNorm parameters and biases stay
+dense.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ from .errors import ContractError
 from .tensor import Tensor
 
 SPARSIFIABLE_ROLES = ("wq", "wk", "wv", "wo", "w_ff_in", "w_ff_out")
+# a block's parameters in the operand order of its two sublayer ops
+ATTENTION_ROLES = ("ln1.gain", "ln1.bias", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+FEED_FORWARD_ROLES = ("ln2.gain", "ln2.bias", "w_ff_in", "b_ff_in", "w_ff_out", "b_ff_out")
 
 INIT_STD = 0.02
 NEG_INF_BIAS = -1e9  # additive pre-softmax mask; underflows to exactly 0 attention
@@ -198,14 +203,9 @@ def forward_logits(params: ParamStore, config: ModelConfig, tokens,
     causal_bias = np.triu(np.full((seq, seq), NEG_INF_BIAS, dtype=dtype), k=1)
     for i in range(config.n_layers):
         p = f"layers.{i}"
-        a = T.layer_norm(x, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"], LN_EPS)
-        qkv = [params[f"{p}.{role}"] for role in ("wq", "bq", "wk", "bk", "wv", "bv")]
-        ctx = T.attention(a, *qkv, config.n_heads, causal_bias)
-        x = T.linear(ctx, params[f"{p}.wo"], params[f"{p}.bo"], residual=x)
-
-        a = T.layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"], LN_EPS)
-        hidden = T.linear(a, params[f"{p}.w_ff_in"], params[f"{p}.b_ff_in"], gelu=True)
-        x = T.linear(hidden, params[f"{p}.w_ff_out"], params[f"{p}.b_ff_out"], residual=x)
+        x = T.attention(x, *(params[f"{p}.{role}"] for role in ATTENTION_ROLES),
+                        config.n_heads, causal_bias, LN_EPS)
+        x = T.feed_forward(x, *(params[f"{p}.{role}"] for role in FEED_FORWARD_ROLES), LN_EPS)
 
     x = T.layer_norm(x, params["ln_f.gain"], params["ln_f.bias"], LN_EPS)
     if not head:

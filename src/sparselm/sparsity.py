@@ -1,17 +1,22 @@
 """Static unstructured weight masks: build, apply, retire.
 
-Masks are bool (True = active), drawn once at initialization by seeded
-random pruning, and never change during pre-training. `w * mask` and
-`g *= mask` give the bits of a 0/1 mask of the weights' dtype, -0.0 and NaN
-included. The training loop applies them to the weights up front and
-filters gradients each step; with zero-initialized optimizer moments this
-keeps masked coordinates exactly zero, which is numerically identical to
-multiplying mask*weights in every forward pass. Densification retires the
-mask, leaving the previously inactive weights at exactly 0.0 and trainable.
+Masks are drawn once at initialization by seeded random pruning and never
+change during pre-training. A `MaskSet` holds each as its shape and one bit
+per entry (1 = active), packed little-endian eight to a byte: the bytes of
+the checkpoint's bitset section, which are saved and loaded as they are.
+A mask is unpacked to bool one path at a time, where it is applied
+(`masks[path]`). `w * mask` and `g *= mask` give the bits of a 0/1 mask of
+the weights' dtype, -0.0 and NaN included. The training loop applies the
+masks to the weights up front and filters gradients each step; with
+zero-initialized optimizer moments this keeps masked coordinates exactly
+zero, which is numerically identical to multiplying mask*weights in every
+forward pass. Densification retires the mask, leaving the previously
+inactive weights at exactly 0.0 and trainable.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,34 +39,51 @@ class SparsityPlan:
             raise ContractError(f"a sparsity plan needs one level in [0, 1), got {self.level!r}")
 
 
-@dataclass
+def pack_mask(mask):
+    """(shape, packed bits) of a 0/1 array: one bit per entry, 1 where it
+    is nonzero, in row-major order, little-endian within each byte."""
+    mask = np.asarray(mask)
+    return mask.shape, np.packbits(mask.reshape(-1) != 0, bitorder="little")
+
+
 class MaskSet:
-    """Bool masks keyed by parameter path (True = active, False = pruned).
-    A 0/1 array of another dtype is held as bool."""
+    """Masks keyed by parameter path (1 = active, 0 = pruned), built from
+    0/1 arrays of any dtype; `bitsets` maps each path to its (shape,
+    packed bits), as `pack_mask` gives them."""
 
-    masks: dict[str, np.ndarray]
-    plan: SparsityPlan
+    def __init__(self, masks, plan: SparsityPlan):
+        self.bitsets = {path: pack_mask(m) for path, m in masks.items()}
+        self.plan = plan
 
-    def __post_init__(self):
-        self.masks = {path: np.asarray(m, dtype=bool) for path, m in self.masks.items()}
+    @classmethod
+    def from_bitsets(cls, bitsets, plan: SparsityPlan):
+        """A set over packed bits as they are, a loaded checkpoint's say."""
+        out = cls({}, plan)
+        out.bitsets = dict(bitsets)
+        return out
 
     def __contains__(self, path):
-        return path in self.masks
+        return path in self.bitsets
 
     def __getitem__(self, path):
-        return self.masks[path]
+        """The mask of `path` as a fresh bool array of its shape."""
+        shape, bits = self.bitsets[path]
+        size = math.prod(shape)
+        return np.unpackbits(bits, count=size, bitorder="little").view(bool).reshape(shape)
 
     def paths(self):
-        return list(self.masks)
+        return list(self.bitsets)
 
     def zeros_in(self, path) -> int:
-        return int((self.masks[path] == 0).sum())
+        shape, bits = self.bitsets[path]
+        # the bits past the last entry are 0
+        return math.prod(shape) - int(np.count_nonzero(np.unpackbits(bits)))
 
     def total_zeros(self) -> int:
-        return sum(self.zeros_in(p) for p in self.masks)
+        return sum(self.zeros_in(p) for p in self.bitsets)
 
     def total_entries(self) -> int:
-        return sum(m.size for m in self.masks.values())
+        return sum(math.prod(shape) for shape, _ in self.bitsets.values())
 
 
 def build_masks(params: ParamStore, plan: SparsityPlan) -> MaskSet:
@@ -77,8 +99,8 @@ def build_masks(params: ParamStore, plan: SparsityPlan) -> MaskSet:
         flat = np.ones(n, dtype=bool)
         if z:
             flat[rng.permutation(n)[:z]] = False
-        masks[path] = flat.reshape(tensor.data.shape)
-    return MaskSet(masks=masks, plan=plan)
+        masks[path] = pack_mask(flat.reshape(tensor.data.shape))
+    return MaskSet.from_bitsets(masks, plan)
 
 
 def global_sparsity(masks: MaskSet, total_params: int | None = None) -> float:
@@ -94,11 +116,11 @@ def global_sparsity(masks: MaskSet, total_params: int | None = None) -> float:
 def check_masks(masks: MaskSet, params: ParamStore):
     """ContractError unless every mask names a parameter of `params` and
     has its shape."""
-    for path, mask in masks.masks.items():
+    for path, (shape, _) in masks.bitsets.items():
         if path not in params:
             raise ContractError(f"mask for unknown parameter {path!r}")
-        if mask.shape != params[path].data.shape:
-            raise ContractError(f"mask shape mismatch: mask {path!r} has shape {mask.shape}, "
+        if shape != params[path].data.shape:
+            raise ContractError(f"mask shape mismatch: mask {path!r} has shape {shape}, "
                                 f"the parameter {params[path].data.shape}")
 
 

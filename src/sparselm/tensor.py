@@ -17,12 +17,23 @@ Gradient buffers have one owner. The first gradient a tensor receives
 becomes its `.grad` as is (copied only when its dtype or shape differs
 from the tensor's), and later ones are added into it in place. So a
 buffer an adjoint hands to `_accum` must not go to a second tensor, nor
-be read after it is handed on: `linear`'s fused residual add passes its
-output gradient `g` on to the residual input as is, and only after the
-GEMMs and the bias sum have read it. `attention` keeps its q, k and v
-gradients in one scratch buffer and hands on only products and sums of it.
-No two leaves' `.grad` share memory, and in-place updates of one gradient
-(masking, clipping) never reach another.
+be read after it is handed on. The two sublayer ops, `attention` and
+`feed_forward`, pass their output gradient `g` on to their input x (the
+skip connection) as is, and only after the output projection's GEMMs and
+bias sum have read it; LayerNorm's input gradient is then added into it,
+so x.grad is formed in the order of separate residual-add and LayerNorm
+ops. `attention` keeps its q, k and v gradients in one scratch buffer and
+hands on only products and sums of it. No two leaves' `.grad` share
+memory, and in-place updates of one gradient (masking, clipping) never
+reach another.
+
+What an op keeps for its backward is what that backward cannot cheaply
+recompute. `attention` keeps LayerNorm's xhat and inv, Q, K and V in one
+buffer, the softmax and the attention output; `feed_forward` keeps xhat,
+inv and GELU's pre-activation and CDF. Their backwards recompute the
+LayerNorm outputs (xhat * gain + bias) and the GELU output (pre * cdf)
+with the forward's expressions, so the bits are those of separate ops
+that had kept them.
 
 Every op takes its operands by one rule: a raw array becomes a constant of
 the dtype of the op's first tensor operand, an absent optional operand
@@ -179,33 +190,51 @@ def _finish(out, inputs, bwd):
     return out
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    x, gain, bias = _operands("layer_norm", x, gain, bias)
+def _check_norm(op, x, gain, bias):
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ContractError(
-            f"layer_norm: gain {gain.shape} / bias {bias.shape} must match last axis ({d},)"
+            f"{op}: gain {gain.shape} / bias {bias.shape} must match last axis ({d},)"
         )
-    # two passes: the mean square of the centered rows, never E[x^2] - E[x]^2
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(np.einsum("...i,...i->...", xhat, xhat)[..., None] / d + eps)
+
+
+def _normalize(x, eps):
+    """(xhat, inv) of the last axis of array x: xhat = (x - mean) * inv and
+    inv = 1/sqrt(variance + eps), the variance in two passes, as the mean
+    square of the centered rows (never E[x^2] - E[x]^2)."""
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.einsum("...i,...i->...", xhat, xhat)[..., None] / x.shape[-1] + eps)
     xhat *= inv
+    return xhat, inv
+
+
+def _normalize_grads(x, gain, bias, xhat, inv, g):
+    """Accumulate the gain, bias and x gradients of `xhat * gain + bias`
+    (`_normalize` of x) from its gradient `g`, of x's shape, in that order."""
+    d = xhat.shape[-1]
+    if gain.requires_grad:
+        _accum(gain, np.einsum("ij,ij->j", g.reshape(-1, d), xhat.reshape(-1, d)))
+    if bias.requires_grad:
+        _accum(bias, g.reshape(-1, d).sum(axis=0))
+    if x.requires_grad:
+        gg = g * gain.data
+        # inv * (gg - mean(gg) - xhat * mean(gg * xhat)), row by row
+        dx = xhat * (np.einsum("...i,...i->...", gg, xhat)[..., None] / d)
+        dx += gg.mean(axis=-1, keepdims=True)
+        np.subtract(gg, dx, out=dx)
+        dx *= inv
+        _accum(x, dx)
+
+
+def layer_norm(x, gain, bias, eps=1e-5):
+    """Normalize the last axis to zero mean / unit variance, then affine."""
+    x, gain, bias = _operands("layer_norm", x, gain, bias)
+    _check_norm("layer_norm", x, gain, bias)
+    xhat, inv = _normalize(x.data, eps)
     out = Tensor(xhat * gain.data + bias.data)
 
     def bwd(g):
-        if gain.requires_grad:
-            _accum(gain, np.einsum("ij,ij->j", g.reshape(-1, d), xhat.reshape(-1, d)))
-        if bias.requires_grad:
-            _accum(bias, g.reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
-            gg = g * gain.data
-            # inv * (gg - mean(gg) - xhat * mean(gg * xhat)), row by row
-            dx = xhat * (np.einsum("...i,...i->...", gg, xhat)[..., None] / d)
-            dx += gg.mean(axis=-1, keepdims=True)
-            np.subtract(gg, dx, out=dx)
-            dx *= inv
-            _accum(x, dx)
+        _normalize_grads(x, gain, bias, xhat, inv, g)
 
     return _finish(out, (x, gain, bias), bwd)
 
@@ -237,6 +266,14 @@ def _erf(z):
     return p
 
 
+def _gelu_cdf(x):
+    """Phi(x), the normal CDF, by the erf form: GELU(x) is x * Phi(x)."""
+    cdf = _erf(x * _INV_SQRT2)
+    cdf *= 0.5
+    cdf += 0.5
+    return cdf
+
+
 def _gelu_grad(x, cdf, g):
     """g * (Phi(x) + x * phi(x)) in one buffer, phi the normal density:
     the gradient of x * Phi(x) given Phi(x) = `cdf`."""
@@ -250,125 +287,190 @@ def _gelu_grad(x, cdf, g):
     return d
 
 
-def _affine_grads(x, rows, w, wm, b, gy, transpose_w):
-    """Accumulate the x, w and b gradients of `rows @ wm + b` (rows the
-    (n, d_in) view of x, wm as `linear` reads w) from the (n, d_out) output
-    gradient `gy`, in that order."""
-    if x.requires_grad:
-        _accum(x, (gy @ wm.T).reshape(x.data.shape))
+def _weight_grads(rows, w, b, gy, transpose_w=False):
+    """Accumulate the w and b gradients of `rows @ w + b` (w read as its
+    transpose with transpose_w) from the output gradient `gy`, in that
+    order. `rows` is read only when w needs its gradient."""
     if w.requires_grad:
         _accum(w, gy.T @ rows if transpose_w else rows.T @ gy)
     if b is not None and b.requires_grad:
         _accum(b, gy.sum(axis=0))
 
 
-def linear(x, w, b=None, transpose_w=False, residual=None, gelu=False):
-    """x @ w + b over the last axis of x, whatever its leading shape, then
-    optionally GELU or a residual add, all in one tape node.
+def linear(x, w, b=None, transpose_w=False):
+    """x @ w + b over the last axis of x, whatever its leading shape.
 
     w is (d_in, d_out), or with transpose_w a (d_out, d_in) matrix read as
-    its transpose in place (a tied embedding table). gelu=True applies
-    x * Phi(x) with the erf form of the normal CDF, no tanh approximation
-    (erf as in `_erf`: double precision in float64, within 4.5e-7 in
-    float32). `residual`, a tensor of the output's shape and dtype, is added
-    last: `residual + linear(x)`, as in a pre-norm block's skip connection.
+    its transpose in place (a tied embedding table).
     """
-    x, w, b, residual = _operands("linear", x, w, b, residual)
+    x, w, b = _operands("linear", x, w, b)
     if w.data.ndim != 2:
         raise ContractError(f"linear: weight must be 2-d, got {w.shape}")
     wm = w.data.T if transpose_w else w.data
     d_in, d_out = wm.shape
     if x.data.shape[-1] != d_in:
         raise ContractError(f"linear shape mismatch: {x.shape} x {wm.shape}")
-    out_shape = x.data.shape[:-1] + (d_out,)
     if b is not None and b.data.shape != (d_out,):
         raise ContractError(f"linear: bias {b.shape} != ({d_out},)")
-    if residual is not None and residual.data.shape != out_shape:
-        raise ContractError(f"linear: residual {residual.shape} != output {out_shape}")
     rows = x.data.reshape(-1, d_in)
     y = rows @ wm
     if b is not None:
         y += b.data
-    if gelu:
-        pre = y
-        cdf = _erf(pre * _INV_SQRT2)
-        cdf *= 0.5
-        cdf += 0.5
-        y = pre * cdf
-    if residual is not None:
-        y += residual.data.reshape(-1, d_out)
-    out = Tensor(y.reshape(out_shape))
+    out = Tensor(y.reshape(x.data.shape[:-1] + (d_out,)))
 
     def bwd(g):
         gy = g.reshape(-1, d_out)
-        if gelu:
-            gy = _gelu_grad(pre, cdf, gy)
-        _affine_grads(x, rows, w, wm, b, gy, transpose_w)
-        if residual is not None:
-            # last: the residual may own `g` and update it in place
-            _accum(residual, g)
+        if x.requires_grad:
+            _accum(x, (gy @ wm.T).reshape(x.data.shape))
+        _weight_grads(rows, w, b, gy, transpose_w)
 
-    return _finish(out, (x, w, b, residual), bwd)
+    return _finish(out, (x, w, b), bwd)
 
 
-def attention(x, wq, bq, wk, bk, wv, bv, n_heads, bias):
-    """Multi-head softmax(Q Kᵀ / sqrt(d_head) + bias) V, with Q = x @ wq + bq
-    and K and V alike, as one op.
+def _heads(a, bsz, seq, n_heads):
+    """(n, b*t, d) or (b, t, d) -> (n, b, h, t, d/h) view, heads side by side along d."""
+    return a.reshape(-1, bsz, seq, n_heads, a.shape[-1] // n_heads).transpose(0, 1, 3, 2, 4)
 
-    x: (batch, seq, d_in); wq, wk, wv: (d_in, d) with the heads side by side
-    along d, as in the output; bq, bk, bv: (d,). bias: (seq, seq) additive
-    pre-softmax mask, e.g. a large negative value above the diagonal. Q, K
-    and V are GEMMs into one buffer, read per head through views, and the
-    output is written through such a view: no merge copies. The backward is
-    written by hand and keeps only Q, K, V and the softmax output.
+
+def _softmax_attention(qkv, bsz, seq, n_heads, logit_bias):
+    """(p, out): p = softmax(Q Kᵀ / sqrt(d_head) + logit_bias) per head and
+    out = p V, (batch, seq, d), from the (3, batch*seq, d) buffer of Q, K and V.
+    out is written through a per-head view: no merge copy."""
+    qh, kh, vh = _heads(qkv, bsz, seq, n_heads)
+    p = qh @ kh.swapaxes(-1, -2)
+    p *= 1.0 / math.sqrt(qkv.shape[-1] // n_heads)
+    p += logit_bias
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = np.empty((bsz, seq, qkv.shape[-1]), dtype=qkv.dtype)
+    np.matmul(p, vh, out=_heads(out, bsz, seq, n_heads)[0])
+    return p, out
+
+
+def _softmax_attention_grads(qkv, p, g, n_heads):
+    """The gradients of Q, K and V, in one buffer shaped as `qkv`, from the
+    gradient `g` of `_softmax_attention`'s output and its softmax `p`."""
+    bsz, _, seq, _ = p.shape
+    grads = np.empty_like(qkv)
+    gq, gk, gv = _heads(grads, bsz, seq, n_heads)
+    qh, kh, vh = _heads(qkv, bsz, seq, n_heads)
+    gh = _heads(g, bsz, seq, n_heads)[0]
+    np.matmul(p.swapaxes(-1, -2), gh, out=gv)
+    ds = gh @ vh.swapaxes(-1, -2)
+    ds -= (ds * p).sum(axis=-1, keepdims=True)
+    ds *= p
+    ds *= 1.0 / math.sqrt(qkv.shape[-1] // n_heads)
+    np.matmul(ds, kh, out=gq)
+    np.matmul(ds.swapaxes(-1, -2), qh, out=gk)
+    return grads
+
+
+def attention(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, n_heads, logit_bias, eps=1e-5):
+    """A pre-norm attention sublayer as one op: x + A @ wo + bo, where A is
+    multi-head softmax(Q Kᵀ / sqrt(d_head) + logit_bias) V over a = LN(x) =
+    layer_norm(x, gain, bias, eps), with Q = a @ wq + bq and K and V alike.
+
+    x: (batch, seq, d_in); gain, bias, bo: (d_in,); wq, wk, wv: (d_in, d)
+    with the heads side by side along d, as in A; bq, bk, bv: (d,); wo:
+    (d, d_in). logit_bias: (seq, seq) additive pre-softmax mask, e.g. a
+    large negative value above the diagonal. Q, K and V are GEMMs into one
+    buffer, read per head through views.
     """
-    x, *wb = _operands("attention", x, wq, bq, wk, bk, wv, bv)
-    ws, bs = wb[0::2], wb[1::2]
+    x, gain, bias, *wb = _operands("attention", x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo)
+    ws, bs, (wo, bo) = wb[0:6:2], wb[1:6:2], wb[6:]
     d = ws[0].data.shape[-1]
     if (x.data.ndim != 3 or any(w.data.shape != (x.data.shape[-1], d) for w in ws)
-            or any(b.data.shape != (d,) for b in bs)):
-        raise ContractError(f"attention shape mismatch: x {x.shape}, wq/bq/wk/bk/wv/bv "
+            or any(b.data.shape != (d,) for b in bs)
+            or wo.data.shape != (d, x.data.shape[-1]) or bo.data.shape != (x.data.shape[-1],)):
+        raise ContractError(f"attention shape mismatch: x {x.shape}, wq/bq/wk/bk/wv/bv/wo/bo "
                             f"{[t.shape for t in wb]}")
+    _check_norm("attention", x, gain, bias)
     if n_heads < 1 or d % n_heads:
         raise ContractError(f"attention: {n_heads} heads do not divide width {d}")
     bsz, seq, d_in = x.data.shape
-    dh = d // n_heads
-    scale = 1.0 / math.sqrt(dh)
-
-    def heads(a):  # (n, b*t, d) or (b, t, d) -> (n, b, h, t, dh) view
-        return a.reshape(-1, bsz, seq, n_heads, dh).transpose(0, 1, 3, 2, 4)
-
-    rows = x.data.reshape(-1, d_in)
+    xhat, inv = _normalize(x.data, eps)
+    rows = (xhat * gain.data + bias.data).reshape(-1, d_in)
     qkv = np.empty((3, len(rows), d), dtype=rows.dtype)
     for w, b, y in zip(ws, bs, qkv):
         np.matmul(rows, w.data, out=y)
         y += b.data
-    qh, kh, vh = heads(qkv)
-    p = qh @ kh.swapaxes(-1, -2)
-    p *= scale
-    p += bias
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    out = Tensor(np.empty((bsz, seq, d), dtype=rows.dtype))
-    np.matmul(p, vh, out=heads(out.data)[0])
+    del rows
+    p, att = _softmax_attention(qkv, bsz, seq, n_heads, logit_bias)
+    att = att.reshape(-1, d)
+    y = att @ wo.data
+    y += bo.data
+    y += x.data.reshape(-1, d_in)
+    out = Tensor(y.reshape(x.data.shape))
 
     def bwd(g):
-        grads = np.empty_like(qkv)
-        gq, gk, gv = heads(grads)
-        gh = heads(g)[0]
-        np.matmul(p.swapaxes(-1, -2), gh, out=gv)
-        ds = gh @ vh.swapaxes(-1, -2)
-        ds -= (ds * p).sum(axis=-1, keepdims=True)
-        ds *= p
-        ds *= scale
-        np.matmul(ds, kh, out=gq)
-        np.matmul(ds.swapaxes(-1, -2), qh, out=gk)
-        # v, k, q: the order in which separate projections added into x.grad
-        for w, b, gy in zip(ws[::-1], bs[::-1], grads[::-1]):
-            _affine_grads(x, rows, w, w.data, b, gy, False)
+        gy = g.reshape(-1, d_in)
+        gatt = gy @ wo.data.T
+        _weight_grads(att, wo, bo, gy)
+        # x's first gradient is g itself, from the skip connection: `g` is
+        # not read after this, so it may become x.grad and be added into
+        _accum(x, g)
+        grads = _softmax_attention_grads(qkv, p, gatt, n_heads)
+        del gatt
+        rows = None
+        if any(w.requires_grad for w in ws):
+            rows = (xhat * gain.data + bias.data).reshape(-1, d_in)
+        for w, b, gy in zip(ws, bs, grads):
+            _weight_grads(rows, w, b, gy)
+        del rows
+        # v, k, q: the order in which separate projections added into a's gradient
+        ga = grads[2] @ ws[2].data.T
+        ga += grads[1] @ ws[1].data.T
+        ga += grads[0] @ ws[0].data.T
+        del grads
+        _normalize_grads(x, gain, bias, xhat, inv, ga.reshape(x.data.shape))
 
-    return _finish(out, [x] + wb, bwd)
+    return _finish(out, [x, gain, bias] + wb, bwd)
+
+
+def feed_forward(x, gain, bias, w_in, b_in, w_out, b_out, eps=1e-5):
+    """A pre-norm feed-forward sublayer as one op:
+    x + GELU(LN(x) @ w_in + b_in) @ w_out + b_out, LN(x) =
+    layer_norm(x, gain, bias, eps) and GELU(z) = z * Phi(z) with the erf
+    form of the normal CDF, no tanh approximation (erf as in `_erf`: double
+    precision in float64, within 4.5e-7 in float32).
+
+    x: (..., d); gain, bias, b_out: (d,); w_in: (d, d_ff); b_in: (d_ff,);
+    w_out: (d_ff, d).
+    """
+    x, gain, bias, w_in, b_in, w_out, b_out = _operands(
+        "feed_forward", x, gain, bias, w_in, b_in, w_out, b_out)
+    d = x.data.shape[-1]
+    f = w_in.data.shape[-1]
+    if (w_in.data.shape != (d, f) or b_in.data.shape != (f,)
+            or w_out.data.shape != (f, d) or b_out.data.shape != (d,)):
+        raise ContractError(f"feed_forward shape mismatch: x {x.shape}, w_in/b_in/w_out/b_out "
+                            f"{[t.shape for t in (w_in, b_in, w_out, b_out)]}")
+    _check_norm("feed_forward", x, gain, bias)
+    xhat, inv = _normalize(x.data, eps)
+    pre = (xhat * gain.data + bias.data).reshape(-1, d) @ w_in.data
+    pre += b_in.data
+    cdf = _gelu_cdf(pre)
+    y = (pre * cdf) @ w_out.data
+    y += b_out.data
+    y += x.data.reshape(-1, d)
+    out = Tensor(y.reshape(x.data.shape))
+
+    def bwd(g):
+        gy = g.reshape(-1, d)
+        gh = gy @ w_out.data.T
+        _weight_grads(pre * cdf if w_out.requires_grad else None, w_out, b_out, gy)
+        # as in `attention`: `g` becomes x's first gradient, and is not read after
+        _accum(x, g)
+        gpre = _gelu_grad(pre, cdf, gh)
+        del gh
+        rows = (xhat * gain.data + bias.data).reshape(-1, d) if w_in.requires_grad else None
+        ga = gpre @ w_in.data.T
+        _weight_grads(rows, w_in, b_in, gpre)
+        del rows, gpre
+        _normalize_grads(x, gain, bias, xhat, inv, ga.reshape(x.data.shape))
+
+    return _finish(out, (x, gain, bias, w_in, b_in, w_out, b_out), bwd)
 
 
 def cross_entropy(x, w, targets, ignore_mask=None, transpose_w=False):

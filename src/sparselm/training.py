@@ -13,8 +13,8 @@ grad_clip / norm to `adamw_step` as `clip_scale`, which folds it into the
 moment coefficients instead of rescaling the gradients. A non-finite loss
 or norm stops the run before any update. `_step` drops every `.grad` right
 after `adamw_step`, so none is held between steps.
-`adamw_step` updates every parameter in place through one reused scratch
-buffer.
+`adamw_step` updates every parameter in place, one block of `ADAMW_BLOCK`
+entries at a time, through one reused scratch buffer of one block.
 """
 
 from __future__ import annotations
@@ -37,6 +37,9 @@ from .tensor import Tensor
 
 # exponential moving average coefficient for the reported smoothed loss
 LOSS_SMOOTHING = 0.99
+# entries per block of `adamw_step`'s passes: 256 KB of float32, which stays
+# in cache with the block's parameter, gradient and moments
+ADAMW_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -72,8 +75,9 @@ def lr_at(schedule: Schedule, step: int) -> float:
 class OptimizerState:
     """AdamW moments and constants. Moment buffers of pruned coordinates
     stay exactly zero throughout sparse pre-training. `scratch` is the one
-    work buffer every update reuses: raw bytes as large as the largest
-    parameter, built on the first step and never checkpointed."""
+    work buffer every update reuses: raw bytes of one block of the update
+    (`ADAMW_BLOCK` entries, or the largest parameter when that is smaller),
+    built on the first step and never checkpointed."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
@@ -103,10 +107,12 @@ def adamw_step(params, grads, opt: OptimizerState, lr: float, clip_scale: float 
         p = p*(1 - lr*lambda) - (lr*sqrt(bc2)/bc1) * m / (sqrt(v) + eps*sqrt(bc2))
 
     which is p -= lr*(m/bc1)/(sqrt(v/bc2) + eps) + lr*lambda*p with the
-    bias corrections folded into scalars, so each parameter takes a few
-    in-place passes through `opt.scratch` and allocates nothing. Grads of
-    sparse weights must be mask-filtered already (`mask_gradients`): a zero
-    gradient keeps zero moments and a zero weight at exactly 0.0."""
+    bias corrections folded into scalars, so each block of `ADAMW_BLOCK`
+    entries of a parameter takes 13 in-place passes through `opt.scratch`
+    and nothing is allocated. Every entry is updated alone, so blocking does
+    not change a bit. Grads of sparse weights must be mask-filtered already
+    (`mask_gradients`): a zero gradient keeps zero moments and a zero weight
+    at exactly 0.0."""
     opt.step += 1
     bc1 = 1.0 - opt.beta1 ** opt.step
     bc2 = 1.0 - opt.beta2 ** opt.step
@@ -115,31 +121,34 @@ def adamw_step(params, grads, opt: OptimizerState, lr: float, clip_scale: float 
     step_size = lr * math.sqrt(bc2) / bc1
     eps = opt.eps * math.sqrt(bc2)
     decay = 1.0 - lr * opt.weight_decay
-    largest = max((t.data.nbytes for t in params.values()), default=0)
-    if opt.scratch is None or opt.scratch.nbytes < largest:
-        opt.scratch = np.empty(largest, dtype=np.uint8)
+    need = max((min(t.data.size, ADAMW_BLOCK) * t.data.itemsize for t in params.values()),
+               default=0)
+    if opt.scratch is None or opt.scratch.nbytes < need:
+        opt.scratch = np.empty(need, dtype=np.uint8)
     for path, tensor in params.items():
-        g = grads.get(path)
-        if g is None:
+        grad = grads.get(path)
+        if grad is None:
             continue
-        p = tensor.data
-        if g.shape != p.shape:
-            raise ContractError(f"grad shape {g.shape} != param shape {p.shape} at {path!r}")
-        m, v = opt.m[path], opt.v[path]
-        tmp = opt.scratch[:p.nbytes].view(p.dtype).reshape(p.shape)
-        np.multiply(g, m_coef, out=tmp)
-        m *= opt.beta1
-        m += tmp
-        np.multiply(g, g, out=tmp)
-        tmp *= v_coef
-        v *= opt.beta2
-        v += tmp
-        np.sqrt(v, out=tmp)
-        tmp += eps
-        np.divide(m, tmp, out=tmp)
-        tmp *= step_size
-        p *= decay
-        p -= tmp
+        if grad.shape != tensor.data.shape:
+            raise ContractError(f"grad shape {grad.shape} != param shape {tensor.data.shape} "
+                                f"at {path!r}")
+        flat = [a.reshape(-1) for a in (tensor.data, grad, opt.m[path], opt.v[path])]
+        for start in range(0, flat[0].size, ADAMW_BLOCK):
+            p, g, m, v = (a[start:start + ADAMW_BLOCK] for a in flat)
+            tmp = opt.scratch[:p.nbytes].view(p.dtype)
+            np.multiply(g, m_coef, out=tmp)
+            m *= opt.beta1
+            m += tmp
+            np.multiply(g, g, out=tmp)
+            tmp *= v_coef
+            v *= opt.beta2
+            v += tmp
+            np.sqrt(v, out=tmp)
+            tmp += eps
+            np.divide(m, tmp, out=tmp)
+            tmp *= step_size
+            p *= decay
+            p -= tmp
     return params
 
 
@@ -169,22 +178,30 @@ class TrainState:
     smoothed: float | None = None
     trace: list[StepRecord] = field(default_factory=list)
 
+    def __post_init__(self):
+        # a batch runs in micro-batches of micro_batch_size, None: one micro-batch
+        if self.batch_size < 1:
+            raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.micro_batch_size is not None and self.micro_batch_size < 1:
+            raise ContractError(f"micro_batch_size must be >= 1 (or None: the whole batch), "
+                                f"got {self.micro_batch_size}")
+
 
 def init_train_state(params, config, schedule, batch_size, seed,
                      masks=None, micro_batch_size=None, weight_decay=0.1) -> TrainState:
     """A state that trains `params` itself; with `masks`, the weights are
-    masked in place first."""
-    if batch_size < 1:
-        raise ContractError("batch_size must be >= 1")
+    masked in place once every check has passed."""
     if masks is not None:
         check_masks(masks, params)
-        mask_gradients({p: t.data for p, t in params.items()}, masks)
-    opt = OptimizerState.for_params(params, weight_decay=weight_decay)
-    return TrainState(
-        params=params, config=config, schedule=schedule, opt=opt,
+    state = TrainState(
+        params=params, config=config, schedule=schedule,
+        opt=OptimizerState.for_params(params, weight_decay=weight_decay),
         rng=np.random.default_rng(seed), batch_size=batch_size, seed=seed,
         masks=masks, micro_batch_size=micro_batch_size,
     )
+    if masks is not None:
+        mask_gradients({p: t.data for p, t in params.items()}, masks)
+    return state
 
 
 def _drop_grads(params):
@@ -311,7 +328,7 @@ def _encode_model(config, params, step, masks=None, prompt=None) -> dict[str, by
         "step": C.encode_u64(step),
     }
     if masks is not None:
-        sections["masks"] = C.encode_bitset_map(masks.masks)
+        sections["masks"] = C.encode_bitset_map(masks.bitsets)
         sections["plan"] = C.encode_json({"level": masks.plan.level, "seed": masks.plan.seed})
     if prompt is not None:
         sections["prompt"] = C.encode_tensor_map({"embeddings": prompt.embeddings.data})
@@ -336,7 +353,7 @@ def _decode_model(sections):
         # an older plan section also holds per-path `levels` and `resolved`
         meta = C.decode_json(sections["plan"])
         plan = SparsityPlan(level=meta.get("level"), seed=meta["seed"])
-        masks = MaskSet(masks=C.decode_bitset_map(sections["masks"]), plan=plan)
+        masks = MaskSet.from_bitsets(C.decode_bitset_map(sections.pop("masks")), plan)
         check_masks(masks, params)
     if "prompt" in sections:
         from .finetune import SoftPrompt  # finetune imports this module

@@ -666,6 +666,14 @@ BAD_INPUTS = {
                                       '{"model": {"n_layers": 1, "d_model": 16}}', "'n_heads'"),
     "pretrain-model-unknown-field": (DRY_RUN, "c.json",
                                      json.dumps({"model": dict(TINY_MODEL, depth=3)}), "'depth'"),
+    "pretrain-negative-seed": (DRY_RUN, "c.json", '{"seed": -1}', "seed must be >= 0"),
+    "pretrain-negative-mask_seed": (DRY_RUN, "c.json", '{"sparsity": 0.5, "mask_seed": -1}',
+                                    "mask_seed must be >= 0"),
+    "pretrain-negative-steps": (DRY_RUN, "c.json", '{"steps": -3}', "steps must be >= 1, got -3"),
+    "pretrain-zero-micro_batch_size": (DRY_RUN, "c.json", '{"micro_batch_size": 0}',
+                                       "micro_batch_size must be >= 1, got 0"),
+    "pretrain-negative-micro_batch_size": (DRY_RUN, "c.json", '{"micro_batch_size": -1}',
+                                           "micro_batch_size must be >= 1, got -1"),
     "report-non-utf8-loss-csv": (["report", "--runs", "{dir}", "--out", "{dir}/merged.csv"],
                                  "loss.csv", b"run,step,loss\nr1,1,2.5\xff\n", ":2: not UTF-8"),
 }
@@ -682,3 +690,17 @@ def test_bad_input_exits_2_naming_the_file_with_nothing_on_stdout(tmp_path, caps
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {path}") and err.count("\n") == 1, err
     assert fragment in err
+
+
+@pytest.mark.parametrize("flag,value", [("--micro-batch-size", "0"), ("--micro-batch-size", "-1"),
+                                        ("--seed", "-1"), ("--mask-seed", "-1")])
+def test_out_of_range_flag_exits_2_naming_the_flag(tmp_path, capsys, flag, value):
+    # a valid value from the file does not hide the flag's; the flag's wins over a bad file value
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({flag[2:].replace("-", "_"): 1, "preset": "xl"}))
+    code = cli.main(["pretrain", "--config", str(config), "--dry-run", flag, value])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} must be >= {0 if 'seed' in flag else 1}, got {value}\n"
+    config.write_text(json.dumps({flag[2:].replace("-", "_"): int(value), "preset": "xl"}))
+    assert cli.main(["pretrain", "--config", str(config), "--dry-run", flag, "1"]) == 0

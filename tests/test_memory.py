@@ -1,0 +1,74 @@
+"""What a training forward and a mask set hold, measured with tracemalloc."""
+
+import math
+import tracemalloc
+
+import numpy as np
+
+from sparselm import model as M
+from sparselm import sparsity as S
+from sparselm import tensor as T
+
+CFG = M.ModelConfig(n_layers=2, d_model=32, n_heads=4, d_head=8, vocab_size=64,
+                    context_window=32, d_ff=128)
+BATCH = 4
+# Python objects per tape node: tensors, closures and array headers, about
+# 1.5 KB on CPython 3.11; a block's LayerNorm and GELU outputs are 98 KB here
+NODE_OVERHEAD = 4096
+
+
+def held_bytes(make):
+    """(result of make(), bytes still allocated after it returns that were not before)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = make()
+        return out, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def needed_bytes(cfg, batch):
+    """What the backward of the grad-mode `lm_loss` forward reads: per block
+    the two sublayer ops' saved arrays and outputs, plus the embedding's
+    output, the final LayerNorm and the fused head with its logits."""
+    n, t, d, f = batch * cfg.context_window, cfg.context_window, cfg.d_model, cfg.d_ff
+    attention = (n * d + n            # LayerNorm's xhat and inv
+                 + 3 * n * d          # Q, K and V
+                 + batch * cfg.n_heads * t * t  # the softmax
+                 + n * d              # the attention output
+                 + n * d)             # the op's output
+    feed_forward = (n * d + n         # LayerNorm's xhat and inv
+                    + 2 * n * f       # GELU's pre-activation and CDF
+                    + n * d)          # the op's output
+    scored = batch * (t - 1)
+    head = (n * d                     # the embedding's output
+            + 2 * n * d + n           # the final LayerNorm's xhat, inv and output
+            + scored * cfg.vocab_size + scored * d)  # the head's logits and rows
+    floats = cfg.n_layers * (attention + feed_forward) + head
+    return 4 * floats + 8 * 2 * scored  # float32, and the head's int64 row and target ids
+
+
+def test_a_training_forward_holds_what_its_backward_needs():
+    params = M.init_params(CFG, seed=0)
+    tokens = np.random.default_rng(0).integers(0, CFG.vocab_size, size=(BATCH, CFG.context_window))
+    T.backward(M.lm_loss(params, CFG, tokens))  # first-call caches
+    for t in params.values():
+        t.grad = None
+    loss, held = held_bytes(lambda: M.lm_loss(params, CFG, tokens))
+    nodes = T.tape_size()
+    assert nodes == 2 * CFG.n_layers + 3
+    # one sublayer op per LayerNorm: neither LayerNorm output nor the GELU
+    # output of a block is held, which would add 2*n*d + n*f floats per block
+    assert held <= needed_bytes(CFG, BATCH) + NODE_OVERHEAD * nodes, held
+    T.backward(loss)
+
+
+def test_a_mask_set_holds_one_bit_per_entry():
+    params = M.init_params(CFG, seed=0)
+    masks, held = held_bytes(lambda: S.build_masks(params, S.SparsityPlan(level=0.5, seed=1)))
+    sizes = [params[p].data.size for p in masks.paths()]
+    assert held <= sum(math.ceil(n / 8) + 512 for n in sizes), (held, sum(sizes))
+    for p in masks.paths():
+        assert masks[p].dtype == np.bool_ and masks[p].shape == params[p].data.shape
+        assert masks.zeros_in(p) == S.zero_count(0.5, params[p].data.size)

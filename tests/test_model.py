@@ -238,10 +238,9 @@ def test_lm_loss_matches_bruteforce_two_token_sequence():
 
 
 def test_lm_loss_tape_stays_small():
-    # one embedding node (positions and prompt folded in), six per layer
-    # (two norms, attention with its q/k/v projections, the output and the
-    # two feed-forward linears, with residual adds and GELU folded in), the
-    # final norm and the fused head loss
+    # one embedding node (positions and prompt folded in), two per layer
+    # (the attention and the feed-forward sublayer, each with its LayerNorm
+    # and residual add), the final norm and the fused head loss
     cfg = toy_model_config()
     store = M.init_params(cfg, seed=0)
     rng = np.random.default_rng(0)
@@ -259,14 +258,14 @@ def test_lm_loss_tape_stays_small():
         forward()
         nodes = T.tape_size()
         T.reset_tape()
-        assert nodes == 15
+        assert nodes == 7
     wide = M.ModelConfig(n_layers=4, d_model=256, n_heads=4, d_head=64, vocab_size=2048,
                          context_window=128)
     T.reset_tape()
     M.lm_loss(M.init_params(wide, seed=0), wide, rng.integers(0, 2048, size=(1, 128)))
     nodes = T.tape_size()
     T.reset_tape()
-    assert nodes == 27
+    assert nodes == 11
 
 
 def test_lm_loss_needs_two_tokens():

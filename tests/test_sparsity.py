@@ -136,6 +136,7 @@ def test_apply_idempotent(n, level):
 
 
 def test_masks_are_held_as_bool():
+    # held as packed bits, read one path at a time as bool
     masks = S.build_masks(M.init_params(tiny_config(), seed=0), S.SparsityPlan(level=0.5, seed=1))
     assert all(masks[p].dtype == np.bool_ for p in masks.paths())
     given_float = S.MaskSet(masks={"layers.0.wq": np.array([[1.0, 0.0]], dtype=np.float32)},

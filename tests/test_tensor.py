@@ -76,17 +76,16 @@ def test_matmul_shape_mismatch_names_both_shapes():
 
 
 def attention_weights(logits, dtype="float64"):
-    """The softmax weights `attention` gives a query over keys scored
-    `logits`: one head, no mask and x the identity, so Q, K and V are the
-    weights; every query is e_0 and V is the identity, so each output row is
-    the weight vector."""
+    """The softmax weights `attention`'s core gives a query over keys scored
+    `logits`: one head, no mask, every query e_0, the keys' first entries
+    the logits and V the identity, so each output row is the weight vector."""
     n = len(logits)
-    wq, wk = np.zeros((n, n)), np.zeros((n, n))
-    wq[:, 0] = 1.0
-    wk[:, 0] = np.asarray(logits) * math.sqrt(n)  # undoes the 1/sqrt(d_head) scale
-    x, wq, wk, wv = (T.Tensor(a, dtype=dtype) for a in (np.eye(n)[None], wq, wk, np.eye(n)))
-    zero = np.zeros(n)
-    return T.attention(x, wq, zero, wk, zero, wv, zero, 1, np.zeros((n, n))).data[0, 0]
+    q, k = np.zeros((n, n)), np.zeros((n, n))
+    q[:, 0] = 1.0
+    k[:, 0] = np.asarray(logits) * math.sqrt(n)  # undoes the 1/sqrt(d_head) scale
+    qkv = np.stack([q, k, np.eye(n)]).astype(dtype)
+    _, out = T._softmax_attention(qkv, 1, n, 1, np.zeros((n, n), dtype=dtype))
+    return out[0, 0]
 
 
 def test_softmax_symmetry():
@@ -165,8 +164,9 @@ def test_layer_norm_float32_rows_far_from_zero():
 
 
 def test_gelu_values():
-    # x * 1 is exact, so this is the fused op's GELU alone
-    out = T.linear(t64([[0.0], [1.0], [10.0]]), np.eye(1), gelu=True).data[:, 0]
+    # the GELU of `feed_forward`: x * Phi(x)
+    x = np.array([0.0, 1.0, 10.0])
+    out = x * T._gelu_cdf(x)
     assert out[0] == 0.0
     assert out[1] == pytest.approx(0.8413447460685429, abs=1e-12)
     assert out[2] == pytest.approx(10.0, abs=1e-6)
@@ -233,12 +233,12 @@ def test_gelu_float32_tracks_float64():
     x = np.linspace(-8.0, 8.0, 160_001)
     g = np.random.default_rng(0).standard_normal(x.shape)
     out = {}
-    for dtype in ("float32", "float64"):
-        t = T.Tensor(x[:, None], requires_grad=True, dtype=dtype)
-        y = T.linear(t, np.eye(1), gelu=True)
-        T.backward(tsum(mul(y, g[:, None])))
-        out[dtype] = y.data[:, 0], t.grad[:, 0]
-    (y32, g32), (y64, g64) = out["float32"], out["float64"]
+    for dtype in (np.float32, np.float64):
+        z = x.astype(dtype)
+        cdf = T._gelu_cdf(z)
+        out[dtype] = z * cdf, T._gelu_grad(z, cdf, g.astype(dtype))
+    (y32, g32), (y64, g64) = out[np.float32], out[np.float64]
+    assert y32.dtype == g32.dtype == np.float32
     # Phi carries half the erf error; float32 rounding adds a few ulps
     assert np.all(np.abs(y32 - y64) <= 0.5 * ERF32_MAX_ABS_ERROR * np.abs(x) + 4e-7 * np.abs(y64)
                   + 1e-7)
@@ -350,27 +350,34 @@ def test_embedding_position_table_shorter_than_sequence():
         T.embedding(T.Tensor(np.zeros((5, 2))), np.zeros((4, 3)), [[0, 1]])
 
 
-def test_linear_residual_contracts():
-    x, w = T.Tensor(np.ones((3, 4))), T.Tensor(np.ones((4, 2)))
-    with pytest.raises(ContractError, match="residual"):
-        T.linear(x, w, residual=T.Tensor(np.ones((3, 4))))
-    with pytest.raises(ContractError, match="mixed dtypes"):
-        T.linear(x, w, residual=T.Tensor(np.ones((3, 2)), dtype="float32"))
+def sublayer_arrays(rng, d=8, width=12, d_ff=16, seq=5):
+    """float64 x (2, seq, d), the operands of `attention` on it (heads of
+    total width `width`) and those of `feed_forward` (hidden width d_ff),
+    LayerNorm gains near 1."""
+    x = rng.normal(size=(2, seq, d))
+    att = [1.0 + 0.1 * rng.normal(size=d), rng.normal(size=d)]
+    att += [rng.normal(size=s) for s in ((d, width), (width,)) * 3 + ((width, d), (d,))]
+    ff = [1.0 + 0.1 * rng.normal(size=d), rng.normal(size=d)]
+    ff += [rng.normal(size=s) for s in ((d, d_ff), (d_ff,), (d_ff, d), (d,))]
+    return x, att, ff
 
 
 def test_attention_contracts():
     rng = np.random.default_rng(0)
     x = T.Tensor(f32(rng, 2, 3, 4))
     w, b = f32(rng, 4, 6), np.zeros(6, dtype=np.float32)
+    ones, zeros = np.ones(4, dtype=np.float32), np.zeros(4, dtype=np.float32)
 
-    def call(x=x, wq=w, bq=b, wk=w, bk=b, wv=w, bv=b, n_heads=2):
-        return T.attention(x, wq, bq, wk, bk, wv, bv, n_heads, np.zeros((3, 3)))
+    def call(x=x, gain=ones, wq=w, bq=b, wk=w, bk=b, wv=w, bv=b, wo=f32(rng, 6, 4), bo=zeros,
+             n_heads=2):
+        return T.attention(x, gain, zeros, wq, bq, wk, bk, wv, bv, wo, bo, n_heads,
+                           np.zeros((3, 3)))
 
-    assert call().shape == (2, 3, 6)
-    with pytest.raises(ContractError, match="mixed dtypes"):
-        call(wk=T.Tensor(w, dtype="float64"))
-    with pytest.raises(ContractError, match="mixed dtypes"):
-        call(bv=T.Tensor(b, dtype="float64"))
+    assert call().shape == (2, 3, 4)
+    for bad in ("wk", "bv", "wo", "gain"):
+        with pytest.raises(ContractError, match="attention: mixed dtypes"):
+            call(**{bad: T.Tensor({"wk": w, "bv": b, "wo": w.T, "gain": ones}[bad],
+                                  dtype="float64")})
     with pytest.raises(ContractError, match="shape mismatch"):
         call(x=T.Tensor(f32(rng, 2, 3, 5)))
     with pytest.raises(ContractError, match="shape mismatch"):
@@ -379,29 +386,64 @@ def test_attention_contracts():
         call(wv=f32(rng, 4, 4))
     with pytest.raises(ContractError, match="shape mismatch"):
         call(bk=np.zeros(4, dtype=np.float32))
+    with pytest.raises(ContractError, match="shape mismatch"):
+        call(wo=f32(rng, 6, 5))
+    with pytest.raises(ContractError, match="shape mismatch"):
+        call(bo=b)
+    with pytest.raises(ContractError, match="must match last axis"):
+        call(gain=np.ones(3, dtype=np.float32))
     for n_heads in (0, 4):
         with pytest.raises(ContractError, match="heads do not divide"):
             call(n_heads=n_heads)
 
 
+def test_feed_forward_contracts():
+    rng = np.random.default_rng(0)
+    ones, zeros = np.ones(4, dtype=np.float32), np.zeros(4, dtype=np.float32)
+
+    def call(x=T.Tensor(f32(rng, 2, 3, 4)), gain=ones, w_in=f32(rng, 4, 8),
+             b_in=np.zeros(8, dtype=np.float32), w_out=f32(rng, 8, 4), b_out=zeros):
+        return T.feed_forward(x, gain, zeros, w_in, b_in, w_out, b_out)
+
+    assert call().shape == (2, 3, 4)
+    assert call(x=T.Tensor(f32(rng, 6, 4))).shape == (6, 4)  # any leading shape
+    with pytest.raises(ContractError, match="feed_forward: mixed dtypes"):
+        call(w_out=T.Tensor(f32(rng, 8, 4), dtype="float64"))
+    with pytest.raises(ContractError, match="feed_forward: mixed dtypes"):
+        call(b_in=T.Tensor(np.zeros(8), dtype="float64"))
+    with pytest.raises(ContractError, match="shape mismatch"):
+        call(x=T.Tensor(f32(rng, 2, 3, 5)))
+    with pytest.raises(ContractError, match="shape mismatch"):
+        call(w_in=f32(rng, 4, 7))
+    with pytest.raises(ContractError, match="shape mismatch"):
+        call(w_out=f32(rng, 8, 5))
+    with pytest.raises(ContractError, match="shape mismatch"):
+        call(b_out=np.zeros(5, dtype=np.float32))
+    with pytest.raises(ContractError, match="must match last axis"):
+        call(gain=np.ones(3, dtype=np.float32))
+
+
 def test_attention_is_three_linears_and_reference_attention():
-    """float64: the fused op equals q, k and v from `linear`, followed by a
-    per-head numpy softmax attention."""
+    """float64: the sublayer op equals x plus `linear`'s output projection
+    of a per-head numpy softmax attention over q, k and v from three
+    `linear`s of `layer_norm(x)`."""
     rng = np.random.default_rng(3)
     bsz, seq, d_in, d, h = 2, 5, 6, 8, 2
     dh = d // h
-    x = t64(rng.normal(size=(bsz, seq, d_in)), grad=False)
-    wb = [t64(rng.normal(size=s), grad=False) for s in ((d_in, d), (d,)) * 3]
+    x, att, _ = sublayer_arrays(rng, d=d_in, width=d, seq=seq)
+    x, (gain, bias, *wb, wo, bo) = t64(x, grad=False), [t64(a, grad=False) for a in att]
     causal = np.triu(np.full((seq, seq), -1e9), k=1)
-    q, k, v = (T.linear(x, wb[i], wb[i + 1]).data for i in (0, 2, 4))
-    want = np.zeros((bsz, seq, d))
+    a = T.layer_norm(x, gain, bias)
+    q, k, v = (T.linear(a, wb[i], wb[i + 1]).data for i in (0, 2, 4))
+    heads = np.zeros((bsz, seq, d))
     for b in range(bsz):
         for head in range(h):
             sl = slice(head * dh, (head + 1) * dh)
             s = q[b, :, sl] @ k[b, :, sl].T / math.sqrt(dh) + causal
             e = np.exp(s - s.max(axis=-1, keepdims=True))
-            want[b, :, sl] = e / e.sum(axis=-1, keepdims=True) @ v[b, :, sl]
-    got = T.attention(x, *wb, h, causal).data
+            heads[b, :, sl] = e / e.sum(axis=-1, keepdims=True) @ v[b, :, sl]
+    want = x.data + T.linear(heads, wo, bo).data
+    got = T.attention(x, gain, bias, *wb, wo, bo, h, causal).data
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -417,33 +459,83 @@ def fused_grads(out, upstream, leaves):
     return [leaf.grad for leaf in leaves]
 
 
-def test_linear_residual_keeps_unfused_bits():
+# A pre-norm block as separate tape ops: `layer_norm` and `linear`, and
+# these three for the residual add, GELU and the softmax attention core.
+
+def residual_add(x, y):
+    x, y = T._operands("residual_add", x, y)
+
+    def bwd(g):
+        T._accum(x, g.copy())
+        T._accum(y, g)
+
+    return T._finish(T.Tensor(x.data + y.data), (x, y), bwd)
+
+
+def gelu(x):
+    (x,) = T._operands("gelu", x)
+    cdf = T._gelu_cdf(x.data)
+
+    def bwd(g):
+        T._accum(x, T._gelu_grad(x.data, cdf, g))
+
+    return T._finish(T.Tensor(x.data * cdf), (x,), bwd)
+
+
+def softmax_attention(q, k, v, n_heads, logit_bias):
+    q, k, v = T._operands("softmax_attention", q, k, v)
+    bsz, seq, d = q.shape
+    qkv = np.stack([t.data.reshape(-1, d) for t in (q, k, v)])
+    p, out = T._softmax_attention(qkv, bsz, seq, n_heads, logit_bias)
+
+    def bwd(g):
+        grads = T._softmax_attention_grads(qkv, p, g, n_heads)
+        for t, gt in zip((q, k, v), grads):
+            T._accum(t, gt.reshape(t.data.shape))
+
+    return T._finish(T.Tensor(out), (q, k, v), bwd)
+
+
+def unfused_attention(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, n_heads, logit_bias):
+    a = T.layer_norm(x, gain, bias)
+    q, k, v = (T.linear(a, w, b) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+    return residual_add(x, T.linear(softmax_attention(q, k, v, n_heads, logit_bias), wo, bo))
+
+
+def unfused_feed_forward(x, gain, bias, w_in, b_in, w_out, b_out):
+    a = T.layer_norm(x, gain, bias)
+    return residual_add(x, T.linear(gelu(T.linear(a, w_in, b_in)), w_out, b_out))
+
+
+def assert_same_bits(fused_op, unfused_op, arrays, upstream):
+    """fused_op(*leaves) and unfused_op(*leaves) give the same output bytes
+    and the same gradient bytes at every leaf, with x a leaf or a constant."""
+    for x_grad in (True, False):
+        results = []
+        for op in (fused_op, unfused_op):
+            leaves = [T.Tensor(a, requires_grad=x_grad or i > 0) for i, a in enumerate(arrays)]
+            out = op(*leaves)
+            grads = fused_grads(out, upstream, leaves)
+            assert (grads[0] is None) != x_grad
+            results.append([out.data] + grads)
+        for i, (a, b) in enumerate(zip(*results)):
+            assert a is b is None or a.tobytes() == b.tobytes(), (x_grad, i)
+
+
+def test_attention_keeps_unfused_bits():
     rng = np.random.default_rng(0)
-    x, w, b, r, up = f32(rng, 6, 8), f32(rng, 8, 5), f32(rng, 5), f32(rng, 6, 5), f32(rng, 6, 5)
-    leaves = [T.Tensor(a, requires_grad=True) for a in (x, w, b, r)]
-    out = T.linear(*leaves[:3], residual=leaves[3])
-    assert out.data.tobytes() == (r + (x @ w + b)).tobytes()
-    gx, gw, gb, gr = fused_grads(out, up, leaves)
-    assert gx.tobytes() == (up @ w.T).tobytes()
-    assert gw.tobytes() == (x.T @ up).tobytes()
-    assert gb.tobytes() == up.sum(axis=0).tobytes()
-    assert gr.tobytes() == up.tobytes()
+    x, att, _ = sublayer_arrays(rng)
+    arrays = [a.astype(np.float32) for a in [x] + att]
+    causal = np.triu(np.full((5, 5), -1e9, dtype=np.float32), k=1)
+    assert_same_bits(lambda *t: T.attention(*t, 3, causal),
+                     lambda *t: unfused_attention(*t, 3, causal), arrays, f32(rng, *x.shape))
 
 
-def test_linear_gelu_keeps_unfused_bits():
+def test_feed_forward_keeps_unfused_bits():
     rng = np.random.default_rng(1)
-    x, w, b, up = f32(rng, 6, 8), 2.0 * f32(rng, 8, 5), f32(rng, 5), f32(rng, 6, 5)
-    leaves = [T.Tensor(a, requires_grad=True) for a in (x, w, b)]
-    out = T.linear(*leaves, gelu=True)
-    # the expressions of the unfused GELU op, on the unfused linear's output
-    pre = x @ w + b
-    cdf = T._erf(pre * (1.0 / math.sqrt(2.0))) * 0.5 + 0.5
-    assert out.data.tobytes() == (pre * cdf).tobytes()
-    gpre = (np.exp(pre * pre * -0.5) * (1.0 / math.sqrt(2.0 * math.pi)) * pre + cdf) * up
-    gx, gw, gb = fused_grads(out, up, leaves)
-    assert gx.tobytes() == (gpre @ w.T).tobytes()
-    assert gw.tobytes() == (x.T @ gpre).tobytes()
-    assert gb.tobytes() == gpre.sum(axis=0).tobytes()
+    x, _, ff = sublayer_arrays(rng)
+    arrays = [a.astype(np.float32) for a in [x] + ff]
+    assert_same_bits(T.feed_forward, unfused_feed_forward, arrays, f32(rng, *x.shape))
 
 
 def test_embedding_with_prompt_keeps_unfused_bits():
@@ -586,10 +678,10 @@ def test_no_grad_suppresses_recording():
 # each op's tensor operands (shapes) and a call that takes them in that order
 OPERAND_OPS = {
     "layer_norm": (((2, 4), (4,), (4,)), lambda x, g, b: T.layer_norm(x, g, b)),
-    "linear": (((3, 4), (4, 2), (2,), (3, 2)),
-               lambda x, w, b, r: T.linear(x, w, b, residual=r)),
-    "attention": (((2, 3, 4),) + ((4, 6), (6,)) * 3,
+    "linear": (((3, 4), (4, 2), (2,)), lambda x, w, b: T.linear(x, w, b)),
+    "attention": (((2, 3, 4), (4,), (4,)) + ((4, 6), (6,)) * 3 + ((6, 4), (4,)),
                   lambda *xs: T.attention(*xs, 2, np.zeros((3, 3)))),
+    "feed_forward": (((2, 3, 4), (4,), (4,), (4, 8), (8,), (8, 4), (4,)), T.feed_forward),
     "cross_entropy": (((2, 3, 4), (4, 5)),
                       lambda x, w: T.cross_entropy(x, w, np.zeros((2, 3), dtype=np.int64))),
     "embedding": (((5, 2), (4, 2), (1, 2)),
@@ -621,33 +713,20 @@ def test_operands_raw_arrays_adopt_the_tensor_dtype(op, i):
 
 def test_first_gradients_have_one_owner():
     # each leaf owns its adopted first gradient; a second backward pass
-    # accumulates into it without reaching any other leaf, also when the
-    # fused residual add hands its output gradient on to the residual as is
+    # accumulates into it without reaching any other leaf, also where a
+    # sublayer op hands its output gradient on to its input as is, and
+    # where attention's q, k and v gradients share one buffer inside the op
     rng = np.random.default_rng(0)
-    w = rng.normal(size=(3, 4))
-    a, x, r = (t64(rng.normal(size=(3, 4))) for _ in range(3))
-    m1, m2 = (t64(rng.normal(size=(4, 4))) for _ in range(2))
-    graphs = [
-        (lambda: T.linear(a, m1, residual=r), [(a, w @ m1.data.T), (r, w), (m1, a.data.T @ w)]),
-        (lambda: T.linear(x, m2, residual=x), [(x, w @ m2.data.T + w), (m2, x.data.T @ w)]),
-    ]
-    for make_out, want in graphs:
-        for _ in range(2):
-            T.backward(weighted(make_out(), w))
-        for leaf, once in want:
-            assert np.allclose(leaf.grad, 2.0 * once, rtol=0.0, atol=1e-12)
-    # the fused attention's seven leaves: q, k and v gradients share one
-    # buffer inside the op, and none of it may become a leaf's .grad
-    xa = t64(rng.normal(size=(2, 3, 4)))
-    wb = [t64(rng.normal(size=s)) for s in ((4, 4), (4,)) * 3]
+    x, att, ff = sublayer_arrays(rng, d=4, width=4, d_ff=8, seq=3)
+    x, att, ff = t64(x), [t64(a) for a in att], [t64(a) for a in ff]
     causal = np.triu(np.full((3, 3), -1e9), k=1)
-    wa = rng.normal(size=(2, 3, 4))
-    T.backward(weighted(T.attention(xa, *wb, 2, causal), wa))
-    once = [leaf.grad.copy() for leaf in [xa] + wb]
-    T.backward(weighted(T.attention(xa, *wb, 2, causal), wa))
-    for leaf, first_pass in zip([xa] + wb, once):
+    w = rng.normal(size=x.shape)
+    leaves = [x] + att + ff
+    T.backward(weighted(T.feed_forward(T.attention(x, *att, 2, causal), *ff), w))
+    once = [leaf.grad.copy() for leaf in leaves]
+    T.backward(weighted(T.feed_forward(T.attention(x, *att, 2, causal), *ff), w))
+    for leaf, first_pass in zip(leaves, once):
         assert np.allclose(leaf.grad, 2.0 * first_pass, rtol=0.0, atol=1e-12)
-    leaves = [a, r, x, m1, m2, xa] + wb
     for i, first in enumerate(leaves):
         for second in leaves[i + 1:]:
             assert not np.shares_memory(first.grad, second.grad)
@@ -656,12 +735,13 @@ def test_first_gradients_have_one_owner():
 def test_determinism_bitwise():
     def run():
         rng = np.random.default_rng(7)
-        x = T.Tensor(rng.normal(size=(2, 4, 8)).astype(np.float32), requires_grad=True)
-        wb = [T.Tensor(f32(rng, *s), requires_grad=True) for s in ((8, 8), (8,)) * 3]
+        x, att, ff = sublayer_arrays(rng, seq=4)
+        x, att, ff = [[T.Tensor(a.astype(np.float32), requires_grad=True) for a in arrays]
+                      for arrays in ([x], att, ff)]
         causal = np.triu(np.full((4, 4), -1e9, dtype=np.float32), k=1)
-        out = T.attention(x, *wb, 2, causal)
+        out = T.feed_forward(T.attention(x[0], *att, 2, causal), *ff)
         T.backward(tsum(mul(out, f32(rng, 2, 4, 8))))
-        return [out.data] + [t.grad for t in [x] + wb]
+        return [out.data] + [t.grad for t in x + att + ff]
 
     assert all(a.tobytes() == b.tobytes() for a, b in zip(run(), run()))
 
@@ -728,11 +808,11 @@ def op_cases(rng):
     x234 = rng.normal(size=(2, 3, 4))
     w45 = rng.normal(size=(4, 5))
     b5 = rng.normal(size=5)
-    r235 = rng.normal(size=(2, 3, 5))
     w_lin = rng.normal(size=(2, 3, 5))
-    # x (batch 2, seq 4, width 5) into 2 heads of width 3
-    att = [rng.normal(size=s) for s in ((2, 4, 5),) + ((5, 6), (6,)) * 3]
-    w_att = rng.normal(size=(2, 4, 6))
+    # x (batch 2, seq 4, width 5) into 2 heads of width 3, and a hidden width of 7
+    x, att, ff = sublayer_arrays(rng, d=5, width=6, d_ff=7, seq=4)
+    att, ff = [x] + att, [x] + ff
+    w_sub = rng.normal(size=(2, 4, 5))
     causal = np.triu(np.full((4, 4), -1e9), k=1)
     w54 = rng.normal(size=(5, 4))  # a tied (vocab, d) table
     head_targets = rng.integers(0, 5, size=(2, 3))
@@ -742,25 +822,23 @@ def op_cases(rng):
     def linear(t):
         return weighted(T.linear(t[0], t[1], t[2]), w_lin)
 
-    def linear_gelu(t):
-        return weighted(T.linear(t[0], t[1], t[2], gelu=True), w_lin)
-
-    def linear_residual(t):
-        return weighted(T.linear(t[0], t[1], t[2], residual=t[3]), w_lin)
-
     def embedding(t, ids=ids):
         return weighted(T.embedding(t[0], t[1], ids, t[2], (4, 5)), w_emb)
 
     def attention(t):
-        return weighted(T.attention(*t, 2, causal), w_att)
+        return weighted(T.attention(*t, 2, causal), w_sub)
 
     def attention_key_bias(t):
         # a key bias shifts all of a query's logits alike, so softmax ignores
         # it: its true gradient is 0, which a relative check cannot see. The
         # same tensor also serves as the value bias, whose gradient is not 0,
         # so a nonzero key-bias gradient shows against it.
-        x, wq, bq, wk, bk, wv, _ = t
-        return weighted(T.attention(x, wq, bq, wk, bk, wv, bk, 2, causal), w_att)
+        x, gain, bias, wq, bq, wk, bk, wv, _, wo, bo = t
+        return weighted(T.attention(x, gain, bias, wq, bq, wk, bk, wv, bk, wo, bo, 2, causal),
+                        w_sub)
+
+    def feed_forward(t):
+        return weighted(T.feed_forward(*t), w_sub)
 
     def head_loss(t):
         return T.cross_entropy(t[0], t[1], head_targets, head_mask)
@@ -790,18 +868,11 @@ def op_cases(rng):
         ("linear_x", [x234, w45, b5], 0, linear),
         ("linear_w", [x234, w45, b5], 1, linear),
         ("linear_b", [x234, w45, b5], 2, linear),
-        ("linear_gelu_x", [x234, w45, b5], 0, linear_gelu),
-        ("linear_gelu_w", [x234, w45, b5], 1, linear_gelu),
-        ("linear_gelu_b", [x234, w45, b5], 2, linear_gelu),
-        ("linear_residual_x", [x234, w45, b5, r235], 0, linear_residual),
-        ("linear_residual_residual", [x234, w45, b5, r235], 3, linear_residual),
-        ("attention_x", att, 0, attention),
-        ("attention_wq", att, 1, attention),
-        ("attention_bq", att, 2, attention),
-        ("attention_wk", att, 3, attention),
-        ("attention_bk", att, 4, attention_key_bias),
-        ("attention_wv", att, 5, attention),
-        ("attention_bv", att, 6, attention),
+        *((f"attention_{name}", att, i, attention_key_bias if name == "bk" else attention)
+          for i, name in enumerate(("x", "gain", "bias", "wq", "bq", "wk", "bk", "wv", "bv",
+                                    "wo", "bo"))),
+        *((f"feed_forward_{name}", ff, i, feed_forward)
+          for i, name in enumerate(("x", "gain", "bias", "w_in", "b_in", "w_out", "b_out"))),
         ("head_loss_x", [x234, w45], 0, head_loss),
         ("head_loss_w", [x234, w45], 1, head_loss),
         ("tied_head_loss_x", [x234, w54], 0, tied_head_loss),

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import math
 import os
 import struct
@@ -179,20 +180,84 @@ def test_fused_adamw_matches_reference_in_float64():
         assert np.all(opt.m[p][pruned] == 0.0) and np.all(opt.v[p][pruned] == 0.0)
 
 
-def test_adamw_scratch_is_one_buffer_of_the_largest_parameter():
-    store = M.ParamStore()
-    store["small"] = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
-    store["large"] = Tensor(np.ones((4, 5), dtype=np.float64), requires_grad=True,
-                            dtype="float64")
-    opt = TR.OptimizerState.for_params(store)
-    assert opt.scratch is None
-    grads = {"small": np.ones(3, dtype=np.float32), "large": np.ones((4, 5))}
-    TR.adamw_step(store, grads, opt, lr=0.1)
-    scratch = opt.scratch
-    assert scratch.nbytes == store["large"].data.nbytes
-    TR.adamw_step(store, grads, opt, lr=0.1)
-    assert opt.scratch is scratch
-    assert store["small"].data.dtype == np.float32
+def test_adamw_scratch_is_one_block():
+    # one block of the largest dtype, or the largest parameter when that is
+    # smaller; built on the first step and reused by the next
+    block = TR.ADAMW_BLOCK
+    for large, want in ((np.ones((4, 5)), 20 * 8),
+                        (np.ones(2 * block + 5, dtype=np.float32), block * 4)):
+        store = M.ParamStore()
+        store["small"] = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        store["large"] = Tensor(large, requires_grad=True)
+        opt = TR.OptimizerState.for_params(store)
+        assert opt.scratch is None
+        grads = {p: np.ones_like(t.data) for p, t in store.items()}
+        TR.adamw_step(store, grads, opt, lr=0.1)
+        scratch = opt.scratch
+        assert scratch.nbytes == want
+        TR.adamw_step(store, grads, opt, lr=0.1)
+        assert opt.scratch is scratch
+        assert store["small"].data.dtype == np.float32
+
+
+def unblocked_adamw_step(params, grads, opt, lr, clip_scale):
+    """`adamw_step`'s 13 in-place passes over each whole parameter at once,
+    through a temporary as large as the parameter."""
+    opt.step += 1
+    bc1 = 1.0 - opt.beta1 ** opt.step
+    bc2 = 1.0 - opt.beta2 ** opt.step
+    m_coef = (1.0 - opt.beta1) * clip_scale
+    v_coef = (1.0 - opt.beta2) * clip_scale * clip_scale
+    step_size = lr * math.sqrt(bc2) / bc1
+    eps = opt.eps * math.sqrt(bc2)
+    decay = 1.0 - lr * opt.weight_decay
+    for path, tensor in params.items():
+        g, p, m, v = grads[path], tensor.data, opt.m[path], opt.v[path]
+        tmp = np.empty_like(p)
+        np.multiply(g, m_coef, out=tmp)
+        m *= opt.beta1
+        m += tmp
+        np.multiply(g, g, out=tmp)
+        tmp *= v_coef
+        v *= opt.beta2
+        v += tmp
+        np.sqrt(v, out=tmp)
+        tmp += eps
+        np.divide(m, tmp, out=tmp)
+        tmp *= step_size
+        p *= decay
+        p -= tmp
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_blocked_adamw_matches_unblocked_reference_bitwise(dtype):
+    # a (3, n) weight whose size is no multiple of the block, a bias, and a
+    # pruned quarter of the weight
+    rng = np.random.default_rng(6)
+    n = (2 * TR.ADAMW_BLOCK + 1234) // 3
+    init = {"layers.0.wq": rng.normal(size=(3, n)), "layers.0.bq": rng.normal(size=n)}
+    masks = S.MaskSet({"layers.0.wq": rng.random((3, n)) > 0.25}, plan=S.SparsityPlan(0.25))
+    assert (3 * n) % TR.ADAMW_BLOCK
+    stores, opts = [], []
+    for _ in range(2):
+        store = M.ParamStore((p, Tensor(a, requires_grad=True, dtype=dtype))
+                             for p, a in init.items())
+        S.mask_gradients({p: t.data for p, t in store.items()}, masks)
+        stores.append(store)
+        opts.append(TR.OptimizerState.for_params(store, weight_decay=0.1))
+    for step in range(4):
+        grads = S.mask_gradients({p: rng.normal(size=a.shape).astype(stores[0][p].data.dtype)
+                                  for p, a in init.items()}, masks)
+        clip_scale = 0.3 if step % 2 else 1.0
+        TR.adamw_step(stores[0], {p: g.copy() for p, g in grads.items()}, opts[0], 1e-2,
+                      clip_scale=clip_scale)
+        unblocked_adamw_step(stores[1], grads, opts[1], 1e-2, clip_scale)
+    for p in init:
+        assert stores[0][p].data.dtype == np.dtype(dtype)
+        assert stores[0][p].data.tobytes() == stores[1][p].data.tobytes(), p
+        assert opts[0].m[p].tobytes() == opts[1].m[p].tobytes(), p
+        assert opts[0].v[p].tobytes() == opts[1].v[p].tobytes(), p
+    assert not stores[0]["layers.0.wq"].data[~masks["layers.0.wq"]].any()
 
 
 # ------------------------------------------------------------------- loop
@@ -387,6 +452,29 @@ def test_init_train_state_rejects_a_mask_that_fits_no_parameter(mask_path, shape
         assert np.array_equal(params[p].data, before[p]), p
 
 
+@pytest.mark.parametrize("micro", [0, -1])
+def test_init_train_state_rejects_a_micro_batch_size_below_1(tmp_path, micro):
+    # 0 once meant the whole batch, and -1 ran steps of no micro-batch at all;
+    # a train checkpoint that says so is refused too, naming the file
+    cfg = tiny_config()
+    params = M.init_params(cfg, seed=0)
+    masks = S.build_masks(params, S.SparsityPlan(level=0.5, seed=1))
+    before = {p: t.data.copy() for p, t in params.items()}
+    with pytest.raises(ContractError, match=f"micro_batch_size must be >= 1.*got {micro}"):
+        TR.init_train_state(params, cfg, TR.Schedule(1e-3, 5), 2, seed=0, masks=masks,
+                            micro_batch_size=micro)
+    for p in before:  # no weight is masked before the state is valid
+        assert np.array_equal(params[p].data, before[p]), p
+    path = tmp_path / "t.ckpt"
+    TR.save_train_state(path, TR.init_train_state(params, cfg, TR.Schedule(1e-3, 5), 2, seed=0))
+    sections = C.load_container(path)
+    sections["trainer"] = C.encode_json(dict(C.decode_json(sections["trainer"]),
+                                             micro_batch_size=micro))
+    C.save_container(path, sections)
+    with pytest.raises(ContractError, match=f"{path}: micro_batch_size must be >= 1"):
+        TR.load_train_state(path)
+
+
 def test_train_steps_leaves_no_parameter_grad():
     cfg = tiny_config()
     params = M.init_params(cfg, seed=0)
@@ -560,6 +648,43 @@ def test_checkpoint_mask_must_match_a_parameter(tmp_path, mask_path, shape, erro
         TR.load_model_checkpoint(path)
 
 
+def test_sparse_checkpoints_keep_their_bytes(tmp_path):
+    # fixed weights and masks of 36 and 42 entries, so each mask's last byte
+    # has unused bits; the digests are the files' bytes before masks were
+    # held packed, and a load keeps the bits packed and saves the same bytes
+    cfg = M.ModelConfig(n_layers=1, d_model=6, n_heads=2, d_head=3, vocab_size=11,
+                        context_window=5, d_ff=7)
+    params = M.ParamStore(
+        (path, Tensor(np.arange(math.prod(shape), dtype=np.float32).reshape(shape) / 7,
+                      requires_grad=True)) for path, shape, _ in M.param_specs(cfg))
+    masks = S.MaskSet({p: np.arange(params[p].data.size).reshape(params[p].data.shape) % 3 != 1
+                       for p in params.sparsifiable_paths()}, S.SparsityPlan(level=0.25, seed=3))
+    model, train = tmp_path / "m.ckpt", tmp_path / "t.ckpt"
+    TR.save_model_checkpoint(model, cfg, params, step=3, masks=masks)
+    TR.save_train_state(train, TR.init_train_state(params, cfg, TR.Schedule(1e-3, 4), 2, seed=1,
+                                                   masks=masks, micro_batch_size=1))
+    digests = {path: hashlib.sha256(path.read_bytes()).hexdigest() for path in (model, train)}
+    assert digests == {
+        model: "b6cfd813ccf045c3d5d485e63b8734db10179e9e2612e310c71243001a928d1f",
+        train: "a2c6d62cad03d89a328a5593a9d552dd6fca44d004db3255419792b6a2353b03"}
+    again = tmp_path / "again.ckpt"
+    TR.save_train_state(again, TR.load_train_state(train))
+    assert again.read_bytes() == train.read_bytes()
+    # set the unused bits of the first mask's last byte (a valid CRC): they
+    # load as 0, so a re-save writes the clean file's bytes
+    sections = C.load_container(model)
+    header = len(b"layers.0.wq") + 2 + 1 + 2 * 4
+    raw = bytearray(sections["masks"])
+    raw[header + 4] |= 0xF0
+    sections["masks"] = bytes(raw)
+    dirty = tmp_path / "dirty.ckpt"
+    C.save_container(dirty, sections)
+    assert dirty.read_bytes() != model.read_bytes()
+    config, loaded, step, loaded_masks, _ = TR.load_model_checkpoint(dirty)
+    TR.save_model_checkpoint(again, config, loaded, step=step, masks=loaded_masks)
+    assert again.read_bytes() == model.read_bytes()
+
+
 def write_v1_container(path, sections):
     """Container version 1, as `save_container` wrote it before CRCs and
     the end marker: sections run to the end of the file."""
@@ -612,7 +737,7 @@ def test_train_checkpoint_in_older_layout_loads(tmp_path):
                                   "seed": state.seed, "smoothed": state.smoothed}),
         "rng": C.encode_json(state.rng.bit_generator.state),
         "step": C.encode_u64(state.step),
-        "masks": C.encode_bitset_map(state.masks.masks),
+        "masks": C.encode_bitset_map(state.masks.bitsets),
         "plan": C.encode_json({"level": plan.level, "levels": None, "seed": plan.seed,
                                "resolved": {p: plan.level for p in state.masks.paths()}}),
     })
