@@ -18,7 +18,8 @@ Section payload encodings:
                  [u8 ndim][u32 extents...][raw little-endian floats]
     bitset map   repeated [u16 path len][path][u8 ndim][u32 extents...]
                  [bits packed little-endian, one per element]; kept packed
-    json         UTF-8 JSON, sorted keys (byte-stable)
+    json         UTF-8 JSON object, sorted keys (byte-stable); read against
+                 a shape (`errors.check_record`)
     u64          one unsigned 64-bit integer
 
 Every read goes through `_read` (of the file) or `_take` (of a payload),
@@ -39,7 +40,7 @@ import zlib
 
 import numpy as np
 
-from .errors import ContractError, naming
+from .errors import ContractError, check_record, naming
 
 MAGIC = b"SPLMCKPT"
 FORMAT_VERSION = 2
@@ -237,11 +238,13 @@ def encode_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def decode_json(buf: bytes):
+def decode_json(buf: bytes, shape, name: str) -> dict:
+    """The JSON section `name`, checked against `shape`; a ContractError names it."""
     try:
-        return json.loads(buf.decode("utf-8"))
+        value = json.loads(buf.decode("utf-8"))
     except ValueError as exc:
-        raise ContractError(f"checkpoint JSON section is malformed: {exc}") from exc
+        raise ContractError(f"{name} section is malformed JSON: {exc}") from exc
+    return check_record(value, shape, f"{name} section")
 
 
 def encode_u64(value: int) -> bytes:

@@ -3,9 +3,10 @@ eval -> flops -> report, wired for reproducible runs.
 
 Exit codes: 0 success, 1 argparse usage error or a file that cannot be opened,
 2 malformed input or other contract violation, 3 metric floor not met.
-`data.read_json`/`read_jsonl` read every JSON input, `data.csv_text` writes
-every CSV. A run's resolved `config.json` is a valid `pretrain --config`, and
-reruns with identical config + seed give byte-identical artifacts.
+`data.read_json`/`read_jsonl` read every JSON input, each record checked
+against its shape (`errors.check_record`); `data.csv_text` writes every CSV.
+A run's resolved `config.json` is a valid `pretrain --config`, and reruns
+with identical config + seed give byte-identical artifacts.
 """
 
 import os
@@ -29,15 +30,15 @@ from . import flops as F
 from . import model as M
 from . import sparsity as S
 from . import training as TR
-from .errors import ContractError, naming
+from .errors import REQUIRED, ContractError, check_record, naming
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONTRACT = 2
 EXIT_METRIC_FLOOR = 3
 
-# key -> (type, default) of each pretrain setting; all but `model` are flags too.
-# A bool is not an int, an int is a float, null or no flag keeps the default.
+# key -> (type, default) of each pretrain setting, the shape of `--config`
+# (`errors.check_record`); all but `model` are flags too, and no flag keeps the value.
 PRETRAIN_SETTINGS = {
     "run_name": (str, None),
     "preset": (str, None),
@@ -79,43 +80,30 @@ def _resolve_model_config(cfg, where, vocab_size=None):
                 raise ContractError(f"unknown preset {cfg['preset']!r}; "
                                     f"choose from {sorted(M.PRESETS)}")
             fields = dataclasses.asdict(M.PRESETS[cfg["preset"]])
-        elif isinstance(cfg.get("model"), dict):
+        elif cfg.get("model") is not None:
             fields = dict(cfg["model"])
         else:
             raise ContractError("no model given: use --preset or an object of ModelConfig fields")
         if vocab_size is not None:
             fields["vocab_size"] = vocab_size
-        try:
-            config = M.ModelConfig(**fields)
-        except TypeError as exc:  # a missing or unknown field
-            raise ContractError(str(exc)) from None
+        config = M.ModelConfig(**check_record(fields, M.CONFIG_SHAPE, "model"))
         if cfg.get("msl", 0) > config.context_window:
             config = dataclasses.replace(config, context_window=cfg["msl"])
         return config
 
 
 def _resolved_pretrain_config(args):
-    """PRETRAIN_SETTINGS' defaults, then --config's values, then the flags'. A file
-    that is not an object, an unknown key or a wrongly typed value names the file,
-    as does a value out of range that came from it."""
-    cfg = {key: default for key, (_, default) in PRETRAIN_SETTINGS.items()}
-    file_cfg = D.read_json(args.config) if args.config else {}
-    if not isinstance(file_cfg, dict):
-        raise ContractError(f"{args.config}: not a JSON object of pretrain settings")
-    for key, value in file_cfg.items():
-        if key not in PRETRAIN_SETTINGS:
-            raise ContractError(f"{args.config}: unknown config key {key!r}")
-        kind = PRETRAIN_SETTINGS[key][0]
-        if value is not None and (isinstance(value, bool) or not isinstance(
-                value, (int, float) if kind is float else kind)):
-            raise ContractError(f"{args.config}: {key!r} must be {kind.__name__} or null")
-    for key, value in [*file_cfg.items(), *vars(args).items()]:
-        if key in cfg and value is not None:
-            cfg[key] = value
+    """PRETRAIN_SETTINGS' defaults, then --config's values, then the flags'. A value
+    out of range names the file when it came from there, else its flag."""
+    cfg = (D.read_json(args.config, PRETRAIN_SETTINGS, "pretrain settings") if args.config
+           else check_record({}, PRETRAIN_SETTINGS, "pretrain"))
+    cfg.update((key, value) for key, value in vars(args).items()
+               if key in cfg and value is not None)
 
     def out_of_range(key, why):
-        """A ContractError naming the setting, and the file when its value came from there."""
-        if file_cfg.get(key) is not None and getattr(args, key, None) is None:
+        """A ContractError naming the setting: its flag when given, else the file
+        (a default is never out of range)."""
+        if getattr(args, key, None) is None:
             return ContractError(f"{args.config}: {key} {why}")
         return ContractError(f"--{key.replace('_', '-')} {why}")
 
@@ -213,32 +201,29 @@ def cmd_densify(args):
     return EXIT_OK
 
 
+# a task dataset line and a label space
+TASK_LINE = {"source": (str, REQUIRED), "target": (str, REQUIRED), "labels": (list[str], ())}
+LABEL_SPACE = {"labels": (list[str], REQUIRED), "multi_label": (bool, False),
+               "separator": (str, " ")}
+
+
 def _read_task_examples(path, vocab):
     examples = []
-    for line_no, rec in D.read_jsonl(path):
-        if not (isinstance(rec, dict) and isinstance(rec.get("source"), str)
-                and isinstance(rec.get("target"), str)
-                and isinstance(rec.get("labels", []), list)):
-            raise ContractError(f"{path}:{line_no}: needs string source/target, list labels")
+    for line_no, rec in D.read_jsonl(path, TASK_LINE, "task example fields"):
         with naming(f"{path}:{line_no}"):
             examples.append(FT.TaskExample(source=vocab.encode(rec["source"]),
                                            target=vocab.encode(rec["target"]),
-                                           labels=tuple(rec.get("labels", ()))))
+                                           labels=tuple(rec["labels"])))
     if not examples:
         raise ContractError(f"{path}: no examples")
     return examples
 
 
 def _load_label_space(path, vocab):
-    spec = D.read_json(path)
-    labels = spec.get("labels") if isinstance(spec, dict) else None
-    if not (isinstance(labels, list) and labels and all(isinstance(x, str) for x in labels)
-            and isinstance(spec.get("multi_label", False), bool)
-            and isinstance(spec.get("separator", " "), str)):
-        raise ContractError(f"{path}: needs a non-empty list of string labels, "
-                            "a bool multi_label and a string separator")
-    return E.label_space_from_vocab(vocab, labels, multi_label=spec.get("multi_label", False),
-                                    separator=spec.get("separator", " "))
+    spec = D.read_json(path, LABEL_SPACE, "label-space fields")
+    with naming(path):
+        return E.label_space_from_vocab(vocab, spec["labels"], multi_label=spec["multi_label"],
+                                        separator=spec["separator"])
 
 
 def cmd_finetune(args):
@@ -331,8 +316,9 @@ def cmd_eval(args):
     space = _load_label_space(args.labels, vocab)
     examples = _read_task_examples(args.dataset, vocab)
 
-    metric_name, metric, header, rows = E.evaluate(params, config, prompt, examples, space,
-                                                   args.max_steps)
+    with naming(args.dataset):
+        metric_name, metric, header, rows = E.evaluate(params, config, prompt, examples, space,
+                                                       args.max_steps)
     if args.out:
         _write_text(args.out, D.csv_text(header, rows))
     print(f"{metric_name} {metric:.4f} over {len(examples)} examples")
@@ -349,8 +335,10 @@ def cmd_flops(args):
         if args.csv:
             _write_text(args.csv, F.table_to_csv(rows))
         return EXIT_OK
-    cfg = {"preset": args.preset, "model": D.read_json(args.model_config) if args.model_config else None}
-    model_cfg = _resolve_model_config(cfg, args.model_config or "flops")
+    model = (D.read_json(args.model_config, M.CONFIG_SHAPE, "ModelConfig fields")
+             if args.model_config else None)
+    model_cfg = _resolve_model_config({"preset": args.preset, "model": model},
+                                      args.model_config or "flops")
     report = F.forward_flops_per_token(model_cfg, args.sparsity)
     tokens = args.tokens if args.tokens is not None else F.FULL_SCALE_TOKEN_BUDGET
     for name in F.COMPONENT_ORDER:
@@ -483,11 +471,8 @@ def main(argv=None) -> int:
     except ContractError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except OSError as exc:  # a file that cannot be opened
+        print(f"cannot open: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import atomic_open
-from .errors import ContractError
+from .errors import ContractError, check_record
 
 # whitespace runs / word runs / single punctuation marks; concatenation of
 # the pieces reproduces the input exactly, which round-trip identity needs
@@ -63,38 +63,39 @@ def read_text(path) -> str:
         raise ContractError(f"{path}:{raw.count(10, 0, exc.start) + 1}: not UTF-8") from None
 
 
-def read_json(path):
-    """The UTF-8 JSON in `path`; anything else raises ContractError naming `path`."""
+def read_json(path, shape, what):
+    """The UTF-8 JSON object in `path` of `shape` (`errors.check_record`);
+    anything else raises ContractError naming `path`."""
     try:
-        return json.loads(read_text(path))
+        value = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ContractError(f"{path}: invalid JSON ({exc})") from exc
+    return check_record(value, shape, path, what)
 
 
-def read_jsonl(path):
-    """Yield (line number, value) for each non-blank line of a UTF-8 JSON-lines
-    file; a line that is not JSON raises ContractError naming `path:line`."""
+def read_jsonl(path, shape, what):
+    """Yield (line number, record) for each non-blank line of a UTF-8 JSON-lines
+    file, as `read_json` but naming `path:line`; a line may hold keys outside `shape`."""
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, 1):
             if raw.strip():
                 try:
-                    yield line_no, json.loads(raw.decode("utf-8"))
+                    value = json.loads(raw.decode("utf-8"))
                 except ValueError as exc:  # not UTF-8, or not JSON
                     raise ContractError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
+                yield line_no, check_record(value, shape, f"{path}:{line_no}", what,
+                                            extra_keys=True)
+
+
+# a corpus line; `id` may be any value, and null or absent is the line number
+CORPUS_LINE = {"id": (object, None), "title": (str, ""), "abstract": (str, ""), "body": (str, None)}
 
 
 def read_corpus(path) -> list[Document]:
     """One JSON object {id, title, abstract, body?} of strings or nulls per line, UTF-8."""
-    docs = []
-    for line_no, rec in read_jsonl(path):
-        if not (isinstance(rec, dict) and all(isinstance(rec.get(key), (str, type(None)))
-                                              for key in ("title", "abstract", "body"))):
-            raise ContractError(f"{path}:{line_no}: needs an object with string title/abstract/body")
-        docs.append(Document(id=str(rec.get("id", line_no)),
-                             title=rec.get("title") or "",
-                             abstract=rec.get("abstract") or "",
-                             body=rec.get("body")))
-    return docs
+    return [Document(id=str(line_no if rec["id"] is None else rec["id"]), title=rec["title"],
+                     abstract=rec["abstract"], body=rec["body"])
+            for line_no, rec in read_jsonl(path, CORPUS_LINE, "corpus fields")]
 
 
 def csv_text(header, rows) -> str:

@@ -1,6 +1,9 @@
-"""Shared exception types."""
+"""Shared exception types, and the one check of a JSON record against its shape."""
 
 import contextlib
+import dataclasses
+import types
+import typing
 
 
 class ContractError(ValueError):
@@ -14,3 +17,50 @@ def naming(where):
         yield
     except ContractError as exc:
         raise ContractError(f"{where}: {exc}") from None
+
+
+REQUIRED = dataclasses.MISSING  # the default of a key that a record must hold
+
+
+def record_shape(cls, skip=()) -> dict:
+    """{field: (type, default)} of the dataclass `cls`, but for the fields in
+    `skip`; REQUIRED where a field has no default."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default) for f in dataclasses.fields(cls)
+            if f.name not in skip}
+
+
+def _fits(value, kind) -> bool:
+    """A bool is not an int, an int is a float, `list[T]` is a list of T,
+    `T | None` is T or null and `object` is any value."""
+    if isinstance(kind, types.UnionType):
+        return any(_fits(value, k) for k in typing.get_args(kind))
+    if typing.get_origin(kind) is list:
+        return isinstance(value, list) and all(_fits(x, typing.get_args(kind)[0]) for x in value)
+    if isinstance(value, bool):
+        return kind in (bool, object)
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def check_record(value, shape, where, what="fields", extra_keys=False) -> dict:
+    """`value` as a dict holding every key of `shape`, {key: (type or nested
+    shape, default)}; null or a missing key takes the default. A value that is
+    not an object, a missing REQUIRED key, a value of another type and, unless
+    `extra_keys`, an unknown key raise ContractError naming `where` and the key."""
+    if not isinstance(value, dict):
+        raise ContractError(f"{where}: not a JSON object of {what}")
+    unknown = [key for key in value if key not in shape]
+    if unknown and not extra_keys:
+        raise ContractError(f"{where}: unknown key {unknown[0]!r}")
+    record = dict(value)
+    for key, (kind, default) in shape.items():
+        if record.get(key) is None and default is not REQUIRED:
+            record[key] = default
+        elif key not in record:
+            raise ContractError(f"{where}: missing key {key!r}")
+        elif isinstance(kind, dict):
+            record[key] = check_record(record[key], kind, f"{where}: {key!r}")
+        elif not _fits(record[key], kind):
+            name = kind.__name__ if isinstance(kind, type) else kind
+            raise ContractError(f"{where}: {key!r} must be {name}, got {record[key]!r}")
+    return record

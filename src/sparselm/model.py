@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError
+from .errors import ContractError, record_shape
 from .tensor import Tensor
 
 SPARSIFIABLE_ROLES = ("wq", "wk", "wv", "wo", "w_ff_in", "w_ff_out")
@@ -58,6 +58,9 @@ class ModelConfig:
                 f"n_heads*d_head = {self.n_heads * self.d_head} != d_model = {self.d_model}"
             )
 
+
+# a pretrain config's `model`, a `flops --model-config` file, a checkpoint's config
+CONFIG_SHAPE = record_shape(ModelConfig)
 
 # Architecture rows for the med / large / xl presets; vocab and context
 # window follow the full-scale defaults (42,384 learned vocab, 1024 window).

@@ -37,6 +37,8 @@ class SparsityPlan:
     def __post_init__(self):
         if self.level is None or not (0.0 <= self.level < 1.0):
             raise ContractError(f"a sparsity plan needs one level in [0, 1), got {self.level!r}")
+        if self.seed < 0:
+            raise ContractError(f"a sparsity plan's seed must be >= 0, got {self.seed}")
 
 
 def pack_mask(mask):
@@ -47,20 +49,13 @@ def pack_mask(mask):
 
 
 class MaskSet:
-    """Masks keyed by parameter path (1 = active, 0 = pruned), built from
-    0/1 arrays of any dtype; `bitsets` maps each path to its (shape,
-    packed bits), as `pack_mask` gives them."""
+    """Masks keyed by parameter path (1 = active, 0 = pruned): `bitsets` maps
+    each path to its (shape, packed bits), as `pack_mask` gives them, and
+    they are held as they are."""
 
-    def __init__(self, masks, plan: SparsityPlan):
-        self.bitsets = {path: pack_mask(m) for path, m in masks.items()}
+    def __init__(self, bitsets, plan: SparsityPlan):
+        self.bitsets = dict(bitsets)
         self.plan = plan
-
-    @classmethod
-    def from_bitsets(cls, bitsets, plan: SparsityPlan):
-        """A set over packed bits as they are, a loaded checkpoint's say."""
-        out = cls({}, plan)
-        out.bitsets = dict(bitsets)
-        return out
 
     def __contains__(self, path):
         return path in self.bitsets
@@ -100,7 +95,7 @@ def build_masks(params: ParamStore, plan: SparsityPlan) -> MaskSet:
         if z:
             flat[rng.permutation(n)[:z]] = False
         masks[path] = pack_mask(flat.reshape(tensor.data.shape))
-    return MaskSet.from_bitsets(masks, plan)
+    return MaskSet(masks, plan)
 
 
 def global_sparsity(masks: MaskSet, total_params: int | None = None) -> float:

@@ -30,8 +30,8 @@ import numpy as np
 from . import checkpoint as C
 from . import tensor as T
 from .data import PackedDataset, csv_text
-from .errors import ContractError, naming
-from .model import ModelConfig, ParamStore, lm_loss
+from .errors import REQUIRED, ContractError, naming, record_shape
+from .model import CONFIG_SHAPE, ModelConfig, ParamStore, lm_loss
 from .sparsity import MaskSet, SparsityPlan, check_masks, mask_gradients
 from .tensor import Tensor
 
@@ -191,6 +191,8 @@ def init_train_state(params, config, schedule, batch_size, seed,
                      masks=None, micro_batch_size=None, weight_decay=0.1) -> TrainState:
     """A state that trains `params` itself; with `masks`, the weights are
     masked in place once every check has passed."""
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     if masks is not None:
         check_masks(masks, params)
     state = TrainState(
@@ -312,13 +314,36 @@ def parse_loss_curves(text: str, path="loss curves") -> dict[str, list[tuple[int
 # plan when sparse and prompt and prompt_meta with a soft prompt. A train
 # checkpoint is a model checkpoint plus schedule, opt_m, opt_v, opt_meta,
 # trainer and rng. Sections are read by name, so their order does not matter.
-# The loaders name the file in every ContractError (`errors.naming`).
+# Every JSON section is read against its shape in `SECTION_SHAPES`; the
+# loaders name the file in every ContractError (`errors.naming`).
+
+# A plan section must name its seed and leaves a null level to SparsityPlan's
+# own check; an older plan also holds per-path `levels` and `resolved`, and an
+# older trainer section the step, which the step section overrides.
+SECTION_SHAPES = {
+    "config": CONFIG_SHAPE,
+    "plan": {"level": (float, None), "seed": (int, REQUIRED), "levels": (dict, None),
+             "resolved": (dict, None)},
+    "prompt_meta": {"virtual_ids": (list[int], REQUIRED)},
+    "schedule": record_shape(Schedule),
+    "opt_meta": record_shape(OptimizerState, skip=("m", "v", "scratch")),
+    "trainer": record_shape(TrainState, skip=("params", "config", "schedule", "opt", "rng",
+                                              "masks", "trace")),
+    "rng": {"bit_generator": (str, REQUIRED), "has_uint32": (int, REQUIRED),
+            "uinteger": (int, REQUIRED),
+            "state": ({"state": (int, REQUIRED), "inc": (int, REQUIRED)}, REQUIRED)},
+}
 
 
 def _require(sections, names):
     for name in names:
         if name not in sections:
             raise ContractError(f"missing checkpoint section {name!r}")
+
+
+def _json(sections, name) -> dict:
+    _require(sections, (name,))
+    return C.decode_json(sections[name], SECTION_SHAPES[name], name)
 
 
 def _encode_model(config, params, step, masks=None, prompt=None) -> dict[str, bytes]:
@@ -341,25 +366,19 @@ def _decode_model(sections):
     are popped as they are decoded, so each payload is freed once its arrays
     exist and a load never holds all payloads and all arrays at once."""
     _require(sections, ("config", "params", "step"))
-    try:
-        config = ModelConfig(**C.decode_json(sections["config"]))
-    except TypeError as exc:  # not an object, or a missing or unknown field
-        raise ContractError(f"config section: {exc}") from None
+    config = ModelConfig(**_json(sections, "config"))
     params = ParamStore((p, Tensor(arr, requires_grad=True))
                         for p, arr in C.decode_tensor_map(sections.pop("params")).items())
     masks = prompt = None
     if "masks" in sections:
-        _require(sections, ("plan",))
-        # an older plan section also holds per-path `levels` and `resolved`
-        meta = C.decode_json(sections["plan"])
-        plan = SparsityPlan(level=meta.get("level"), seed=meta["seed"])
-        masks = MaskSet.from_bitsets(C.decode_bitset_map(sections.pop("masks")), plan)
+        meta = _json(sections, "plan")
+        plan = SparsityPlan(level=meta["level"], seed=meta["seed"])
+        masks = MaskSet(C.decode_bitset_map(sections.pop("masks")), plan)
         check_masks(masks, params)
     if "prompt" in sections:
         from .finetune import SoftPrompt  # finetune imports this module
-        _require(sections, ("prompt_meta",))
         emb = C.decode_tensor_map(sections.pop("prompt"))["embeddings"]
-        ids = tuple(C.decode_json(sections["prompt_meta"])["virtual_ids"])
+        ids = tuple(_json(sections, "prompt_meta")["virtual_ids"])
         prompt = SoftPrompt(embeddings=Tensor(emb, requires_grad=True), virtual_ids=ids)
     return config, params, C.decode_u64(sections["step"]), masks, prompt
 
@@ -370,8 +389,7 @@ def save_train_state(path, state: TrainState):
         "schedule": C.encode_json(dataclasses.asdict(state.schedule)),
         "opt_m": C.encode_tensor_map(opt.m),
         "opt_v": C.encode_tensor_map(opt.v),
-        "opt_meta": C.encode_json({"step": opt.step, "beta1": opt.beta1, "beta2": opt.beta2,
-                                   "eps": opt.eps, "weight_decay": opt.weight_decay}),
+        "opt_meta": C.encode_json({key: getattr(opt, key) for key in SECTION_SHAPES["opt_meta"]}),
         "trainer": C.encode_json({"batch_size": state.batch_size, "seed": state.seed,
                                   "micro_batch_size": state.micro_batch_size,
                                   "smoothed": state.smoothed}),
@@ -386,16 +404,16 @@ def load_train_state(path) -> TrainState:
         config, params, step, masks, _ = _decode_model(sections)
         opt = OptimizerState(m=C.decode_tensor_map(sections.pop("opt_m")),
                              v=C.decode_tensor_map(sections.pop("opt_v")),
-                             **C.decode_json(sections["opt_meta"]))
-        trainer = C.decode_json(sections["trainer"])
+                             **_json(sections, "opt_meta"))
+        rng_state = _json(sections, "rng")
         rng = np.random.default_rng()
-        rng.bit_generator.state = C.decode_json(sections["rng"])
-        return TrainState(
-            params=params, config=config,
-            schedule=Schedule(**C.decode_json(sections["schedule"])), opt=opt, rng=rng,
-            batch_size=trainer["batch_size"], seed=trainer["seed"], step=step, masks=masks,
-            micro_batch_size=trainer["micro_batch_size"], smoothed=trainer["smoothed"],
-        )
+        try:
+            rng.bit_generator.state = rng_state
+        except (ValueError, OverflowError) as exc:  # another generator, or out of range
+            raise ContractError(f"rng section: {exc}") from None
+        return TrainState(params=params, config=config, opt=opt, rng=rng, masks=masks,
+                          schedule=Schedule(**_json(sections, "schedule")),
+                          **(_json(sections, "trainer") | {"step": step}))
 
 
 def save_model_checkpoint(path, config: ModelConfig, params: ParamStore, step: int = 0,

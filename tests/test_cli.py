@@ -284,7 +284,7 @@ def test_densify_per_path_plan_exits_2(tmp_path, corpus_path, vocab_path, capsys
                      "--out", str(out), "--sparsity", "0.5"]) == 0
     ckpt = out / "final.ckpt"
     sections = C.load_container(ckpt)
-    assert C.decode_json(sections["plan"]) == {"level": 0.5, "seed": 0}
+    assert json.loads(sections["plan"]) == {"level": 0.5, "seed": 0}
     # a plan of per-path levels, in the older layout, without a uniform level
     sections["plan"] = C.encode_json({"level": None, "levels": {"layers.0.wq": 0.5}, "seed": 0,
                                       "resolved": {"layers.0.wq": 0.5}})
@@ -555,6 +555,18 @@ def test_report_on_a_malformed_loss_csv_exits_2_naming_the_line(tmp_path, capsys
     assert not (tmp_path / "m.csv").exists()
 
 
+# each malformed label space -> what its error says after the file's name
+LABEL_SPACE_ERRORS = {
+    '{"labels": "yes"}': "'labels' must be list[str], got 'yes'",
+    '{"labels": [1, 2]}': "'labels' must be list[str], got [1, 2]",
+    '{}': "missing key 'labels'",
+    '{"labels": []}': "label space is empty",
+    '["yes", "no"]': "not a JSON object of label-space fields",
+    '{"labels": ["yes"], "multi_label": "no"}': "'multi_label' must be bool, got 'no'",
+    '{"labels": ["yes"], "separator": 3}': "'separator' must be str, got 3",
+}
+
+
 @pytest.mark.parametrize("command", ["eval", "finetune"])
 @pytest.mark.parametrize("spec", [{"labels": "yes"}, {"labels": [1, 2]}, {}, {"labels": []},
                                   ["yes", "no"], {"labels": ["yes"], "multi_label": "no"},
@@ -570,7 +582,7 @@ def test_malformed_label_space_exits_2_naming_the_file(tmp_path, vocab_path, cap
     code = cli.main([command, "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
                      "--labels", str(labels), *args])
     assert code == 2
-    assert f"{labels}: needs a non-empty list of string labels" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {labels}: {LABEL_SPACE_ERRORS[json.dumps(spec)]}\n"
 
 
 @pytest.mark.parametrize("command", ["eval", "finetune"])

@@ -7,23 +7,30 @@ stdout; never 1 and never an exception. When the damaged file no longer
 parses, the error names it. The JSON inputs are parsed here to tell; the
 vocab, `loss.csv` and checkpoints have no other reader, so each of their
 errors must name the file.
+
+Every JSON record, in a file or in a checkpoint section, is also mutated one
+field at a time: a value of another type, the field dropped, an unknown key
+added. A checkpoint keeps a valid CRC, so only the record check can refuse it.
 """
 
 import contextlib
 import io
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparselm import checkpoint as C
 from sparselm import cli
 from sparselm import data as D
 from sparselm import finetune as FT
 from sparselm import model as M
 from sparselm import sparsity as S
 from sparselm import training as TR
+from sparselm.errors import REQUIRED, ContractError, check_record
 from toytask import write_corpus
 
 WORDS = ["alpha", "beta", "gamma", "delta", "yes", "no", "cue"]
@@ -147,3 +154,139 @@ def test_a_damaged_input_exits_0_or_2_naming_the_file(base, tmp_path_factory, ki
         assert err.startswith("error: ") and err.count("\n") == 1, err
         if not parses(kind, data):
             assert str(path) in err, err
+
+
+# ------------------------------------------------------------ JSON records
+
+
+def mutations(record):
+    """(how, key, mutated record): each field set to a value of another JSON
+    type, each field dropped, and an unknown key added."""
+    for key, value in record.items():
+        yield "wrong", key, dict(record, **{key: 1 if isinstance(value, str) else "x"})
+        yield "drop", key, {k: v for k, v in record.items() if k != key}
+    yield "extra", "zzz", dict(record, zzz=1)
+
+
+@pytest.mark.parametrize("kind", ["corpus", "dataset", "labels", "pretrain_config",
+                                  "model_config"])
+def test_a_json_record_with_a_mutated_field_exits_0_or_2_naming_the_file(base, tmp_path,
+                                                                         kind):
+    # a JSON-lines file has its first line mutated; a corpus or task line may
+    # hold keys the kit does not read, and a corpus id may be any value
+    name, argv = KINDS[kind]
+    path = tmp_path / name
+    first, *rest = (base / name).read_text(encoding="utf-8").splitlines(keepends=True)
+    for how, key, mutated in mutations(json.loads(first)):
+        path.write_text(json.dumps(mutated) + "\n" + "".join(rest), encoding="utf-8")
+        code, out, err = run_cli([a.format(path=path, base=base, out=tmp_path) for a in argv])
+        allowed = (how == "drop" or (how == "extra" and kind in JSONL_KINDS)
+                   or (kind, key) == ("corpus", "id"))
+        assert code in ((0, 2) if allowed else (2,)), (how, key, err)
+        if code == 2:
+            assert out == "" and err.startswith(f"error: {path}"), (how, key, err)
+            assert err.count("\n") == 1, (how, key, err)
+            if how != "drop":  # the record check names the line of a JSON-lines file
+                line = ":1" if kind in JSONL_KINDS else ""
+                assert err.startswith(f"error: {path}{line}: ") and repr(key) in err, err
+
+
+MODEL_SECTIONS = ["config", "plan", "prompt_meta"]
+TRAIN_SECTIONS = ["schedule", "opt_meta", "trainer", "rng"]
+
+
+def load_outcome(section, path, out):
+    """(exit code, stderr) of reading `path`: a model section through
+    `densify`, a train-only section through `load_train_state`, since no
+    command reads those."""
+    if section in MODEL_SECTIONS:
+        code, stdout, err = run_cli(["densify", "--checkpoint", str(path), "--out", str(out)])
+        assert code != 2 or stdout == "", stdout
+        return code, err
+    try:
+        TR.load_train_state(path)
+    except ContractError as exc:
+        return 2, f"error: {exc}\n"
+    return 0, ""
+
+
+@pytest.mark.parametrize("section", MODEL_SECTIONS + TRAIN_SECTIONS)
+def test_a_checkpoint_json_section_with_a_mutated_field_is_refused_naming_the_section(
+        base, tmp_path, section):
+    name = "model.ckpt" if section in MODEL_SECTIONS else "final.ckpt"
+    sections = C.load_container(base / name)
+    path = tmp_path / name
+    for how, key, mutated in mutations(json.loads(sections[section])):
+        C.save_container(path, dict(sections, **{section: C.encode_json(mutated)}))
+        code, err = load_outcome(section, path, tmp_path / "dense.ckpt")
+        assert code in ((0, 2) if how == "drop" else (2,)), (how, key, err)
+        if code == 2:
+            assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, (how, key, err)
+            # a plan without a level is SparsityPlan's own error
+            if (section, key) != ("plan", "level"):
+                assert f"{section} section: " in err and repr(key) in err, (how, key, err)
+
+
+# section -> how its record is rewritten, and what the error says after the file's name
+BAD_SECTIONS = {
+    "plan-not-an-object": ("plan", lambda rec: [1], "plan section: not a JSON object"),
+    "plan-without-seed": ("plan", lambda rec: {"level": rec["level"]},
+                          "plan section: missing key 'seed'"),
+    "plan-str-level": ("plan", lambda rec: dict(rec, level="0.5"),
+                       "plan section: 'level' must be float, got '0.5'"),
+    "plan-negative-seed": ("plan", lambda rec: dict(rec, seed=-1),
+                           "a sparsity plan's seed must be >= 0, got -1"),
+    "trainer-empty": ("trainer", lambda rec: {}, "trainer section: missing key 'batch_size'"),
+    "opt_meta-unknown-key": ("opt_meta", lambda rec: dict(rec, momentum=0.9),
+                             "opt_meta section: unknown key 'momentum'"),
+    "schedule-str-peak_lr": ("schedule", lambda rec: dict(rec, peak_lr="a"),
+                             "schedule section: 'peak_lr' must be float, got 'a'"),
+    "rng-another-generator": ("rng", lambda rec: dict(rec, bit_generator="MT19937"),
+                              "rng section: state must be for a PCG64 RNG"),
+    "rng-negative-state": ("rng", lambda rec: dict(rec, state={"state": -1, "inc": 3}),
+                           "rng section: "),
+    "rng-state-without-inc": ("rng", lambda rec: dict(rec, state={"state": 1}),
+                              "rng section: 'state': missing key 'inc'"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SECTIONS)
+def test_a_bad_checkpoint_section_exits_2_naming_the_file_and_the_section(base, tmp_path,
+                                                                          case):
+    section, rewrite, message = BAD_SECTIONS[case]
+    name = "model.ckpt" if section in MODEL_SECTIONS else "final.ckpt"
+    sections = C.load_container(base / name)
+    path = tmp_path / name
+    C.save_container(path, dict(sections, **{
+        section: C.encode_json(rewrite(json.loads(sections[section])))}))
+    code, err = load_outcome(section, path, tmp_path / "dense.ckpt")
+    assert (code, err.count("\n")) == (2, 1), err
+    assert err.startswith(f"error: {path}: {message}"), err
+
+
+def test_check_record_type_rules():
+    shape = {"n": (int, REQUIRED), "x": (float, 0.5), "flag": (bool, True),
+             "names": (list[str], ())}
+    assert check_record({"n": 3, "x": 2}, shape, "f") == {"n": 3, "x": 2, "flag": True,
+                                                          "names": ()}
+    assert check_record({"n": 3, "x": None, "flag": None}, shape, "f")["x"] == 0.5
+    for bad, fragment in [({"n": True}, "'n' must be int, got True"),
+                          ({"n": 1.0}, "'n' must be int"),
+                          ({"n": None}, "'n' must be int, got None"),
+                          ({"n": 1, "x": False}, "'x' must be float"),
+                          ({"n": 1, "flag": 0}, "'flag' must be bool"),
+                          ({"n": 1, "names": ["a", 2]}, "'names' must be list[str]"),
+                          ({}, "missing key 'n'"), ({"n": 1, "m": 2}, "unknown key 'm'"),
+                          ([], "not a JSON object of fields")]:
+        with pytest.raises(ContractError, match=f"^f: {re.escape(fragment)}"):
+            check_record(bad, shape, "f")
+    assert check_record({"n": 1, "m": 2}, shape, "f", extra_keys=True)["m"] == 2
+
+
+def test_a_null_field_of_a_model_config_takes_its_default(tmp_path):
+    # null is the same as leaving the key out: d_ff 4*d_model, tied embeddings
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(dict(MODEL, d_ff=None, tie_embeddings=None)))
+    code, out, _ = run_cli(["flops", "--model-config", str(path)])
+    path.write_text(json.dumps(MODEL))
+    assert (code, out) == (0, run_cli(["flops", "--model-config", str(path)])[1])

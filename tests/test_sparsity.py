@@ -53,6 +53,11 @@ def test_plan_level_bounds():
         S.SparsityPlan(level=None)
 
 
+def test_plan_seed_must_not_be_negative():
+    with pytest.raises(ContractError, match="seed must be >= 0, got -1"):
+        S.SparsityPlan(0.5, seed=-1)
+
+
 def test_masks_cover_every_sparsifiable_path():
     store = M.init_params(tiny_config(), seed=0)
     masks = S.build_masks(store, S.SparsityPlan(level=0.25, seed=0))
@@ -107,7 +112,8 @@ def test_remaining_params_are_the_masks_active_count():
 def test_apply_elementwise_product():
     store = M.ParamStore()
     store["layers.0.wq"] = Tensor(np.array([[1.0, 2.0, 3.0, 4.0]]), requires_grad=True)
-    masks = S.MaskSet(masks={"layers.0.wq": np.array([[1.0, 0.0, 1.0, 0.0]], dtype=np.float32)},
+    masks = S.MaskSet({"layers.0.wq": S.pack_mask(np.array([[1.0, 0.0, 1.0, 0.0]],
+                                                           dtype=np.float32))},
                       plan=S.SparsityPlan(level=0.5))
     out = S.apply_masks(masks, store)
     assert np.array_equal(out["layers.0.wq"].data, [[1.0, 0.0, 3.0, 0.0]])
@@ -139,7 +145,7 @@ def test_masks_are_held_as_bool():
     # held as packed bits, read one path at a time as bool
     masks = S.build_masks(M.init_params(tiny_config(), seed=0), S.SparsityPlan(level=0.5, seed=1))
     assert all(masks[p].dtype == np.bool_ for p in masks.paths())
-    given_float = S.MaskSet(masks={"layers.0.wq": np.array([[1.0, 0.0]], dtype=np.float32)},
+    given_float = S.MaskSet({"layers.0.wq": S.pack_mask(np.array([[1.0, 0.0]], dtype=np.float32))},
                             plan=S.SparsityPlan(level=0.5))
     assert given_float["layers.0.wq"].dtype == np.bool_
     assert given_float["layers.0.wq"].tolist() == [[True, False]]
@@ -158,14 +164,14 @@ def test_bool_mask_gives_the_bits_of_a_float_mask(dtype):
 
 
 def test_densify_rejects_a_mask_of_another_shape():
-    masks = S.MaskSet(masks={"layers.0.wq": np.zeros((1, 1), dtype=bool)},
+    masks = S.MaskSet({"layers.0.wq": S.pack_mask(np.zeros((1, 1), dtype=bool))},
                       plan=S.SparsityPlan(level=0.5))
     with pytest.raises(ContractError, match="mask shape"):
         S.densify(single_path_store(8), masks)
 
 
 def test_mask_gradients():
-    masks = S.MaskSet(masks={"layers.0.wq": np.array([0.0, 1.0], dtype=np.float32)},
+    masks = S.MaskSet({"layers.0.wq": S.pack_mask(np.array([0.0, 1.0], dtype=np.float32))},
                       plan=S.SparsityPlan(level=0.5))
     grads = {"layers.0.wq": np.array([1.0, 1.0], dtype=np.float32),
              "tok_emb": np.array([2.0, 2.0], dtype=np.float32)}

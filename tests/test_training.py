@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import hashlib
+import json
 import math
 import os
 import struct
@@ -97,7 +98,7 @@ def test_adamw_masked_coordinate_stays_zero():
     store = M.ParamStore()
     store["layers.0.wq"] = Tensor(np.array([3.0, 1.0], dtype=np.float32) * mask,
                                   requires_grad=True)
-    masks = S.MaskSet(masks={"layers.0.wq": mask}, plan=S.SparsityPlan(level=0.5))
+    masks = S.MaskSet({"layers.0.wq": S.pack_mask(mask)}, plan=S.SparsityPlan(level=0.5))
     opt = TR.OptimizerState.for_params(store, weight_decay=0.1)
     for _ in range(5):
         grads = S.mask_gradients({"layers.0.wq": np.array([1.0, 1.0], dtype=np.float32)}, masks)
@@ -137,8 +138,9 @@ def test_fused_adamw_matches_reference_in_float64():
     rng = np.random.default_rng(5)
     shapes = {"layers.0.wq": (6, 5), "layers.0.w_ff_in": (5, 7), "tok_emb": (9, 5),
               "ln_f.gain": (5,)}
-    masks = S.MaskSet(masks={"layers.0.wq": (rng.random((6, 5)) > 0.5).astype(np.float64),
-                             "layers.0.w_ff_in": (rng.random((5, 7)) > 0.75).astype(np.float64)},
+    masks = S.MaskSet({"layers.0.wq": S.pack_mask((rng.random((6, 5)) > 0.5).astype(np.float64)),
+                       "layers.0.w_ff_in": S.pack_mask((rng.random((5, 7)) > 0.75)
+                                                       .astype(np.float64))},
                       plan=S.SparsityPlan(level=0.5))
     # weights of magnitude 0.5-1.5 and gradients of one sign per coordinate,
     # so no value passes near zero and a relative tolerance is meaningful
@@ -236,7 +238,8 @@ def test_blocked_adamw_matches_unblocked_reference_bitwise(dtype):
     rng = np.random.default_rng(6)
     n = (2 * TR.ADAMW_BLOCK + 1234) // 3
     init = {"layers.0.wq": rng.normal(size=(3, n)), "layers.0.bq": rng.normal(size=n)}
-    masks = S.MaskSet({"layers.0.wq": rng.random((3, n)) > 0.25}, plan=S.SparsityPlan(0.25))
+    masks = S.MaskSet({"layers.0.wq": S.pack_mask(rng.random((3, n)) > 0.25)},
+                      plan=S.SparsityPlan(0.25))
     assert (3 * n) % TR.ADAMW_BLOCK
     stores, opts = [], []
     for _ in range(2):
@@ -443,13 +446,19 @@ def test_init_train_state_rejects_a_mask_that_fits_no_parameter(mask_path, shape
     cfg = tiny_config()
     params = M.init_params(cfg, seed=0)
     before = {p: t.data.copy() for p, t in params.items()}
-    masks = S.MaskSet(masks={"layers.0.wk": np.zeros((16, 16), dtype=bool),
-                             mask_path: np.zeros(shape, dtype=bool)},
+    masks = S.MaskSet({"layers.0.wk": S.pack_mask(np.zeros((16, 16), dtype=bool)),
+                       mask_path: S.pack_mask(np.zeros(shape, dtype=bool))},
                       plan=S.SparsityPlan(level=0.5))
     with pytest.raises(ContractError, match=error):
         TR.init_train_state(params, cfg, TR.Schedule(1e-3, 5), 2, seed=0, masks=masks)
     for p in before:  # every mask is checked before any weight is touched
         assert np.array_equal(params[p].data, before[p]), p
+
+
+def test_init_train_state_rejects_a_negative_seed():
+    cfg = tiny_config()
+    with pytest.raises(ContractError, match="seed must be >= 0, got -1"):
+        TR.init_train_state(M.init_params(cfg, seed=0), cfg, TR.Schedule(1e-3, 5), 2, seed=-1)
 
 
 @pytest.mark.parametrize("micro", [0, -1])
@@ -468,7 +477,7 @@ def test_init_train_state_rejects_a_micro_batch_size_below_1(tmp_path, micro):
     path = tmp_path / "t.ckpt"
     TR.save_train_state(path, TR.init_train_state(params, cfg, TR.Schedule(1e-3, 5), 2, seed=0))
     sections = C.load_container(path)
-    sections["trainer"] = C.encode_json(dict(C.decode_json(sections["trainer"]),
+    sections["trainer"] = C.encode_json(dict(json.loads(sections["trainer"]),
                                              micro_batch_size=micro))
     C.save_container(path, sections)
     with pytest.raises(ContractError, match=f"{path}: micro_batch_size must be >= 1"):
@@ -640,7 +649,7 @@ def test_train_checkpoint_masks_load_as_bool(tmp_path):
 def test_checkpoint_mask_must_match_a_parameter(tmp_path, mask_path, shape, error):
     # the CRCs are valid: only the load's own check can catch these
     cfg = tiny_config()
-    masks = S.MaskSet(masks={mask_path: np.ones(shape, dtype=bool)},
+    masks = S.MaskSet({mask_path: S.pack_mask(np.ones(shape, dtype=bool))},
                       plan=S.SparsityPlan(level=0.5))
     path = tmp_path / "m.ckpt"
     TR.save_model_checkpoint(path, cfg, M.init_params(cfg, seed=0), masks=masks)
@@ -657,7 +666,8 @@ def test_sparse_checkpoints_keep_their_bytes(tmp_path):
     params = M.ParamStore(
         (path, Tensor(np.arange(math.prod(shape), dtype=np.float32).reshape(shape) / 7,
                       requires_grad=True)) for path, shape, _ in M.param_specs(cfg))
-    masks = S.MaskSet({p: np.arange(params[p].data.size).reshape(params[p].data.shape) % 3 != 1
+    masks = S.MaskSet({p: S.pack_mask(np.arange(params[p].data.size)
+                                      .reshape(params[p].data.shape) % 3 != 1)
                        for p in params.sparsifiable_paths()}, S.SparsityPlan(level=0.25, seed=3))
     model, train = tmp_path / "m.ckpt", tmp_path / "t.ckpt"
     TR.save_model_checkpoint(model, cfg, params, step=3, masks=masks)
