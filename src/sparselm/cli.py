@@ -20,7 +20,9 @@ if _threads:
 import argparse
 import dataclasses
 import json
+import operator
 import sys
+import typing
 
 from . import checkpoint as C
 from . import data as D
@@ -40,35 +42,61 @@ EXIT_METRIC_FLOOR = 3
 # key -> (type, default) of each pretrain setting, the shape of `--config`
 # (`errors.check_record`); all but `model` are flags too, and no flag keeps the value.
 PRETRAIN_SETTINGS = {
-    "run_name": (str, None),
-    "preset": (str, None),
+    "run_name": (str, None), "preset": (str, None),
     "model": (dict, None),            # explicit ModelConfig fields
-    "sparsity": (float, 0.0),
-    "mask_seed": (int, 0),
-    "seed": (int, 0),
-    "steps": (int, 1000),
-    "batch_size": (int, 8),
-    "micro_batch_size": (int, None),
-    "msl": (int, 128),
-    "peak_lr": (float, 2e-4),
-    "warmup_fraction": (float, 0.10),
-    "min_lr_fraction": (float, 0.10),
-    "weight_decay": (float, 0.1),
-    "grad_clip": (float, None),
-    "val_fraction": (float, 0.03),
-    "checkpoint_every": (int, None),
-    "log_every": (int, 100),
+    "sparsity": (float, 0.0), "mask_seed": (int, 0), "seed": (int, 0),
+    "steps": (int, 1000), "batch_size": (int, 8), "micro_batch_size": (int, None),
+    "msl": (int, 128), "peak_lr": (float, 2e-4), "warmup_fraction": (float, 0.10),
+    "min_lr_fraction": (float, 0.10), "weight_decay": (float, 0.1), "grad_clip": (float, None),
+    "val_fraction": (float, 0.03), "checkpoint_every": (int, None), "log_every": (int, 100),
 }
 
-# the lower bound of each pretrain setting that has one
-SETTING_MINIMUMS = {"seed": 0, "mask_seed": 0, "steps": 1, "batch_size": 1,
-                    "micro_batch_size": 1}
+# the same for finetune, whose settings are all flags; a flag beats its
+# --task-preset's value, so each grid list replaces its own axis of the preset's grid
+FINETUNE_SETTINGS = {
+    "task_preset": (str, None), "epochs": (int, 5), "batch_size": (int, 8), "lr": (float, 1e-4),
+    "patience": (int, None), "prompt_length": (int, 0), "seed": (int, 0),
+    "grid_batch_sizes": (list[int], None), "grid_lrs": (list[float], None),
+}
 
+# the finetune settings of each --task-preset: the soft prompt, epochs and grid of the recipe
 TASK_PRESETS = {
-    "pubmedqa": {"prompt_length": FT.PUBMEDQA_PROMPT_LENGTH, "grid": FT.PUBMEDQA_GRID,
-                 "epochs": 5},
-    "hoc": {"prompt_length": FT.HOC_PROMPT_LENGTH, "grid": FT.HOC_GRID, "epochs": 100},
+    "pubmedqa": {"prompt_length": 9, "epochs": 5, "grid_batch_sizes": [8, 16, 32, 64],
+                 "grid_lrs": [2e-4, 1e-4, 5e-5, 2.5e-5]},
+    "hoc": {"prompt_length": 1, "epochs": 100, "grid_batch_sizes": [16, 32, 64],
+            "grid_lrs": [8e-5, 4e-5, 2e-5, 1e-5]},
 }
+
+# the range of each numeric setting (of each item of a list), one name for one
+# meaning in every command; `main` checks the flags, `pretrain` the --config values
+SETTING_RANGES = {
+    "seed": ">= 0", "mask_seed": ">= 0", "steps": ">= 1", "epochs": ">= 0",
+    "batch_size": ">= 1", "micro_batch_size": ">= 1", "grid_batch_sizes": ">= 1",
+    "msl": ">= 2", "peak_lr": "> 0", "lr": "> 0", "grid_lrs": "> 0",
+    "sparsity": ">= 0 and < 1", "val_fraction": ">= 0 and < 1",
+    "warmup_fraction": ">= 0 and <= 1", "min_lr_fraction": ">= 0 and <= 1",
+    "weight_decay": ">= 0", "grad_clip": "> 0", "checkpoint_every": ">= 0",
+    "log_every": ">= 0", "patience": ">= 0", "prompt_length": ">= 0",
+    "vocab_size": ">= 1", "prompt_slots": ">= 0", "max_steps": ">= 1", "tokens": ">= 0",
+}
+_COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+
+
+def _check_ranges(settings, where=None):
+    """ContractError for the first value of `settings` (or item of a list) outside
+    its SETTING_RANGES rule, naming `where: key` for a file's value, else `--key`."""
+    for key, value in settings.items():
+        terms = [term.split() for term in SETTING_RANGES.get(key, "").split(" and ") if term]
+        for item in value if isinstance(value, list) else [value]:
+            if item is not None and not all(_COMPARE[op](item, float(x)) for op, x in terms):
+                name = f"{where}: {key}" if where else f"--{key.replace('_', '-')}"
+                raise ContractError(f"{name} must be {SETTING_RANGES[key]}, got {item}")
+
+
+def _with_flags(cfg, args) -> dict:
+    """`cfg` with the value of each of its settings that was given as a flag."""
+    return cfg | {key: value for key, value in vars(args).items()
+                  if key in cfg and value is not None}
 
 
 def _resolve_model_config(cfg, where, vocab_size=None):
@@ -93,26 +121,13 @@ def _resolve_model_config(cfg, where, vocab_size=None):
 
 
 def _resolved_pretrain_config(args):
-    """PRETRAIN_SETTINGS' defaults, then --config's values, then the flags'. A value
-    out of range names the file when it came from there, else its flag."""
+    """PRETRAIN_SETTINGS' defaults, then --config's values, then the flags', which
+    `main` has checked; a file value out of range names the file and the key."""
     cfg = (D.read_json(args.config, PRETRAIN_SETTINGS, "pretrain settings") if args.config
            else check_record({}, PRETRAIN_SETTINGS, "pretrain"))
-    cfg.update((key, value) for key, value in vars(args).items()
-               if key in cfg and value is not None)
-
-    def out_of_range(key, why):
-        """A ContractError naming the setting: its flag when given, else the file
-        (a default is never out of range)."""
-        if getattr(args, key, None) is None:
-            return ContractError(f"{args.config}: {key} {why}")
-        return ContractError(f"--{key.replace('_', '-')} {why}")
-
-    for key, low in SETTING_MINIMUMS.items():
-        if cfg[key] is not None and cfg[key] < low:
-            raise out_of_range(key, f"must be >= {low}, got {cfg[key]}")
-    if not (0.0 <= cfg["sparsity"] < 1.0):
-        raise out_of_range("sparsity", f"{cfg['sparsity']} outside [0, 1)")
-    return cfg
+    _check_ranges({key: value for key, value in cfg.items() if getattr(args, key, None) is None},
+                  args.config)
+    return _with_flags(cfg, args)
 
 
 def _write_text(path, text):
@@ -152,16 +167,17 @@ def cmd_pretrain(args):
               f"({report.ratio_vs_dense:.2f}x of dense)")
         return EXIT_OK
 
-    if not args.corpus or not args.vocab:
-        raise ContractError("pretrain needs --corpus and --vocab (or --dry-run)")
-    if not args.out:
-        raise ContractError("pretrain needs --out")
-    os.makedirs(args.out, exist_ok=True)
+    if not (args.corpus and args.vocab and args.out):
+        raise ContractError("pretrain needs --corpus, --vocab and --out (or --dry-run)")
 
     docs = D.filter_corpus(D.read_corpus(args.corpus))
     train_docs, _val_docs = D.split_train_val(docs, cfg["val_fraction"], cfg["seed"])
     encoded = [vocab.encode(D.document_text(d)) for d in train_docs]
     dataset = D.pack_sequences(encoded, cfg["msl"], vocab.eod_id)
+    if not len(dataset):
+        raise ContractError(f"{args.corpus}: the training split packs into no row of "
+                            f"{cfg['msl']} tokens")
+    os.makedirs(args.out, exist_ok=True)
 
     params = M.init_params(model_cfg, cfg["seed"])
     masks = None
@@ -207,9 +223,13 @@ LABEL_SPACE = {"labels": (list[str], REQUIRED), "multi_label": (bool, False),
                "separator": (str, " ")}
 
 
-def _read_task_examples(path, vocab):
+def _read_task_examples(path, vocab, space=None):
+    """A task dataset's examples; with a single-label `space`, each gold label
+    (the first) must be a candidate, or the error names `path:line`."""
     examples = []
     for line_no, rec in D.read_jsonl(path, TASK_LINE, "task example fields"):
+        if space is not None:
+            E.gold_label((rec["labels"] or [None])[0], f"{path}:{line_no}", space)
         with naming(f"{path}:{line_no}"):
             examples.append(FT.TaskExample(source=vocab.encode(rec["source"]),
                                            target=vocab.encode(rec["target"]),
@@ -233,43 +253,37 @@ def cmd_finetune(args):
         raise ContractError("--grid and --ablation cannot be combined")
     if len(args.val or []) > len(args.train):
         raise ContractError(f"{len(args.val)} --val files for {len(args.train)} --train files")
+    cfg = _with_flags(check_record(TASK_PRESETS.get(args.task_preset, {}), FINETUNE_SETTINGS,
+                                   "finetune"), args)
+    if args.grid and not (cfg["grid_batch_sizes"] and cfg["grid_lrs"]):
+        raise ContractError("--grid needs a --task-preset or both non-empty "
+                            "--grid-batch-sizes and --grid-lrs")
     config, params, _step, masks, _ = TR.load_model_checkpoint(args.checkpoint)
     if masks is not None:
         raise ContractError("checkpoint still carries masks; run `sparselm densify` first")
     vocab = D.load_vocab(args.vocab)
     if len(vocab) != config.vocab_size:
         raise ContractError(f"vocab size {len(vocab)} != model vocab {config.vocab_size}")
-
-    preset = TASK_PRESETS.get(args.task_preset, {})
-    prompt_length = args.prompt_length if args.prompt_length is not None \
-        else preset.get("prompt_length", 0)
-    if args.no_prompt:
-        prompt_length = 0
-    epochs = args.epochs if args.epochs is not None else preset.get("epochs", 5)
-    if prompt_length > len(vocab.prompt_ids):
-        raise ContractError(f"prompt length {prompt_length} exceeds the vocab's "
+    if cfg["prompt_length"] > len(vocab.prompt_ids):
+        raise ContractError(f"prompt length {cfg['prompt_length']} exceeds the vocab's "
                             f"{len(vocab.prompt_ids)} reserved slots")
+    space = _load_label_space(args.labels, vocab) if args.labels else None
+    if space is not None and space.multi_label:
+        raise ContractError(f"{args.labels}: metric tracking needs a single-label space")
 
-    vals = [_read_task_examples(path, vocab) for path in args.val or []]
+    vals = [_read_task_examples(path, vocab, space) for path in args.val or []]
     stages = [FT.FinetuneStage(name=os.path.basename(path), train=_read_task_examples(path, vocab),
                                val=vals[i] if i < len(vals) else None)
               for i, path in enumerate(args.train)]
 
     job = FT.FinetuneJob(
-        stages=stages, epochs=epochs, batch_size=args.batch_size, peak_lr=args.lr,
-        patience=args.patience, prompt_length=prompt_length,
-        virtual_ids=vocab.prompt_ids[:prompt_length], freeze_base=args.freeze_base,
+        stages=stages, epochs=cfg["epochs"], batch_size=cfg["batch_size"], peak_lr=cfg["lr"],
+        patience=cfg["patience"], prompt_length=cfg["prompt_length"],
+        virtual_ids=vocab.prompt_ids[:cfg["prompt_length"]], freeze_base=args.freeze_base,
         pad_id=vocab.pad_id, eos_id=None if args.no_eos else vocab.eod_id,
-        seed=args.seed, prompt_seed=args.seed,
+        seed=cfg["seed"], prompt_seed=cfg["seed"],
     )
-
-    metric_fn = None
-    if args.labels:
-        space = _load_label_space(args.labels, vocab)
-        if space.multi_label:
-            raise ContractError(f"{args.labels}: metric tracking needs a single-label space")
-        metric_fn = E.bind_accuracy_metric(config, space)
-
+    metric_fn = E.bind_accuracy_metric(config, space) if space is not None else None
     os.makedirs(args.out, exist_ok=True)
 
     if args.ablation:
@@ -282,14 +296,8 @@ def cmd_finetune(args):
                   f"{result.best_val_loss if result.best_val_loss is not None else 'n/a'}{metric}")
         result = arms["with_prompt"]
     elif args.grid:
-        # each list given replaces its own axis of the preset's grid
-        batch_sizes, lrs = preset.get("grid", (None, None))
-        batch_sizes = batch_sizes if args.grid_batch_sizes is None else args.grid_batch_sizes
-        lrs = lrs if args.grid_lrs is None else args.grid_lrs
-        if batch_sizes is None or lrs is None:
-            raise ContractError("--grid needs a --task-preset or both "
-                                "--grid-batch-sizes and --grid-lrs")
-        search = FT.grid_search(params, config, job, batch_sizes, lrs, metric_fn)
+        search = FT.grid_search(params, config, job, cfg["grid_batch_sizes"], cfg["grid_lrs"],
+                                metric_fn)
         _write_text(os.path.join(args.out, "grid.csv"), FT.grid_to_csv(search))
         print(f"grid best: batch_size {search.best_batch_size} lr {search.best_lr}")
         result = search.best
@@ -340,17 +348,16 @@ def cmd_flops(args):
     model_cfg = _resolve_model_config({"preset": args.preset, "model": model},
                                       args.model_config or "flops")
     report = F.forward_flops_per_token(model_cfg, args.sparsity)
-    tokens = args.tokens if args.tokens is not None else F.FULL_SCALE_TOKEN_BUDGET
     for name in F.COMPONENT_ORDER:
         print(f"{name:<20}{report.components[name]:>16.1f}")
     print(f"{'forward/token':<20}{report.forward_per_token:>16.1f}")
     print(f"sparsifiable subtotal (dense): {report.sparsifiable_subtotal:.1f}")
-    print(f"train FLOPs for {tokens:,} tokens: {report.train_total(tokens):.6g} "
+    print(f"train FLOPs for {args.tokens:,} tokens: {report.train_total(args.tokens):.6g} "
           f"({report.ratio_vs_dense:.2f}x of dense)")
     if args.csv:
         _write_text(args.csv, F.table_to_csv([F.TableRow(
             model=args.preset or "custom", size=M.sparse_matrix_params(model_cfg, args.sparsity),
-            sparsity=args.sparsity, train_flops=report.train_total(tokens),
+            sparsity=args.sparsity, train_flops=report.train_total(args.tokens),
             ratio=report.ratio_vs_dense)]))
     return EXIT_OK
 
@@ -371,11 +378,22 @@ def cmd_report(args):
 # ------------------------------------------------------------------ parser
 
 
+def _add_setting_flags(p, settings):
+    """A flag for each setting but the file-only `model`, None when not given;
+    a list setting's flag takes any number of values."""
+    for key, (kind, _) in settings.items():
+        if key != "model":
+            listed = typing.get_origin(kind) is list
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key,
+                           type=typing.get_args(kind)[0] if listed else kind,
+                           nargs="*" if listed else None,
+                           choices={"preset": sorted(M.PRESETS),
+                                    "task_preset": sorted(TASK_PRESETS)}.get(key))
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="sparselm",
-        description="Sparse-to-dense decoder LM training kit",
-    )
+    parser = argparse.ArgumentParser(prog="sparselm",
+                                     description="Sparse-to-dense decoder LM training kit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tokenizer", help="learn a BPE vocab from a corpus")
@@ -393,10 +411,7 @@ def build_parser():
     p.add_argument("--corpus")
     p.add_argument("--vocab")
     p.add_argument("--out")
-    for key, (kind, _) in PRETRAIN_SETTINGS.items():
-        if key != "model":  # a file-only key
-            p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=kind,
-                           choices=sorted(M.PRESETS) if key == "preset" else None)
+    _add_setting_flags(p, PRETRAIN_SETTINGS)
     p.add_argument("--dry-run", action="store_true")
     p.set_defaults(func=cmd_pretrain)
 
@@ -408,27 +423,17 @@ def build_parser():
     p = sub.add_parser("finetune", help="dense fine-tuning with soft prompts")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--train", nargs="+", required=True,
-                   help="stage datasets, in order")
+    p.add_argument("--train", nargs="+", required=True, help="stage datasets, in order")
     p.add_argument("--val", nargs="*", help="validation datasets, paired by stage index")
     p.add_argument("--out", required=True)
-    p.add_argument("--task-preset", choices=sorted(TASK_PRESETS), default=None)
     p.add_argument("--labels", help="label-space JSON for metric tracking")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size", default=8)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--prompt-length", type=int, dest="prompt_length")
-    p.add_argument("--no-prompt", action="store_true", help="no soft prompt: --prompt-length 0")
+    _add_setting_flags(p, FINETUNE_SETTINGS)
     p.add_argument("--ablation", action="store_true",
                    help="run both prompt arms from the same starting weights")
-    p.add_argument("--freeze-base", action="store_true", dest="freeze_base")
+    p.add_argument("--freeze-base", action="store_true")
     p.add_argument("--grid", action="store_true", help="grid-search batch size and lr")
-    p.add_argument("--grid-batch-sizes", nargs="*", type=int, dest="grid_batch_sizes")
-    p.add_argument("--grid-lrs", nargs="*", type=float, dest="grid_lrs")
     p.add_argument("--no-eos", action="store_true",
                    help="do not append the end-of-document token after targets")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("eval", help="label scoring / constrained generation metrics")
@@ -437,18 +442,17 @@ def build_parser():
     p.add_argument("--dataset", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--out")
-    p.add_argument("--metric-floor", type=float, dest="metric_floor")
-    p.add_argument("--max-steps", type=int, dest="max_steps", default=8)
+    p.add_argument("--metric-floor", type=float)
+    p.add_argument("--max-steps", type=int, default=8)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("flops", help="analytic training-cost accounting")
-    p.add_argument("--paper-table", action="store_true", dest="paper_table",
+    p.add_argument("--paper-table", action="store_true",
                    help="emit the nine-row reference cost table")
     p.add_argument("--preset", choices=sorted(M.PRESETS))
-    p.add_argument("--model-config", dest="model_config",
-                   help="JSON file of ModelConfig fields")
+    p.add_argument("--model-config", help="JSON file of ModelConfig fields")
     p.add_argument("--sparsity", type=float, default=0.0)
-    p.add_argument("--tokens", type=float)
+    p.add_argument("--tokens", type=float, default=F.FULL_SCALE_TOKEN_BUDGET)
     p.add_argument("--csv")
     p.set_defaults(func=cmd_flops)
 
@@ -467,6 +471,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
+        _check_ranges(vars(args))
         return args.func(args)
     except ContractError as exc:
         print(f"error: {exc}", file=sys.stderr)

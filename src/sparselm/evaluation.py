@@ -169,9 +169,9 @@ def generate_labels(params, config, prompt, source_ids, space: LabelSpace,
     return GenerationOutcome(labels=tuple(emitted), truncated=True)
 
 
-def _gold(label, index: int, space: LabelSpace) -> str:
+def gold_label(label, where, space: LabelSpace) -> str:
     if label not in space.labels:
-        raise ContractError(f"example {index}: gold label {label!r} is not one of {list(space.labels)}")
+        raise ContractError(f"{where}: gold label {label!r} is not one of {list(space.labels)}")
     return label
 
 
@@ -180,7 +180,8 @@ def evaluate(params, config, prompt, examples, space: LabelSpace, max_steps: int
     `score_labels`' best candidates, a row per example with every score, or
     the micro-F1 of `generate_labels`' sets, a row with the `|`-joined sets."""
     if space.multi_label:
-        golds = [{_gold(g, i, space) for g in ex.labels} for i, ex in enumerate(examples)]
+        golds = [{gold_label(g, f"example {i}", space) for g in ex.labels}
+                 for i, ex in enumerate(examples)]
         outs = [generate_labels(params, config, prompt, ex.source, space, max_steps)
                 for ex in examples]
         rows = [(i, "|".join(sorted(gold)), "|".join(sorted(out.labels)),
@@ -188,7 +189,8 @@ def evaluate(params, config, prompt, examples, space: LabelSpace, max_steps: int
                 for i, (gold, out) in enumerate(zip(golds, outs))]
         return ("micro_f1", micro_f1([out.labels for out in outs], golds),
                 ("id", "gold", "pred", "flags"), rows)
-    golds = [_gold(ex.labels[0] if ex.labels else None, i, space) for i, ex in enumerate(examples)]
+    golds = [gold_label(ex.labels[0] if ex.labels else None, f"example {i}", space)
+             for i, ex in enumerate(examples)]
     scores = [score_labels(params, config, prompt, ex.source, space) for ex in examples]
     preds = [space.best(s) for s in scores]
     rows = [(i, gold, pred, *s) for i, (gold, pred, s) in enumerate(zip(golds, preds, scores))]

@@ -26,13 +26,6 @@ from .model import (INIT_STD, ModelConfig, ParamStore, clone_params, forward_log
 from .tensor import Tensor
 from .training import OptimizerState, Schedule, _drop_grads, _step, lr_at
 
-# grid-search presets: (batch sizes, peak learning rates)
-PUBMEDQA_GRID = ((8, 16, 32, 64), (2e-4, 1e-4, 5e-5, 2.5e-5))
-HOC_GRID = ((16, 32, 64), (8e-5, 4e-5, 2e-5, 1e-5))
-
-PUBMEDQA_PROMPT_LENGTH = 9
-HOC_PROMPT_LENGTH = 1
-
 
 @dataclass
 class TaskExample:

@@ -1,3 +1,4 @@
+import argparse
 import errno
 import json
 import os
@@ -12,7 +13,6 @@ from sparselm import checkpoint as C
 from sparselm import cli
 from sparselm import data as D
 from sparselm import evaluation as E
-from sparselm import finetune as FT
 from sparselm import model as M
 from sparselm import training as TR
 from toytask import write_corpus
@@ -186,6 +186,21 @@ def test_pretrain_missing_corpus_exits_1(tmp_path, vocab_path):
                      "--corpus", str(tmp_path / "missing.jsonl"),
                      "--vocab", str(vocab_path), "--out", str(tmp_path / "o")])
     assert code == 1
+
+
+@pytest.mark.parametrize("corpus_line,message", [
+    ('{"abstract": 5}', "c.jsonl:1: 'abstract' must be str"),
+    ('{"abstract": "alpha"}', "c.jsonl: the training split packs into no row of 16 tokens"),
+], ids=["refused", "no-rows"])
+def test_pretrain_on_a_corpus_it_cannot_train_on_creates_no_run_directory(
+        tmp_path, vocab_path, capsys, corpus_line, message):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text(corpus_line + "\n")
+    code = cli.main(["pretrain", "--config", str(run_config(tmp_path)), "--corpus", str(corpus),
+                     "--vocab", str(vocab_path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_pretrain_divergence_exits_2(tmp_path, corpus_path, vocab_path, capsys):
@@ -413,7 +428,7 @@ def test_finetune_grid_list_replaces_its_own_axis_of_the_preset_grid(tmp_path, v
                      "--task-preset", "hoc", "--grid", "--grid-lrs", "0.01"])
     assert code == 0
     rows = [line.split(",")[:2] for line in (out / "grid.csv").read_text().splitlines()[1:]]
-    assert rows == [[str(bs), "0.01"] for bs in FT.HOC_GRID[0]]
+    assert rows == [[str(bs), "0.01"] for bs in cli.TASK_PRESETS["hoc"]["grid_batch_sizes"]]
 
 
 @pytest.mark.parametrize("flags,message", [
@@ -421,7 +436,9 @@ def test_finetune_grid_list_replaces_its_own_axis_of_the_preset_grid(tmp_path, v
     (["--grid", "--ablation", "--grid-batch-sizes", "4", "--grid-lrs", "0.01"],
      "--grid and --ablation cannot be combined"),
     (["--val", "{val}", "{val}"], "2 --val files for 1 --train files"),
-], ids=["grid-list-without-grid", "ablation-with-grid", "more-val-than-train"])
+    (["--grid", "--grid-batch-sizes", "--grid-lrs", "0.01"],
+     "--grid needs a --task-preset or both non-empty --grid-batch-sizes and --grid-lrs"),
+], ids=["grid-list-without-grid", "ablation-with-grid", "more-val-than-train", "empty-grid-list"])
 def test_finetune_flag_that_would_be_ignored_exits_2(tmp_path, vocab_path, capsys, flags,
                                                      message):
     train, val, _ = finetune_fixtures(tmp_path)
@@ -447,9 +464,10 @@ def test_finetune_ablation_writes_both_arms(tmp_path, vocab_path):
 
 
 def test_finetune_no_prompt_is_prompt_length_zero(tmp_path, vocab_path):
+    # no prompt is the default, and a flag beats its preset's value
     train, val, labels = finetune_fixtures(tmp_path)
     ckpt = model_ckpt(tmp_path, vocab_path)
-    runs = {"no_prompt": ["--no-prompt"], "overridden": ["--prompt-length", "2", "--no-prompt"],
+    runs = {"default": [], "overridden": ["--task-preset", "hoc", "--prompt-length", "0"],
             "zero": ["--prompt-length", "0"]}
     written = {}
     for name, flags in runs.items():
@@ -460,7 +478,7 @@ def test_finetune_no_prompt_is_prompt_length_zero(tmp_path, vocab_path):
         assert code == 0
         written[name] = [(out / f).read_bytes()
                          for f in ("model.ckpt", "report.csv", "config.json")]
-    assert written["no_prompt"] == written["overridden"] == written["zero"]
+    assert written["default"] == written["overridden"] == written["zero"]
     assert json.loads(written["zero"][2])["prompt_length"] == 0
 
 
@@ -600,7 +618,10 @@ def test_gold_label_outside_the_label_space_exits_2(tmp_path, vocab_path, capsys
     code = cli.main([command, "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
                      "--labels", str(labels), *args])
     assert code == 2
-    assert "example 1: gold label" in capsys.readouterr().err
+    # finetune checks a --val file's gold labels as it reads them, before any epoch
+    where = {"eval": "example 1", "finetune": f"{dataset}:2"}[command]
+    assert f"{where}: gold label {gold[0] if gold else None!r}" in capsys.readouterr().err
+    assert not (tmp_path / "ft").exists()
 
 
 @pytest.mark.parametrize("golds,code", [(["yes", "zzz"], 2), ([], 0)])
@@ -716,3 +737,92 @@ def test_out_of_range_flag_exits_2_naming_the_flag(tmp_path, capsys, flag, value
     assert err == f"error: {flag} must be >= {0 if 'seed' in flag else 1}, got {value}\n"
     config.write_text(json.dumps({flag[2:].replace("-", "_"): int(value), "preset": "xl"}))
     assert cli.main(["pretrain", "--config", str(config), "--dry-run", flag, "1"]) == 0
+
+
+# ------------------------------------------------------------ flag ranges
+
+# a numeric option without a range: the floor is any number a metric may be held to
+UNRANGED_ALLOWED = {"metric_floor"}
+
+
+def numeric_options(parser):
+    """(command, dest, type) of every int or float option of `parser`'s subcommands."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.dest, action.type) for command, sub in commands.choices.items()
+            for action in sub._actions if action.type in (int, float)]
+
+
+def unranged(parser, settings, ranges):
+    """The int and float options of `parser` and the int and float keys of
+    `settings` that have no entry in `ranges`."""
+    names = {dest for _, dest, _ in numeric_options(parser)}
+    names |= {key for key, (kind, _) in settings.items() if kind in (int, float)}
+    return sorted(names - set(ranges))
+
+
+def test_unranged_option_is_found():
+    parser = argparse.ArgumentParser()
+    p = parser.add_subparsers().add_parser("x")
+    p.add_argument("--depth", type=int)
+    p.add_argument("--rates", type=float, nargs="*")
+    p.add_argument("--name")
+    assert unranged(parser, {"width": (int, 1), "tag": (str, None)}, {"rates": "> 0"}) == \
+        ["depth", "width"]
+
+
+def test_every_numeric_flag_and_setting_has_a_range():
+    found = unranged(cli.build_parser(), cli.PRETRAIN_SETTINGS, cli.SETTING_RANGES)
+    assert [name for name in found if name not in UNRANGED_ALLOWED] == []
+
+
+def nearest_values(rule, kind):
+    """(the nearest value outside, the nearest inside) at each end of `rule`."""
+    step = 1 if kind is int else 0.001
+    for op, bound in (term.split() for term in rule.split(" and ")):
+        bound = kind(bound)
+        yield {">=": (bound - step, bound), ">": (bound, bound + step),
+               "<=": (bound + step, bound), "<": (bound, bound - step)}[op]
+
+
+RANGE_CASES = [(command, dest, outside, inside)
+               for command, dest, kind in numeric_options(cli.build_parser())
+               if dest in cli.SETTING_RANGES
+               for outside, inside in nearest_values(cli.SETTING_RANGES[dest], kind)]
+# values that failed or passed unchecked before the range table, beyond the nearest ones
+RANGE_CASES += [("pretrain", "grad_clip", -1.0, None), ("pretrain", "warmup_fraction", 2.0, None),
+                ("finetune", "prompt_length", -2, None), ("flops", "tokens", -1.0, None)]
+
+# each command's required flags; no file is read before the range check
+REQUIRED_FLAGS = {
+    "tokenizer": ["--corpus", "{dir}/c.jsonl", "--out", "{out}"],
+    "pretrain": ["--preset", "xl", "--corpus", "{dir}/c.jsonl", "--vocab", "{dir}/v.txt",
+                 "--out", "{out}"],
+    "finetune": ["--checkpoint", "{dir}/m.ckpt", "--vocab", "{dir}/v.txt",
+                 "--train", "{dir}/t.jsonl", "--out", "{out}"],
+    "eval": ["--checkpoint", "{dir}/m.ckpt", "--vocab", "{dir}/v.txt",
+             "--dataset", "{dir}/d.jsonl", "--labels", "{dir}/l.json", "--out", "{out}"],
+    "flops": ["--preset", "xl", "--csv", "{out}"],
+}
+
+
+@pytest.mark.parametrize("command,key,outside,inside", RANGE_CASES,
+                         ids=[f"{c}-{k}-{o}" for c, k, o, _ in RANGE_CASES])
+def test_a_value_outside_its_range_exits_2_before_anything_is_written(tmp_path, capsys, command,
+                                                                     key, outside, inside):
+    rule, flag, out = cli.SETTING_RANGES[key], f"--{key.replace('_', '-')}", tmp_path / "out"
+    argv = [a.format(dir=tmp_path, out=out) for a in REQUIRED_FLAGS[command]]
+    assert cli.main([command, *argv, flag, str(outside)]) == 2
+    assert capsys.readouterr() == ("", f"error: {flag} must be {rule}, got {outside}\n")
+    assert not out.exists()
+    if command != "pretrain":
+        return
+    # the same value from --config names the file; the nearest value inside passes
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({key: outside, "preset": "xl"}))
+    assert cli.main(["pretrain", "--config", str(config), *argv[2:]]) == 2
+    assert capsys.readouterr() == ("", f"error: {config}: {key} must be {rule}, got {outside}\n")
+    assert not out.exists()
+    if inside is not None:
+        assert cli.main(["pretrain", "--preset", "xl", "--dry-run", flag, str(inside)]) == 0
+        config.write_text(json.dumps({key: inside, "preset": "xl"}))
+        assert cli.main(["pretrain", "--config", str(config), "--dry-run"]) == 0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sparselm.errors import ContractError
+from sparselm import cli
 from sparselm import finetune as FT
 from sparselm import model as M
 from sparselm import tensor as T
@@ -59,7 +60,7 @@ def test_build_sequence_appends_eos_when_asked():
 
 def test_build_sequence_pubmedqa_preset_slot_count():
     cfg = tiny_config(vocab_size=32)
-    prompt = FT.init_soft_prompt(cfg, FT.PUBMEDQA_PROMPT_LENGTH,
+    prompt = FT.init_soft_prompt(cfg, cli.TASK_PRESETS["pubmedqa"]["prompt_length"],
                                  virtual_ids=tuple(range(2, 11)))
     ids, mask = FT.build_sequence(FT.TaskExample(source=[20, 21], target=[22]), prompt)
     virtual = [i for i in ids.tolist() if 2 <= i <= 10]
@@ -384,7 +385,7 @@ def test_grid_pubmedqa_preset_runs_sixteen_points():
     cfg = tiny_config()
     job = FT.FinetuneJob(stages=[FT.FinetuneStage("a", signal_task(6), signal_task(3, 1))],
                          epochs=1, seed=0)
-    bs, lrs = FT.PUBMEDQA_GRID
+    bs, lrs = (cli.TASK_PRESETS["pubmedqa"][axis] for axis in ("grid_batch_sizes", "grid_lrs"))
     result = FT.grid_search(M.init_params(cfg, seed=0), cfg, job, bs, lrs)
     assert len(result.table) == 16
     assert {(p.batch_size, p.lr) for p in result.table} == {(b, l) for b in bs for l in lrs}
