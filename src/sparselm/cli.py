@@ -284,13 +284,11 @@ def cmd_finetune(args):
         seed=cfg["seed"], prompt_seed=cfg["seed"],
     )
     metric_fn = E.bind_accuracy_metric(config, space) if space is not None else None
-    os.makedirs(args.out, exist_ok=True)
-
+    files = {}  # written, and the run directory made, only once the run has finished
     if args.ablation:
         arms = FT.run_prompt_ablation(params, config, job, metric_fn)
         for label, result in arms.items():
-            _write_text(os.path.join(args.out, f"{label}_report.csv"),
-                        FT.report_to_csv(result.report))
+            files[f"{label}_report.csv"] = FT.report_to_csv(result.report)
             metric = "" if result.final_metric is None else f" metric {result.final_metric:.4f}"
             print(f"{label}: best val loss "
                   f"{result.best_val_loss if result.best_val_loss is not None else 'n/a'}{metric}")
@@ -298,19 +296,21 @@ def cmd_finetune(args):
     elif args.grid:
         search = FT.grid_search(params, config, job, cfg["grid_batch_sizes"], cfg["grid_lrs"],
                                 metric_fn)
-        _write_text(os.path.join(args.out, "grid.csv"), FT.grid_to_csv(search))
+        files["grid.csv"] = FT.grid_to_csv(search)
         print(f"grid best: batch_size {search.best_batch_size} lr {search.best_lr}")
         result = search.best
     else:
         result = FT.finetune_dense(params, config, job, metric_fn)
 
+    os.makedirs(args.out, exist_ok=True)
     TR.save_model_checkpoint(os.path.join(args.out, "model.ckpt"), config, result.params,
                              prompt=result.prompt)
-    _write_text(os.path.join(args.out, "report.csv"), FT.report_to_csv(result.report))
+    files["report.csv"] = FT.report_to_csv(result.report)
     resolved = dataclasses.asdict(dataclasses.replace(job, stages=[]))
     resolved["stages"] = [s.name for s in job.stages]
-    _write_text(os.path.join(args.out, "config.json"),
-                json.dumps(resolved, indent=2, sort_keys=True) + "\n")
+    files["config.json"] = json.dumps(resolved, indent=2, sort_keys=True) + "\n"
+    for name, text in files.items():
+        _write_text(os.path.join(args.out, name), text)
     if result.report:
         last = result.report[-1]
         val = "n/a" if last.val_loss is None else f"{last.val_loss:.4f}"

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError
-from .finetune import SoftPrompt, prompt_forward
-from .model import ModelConfig, ParamStore, head_logprobs
+from .finetune import prompt_forward
+from .model import ModelConfig, ParamStore, SoftPrompt, head_logprobs
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,15 @@
 """Dense task fine-tuning with soft prompts.
 
 Sequences are laid out [source; prompt; target]: the n virtual slots sit
-between source and target. A soft prompt is a lookup by id: wherever
-virtual id j occurs, its token-embedding lookup reads row j of n trainable
-continuous embeddings instead (position embeddings apply normally). The
-prompt takes the dtype of the model's token table. The loss covers target
-positions only. Stages run in order with weights carried forward from each
-stage's best-validation checkpoint; an optional end-of-sequence token can
-be appended after the target for generation termination.
+between source and target. A soft prompt (`model.SoftPrompt`) is a lookup
+by id: wherever virtual id j occurs, its token-embedding lookup reads row j
+of n trainable continuous embeddings instead (position embeddings apply
+normally). The prompt takes the dtype of the model's token table. The loss
+covers target positions only. Stages run in order with weights carried
+forward from each stage's best-validation checkpoint; an optional
+end-of-sequence token can be appended after the target for generation
+termination. The whole job is checked, and each stage's sequences built,
+once before the first update; an epoch only reorders them into batches.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ import numpy as np
 
 from . import tensor as T
 from .data import csv_text
-from .errors import ContractError
-from .model import (INIT_STD, ModelConfig, ParamStore, clone_params, forward_logits,
-                    next_token_loss)
+from .errors import ContractError, naming
+from .model import (ModelConfig, ParamStore, SoftPrompt, clone_params, forward_logits,
+                    init_soft_prompt, next_token_loss)
 from .tensor import Tensor
 from .training import OptimizerState, Schedule, _drop_grads, _step, lr_at
 
@@ -36,33 +38,6 @@ class TaskExample:
     def __post_init__(self):
         if not self.source or not self.target:
             raise ContractError("TaskExample needs non-empty source and target")
-
-
-@dataclass
-class SoftPrompt:
-    """n trainable continuous embeddings bound to reserved virtual ids."""
-
-    embeddings: Tensor            # (n, d_model)
-    virtual_ids: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.virtual_ids) != self.embeddings.data.shape[0]:
-            raise ContractError(
-                f"{len(self.virtual_ids)} virtual ids for {self.embeddings.data.shape[0]} rows"
-            )
-        if len(set(self.virtual_ids)) != len(self.virtual_ids):
-            raise ContractError("virtual ids must be distinct")
-
-
-def init_soft_prompt(config: ModelConfig, n: int, virtual_ids, seed: int = 0,
-                     dtype: str = "float32") -> SoftPrompt:
-    """Rows drawn from the token-embedding init distribution (std 0.02)."""
-    if n < 0:
-        raise ContractError("prompt length must be >= 0")
-    rng = np.random.default_rng(seed)
-    emb = rng.normal(0.0, INIT_STD, size=(n, config.d_model))
-    return SoftPrompt(embeddings=Tensor(emb, requires_grad=True, dtype=dtype),
-                      virtual_ids=tuple(virtual_ids)[:n] if n else ())
 
 
 def build_sequence(example: TaskExample, prompt: SoftPrompt | None = None,
@@ -88,9 +63,7 @@ def prompt_forward(params: ParamStore, config: ModelConfig, prompt: SoftPrompt |
                    ids, head=True) -> Tensor:
     """Forward pass in which each virtual id reads its prompt row;
     `head` as in `forward_logits`."""
-    if prompt is None:
-        return forward_logits(params, config, ids, head=head)
-    return forward_logits(params, config, ids, prompt.embeddings, prompt.virtual_ids, head=head)
+    return forward_logits(params, config, ids, prompt, head=head)
 
 
 def sequence_loss(params, config, ids, loss_mask, prompt=None) -> Tensor:
@@ -157,15 +130,6 @@ class FinetuneResult:
     final_metric: float | None
 
 
-def _snapshot(trainable):
-    return {path: t.data.copy() for path, t in trainable.items()}
-
-
-def _restore(trainable, snapshot):
-    for path, data in snapshot.items():
-        trainable[path].data[...] = data
-
-
 def _mean_loss(params, config, batches, prompt):
     total, rows = 0.0, 0
     with T.no_grad():
@@ -176,20 +140,10 @@ def _mean_loss(params, config, batches, prompt):
     return total / rows
 
 
-def _build_batches(examples, prompt, job, config, order=None):
-    built = [build_sequence(ex, prompt, config.context_window, job.eos_id) for ex in examples]
-    if order is None:
-        order = range(len(built))
-    batches = []
-    chunk = []
-    for i in order:
-        chunk.append(built[i])
-        if len(chunk) == job.batch_size:
-            batches.append(pad_batch(chunk, job.pad_id))
-            chunk = []
-    if chunk:
-        batches.append(pad_batch(chunk, job.pad_id))
-    return batches
+def _batches(sequences, order, job):
+    """`order`'s consecutive chunks of `job.batch_size` sequences, each padded into a batch."""
+    return [pad_batch([sequences[i] for i in order[k:k + job.batch_size]], job.pad_id)
+            for k in range(0, len(order), job.batch_size)]
 
 
 def finetune_dense(params: ParamStore, config: ModelConfig, job: FinetuneJob,
@@ -199,71 +153,85 @@ def finetune_dense(params: ParamStore, config: ModelConfig, job: FinetuneJob,
     All weights train (the dense increment has the full dimensionality of
     the model) unless freeze_base, in which case only the prompt moves.
     metric_fn(params, prompt, examples) -> float scores validation sets.
-    A non-finite training or validation loss raises ContractError naming
-    the stage and epoch.
+    A fault of the job or of any stage raises ContractError before the
+    first update; a non-finite training or validation loss raises it
+    naming the stage and epoch.
     """
-    if not job.stages:
-        raise ContractError("job has no stages")
-    if job.pad_id >= config.vocab_size:
-        raise ContractError(f"pad id {job.pad_id} outside vocab {config.vocab_size}")
-
-    prompt = None
-    if job.prompt_length > 0:
-        if len(job.virtual_ids) < job.prompt_length:
-            raise ContractError(
-                f"{job.prompt_length} prompt slots need {job.prompt_length} virtual ids, "
-                f"got {len(job.virtual_ids)}"
-            )
-        prompt = init_soft_prompt(config, job.prompt_length, job.virtual_ids, job.prompt_seed,
-                                  params["tok_emb"].dtype)
-
-    trainable = {}
-    if not job.freeze_base:
-        trainable.update(params)
-    if prompt is not None:
-        trainable["soft_prompt"] = prompt.embeddings
-    if not trainable:
-        raise ContractError("freeze_base without a prompt leaves nothing to train")
-
+    prompt, trainable, sequences = _lay_out(params, config, job)
     # a frozen base collects no gradients: no backward work, no .grad kept
     frozen = [t for t in params.values() if t.requires_grad] if job.freeze_base else []
     for t in frozen:
         t.requires_grad = False
     try:
-        return _run_stages(params, config, job, prompt, trainable, metric_fn)
+        return _run_stages(params, config, job, prompt, trainable, sequences, metric_fn)
     finally:
         for t in frozen:
             t.requires_grad = True
 
 
-def _run_stages(params, config, job, prompt, trainable, metric_fn) -> FinetuneResult:
+def _lay_out(params, config, job):
+    """Check the whole job and lay it out once: (prompt, the tensors that
+    train, each stage's train and val (ids, loss mask) sequences). A fault
+    names its stage, and a sequence's fault its split and index."""
+    if not job.stages:
+        raise ContractError("job has no stages")
+    if job.batch_size < 1:
+        raise ContractError(f"batch size must be >= 1, got {job.batch_size}")
+    if not 0 <= job.pad_id < config.vocab_size:
+        raise ContractError(f"pad id {job.pad_id} outside vocab {config.vocab_size}")
+    if len(job.virtual_ids) < job.prompt_length:
+        raise ContractError(f"{job.prompt_length} prompt slots need {job.prompt_length} "
+                            f"virtual ids, got {len(job.virtual_ids)}")
+    prompt = (init_soft_prompt(config, job.prompt_length, job.virtual_ids, job.prompt_seed,
+                               params["tok_emb"].dtype) if job.prompt_length > 0 else None)
+    trainable = {} if job.freeze_base else dict(params)
+    if prompt is not None:
+        trainable["soft_prompt"] = prompt.embeddings
+    if not trainable:
+        raise ContractError("freeze_base without a prompt leaves nothing to train")
+
+    sequences = []
+    for stage in job.stages:
+        if job.patience is not None and stage.val is None:
+            raise ContractError(f"stage {stage.name!r}: early stopping needs a validation split")
+        if not stage.train:
+            raise ContractError(f"stage {stage.name!r} has no training examples")
+        where = f"stage {stage.name!r}"
+        sequences.append((_sequences(stage.train, prompt, config, job, f"{where}, train"),
+                          _sequences(stage.val or [], prompt, config, job, f"{where}, val")))
+    return prompt, trainable, sequences
+
+
+def _sequences(examples, prompt, config, job, where):
+    """Each example's (ids, loss mask); a fault names `where[index]`."""
+    built = []
+    for i, example in enumerate(examples):
+        with naming(f"{where}[{i}]"):
+            ids, mask = build_sequence(example, prompt, config.context_window, job.eos_id)
+            if ids.min() < 0 or ids.max() >= config.vocab_size:
+                raise ContractError(f"token id outside [0, {config.vocab_size})")
+        built.append((ids, mask))
+    return built
+
+
+def _run_stages(params, config, job, prompt, trainable, sequences, metric_fn) -> FinetuneResult:
     """The body of `finetune_dense`: each stage in order, `trainable` updated by `_step`."""
     _drop_grads(trainable)
     rng = np.random.default_rng(job.seed)
     report: list[EpochRecord] = []
     best_val_loss = None
 
-    for stage in job.stages:
+    for stage, (train, val) in zip(job.stages, sequences):
         epochs = stage.epochs if stage.epochs is not None else job.epochs
-        if job.patience is not None and stage.val is None:
-            raise ContractError(f"stage {stage.name!r}: early stopping needs a validation split")
-        if not stage.train:
-            raise ContractError(f"stage {stage.name!r} has no training examples")
-
-        steps_per_epoch = math.ceil(len(stage.train) / job.batch_size)
-        schedule = Schedule(job.peak_lr, max(1, epochs * steps_per_epoch))
+        schedule = Schedule(job.peak_lr, max(1, epochs * math.ceil(len(train) / job.batch_size)))
         opt = OptimizerState.for_params(trainable)
-        val_batches = (_build_batches(stage.val, prompt, job, config)
-                       if stage.val else None)
+        val_batches = _batches(val, range(len(val)), job) if val else None
 
-        best = None
-        best_weights = None
-        stalled = 0
-        step = 0
+        best = best_weights = None
+        stalled = step = 0
         for epoch in range(1, epochs + 1):
-            order = rng.permutation(len(stage.train))
             epoch_loss, rows = 0.0, 0
-            for ids, mask in _build_batches(stage.train, prompt, job, config, order):
+            for ids, mask in _batches(train, rng.permutation(len(train)), job):
                 step += 1
                 value = _step(trainable, opt, lr_at(schedule, min(step, schedule.total_steps)),
                               f"stage {stage.name!r}, epoch {epoch}",
@@ -271,8 +239,7 @@ def _run_stages(params, config, job, prompt, trainable, metric_fn) -> FinetuneRe
                 epoch_loss += value * ids.shape[0]
                 rows += ids.shape[0]
             train_loss = epoch_loss / rows
-            val_loss = (_mean_loss(params, config, val_batches, prompt)
-                        if val_batches else None)
+            val_loss = _mean_loss(params, config, val_batches, prompt) if val_batches else None
             if val_loss is not None and not math.isfinite(val_loss):
                 raise ContractError(f"stage {stage.name!r}, epoch {epoch}: validation loss "
                                     f"is {val_loss}; fine-tuning diverged")
@@ -283,22 +250,20 @@ def _run_stages(params, config, job, prompt, trainable, metric_fn) -> FinetuneRe
             selection = val_loss if val_loss is not None else train_loss
             if best is None or selection < best:
                 best = selection
-                best_weights = _snapshot(trainable)
+                best_weights = {path: t.data.copy() for path, t in trainable.items()}
                 stalled = 0
             else:
                 stalled += 1
                 if job.patience is not None and stalled > job.patience:
                     break
 
-        if best_weights is not None:
-            _restore(trainable, best_weights)
+        for path, data in (best_weights or {}).items():
+            trainable[path].data[...] = data
         if best is not None and stage.val is not None:
             best_val_loss = best
 
-    final_metric = None
-    last_val = job.stages[-1].val
-    if metric_fn is not None and last_val:
-        final_metric = metric_fn(params, prompt, last_val)
+    last_val = job.stages[-1].val if metric_fn is not None else None
+    final_metric = metric_fn(params, prompt, last_val) if last_val else None
     return FinetuneResult(params=params, prompt=prompt, report=report,
                           best_val_loss=best_val_loss, final_metric=final_metric)
 
@@ -368,5 +333,7 @@ def run_prompt_ablation(params: ParamStore, config: ModelConfig, job: FinetuneJo
     soft prompt, so the two arms are directly comparable."""
     if job.prompt_length <= 0:
         raise ContractError("ablation needs a prompt_length > 0")
+    if job.freeze_base:
+        raise ContractError("freeze_base leaves the arm without a prompt nothing to train")
     arms = {"with_prompt": job, "without_prompt": dataclasses.replace(job, prompt_length=0)}
     return dict(zip(arms, _finetune_each(params, config, arms.values(), metric_fn)))

@@ -180,13 +180,40 @@ def _head(params: ParamStore, config: ModelConfig):
     return params["lm_head"], False
 
 
+@dataclass
+class SoftPrompt:
+    """n trainable continuous embeddings bound to reserved virtual ids."""
+
+    embeddings: Tensor            # (n, d_model)
+    virtual_ids: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.virtual_ids) != self.embeddings.data.shape[0]:
+            raise ContractError(
+                f"{len(self.virtual_ids)} virtual ids for {self.embeddings.data.shape[0]} rows"
+            )
+        if len(set(self.virtual_ids)) != len(self.virtual_ids):
+            raise ContractError("virtual ids must be distinct")
+
+
+def init_soft_prompt(config: ModelConfig, n: int, virtual_ids, seed: int = 0,
+                     dtype: str = "float32") -> SoftPrompt:
+    """Rows drawn from the token-embedding init distribution (std 0.02)."""
+    if n < 0:
+        raise ContractError("prompt length must be >= 0")
+    rng = np.random.default_rng(seed)
+    emb = rng.normal(0.0, INIT_STD, size=(n, config.d_model))
+    return SoftPrompt(embeddings=Tensor(emb, requires_grad=True, dtype=dtype),
+                      virtual_ids=tuple(virtual_ids)[:n] if n else ())
+
+
 def forward_logits(params: ParamStore, config: ModelConfig, tokens,
-                   prompt_embeddings=None, prompt_ids=(), head=True) -> Tensor:
+                   prompt: SoftPrompt | None = None, head=True) -> Tensor:
     """Causal decoder forward pass; returns logits (batch, seq, vocab).
 
-    With prompt injection, row j of `prompt_embeddings` replaces the
-    token-embedding lookup of every occurrence of `prompt_ids[j]` before
-    position embeddings are added (`tensor.embedding`). With head=False it
+    With a soft prompt, row j of its embeddings replaces the token-embedding
+    lookup of every occurrence of its j-th virtual id before position
+    embeddings are added (`tensor.embedding`). With head=False it
     returns the final normalized hidden state (batch, seq, d_model)
     instead, which `next_token_loss` feeds to the fused head and loss, and
     eval to `head_logprobs`.
@@ -201,7 +228,8 @@ def forward_logits(params: ParamStore, config: ModelConfig, tokens,
         raise ContractError(f"token id outside [0, {config.vocab_size})")
 
     dtype = params["tok_emb"].data.dtype
-    x = T.embedding(params["tok_emb"], params["pos_emb"], tokens, prompt_embeddings, prompt_ids)
+    rows = () if prompt is None else (prompt.embeddings, prompt.virtual_ids)
+    x = T.embedding(params["tok_emb"], params["pos_emb"], tokens, *rows)
 
     causal_bias = np.triu(np.full((seq, seq), NEG_INF_BIAS, dtype=dtype), k=1)
     for i in range(config.n_layers):

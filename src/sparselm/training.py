@@ -31,7 +31,7 @@ from . import checkpoint as C
 from . import tensor as T
 from .data import PackedDataset, csv_text
 from .errors import REQUIRED, ContractError, naming, record_shape
-from .model import CONFIG_SHAPE, ModelConfig, ParamStore, lm_loss
+from .model import CONFIG_SHAPE, ModelConfig, ParamStore, SoftPrompt, lm_loss
 from .sparsity import MaskSet, SparsityPlan, check_masks, mask_gradients
 from .tensor import Tensor
 
@@ -376,7 +376,6 @@ def _decode_model(sections):
         masks = MaskSet(C.decode_bitset_map(sections.pop("masks")), plan)
         check_masks(masks, params)
     if "prompt" in sections:
-        from .finetune import SoftPrompt  # finetune imports this module
         emb = C.decode_tensor_map(sections.pop("prompt"))["embeddings"]
         ids = tuple(_json(sections, "prompt_meta")["virtual_ids"])
         prompt = SoftPrompt(embeddings=Tensor(emb, requires_grad=True), virtual_ids=ids)

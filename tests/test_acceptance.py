@@ -218,11 +218,15 @@ def test_criterion_07_soft_prompting():
                              prompt_length=n, virtual_ids=tuple(range(2, 2 + n)),
                              freeze_base=True, seed=0)
         probe = FT.init_soft_prompt(cfg, n, tuple(range(2, 2 + n)), seed=0)
-        batches = FT._build_batches(train, probe, job, cfg)
-        base_loss = FT._mean_loss(base, cfg, batches, probe)
+
+        def mean_loss(prompt):  # over the training set in its order, 8 rows a batch
+            sequences = [FT.build_sequence(ex, prompt) for ex in train]
+            return FT._mean_loss(base, cfg, [FT.pad_batch(sequences[k:k + 8], pad_id=1)
+                                             for k in range(0, len(train), 8)], prompt)
+
+        base_loss = mean_loss(probe)
         result = FT.finetune_dense(base, cfg, job)
-        tuned_batches = FT._build_batches(train, result.prompt, job, cfg)
-        tuned_loss = FT._mean_loss(base, cfg, tuned_batches, result.prompt)
+        tuned_loss = mean_loss(result.prompt)
         assert tuned_loss <= 0.8 * base_loss, (base_loss, tuned_loss)
         losses = [r.train_loss for r in result.report]
         assert losses == sorted(losses, reverse=True)  # strictly improving epochs

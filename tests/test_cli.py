@@ -451,6 +451,26 @@ def test_finetune_flag_that_would_be_ignored_exits_2(tmp_path, vocab_path, capsy
     assert not (tmp_path / "ft").exists()
 
 
+@pytest.mark.parametrize("flags,source,message", [
+    (["--patience", "1"], "alpha cue",
+     "stage 'train.jsonl': early stopping needs a validation split"),
+    ([], " ".join(["alpha beta"] * 40),
+     "stage 'train.jsonl', train[1]: sequence length"),
+], ids=["patience-without-val", "longer-than-the-context"])
+def test_finetune_job_the_library_refuses_leaves_no_run_directory(tmp_path, vocab_path, capsys,
+                                                                  flags, source, message):
+    train = tmp_path / "train.jsonl"
+    write_task_file(train, [("alpha cue", "yes", ["yes"]), (source, "no", ["no"])])
+    code = cli.main(["finetune", "--checkpoint", str(model_ckpt(tmp_path, vocab_path)),
+                     "--vocab", str(vocab_path), "--train", str(train),
+                     "--out", str(tmp_path / "ft"), "--epochs", "1", *flags])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+    assert not (tmp_path / "ft").exists()
+
+
 def test_finetune_ablation_writes_both_arms(tmp_path, vocab_path):
     train, val, labels = finetune_fixtures(tmp_path)
     ckpt = model_ckpt(tmp_path, vocab_path)

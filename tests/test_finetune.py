@@ -9,6 +9,7 @@ from sparselm import cli
 from sparselm import finetune as FT
 from sparselm import model as M
 from sparselm import tensor as T
+from sparselm import training as TR
 
 
 def tiny_config(**kw):
@@ -301,6 +302,75 @@ def test_early_stopping_requires_validation():
     job = FT.FinetuneJob(stages=[FT.FinetuneStage("a", signal_task(4))], patience=1)
     with pytest.raises(ContractError):
         FT.finetune_dense(M.init_params(cfg, seed=0), cfg, job)
+
+
+def counting(monkeypatch, module, name):
+    """Calls of `module.name` from here on, counted in the returned list."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("stage_b,patience,message", [
+    (FT.FinetuneStage("b", [], signal_task(2, 2)), None, r"stage 'b' has no training examples"),
+    (FT.FinetuneStage("b", signal_task(4, 2)), 1,
+     r"stage 'b': early stopping needs a validation split"),
+    (FT.FinetuneStage("b", signal_task(2, 2) + [FT.TaskExample(source=[11] * 30, target=[9])],
+                      signal_task(2, 3)), None,
+     r"stage 'b', train\[2\]: sequence length 31 \(source 30 \+ prompt 0 \+ target 1\) "
+     r"exceeds context window 24"),
+    (FT.FinetuneStage("b", signal_task(2, 2) + [FT.TaskExample(source=[11], target=[16])]), None,
+     r"stage 'b', train\[2\]: token id outside \[0, 16\)"),
+], ids=["empty-train", "patience-without-val", "too-long", "outside-the-vocab"])
+def test_a_fault_in_a_later_stage_is_raised_before_the_first_update(monkeypatch, stage_b,
+                                                                    patience, message):
+    cfg = tiny_config()
+    updates = counting(monkeypatch, TR, "adamw_step")
+    job = FT.FinetuneJob(stages=[FT.FinetuneStage("a", signal_task(8), signal_task(4, 1)),
+                                 stage_b], epochs=1, batch_size=3, patience=patience, seed=0)
+    with pytest.raises(ContractError, match=message):
+        FT.finetune_dense(M.init_params(cfg, seed=0), cfg, job)
+    assert updates == []
+
+
+@pytest.mark.parametrize("fields,message", [
+    (dict(stages=[]), "job has no stages"),
+    (dict(batch_size=0), "batch size must be >= 1, got 0"),
+    (dict(pad_id=-1), "pad id -1 outside vocab 16"),
+    (dict(pad_id=16), "pad id 16 outside vocab 16"),
+    (dict(prompt_length=3, virtual_ids=(2, 3)), "3 prompt slots need 3 virtual ids, got 2"),
+], ids=["no-stages", "batch-size-0", "pad-below", "pad-above", "too-few-virtual-ids"])
+def test_a_job_fault_is_raised_before_the_first_update(monkeypatch, fields, message):
+    cfg = tiny_config()
+    updates = counting(monkeypatch, TR, "adamw_step")
+    job = FT.FinetuneJob(**{"stages": [FT.FinetuneStage("a", signal_task(8))], **fields})
+    with pytest.raises(ContractError, match=message):
+        FT.finetune_dense(M.init_params(cfg, seed=0), cfg, job)
+    assert updates == []
+
+
+def test_ablation_of_a_frozen_base_is_refused_before_the_first_update(monkeypatch):
+    cfg = tiny_config()
+    updates = counting(monkeypatch, TR, "adamw_step")
+    with pytest.raises(ContractError, match="arm without a prompt nothing to train"):
+        FT.run_prompt_ablation(M.init_params(cfg, seed=0), cfg, prompt_only_job())
+    assert updates == []
+
+
+def test_each_sequence_is_built_once_per_job(monkeypatch):
+    cfg = tiny_config()
+    train, val = signal_task(8), signal_task(4, 1)
+    built = counting(monkeypatch, FT, "build_sequence")
+    job = FT.FinetuneJob(stages=[FT.FinetuneStage("a", train, val)], epochs=3, batch_size=3,
+                         prompt_length=2, virtual_ids=(2, 3), seed=0)
+    result = FT.finetune_dense(M.init_params(cfg, seed=0), cfg, job)
+    assert len(result.report) == 3
+    assert len(built) == len(train) + len(val)
 
 
 def test_early_stopping_halts_on_plateau():

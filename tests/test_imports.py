@@ -38,6 +38,25 @@ def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def function_level_imports(source):
+    """Lines of the imports of `source` that sit inside a function or method body."""
+    return sorted({node.lineno for func in ast.walk(ast.parse(source))
+                   if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+def test_function_level_import_is_found():
+    source = ("import os\n\ndef f():\n    import sys\n\n"
+              "class C:\n    def m(self):\n        def g():\n            from a import b\n")
+    assert function_level_imports(source) == [4, 9]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    # an import cycle shows up as an import deferred into a function body
+    assert function_level_imports(path.read_text(encoding="utf-8")) == []
+
+
 def public_definitions(source):
     """(line, name) of each public module-level function and class of
     `source`, and of each public method and property of those classes."""

@@ -251,7 +251,7 @@ def test_lm_loss_tape_stays_small():
     forwards = [
         lambda: M.lm_loss(store, cfg, tokens),
         lambda: M.next_token_loss(store, cfg, M.forward_logits(
-            store, cfg, prompted, prompt, (2, 3, 4), head=False), prompted),
+            store, cfg, prompted, M.SoftPrompt(prompt, (2, 3, 4)), head=False), prompted),
     ]
     for forward in forwards:
         T.reset_tape()
