@@ -3,15 +3,12 @@
 Layout (all integers little-endian):
 
     magic   8 bytes  b"SPLMCKPT"
-    version u32      2 (version 1 files are still read)
+    version u32      2, the only version read
     then repeated sections:
         u16 name length (>= 1), name (UTF-8), u64 payload length, payload,
         u32 CRC32 (zlib) of the section's bytes before it
     then the end marker:
         u16 0, u32 number of sections
-
-Version 1 has neither the CRC nor the end marker; its sections run to the
-end of the file.
 
 Section payload encodings:
     tensor map   repeated [u16 path len][path][u8 dtype 0=f32/1=f64]
@@ -124,31 +121,29 @@ def load_container(path) -> dict[str, bytes]:
         if fh.read(8) != MAGIC:
             raise ContractError("not a checkpoint container (bad magic)")
         (version,) = struct.unpack("<I", _read(fh, 4, size))
-        if version not in (1, FORMAT_VERSION):
+        if version != FORMAT_VERSION:
             raise ContractError(f"unsupported container version {version}")
         sections = {}
-        while version > 1 or fh.tell() < size:
+        while True:
             start = fh.tell()
             head = _read(fh, 2, size)
             (name_len,) = struct.unpack("<H", head)
-            if name_len == 0 and version > 1:
+            if name_len == 0:
                 (count,) = struct.unpack("<I", _read(fh, 4, size))
                 if count != len(sections) or fh.tell() != size:
                     raise ContractError(f"end marker does not close the "
                                         f"{len(sections)} sections read")
-                break
+                return sections
             head += _read(fh, name_len + 8, size)
             (payload_len,) = struct.unpack("<Q", head[-8:])
             payload = _read(fh, payload_len, size)
-            if version > 1:
-                (crc,) = struct.unpack("<I", _read(fh, 4, size))
-                if zlib.crc32(payload, zlib.crc32(head)) != crc:
-                    raise ContractError(f"section at offset {start} fails its CRC check")
+            (crc,) = struct.unpack("<I", _read(fh, 4, size))
+            if zlib.crc32(payload, zlib.crc32(head)) != crc:
+                raise ContractError(f"section at offset {start} fails its CRC check")
             name = _utf8(head[2:-8], "section name")
             if name in sections:
                 raise ContractError(f"duplicate checkpoint section {name!r}")
             sections[name] = payload
-    return sections
 
 
 def _pack_header(path: str, shape, dtype=None) -> bytes:

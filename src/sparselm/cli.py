@@ -158,7 +158,7 @@ def cmd_pretrain(args):
         token_budget = cfg["steps"] * cfg["batch_size"] * cfg["msl"]
         report = F.forward_flops_per_token(model_cfg, cfg["sparsity"])
         print(json.dumps(dict(cfg, model=dataclasses.asdict(model_cfg)), indent=2, sort_keys=True))
-        print(f"total parameters (with embeddings): {M.count_params(model_cfg, True):,}")
+        print(f"total parameters (with embeddings): {M.count_params(model_cfg):,}")
         print(f"matrix parameters: {M.count_matrix_params(model_cfg):,}")
         print(f"sparsity {cfg['sparsity'] * 100:.0f}% -> remaining matrix parameters: "
               f"{M.sparse_matrix_params(model_cfg, cfg['sparsity']):,}")

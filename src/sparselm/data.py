@@ -11,11 +11,13 @@ never emits for text.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import json
+import operator
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,14 +119,11 @@ def pre_tokenize(text: str) -> list[str]:
 
 @dataclass
 class Vocab:
-    """Ordered merge rules plus id maps. Ids: specials, 256 bytes, merges."""
+    """Ordered merge rules plus the id maps derived from them (not compared).
+    Ids: specials, 256 bytes, merges."""
 
     merges: list[tuple[bytes, bytes]]
     n_prompt_slots: int = DEFAULT_PROMPT_SLOTS
-    token_to_id: dict = field(default_factory=dict, repr=False)
-    id_to_token: dict = field(default_factory=dict, repr=False)
-    _merge_ranks: dict = field(default_factory=dict, repr=False)
-    _encode_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.n_prompt_slots < 0:
@@ -134,6 +133,7 @@ class Vocab:
         self.prompt_ids = tuple(range(2, 2 + self.n_prompt_slots))
         base = 2 + self.n_prompt_slots
         self.token_to_id = {bytes([b]): base + b for b in range(N_BYTE_TOKENS)}
+        self._merge_ranks, self._encode_cache = {}, {}
         for left, right in self.merges:
             merged = left + right
             if merged in self.token_to_id:
@@ -335,14 +335,29 @@ class PackedDataset:
 def pack_sequences(encoded_docs, msl: int, eod_id: int) -> PackedDataset:
     """Concatenate each document's ids plus an end-of-document marker into
     one stream, then chunk into msl-length rows; the final partial chunk is
-    dropped."""
+    dropped. An id that is not an integer in [0, 2**32) raises ContractError
+    naming its document."""
     if msl < 2:
         raise ContractError(f"msl must be >= 2, got {msl}")
-    stream = []
-    for ids in encoded_docs:
-        stream.extend(int(i) for i in ids)
-        stream.append(eod_id)
+    stream, ends = [], []
+    try:
+        for ids in encoded_docs:
+            stream.extend(map(operator.index, ids))
+            stream.append(eod_id)
+            ends.append(len(stream))
+    except TypeError as exc:  # an id that is not an integer
+        raise ContractError(f"document {len(ends)}: {exc}") from None
+    top = np.iinfo(np.uint32).max
+    try:
+        arr = np.asarray(stream, dtype=np.int64)
+        bad = arr.size and (arr.min() < 0 or arr.max() > top)
+    except OverflowError:  # an id beyond int64
+        bad = True
+    if bad:
+        at = next(k for k, i in enumerate(stream) if not 0 <= i <= top)
+        raise ContractError(f"document {bisect.bisect_right(ends, at)}: token id {stream[at]} "
+                            f"is outside [0, 2**32)")
     n = len(stream) // msl
-    arr = np.asarray(stream[: n * msl], dtype=np.uint32).reshape(n, msl)
+    arr = arr[: n * msl].astype(np.uint32).reshape(n, msl)
     offsets = (np.arange(n, dtype=np.uint64) * np.uint64(msl))
     return PackedDataset(sequences=arr, offsets=offsets, msl=msl)

@@ -112,19 +112,18 @@ class TableRow:
     ratio: float
 
 
-def ratio_table(presets=None, sparsities=(0.0, 0.5, 0.75),
-                token_budget: float = FULL_SCALE_TOKEN_BUDGET) -> list[TableRow]:
-    """One row per (model, sparsity): training FLOPs and ratio vs dense."""
-    presets = presets or {name: PRESETS[name] for name in ("med", "large", "xl")}
+def ratio_table() -> list[TableRow]:
+    """One row per (model, sparsity) of the paper's table: training FLOPs
+    over the full-scale token budget and ratio vs dense."""
     rows = []
-    for name, config in presets.items():
-        for s in sparsities:
-            report = forward_flops_per_token(config, s)
+    for name in ("med", "large", "xl"):
+        for s in (0.0, 0.5, 0.75):
+            report = forward_flops_per_token(PRESETS[name], s)
             rows.append(TableRow(
                 model=name,
-                size=sparse_matrix_params(config, s),
+                size=sparse_matrix_params(PRESETS[name], s),
                 sparsity=s,
-                train_flops=report.train_total(token_budget),
+                train_flops=report.train_total(FULL_SCALE_TOKEN_BUDGET),
                 ratio=report.ratio_vs_dense,
             ))
     return rows

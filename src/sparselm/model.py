@@ -140,17 +140,9 @@ def init_params(config: ModelConfig, seed: int, dtype: str = "float32") -> Param
     return store
 
 
-def count_params(config: ModelConfig, include_embeddings: bool = True) -> int:
-    """Exact parameter count. With include_embeddings=False the token,
-    position and (untied) output-projection tables are excluded, leaving
-    the block weight matrices plus LayerNorm/bias terms."""
-    emb_paths = {"tok_emb", "pos_emb", "lm_head"}
-    total = 0
-    for path, shape, _ in param_specs(config):
-        if not include_embeddings and path in emb_paths:
-            continue
-        total += math.prod(shape)
-    return total
+def count_params(config: ModelConfig) -> int:
+    """Exact parameter count, embedding tables included."""
+    return sum(math.prod(shape) for _, shape, _ in param_specs(config))
 
 
 def count_matrix_params(config: ModelConfig) -> int:

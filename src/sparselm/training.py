@@ -318,17 +318,15 @@ def parse_loss_curves(text: str, path="loss curves") -> dict[str, list[tuple[int
 # loaders name the file in every ContractError (`errors.naming`).
 
 # A plan section must name its seed and leaves a null level to SparsityPlan's
-# own check; an older plan also holds per-path `levels` and `resolved`, and an
-# older trainer section the step, which the step section overrides.
+# own check; the step is its own section, not a key of the trainer section.
 SECTION_SHAPES = {
     "config": CONFIG_SHAPE,
-    "plan": {"level": (float, None), "seed": (int, REQUIRED), "levels": (dict, None),
-             "resolved": (dict, None)},
+    "plan": {"level": (float, None), "seed": (int, REQUIRED)},
     "prompt_meta": {"virtual_ids": (list[int], REQUIRED)},
     "schedule": record_shape(Schedule),
     "opt_meta": record_shape(OptimizerState, skip=("m", "v", "scratch")),
     "trainer": record_shape(TrainState, skip=("params", "config", "schedule", "opt", "rng",
-                                              "masks", "trace")),
+                                              "step", "masks", "trace")),
     "rng": {"bit_generator": (str, REQUIRED), "has_uint32": (int, REQUIRED),
             "uinteger": (int, REQUIRED),
             "state": ({"state": (int, REQUIRED), "inc": (int, REQUIRED)}, REQUIRED)},
@@ -411,8 +409,8 @@ def load_train_state(path) -> TrainState:
         except (ValueError, OverflowError) as exc:  # another generator, or out of range
             raise ContractError(f"rng section: {exc}") from None
         return TrainState(params=params, config=config, opt=opt, rng=rng, masks=masks,
-                          schedule=Schedule(**_json(sections, "schedule")),
-                          **(_json(sections, "trainer") | {"step": step}))
+                          schedule=Schedule(**_json(sections, "schedule")), step=step,
+                          **_json(sections, "trainer"))
 
 
 def save_model_checkpoint(path, config: ModelConfig, params: ParamStore, step: int = 0,

@@ -300,9 +300,8 @@ def test_densify_per_path_plan_exits_2(tmp_path, corpus_path, vocab_path, capsys
     ckpt = out / "final.ckpt"
     sections = C.load_container(ckpt)
     assert json.loads(sections["plan"]) == {"level": 0.5, "seed": 0}
-    # a plan of per-path levels, in the older layout, without a uniform level
-    sections["plan"] = C.encode_json({"level": None, "levels": {"layers.0.wq": 0.5}, "seed": 0,
-                                      "resolved": {"layers.0.wq": 0.5}})
+    # a plan without a uniform level
+    sections["plan"] = C.encode_json({"level": None, "seed": 0})
     C.save_container(ckpt, sections)
     assert cli.main(["densify", "--checkpoint", str(ckpt),
                      "--out", str(tmp_path / "dense.ckpt")]) == 2

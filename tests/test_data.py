@@ -110,6 +110,18 @@ def test_specials_never_collide_and_never_emitted():
     assert min(vocab.token_to_id.values()) == 2 + vocab.n_prompt_slots
 
 
+def test_vocab_is_its_merges_and_prompt_slots():
+    # the id maps, merge ranks and encode cache are derived: encoding text
+    # does not change what a vocab equals, and none is a constructor argument
+    merges = make_vocab(["abab abab cdcd"], extra=4).merges
+    used, fresh = D.Vocab(merges=merges), D.Vocab(merges=merges)
+    used.encode("abab cd")
+    assert used == fresh
+    assert used != D.Vocab(merges=merges, n_prompt_slots=3)
+    with pytest.raises(TypeError):
+        D.Vocab(merges=merges, token_to_id={})
+
+
 def test_vocab_file_roundtrip(tmp_path):
     vocab = make_vocab(["the cat sat on the mat the cat"], extra=10)
     path = tmp_path / "vocab.txt"
@@ -351,6 +363,24 @@ def test_pack_hand_example():
     ds = D.pack_sequences([[1, 2, 3], [4, 5, 6, 7]], msl=4, eod_id=9)
     assert ds.sequences.tolist() == [[1, 2, 3, 9], [4, 5, 6, 7]]
     assert ds.offsets.tolist() == [0, 4]
+
+
+def test_pack_takes_numpy_integer_ids():
+    ds = D.pack_sequences([np.arange(1, 4), [np.uint32(4), np.int64(5), 6, 7]], msl=4, eod_id=9)
+    assert ds.sequences.tolist() == [[1, 2, 3, 9], [4, 5, 6, 7]]
+
+
+@pytest.mark.parametrize("docs,message", [
+    ([[1, 2], [3, 4.7, 5]], "document 1: 'float' object cannot be interpreted as an integer"),
+    ([[1, 2], [3], [-1]], "document 2: token id -1 is outside [0, 2**32)"),
+    ([[2**32]], "document 0: token id 4294967296 is outside [0, 2**32)"),
+    ([[1], [2, 2**64]], "document 1: token id 18446744073709551616 is outside [0, 2**32)"),
+])
+def test_pack_rejects_an_id_that_is_not_a_uint32_naming_its_document(docs, message):
+    # a float is not truncated to an id, nor an id uint32 cannot hold left to
+    # numpy; an id in the dropped final partial chunk is checked too
+    with pytest.raises(ContractError, match=re.escape(message)):
+        D.pack_sequences(docs, msl=64, eod_id=0)
 
 
 def test_pack_short_stream_is_empty():

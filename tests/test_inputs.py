@@ -20,7 +20,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparselm import checkpoint as C
@@ -236,7 +236,13 @@ BAD_SECTIONS = {
                        "plan section: 'level' must be float, got '0.5'"),
     "plan-negative-seed": ("plan", lambda rec: dict(rec, seed=-1),
                            "a sparsity plan's seed must be >= 0, got -1"),
+    "plan-older-levels": ("plan", lambda rec: dict(rec, levels={"layers.0.wq": 0.5}),
+                          "plan section: unknown key 'levels'"),
+    "plan-older-resolved": ("plan", lambda rec: dict(rec, resolved={"layers.0.wq": 0.5}),
+                            "plan section: unknown key 'resolved'"),
     "trainer-empty": ("trainer", lambda rec: {}, "trainer section: missing key 'batch_size'"),
+    "trainer-older-step": ("trainer", lambda rec: dict(rec, step=2),
+                           "trainer section: unknown key 'step'"),
     "opt_meta-unknown-key": ("opt_meta", lambda rec: dict(rec, momentum=0.9),
                              "opt_meta section: unknown key 'momentum'"),
     "schedule-str-peak_lr": ("schedule", lambda rec: dict(rec, peak_lr="a"),
@@ -290,3 +296,21 @@ def test_a_null_field_of_a_model_config_takes_its_default(tmp_path):
     code, out, _ = run_cli(["flops", "--model-config", str(path)])
     path.write_text(json.dumps(MODEL))
     assert (code, out) == (0, run_cli(["flops", "--model-config", str(path)])[1])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(version=st.integers(0, 2**32 - 1).filter(lambda v: v != C.FORMAT_VERSION))
+@example(version=0)
+@example(version=1)
+@example(version=3)
+@example(version=2**32 - 1)
+def test_a_container_of_another_version_is_refused_naming_the_version(base, tmp_path_factory,
+                                                                     version):
+    data = bytearray((base / "final.ckpt").read_bytes())
+    data[8:12] = version.to_bytes(4, "little")
+    path = tmp_path_factory.mktemp("version") / "final.ckpt"
+    path.write_bytes(data)
+    for load in (TR.load_model_checkpoint, TR.load_train_state):
+        with pytest.raises(ContractError) as caught:
+            load(path)
+        assert str(caught.value) == f"{path}: unsupported container version {version}"

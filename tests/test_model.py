@@ -99,15 +99,7 @@ def test_preset_architecture_rows(preset, arch):
 def test_count_params_matches_store_sum():
     cfg = tiny_config()
     store = M.init_params(cfg, seed=0)
-    assert M.count_params(cfg, include_embeddings=True) == sum(t.data.size for t in store.values())
-
-
-def test_count_params_without_embeddings_formula():
-    cfg = tiny_config()
-    L, d = cfg.n_layers, cfg.d_model
-    # block matrices + per-layer LN (4d) + attn biases (4d) + ff biases (d_ff + d) + final LN (2d)
-    expected = M.count_matrix_params(cfg) + L * (4 * d + 4 * d + cfg.d_ff + d) + 2 * d
-    assert M.count_params(cfg, include_embeddings=False) == expected
+    assert M.count_params(cfg) == sum(t.data.size for t in store.values())
 
 
 @pytest.mark.parametrize("s,expected", [(0.5, 603_979_776), (0.75, 301_989_888)])

@@ -4,9 +4,11 @@ import hashlib
 import json
 import math
 import os
+import re
 import struct
 import tempfile
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ import toytask
 from toytask import pretrain
 from sparselm.errors import ContractError
 from sparselm import checkpoint as C
+from sparselm import cli
 from sparselm import finetune as FT
 from sparselm import model as M
 from sparselm import sparsity as S
@@ -695,17 +698,23 @@ def test_sparse_checkpoints_keep_their_bytes(tmp_path):
     assert again.read_bytes() == model.read_bytes()
 
 
-def write_v1_container(path, sections):
-    """Container version 1, as `save_container` wrote it before CRCs and
-    the end marker: sections run to the end of the file."""
+def write_container(path, sections, version):
+    """`save_container`'s layout at any `version`, each name encoded with
+    surrogateescape so that a test can store one that is not UTF-8. Version
+    1, which the kit wrote before CRCs, has neither the CRCs nor the end
+    marker: its sections run to the end of the file."""
     with open(path, "wb") as fh:
-        fh.write(C.MAGIC + struct.pack("<I", 1))
+        fh.write(C.MAGIC + struct.pack("<I", version))
         for name, payload in sections.items():
             chunks = [payload] if isinstance(payload, bytes) else payload
             payload = b"".join(memoryview(c).tobytes() for c in chunks)
             raw = name.encode("utf-8", "surrogateescape")
-            fh.write(struct.pack("<H", len(raw)) + raw + struct.pack("<Q", len(payload)))
-            fh.write(payload)
+            section = struct.pack("<H", len(raw)) + raw + struct.pack("<Q", len(payload)) + payload
+            fh.write(section)
+            if version > 1:
+                fh.write(struct.pack("<I", zlib.crc32(section)))
+        if version > 1:
+            fh.write(struct.pack("<HI", 0, len(sections)))
 
 
 def assert_same_train_state(loaded, state):
@@ -727,55 +736,35 @@ def assert_same_train_state(loaded, state):
         assert np.array_equal(loaded.masks[p], state.masks[p]), p
 
 
-def test_train_checkpoint_in_older_layout_loads(tmp_path):
-    # the earlier layout, in a version-1 container: train sections first,
-    # the step both in `trainer` and in a `step` section after `rng`,
-    # masks and plan last
-    state = sparse_state()
-    opt, plan = state.opt, state.masks.plan
-    path = tmp_path / "old.ckpt"
-    write_v1_container(path, {
-        "config": C.encode_json(dataclasses.asdict(state.config)),
-        "schedule": C.encode_json(dataclasses.asdict(state.schedule)),
-        "params": C.encode_tensor_map({p: t.data for p, t in state.params.items()}),
-        "opt_m": C.encode_tensor_map(opt.m),
-        "opt_v": C.encode_tensor_map(opt.v),
-        "opt_meta": C.encode_json({"step": opt.step, "beta1": opt.beta1, "beta2": opt.beta2,
-                                   "eps": opt.eps, "weight_decay": opt.weight_decay}),
-        "trainer": C.encode_json({"step": state.step, "batch_size": state.batch_size,
-                                  "micro_batch_size": state.micro_batch_size,
-                                  "seed": state.seed, "smoothed": state.smoothed}),
-        "rng": C.encode_json(state.rng.bit_generator.state),
-        "step": C.encode_u64(state.step),
-        "masks": C.encode_bitset_map(state.masks.bitsets),
-        "plan": C.encode_json({"level": plan.level, "levels": None, "seed": plan.seed,
-                               "resolved": {p: plan.level for p in state.masks.paths()}}),
-    })
-    assert_same_train_state(TR.load_train_state(path), state)
-
-def test_version_1_checkpoint_loads(tmp_path):
-    # a train checkpoint of today's sections in a version-1 container
-    state = sparse_state()
-    path = tmp_path / "v1.ckpt"
-    TR.save_train_state(path, state)
-    write_v1_container(path, C.load_container(path))
-    with open(path, "rb") as fh:
-        assert struct.unpack("<I", fh.read(12)[8:])[0] == 1
-    assert_same_train_state(TR.load_train_state(path), state)
-    config, params, step, masks, _ = TR.load_model_checkpoint(path)
-    assert (config, step, masks.paths()) == (state.config, state.step, state.masks.paths())
+def test_version_1_container_is_refused(tmp_path, capsys):
+    # a version-1 file of today's sections: with no CRC, a flipped byte in it
+    # would load silently, so the kit reads version 2 only
+    path, out = tmp_path / "v1.ckpt", tmp_path / "dense.ckpt"
+    TR.save_train_state(path, sparse_state())
+    write_container(path, C.load_container(path), 1)
+    message = f"{path}: unsupported container version 1"
+    for load in (TR.load_train_state, TR.load_model_checkpoint):
+        with pytest.raises(ContractError, match=re.escape(message)):
+            load(path)
+    assert cli.main(["densify", "--checkpoint", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
-def test_version_1_checkpoint_with_bad_utf8_raises(tmp_path):
-    # version 1 has no CRC, so a flipped name byte reaches the decoder
+def test_checkpoint_with_bad_utf8_raises(tmp_path):
+    # valid CRCs, so a name or path that is not UTF-8 reaches the decoder
     cfg = tiny_config()
-    path = tmp_path / "v1.ckpt"
+    path, saved = tmp_path / "bad.ckpt", tmp_path / "saved.ckpt"
     sections = TR._encode_model(cfg, M.init_params(cfg, seed=0), 0)
+    C.save_container(saved, sections)
+    write_container(path, sections, C.FORMAT_VERSION)
+    assert path.read_bytes() == saved.read_bytes()
     bad_path = C.encode_tensor_map({"abcd": np.zeros(2)})
     bad_path[0] = bad_path[0].replace(b"abcd", b"ab\xff\xfe")
-    for broken in ({**sections, "\udcff": b""}, {**sections, "params": bad_path}):
-        write_v1_container(path, broken)
-        with pytest.raises(ContractError, match="not UTF-8"):
+    for broken, what in (({**sections, "\udcff": b""}, "section name"),
+                         ({**sections, "params": bad_path}, "tensor path")):
+        write_container(path, broken, C.FORMAT_VERSION)
+        with pytest.raises(ContractError, match=f"checkpoint {what} is not UTF-8"):
             TR.load_model_checkpoint(path)
 
 
