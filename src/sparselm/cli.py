@@ -363,13 +363,16 @@ def cmd_flops(args):
 
 
 def cmd_report(args):
-    merged = {}
+    merged, source = {}, {}
     for run_dir in args.runs:
         path = os.path.join(run_dir, "loss.csv")
         parsed = TR.parse_loss_curves(D.read_text(path), path)
         for run, records in parsed.items():
             label = run if run not in merged else f"{os.path.basename(os.path.normpath(run_dir))}/{run}"
-            merged[label] = records
+            if label in merged:
+                raise ContractError(f"runs of {source[label]} and {run_dir} both take the "
+                                    f"label {label!r}")
+            merged[label], source[label] = records, run_dir
     _write_text(args.out, TR.emit_loss_curves(merged))
     print(f"wrote {sum(map(len, merged.values()))} rows for {len(merged)} runs to {args.out}")
     return EXIT_OK

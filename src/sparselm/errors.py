@@ -1,4 +1,4 @@
-"""Shared exception types, and the one check of a JSON record against its shape."""
+"""Shared exception types, and the one check of a JSON record or of a tensor map."""
 
 import contextlib
 import dataclasses
@@ -64,3 +64,18 @@ def check_record(value, shape, where, what="fields", extra_keys=False) -> dict:
             name = kind.__name__ if isinstance(kind, type) else kind
             raise ContractError(f"{where}: {key!r} must be {name}, got {record[key]!r}")
     return record
+
+
+def check_shapes(arrays, shapes, what) -> dict:
+    """`arrays` if it holds each path of `shapes`, {path: shape}, at its shape and
+    no other path; else ContractError naming `what`, the path and the shapes."""
+    for path, array in arrays.items():
+        if path not in shapes:
+            raise ContractError(f"{what}: unknown tensor {path!r}")
+        if array.shape != shapes[path]:
+            raise ContractError(f"{what}: {path!r} has shape {array.shape}, "
+                                f"expected {shapes[path]}")
+    missing = [path for path in shapes if path not in arrays]
+    if missing:
+        raise ContractError(f"{what}: missing tensor {missing[0]!r} of shape {shapes[missing[0]]}")
+    return arrays

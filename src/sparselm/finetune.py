@@ -93,7 +93,6 @@ class FinetuneStage:
     name: str
     train: list[TaskExample]
     val: list[TaskExample] | None = None
-    epochs: int | None = None  # override of job.epochs
 
 
 @dataclass
@@ -222,14 +221,14 @@ def _run_stages(params, config, job, prompt, trainable, sequences, metric_fn) ->
     best_val_loss = None
 
     for stage, (train, val) in zip(job.stages, sequences):
-        epochs = stage.epochs if stage.epochs is not None else job.epochs
-        schedule = Schedule(job.peak_lr, max(1, epochs * math.ceil(len(train) / job.batch_size)))
+        schedule = Schedule(job.peak_lr,
+                            max(1, job.epochs * math.ceil(len(train) / job.batch_size)))
         opt = OptimizerState.for_params(trainable)
         val_batches = _batches(val, range(len(val)), job) if val else None
 
         best = best_weights = None
         stalled = step = 0
-        for epoch in range(1, epochs + 1):
+        for epoch in range(1, job.epochs + 1):
             epoch_loss, rows = 0.0, 0
             for ids, mask in _batches(train, rng.permutation(len(train)), job):
                 step += 1

@@ -35,6 +35,11 @@ LayerNorm outputs (xhat * gain + bias) and the GELU output (pre * cdf)
 with the forward's expressions, so the bits are those of separate ops
 that had kept them.
 
+Ops do not re-check a parameter's shape: every store is checked where it
+enters (`model.init_params` builds it from `model.param_specs`, a checkpoint
+load compares it with them). Ops check the data from outside, and `linear`
+and `cross_entropy` the width by which they reshape their input.
+
 Every op takes its operands by one rule: a raw array becomes a constant of
 the dtype of the op's first tensor operand, an absent optional operand
 stays None, and tensors of two dtypes raise ContractError ("mixed dtypes").
@@ -190,14 +195,6 @@ def _finish(out, inputs, bwd):
     return out
 
 
-def _check_norm(op, x, gain, bias):
-    d = x.data.shape[-1]
-    if gain.data.shape != (d,) or bias.data.shape != (d,):
-        raise ContractError(
-            f"{op}: gain {gain.shape} / bias {bias.shape} must match last axis ({d},)"
-        )
-
-
 def _normalize(x, eps):
     """(xhat, inv) of the last axis of array x: xhat = (x - mean) * inv and
     inv = 1/sqrt(variance + eps), the variance in two passes, as the mean
@@ -229,7 +226,6 @@ def _normalize_grads(x, gain, bias, xhat, inv, g):
 def layer_norm(x, gain, bias, eps=1e-5):
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gain, bias = _operands("layer_norm", x, gain, bias)
-    _check_norm("layer_norm", x, gain, bias)
     xhat, inv = _normalize(x.data, eps)
     out = Tensor(xhat * gain.data + bias.data)
 
@@ -380,14 +376,6 @@ def attention(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, n_heads, logit_bias
     x, gain, bias, *wb = _operands("attention", x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo)
     ws, bs, (wo, bo) = wb[0:6:2], wb[1:6:2], wb[6:]
     d = ws[0].data.shape[-1]
-    if (x.data.ndim != 3 or any(w.data.shape != (x.data.shape[-1], d) for w in ws)
-            or any(b.data.shape != (d,) for b in bs)
-            or wo.data.shape != (d, x.data.shape[-1]) or bo.data.shape != (x.data.shape[-1],)):
-        raise ContractError(f"attention shape mismatch: x {x.shape}, wq/bq/wk/bk/wv/bv/wo/bo "
-                            f"{[t.shape for t in wb]}")
-    _check_norm("attention", x, gain, bias)
-    if n_heads < 1 or d % n_heads:
-        raise ContractError(f"attention: {n_heads} heads do not divide width {d}")
     bsz, seq, d_in = x.data.shape
     xhat, inv = _normalize(x.data, eps)
     rows = (xhat * gain.data + bias.data).reshape(-1, d_in)
@@ -441,12 +429,6 @@ def feed_forward(x, gain, bias, w_in, b_in, w_out, b_out, eps=1e-5):
     x, gain, bias, w_in, b_in, w_out, b_out = _operands(
         "feed_forward", x, gain, bias, w_in, b_in, w_out, b_out)
     d = x.data.shape[-1]
-    f = w_in.data.shape[-1]
-    if (w_in.data.shape != (d, f) or b_in.data.shape != (f,)
-            or w_out.data.shape != (f, d) or b_out.data.shape != (d,)):
-        raise ContractError(f"feed_forward shape mismatch: x {x.shape}, w_in/b_in/w_out/b_out "
-                            f"{[t.shape for t in (w_in, b_in, w_out, b_out)]}")
-    _check_norm("feed_forward", x, gain, bias)
     xhat, inv = _normalize(x.data, eps)
     pre = (xhat * gain.data + bias.data).reshape(-1, d) @ w_in.data
     pre += b_in.data
@@ -554,21 +536,15 @@ def embedding(table, pos, ids, prompt=None, prompt_ids=()):
     """
     table, pos, prompt = _operands("embedding", table, pos, prompt)
     ids = np.asarray(ids)
-    if table.data.ndim != 2:
-        raise ContractError(f"embedding table must be 2-d, got {table.shape}")
     n_ids, d = table.data.shape
     if ids.ndim != 2:
         raise ContractError(f"embedding: ids must be (batch, seq), got shape {ids.shape}")
     t = ids.shape[1]
-    if pos.data.ndim != 2 or pos.data.shape[0] < t or pos.data.shape[1] != d:
-        raise ContractError(f"embedding: position table {pos.shape} must be (>= {t}, {d})")
     if ids.size and (ids.min() < 0 or ids.max() >= n_ids):
         raise ContractError(f"embedding: id outside [0, {n_ids})")
     data = table.data[ids]
     if prompt is not None:
         n = len(prompt_ids)
-        if prompt.data.shape != (n, d):
-            raise ContractError(f"embedding: prompt rows {prompt.shape} must be ({n}, {d})")
         if len(set(prompt_ids)) != n or not all(0 <= i < n_ids for i in prompt_ids):
             raise ContractError(f"embedding: prompt ids must be distinct and in [0, {n_ids})")
         # the prompt row of each token id, -1 for an id that is not a prompt id

@@ -30,8 +30,8 @@ import numpy as np
 from . import checkpoint as C
 from . import tensor as T
 from .data import PackedDataset, csv_text
-from .errors import REQUIRED, ContractError, naming, record_shape
-from .model import CONFIG_SHAPE, ModelConfig, ParamStore, SoftPrompt, lm_loss
+from .errors import REQUIRED, ContractError, check_shapes, naming, record_shape
+from .model import CONFIG_SHAPE, ModelConfig, ParamStore, SoftPrompt, lm_loss, param_specs
 from .sparsity import MaskSet, SparsityPlan, check_masks, mask_gradients
 from .tensor import Tensor
 
@@ -129,9 +129,6 @@ def adamw_step(params, grads, opt: OptimizerState, lr: float, clip_scale: float 
         grad = grads.get(path)
         if grad is None:
             continue
-        if grad.shape != tensor.data.shape:
-            raise ContractError(f"grad shape {grad.shape} != param shape {tensor.data.shape} "
-                                f"at {path!r}")
         flat = [a.reshape(-1) for a in (tensor.data, grad, opt.m[path], opt.v[path])]
         for start in range(0, flat[0].size, ADAMW_BLOCK):
             p, g, m, v = (a[start:start + ADAMW_BLOCK] for a in flat)
@@ -362,11 +359,14 @@ def _encode_model(config, params, step, masks=None, prompt=None) -> dict[str, by
 def _decode_model(sections):
     """(config, params, step, masks or None, prompt or None). Tensor sections
     are popped as they are decoded, so each payload is freed once its arrays
-    exist and a load never holds all payloads and all arrays at once."""
+    exist and a load never holds all payloads and all arrays at once. Their
+    shapes are the config's `param_specs` and (len(virtual_ids), d_model)."""
     _require(sections, ("config", "params", "step"))
     config = ModelConfig(**_json(sections, "config"))
-    params = ParamStore((p, Tensor(arr, requires_grad=True))
-                        for p, arr in C.decode_tensor_map(sections.pop("params")).items())
+    arrays = check_shapes(C.decode_tensor_map(sections.pop("params")),
+                          {path: shape for path, shape, _ in param_specs(config)},
+                          "params section")
+    params = ParamStore((p, Tensor(arr, requires_grad=True)) for p, arr in arrays.items())
     masks = prompt = None
     if "masks" in sections:
         meta = _json(sections, "plan")
@@ -374,8 +374,10 @@ def _decode_model(sections):
         masks = MaskSet(C.decode_bitset_map(sections.pop("masks")), plan)
         check_masks(masks, params)
     if "prompt" in sections:
-        emb = C.decode_tensor_map(sections.pop("prompt"))["embeddings"]
         ids = tuple(_json(sections, "prompt_meta")["virtual_ids"])
+        emb = check_shapes(C.decode_tensor_map(sections.pop("prompt")),
+                           {"embeddings": (len(ids), config.d_model)},
+                           "prompt section")["embeddings"]
         prompt = SoftPrompt(embeddings=Tensor(emb, requires_grad=True), virtual_ids=ids)
     return config, params, C.decode_u64(sections["step"]), masks, prompt
 
@@ -399,9 +401,10 @@ def load_train_state(path) -> TrainState:
     with naming(path):
         _require(sections, ("schedule", "opt_m", "opt_v", "opt_meta", "trainer", "rng"))
         config, params, step, masks, _ = _decode_model(sections)
-        opt = OptimizerState(m=C.decode_tensor_map(sections.pop("opt_m")),
-                             v=C.decode_tensor_map(sections.pop("opt_v")),
-                             **_json(sections, "opt_meta"))
+        shapes = {p: t.data.shape for p, t in params.items()}
+        m, v = (check_shapes(C.decode_tensor_map(sections.pop(name)), shapes, f"{name} section")
+                for name in ("opt_m", "opt_v"))
+        opt = OptimizerState(m=m, v=v, **_json(sections, "opt_meta"))
         rng_state = _json(sections, "rng")
         rng = np.random.default_rng()
         try:

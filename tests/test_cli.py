@@ -575,6 +575,34 @@ def test_report_merges_runs(tmp_path, corpus_path, vocab_path):
     assert len(parsed["r1"]) == 5
 
 
+def write_runs(tmp_path, names):
+    """A run directory at tmp_path/<name> for each name, each with one curve `x`."""
+    dirs = []
+    for i, name in enumerate(names):
+        (tmp_path / name).mkdir(parents=True)
+        (tmp_path / name / "loss.csv").write_text(f"run,step,loss\nx,1,{i}.5\n")
+        dirs.append(str(tmp_path / name))
+    return dirs
+
+
+def test_report_labels_a_clashing_run_by_its_directory(tmp_path):
+    merged = tmp_path / "m.csv"
+    assert cli.main(["report", "--runs", *write_runs(tmp_path, ["a", "b", "c"]),
+                     "--out", str(merged)]) == 0
+    assert TR.parse_loss_curves(merged.read_text()) == {"x": [(1, 0.5)], "b/x": [(1, 1.5)],
+                                                        "c/x": [(1, 2.5)]}
+
+
+def test_report_exits_2_when_a_label_is_still_taken(tmp_path, capsys):
+    # a/x gives `x`, b/x `x/x`, and c/x would take `x/x` again: no curve is dropped
+    dirs = write_runs(tmp_path, ["a/x", "b/x", "c/x"])
+    assert cli.main(["report", "--runs", *dirs, "--out", str(tmp_path / "m.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1, captured
+    assert dirs[1] in captured.err and dirs[2] in captured.err and "'x/x'" in captured.err
+    assert not (tmp_path / "m.csv").exists()
+
+
 @pytest.mark.parametrize("text,line", [
     ("run,step,loss\nr1,1,2.5\nr1,2\n", 3),
     ("run,step,loss\nr1,1,2.", 2),

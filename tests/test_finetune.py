@@ -387,21 +387,25 @@ def test_early_stopping_halts_on_plateau():
 
 
 def test_multi_stage_carryover_exact():
+    # a job [a, b] ends on the weights of a job [a] followed by a job [b] on
+    # its weights: each stage starts its own schedule and moments, and b's
+    # one example leaves its batch order nothing to draw
     cfg = tiny_config()
-    job_a = FT.FinetuneJob(stages=[FT.FinetuneStage("a", signal_task(8), signal_task(4, 1))],
-                           epochs=2, batch_size=4, peak_lr=5e-3, seed=3)
-    params_a = M.init_params(cfg, seed=0)
-    FT.finetune_dense(params_a, cfg, job_a)
-
-    job_ab = FT.FinetuneJob(
-        stages=[FT.FinetuneStage("a", signal_task(8), signal_task(4, 1)),
-                FT.FinetuneStage("b", signal_task(4, 2), epochs=0)],
-        epochs=2, batch_size=4, peak_lr=5e-3, seed=3)
+    stage_a = FT.FinetuneStage("a", signal_task(8), signal_task(4, 1))
+    stage_b = FT.FinetuneStage("b", signal_task(1, 2))
+    job = lambda *stages: FT.FinetuneJob(stages=list(stages), epochs=2, batch_size=4,
+                                         peak_lr=5e-3, seed=3)
     params_ab = M.init_params(cfg, seed=0)
-    FT.finetune_dense(params_ab, cfg, job_ab)
+    FT.finetune_dense(params_ab, cfg, job(stage_a, stage_b))
 
-    for p in params_a:
-        assert np.array_equal(params_a[p].data, params_ab[p].data), p
+    params_then = M.init_params(cfg, seed=0)
+    FT.finetune_dense(params_then, cfg, job(stage_a))
+    after_a = M.clone_params(params_then)
+    FT.finetune_dense(params_then, cfg, job(stage_b))
+
+    for p in params_ab:
+        assert np.array_equal(params_ab[p].data, params_then[p].data), p
+    assert not np.array_equal(params_then["tok_emb"].data, after_a["tok_emb"].data)
 
 
 def test_report_csv_shape():

@@ -11,6 +11,11 @@ errors must name the file.
 Every JSON record, in a file or in a checkpoint section, is also mutated one
 field at a time: a value of another type, the field dropped, an unknown key
 added. A checkpoint keeps a valid CRC, so only the record check can refuse it.
+
+Every tensor section of a checkpoint (params, prompt, opt_m, opt_v) is
+damaged one tensor at a time, CRC still valid: a tensor dropped, an unknown
+one added, one axis of one changed. Each loader that reads the section, and
+`densify`, `eval` and `finetune`, refuse it naming the file and the path.
 """
 
 import contextlib
@@ -314,3 +319,134 @@ def test_a_container_of_another_version_is_refused_naming_the_version(base, tmp_
         with pytest.raises(ContractError) as caught:
             load(path)
         assert str(caught.value) == f"{path}: unsupported container version {version}"
+
+
+# ------------------------------------------------------------ tensor sections
+
+
+# the commands that read a model's tensors; {ckpt} is the damaged checkpoint
+READERS = {
+    "densify": ["densify", "--checkpoint", "{ckpt}", "--out", "{out}/dense.ckpt"],
+    "eval": [a.replace("{base}/model.ckpt", "{ckpt}") for a in EVAL],
+    "finetune": ["finetune", "--checkpoint", "{ckpt}", "--vocab", "{base}/vocab.txt",
+                 "--train", "{base}/data.jsonl", "--out", "{out}/ft"],
+}
+TENSOR_SECTIONS = ["params", "prompt", "opt_m", "opt_v"]
+
+
+@pytest.fixture(scope="module")
+def full_ckpt(base):
+    """The sections of the pretrain run's train checkpoint (d_model 16, context
+    window 32, tied, sparse) plus model.ckpt's soft prompt: one file that
+    holds every tensor section, and both loaders and every reader accept."""
+    sections = C.load_container(base / "final.ckpt")
+    prompted = C.load_container(base / "model.ckpt")
+    return dict(sections, prompt=prompted["prompt"], prompt_meta=prompted["prompt_meta"])
+
+
+def with_tensor(sections, section, path, shape):
+    """`sections` with `path` of the tensor section `section` dropped (shape
+    None), else set to an array of `shape`, its values repeated from the old
+    array's; and the error the loaders must give after the file's name."""
+    arrays = C.decode_tensor_map(sections[section])
+    old = arrays.pop(path, None)
+    if shape is None:
+        message = f"{section} section: missing tensor {path!r} of shape {old.shape}"
+    else:
+        arrays[path] = np.resize(np.zeros(1, np.float32) if old is None else old, shape)
+        message = (f"{section} section: unknown tensor {path!r}" if old is None else
+                   f"{section} section: {path!r} has shape {shape}, expected {old.shape}")
+    return dict(sections, **{section: C.encode_tensor_map(arrays)}), message
+
+
+def loaders_of(section):
+    """The loaders that read `section`; a model load does not read the moments."""
+    if section in ("opt_m", "opt_v"):
+        return (TR.load_train_state,)
+    return (TR.load_model_checkpoint, TR.load_train_state)
+
+
+# case -> (section, tensor path, the new shape; None drops it). The model is
+# d_model 16, d_ff 64 and context window 32, with two prompt rows.
+TENSOR_CASES = {
+    "params-missing-wq": ("params", "layers.0.wq", None),
+    "params-tied-lm_head": ("params", "lm_head", (16, 8)),
+    "params-ln1.gain": ("params", "layers.0.ln1.gain", (4,)),
+    "params-short-pos_emb": ("params", "pos_emb", (4, 16)),
+    "params-narrow-pos_emb": ("params", "pos_emb", (32, 8)),
+    "params-wv": ("params", "layers.0.wv", (16, 8)),
+    "params-bk": ("params", "layers.0.bk", (8,)),
+    "params-wo": ("params", "layers.0.wo", (16, 12)),
+    "params-bo": ("params", "layers.0.bo", (12,)),
+    "params-ln2.gain": ("params", "layers.0.ln2.gain", (12,)),
+    "params-w_ff_in": ("params", "layers.0.w_ff_in", (16, 60)),
+    "params-w_ff_out": ("params", "layers.0.w_ff_out", (64, 12)),
+    "params-b_ff_out": ("params", "layers.0.b_ff_out", (8,)),
+    "prompt-missing": ("prompt", "embeddings", None),
+    "prompt-unknown": ("prompt", "rows", (2, 16)),
+    "prompt-narrow": ("prompt", "embeddings", (2, 8)),
+    "prompt-extra-row": ("prompt", "embeddings", (3, 16)),
+    "opt_m-missing-wq": ("opt_m", "layers.0.wq", None),
+    "opt_m-unknown": ("opt_m", "lm_head", (16, 8)),
+    "opt_m-tok_emb": ("opt_m", "tok_emb", (8, 16)),
+    "opt_v-wq-(1,)": ("opt_v", "layers.0.wq", (1,)),
+    "opt_v-missing-ln_f.bias": ("opt_v", "ln_f.bias", None),
+    "opt_v-unknown": ("opt_v", "soft_prompt", (2, 16)),
+}
+
+
+def test_the_checkpoint_with_every_tensor_section_is_accepted(base, full_ckpt, tmp_path):
+    path = tmp_path / "full.ckpt"
+    C.save_container(path, full_ckpt)
+    assert TR.load_model_checkpoint(path)[4].virtual_ids == (2, 3)
+    assert TR.load_train_state(path).config.d_model == 16
+    for command in ("densify", "eval"):
+        code, _, err = run_cli([a.format(ckpt=path, base=base, out=tmp_path)
+                                for a in READERS[command]])
+        assert code == 0, err
+
+
+@pytest.mark.parametrize("case", TENSOR_CASES)
+def test_a_tensor_that_does_not_fit_the_config_is_refused_naming_the_file_and_the_path(
+        base, full_ckpt, tmp_path, case):
+    section, tensor, shape = TENSOR_CASES[case]
+    sections, message = with_tensor(full_ckpt, section, tensor, shape)
+    path = tmp_path / "damaged.ckpt"
+    C.save_container(path, sections)
+    for load in loaders_of(section):
+        with pytest.raises(ContractError) as caught:
+            load(path)
+        assert str(caught.value) == f"{path}: {message}", load
+    if section in ("params", "prompt"):
+        for command, argv in READERS.items():
+            code, out, err = run_cli([a.format(ckpt=path, base=base, out=tmp_path)
+                                      for a in argv])
+            # eval names the checkpoint, not the dataset it would have scored
+            assert (code, out, err) == (2, "", f"error: {path}: {message}\n"), command
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_any_tensor_dropped_added_or_reshaped_is_refused_by_its_loaders(base, full_ckpt,
+                                                                        tmp_path_factory, data):
+    section = data.draw(st.sampled_from(TENSOR_SECTIONS))
+    arrays = C.decode_tensor_map(full_ckpt[section])
+    how = data.draw(st.sampled_from(["drop", "add", "axis"]))
+    if how == "add":
+        tensor, shape = "zzz." + data.draw(st.sampled_from(sorted(arrays))), (3,)
+    else:
+        tensor = data.draw(st.sampled_from(sorted(arrays)))
+        shape = None
+        if how == "axis":
+            shape = list(arrays[tensor].shape)
+            axis = data.draw(st.integers(0, len(shape) - 1))
+            shape[axis] = data.draw(st.integers(1, 2 * shape[axis]).filter(
+                lambda n: n != arrays[tensor].shape[axis]))
+            shape = tuple(shape)
+    sections, message = with_tensor(full_ckpt, section, tensor, shape)
+    path = tmp_path_factory.mktemp("tensor") / "damaged.ckpt"
+    C.save_container(path, sections)
+    for load in loaders_of(section):
+        with pytest.raises(ContractError) as caught:
+            load(path)
+        assert str(caught.value) == f"{path}: {message}"

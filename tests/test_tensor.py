@@ -132,11 +132,6 @@ def test_layer_norm_zero_gain_gives_bias():
     assert np.allclose(out.data, 2.5)
 
 
-def test_layer_norm_shape_contract():
-    with pytest.raises(ContractError):
-        T.layer_norm(T.Tensor(np.zeros((2, 4))), T.Tensor(np.ones(3)), T.Tensor(np.zeros(4)))
-
-
 def test_layer_norm_mixed_dtypes_rejected():
     x = T.Tensor(np.ones((2, 4)), dtype="float32")
     with pytest.raises(ContractError, match="mixed dtypes"):
@@ -297,10 +292,10 @@ def test_embedding_out_of_range():
         T.embedding(T.Tensor(np.zeros((4, 2))), np.zeros((2, 2)), [[-1, 0]])
 
 
-def embed_with_prompt(prompt_shape=(2, 2), prompt_ids=(1, 3), pos_rows=4, t=4):
-    table, pos = T.Tensor(np.zeros((5, 2))), T.Tensor(np.zeros((pos_rows, 2)))
-    return T.embedding(table, pos, np.zeros((1, t), dtype=np.int64),
-                       T.Tensor(np.ones(prompt_shape)), prompt_ids)
+def embed_with_prompt(prompt_ids=(1, 3)):
+    table, pos = T.Tensor(np.zeros((5, 2))), T.Tensor(np.zeros((4, 2)))
+    return T.embedding(table, pos, np.zeros((1, 4), dtype=np.int64),
+                       T.Tensor(np.ones((2, 2))), prompt_ids)
 
 
 def test_embedding_duplicate_prompt_ids():
@@ -310,10 +305,7 @@ def test_embedding_duplicate_prompt_ids():
 
 
 def test_embedding_prompt_contracts():
-    with pytest.raises(ContractError, match="prompt rows"):
-        embed_with_prompt(prompt_shape=(2, 3))
-    with pytest.raises(ContractError, match="prompt rows"):
-        embed_with_prompt(prompt_ids=(1, 3, 0))
+    # a prompt's shape is checked where it enters (tests/test_inputs.py)
     with pytest.raises(ContractError, match="mixed dtypes"):
         T.embedding(T.Tensor(np.zeros((5, 2)), dtype="float32"), np.zeros((4, 2)), [[0, 1]],
                     T.Tensor(np.ones((1, 2)), dtype="float64"), (0,))
@@ -343,13 +335,6 @@ def test_embedding_prompt_is_a_lookup_by_id():
             assert out.data[b, i].tobytes() == (want + pos[i]).tobytes()
 
 
-def test_embedding_position_table_shorter_than_sequence():
-    with pytest.raises(ContractError, match="position table"):
-        embed_with_prompt(pos_rows=3)
-    with pytest.raises(ContractError, match="position table"):
-        T.embedding(T.Tensor(np.zeros((5, 2))), np.zeros((4, 3)), [[0, 1]])
-
-
 def sublayer_arrays(rng, d=8, width=12, d_ff=16, seq=5):
     """float64 x (2, seq, d), the operands of `attention` on it (heads of
     total width `width`) and those of `feed_forward` (hidden width d_ff),
@@ -373,28 +358,12 @@ def test_attention_contracts():
         return T.attention(x, gain, zeros, wq, bq, wk, bk, wv, bv, wo, bo, n_heads,
                            np.zeros((3, 3)))
 
+    # parameter shapes are checked where a store enters (tests/test_inputs.py)
     assert call().shape == (2, 3, 4)
     for bad in ("wk", "bv", "wo", "gain"):
         with pytest.raises(ContractError, match="attention: mixed dtypes"):
             call(**{bad: T.Tensor({"wk": w, "bv": b, "wo": w.T, "gain": ones}[bad],
                                   dtype="float64")})
-    with pytest.raises(ContractError, match="shape mismatch"):
-        call(x=T.Tensor(f32(rng, 2, 3, 5)))
-    with pytest.raises(ContractError, match="shape mismatch"):
-        call(x=T.Tensor(f32(rng, 6, 4)))
-    with pytest.raises(ContractError, match="shape mismatch"):
-        call(wv=f32(rng, 4, 4))
-    with pytest.raises(ContractError, match="shape mismatch"):
-        call(bk=np.zeros(4, dtype=np.float32))
-    with pytest.raises(ContractError, match="shape mismatch"):
-        call(wo=f32(rng, 6, 5))
-    with pytest.raises(ContractError, match="shape mismatch"):
-        call(bo=b)
-    with pytest.raises(ContractError, match="must match last axis"):
-        call(gain=np.ones(3, dtype=np.float32))
-    for n_heads in (0, 4):
-        with pytest.raises(ContractError, match="heads do not divide"):
-            call(n_heads=n_heads)
 
 
 def test_feed_forward_contracts():
@@ -411,16 +380,6 @@ def test_feed_forward_contracts():
         call(w_out=T.Tensor(f32(rng, 8, 4), dtype="float64"))
     with pytest.raises(ContractError, match="feed_forward: mixed dtypes"):
         call(b_in=T.Tensor(np.zeros(8), dtype="float64"))
-    with pytest.raises(ContractError, match="shape mismatch"):
-        call(x=T.Tensor(f32(rng, 2, 3, 5)))
-    with pytest.raises(ContractError, match="shape mismatch"):
-        call(w_in=f32(rng, 4, 7))
-    with pytest.raises(ContractError, match="shape mismatch"):
-        call(w_out=f32(rng, 8, 5))
-    with pytest.raises(ContractError, match="shape mismatch"):
-        call(b_out=np.zeros(5, dtype=np.float32))
-    with pytest.raises(ContractError, match="must match last axis"):
-        call(gain=np.ones(3, dtype=np.float32))
 
 
 def test_attention_is_three_linears_and_reference_attention():
