@@ -223,9 +223,11 @@ LABEL_SPACE = {"labels": (list[str], REQUIRED), "multi_label": (bool, False),
                "separator": (str, " ")}
 
 
-def _read_task_examples(path, vocab, space=None):
+def _read_task_examples(path, vocab, space=None, config=None, prompt_length=0):
     """A task dataset's examples; with a single-label `space`, each gold label
-    (the first) must be a candidate, or the error names `path:line`."""
+    (the first) must be a candidate and [source; `prompt_length` virtual ids;
+    candidate] must fit `config`'s context window for every candidate, or the
+    error names `path:line`."""
     examples = []
     for line_no, rec in D.read_jsonl(path, TASK_LINE, "task example fields"):
         if space is not None:
@@ -234,9 +236,19 @@ def _read_task_examples(path, vocab, space=None):
             examples.append(FT.TaskExample(source=vocab.encode(rec["source"]),
                                            target=vocab.encode(rec["target"]),
                                            labels=tuple(rec["labels"])))
+            if space is not None:
+                E.check_candidates_fit(config, len(examples[-1].source) + prompt_length, space)
     if not examples:
         raise ContractError(f"{path}: no examples")
     return examples
+
+
+def _load_model_vocab(path, config):
+    """The vocab file at `path`, which must have the model's vocab size."""
+    vocab = D.load_vocab(path)
+    if len(vocab) != config.vocab_size:
+        raise ContractError(f"{path}: vocab size {len(vocab)} != model vocab {config.vocab_size}")
+    return vocab
 
 
 def _load_label_space(path, vocab):
@@ -261,9 +273,7 @@ def cmd_finetune(args):
     config, params, _step, masks, _ = TR.load_model_checkpoint(args.checkpoint)
     if masks is not None:
         raise ContractError("checkpoint still carries masks; run `sparselm densify` first")
-    vocab = D.load_vocab(args.vocab)
-    if len(vocab) != config.vocab_size:
-        raise ContractError(f"vocab size {len(vocab)} != model vocab {config.vocab_size}")
+    vocab = _load_model_vocab(args.vocab, config)
     if cfg["prompt_length"] > len(vocab.prompt_ids):
         raise ContractError(f"prompt length {cfg['prompt_length']} exceeds the vocab's "
                             f"{len(vocab.prompt_ids)} reserved slots")
@@ -271,7 +281,8 @@ def cmd_finetune(args):
     if space is not None and space.multi_label:
         raise ContractError(f"{args.labels}: metric tracking needs a single-label space")
 
-    vals = [_read_task_examples(path, vocab, space) for path in args.val or []]
+    vals = [_read_task_examples(path, vocab, space, config, cfg["prompt_length"])
+            for path in args.val or []]
     stages = [FT.FinetuneStage(name=os.path.basename(path), train=_read_task_examples(path, vocab),
                                val=vals[i] if i < len(vals) else None)
               for i, path in enumerate(args.train)]
@@ -320,7 +331,7 @@ def cmd_finetune(args):
 
 def cmd_eval(args):
     config, params, _step, _masks, prompt = TR.load_model_checkpoint(args.checkpoint)
-    vocab = D.load_vocab(args.vocab)
+    vocab = _load_model_vocab(args.vocab, config)
     space = _load_label_space(args.labels, vocab)
     examples = _read_task_examples(args.dataset, vocab)
 

@@ -66,16 +66,18 @@ def check_record(value, shape, where, what="fields", extra_keys=False) -> dict:
     return record
 
 
-def check_shapes(arrays, shapes, what) -> dict:
+def check_shapes(arrays, shapes, dtype, what) -> dict:
     """`arrays` if it holds each path of `shapes`, {path: shape}, at its shape and
-    no other path; else ContractError naming `what`, the path and the shapes."""
+    `dtype` and no other path; else ContractError naming `what`, the path and why."""
+    missing = [path for path in shapes if path not in arrays]
+    if missing:
+        raise ContractError(f"{what}: missing tensor {missing[0]!r} of shape {shapes[missing[0]]}")
     for path, array in arrays.items():
         if path not in shapes:
             raise ContractError(f"{what}: unknown tensor {path!r}")
         if array.shape != shapes[path]:
             raise ContractError(f"{what}: {path!r} has shape {array.shape}, "
                                 f"expected {shapes[path]}")
-    missing = [path for path in shapes if path not in arrays]
-    if missing:
-        raise ContractError(f"{what}: missing tensor {missing[0]!r} of shape {shapes[missing[0]]}")
+        if array.dtype != dtype:
+            raise ContractError(f"{what}: {path!r} has dtype {array.dtype}, expected {dtype}")
     return arrays

@@ -96,13 +96,16 @@ def score_labels(params: ParamStore, config: ModelConfig, prompt: SoftPrompt | N
     """Per-candidate summed log-probability of the candidate's tokens
     appended after [source; prompt]."""
     context = _context(source_ids, prompt)
-    for label, cand in zip(space.labels, space.token_ids):
-        if len(context) + len(cand) > config.context_window:
-            raise ContractError(
-                f"candidate {label!r}: sequence {len(context) + len(cand)} exceeds "
-                f"context window {config.context_window}"
-            )
+    check_candidates_fit(config, len(context), space)
     return _continuation_logprobs(params, config, prompt, context, space.token_ids)
+
+
+def check_candidates_fit(config: ModelConfig, context_length: int, space: LabelSpace):
+    """ContractError unless `context_length` ids and then each candidate fit the context window."""
+    for label, cand in zip(space.labels, space.token_ids):
+        if context_length + len(cand) > config.context_window:
+            raise ContractError(f"candidate {label!r}: sequence {context_length + len(cand)} "
+                                f"exceeds context window {config.context_window}")
 
 
 def predict_label(params, config, prompt, source_ids, space: LabelSpace) -> str:

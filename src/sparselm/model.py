@@ -188,15 +188,24 @@ class SoftPrompt:
             raise ContractError("virtual ids must be distinct")
 
 
+def check_virtual_ids(config: ModelConfig, virtual_ids):
+    """ContractError unless every virtual id is in `config`'s vocab; run where a prompt is made."""
+    bad = [i for i in virtual_ids if not 0 <= i < config.vocab_size]
+    if bad:
+        raise ContractError(f"virtual id {bad[0]} outside [0, {config.vocab_size})")
+
+
 def init_soft_prompt(config: ModelConfig, n: int, virtual_ids, seed: int = 0,
                      dtype: str = "float32") -> SoftPrompt:
     """Rows drawn from the token-embedding init distribution (std 0.02)."""
     if n < 0:
         raise ContractError("prompt length must be >= 0")
+    virtual_ids = tuple(virtual_ids)[:n]
+    check_virtual_ids(config, virtual_ids)
     rng = np.random.default_rng(seed)
     emb = rng.normal(0.0, INIT_STD, size=(n, config.d_model))
     return SoftPrompt(embeddings=Tensor(emb, requires_grad=True, dtype=dtype),
-                      virtual_ids=tuple(virtual_ids)[:n] if n else ())
+                      virtual_ids=virtual_ids)
 
 
 def forward_logits(params: ParamStore, config: ModelConfig, tokens,

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .model import ParamStore, zero_count
-from .tensor import Tensor
+from .model import ParamStore, clone_params, zero_count
 
 
 @dataclass(frozen=True)
@@ -120,21 +119,19 @@ def check_masks(masks: MaskSet, params: ParamStore):
 
 
 def apply_masks(masks: MaskSet, params: ParamStore) -> ParamStore:
-    """Materialize mask*weights into a new store; unmasked paths pass
-    through as copies. Training masks its own tensors in place instead
-    (`mask_gradients` on the weights)."""
+    """Materialize mask*weights into a new store: a copy of `params`, masked
+    in place by `mask_gradients` as training masks its own weights."""
     check_masks(masks, params)
-    out = ParamStore()
-    for path, t in params.items():
-        data = t.data * masks[path] if path in masks else t.data.copy()
-        out[path] = Tensor(data, requires_grad=t.requires_grad, dtype=t.dtype)
+    out = clone_params(params)
+    mask_gradients({path: t.data for path, t in out.items()}, masks)
     return out
 
 
 def mask_gradients(grads, masks: MaskSet):
     """Zero entries wherever the mask is False, in place: each step's
     gradients, before any optimizer-state update so moments of pruned
-    coordinates stay 0, and the weights once when a train state is built.
+    coordinates stay 0, and weights: once when a train state is built, and
+    `apply_masks`' copies.
     Shapes are checked by `check_masks` up front, not here."""
     for path, g in grads.items():
         if path in masks:

@@ -14,8 +14,8 @@ A non-leaf keeps its `.grad` only while the caller holds the tensor; one
 the caller dropped is freed, gradient included, once its node is consumed.
 
 Gradient buffers have one owner. The first gradient a tensor receives
-becomes its `.grad` as is (copied only when its dtype or shape differs
-from the tensor's), and later ones are added into it in place. So a
+becomes its `.grad` as is, and later ones are added into it in place: an
+adjoint hands on a buffer of its tensor's dtype and shape. So a
 buffer an adjoint hands to `_accum` must not go to a second tensor, nor
 be read after it is handed on. The two sublayer ops, `attention` and
 `feed_forward`, pass their output gradient `g` on to their input x (the
@@ -35,14 +35,13 @@ LayerNorm outputs (xhat * gain + bias) and the GELU output (pre * cdf)
 with the forward's expressions, so the bits are those of separate ops
 that had kept them.
 
-Ops do not re-check a parameter's shape: every store is checked where it
-enters (`model.init_params` builds it from `model.param_specs`, a checkpoint
-load compares it with them). Ops check the data from outside, and `linear`
-and `cross_entropy` the width by which they reshape their input.
-
-Every op takes its operands by one rule: a raw array becomes a constant of
-the dtype of the op's first tensor operand, an absent optional operand
-stays None, and tensors of two dtypes raise ContractError ("mixed dtypes").
+Ops take Tensors of one dtype and do not re-check a parameter's shape or
+dtype: every store is checked where it enters (`model.init_params` builds
+it from `model.param_specs`, a checkpoint load compares it with them and
+with tok_emb's dtype). Token ids are checked by `model.forward_logits`, and
+a prompt's ids where the prompt is made. Ops check the targets from
+outside (`target_nll`), and `linear` and `cross_entropy` the width by which
+they reshape their input.
 """
 
 from __future__ import annotations
@@ -164,25 +163,12 @@ def backward(loss, scale=1.0):
         _tape.clear()
 
 
-def _operands(op, *xs):
-    """The operands of `op` by the rule in the module docstring."""
-    ref = next((x.dtype for x in xs if isinstance(x, Tensor)), None)
-    xs = [x if x is None or isinstance(x, Tensor) else Tensor(x, dtype=ref) for x in xs]
-    dtypes = sorted({x.dtype for x in xs if x is not None})
-    if len(dtypes) > 1:
-        raise ContractError(f"{op}: mixed dtypes {' vs '.join(dtypes)}; "
-                            "a computation graph must use one dtype")
-    return xs
-
-
 def _accum(t, g):
     """Add gradient `g` into t.grad, adopting `g` as the buffer when it is
     the first (see the module docstring for who may own it)."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        if g.dtype != t.data.dtype or g.shape != t.data.shape:
-            g = np.array(g, dtype=t.data.dtype).reshape(t.data.shape)
         t.grad = g
     else:
         t.grad += g
@@ -225,7 +211,6 @@ def _normalize_grads(x, gain, bias, xhat, inv, g):
 
 def layer_norm(x, gain, bias, eps=1e-5):
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    x, gain, bias = _operands("layer_norm", x, gain, bias)
     xhat, inv = _normalize(x.data, eps)
     out = Tensor(xhat * gain.data + bias.data)
 
@@ -299,7 +284,6 @@ def linear(x, w, b=None, transpose_w=False):
     w is (d_in, d_out), or with transpose_w a (d_out, d_in) matrix read as
     its transpose in place (a tied embedding table).
     """
-    x, w, b = _operands("linear", x, w, b)
     if w.data.ndim != 2:
         raise ContractError(f"linear: weight must be 2-d, got {w.shape}")
     wm = w.data.T if transpose_w else w.data
@@ -373,9 +357,8 @@ def attention(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, n_heads, logit_bias
     large negative value above the diagonal. Q, K and V are GEMMs into one
     buffer, read per head through views.
     """
-    x, gain, bias, *wb = _operands("attention", x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo)
-    ws, bs, (wo, bo) = wb[0:6:2], wb[1:6:2], wb[6:]
-    d = ws[0].data.shape[-1]
+    ws, bs = (wq, wk, wv), (bq, bk, bv)
+    d = wq.data.shape[-1]
     bsz, seq, d_in = x.data.shape
     xhat, inv = _normalize(x.data, eps)
     rows = (xhat * gain.data + bias.data).reshape(-1, d_in)
@@ -413,7 +396,7 @@ def attention(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, n_heads, logit_bias
         del grads
         _normalize_grads(x, gain, bias, xhat, inv, ga.reshape(x.data.shape))
 
-    return _finish(out, [x, gain, bias] + wb, bwd)
+    return _finish(out, (x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo), bwd)
 
 
 def feed_forward(x, gain, bias, w_in, b_in, w_out, b_out, eps=1e-5):
@@ -426,8 +409,6 @@ def feed_forward(x, gain, bias, w_in, b_in, w_out, b_out, eps=1e-5):
     x: (..., d); gain, bias, b_out: (d,); w_in: (d, d_ff); b_in: (d_ff,);
     w_out: (d_ff, d).
     """
-    x, gain, bias, w_in, b_in, w_out, b_out = _operands(
-        "feed_forward", x, gain, bias, w_in, b_in, w_out, b_out)
     d = x.data.shape[-1]
     xhat, inv = _normalize(x.data, eps)
     pre = (xhat * gain.data + bias.data).reshape(-1, d) @ w_in.data
@@ -464,7 +445,6 @@ def cross_entropy(x, w, targets, ignore_mask=None, transpose_w=False):
     the same shape, marks positions with 0 to leave out: their logits are
     never computed and their rows get zero gradient.
     """
-    x, w = _operands("cross_entropy", x, w)
     if w.data.ndim != 2:
         raise ContractError(f"cross_entropy: weight must be 2-d, got {w.shape}")
     wm = w.data.T if transpose_w else w.data
@@ -497,8 +477,7 @@ def cross_entropy(x, w, targets, ignore_mask=None, transpose_w=False):
             gx = np.zeros_like(flat)
             gx[scored] = p @ wm.T
             _accum(x, gx.reshape(x.data.shape))
-        if w.requires_grad:
-            _accum(w, p.T @ rows if transpose_w else rows.T @ p)
+        _weight_grads(rows, w, None, p, transpose_w)
 
     return _finish(out, (x, w), bwd)
 
@@ -532,24 +511,16 @@ def embedding(table, pos, ids, prompt=None, prompt_ids=()):
     out[b, i] = table[ids[b, i]] + pos[i], except that with a prompt every
     occurrence of prompt_ids[j] reads prompt[j] instead of its table row:
     trainable virtual-token embeddings, looked up by id wherever they sit.
+    ids is an int array of table ids (`model.forward_logits` checks it);
     prompt is (len(prompt_ids), d) and prompt_ids are distinct table ids.
     """
-    table, pos, prompt = _operands("embedding", table, pos, prompt)
-    ids = np.asarray(ids)
     n_ids, d = table.data.shape
-    if ids.ndim != 2:
-        raise ContractError(f"embedding: ids must be (batch, seq), got shape {ids.shape}")
     t = ids.shape[1]
-    if ids.size and (ids.min() < 0 or ids.max() >= n_ids):
-        raise ContractError(f"embedding: id outside [0, {n_ids})")
     data = table.data[ids]
     if prompt is not None:
-        n = len(prompt_ids)
-        if len(set(prompt_ids)) != n or not all(0 <= i < n_ids for i in prompt_ids):
-            raise ContractError(f"embedding: prompt ids must be distinct and in [0, {n_ids})")
         # the prompt row of each token id, -1 for an id that is not a prompt id
         slot = np.full(n_ids, -1)
-        slot[list(prompt_ids)] = np.arange(n)
+        slot[list(prompt_ids)] = np.arange(len(prompt_ids))
         rows = slot[ids]
         hits = rows >= 0
         data[hits] = prompt.data[rows[hits]]

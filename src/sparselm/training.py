@@ -31,7 +31,8 @@ from . import checkpoint as C
 from . import tensor as T
 from .data import PackedDataset, csv_text
 from .errors import REQUIRED, ContractError, check_shapes, naming, record_shape
-from .model import CONFIG_SHAPE, ModelConfig, ParamStore, SoftPrompt, lm_loss, param_specs
+from .model import (CONFIG_SHAPE, ModelConfig, ParamStore, SoftPrompt, check_virtual_ids,
+                    lm_loss, param_specs)
 from .sparsity import MaskSet, SparsityPlan, check_masks, mask_gradients
 from .tensor import Tensor
 
@@ -360,12 +361,14 @@ def _decode_model(sections):
     """(config, params, step, masks or None, prompt or None). Tensor sections
     are popped as they are decoded, so each payload is freed once its arrays
     exist and a load never holds all payloads and all arrays at once. Their
-    shapes are the config's `param_specs` and (len(virtual_ids), d_model)."""
+    shapes are the config's `param_specs` and (len(virtual_ids), d_model),
+    their dtype is tok_emb's, and the prompt's ids lie in the vocab."""
     _require(sections, ("config", "params", "step"))
     config = ModelConfig(**_json(sections, "config"))
-    arrays = check_shapes(C.decode_tensor_map(sections.pop("params")),
-                          {path: shape for path, shape, _ in param_specs(config)},
-                          "params section")
+    arrays = C.decode_tensor_map(sections.pop("params"))
+    dtype = getattr(arrays.get("tok_emb"), "dtype", None)  # None: reported missing first
+    check_shapes(arrays, {path: shape for path, shape, _ in param_specs(config)}, dtype,
+                 "params section")
     params = ParamStore((p, Tensor(arr, requires_grad=True)) for p, arr in arrays.items())
     masks = prompt = None
     if "masks" in sections:
@@ -376,9 +379,11 @@ def _decode_model(sections):
     if "prompt" in sections:
         ids = tuple(_json(sections, "prompt_meta")["virtual_ids"])
         emb = check_shapes(C.decode_tensor_map(sections.pop("prompt")),
-                           {"embeddings": (len(ids), config.d_model)},
+                           {"embeddings": (len(ids), config.d_model)}, dtype,
                            "prompt section")["embeddings"]
-        prompt = SoftPrompt(embeddings=Tensor(emb, requires_grad=True), virtual_ids=ids)
+        with naming("prompt_meta section"):
+            check_virtual_ids(config, ids)
+            prompt = SoftPrompt(embeddings=Tensor(emb, requires_grad=True), virtual_ids=ids)
     return config, params, C.decode_u64(sections["step"]), masks, prompt
 
 
@@ -402,7 +407,8 @@ def load_train_state(path) -> TrainState:
         _require(sections, ("schedule", "opt_m", "opt_v", "opt_meta", "trainer", "rng"))
         config, params, step, masks, _ = _decode_model(sections)
         shapes = {p: t.data.shape for p, t in params.items()}
-        m, v = (check_shapes(C.decode_tensor_map(sections.pop(name)), shapes, f"{name} section")
+        m, v = (check_shapes(C.decode_tensor_map(sections.pop(name)), shapes,
+                             params["tok_emb"].data.dtype, f"{name} section")
                 for name in ("opt_m", "opt_v"))
         opt = OptimizerState(m=m, v=v, **_json(sections, "opt_meta"))
         rng_state = _json(sections, "rng")

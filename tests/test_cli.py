@@ -15,6 +15,7 @@ from sparselm import data as D
 from sparselm import evaluation as E
 from sparselm import model as M
 from sparselm import training as TR
+from test_finetune import counting
 from toytask import write_corpus
 
 
@@ -467,6 +468,53 @@ def test_finetune_job_the_library_refuses_leaves_no_run_directory(tmp_path, voca
     out, err = capsys.readouterr()
     assert out == ""
     assert message in err
+    assert not (tmp_path / "ft").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "finetune"])
+def test_a_vocab_that_is_not_the_models_exits_2_naming_the_vocab(tmp_path, vocab_path, capsys,
+                                                                 command):
+    train, val, labels = finetune_fixtures(tmp_path)
+    n = len(D.load_vocab(vocab_path))
+    cfg = M.ModelConfig(n_layers=1, d_model=16, n_heads=2, d_head=8, vocab_size=n + 200,
+                        context_window=64)
+    ckpt = tmp_path / "model.ckpt"
+    TR.save_model_checkpoint(ckpt, cfg, M.init_params(cfg, seed=0))
+    args = {"eval": ["--dataset", str(val)],
+            "finetune": ["--train", str(train), "--epochs", "1", "--out", str(tmp_path / "ft")]}
+    code = cli.main([command, "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
+                     "--labels", str(labels), *args[command]])
+    assert (code, *capsys.readouterr()) == (
+        2, "", f"error: {vocab_path}: vocab size {n} != model vocab {n + 200}\n")
+    assert not (tmp_path / "ft").exists()
+
+
+def test_finetune_candidate_past_the_context_exits_2_before_the_first_update(
+        tmp_path, vocab_path, capsys, monkeypatch):
+    # [source; prompt; candidate] is checked per val line as the file is read,
+    # by the rule `evaluation.score_labels` applies, not at the first scoring
+    vocab = D.load_vocab(vocab_path)
+    long_label = " ".join(["omega"] * 6)
+    sources = ["cue", "alpha beta gamma cue"]
+    window = len(vocab.encode(sources[0])) + 2 + len(vocab.encode(long_label))
+    need = len(vocab.encode(sources[1])) + 2 + len(vocab.encode(long_label))
+    assert need > window
+    cfg = M.ModelConfig(n_layers=1, d_model=16, n_heads=2, d_head=8, vocab_size=len(vocab),
+                        context_window=window)
+    ckpt = tmp_path / "model.ckpt"
+    TR.save_model_checkpoint(ckpt, cfg, M.init_params(cfg, seed=0))
+    train, val = tmp_path / "train.jsonl", tmp_path / "val.jsonl"
+    write_task_file(train, [("alpha cue", "yes", ["yes"]), ("beta cue", "no", ["no"])])
+    write_task_file(val, [(source, "yes", ["yes"]) for source in sources])
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps({"labels": ["yes", long_label]}))
+    updates = counting(monkeypatch, TR, "adamw_step")
+    code = cli.main(["finetune", "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
+                     "--train", str(train), "--val", str(val), "--labels", str(labels),
+                     "--prompt-length", "2", "--epochs", "1", "--out", str(tmp_path / "ft")])
+    assert (code, updates) == (2, [])
+    assert capsys.readouterr() == ("", f"error: {val}:2: candidate {long_label!r}: sequence "
+                                       f"{need} exceeds context window {window}\n")
     assert not (tmp_path / "ft").exists()
 
 

@@ -126,13 +126,18 @@ def test_prompt_rows_are_position_bound():
 
 
 def test_prompt_with_duplicate_or_out_of_range_virtual_ids_rejected():
+    # where a prompt is made: a forward does not re-check its ids
     cfg = tiny_config()
-    params = M.init_params(cfg, seed=0)
     with pytest.raises(ContractError, match="distinct"):
         FT.SoftPrompt(T.Tensor(np.zeros((2, cfg.d_model))), (2, 2))
-    outside = FT.init_soft_prompt(cfg, 2, virtual_ids=(2, cfg.vocab_size))
-    with pytest.raises(ContractError, match="prompt ids must be distinct and in"):
-        FT.prompt_forward(params, cfg, outside, np.array([[10, 2, 12]]))
+    with pytest.raises(ContractError, match="distinct"):
+        FT.init_soft_prompt(cfg, 2, virtual_ids=(2, 2))
+    assert FT.init_soft_prompt(cfg, 2, virtual_ids=(0, cfg.vocab_size - 1)).virtual_ids == (
+        0, cfg.vocab_size - 1)
+    for bad in (-1, cfg.vocab_size):
+        with pytest.raises(ContractError,
+                           match=rf"^virtual id {bad} outside \[0, {cfg.vocab_size}\)$"):
+            FT.init_soft_prompt(cfg, 2, virtual_ids=(2, bad))
 
 
 def test_prompt_forward_reads_each_virtual_id_wherever_it_sits():
@@ -162,7 +167,8 @@ def test_loss_mask_exactness_via_logit_grads():
     # position i predicts token i + 1; the last position predicts nothing
     targets = np.roll(ids, -1, axis=1)
     scored = np.concatenate([mask[:, 1:], np.zeros((1, 1), dtype=mask.dtype)], axis=1)
-    loss = T.cross_entropy(logits, np.eye(cfg.vocab_size), targets, scored)
+    loss = T.cross_entropy(logits, T.Tensor(np.eye(cfg.vocab_size), dtype=logits.dtype), targets,
+                           scored)
     T.backward(loss)
     active = mask[0, 1:].astype(bool)
     grads = logits.grad[0, : seq - 1]

@@ -14,8 +14,10 @@ added. A checkpoint keeps a valid CRC, so only the record check can refuse it.
 
 Every tensor section of a checkpoint (params, prompt, opt_m, opt_v) is
 damaged one tensor at a time, CRC still valid: a tensor dropped, an unknown
-one added, one axis of one changed. Each loader that reads the section, and
-`densify`, `eval` and `finetune`, refuse it naming the file and the path.
+one added, one axis of one changed, one re-saved in the other float dtype.
+A prompt's virtual ids are set outside the vocab. Each loader that reads the
+section, and `densify`, `eval` and `finetune` for a model section, refuse it
+naming the file and the path.
 """
 
 import contextlib
@@ -96,7 +98,8 @@ def base(tmp_path_factory):
     for argv in commands:
         assert run_cli(argv)[0] == 0
     # a sparse model with a soft prompt: every section a model checkpoint can hold
-    cfg = M.ModelConfig(**dict(MODEL, context_window=64))
+    cfg = M.ModelConfig(**dict(MODEL, context_window=64,
+                               vocab_size=len(D.load_vocab(base / "vocab.txt"))))
     params = M.init_params(cfg, seed=0)
     masks = S.build_masks(params, S.SparsityPlan(level=0.5, seed=1))
     TR.save_model_checkpoint(base / "model.ckpt", cfg, S.apply_masks(masks, params),
@@ -346,9 +349,18 @@ def full_ckpt(base):
 
 def with_tensor(sections, section, path, shape):
     """`sections` with `path` of the tensor section `section` dropped (shape
-    None), else set to an array of `shape`, its values repeated from the old
-    array's; and the error the loaders must give after the file's name."""
+    None), re-saved in the other float dtype (shape "retype"), else set to an
+    array of `shape`, its values repeated from the old array's; and the error
+    the loaders must give after the file's name. A re-typed tensor's error
+    names the section's first tensor whose dtype is not tok_emb's."""
     arrays = C.decode_tensor_map(sections[section])
+    if shape == "retype":
+        other = np.float32 if arrays[path].dtype == np.float64 else np.float64
+        arrays[path] = arrays[path].astype(other)
+        dtype = arrays["tok_emb"].dtype if section == "params" else np.dtype(np.float32)
+        bad = next(p for p, a in arrays.items() if a.dtype != dtype)
+        message = f"{section} section: {bad!r} has dtype {arrays[bad].dtype}, expected {dtype}"
+        return dict(sections, **{section: C.encode_tensor_map(arrays)}), message
     old = arrays.pop(path, None)
     if shape is None:
         message = f"{section} section: missing tensor {path!r} of shape {old.shape}"
@@ -366,8 +378,14 @@ def loaders_of(section):
     return (TR.load_model_checkpoint, TR.load_train_state)
 
 
-# case -> (section, tensor path, the new shape; None drops it). The model is
-# d_model 16, d_ff 64 and context window 32, with two prompt rows.
+# every tensor of every tensor section of the pretrain run's float32 checkpoint
+PARAM_PATHS = [path for path, _, _ in M.param_specs(M.ModelConfig(**MODEL))]
+RETYPED = [("prompt", "embeddings")] + [(section, path) for section in ("params", "opt_m", "opt_v")
+                                        for path in PARAM_PATHS]
+
+# case -> (section, tensor path, the new shape; None drops it, "retype" re-saves
+# it in the other float dtype). The model is d_model 16, d_ff 64 and context
+# window 32, with two prompt rows.
 TENSOR_CASES = {
     "params-missing-wq": ("params", "layers.0.wq", None),
     "params-tied-lm_head": ("params", "lm_head", (16, 8)),
@@ -392,6 +410,7 @@ TENSOR_CASES = {
     "opt_v-wq-(1,)": ("opt_v", "layers.0.wq", (1,)),
     "opt_v-missing-ln_f.bias": ("opt_v", "ln_f.bias", None),
     "opt_v-unknown": ("opt_v", "soft_prompt", (2, 16)),
+    **{f"{section}-{path}-retyped": (section, path, "retype") for section, path in RETYPED},
 }
 
 
@@ -406,6 +425,20 @@ def test_the_checkpoint_with_every_tensor_section_is_accepted(base, full_ckpt, t
         assert code == 0, err
 
 
+def assert_refused(base, path, section, message, out):
+    """Each loader of `section` raises `path: message`; for a model section,
+    `densify`, `eval` and `finetune` exit 2 with it as their one stderr line."""
+    for load in loaders_of(section):
+        with pytest.raises(ContractError) as caught:
+            load(path)
+        assert str(caught.value) == f"{path}: {message}", load
+    if section not in ("opt_m", "opt_v"):
+        for command, argv in READERS.items():
+            code, stdout, err = run_cli([a.format(ckpt=path, base=base, out=out) for a in argv])
+            # eval names the checkpoint, not the dataset it would have scored
+            assert (code, stdout, err) == (2, "", f"error: {path}: {message}\n"), command
+
+
 @pytest.mark.parametrize("case", TENSOR_CASES)
 def test_a_tensor_that_does_not_fit_the_config_is_refused_naming_the_file_and_the_path(
         base, full_ckpt, tmp_path, case):
@@ -413,30 +446,41 @@ def test_a_tensor_that_does_not_fit_the_config_is_refused_naming_the_file_and_th
     sections, message = with_tensor(full_ckpt, section, tensor, shape)
     path = tmp_path / "damaged.ckpt"
     C.save_container(path, sections)
-    for load in loaders_of(section):
-        with pytest.raises(ContractError) as caught:
-            load(path)
-        assert str(caught.value) == f"{path}: {message}", load
-    if section in ("params", "prompt"):
-        for command, argv in READERS.items():
-            code, out, err = run_cli([a.format(ckpt=path, base=base, out=tmp_path)
-                                      for a in argv])
-            # eval names the checkpoint, not the dataset it would have scored
-            assert (code, out, err) == (2, "", f"error: {path}: {message}\n"), command
+    assert_refused(base, path, section, message, tmp_path)
+
+
+# case -> the prompt's virtual ids in a vocab of `vocab_size`, and the one outside it
+VIRTUAL_ID_CASES = {
+    "far-past-the-vocab": lambda vocab_size: ([2, 100000], 100000),
+    "the-vocab-size": lambda vocab_size: ([vocab_size, 3], vocab_size),
+    "negative": lambda vocab_size: ([2, -1], -1),
+}
+
+
+@pytest.mark.parametrize("case", VIRTUAL_ID_CASES)
+def test_a_virtual_id_outside_the_vocab_is_refused_naming_the_file_and_the_section(
+        base, full_ckpt, tmp_path, case):
+    vocab_size = json.loads(full_ckpt["config"])["vocab_size"]
+    ids, bad = VIRTUAL_ID_CASES[case](vocab_size)
+    path = tmp_path / "damaged.ckpt"
+    C.save_container(path, dict(full_ckpt, prompt_meta=C.encode_json({"virtual_ids": ids})))
+    assert_refused(base, path, "prompt_meta",
+                   f"prompt_meta section: virtual id {bad} outside [0, {vocab_size})", tmp_path)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_any_tensor_dropped_added_or_reshaped_is_refused_by_its_loaders(base, full_ckpt,
                                                                         tmp_path_factory, data):
+    # or re-saved in the other float dtype
     section = data.draw(st.sampled_from(TENSOR_SECTIONS))
     arrays = C.decode_tensor_map(full_ckpt[section])
-    how = data.draw(st.sampled_from(["drop", "add", "axis"]))
+    how = data.draw(st.sampled_from(["drop", "add", "axis", "retype"]))
     if how == "add":
         tensor, shape = "zzz." + data.draw(st.sampled_from(sorted(arrays))), (3,)
     else:
         tensor = data.draw(st.sampled_from(sorted(arrays)))
-        shape = None
+        shape = "retype" if how == "retype" else None
         if how == "axis":
             shape = list(arrays[tensor].shape)
             axis = data.draw(st.integers(0, len(shape) - 1))

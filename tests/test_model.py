@@ -165,6 +165,17 @@ def test_forward_rejects_long_sequences_and_bad_ids():
         M.forward_logits(store, cfg, [[0, cfg.vocab_size]])
 
 
+def test_forward_is_the_one_gate_for_a_token_batch():
+    # `tensor.embedding` takes the ids as they are
+    cfg = tiny_config()
+    store = M.init_params(cfg, seed=0)
+    for bad in ([[0, 11]], [[-1, 0]]):
+        with pytest.raises(ContractError, match=r"^token id outside \[0, 11\)$"):
+            M.forward_logits(store, cfg, bad)
+    with pytest.raises(ContractError, match=r"^tokens must be \(batch, seq\), got shape \(2,\)$"):
+        M.forward_logits(store, cfg, [0, 1])
+
+
 def test_causality_perturbation():
     cfg = tiny_config(n_layers=2, context_window=8)
     store = M.init_params(cfg, seed=1)
