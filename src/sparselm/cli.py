@@ -224,19 +224,21 @@ LABEL_SPACE = {"labels": (list[str], REQUIRED), "multi_label": (bool, False),
 
 
 def _read_task_examples(path, vocab, space=None, config=None, prompt_length=0):
-    """A task dataset's examples; with a single-label `space`, each gold label
-    (the first) must be a candidate and [source; `prompt_length` virtual ids;
-    candidate] must fit `config`'s context window for every candidate, or the
-    error names `path:line`."""
+    """A task dataset's examples; with a `space`, a fault names `path:line`: a gold
+    label that is not a candidate (any of a multi-label example's, else the first)
+    or, for a single-label space, a candidate that does not fit `config`'s context
+    window after [source; `prompt_length` virtual ids] (generation skips those)."""
     examples = []
     for line_no, rec in D.read_jsonl(path, TASK_LINE, "task example fields"):
         if space is not None:
-            E.gold_label((rec["labels"] or [None])[0], f"{path}:{line_no}", space)
+            golds = rec["labels"] if space.multi_label else (rec["labels"] or [None])[:1]
+            for gold in golds:
+                E.gold_label(gold, f"{path}:{line_no}", space)
         with naming(f"{path}:{line_no}"):
             examples.append(FT.TaskExample(source=vocab.encode(rec["source"]),
                                            target=vocab.encode(rec["target"]),
                                            labels=tuple(rec["labels"])))
-            if space is not None:
+            if space is not None and not space.multi_label:
                 E.check_candidates_fit(config, len(examples[-1].source) + prompt_length, space)
     if not examples:
         raise ContractError(f"{path}: no examples")
@@ -300,9 +302,10 @@ def cmd_finetune(args):
         arms = FT.run_prompt_ablation(params, config, job, metric_fn)
         for label, result in arms.items():
             files[f"{label}_report.csv"] = FT.report_to_csv(result.report)
-            metric = "" if result.final_metric is None else f" metric {result.final_metric:.4f}"
-            print(f"{label}: best val loss "
-                  f"{result.best_val_loss if result.best_val_loss is not None else 'n/a'}{metric}")
+            sel = result.selected
+            val_loss = "n/a" if sel is None or sel.val_loss is None else sel.val_loss
+            metric = "" if sel is None or sel.metric is None else f" metric {sel.metric:.4f}"
+            print(f"{label}: best val loss {val_loss}{metric}")
         result = arms["with_prompt"]
     elif args.grid:
         search = FT.grid_search(params, config, job, cfg["grid_batch_sizes"], cfg["grid_lrs"],
@@ -333,7 +336,8 @@ def cmd_eval(args):
     config, params, _step, _masks, prompt = TR.load_model_checkpoint(args.checkpoint)
     vocab = _load_model_vocab(args.vocab, config)
     space = _load_label_space(args.labels, vocab)
-    examples = _read_task_examples(args.dataset, vocab)
+    examples = _read_task_examples(args.dataset, vocab, space, config,
+                                   len(prompt.virtual_ids) if prompt is not None else 0)
 
     with naming(args.dataset):
         metric_name, metric, header, rows = E.evaluate(params, config, prompt, examples, space,

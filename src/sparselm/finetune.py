@@ -5,11 +5,12 @@ between source and target. A soft prompt (`model.SoftPrompt`) is a lookup
 by id: wherever virtual id j occurs, its token-embedding lookup reads row j
 of n trainable continuous embeddings instead (position embeddings apply
 normally). The prompt takes the dtype of the model's token table. The loss
-covers target positions only. Stages run in order with weights carried
-forward from each stage's best-validation checkpoint; an optional
-end-of-sequence token can be appended after the target for generation
-termination. The whole job is checked, and each stage's sequences built,
-once before the first update; an epoch only reorders them into batches.
+covers target positions only; an optional end-of-sequence token can be
+appended after the target for generation termination. The whole job is
+checked, and each stage's sequences built, once before the first update;
+an epoch only reorders them into batches. Stages run in order, each ending
+on the weights of its selected epoch, the first of lowest val loss (train
+loss without a val split); the last stage's is the job's outcome.
 """
 
 from __future__ import annotations
@@ -125,8 +126,12 @@ class FinetuneResult:
     params: ParamStore
     prompt: SoftPrompt | None
     report: list[EpochRecord]
-    best_val_loss: float | None
-    final_metric: float | None
+    selected: EpochRecord | None   # the last stage's selected epoch; None when none ran
+
+
+def _selection(record: EpochRecord) -> float:
+    """An epoch's val loss, or its train loss without a val split; the lowest is selected."""
+    return record.train_loss if record.val_loss is None else record.val_loss
 
 
 def _mean_loss(params, config, batches, prompt):
@@ -151,7 +156,8 @@ def finetune_dense(params: ParamStore, config: ModelConfig, job: FinetuneJob,
 
     All weights train (the dense increment has the full dimensionality of
     the model) unless freeze_base, in which case only the prompt moves.
-    metric_fn(params, prompt, examples) -> float scores validation sets.
+    metric_fn(params, prompt, examples) -> float scores a stage's validation
+    set once per epoch.
     A fault of the job or of any stage raises ContractError before the
     first update; a non-finite training or validation loss raises it
     naming the stage and epoch.
@@ -195,6 +201,8 @@ def _lay_out(params, config, job):
             raise ContractError(f"stage {stage.name!r}: early stopping needs a validation split")
         if not stage.train:
             raise ContractError(f"stage {stage.name!r} has no training examples")
+        if stage.val == []:
+            raise ContractError(f"stage {stage.name!r} has an empty validation split")
         where = f"stage {stage.name!r}"
         sequences.append((_sequences(stage.train, prompt, config, job, f"{where}, train"),
                           _sequences(stage.val or [], prompt, config, job, f"{where}, val")))
@@ -214,57 +222,47 @@ def _sequences(examples, prompt, config, job, where):
 
 
 def _run_stages(params, config, job, prompt, trainable, sequences, metric_fn) -> FinetuneResult:
-    """The body of `finetune_dense`: each stage in order, `trainable` updated by `_step`."""
+    """The body of `finetune_dense`: each stage in order, `trainable` updated by
+    `_step` and left at the stage's selected epoch, the first of lowest `_selection`."""
     _drop_grads(trainable)
     rng = np.random.default_rng(job.seed)
     report: list[EpochRecord] = []
-    best_val_loss = None
 
     for stage, (train, val) in zip(job.stages, sequences):
-        schedule = Schedule(job.peak_lr,
-                            max(1, job.epochs * math.ceil(len(train) / job.batch_size)))
+        schedule = Schedule(job.peak_lr, job.epochs * math.ceil(len(train) / job.batch_size))
         opt = OptimizerState.for_params(trainable)
-        val_batches = _batches(val, range(len(val)), job) if val else None
+        val_batches = _batches(val, range(len(val)), job)  # [] without a val split
 
-        best = best_weights = None
+        selected = weights = None
         stalled = step = 0
         for epoch in range(1, job.epochs + 1):
             epoch_loss, rows = 0.0, 0
             for ids, mask in _batches(train, rng.permutation(len(train)), job):
                 step += 1
-                value = _step(trainable, opt, lr_at(schedule, min(step, schedule.total_steps)),
+                value = _step(trainable, opt, lr_at(schedule, step),
                               f"stage {stage.name!r}, epoch {epoch}",
                               [(sequence_loss(params, config, ids, mask, prompt), 1.0)])
                 epoch_loss += value * ids.shape[0]
                 rows += ids.shape[0]
-            train_loss = epoch_loss / rows
             val_loss = _mean_loss(params, config, val_batches, prompt) if val_batches else None
             if val_loss is not None and not math.isfinite(val_loss):
                 raise ContractError(f"stage {stage.name!r}, epoch {epoch}: validation loss "
                                     f"is {val_loss}; fine-tuning diverged")
             metric = (metric_fn(params, prompt, stage.val)
-                      if metric_fn is not None and stage.val else None)
-            report.append(EpochRecord(stage.name, epoch, train_loss, val_loss, metric))
+                      if metric_fn is not None and val_batches else None)
+            report.append(EpochRecord(stage.name, epoch, epoch_loss / rows, val_loss, metric))
 
-            selection = val_loss if val_loss is not None else train_loss
-            if best is None or selection < best:
-                best = selection
-                best_weights = {path: t.data.copy() for path, t in trainable.items()}
+            if selected is None or _selection(report[-1]) < _selection(selected):
+                selected, weights = report[-1], {p: t.data.copy() for p, t in trainable.items()}
                 stalled = 0
             else:
                 stalled += 1
                 if job.patience is not None and stalled > job.patience:
                     break
 
-        for path, data in (best_weights or {}).items():
+        for path, data in (weights or {}).items():
             trainable[path].data[...] = data
-        if best is not None and stage.val is not None:
-            best_val_loss = best
-
-    last_val = job.stages[-1].val if metric_fn is not None else None
-    final_metric = metric_fn(params, prompt, last_val) if last_val else None
-    return FinetuneResult(params=params, prompt=prompt, report=report,
-                          best_val_loss=best_val_loss, final_metric=final_metric)
+    return FinetuneResult(params=params, prompt=prompt, report=report, selected=selected)
 
 
 def report_to_csv(report: list[EpochRecord]) -> str:
@@ -296,29 +294,24 @@ def _finetune_each(params: ParamStore, config: ModelConfig, jobs, metric_fn):
 
 def grid_search(params: ParamStore, config: ModelConfig, job: FinetuneJob,
                 batch_sizes, lrs, metric_fn=None) -> GridResult:
-    """Exhaustive sweep; selection by metric when available, else negative
-    validation loss. Ties keep the first point in declared order."""
+    """Exhaustive sweep, each point scored on its job's selected epoch: its
+    metric when there is one, else minus its `_selection`. Ties keep the
+    first point in declared order."""
     if not batch_sizes or not lrs:
         raise ContractError("grid space is empty")
+    if job.epochs < 1:
+        raise ContractError(f"grid search needs epochs >= 1, got {job.epochs}")
     trials = [dataclasses.replace(job, batch_size=bs, peak_lr=lr)
               for bs in batch_sizes for lr in lrs]
-    best_point = best_result = None
-    table = []
+    table, best = [], None
     for trial, result in zip(trials, _finetune_each(params, config, trials, metric_fn)):
-        if result.final_metric is not None:
-            score = result.final_metric
-        elif result.best_val_loss is not None:
-            score = -result.best_val_loss
-        else:
-            score = -result.report[-1].train_loss
-        point = GridPoint(trial.batch_size, trial.peak_lr, score, result.best_val_loss,
-                          result.final_metric)
-        table.append(point)
-        if best_point is None or point.score > best_point.score:
-            best_point = point
-            best_result = result
-    return GridResult(best_batch_size=best_point.batch_size, best_lr=best_point.lr,
-                      best=best_result, table=table)
+        selected = result.selected
+        score = selected.metric if selected.metric is not None else -_selection(selected)
+        table.append(GridPoint(trial.batch_size, trial.peak_lr, score, selected.val_loss,
+                               selected.metric))
+        if best is None or score > best[0].score:
+            best = table[-1], result
+    return GridResult(best[0].batch_size, best[0].lr, best[1], table)
 
 
 def grid_to_csv(result: GridResult) -> str:

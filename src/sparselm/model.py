@@ -189,7 +189,7 @@ class SoftPrompt:
 
 
 def check_virtual_ids(config: ModelConfig, virtual_ids):
-    """ContractError unless every virtual id is in `config`'s vocab; run where a prompt is made."""
+    """ContractError unless each virtual id is in the vocab; run where a prompt is made or read."""
     bad = [i for i in virtual_ids if not 0 <= i < config.vocab_size]
     if bad:
         raise ContractError(f"virtual id {bad[0]} outside [0, {config.vocab_size})")
@@ -227,6 +227,8 @@ def forward_logits(params: ParamStore, config: ModelConfig, tokens,
         raise ContractError(f"sequence length {seq} exceeds context window {config.context_window}")
     if tokens.size and (tokens.min() < 0 or tokens.max() >= config.vocab_size):
         raise ContractError(f"token id outside [0, {config.vocab_size})")
+    if prompt is not None:
+        check_virtual_ids(config, prompt.virtual_ids)
 
     dtype = params["tok_emb"].data.dtype
     rows = () if prompt is None else (prompt.embeddings, prompt.virtual_ids)

@@ -257,7 +257,7 @@ def test_criterion_08_end_to_end_finetune_eval(sparse_run):
         job = FT.FinetuneJob(stages=[FT.FinetuneStage("task", train, val)],
                              epochs=5, batch_size=8, peak_lr=5e-3, seed=0)
         result = FT.finetune_dense(dense, cfg, job, metric_fn)
-        assert result.final_metric >= 0.90, result.final_metric
+        assert result.selected.metric >= 0.90, result.selected.metric
         assert any(r.metric >= 0.90 for r in result.report)
 
         gold = [{"A", "B"}, {"C"}]

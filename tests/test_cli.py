@@ -431,6 +431,23 @@ def test_finetune_grid_list_replaces_its_own_axis_of_the_preset_grid(tmp_path, v
     assert rows == [[str(bs), "0.01"] for bs in cli.TASK_PRESETS["hoc"]["grid_batch_sizes"]]
 
 
+@pytest.mark.parametrize("flags", [[], ["--val", "{val}"],
+                                   ["--val", "{val}", "--labels", "{labels}"]],
+                         ids=["train-only", "val", "val-labels"])
+def test_finetune_grid_of_zero_epochs_exits_2_before_the_first_update(
+        tmp_path, vocab_path, capsys, monkeypatch, flags):
+    train, val, labels = finetune_fixtures(tmp_path)
+    updates = counting(monkeypatch, TR, "adamw_step")
+    code = cli.main(["finetune", "--checkpoint", str(model_ckpt(tmp_path, vocab_path)),
+                     "--vocab", str(vocab_path), "--train", str(train),
+                     "--out", str(tmp_path / "ft"), "--epochs", "0", "--grid",
+                     "--grid-batch-sizes", "4", "--grid-lrs", "0.001",
+                     *(f.format(val=val, labels=labels) for f in flags)])
+    assert (code, updates) == (2, [])
+    assert capsys.readouterr() == ("", "error: grid search needs epochs >= 1, got 0\n")
+    assert not (tmp_path / "ft").exists()
+
+
 @pytest.mark.parametrize("flags,message", [
     (["--grid-lrs", "0.01"], "--grid-batch-sizes and --grid-lrs need --grid"),
     (["--grid", "--ablation", "--grid-batch-sizes", "4", "--grid-lrs", "0.01"],
@@ -516,6 +533,36 @@ def test_finetune_candidate_past_the_context_exits_2_before_the_first_update(
     assert capsys.readouterr() == ("", f"error: {val}:2: candidate {long_label!r}: sequence "
                                        f"{need} exceeds context window {window}\n")
     assert not (tmp_path / "ft").exists()
+
+
+@pytest.mark.parametrize("multi_label", [False, True])
+def test_eval_candidate_past_the_context_names_the_line(tmp_path, vocab_path, capsys,
+                                                        multi_label):
+    # [source; the checkpoint's prompt; candidate] is checked as the dataset is
+    # read; generation skips a candidate that does not fit
+    vocab = D.load_vocab(vocab_path)
+    long_label = " ".join(["omega"] * 6)
+    sources = ["cue", "alpha beta gamma cue"]
+    window = len(vocab.encode(sources[0])) + 2 + len(vocab.encode(long_label))
+    need = len(vocab.encode(sources[1])) + 2 + len(vocab.encode(long_label))
+    assert need > window
+    cfg = M.ModelConfig(n_layers=1, d_model=16, n_heads=2, d_head=8, vocab_size=len(vocab),
+                        context_window=window)
+    ckpt = tmp_path / "model.ckpt"
+    TR.save_model_checkpoint(ckpt, cfg, M.init_params(cfg, seed=0),
+                             prompt=M.init_soft_prompt(cfg, 2, vocab.prompt_ids))
+    dataset = tmp_path / "d.jsonl"
+    write_task_file(dataset, [(source, "yes", ["yes"]) for source in sources])
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps({"labels": ["yes", long_label], "multi_label": multi_label}))
+    code = cli.main(["eval", "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
+                     "--dataset", str(dataset), "--labels", str(labels), "--max-steps", "2"])
+    out, err = capsys.readouterr()
+    if multi_label:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, out, err) == (2, "", f"error: {dataset}:2: candidate {long_label!r}: "
+                                           f"sequence {need} exceeds context window {window}\n")
 
 
 def test_finetune_ablation_writes_both_arms(tmp_path, vocab_path):
@@ -713,9 +760,8 @@ def test_gold_label_outside_the_label_space_exits_2(tmp_path, vocab_path, capsys
     code = cli.main([command, "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
                      "--labels", str(labels), *args])
     assert code == 2
-    # finetune checks a --val file's gold labels as it reads them, before any epoch
-    where = {"eval": "example 1", "finetune": f"{dataset}:2"}[command]
-    assert f"{where}: gold label {gold[0] if gold else None!r}" in capsys.readouterr().err
+    # both check a gold label as they read its line: finetune before any epoch
+    assert f"{dataset}:2: gold label {gold[0] if gold else None!r}" in capsys.readouterr().err
     assert not (tmp_path / "ft").exists()
 
 
@@ -733,7 +779,7 @@ def test_multi_label_gold_outside_the_label_space_exits_2(tmp_path, vocab_path, 
                      "--dataset", str(dataset), "--labels", str(labels),
                      "--max-steps", "2"]) == code
     if code:
-        assert "example 1: gold label 'zzz'" in capsys.readouterr().err
+        assert f"{dataset}:2: gold label 'zzz'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["eval", "finetune", "pretrain", "flops"])

@@ -126,7 +126,6 @@ def test_prompt_rows_are_position_bound():
 
 
 def test_prompt_with_duplicate_or_out_of_range_virtual_ids_rejected():
-    # where a prompt is made: a forward does not re-check its ids
     cfg = tiny_config()
     with pytest.raises(ContractError, match="distinct"):
         FT.SoftPrompt(T.Tensor(np.zeros((2, cfg.d_model))), (2, 2))
@@ -138,6 +137,15 @@ def test_prompt_with_duplicate_or_out_of_range_virtual_ids_rejected():
         with pytest.raises(ContractError,
                            match=rf"^virtual id {bad} outside \[0, {cfg.vocab_size}\)$"):
             FT.init_soft_prompt(cfg, 2, virtual_ids=(2, bad))
+
+
+@pytest.mark.parametrize("bad", [-1, 16])
+def test_a_forward_refuses_a_built_prompt_with_an_id_outside_the_vocab(bad):
+    # a SoftPrompt has no vocab to check against; the forward that reads it does
+    cfg = tiny_config()
+    prompt = FT.SoftPrompt(T.Tensor(np.zeros((1, cfg.d_model), dtype=np.float32)), (bad,))
+    with pytest.raises(ContractError, match=rf"^virtual id {bad} outside \[0, 16\)$"):
+        M.forward_logits(M.init_params(cfg, seed=0), cfg, np.array([[10, 15]]), prompt)
 
 
 def test_prompt_forward_reads_each_virtual_id_wherever_it_sits():
@@ -199,7 +207,7 @@ def test_finetune_learns_signal_task():
     result = FT.finetune_dense(params, cfg, job)
     first, last = result.report[0], result.report[-1]
     assert last.val_loss < first.val_loss
-    assert result.best_val_loss is not None
+    assert result.selected.val_loss is not None
 
 
 def test_float64_finetuning_with_a_prompt_makes_a_float64_prompt():
@@ -332,7 +340,9 @@ def counting(monkeypatch, module, name):
      r"exceeds context window 24"),
     (FT.FinetuneStage("b", signal_task(2, 2) + [FT.TaskExample(source=[11], target=[16])]), None,
      r"stage 'b', train\[2\]: token id outside \[0, 16\)"),
-], ids=["empty-train", "patience-without-val", "too-long", "outside-the-vocab"])
+    (FT.FinetuneStage("b", signal_task(2, 2), []), None,
+     r"stage 'b' has an empty validation split"),
+], ids=["empty-train", "patience-without-val", "too-long", "outside-the-vocab", "empty-val"])
 def test_a_fault_in_a_later_stage_is_raised_before_the_first_update(monkeypatch, stage_b,
                                                                     patience, message):
     cfg = tiny_config()
@@ -390,6 +400,53 @@ def test_early_stopping_halts_on_plateau():
     tolerant = FT.FinetuneJob(stages=stages(), epochs=6, peak_lr=0.0, patience=1, seed=0)
     result = FT.finetune_dense(M.init_params(cfg, seed=0), cfg, tolerant)
     assert len(result.report) == 3
+
+
+def recording_metric(snapshots):
+    """A metric_fn that keeps a copy of the weights it scores and returns 0.5."""
+    def metric(params, prompt, examples):
+        snapshots.append({p: t.data.copy() for p, t in params.items()})
+        return 0.5
+    return metric
+
+
+@pytest.mark.parametrize("peak_lr,patience,epochs_run", [(5e-3, None, 3), (0.0, 0, 2)],
+                         ids=["plain", "patience-stopped"])
+def test_the_metric_runs_once_per_epoch_and_not_after_the_last(peak_lr, patience, epochs_run):
+    cfg = tiny_config()
+    snapshots = []
+    job = FT.FinetuneJob(stages=[FT.FinetuneStage("a", signal_task(8), signal_task(4, 1))],
+                         epochs=3, batch_size=4, peak_lr=peak_lr, patience=patience, seed=0)
+    result = FT.finetune_dense(M.init_params(cfg, seed=0), cfg, job, recording_metric(snapshots))
+    assert len(result.report) == len(snapshots) == epochs_run
+    assert result.selected.metric == 0.5
+
+
+def test_the_outcome_is_the_selected_epoch_and_its_weights():
+    # lr 0.1 overshoots after epoch 2 on this seed: the selected epoch is not the last
+    cfg = tiny_config()
+    snapshots = []
+    job = FT.FinetuneJob(stages=[FT.FinetuneStage("a", signal_task(8), signal_task(4, 1))],
+                         epochs=6, batch_size=4, peak_lr=0.1, seed=1)
+    result = FT.finetune_dense(M.init_params(cfg, seed=0), cfg, job, recording_metric(snapshots))
+    losses = [r.val_loss for r in result.report]
+    first_lowest = losses.index(min(losses))
+    assert first_lowest < len(losses) - 1
+    assert result.selected is result.report[first_lowest]
+    for p, data in snapshots[first_lowest].items():
+        assert np.array_equal(result.params[p].data, data), p
+
+
+def test_a_last_stage_without_val_is_selected_by_its_own_train_loss():
+    # stage a's val loss is not the outcome of weights that went on to train in b
+    cfg = tiny_config()
+    job = FT.FinetuneJob(stages=[FT.FinetuneStage("a", signal_task(8), signal_task(4, 1)),
+                                 FT.FinetuneStage("b", signal_task(8, 2))],
+                         epochs=3, batch_size=4, peak_lr=0.1, seed=1)
+    result = FT.finetune_dense(M.init_params(cfg, seed=0), cfg, job)
+    stage_b = [r for r in result.report if r.stage == "b"]
+    assert result.selected is min(stage_b, key=lambda r: r.train_loss)
+    assert result.selected.val_loss is None and result.selected.metric is None
 
 
 def test_multi_stage_carryover_exact():
@@ -469,6 +526,17 @@ def test_grid_pubmedqa_preset_runs_sixteen_points():
     result = FT.grid_search(M.init_params(cfg, seed=0), cfg, job, bs, lrs)
     assert len(result.table) == 16
     assert {(p.batch_size, p.lr) for p in result.table} == {(b, l) for b in bs for l in lrs}
+
+
+def test_grid_of_zero_epochs_is_refused_before_the_first_update(monkeypatch):
+    # every point would be the same untrained model
+    cfg = tiny_config()
+    updates = counting(monkeypatch, TR, "adamw_step")
+    job = FT.FinetuneJob(stages=[FT.FinetuneStage("a", signal_task(4), signal_task(2, 1))],
+                         epochs=0)
+    with pytest.raises(ContractError, match="grid search needs epochs >= 1, got 0"):
+        FT.grid_search(M.init_params(cfg, seed=0), cfg, job, (4,), (1e-3,))
+    assert updates == []
 
 
 def test_grid_empty_space_rejected():

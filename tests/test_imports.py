@@ -1,9 +1,14 @@
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 import sparselm
+from sparselm import evaluation as E
+from sparselm import finetune as FT
+from sparselm import model as M
 
 MODULES = sorted(Path(sparselm.__file__).parent.glob("*.py"))
 PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
@@ -92,3 +97,46 @@ def test_every_public_name_has_a_reader():
               for line, name in public_definitions(path.read_text(encoding="utf-8"))
               if name not in read and name not in UNREAD_ALLOWED]
     assert unread == []
+
+
+def perfbench_tracing():
+    """perfbench/tracing.py, which loads no sparselm code, as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", next(p for p in PERFBENCH if p.name == "tracing.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_spans_perfbench_reads_stay_direct_children():
+    # perfbench times a fine-tune batch from a `finetune.sequence_loss` span to
+    # the next `training.adamw_step`, both direct children of
+    # `finetune.finetune_dense`, and counts `finetune.prompt_forward` children of
+    # `evaluation.score_labels`; a public helper in between would empty them
+    tracing = perfbench_tracing()
+    for layer in tracing.LAYERS:  # `Tracer.installed` wraps each of these
+        importlib.import_module(f"sparselm.{layer}")
+    cfg = M.ModelConfig(n_layers=1, d_model=16, n_heads=2, d_head=8, vocab_size=16,
+                        context_window=16)
+    examples = [FT.TaskExample(source=[10 + i % 4, 11], target=[5 + i % 2],
+                               labels=("ab"[i % 2],)) for i in range(6)]
+    space = E.LabelSpace(labels=("a", "b"), token_ids=((5,), (6,)))
+    job = FT.FinetuneJob(stages=[FT.FinetuneStage("s", examples, examples[:3])], epochs=2,
+                         batch_size=4, peak_lr=1e-3, prompt_length=2, virtual_ids=(2, 3))
+    tracer = tracing.Tracer("test")
+    with tracer.installed(sparselm):
+        result = FT.finetune_dense(M.init_params(cfg, seed=0), cfg, job,
+                                   tracer.wrap("evaluation.metric",
+                                               E.bind_accuracy_metric(cfg, space)))
+        E.predict_label(result.params, cfg, result.prompt, examples[0].source, space)
+    index = tracing.SpanIndex(tracer.spans)
+    read = ("finetune.sequence_loss", "training.adamw_step")
+    epoch = [*read, *read, read[0]]  # two batches, then the val loss
+    for run in index.named("finetune.finetune_dense"):
+        names = [index.spans[c][1] for c in index.children[run]]
+        assert [name for name in names if name in read] == epoch * job.epochs
+    scores = index.named("evaluation.score_labels")
+    assert len(scores) > len(index.named("evaluation.metric")) > 0
+    for i in scores:
+        children = [index.spans[c][1] for c in index.children[i]]
+        assert children.count("finetune.prompt_forward") == 1
