@@ -20,7 +20,6 @@ if _threads:
 import argparse
 import dataclasses
 import json
-import operator
 import sys
 import typing
 
@@ -32,7 +31,7 @@ from . import flops as F
 from . import model as M
 from . import sparsity as S
 from . import training as TR
-from .errors import REQUIRED, ContractError, check_record, naming
+from .errors import REQUIRED, ContractError, check_ranges, check_record, naming
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -67,32 +66,6 @@ TASK_PRESETS = {
             "grid_lrs": [8e-5, 4e-5, 2e-5, 1e-5]},
 }
 
-# the range of each numeric setting (of each item of a list), one name for one
-# meaning in every command; `main` checks the flags, `pretrain` the --config values
-SETTING_RANGES = {
-    "seed": ">= 0", "mask_seed": ">= 0", "steps": ">= 1", "epochs": ">= 0",
-    "batch_size": ">= 1", "micro_batch_size": ">= 1", "grid_batch_sizes": ">= 1",
-    "msl": ">= 2", "peak_lr": "> 0", "lr": "> 0", "grid_lrs": "> 0",
-    "sparsity": ">= 0 and < 1", "val_fraction": ">= 0 and < 1",
-    "warmup_fraction": ">= 0 and <= 1", "min_lr_fraction": ">= 0 and <= 1",
-    "weight_decay": ">= 0", "grad_clip": "> 0", "checkpoint_every": ">= 0",
-    "log_every": ">= 0", "patience": ">= 0", "prompt_length": ">= 0",
-    "vocab_size": ">= 1", "prompt_slots": ">= 0", "max_steps": ">= 1", "tokens": ">= 0",
-}
-_COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
-
-
-def _check_ranges(settings, where=None):
-    """ContractError for the first value of `settings` (or item of a list) outside
-    its SETTING_RANGES rule, naming `where: key` for a file's value, else `--key`."""
-    for key, value in settings.items():
-        terms = [term.split() for term in SETTING_RANGES.get(key, "").split(" and ") if term]
-        for item in value if isinstance(value, list) else [value]:
-            if item is not None and not all(_COMPARE[op](item, float(x)) for op, x in terms):
-                name = f"{where}: {key}" if where else f"--{key.replace('_', '-')}"
-                raise ContractError(f"{name} must be {SETTING_RANGES[key]}, got {item}")
-
-
 def _with_flags(cfg, args) -> dict:
     """`cfg` with the value of each of its settings that was given as a flag."""
     return cfg | {key: value for key, value in vars(args).items()
@@ -125,8 +98,8 @@ def _resolved_pretrain_config(args):
     `main` has checked; a file value out of range names the file and the key."""
     cfg = (D.read_json(args.config, PRETRAIN_SETTINGS, "pretrain settings") if args.config
            else check_record({}, PRETRAIN_SETTINGS, "pretrain"))
-    _check_ranges({key: value for key, value in cfg.items() if getattr(args, key, None) is None},
-                  args.config)
+    with naming(args.config or "pretrain"):
+        check_ranges({k: v for k, v in cfg.items() if getattr(args, k, None) is None})
     return _with_flags(cfg, args)
 
 
@@ -489,7 +462,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        _check_ranges(vars(args))
+        check_ranges(vars(args), lambda key: f"--{key.replace('_', '-')}")
         return args.func(args)
     except ContractError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import atomic_open
-from .errors import ContractError, check_record
+from .errors import ContractError, check_ranges, check_record
 
 # whitespace runs / word runs / single punctuation marks; concatenation of
 # the pieces reproduces the input exactly, which round-trip identity needs
@@ -126,8 +126,7 @@ class Vocab:
     n_prompt_slots: int = DEFAULT_PROMPT_SLOTS
 
     def __post_init__(self):
-        if self.n_prompt_slots < 0:
-            raise ContractError(f"prompt slot count must be >= 0, got {self.n_prompt_slots}")
+        check_ranges({"prompt_slots": self.n_prompt_slots})
         self.eod_id = 0
         self.pad_id = 1
         self.prompt_ids = tuple(range(2, 2 + self.n_prompt_slots))
@@ -311,8 +310,7 @@ def load_vocab(path) -> Vocab:
 
 def split_train_val(docs, val_fraction: float = 0.03, seed: int = 0):
     """Seeded shuffle, then |val| = round(fraction * |docs|) from the front."""
-    if not (0.0 <= val_fraction < 1.0):
-        raise ContractError(f"val_fraction {val_fraction} outside [0, 1)")
+    check_ranges({"val_fraction": val_fraction})
     order = np.random.default_rng(seed).permutation(len(docs))
     n_val = int(np.floor(val_fraction * len(docs) + 0.5))
     val = [docs[i] for i in order[:n_val]]
@@ -337,8 +335,7 @@ def pack_sequences(encoded_docs, msl: int, eod_id: int) -> PackedDataset:
     one stream, then chunk into msl-length rows; the final partial chunk is
     dropped. An id that is not an integer in [0, 2**32) raises ContractError
     naming its document."""
-    if msl < 2:
-        raise ContractError(f"msl must be >= 2, got {msl}")
+    check_ranges({"msl": msl})
     stream, ends = [], []
     try:
         for ids in encoded_docs:

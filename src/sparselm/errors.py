@@ -1,7 +1,8 @@
-"""Shared exception types, and the one check of a JSON record or of a tensor map."""
+"""Shared exception types and the one check of a JSON record, a range or a tensor map."""
 
 import contextlib
 import dataclasses
+import operator
 import types
 import typing
 
@@ -64,6 +65,31 @@ def check_record(value, shape, where, what="fields", extra_keys=False) -> dict:
             name = kind.__name__ if isinstance(kind, type) else kind
             raise ContractError(f"{where}: {key!r} must be {name}, got {record[key]!r}")
     return record
+
+
+# the range of each numeric setting (of each item of a list), one name for one meaning
+# in flags, `--config` values and the objects the library builds from settings
+SETTING_RANGES = {
+    "seed": ">= 0", "mask_seed": ">= 0", "prompt_seed": ">= 0", "steps": ">= 1", "epochs": ">= 0",
+    "total_steps": ">= 0", "batch_size": ">= 1", "micro_batch_size": ">= 1", "msl": ">= 2",
+    "grid_batch_sizes": ">= 1", "peak_lr": "> 0", "lr": "> 0", "grid_lrs": "> 0", "eps": "> 0",
+    "sparsity": ">= 0 and < 1", "val_fraction": ">= 0 and < 1", "beta1": ">= 0 and < 1",
+    "beta2": ">= 0 and < 1", "warmup_fraction": ">= 0 and <= 1", "min_lr_fraction": ">= 0 and <= 1",
+    "weight_decay": ">= 0", "grad_clip": "> 0", "checkpoint_every": ">= 0", "log_every": ">= 0",
+    "patience": ">= 0", "prompt_length": ">= 0", "vocab_size": ">= 1", "prompt_slots": ">= 0",
+    "max_steps": ">= 1", "tokens": ">= 0",
+}
+_COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+
+
+def check_ranges(settings, name=str):
+    """ContractError for the first value of `settings` (or item of a list) outside
+    its SETTING_RANGES rule, naming the key as `name(key)`; None passes."""
+    for key, value in settings.items():
+        terms = [term.split() for term in SETTING_RANGES.get(key, "").split(" and ") if term]
+        for item in value if isinstance(value, list) else [value]:
+            if item is not None and not all(_COMPARE[op](item, float(x)) for op, x in terms):
+                raise ContractError(f"{name(key)} must be {SETTING_RANGES[key]}, got {item}")
 
 
 def check_shapes(arrays, shapes, dtype, what) -> dict:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import csv_text
-from .errors import ContractError, naming
+from .errors import ContractError, check_ranges, naming
 from .model import (ModelConfig, ParamStore, SoftPrompt, clone_params, forward_logits,
                     init_soft_prompt, next_token_loss)
 from .tensor import Tensor
@@ -180,8 +180,7 @@ def _lay_out(params, config, job):
     names its stage, and a sequence's fault its split and index."""
     if not job.stages:
         raise ContractError("job has no stages")
-    if job.batch_size < 1:
-        raise ContractError(f"batch size must be >= 1, got {job.batch_size}")
+    check_ranges(dict(vars(job), peak_lr=None))  # lr 0 freezes a run
     if not 0 <= job.pad_id < config.vocab_size:
         raise ContractError(f"pad id {job.pad_id} outside vocab {config.vocab_size}")
     if len(job.virtual_ids) < job.prompt_length:
@@ -288,7 +287,11 @@ class GridResult:
 
 
 def _finetune_each(params: ParamStore, config: ModelConfig, jobs, metric_fn):
-    """`finetune_dense` of each job on its own copy of `params`, lazily: one at a time."""
+    """`finetune_dense` of each job on its own copy of `params`, lazily: one at a
+    time. Untrained variants would all compare equal, so every job needs an epoch."""
+    for job in jobs:
+        if job.epochs < 1:
+            raise ContractError(f"comparing fine-tunes needs epochs >= 1, got {job.epochs}")
     return (finetune_dense(clone_params(params), config, job, metric_fn) for job in jobs)
 
 
@@ -299,8 +302,6 @@ def grid_search(params: ParamStore, config: ModelConfig, job: FinetuneJob,
     first point in declared order."""
     if not batch_sizes or not lrs:
         raise ContractError("grid space is empty")
-    if job.epochs < 1:
-        raise ContractError(f"grid search needs epochs >= 1, got {job.epochs}")
     trials = [dataclasses.replace(job, batch_size=bs, peak_lr=lr)
               for bs in batch_sizes for lr in lrs]
     table, best = [], None

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .data import csv_text
-from .errors import ContractError
+from .errors import check_ranges
 from .model import PRESETS, ModelConfig, sparse_matrix_params
 
 COMPONENT_ORDER = (
@@ -63,8 +63,7 @@ class FlopsReport:
     dense_forward_per_token: float
 
     def train_total(self, token_budget: float) -> float:
-        if token_budget < 0:
-            raise ContractError("token budget must be >= 0")
+        check_ranges({"tokens": token_budget})
         return BACKWARD_MULTIPLIER * self.forward_per_token * token_budget
 
     @property
@@ -73,8 +72,7 @@ class FlopsReport:
 
 
 def forward_flops_per_token(config: ModelConfig, sparsity: float = 0.0) -> FlopsReport:
-    if not (0.0 <= sparsity < 1.0):
-        raise ContractError(f"sparsity {sparsity} outside [0, 1)")
+    check_ranges({"sparsity": sparsity})
     L, d, h = config.n_layers, config.d_model, config.n_heads
     seq, v, d_ff = config.context_window, config.vocab_size, config.d_ff
     dense = {

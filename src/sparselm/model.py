@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, record_shape
+from .errors import ContractError, check_ranges, record_shape
 from .tensor import Tensor
 
 SPARSIFIABLE_ROLES = ("wq", "wk", "wv", "wo", "w_ff_in", "w_ff_out")
@@ -198,8 +198,7 @@ def check_virtual_ids(config: ModelConfig, virtual_ids):
 def init_soft_prompt(config: ModelConfig, n: int, virtual_ids, seed: int = 0,
                      dtype: str = "float32") -> SoftPrompt:
     """Rows drawn from the token-embedding init distribution (std 0.02)."""
-    if n < 0:
-        raise ContractError("prompt length must be >= 0")
+    check_ranges({"prompt_length": n})
     virtual_ids = tuple(virtual_ids)[:n]
     check_virtual_ids(config, virtual_ids)
     rng = np.random.default_rng(seed)

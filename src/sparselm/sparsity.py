@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, check_ranges
 from .model import ParamStore, clone_params, zero_count
 
 
@@ -34,10 +34,9 @@ class SparsityPlan:
     seed: int = 0
 
     def __post_init__(self):
-        if self.level is None or not (0.0 <= self.level < 1.0):
-            raise ContractError(f"a sparsity plan needs one level in [0, 1), got {self.level!r}")
-        if self.seed < 0:
-            raise ContractError(f"a sparsity plan's seed must be >= 0, got {self.seed}")
+        if self.level is None:
+            raise ContractError("a sparsity plan needs one level in [0, 1), got None")
+        check_ranges({"sparsity": self.level, "seed": self.seed}, "a sparsity plan's {}".format)
 
 
 def pack_mask(mask):
@@ -97,14 +96,10 @@ def build_masks(params: ParamStore, plan: SparsityPlan) -> MaskSet:
     return MaskSet(masks, plan)
 
 
-def global_sparsity(masks: MaskSet, total_params: int | None = None) -> float:
-    """Ratio of inactive entries. Denominator is the sparsifiable-path total
-    by default; pass the model's full parameter count to use the all-params
-    denominator instead (callers should label which one they report)."""
-    denom = total_params if total_params is not None else masks.total_entries()
-    if denom == 0:
-        return 0.0
-    return masks.total_zeros() / denom
+def global_sparsity(masks: MaskSet) -> float:
+    """Ratio of inactive entries over the sparsifiable-path total; 0.0 without masks."""
+    total = masks.total_entries()
+    return masks.total_zeros() / total if total else 0.0
 
 
 def check_masks(masks: MaskSet, params: ParamStore):

@@ -30,7 +30,7 @@ import numpy as np
 from . import checkpoint as C
 from . import tensor as T
 from .data import PackedDataset, csv_text
-from .errors import REQUIRED, ContractError, check_shapes, naming, record_shape
+from .errors import REQUIRED, ContractError, check_ranges, check_shapes, naming, record_shape
 from .model import (CONFIG_SHAPE, ModelConfig, ParamStore, SoftPrompt, check_virtual_ids,
                     lm_loss, param_specs)
 from .sparsity import MaskSet, SparsityPlan, check_masks, mask_gradients
@@ -52,6 +52,9 @@ class Schedule:
     total_steps: int
     warmup_fraction: float = 0.10
     min_lr_fraction: float = 0.10
+
+    def __post_init__(self):
+        check_ranges(dict(vars(self), peak_lr=None))  # lr 0 freezes a run
 
     @property
     def warmup_steps(self) -> int:
@@ -88,6 +91,9 @@ class OptimizerState:
     eps: float = 1e-8
     weight_decay: float = 0.1
     scratch: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        check_ranges(vars(self))
 
     @classmethod
     def for_params(cls, params, **hyper):
@@ -161,7 +167,8 @@ class StepRecord:
 @dataclass
 class TrainState:
     """Everything a run needs to continue: parameters, masks, optimizer
-    moments, schedule position, and the batch-sampling RNG."""
+    moments and update count, and the batch-sampling RNG. A batch runs in
+    micro-batches of micro_batch_size, None: one micro-batch."""
 
     params: ParamStore
     config: ModelConfig
@@ -170,35 +177,33 @@ class TrainState:
     rng: np.random.Generator
     batch_size: int
     seed: int
-    step: int = 0
     masks: MaskSet | None = None
     micro_batch_size: int | None = None
     smoothed: float | None = None
     trace: list[StepRecord] = field(default_factory=list)
 
     def __post_init__(self):
-        # a batch runs in micro-batches of micro_batch_size, None: one micro-batch
-        if self.batch_size < 1:
-            raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.micro_batch_size is not None and self.micro_batch_size < 1:
-            raise ContractError(f"micro_batch_size must be >= 1 (or None: the whole batch), "
-                                f"got {self.micro_batch_size}")
+        check_ranges(vars(self))
+
+    @property
+    def step(self) -> int:
+        """The schedule position, which is the optimizer's update count."""
+        return self.opt.step
 
 
 def init_train_state(params, config, schedule, batch_size, seed,
                      masks=None, micro_batch_size=None, weight_decay=0.1) -> TrainState:
     """A state that trains `params` itself; with `masks`, the weights are
     masked in place once every check has passed."""
-    if seed < 0:
-        raise ContractError(f"seed must be >= 0, got {seed}")
     if masks is not None:
         check_masks(masks, params)
     state = TrainState(
         params=params, config=config, schedule=schedule,
         opt=OptimizerState.for_params(params, weight_decay=weight_decay),
-        rng=np.random.default_rng(seed), batch_size=batch_size, seed=seed,
+        rng=None, batch_size=batch_size, seed=seed,
         masks=masks, micro_batch_size=micro_batch_size,
     )
+    state.rng = np.random.default_rng(seed)  # once the seed is checked
     if masks is not None:
         mask_gradients({p: t.data for p, t in params.items()}, masks)
     return state
@@ -264,7 +269,6 @@ def train_steps(state: TrainState, dataset: PackedDataset, n_steps=None,
                              chunk.shape[0] / state.batch_size) for chunk in chunks),
                            state.masks, grad_clip)
 
-        state.step = step
         state.smoothed = (loss_value if state.smoothed is None
                           else LOSS_SMOOTHING * state.smoothed + (1 - LOSS_SMOOTHING) * loss_value)
         state.trace.append(StepRecord(step=step, loss=loss_value, smoothed=state.smoothed, lr=lr))
@@ -316,7 +320,8 @@ def parse_loss_curves(text: str, path="loss curves") -> dict[str, list[tuple[int
 # loaders name the file in every ContractError (`errors.naming`).
 
 # A plan section must name its seed and leaves a null level to SparsityPlan's
-# own check; the step is its own section, not a key of the trainer section.
+# own check. The step is its own section and the optimizer's update count
+# (`opt_meta`), and the two must agree.
 SECTION_SHAPES = {
     "config": CONFIG_SHAPE,
     "plan": {"level": (float, None), "seed": (int, REQUIRED)},
@@ -324,7 +329,7 @@ SECTION_SHAPES = {
     "schedule": record_shape(Schedule),
     "opt_meta": record_shape(OptimizerState, skip=("m", "v", "scratch")),
     "trainer": record_shape(TrainState, skip=("params", "config", "schedule", "opt", "rng",
-                                              "step", "masks", "trace")),
+                                              "masks", "trace")),
     "rng": {"bit_generator": (str, REQUIRED), "has_uint32": (int, REQUIRED),
             "uinteger": (int, REQUIRED),
             "state": ({"state": (int, REQUIRED), "inc": (int, REQUIRED)}, REQUIRED)},
@@ -337,9 +342,12 @@ def _require(sections, names):
             raise ContractError(f"missing checkpoint section {name!r}")
 
 
-def _json(sections, name) -> dict:
+def _json(sections, name, build=dict, **fields):
+    """`build` of the JSON section `name`'s record and `fields`; a fault names the section."""
     _require(sections, (name,))
-    return C.decode_json(sections[name], SECTION_SHAPES[name], name)
+    record = C.decode_json(sections[name], SECTION_SHAPES[name], name)
+    with naming(f"{name} section"):
+        return build(**fields, **record)
 
 
 def _encode_model(config, params, step, masks=None, prompt=None) -> dict[str, bytes]:
@@ -410,16 +418,17 @@ def load_train_state(path) -> TrainState:
         m, v = (check_shapes(C.decode_tensor_map(sections.pop(name)), shapes,
                              params["tok_emb"].data.dtype, f"{name} section")
                 for name in ("opt_m", "opt_v"))
-        opt = OptimizerState(m=m, v=v, **_json(sections, "opt_meta"))
+        opt = _json(sections, "opt_meta", OptimizerState, m=m, v=v)
+        if opt.step != step:
+            raise ContractError(f"opt_meta section: 'step' {opt.step} != the step section's {step}")
         rng_state = _json(sections, "rng")
         rng = np.random.default_rng()
         try:
             rng.bit_generator.state = rng_state
         except (ValueError, OverflowError) as exc:  # another generator, or out of range
             raise ContractError(f"rng section: {exc}") from None
-        return TrainState(params=params, config=config, opt=opt, rng=rng, masks=masks,
-                          schedule=Schedule(**_json(sections, "schedule")), step=step,
-                          **_json(sections, "trainer"))
+        return _json(sections, "trainer", TrainState, params=params, config=config, opt=opt,
+                     rng=rng, masks=masks, schedule=_json(sections, "schedule", Schedule))
 
 
 def save_model_checkpoint(path, config: ModelConfig, params: ParamStore, step: int = 0,

@@ -2,8 +2,11 @@ import argparse
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
+import types
+import typing
 
 import numpy as np
 import pytest
@@ -13,9 +16,11 @@ from sparselm import checkpoint as C
 from sparselm import cli
 from sparselm import data as D
 from sparselm import evaluation as E
+from sparselm import finetune as FT
 from sparselm import model as M
 from sparselm import training as TR
-from test_finetune import counting
+from sparselm.errors import SETTING_RANGES, ContractError, record_shape
+from test_finetune import counting, signal_task, tiny_config
 from toytask import write_corpus
 
 
@@ -444,7 +449,20 @@ def test_finetune_grid_of_zero_epochs_exits_2_before_the_first_update(
                      "--grid-batch-sizes", "4", "--grid-lrs", "0.001",
                      *(f.format(val=val, labels=labels) for f in flags)])
     assert (code, updates) == (2, [])
-    assert capsys.readouterr() == ("", "error: grid search needs epochs >= 1, got 0\n")
+    assert capsys.readouterr() == ("", "error: comparing fine-tunes needs epochs >= 1, got 0\n")
+    assert not (tmp_path / "ft").exists()
+
+
+def test_finetune_ablation_of_zero_epochs_exits_2_before_the_first_update(tmp_path, vocab_path,
+                                                                          capsys, monkeypatch):
+    train, val, labels = finetune_fixtures(tmp_path)
+    updates = counting(monkeypatch, TR, "adamw_step")
+    code = cli.main(["finetune", "--checkpoint", str(model_ckpt(tmp_path, vocab_path)),
+                     "--vocab", str(vocab_path), "--train", str(train), "--val", str(val),
+                     "--labels", str(labels), "--out", str(tmp_path / "ft"), "--epochs", "0",
+                     "--ablation", "--prompt-length", "2"])
+    assert (code, updates) == (2, [])
+    assert capsys.readouterr() == ("", "error: comparing fine-tunes needs epochs >= 1, got 0\n")
     assert not (tmp_path / "ft").exists()
 
 
@@ -880,10 +898,28 @@ def test_out_of_range_flag_exits_2_naming_the_flag(tmp_path, capsys, flag, value
     assert cli.main(["pretrain", "--config", str(config), "--dry-run", flag, "1"]) == 0
 
 
-# ------------------------------------------------------------ flag ranges
+# ----------------------------------------------------------------- ranges
 
-# a numeric option without a range: the floor is any number a metric may be held to
-UNRANGED_ALLOWED = {"metric_floor"}
+# a numeric option or field that its own range rule does not check, and why
+UNRANGED_ALLOWED = {
+    "metric_floor": "the floor is any number a metric may be held to",
+    "peak_lr": "the library accepts lr 0, which freezes a run; > 0 is the command line's rule",
+    "smoothed": "a measured value, not a setting",
+    "pad_id": "checked against the vocab",
+    "eos_id": "checked against the vocab",
+    "step": "checked against the step section",
+}
+
+# the fields of each object the library builds from settings: the train
+# checkpoint sections that hold them, and a fine-tune job
+LIBRARY_SHAPES = {name: TR.SECTION_SHAPES[name] for name in ("schedule", "opt_meta", "trainer")}
+LIBRARY_SHAPES["job"] = record_shape(FT.FinetuneJob)
+
+
+def numeric_kind(kind):
+    """The number type of a kind such as `int` or `float | None`; None for any other kind."""
+    kinds = typing.get_args(kind) if isinstance(kind, types.UnionType) else (kind,)
+    return next((k for k in kinds if k in (int, float)), None)
 
 
 def numeric_options(parser):
@@ -894,10 +930,10 @@ def numeric_options(parser):
 
 
 def unranged(parser, settings, ranges):
-    """The int and float options of `parser` and the int and float keys of
-    `settings` that have no entry in `ranges`."""
+    """The int and float options of `parser` and the keys of `settings`
+    whose value is an int or float (or None) that have no entry in `ranges`."""
     names = {dest for _, dest, _ in numeric_options(parser)}
-    names |= {key for key, (kind, _) in settings.items() if kind in (int, float)}
+    names |= {key for key, (kind, _) in settings.items() if numeric_kind(kind)}
     return sorted(names - set(ranges))
 
 
@@ -907,13 +943,15 @@ def test_unranged_option_is_found():
     p.add_argument("--depth", type=int)
     p.add_argument("--rates", type=float, nargs="*")
     p.add_argument("--name")
-    assert unranged(parser, {"width": (int, 1), "tag": (str, None)}, {"rates": "> 0"}) == \
-        ["depth", "width"]
+    assert unranged(parser, {"width": (int, 1), "tag": (str, None), "cap": (float | None, None),
+                             "ids": (tuple[int, ...], ())}, {"rates": "> 0"}) == \
+        ["cap", "depth", "width"]
 
 
 def test_every_numeric_flag_and_setting_has_a_range():
-    found = unranged(cli.build_parser(), cli.PRETRAIN_SETTINGS, cli.SETTING_RANGES)
-    assert [name for name in found if name not in UNRANGED_ALLOWED] == []
+    for settings in [cli.PRETRAIN_SETTINGS, cli.FINETUNE_SETTINGS, *LIBRARY_SHAPES.values()]:
+        found = unranged(cli.build_parser(), settings, SETTING_RANGES)
+        assert [name for name in found if name not in UNRANGED_ALLOWED] == []
 
 
 def nearest_values(rule, kind):
@@ -927,8 +965,8 @@ def nearest_values(rule, kind):
 
 RANGE_CASES = [(command, dest, outside, inside)
                for command, dest, kind in numeric_options(cli.build_parser())
-               if dest in cli.SETTING_RANGES
-               for outside, inside in nearest_values(cli.SETTING_RANGES[dest], kind)]
+               if dest in SETTING_RANGES
+               for outside, inside in nearest_values(SETTING_RANGES[dest], kind)]
 # values that failed or passed unchecked before the range table, beyond the nearest ones
 RANGE_CASES += [("pretrain", "grad_clip", -1.0, None), ("pretrain", "warmup_fraction", 2.0, None),
                 ("finetune", "prompt_length", -2, None), ("flops", "tokens", -1.0, None)]
@@ -950,7 +988,7 @@ REQUIRED_FLAGS = {
                          ids=[f"{c}-{k}-{o}" for c, k, o, _ in RANGE_CASES])
 def test_a_value_outside_its_range_exits_2_before_anything_is_written(tmp_path, capsys, command,
                                                                      key, outside, inside):
-    rule, flag, out = cli.SETTING_RANGES[key], f"--{key.replace('_', '-')}", tmp_path / "out"
+    rule, flag, out = SETTING_RANGES[key], f"--{key.replace('_', '-')}", tmp_path / "out"
     argv = [a.format(dir=tmp_path, out=out) for a in REQUIRED_FLAGS[command]]
     assert cli.main([command, *argv, flag, str(outside)]) == 2
     assert capsys.readouterr() == ("", f"error: {flag} must be {rule}, got {outside}\n")
@@ -967,3 +1005,42 @@ def test_a_value_outside_its_range_exits_2_before_anything_is_written(tmp_path, 
         assert cli.main(["pretrain", "--preset", "xl", "--dry-run", flag, str(inside)]) == 0
         config.write_text(json.dumps({key: inside, "preset": "xl"}))
         assert cli.main(["pretrain", "--config", str(config), "--dry-run"]) == 0
+
+
+# each ranged field of a library object at the nearest value outside its rule
+LIBRARY_CASES = [(owner, key, outside)
+                 for owner, shape in LIBRARY_SHAPES.items()
+                 for key, (kind, _) in shape.items()
+                 if numeric_kind(kind) and key not in UNRANGED_ALLOWED
+                 for outside, _ in nearest_values(SETTING_RANGES[key], numeric_kind(kind))]
+SECTION_CASES = [case for case in LIBRARY_CASES if case[0] != "job"]
+JOB_CASES = [case[1:] for case in LIBRARY_CASES if case[0] == "job"]
+
+
+@pytest.mark.parametrize("section,key,outside", SECTION_CASES,
+                         ids=[f"{s}-{k}-{o}" for s, k, o in SECTION_CASES])
+def test_a_train_checkpoint_value_outside_its_range_is_refused_naming_the_section(
+        tmp_path, section, key, outside):
+    cfg = tiny_config()
+    path = tmp_path / "t.ckpt"
+    TR.save_train_state(path, TR.init_train_state(M.init_params(cfg, seed=0), cfg,
+                                                  TR.Schedule(1e-3, 5), 2, seed=0))
+    sections = C.load_container(path)
+    sections[section] = C.encode_json(dict(json.loads(sections[section]), **{key: outside}))
+    C.save_container(path, sections)
+    message = f"{path}: {section} section: {key} must be {SETTING_RANGES[key]}, got {outside}"
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        TR.load_train_state(path)
+
+
+@pytest.mark.parametrize("key,outside", JOB_CASES, ids=[f"{k}-{o}" for k, o in JOB_CASES])
+def test_a_job_value_outside_its_range_is_refused_before_the_first_update(monkeypatch, key,
+                                                                          outside):
+    cfg = tiny_config()
+    updates = counting(monkeypatch, TR, "adamw_step")
+    job = FT.FinetuneJob(**{"stages": [FT.FinetuneStage("a", signal_task(4), signal_task(2, 1))],
+                            "prompt_length": 2, "virtual_ids": (2, 3), key: outside})
+    message = f"{key} must be {SETTING_RANGES[key]}, got {outside}"
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        FT.finetune_dense(M.init_params(cfg, seed=0), cfg, job)
+    assert updates == []

@@ -269,11 +269,11 @@ def test_load_vocab_rejects_non_ascii_header(tmp_path):
 
 
 def test_negative_prompt_slots_rejected(tmp_path):
-    with pytest.raises(ContractError, match="prompt slot count"):
+    with pytest.raises(ContractError, match="prompt_slots must be >= 0, got -3"):
         D.Vocab(merges=[], n_prompt_slots=-3)
     path = tmp_path / "bad.txt"
     path.write_text("sparselm-vocab v1 merges=0 prompt_slots=-3\n#special eod 0\n#special pad 1\n")
-    with pytest.raises(ContractError, match="prompt slot count"):
+    with pytest.raises(ContractError, match="prompt_slots must be >= 0, got -3"):
         D.load_vocab(path)
 
 

@@ -356,7 +356,7 @@ def test_a_fault_in_a_later_stage_is_raised_before_the_first_update(monkeypatch,
 
 @pytest.mark.parametrize("fields,message", [
     (dict(stages=[]), "job has no stages"),
-    (dict(batch_size=0), "batch size must be >= 1, got 0"),
+    (dict(batch_size=0), "batch_size must be >= 1, got 0"),
     (dict(pad_id=-1), "pad id -1 outside vocab 16"),
     (dict(pad_id=16), "pad id 16 outside vocab 16"),
     (dict(prompt_length=3, virtual_ids=(2, 3)), "3 prompt slots need 3 virtual ids, got 2"),
@@ -534,8 +534,19 @@ def test_grid_of_zero_epochs_is_refused_before_the_first_update(monkeypatch):
     updates = counting(monkeypatch, TR, "adamw_step")
     job = FT.FinetuneJob(stages=[FT.FinetuneStage("a", signal_task(4), signal_task(2, 1))],
                          epochs=0)
-    with pytest.raises(ContractError, match="grid search needs epochs >= 1, got 0"):
+    with pytest.raises(ContractError, match="comparing fine-tunes needs epochs >= 1, got 0"):
         FT.grid_search(M.init_params(cfg, seed=0), cfg, job, (4,), (1e-3,))
+    assert updates == []
+
+
+def test_ablation_of_zero_epochs_is_refused_before_the_first_update(monkeypatch):
+    # both arms would be the same untrained model
+    cfg = tiny_config()
+    updates = counting(monkeypatch, TR, "adamw_step")
+    job = FT.FinetuneJob(stages=[FT.FinetuneStage("a", signal_task(4), signal_task(2, 1))],
+                         epochs=0, prompt_length=2, virtual_ids=(2, 3))
+    with pytest.raises(ContractError, match="comparing fine-tunes needs epochs >= 1, got 0"):
+        FT.run_prompt_ablation(M.init_params(cfg, seed=0), cfg, job)
     assert updates == []
 
 

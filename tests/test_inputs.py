@@ -255,6 +255,12 @@ BAD_SECTIONS = {
                              "opt_meta section: unknown key 'momentum'"),
     "schedule-str-peak_lr": ("schedule", lambda rec: dict(rec, peak_lr="a"),
                              "schedule section: 'peak_lr' must be float, got 'a'"),
+    "schedule-warmup-above-1": ("schedule", lambda rec: dict(rec, warmup_fraction=3.0),
+                                "schedule section: warmup_fraction must be >= 0 and <= 1, got 3.0"),
+    "opt_meta-beta1-above-1": ("opt_meta", lambda rec: dict(rec, beta1=2.0),
+                               "opt_meta section: beta1 must be >= 0 and < 1, got 2.0"),
+    "trainer-negative-seed": ("trainer", lambda rec: dict(rec, seed=-3),
+                              "trainer section: seed must be >= 0, got -3"),
     "rng-another-generator": ("rng", lambda rec: dict(rec, bit_generator="MT19937"),
                               "rng section: state must be for a PCG64 RNG"),
     "rng-negative-state": ("rng", lambda rec: dict(rec, state={"state": -1, "inc": 3}),

@@ -76,19 +76,12 @@ def test_global_sparsity_hand_example():
     masks = S.build_masks(store, S.SparsityPlan(level=0.75, seed=0))
     assert masks.paths() == ["layers.0.wq", "layers.1.wq"]
     assert S.global_sparsity(masks) == pytest.approx((6 + 2) / 10)
-    assert S.global_sparsity(masks, total_params=12) == pytest.approx(8 / 12)
 
 
 def test_global_sparsity_zero_for_all_ones():
     store = M.init_params(tiny_config(), seed=0)
     masks = S.build_masks(store, S.SparsityPlan(level=0.0, seed=0))
     assert S.global_sparsity(masks) == 0.0
-
-
-def test_global_sparsity_all_params_denominator():
-    store = single_path_store(8)
-    masks = S.build_masks(store, S.SparsityPlan(level=0.5, seed=0))
-    assert S.global_sparsity(masks, total_params=32) == pytest.approx(4 / 32)
 
 
 def test_xl_preset_remaining_params_at_75():

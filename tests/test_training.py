@@ -425,6 +425,26 @@ def test_nonfinite_micro_batch_loss_names_the_step_and_applies_nothing(monkeypat
     assert {p: t.data.tobytes() for p, t in state.params.items()} == before
 
 
+def test_a_train_state_has_one_step_counter(tmp_path):
+    # the schedule position is the optimizer's update count: it is not set on
+    # its own, and a file whose step section and opt_meta disagree is refused
+    cfg = tiny_config()
+    state = TR.init_train_state(M.init_params(cfg, seed=0), cfg, TR.Schedule(1e-3, 4), 2, seed=0)
+    TR.train_steps(state, toy_dataset(), n_steps=2)
+    assert state.step == state.opt.step == 2
+    with pytest.raises(AttributeError):
+        state.step = 7
+    path = tmp_path / "t.ckpt"
+    TR.save_train_state(path, state)
+    sections = C.load_container(path)
+    sections["step"] = C.encode_u64(7)
+    sections["opt_meta"] = C.encode_json(dict(json.loads(sections["opt_meta"]), step=3))
+    C.save_container(path, sections)
+    message = f"{path}: opt_meta section: 'step' 3 != the step section's 7"
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        TR.load_train_state(path)
+
+
 # ----------------------------------------------------------------- memory
 
 
@@ -483,7 +503,8 @@ def test_init_train_state_rejects_a_micro_batch_size_below_1(tmp_path, micro):
     sections["trainer"] = C.encode_json(dict(json.loads(sections["trainer"]),
                                              micro_batch_size=micro))
     C.save_container(path, sections)
-    with pytest.raises(ContractError, match=f"{path}: micro_batch_size must be >= 1"):
+    with pytest.raises(ContractError,
+                       match=f"{path}: trainer section: micro_batch_size must be >= 1"):
         TR.load_train_state(path)
 
 
