@@ -77,19 +77,24 @@ SETTING_RANGES = {
     "beta2": ">= 0 and < 1", "warmup_fraction": ">= 0 and <= 1", "min_lr_fraction": ">= 0 and <= 1",
     "weight_decay": ">= 0", "grad_clip": "> 0", "checkpoint_every": ">= 0", "log_every": ">= 0",
     "patience": ">= 0", "prompt_length": ">= 0", "vocab_size": ">= 1", "prompt_slots": ">= 0",
-    "max_steps": ">= 1", "tokens": ">= 0",
+    "max_steps": ">= 1", "tokens": ">= 0", "library_peak_lr": ">= 0",
 }
+# the rule of a key that a library object (`training.Schedule`, `finetune.FinetuneJob`)
+# checks more widely than the command line does: lr 0 freezes a run
+LIBRARY_RULES = {"peak_lr": "library_peak_lr"}
 _COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
 
 
-def check_ranges(settings, name=str):
+def check_ranges(settings, name=str, rules=None):
     """ContractError for the first value of `settings` (or item of a list) outside
-    its SETTING_RANGES rule, naming the key as `name(key)`; None passes."""
+    its SETTING_RANGES rule, or the one `rules` names for its key, naming the key
+    as `name(key)`; None passes."""
     for key, value in settings.items():
-        terms = [term.split() for term in SETTING_RANGES.get(key, "").split(" and ") if term]
+        rule = SETTING_RANGES.get((rules or {}).get(key, key), "")
+        terms = [term.split() for term in rule.split(" and ") if term]
         for item in value if isinstance(value, list) else [value]:
             if item is not None and not all(_COMPARE[op](item, float(x)) for op, x in terms):
-                raise ContractError(f"{name(key)} must be {SETTING_RANGES[key]}, got {item}")
+                raise ContractError(f"{name(key)} must be {rule}, got {item}")
 
 
 def check_shapes(arrays, shapes, dtype, what) -> dict:

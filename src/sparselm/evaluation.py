@@ -7,11 +7,11 @@ first declared label, `LabelSpace.best`). Multi-label tasks use constrained
 greedy decoding over the label vocabulary plus a stop token, since
 label-set sizes vary. Both score continuations of a non-empty context in
 `_continuation_logprobs` (the stop token is a one-token one): one
-right-padded no-grad forward per call, and the head on the scored rows
-only, through the training loss's logsumexp (`model.head_logprobs`). The
-prompt is read by virtual id (`finetune.prompt_forward`), so the padding
-may be any id. `evaluate` scores a dataset for `eval` and for fine-tuning's
-metric; every gold label must be a candidate.
+right-padded no-grad forward per call to the final hidden state, and the
+head on the scored rows only, through the training loss's logsumexp
+(`model.head_logprobs`). The prompt is read by virtual id in the forward,
+so the padding may be any id. `evaluate` scores a dataset for `eval` and
+for fine-tuning's metric; every gold label must be a candidate.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def _continuation_logprobs(params, config, prompt, context, continuations) -> np
         scored[c, start - 1:start - 1 + len(cont)] = True
     fed, inverse = np.unique(ids, axis=0, return_inverse=True)
     with T.no_grad():
-        hidden = prompt_forward(params, config, prompt, fed, head=False).data[inverse]
+        hidden = prompt_forward(params, config, prompt, fed).data[inverse]
     logprobs = np.zeros(ids.shape)  # row-major, the scored rows are the tokens in turn
     logprobs[scored] = head_logprobs(params, config, hidden[scored], np.concatenate(continuations))
     return logprobs.sum(axis=1)

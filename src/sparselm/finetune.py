@@ -23,9 +23,9 @@ import numpy as np
 
 from . import tensor as T
 from .data import csv_text
-from .errors import ContractError, check_ranges, naming
+from .errors import LIBRARY_RULES, ContractError, check_ranges, naming
 from .model import (ModelConfig, ParamStore, SoftPrompt, clone_params, forward_logits,
-                    init_soft_prompt, next_token_loss)
+                    init_soft_prompt, lm_loss)
 from .tensor import Tensor
 from .training import OptimizerState, Schedule, _drop_grads, _step, lr_at
 
@@ -61,21 +61,14 @@ def build_sequence(example: TaskExample, prompt: SoftPrompt | None = None,
 
 
 def prompt_forward(params: ParamStore, config: ModelConfig, prompt: SoftPrompt | None,
-                   ids, head=True) -> Tensor:
-    """Forward pass in which each virtual id reads its prompt row;
-    `head` as in `forward_logits`."""
-    return forward_logits(params, config, ids, prompt, head=head)
+                   ids) -> Tensor:
+    """`model.forward_logits`; kept for perfbench's span (ROADMAP item 1 retires it)."""
+    return forward_logits(params, config, ids, prompt)
 
 
 def sequence_loss(params, config, ids, loss_mask, prompt=None) -> Tensor:
-    """Next-token cross-entropy restricted to positions where the (shifted)
-    loss mask is 1."""
-    ids = np.asarray(ids)
-    loss_mask = np.asarray(loss_mask)
-    if ids.shape != loss_mask.shape or ids.ndim != 2:
-        raise ContractError(f"ids {ids.shape} / loss_mask {loss_mask.shape} must be equal 2-d shapes")
-    hidden = prompt_forward(params, config, prompt, ids, head=False)
-    return next_token_loss(params, config, hidden, ids, loss_mask)
+    """`model.lm_loss`; kept for perfbench's span (ROADMAP item 1 retires it)."""
+    return lm_loss(params, config, ids, loss_mask, prompt)
 
 
 def pad_batch(sequences, pad_id: int):
@@ -180,7 +173,7 @@ def _lay_out(params, config, job):
     names its stage, and a sequence's fault its split and index."""
     if not job.stages:
         raise ContractError("job has no stages")
-    check_ranges(dict(vars(job), peak_lr=None))  # lr 0 freezes a run
+    check_ranges(vars(job), rules=LIBRARY_RULES)
     if not 0 <= job.pad_id < config.vocab_size:
         raise ContractError(f"pad id {job.pad_id} outside vocab {config.vocab_size}")
     if len(job.virtual_ids) < job.prompt_length:

@@ -208,15 +208,15 @@ def init_soft_prompt(config: ModelConfig, n: int, virtual_ids, seed: int = 0,
 
 
 def forward_logits(params: ParamStore, config: ModelConfig, tokens,
-                   prompt: SoftPrompt | None = None, head=True) -> Tensor:
-    """Causal decoder forward pass; returns logits (batch, seq, vocab).
+                   prompt: SoftPrompt | None = None) -> Tensor:
+    """Causal decoder forward pass; returns the final normalized hidden
+    state (batch, seq, d_model), to which `lm_loss` and `head_logprobs`
+    apply the output head. The name stays while perfbench times its span
+    (ROADMAP item 1 retires it).
 
     With a soft prompt, row j of its embeddings replaces the token-embedding
     lookup of every occurrence of its j-th virtual id before position
-    embeddings are added (`tensor.embedding`). With head=False it
-    returns the final normalized hidden state (batch, seq, d_model)
-    instead, which `next_token_loss` feeds to the fused head and loss, and
-    eval to `head_logprobs`.
+    embeddings are added (`tensor.embedding`).
     """
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
@@ -240,26 +240,7 @@ def forward_logits(params: ParamStore, config: ModelConfig, tokens,
                         config.n_heads, causal_bias, LN_EPS)
         x = T.feed_forward(x, *(params[f"{p}.{role}"] for role in FEED_FORWARD_ROLES), LN_EPS)
 
-    x = T.layer_norm(x, params["ln_f.gain"], params["ln_f.bias"], LN_EPS)
-    if not head:
-        return x
-    w, tied = _head(params, config)
-    return T.linear(x, w, transpose_w=tied)
-
-
-def next_token_loss(params: ParamStore, config: ModelConfig, hidden: Tensor, tokens,
-                    loss_mask=None) -> Tensor:
-    """Mean cross-entropy of each position's prediction of the token after
-    it, from the final hidden state through the output head. With
-    `loss_mask`, only the predictions of tokens whose mask is 1 count, and
-    only their logits are computed."""
-    tokens = np.asarray(tokens)
-    targets = np.zeros_like(tokens)
-    targets[:, :-1] = tokens[:, 1:]
-    scored = np.zeros(tokens.shape, dtype=bool)
-    scored[:, :-1] = True if loss_mask is None else np.asarray(loss_mask)[:, 1:] != 0
-    w, tied = _head(params, config)
-    return T.cross_entropy(hidden, w, targets, scored, transpose_w=tied)
+    return T.layer_norm(x, params["ln_f.gain"], params["ln_f.bias"], LN_EPS)
 
 
 def head_logprobs(params: ParamStore, config: ModelConfig, rows, targets) -> np.ndarray:
@@ -271,13 +252,25 @@ def head_logprobs(params: ParamStore, config: ModelConfig, rows, targets) -> np.
     return -T.target_nll(rows @ (w.data.T if tied else w.data), np.asarray(targets))
 
 
-def lm_loss(params: ParamStore, config: ModelConfig, tokens) -> Tensor:
-    """Mean next-token cross-entropy over shifted targets."""
+def lm_loss(params: ParamStore, config: ModelConfig, tokens, loss_mask=None,
+            prompt: SoftPrompt | None = None) -> Tensor:
+    """Mean cross-entropy of each position's prediction of the token after
+    it: the forward (`prompt` as in `forward_logits`), then the output head
+    fused with the loss (`tensor.cross_entropy`). With `loss_mask`, of the
+    tokens' shape, only the predictions of tokens whose mask is 1 count, and
+    only their logits are computed."""
     tokens = np.asarray(tokens)
     if tokens.ndim != 2 or tokens.shape[1] < 2:
         raise ContractError(f"lm_loss needs (batch, seq>=2) tokens, got shape {tokens.shape}")
-    hidden = forward_logits(params, config, tokens, head=False)
-    return next_token_loss(params, config, hidden, tokens)
+    if loss_mask is not None and np.shape(loss_mask) != tokens.shape:
+        raise ContractError(f"loss_mask {np.shape(loss_mask)} != tokens {tokens.shape}")
+    targets = np.zeros_like(tokens)
+    targets[:, :-1] = tokens[:, 1:]
+    scored = np.zeros(tokens.shape, dtype=bool)
+    scored[:, :-1] = True if loss_mask is None else np.asarray(loss_mask)[:, 1:] != 0
+    hidden = forward_logits(params, config, tokens, prompt)
+    w, tied = _head(params, config)
+    return T.cross_entropy(hidden, w, targets, scored, transpose_w=tied)
 
 
 def clone_params(store: ParamStore) -> ParamStore:

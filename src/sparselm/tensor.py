@@ -40,8 +40,8 @@ dtype: every store is checked where it enters (`model.init_params` builds
 it from `model.param_specs`, a checkpoint load compares it with them and
 with tok_emb's dtype). Token ids are checked by `model.forward_logits`, and
 a prompt's ids where the prompt is made. Ops check the targets from
-outside (`target_nll`), and `linear` and `cross_entropy` the width by which
-they reshape their input.
+outside (`target_nll`), and `cross_entropy` the width by which it reshapes
+its input.
 """
 
 from __future__ import annotations
@@ -276,35 +276,6 @@ def _weight_grads(rows, w, b, gy, transpose_w=False):
         _accum(w, gy.T @ rows if transpose_w else rows.T @ gy)
     if b is not None and b.requires_grad:
         _accum(b, gy.sum(axis=0))
-
-
-def linear(x, w, b=None, transpose_w=False):
-    """x @ w + b over the last axis of x, whatever its leading shape.
-
-    w is (d_in, d_out), or with transpose_w a (d_out, d_in) matrix read as
-    its transpose in place (a tied embedding table).
-    """
-    if w.data.ndim != 2:
-        raise ContractError(f"linear: weight must be 2-d, got {w.shape}")
-    wm = w.data.T if transpose_w else w.data
-    d_in, d_out = wm.shape
-    if x.data.shape[-1] != d_in:
-        raise ContractError(f"linear shape mismatch: {x.shape} x {wm.shape}")
-    if b is not None and b.data.shape != (d_out,):
-        raise ContractError(f"linear: bias {b.shape} != ({d_out},)")
-    rows = x.data.reshape(-1, d_in)
-    y = rows @ wm
-    if b is not None:
-        y += b.data
-    out = Tensor(y.reshape(x.data.shape[:-1] + (d_out,)))
-
-    def bwd(g):
-        gy = g.reshape(-1, d_out)
-        if x.requires_grad:
-            _accum(x, (gy @ wm.T).reshape(x.data.shape))
-        _weight_grads(rows, w, b, gy, transpose_w)
-
-    return _finish(out, (x, w, b), bwd)
 
 
 def _heads(a, bsz, seq, n_heads):

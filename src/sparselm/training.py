@@ -30,7 +30,8 @@ import numpy as np
 from . import checkpoint as C
 from . import tensor as T
 from .data import PackedDataset, csv_text
-from .errors import REQUIRED, ContractError, check_ranges, check_shapes, naming, record_shape
+from .errors import (LIBRARY_RULES, REQUIRED, ContractError, check_ranges, check_shapes, naming,
+                     record_shape)
 from .model import (CONFIG_SHAPE, ModelConfig, ParamStore, SoftPrompt, check_virtual_ids,
                     lm_loss, param_specs)
 from .sparsity import MaskSet, SparsityPlan, check_masks, mask_gradients
@@ -54,7 +55,7 @@ class Schedule:
     min_lr_fraction: float = 0.10
 
     def __post_init__(self):
-        check_ranges(dict(vars(self), peak_lr=None))  # lr 0 freezes a run
+        check_ranges(vars(self), rules=LIBRARY_RULES)
 
     @property
     def warmup_steps(self) -> int:

@@ -24,6 +24,7 @@ from sparselm import sparsity as S
 from sparselm import tensor as T
 from sparselm import training as TR
 
+from full_logits import full_logits
 from test_tensor import fd_check, op_cases
 from toytask import pretrain, toy_dataset, toy_model_config, yes_no_maybe_task
 
@@ -156,9 +157,8 @@ def test_criterion_05_densify_equivalence(sparse_run):
         rng = np.random.default_rng(11)
         for _ in range(10):
             tokens = rng.integers(0, cfg.vocab_size, size=(4, 32))
-            with T.no_grad():
-                before = M.forward_logits(masked, cfg, tokens).data
-                after = M.forward_logits(dense, cfg, tokens).data
+            before = full_logits(masked, cfg, tokens)
+            after = full_logits(dense, cfg, tokens)
             assert np.max(np.abs(before - after)) == 0.0
         probe_path = "layers.0.w_ff_in"
         pruned = masks[probe_path] == 0

@@ -19,7 +19,7 @@ from sparselm import evaluation as E
 from sparselm import finetune as FT
 from sparselm import model as M
 from sparselm import training as TR
-from sparselm.errors import SETTING_RANGES, ContractError, record_shape
+from sparselm.errors import LIBRARY_RULES, SETTING_RANGES, ContractError, record_shape
 from test_finetune import counting, signal_task, tiny_config
 from toytask import write_corpus
 
@@ -903,7 +903,8 @@ def test_out_of_range_flag_exits_2_naming_the_flag(tmp_path, capsys, flag, value
 # a numeric option or field that its own range rule does not check, and why
 UNRANGED_ALLOWED = {
     "metric_floor": "the floor is any number a metric may be held to",
-    "peak_lr": "the library accepts lr 0, which freezes a run; > 0 is the command line's rule",
+    "peak_lr": "the library checks it by `library_peak_lr` (>= 0: lr 0 freezes a run); "
+               "> 0 is the command line's rule",
     "smoothed": "a measured value, not a setting",
     "pad_id": "checked against the vocab",
     "eos_id": "checked against the vocab",
@@ -1042,5 +1043,32 @@ def test_a_job_value_outside_its_range_is_refused_before_the_first_update(monkey
                             "prompt_length": 2, "virtual_ids": (2, 3), key: outside})
     message = f"{key} must be {SETTING_RANGES[key]}, got {outside}"
     with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        FT.finetune_dense(M.init_params(cfg, seed=0), cfg, job)
+    assert updates == []
+
+
+def test_a_negative_lr_is_refused_by_a_schedule_and_a_train_checkpoint(tmp_path):
+    assert SETTING_RANGES[LIBRARY_RULES["peak_lr"]] == ">= 0"
+    with pytest.raises(ContractError, match=r"^peak_lr must be >= 0, got -1\.0$"):
+        TR.Schedule(-1.0, 10)
+    assert TR.lr_at(TR.Schedule(0.0, 10), 5) == 0.0  # lr 0 freezes a run and stays legal
+    cfg = tiny_config()
+    path = tmp_path / "t.ckpt"
+    TR.save_train_state(path, TR.init_train_state(M.init_params(cfg, seed=0), cfg,
+                                                  TR.Schedule(1e-3, 5), 2, seed=0))
+    sections = C.load_container(path)
+    sections["schedule"] = C.encode_json(dict(json.loads(sections["schedule"]), peak_lr=-1.0))
+    C.save_container(path, sections)  # a valid CRC: the value is what is refused
+    message = f"{path}: schedule section: peak_lr must be >= 0, got -1.0"
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        TR.load_train_state(path)
+
+
+def test_a_negative_lr_job_is_refused_before_the_first_update(monkeypatch):
+    cfg = tiny_config()
+    updates = counting(monkeypatch, TR, "adamw_step")
+    job = FT.FinetuneJob([FT.FinetuneStage("a", signal_task(4), signal_task(2, 1))],
+                         epochs=3, peak_lr=-1e-2)
+    with pytest.raises(ContractError, match=r"^peak_lr must be >= 0, got -0\.01$"):
         FT.finetune_dense(M.init_params(cfg, seed=0), cfg, job)
     assert updates == []

@@ -9,6 +9,8 @@ from sparselm import finetune as FT
 from sparselm import model as M
 from sparselm import tensor as T
 
+from full_logits import full_logits
+
 
 def tiny_config(**kw):
     base = dict(n_layers=1, d_model=16, n_heads=2, d_head=8, vocab_size=16,
@@ -220,9 +222,7 @@ def test_bound_accuracy_metric():
 def reference_logprobs(params, cfg, prompt, context, cand):
     """One full forward of [context; cand] and a float64 log-softmax over
     every logit of each scored row."""
-    with T.no_grad():
-        logits = FT.prompt_forward(params, cfg, prompt,
-                                   np.asarray([list(context) + list(cand)])).data[0]
+    logits = full_logits(params, cfg, np.asarray([list(context) + list(cand)]), prompt)[0]
     total = 0.0
     for t, tok in enumerate(cand):
         row = logits[len(context) + t - 1].astype(np.float64)
@@ -300,13 +300,14 @@ def test_generate_matches_reference_decoder():
 
 
 def count_forwards(monkeypatch):
-    calls = []
+    """The (batch, seq) shape of each forward from here on: a forward makes one embedding."""
+    calls, real = [], T.embedding
 
-    def counted(params, config, prompt, ids, head=True):
-        calls.append(np.asarray(ids).shape)
-        return FT.prompt_forward(params, config, prompt, ids, head=head)
+    def counted(table, pos, ids, *prompt):
+        calls.append(ids.shape)
+        return real(table, pos, ids, *prompt)
 
-    monkeypatch.setattr(E, "prompt_forward", counted)
+    monkeypatch.setattr(T, "embedding", counted)
     return calls
 
 

@@ -11,6 +11,8 @@ from sparselm import model as M
 from sparselm import tensor as T
 from sparselm import training as TR
 
+from full_logits import full_logits
+
 
 def tiny_config(**kw):
     base = dict(n_layers=1, d_model=16, n_heads=2, d_head=8, vocab_size=16, context_window=24)
@@ -159,8 +161,8 @@ def test_prompt_forward_reads_each_virtual_id_wherever_it_sits():
     swapped = M.clone_params(params)
     swapped["tok_emb"].data[[2, 3]] = prompt.embeddings.data
     with T.no_grad():
-        got = FT.prompt_forward(params, cfg, prompt, ids, head=False).data
-        want = FT.prompt_forward(swapped, cfg, None, ids, head=False).data
+        got = FT.prompt_forward(params, cfg, prompt, ids).data
+        want = FT.prompt_forward(swapped, cfg, None, ids).data
     assert got.tobytes() == want.tobytes()
 
 
@@ -170,7 +172,7 @@ def test_loss_mask_exactness_via_logit_grads():
     prompt = make_prompt(cfg, 2)
     ids, mask = FT.build_sequence(FT.TaskExample(source=[10, 11], target=[12, 13]), prompt)
     ids, mask = ids[None, :], mask[None, :]
-    logits = FT.prompt_forward(params, cfg, prompt, ids)
+    logits = T.Tensor(full_logits(params, cfg, ids, prompt), requires_grad=True)
     seq = ids.shape[1]
     # position i predicts token i + 1; the last position predicts nothing
     targets = np.roll(ids, -1, axis=1)

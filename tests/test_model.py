@@ -7,6 +7,7 @@ from sparselm.errors import ContractError
 from sparselm import model as M
 from sparselm import tensor as T
 
+from full_logits import full_logits
 from reference_forward import ref_forward
 from toytask import toy_model_config
 
@@ -144,16 +145,16 @@ def test_d_ff_defaults_to_4x():
 def test_forward_output_shape():
     cfg = tiny_config()
     store = M.init_params(cfg, seed=0)
-    logits = M.forward_logits(store, cfg, [[1, 2, 3], [4, 5, 6]])
-    assert logits.shape == (2, 3, cfg.vocab_size)
+    hidden = M.forward_logits(store, cfg, [[1, 2, 3], [4, 5, 6]])
+    assert hidden.shape == (2, 3, cfg.d_model)
+    assert full_logits(store, cfg, [[1, 2, 3], [4, 5, 6]]).shape == (2, 3, cfg.vocab_size)
 
 
 def test_forward_zero_head_gives_zero_logits():
     cfg = tiny_config(tie_embeddings=False)
     store = M.init_params(cfg, seed=0)
     store["lm_head"].data[...] = 0.0
-    logits = M.forward_logits(store, cfg, [[1, 2, 3]])
-    assert np.all(logits.data == 0.0)
+    assert np.all(full_logits(store, cfg, [[1, 2, 3]]) == 0.0)
 
 
 def test_forward_rejects_long_sequences_and_bad_ids():
@@ -181,13 +182,11 @@ def test_causality_perturbation():
     store = M.init_params(cfg, seed=1)
     rng = np.random.default_rng(0)
     tokens = rng.integers(0, cfg.vocab_size, size=(2, 8))
-    with T.no_grad():
-        base = M.forward_logits(store, cfg, tokens).data
+    base = full_logits(store, cfg, tokens)
     for t in range(7):
         perturbed = tokens.copy()
         perturbed[:, t + 1:] = rng.integers(0, cfg.vocab_size, size=perturbed[:, t + 1:].shape)
-        with T.no_grad():
-            got = M.forward_logits(store, cfg, perturbed).data
+        got = full_logits(store, cfg, perturbed)
         assert np.array_equal(base[:, : t + 1], got[:, : t + 1])
 
 
@@ -197,8 +196,7 @@ def test_forward_matches_reference_implementation():
     store = M.init_params(cfg, seed=5, dtype="float64")
     raw = {p: t.data for p, t in store.items()}
     tokens = np.random.default_rng(2).integers(0, 13, size=(3, 7))
-    with T.no_grad():
-        got = M.forward_logits(store, cfg, tokens).data
+    got = full_logits(store, cfg, tokens)
     want = ref_forward(raw, cfg, tokens)
     assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
 
@@ -253,8 +251,7 @@ def test_lm_loss_tape_stays_small():
     prompted[:, :3] = (2, 3, 4)
     forwards = [
         lambda: M.lm_loss(store, cfg, tokens),
-        lambda: M.next_token_loss(store, cfg, M.forward_logits(
-            store, cfg, prompted, M.SoftPrompt(prompt, (2, 3, 4)), head=False), prompted),
+        lambda: M.lm_loss(store, cfg, prompted, prompt=M.SoftPrompt(prompt, (2, 3, 4))),
     ]
     for forward in forwards:
         T.reset_tape()

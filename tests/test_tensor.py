@@ -52,29 +52,6 @@ def mul(a, b):
 # ---------------------------------------------------------------- op values
 
 
-# `linear` carries every matrix product and `attention` the softmax
-
-
-def test_matmul_identity():
-    m = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
-    out = T.linear(m, T.Tensor(np.eye(2)))
-    assert np.array_equal(out.data, m.data)
-
-
-def test_matmul_hand_product():
-    a = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
-    b = T.Tensor([[5.0, 6.0], [7.0, 8.0]])
-    out = T.linear(a, b)
-    assert np.array_equal(out.data, np.array([[19.0, 22.0], [43.0, 50.0]], dtype=np.float32))
-
-
-def test_matmul_shape_mismatch_names_both_shapes():
-    a = T.Tensor(np.zeros((2, 3)))
-    b = T.Tensor(np.zeros((2, 3)))
-    with pytest.raises(ContractError, match=r"\(2, 3\).*\(2, 3\)"):
-        T.linear(a, b)
-
-
 def attention_weights(logits, dtype="float64"):
     """The softmax weights `attention`'s core gives a query over keys scored
     `logits`: one head, no mask, every query e_0, the keys' first entries
@@ -343,7 +320,7 @@ def test_attention_is_three_linears_and_reference_attention():
     x, (gain, bias, *wb, wo, bo) = t64(x, grad=False), [t64(a, grad=False) for a in att]
     causal = np.triu(np.full((seq, seq), -1e9), k=1)
     a = T.layer_norm(x, gain, bias)
-    q, k, v = (T.linear(a, wb[i], wb[i + 1]).data for i in (0, 2, 4))
+    q, k, v = (linear(a, wb[i], wb[i + 1]).data for i in (0, 2, 4))
     heads = np.zeros((bsz, seq, d))
     for b in range(bsz):
         for head in range(h):
@@ -351,7 +328,7 @@ def test_attention_is_three_linears_and_reference_attention():
             s = q[b, :, sl] @ k[b, :, sl].T / math.sqrt(dh) + causal
             e = np.exp(s - s.max(axis=-1, keepdims=True))
             heads[b, :, sl] = e / e.sum(axis=-1, keepdims=True) @ v[b, :, sl]
-    want = x.data + T.linear(t64(heads, grad=False), wo, bo).data
+    want = x.data + linear(t64(heads, grad=False), wo, bo).data
     got = T.attention(x, gain, bias, *wb, wo, bo, h, causal).data
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -368,8 +345,23 @@ def fused_grads(out, upstream, leaves):
     return [leaf.grad for leaf in leaves]
 
 
-# A pre-norm block as separate tape ops: `layer_norm` and `linear`, and
-# these three for the residual add, GELU and the softmax attention core.
+# A pre-norm block as separate tape ops: `layer_norm`, and these four for
+# the matrix products, the residual add, GELU and the softmax attention core.
+
+def linear(x, w, b):
+    """x @ w + b over the last axis of x as a tape op: the GEMM on x's rows
+    that the sublayer ops run on theirs, and their weight gradients."""
+    rows = x.data.reshape(-1, w.data.shape[0])
+    y = rows @ w.data
+    y += b.data
+
+    def bwd(g):
+        gy = g.reshape(-1, w.data.shape[1])
+        T._accum(x, (gy @ w.data.T).reshape(x.data.shape))
+        T._weight_grads(rows, w, b, gy)
+
+    return T._finish(T.Tensor(y.reshape(x.data.shape[:-1] + y.shape[-1:])), (x, w, b), bwd)
+
 
 def residual_add(x, y):
     def bwd(g):
@@ -403,13 +395,13 @@ def softmax_attention(q, k, v, n_heads, logit_bias):
 
 def unfused_attention(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, n_heads, logit_bias):
     a = T.layer_norm(x, gain, bias)
-    q, k, v = (T.linear(a, w, b) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
-    return residual_add(x, T.linear(softmax_attention(q, k, v, n_heads, logit_bias), wo, bo))
+    q, k, v = (linear(a, w, b) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+    return residual_add(x, linear(softmax_attention(q, k, v, n_heads, logit_bias), wo, bo))
 
 
 def unfused_feed_forward(x, gain, bias, w_in, b_in, w_out, b_out):
     a = T.layer_norm(x, gain, bias)
-    return residual_add(x, T.linear(gelu(T.linear(a, w_in, b_in)), w_out, b_out))
+    return residual_add(x, linear(gelu(linear(a, w_in, b_in)), w_out, b_out))
 
 
 def assert_same_bits(fused_op, unfused_op, arrays, upstream):
@@ -517,7 +509,7 @@ def chain_grads(raising):
     """x.grad after backward through mul, mul, linear, (identity), sum: five
     nodes, the fourth's adjoint raising when asked to."""
     x = t64(np.arange(1.0, 5.0))
-    h = T.linear(mul(mul(x, 2.0), 3.0), t64(np.eye(4), grad=False), t64(np.ones(4), grad=False))
+    h = linear(mul(mul(x, 2.0), 3.0), t64(np.eye(4), grad=False), t64(np.ones(4), grad=False))
 
     def bwd(g):
         if raising:
@@ -676,8 +668,7 @@ def op_cases(rng):
     mask = np.array([1.0, 0.0, 1.0])
     x234 = rng.normal(size=(2, 3, 4))
     w45 = rng.normal(size=(4, 5))
-    b5 = rng.normal(size=5)
-    w_lin = rng.normal(size=(2, 3, 5))
+    rng.normal(size=35)  # the draws of the retired linear rows: later arrays keep theirs
     # x (batch 2, seq 4, width 5) into 2 heads of width 3, and a hidden width of 7
     x, att, ff = sublayer_arrays(rng, d=5, width=6, d_ff=7, seq=4)
     att, ff = [x] + att, [x] + ff
@@ -687,9 +678,6 @@ def op_cases(rng):
     head_targets = rng.integers(0, 5, size=(2, 3))
     head_mask = np.array([[1, 0, 1], [1, 1, 0]])
     emb_ids = rng.integers(0, 5, size=(2, 3))
-
-    def linear(t):
-        return weighted(T.linear(t[0], t[1], t[2]), w_lin)
 
     def embedding(t, ids=ids):
         return weighted(T.embedding(t[0], t[1], ids, t[2], (4, 5)), w_emb)
@@ -736,9 +724,6 @@ def op_cases(rng):
         ("embedding_prompt_repeated_id", [table, pos_table, prompt], 2,
          lambda t: embedding(t, repeated)),
         ("tsum", [a34], 0, lambda t: tsum(mul(t[0], t[0]))),
-        ("linear_x", [x234, w45, b5], 0, linear),
-        ("linear_w", [x234, w45, b5], 1, linear),
-        ("linear_b", [x234, w45, b5], 2, linear),
         *((f"attention_{name}", att, i, attention_key_bias if name == "bk" else attention)
           for i, name in enumerate(("x", "gain", "bias", "wq", "bq", "wk", "bk", "wv", "bv",
                                     "wo", "bo"))),
