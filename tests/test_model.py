@@ -275,6 +275,31 @@ def test_lm_loss_needs_two_tokens():
         M.lm_loss(store, cfg, [[1]])
 
 
+def test_lm_loss_with_a_mask_is_the_mean_nll_of_the_masked_tokens():
+    # position t predicts token t + 1, which counts when the mask at t + 1 is 1
+    cfg = tiny_config()
+    store = M.init_params(cfg, seed=4, dtype="float64")
+    rng = np.random.default_rng(3)
+    prompt = M.SoftPrompt(T.Tensor(rng.normal(size=(2, cfg.d_model)), dtype="float64"), (2, 3))
+    tokens = np.array([[2, 3, 7, 1, 9, 4], [2, 3, 5, 8, 0, 0]])
+    mask = np.array([[0, 0, 1, 0, 1, 1], [0, 0, 0, 1, 0, 0]])
+    logits = full_logits(store, cfg, tokens, prompt)
+    nll = []
+    for b, t in zip(*np.nonzero(mask[:, 1:])):
+        z = logits[b, t] - logits[b, t].max()
+        nll.append(np.log(np.exp(z).sum()) - z[tokens[b, t + 1]])
+    with T.no_grad():
+        got = M.lm_loss(store, cfg, tokens, mask, prompt).item()
+    assert got == pytest.approx(np.mean(nll), rel=1e-12)
+
+
+def test_lm_loss_refuses_a_mask_of_another_shape():
+    cfg = tiny_config()
+    store = M.init_params(cfg, seed=0)
+    with pytest.raises(ContractError, match=r"^loss_mask \(1, 2\) != tokens \(1, 3\)$"):
+        M.lm_loss(store, cfg, [[1, 2, 3]], [[1, 1]])
+
+
 def test_clone_params_is_independent():
     cfg = tiny_config()
     store = M.init_params(cfg, seed=0)
