@@ -12,7 +12,9 @@ never emits for text.
 from __future__ import annotations
 
 import bisect
+import csv
 import heapq
+import io
 import json
 import operator
 import re
@@ -101,16 +103,16 @@ def read_corpus(path) -> list[Document]:
 
 
 def csv_text(header, rows) -> str:
-    """One newline-terminated line of comma-joined cells for the header and each
-    row: empty for None, `repr(float(x))` for any float (numpy's included), so
-    the text parses back to the exact value, and `str(x)` for anything else."""
-    def cell(x):
-        if x is None:
-            return ""
-        if isinstance(x, (float, np.floating)):
-            return repr(float(x))
-        return str(x)
-    return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
+    """One newline-terminated CSV record for the header and each row: empty
+    for None, `repr(float(x))` for any float (numpy's included), so the text
+    parses back to the exact value, and `str(x)` for anything else; a cell
+    holding `,`, `"` or a line break is quoted, so `csv.reader` gives it back."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    for row in [header, *rows]:
+        writer.writerow([repr(float(x)) if isinstance(x, (float, np.floating)) else x
+                         for x in row])
+    return out.getvalue()
 
 
 def pre_tokenize(text: str) -> list[str]:

@@ -72,9 +72,9 @@ def check_record(value, shape, where, what="fields", extra_keys=False) -> dict:
 SETTING_RANGES = {
     "seed": ">= 0", "mask_seed": ">= 0", "prompt_seed": ">= 0", "steps": ">= 1", "epochs": ">= 0",
     "total_steps": ">= 0", "batch_size": ">= 1", "micro_batch_size": ">= 1", "msl": ">= 2",
-    "grid_batch_sizes": ">= 1", "peak_lr": "> 0", "lr": "> 0", "grid_lrs": "> 0", "eps": "> 0",
-    "sparsity": ">= 0 and < 1", "val_fraction": ">= 0 and < 1", "beta1": ">= 0 and < 1",
-    "beta2": ">= 0 and < 1", "warmup_fraction": ">= 0 and <= 1", "min_lr_fraction": ">= 0 and <= 1",
+    "grid_batch_sizes": ">= 1", "peak_lr": "> 0", "lr": "> 0", "grid_lrs": "> 0",
+    "sparsity": ">= 0 and < 1", "val_fraction": ">= 0 and < 1",
+    "warmup_fraction": ">= 0 and <= 1", "min_lr_fraction": ">= 0 and <= 1",
     "weight_decay": ">= 0", "grad_clip": "> 0", "checkpoint_every": ">= 0", "log_every": ">= 0",
     "patience": ">= 0", "prompt_length": ">= 0", "vocab_size": ">= 1", "prompt_slots": ">= 0",
     "max_steps": ">= 1", "tokens": ">= 0", "library_peak_lr": ">= 0",

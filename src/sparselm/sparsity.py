@@ -48,12 +48,11 @@ def pack_mask(mask):
 
 class MaskSet:
     """Masks keyed by parameter path (1 = active, 0 = pruned): `bitsets` maps
-    each path to its (shape, packed bits), as `pack_mask` gives them, and
-    they are held as they are."""
+    each path to its (shape, packed bits), as `pack_mask` gives them, held as
+    they are. The bits are all a MaskSet keeps; `global_sparsity` reads them."""
 
-    def __init__(self, bitsets, plan: SparsityPlan):
+    def __init__(self, bitsets):
         self.bitsets = dict(bitsets)
-        self.plan = plan
 
     def __contains__(self, path):
         return path in self.bitsets
@@ -93,7 +92,7 @@ def build_masks(params: ParamStore, plan: SparsityPlan) -> MaskSet:
         if z:
             flat[rng.permutation(n)[:z]] = False
         masks[path] = pack_mask(flat.reshape(tensor.data.shape))
-    return MaskSet(masks, plan)
+    return MaskSet(masks)
 
 
 def global_sparsity(masks: MaskSet) -> float:

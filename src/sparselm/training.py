@@ -19,7 +19,9 @@ entries at a time, through one reused scratch buffer of one block.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import math
 import os
 import sys
@@ -34,7 +36,7 @@ from .errors import (LIBRARY_RULES, REQUIRED, ContractError, check_ranges, check
                      record_shape)
 from .model import (CONFIG_SHAPE, ModelConfig, ParamStore, SoftPrompt, check_virtual_ids,
                     lm_loss, param_specs)
-from .sparsity import MaskSet, SparsityPlan, check_masks, mask_gradients
+from .sparsity import MaskSet, check_masks, mask_gradients
 from .tensor import Tensor
 
 # exponential moving average coefficient for the reported smoothed loss
@@ -42,6 +44,10 @@ LOSS_SMOOTHING = 0.99
 # entries per block of `adamw_step`'s passes: 256 KB of float32, which stays
 # in cache with the block's parameter, gradient and moments
 ADAMW_BLOCK = 1 << 16
+# AdamW's moment decay rates and denominator epsilon
+ADAMW_BETA1 = 0.9
+ADAMW_BETA2 = 0.95
+ADAMW_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -78,18 +84,15 @@ def lr_at(schedule: Schedule, step: int) -> float:
 
 @dataclass
 class OptimizerState:
-    """AdamW moments and constants. Moment buffers of pruned coordinates
-    stay exactly zero throughout sparse pre-training. `scratch` is the one
-    work buffer every update reuses: raw bytes of one block of the update
-    (`ADAMW_BLOCK` entries, or the largest parameter when that is smaller),
-    built on the first step and never checkpointed."""
+    """AdamW moments, update count and weight decay. Moment buffers of
+    pruned coordinates stay exactly zero throughout sparse pre-training.
+    `scratch` is the one work buffer every update reuses: raw bytes of one
+    block of the update (`ADAMW_BLOCK` entries, or the largest parameter when
+    that is smaller), built on the first step and never checkpointed."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.95
-    eps: float = 1e-8
     weight_decay: float = 0.1
     scratch: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -107,8 +110,8 @@ def adamw_step(params, grads, opt: OptimizerState, lr: float, clip_scale: float 
     """One bias-corrected AdamW update with decoupled weight decay, in place.
 
     The moments see the gradient times `clip_scale` (global-norm clipping;
-    the gradients themselves are left as they are). With t = opt.step,
-    bc1 = 1 - beta1^t and bc2 = 1 - beta2^t:
+    the gradients themselves are left as they are). With t = opt.step and
+    the `ADAMW_*` constants, bc1 = 1 - beta1^t and bc2 = 1 - beta2^t:
 
         m = beta1*m + (1 - beta1)*clip_scale*g
         v = beta2*v + (1 - beta2)*clip_scale^2*g^2
@@ -122,12 +125,12 @@ def adamw_step(params, grads, opt: OptimizerState, lr: float, clip_scale: float 
     (`mask_gradients`): a zero gradient keeps zero moments and a zero weight
     at exactly 0.0."""
     opt.step += 1
-    bc1 = 1.0 - opt.beta1 ** opt.step
-    bc2 = 1.0 - opt.beta2 ** opt.step
-    m_coef = (1.0 - opt.beta1) * clip_scale
-    v_coef = (1.0 - opt.beta2) * clip_scale * clip_scale
+    bc1 = 1.0 - ADAMW_BETA1 ** opt.step
+    bc2 = 1.0 - ADAMW_BETA2 ** opt.step
+    m_coef = (1.0 - ADAMW_BETA1) * clip_scale
+    v_coef = (1.0 - ADAMW_BETA2) * clip_scale * clip_scale
     step_size = lr * math.sqrt(bc2) / bc1
-    eps = opt.eps * math.sqrt(bc2)
+    eps = ADAMW_EPS * math.sqrt(bc2)
     decay = 1.0 - lr * opt.weight_decay
     need = max((min(t.data.size, ADAMW_BLOCK) * t.data.itemsize for t in params.values()),
                default=0)
@@ -142,11 +145,11 @@ def adamw_step(params, grads, opt: OptimizerState, lr: float, clip_scale: float 
             p, g, m, v = (a[start:start + ADAMW_BLOCK] for a in flat)
             tmp = opt.scratch[:p.nbytes].view(p.dtype)
             np.multiply(g, m_coef, out=tmp)
-            m *= opt.beta1
+            m *= ADAMW_BETA1
             m += tmp
             np.multiply(g, g, out=tmp)
             tmp *= v_coef
-            v *= opt.beta2
+            v *= ADAMW_BETA2
             v += tmp
             np.sqrt(v, out=tmp)
             tmp += eps
@@ -177,7 +180,6 @@ class TrainState:
     opt: OptimizerState
     rng: np.random.Generator
     batch_size: int
-    seed: int
     masks: MaskSet | None = None
     micro_batch_size: int | None = None
     smoothed: float | None = None
@@ -198,13 +200,13 @@ def init_train_state(params, config, schedule, batch_size, seed,
     masked in place once every check has passed."""
     if masks is not None:
         check_masks(masks, params)
+    check_ranges({"seed": seed})
     state = TrainState(
         params=params, config=config, schedule=schedule,
         opt=OptimizerState.for_params(params, weight_decay=weight_decay),
-        rng=None, batch_size=batch_size, seed=seed,
+        rng=np.random.default_rng(seed), batch_size=batch_size,
         masks=masks, micro_batch_size=micro_batch_size,
     )
-    state.rng = np.random.default_rng(seed)  # once the seed is checked
     if masks is not None:
         mask_gradients({p: t.data for p, t in params.items()}, masks)
     return state
@@ -292,43 +294,43 @@ def emit_loss_curves(curves: dict[str, list[tuple[int, float]]]) -> str:
 
 
 def parse_loss_curves(text: str, path="loss curves") -> dict[str, list[tuple[int, float]]]:
-    """The inverse of `emit_loss_curves`. A wrong header, a row that is not
-    run,int,float and text without the final newline every emitted file has
-    raise ContractError naming `path:line`."""
+    """The inverse of `emit_loss_curves`, read as CSV records. A wrong header,
+    a record that is not run,int,float and text without the final newline
+    every emitted file has raise ContractError naming `path:line`."""
     lines = text.splitlines()
     if not text.endswith("\n"):
         raise ContractError(f"{path}:{max(len(lines), 1)}: truncated: no final newline")
     if lines[0] != "run,step,loss":
         raise ContractError(f"{path}:1: not a loss-curve CSV (header {lines[0]!r})")
+    records = csv.reader(io.StringIO(text))
+    next(records)  # the header, checked above
     out = {}
-    for line_no, line in enumerate(lines[1:], 2):
-        try:
-            run, step, loss = line.split(",")
+    try:
+        for run, step, loss in records:
             out.setdefault(run, []).append((int(step), float(loss)))
-        except ValueError:
-            raise ContractError(f"{path}:{line_no}: not a run,step,loss row: {line!r}") from None
+    except (ValueError, csv.Error):  # name the last line the reader took, as written
+        line = text.split("\n")[records.line_num - 1]
+        raise ContractError(f"{path}:{records.line_num}: not a run,step,loss row: "
+                            f"{line!r}") from None
     return out
 
 
 # ------------------------------------------------------------ checkpoints
 
 
-# A model checkpoint is the sections config, params and step, plus masks and
-# plan when sparse and prompt and prompt_meta with a soft prompt. A train
-# checkpoint is a model checkpoint plus schedule, opt_m, opt_v, opt_meta,
-# trainer and rng. Sections are read by name, so their order does not matter.
-# Every JSON section is read against its shape in `SECTION_SHAPES`; the
-# loaders name the file in every ContractError (`errors.naming`).
-
-# A plan section must name its seed and leaves a null level to SparsityPlan's
-# own check. The step is its own section and the optimizer's update count
-# (`opt_meta`), and the two must agree.
+# A model checkpoint is the sections config, params and step, plus masks when
+# sparse and prompt and prompt_meta with a soft prompt. A train checkpoint is
+# a model checkpoint plus schedule, opt_m, opt_v, opt_meta, trainer and rng.
+# Sections are read by name, so their order does not matter, and each value
+# is stored once: the step section is the optimizer's update count, so
+# opt_meta holds only the weight decay. Every JSON section is read against
+# its shape in `SECTION_SHAPES`, which the writers share; the loaders name
+# the file in every ContractError (`errors.naming`).
 SECTION_SHAPES = {
     "config": CONFIG_SHAPE,
-    "plan": {"level": (float, None), "seed": (int, REQUIRED)},
     "prompt_meta": {"virtual_ids": (list[int], REQUIRED)},
     "schedule": record_shape(Schedule),
-    "opt_meta": record_shape(OptimizerState, skip=("m", "v", "scratch")),
+    "opt_meta": record_shape(OptimizerState, skip=("m", "v", "step", "scratch")),
     "trainer": record_shape(TrainState, skip=("params", "config", "schedule", "opt", "rng",
                                               "masks", "trace")),
     "rng": {"bit_generator": (str, REQUIRED), "has_uint32": (int, REQUIRED),
@@ -359,7 +361,6 @@ def _encode_model(config, params, step, masks=None, prompt=None) -> dict[str, by
     }
     if masks is not None:
         sections["masks"] = C.encode_bitset_map(masks.bitsets)
-        sections["plan"] = C.encode_json({"level": masks.plan.level, "seed": masks.plan.seed})
     if prompt is not None:
         sections["prompt"] = C.encode_tensor_map({"embeddings": prompt.embeddings.data})
         sections["prompt_meta"] = C.encode_json({"virtual_ids": list(prompt.virtual_ids)})
@@ -381,9 +382,7 @@ def _decode_model(sections):
     params = ParamStore((p, Tensor(arr, requires_grad=True)) for p, arr in arrays.items())
     masks = prompt = None
     if "masks" in sections:
-        meta = _json(sections, "plan")
-        plan = SparsityPlan(level=meta["level"], seed=meta["seed"])
-        masks = MaskSet(C.decode_bitset_map(sections.pop("masks")), plan)
+        masks = MaskSet(C.decode_bitset_map(sections.pop("masks")))
         check_masks(masks, params)
     if "prompt" in sections:
         ids = tuple(_json(sections, "prompt_meta")["virtual_ids"])
@@ -403,9 +402,7 @@ def save_train_state(path, state: TrainState):
         "opt_m": C.encode_tensor_map(opt.m),
         "opt_v": C.encode_tensor_map(opt.v),
         "opt_meta": C.encode_json({key: getattr(opt, key) for key in SECTION_SHAPES["opt_meta"]}),
-        "trainer": C.encode_json({"batch_size": state.batch_size, "seed": state.seed,
-                                  "micro_batch_size": state.micro_batch_size,
-                                  "smoothed": state.smoothed}),
+        "trainer": C.encode_json({key: getattr(state, key) for key in SECTION_SHAPES["trainer"]}),
         "rng": C.encode_json(state.rng.bit_generator.state),
     })
 
@@ -419,9 +416,7 @@ def load_train_state(path) -> TrainState:
         m, v = (check_shapes(C.decode_tensor_map(sections.pop(name)), shapes,
                              params["tok_emb"].data.dtype, f"{name} section")
                 for name in ("opt_m", "opt_v"))
-        opt = _json(sections, "opt_meta", OptimizerState, m=m, v=v)
-        if opt.step != step:
-            raise ContractError(f"opt_meta section: 'step' {opt.step} != the step section's {step}")
+        opt = _json(sections, "opt_meta", OptimizerState, m=m, v=v, step=step)
         rng_state = _json(sections, "rng")
         rng = np.random.default_rng()
         try:

@@ -1,7 +1,9 @@
 import argparse
+import ast
 import errno
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -296,22 +298,6 @@ def test_eval_non_ascii_vocab_header_exits_2(tmp_path, vocab_path, capsys):
     assert cli.main(["eval", "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
                      "--dataset", str(dataset), "--labels", str(labels)]) == 2
     assert "not a sparselm vocab file" in capsys.readouterr().err
-
-
-def test_densify_per_path_plan_exits_2(tmp_path, corpus_path, vocab_path, capsys):
-    out = tmp_path / "sparse_run"
-    assert cli.main(["pretrain", "--config", str(run_config(tmp_path)),
-                     "--corpus", str(corpus_path), "--vocab", str(vocab_path),
-                     "--out", str(out), "--sparsity", "0.5"]) == 0
-    ckpt = out / "final.ckpt"
-    sections = C.load_container(ckpt)
-    assert json.loads(sections["plan"]) == {"level": 0.5, "seed": 0}
-    # a plan without a uniform level
-    sections["plan"] = C.encode_json({"level": None, "seed": 0})
-    C.save_container(ckpt, sections)
-    assert cli.main(["densify", "--checkpoint", str(ckpt),
-                     "--out", str(tmp_path / "dense.ckpt")]) == 2
-    assert f"{ckpt}: a sparsity plan needs one level" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ flops
@@ -688,6 +674,18 @@ def test_report_merges_runs(tmp_path, corpus_path, vocab_path):
     assert len(parsed["r1"]) == 5
 
 
+def test_report_reads_a_run_whose_name_holds_a_comma(tmp_path, corpus_path, vocab_path):
+    # the run name is the --out directory's name, written as one quoted CSV cell
+    out = tmp_path / "run,a"
+    assert cli.main(["pretrain", "--config", str(run_config(tmp_path)), "--corpus",
+                     str(corpus_path), "--vocab", str(vocab_path), "--out", str(out)]) == 0
+    merged = tmp_path / "curves.csv"
+    assert cli.main(["report", "--runs", str(out), "--out", str(merged)]) == 0
+    curves = TR.parse_loss_curves(merged.read_text())
+    assert list(curves) == ["run,a"] and len(curves["run,a"]) == 5
+    assert merged.read_bytes() == (out / "loss.csv").read_bytes()
+
+
 def write_runs(tmp_path, names):
     """A run directory at tmp_path/<name> for each name, each with one curve `x`."""
     dirs = []
@@ -908,7 +906,6 @@ UNRANGED_ALLOWED = {
     "smoothed": "a measured value, not a setting",
     "pad_id": "checked against the vocab",
     "eos_id": "checked against the vocab",
-    "step": "checked against the step section",
 }
 
 # the fields of each object the library builds from settings: the train
@@ -953,6 +950,30 @@ def test_every_numeric_flag_and_setting_has_a_range():
     for settings in [cli.PRETRAIN_SETTINGS, cli.FINETUNE_SETTINGS, *LIBRARY_SHAPES.values()]:
         found = unranged(cli.build_parser(), settings, SETTING_RANGES)
         assert [name for name in found if name not in UNRANGED_ALLOWED] == []
+
+
+def literal_range_keys():
+    """The keys of every dict literal the package passes to `check_ranges`."""
+    keys = set()
+    for path in pathlib.Path(sparselm.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check_ranges"
+                    and isinstance(node.args[0], ast.Dict)):
+                keys |= {key.value for key in node.args[0].keys if isinstance(key, ast.Constant)}
+    return keys
+
+
+def test_every_range_rule_and_exemption_names_a_flag_setting_or_field():
+    # the reverse of the test above: a rule no flag, setting, library field or
+    # literal check uses any more is found, and so is a stale exemption
+    literal = literal_range_keys()
+    assert {"seed", "sparsity", "msl", "tokens"} <= literal
+    names = {dest for _, dest, _ in numeric_options(cli.build_parser())} | literal
+    names |= {key for settings in [cli.PRETRAIN_SETTINGS, cli.FINETUNE_SETTINGS,
+                                   *LIBRARY_SHAPES.values()] for key in settings}
+    names |= set(LIBRARY_RULES.values())
+    assert sorted(set(SETTING_RANGES) - names) == []
+    assert sorted(set(UNRANGED_ALLOWED) - names) == []
 
 
 def nearest_values(rule, kind):

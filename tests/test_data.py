@@ -55,9 +55,11 @@ def test_read_corpus_names_the_line_that_is_not_utf8(tmp_path):
 
 
 def test_csv_text_cell_rule():
-    rows = [(None, np.float64(0.1), 3, "x"), (np.float32(0.5), 1 / 3, np.int64(7), None)]
+    # a cell holding a comma, a quote or a line break is quoted, as csv.reader reads it
+    rows = [(None, np.float64(0.1), 3, "x"), (np.float32(0.5), 1 / 3, np.int64(7), None),
+            ("a,b", 'say "y"', -0.0, "l\nb")]
     assert D.csv_text(("a", "b", "c", "d"), rows) == (
-        "a,b,c,d\n,0.1,3,x\n0.5,0.3333333333333333,7,\n")
+        'a,b,c,d\n,0.1,3,x\n0.5,0.3333333333333333,7,\n"a,b","say ""y""",-0.0,"l\nb"\n')
 
 
 def test_first_merge_on_abab_fixture():

@@ -107,8 +107,7 @@ def test_apply_elementwise_product():
     store = M.ParamStore()
     store["layers.0.wq"] = Tensor(np.array([[1.0, 2.0, 3.0, 4.0]]), requires_grad=True)
     masks = S.MaskSet({"layers.0.wq": S.pack_mask(np.array([[1.0, 0.0, 1.0, 0.0]],
-                                                           dtype=np.float32))},
-                      plan=S.SparsityPlan(level=0.5))
+                                                           dtype=np.float32))})
     out = S.apply_masks(masks, store)
     assert np.array_equal(out["layers.0.wq"].data, [[1.0, 0.0, 3.0, 0.0]])
 
@@ -139,8 +138,8 @@ def test_masks_are_held_as_bool():
     # held as packed bits, read one path at a time as bool
     masks = S.build_masks(M.init_params(tiny_config(), seed=0), S.SparsityPlan(level=0.5, seed=1))
     assert all(masks[p].dtype == np.bool_ for p in masks.paths())
-    given_float = S.MaskSet({"layers.0.wq": S.pack_mask(np.array([[1.0, 0.0]], dtype=np.float32))},
-                            plan=S.SparsityPlan(level=0.5))
+    given_float = S.MaskSet({"layers.0.wq": S.pack_mask(np.array([[1.0, 0.0]],
+                                                                 dtype=np.float32))})
     assert given_float["layers.0.wq"].dtype == np.bool_
     assert given_float["layers.0.wq"].tolist() == [[True, False]]
 
@@ -158,15 +157,13 @@ def test_bool_mask_gives_the_bits_of_a_float_mask(dtype):
 
 
 def test_densify_rejects_a_mask_of_another_shape():
-    masks = S.MaskSet({"layers.0.wq": S.pack_mask(np.zeros((1, 1), dtype=bool))},
-                      plan=S.SparsityPlan(level=0.5))
+    masks = S.MaskSet({"layers.0.wq": S.pack_mask(np.zeros((1, 1), dtype=bool))})
     with pytest.raises(ContractError, match="mask shape"):
         S.densify(single_path_store(8), masks)
 
 
 def test_mask_gradients():
-    masks = S.MaskSet({"layers.0.wq": S.pack_mask(np.array([0.0, 1.0], dtype=np.float32))},
-                      plan=S.SparsityPlan(level=0.5))
+    masks = S.MaskSet({"layers.0.wq": S.pack_mask(np.array([0.0, 1.0], dtype=np.float32))})
     grads = {"layers.0.wq": np.array([1.0, 1.0], dtype=np.float32),
              "tok_emb": np.array([2.0, 2.0], dtype=np.float32)}
     out = S.mask_gradients(grads, masks)
