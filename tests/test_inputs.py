@@ -238,8 +238,21 @@ BAD_SECTIONS = {
     "trainer-empty": ("trainer", lambda rec: {}, "trainer section: missing key 'batch_size'"),
     "trainer-older-step": ("trainer", lambda rec: dict(rec, step=2),
                            "trainer section: unknown key 'step'"),
+    "trainer-older-seed": ("trainer", lambda rec: dict(rec, seed=0),
+                           "trainer section: unknown key 'seed'"),
+    "trainer-not-an-object": ("trainer", lambda rec: [1], "trainer section: not a JSON object"),
     "opt_meta-older-step": ("opt_meta", lambda rec: dict(rec, step=2),
                             "opt_meta section: unknown key 'step'"),
+    "opt_meta-older-beta1": ("opt_meta", lambda rec: dict(rec, beta1=0.9),
+                             "opt_meta section: unknown key 'beta1'"),
+    "opt_meta-older-beta2": ("opt_meta", lambda rec: dict(rec, beta2=0.95),
+                             "opt_meta section: unknown key 'beta2'"),
+    "opt_meta-older-eps": ("opt_meta", lambda rec: dict(rec, eps=1e-8),
+                           "opt_meta section: unknown key 'eps'"),
+    "opt_meta-str-weight_decay": ("opt_meta", lambda rec: dict(rec, weight_decay="a"),
+                                  "opt_meta section: 'weight_decay' must be float, got 'a'"),
+    "opt_meta-not-an-object": ("opt_meta", lambda rec: [1],
+                               "opt_meta section: not a JSON object"),
     "opt_meta-unknown-key": ("opt_meta", lambda rec: dict(rec, momentum=0.9),
                              "opt_meta section: unknown key 'momentum'"),
     "schedule-str-peak_lr": ("schedule", lambda rec: dict(rec, peak_lr="a"),
@@ -267,6 +280,35 @@ def test_a_bad_checkpoint_section_exits_2_naming_the_file_and_the_section(base, 
     code, err = load_outcome(section, path, tmp_path / "dense.ckpt")
     assert (code, err.count("\n")) == (2, 1), err
     assert err.startswith(f"error: {path}: {message}"), err
+
+
+# plan sections an older writer made, or a damaged copy of one: each was
+# refused or read before, and none is read now
+OLDER_PLANS = {
+    "uniform-level": {"level": 0.5, "seed": 0},
+    "no-uniform-level": {"level": None, "seed": 0},
+    "not-an-object": [1],
+    "without-seed": {"level": 0.5},
+    "str-level": {"level": "0.5", "seed": 0},
+    "negative-seed": {"level": 0.5, "seed": -1},
+    "older-levels": {"level": 0.5, "seed": 0, "levels": {"layers.0.wq": 0.5}},
+}
+
+
+@pytest.mark.parametrize("case", OLDER_PLANS)
+def test_a_plan_section_is_not_read(base, tmp_path, case):
+    # the masks section holds the sparsity: densify prints and writes the same
+    # with or without a plan section beside it
+    sections = C.load_container(base / "final.ckpt")
+    assert "plan" not in sections and "masks" in sections
+    older = tmp_path / "older.ckpt"
+    C.save_container(older, dict(sections, plan=C.encode_json(OLDER_PLANS[case])))
+    outcomes, dense = [], []
+    for ckpt in (base / "final.ckpt", older):
+        dense.append(tmp_path / f"{ckpt.stem}-dense.ckpt")
+        outcomes.append(run_cli(["densify", "--checkpoint", str(ckpt), "--out", str(dense[-1])]))
+    assert outcomes[0][0] == 0 and outcomes[0] == outcomes[1], outcomes
+    assert dense[0].read_bytes() == dense[1].read_bytes()
 
 
 def test_an_older_sparse_train_checkpoint_densifies_but_does_not_resume(base, tmp_path):

@@ -434,6 +434,23 @@ def test_a_train_state_has_one_step_counter():
         state.step = 7
 
 
+def test_a_train_checkpoint_stores_the_update_count_once(tmp_path):
+    # the step section is the count's one home: opt_meta holds only the weight
+    # decay, and a load takes the optimizer's count from the step section
+    cfg = tiny_config()
+    state = TR.init_train_state(M.init_params(cfg, seed=0), cfg, TR.Schedule(1e-3, 4), 2, seed=0)
+    TR.train_steps(state, toy_dataset(), n_steps=2)
+    path = tmp_path / "t.ckpt"
+    TR.save_train_state(path, state)
+    sections = C.load_container(path)
+    assert json.loads(sections["opt_meta"]) == {"weight_decay": state.opt.weight_decay}
+    assert "seed" not in json.loads(sections["trainer"])
+    assert C.decode_u64(sections["step"]) == 2
+    C.save_container(path, dict(sections, step=C.encode_u64(5)))
+    loaded = TR.load_train_state(path)
+    assert loaded.step == loaded.opt.step == 5
+
+
 # ----------------------------------------------------------------- memory
 
 
