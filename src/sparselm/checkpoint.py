@@ -28,6 +28,7 @@ sections of a model and of a train checkpoint are is decided in `training`.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import os
@@ -66,8 +67,10 @@ def atomic_open(path, mode="wb", **kwargs):
 
 def save_container(path, sections):
     """Write `sections`, name -> payload, atomically. A payload is bytes or
-    a list of bytes-like chunks (arrays included), which are streamed to
-    the file one by one under a running CRC and never joined."""
+    a list of chunks, which are streamed to the file one by one under a
+    running CRC and never joined: bytes-like objects (arrays included), or
+    (size, make) pairs whose make() returns the chunk's `size` bytes only
+    when it is written."""
     with atomic_open(path) as fh:
         fh.write(MAGIC + struct.pack("<I", FORMAT_VERSION))
         for name, payload in sections.items():
@@ -75,11 +78,13 @@ def save_container(path, sections):
             encoded = name.encode("utf-8")
             if not encoded:
                 raise ContractError("checkpoint section names must not be empty")
-            head = (struct.pack("<H", len(encoded)) + encoded
-                    + struct.pack("<Q", sum(memoryview(c).nbytes for c in chunks)))
+            size = sum(c[0] if isinstance(c, tuple) else memoryview(c).nbytes for c in chunks)
+            head = struct.pack("<H", len(encoded)) + encoded + struct.pack("<Q", size)
             fh.write(head)
             crc = zlib.crc32(head)
             for chunk in chunks:
+                if isinstance(chunk, tuple):
+                    chunk = chunk[1]()
                 fh.write(chunk)
                 crc = zlib.crc32(chunk, crc)
             fh.write(struct.pack("<I", crc))
@@ -156,18 +161,38 @@ def _pack_header(path: str, shape, dtype=None) -> bytes:
     return b"".join(parts)
 
 
-def encode_tensor_map(arrays: dict[str, np.ndarray]) -> list:
+def encode_tensor_map(arrays: dict[str, np.ndarray], spread=None) -> list:
     """Chunks of the payload: each header, then the array itself (a
-    little-endian view where the machine's byte order allows, not a copy)."""
+    little-endian view where the machine's byte order allows, not a copy).
+    `spread` maps a path to (flat index, shape) when its array holds only the
+    entries at that index of a tensor of that shape: the tensor is written
+    whole, +0.0 off the index, expanded only when its chunk is written into
+    one buffer that the next such tensor reuses."""
+    spread = spread or {}
+    buffer = np.empty(max((arrays[p].itemsize * math.prod(shape)
+                           for p, (_, shape) in spread.items()), default=0), dtype=np.uint8)
     chunks = []
     for path, arr in arrays.items():
         arr = np.ascontiguousarray(arr)
         if arr.dtype not in _DTYPE_CODES:
             raise ContractError(f"{path}: dtype {arr.dtype} is not checkpointable")
-        code = _DTYPE_CODES[arr.dtype]
-        chunks.append(_pack_header(path, arr.shape, arr.dtype))
-        chunks.append(arr.astype(_CODE_DTYPES[code], copy=False).reshape(-1))
+        stored = _CODE_DTYPES[_DTYPE_CODES[arr.dtype]]
+        if path in spread:
+            index, shape = spread[path]
+            dense = buffer[:arr.itemsize * math.prod(shape)].view(arr.dtype)
+            chunks.append(_pack_header(path, shape, arr.dtype))
+            chunks.append((dense.nbytes, functools.partial(_expand, arr, index, dense, stored)))
+        else:
+            chunks.append(_pack_header(path, arr.shape, arr.dtype))
+            chunks.append(arr.astype(stored, copy=False).reshape(-1))
     return chunks
+
+
+def _expand(compact, index, dense, stored):
+    """`dense` zeroed, with `compact` at its flat `index`, as the dtype `stored`."""
+    dense.fill(0)
+    dense[index.astype(np.intp)] = compact  # an intp index scatters several times faster
+    return dense.astype(stored, copy=False)
 
 
 def _utf8(raw, what):

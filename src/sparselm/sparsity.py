@@ -7,10 +7,10 @@ the checkpoint's bitset section, which are saved and loaded as they are.
 A mask is unpacked to bool one path at a time, where it is applied
 (`masks[path]`). `w * mask` and `g *= mask` give the bits of a 0/1 mask of
 the weights' dtype, -0.0 and NaN included. The training loop applies the
-masks to the weights up front and filters gradients each step; with
-zero-initialized optimizer moments this keeps masked coordinates exactly
-zero, which is numerically identical to multiplying mask*weights in every
-forward pass. Densification retires the mask, leaving the previously
+masks to the weights up front; its AdamW update then reads and writes only
+the active coordinates (`training.OptimizerState.index`), which keeps masked
+weights exactly zero, numerically identical to multiplying mask*weights in
+every forward pass. Densification retires the mask, leaving the previously
 inactive weights at exactly 0.0 and trainable.
 """
 
@@ -122,10 +122,10 @@ def apply_masks(masks: MaskSet, params: ParamStore) -> ParamStore:
 
 
 def mask_gradients(grads, masks: MaskSet):
-    """Zero entries wherever the mask is False, in place: each step's
-    gradients, before any optimizer-state update so moments of pruned
-    coordinates stay 0, and weights: once when a train state is built, and
-    `apply_masks`' copies.
+    """Zero entries wherever the mask is False, in place: a clipped sparse
+    step's gradients, before their global norm is taken (AdamW itself reads
+    no pruned coordinate), and weights: once when a train state is built,
+    and `apply_masks`' copies.
     Shapes are checked by `check_masks` up front, not here."""
     for path, g in grads.items():
         if path in masks:

@@ -3,18 +3,18 @@ checkpointing and loss tracing.
 
 `init_train_state` starts a run that `train_steps` continues. It trains
 the tensors it is given, in place, masked or not: the masks are multiplied
-into those weights once (no copy of the store is made), and thereafter
-gradients are filtered every step. With zero-initialized moments,
-decoupled decay and zero gradients, pruned coordinates stay at exactly 0.0
-for the whole run. `_step` ends every pre-training and fine-tuning step:
-backward on each micro-batch loss, then the gradient mask and, with
-clipping on, the global norm of the masked gradients, passed as
-grad_clip / norm to `adamw_step` as `clip_scale`, which folds it into the
-moment coefficients instead of rescaling the gradients. A non-finite loss
-or norm stops the run before any update. `_step` drops every `.grad` right
-after `adamw_step`, so none is held between steps.
-`adamw_step` updates every parameter in place, one block of `ADAMW_BLOCK`
-entries at a time, through one reused scratch buffer of one block.
+into those weights once (no copy of the store is made). A masked path's
+AdamW moments hold only its active coordinates, and the update reads and
+writes only those, so pruned weights stay exactly as masked (0.0) for the
+whole run. `_step` ends every pre-training and fine-tuning step: backward
+on each micro-batch loss; then, with clipping on, the gradient mask and the
+global norm of the masked gradients, passed as grad_clip / norm to
+`adamw_step` as `clip_scale`, which folds it into the moment coefficients
+instead of rescaling the gradients. A non-finite loss or norm stops the run
+before any update. `_step` drops every `.grad` right after `adamw_step`, so
+none is held between steps. `adamw_step` updates every parameter in place,
+one block of `ADAMW_BLOCK` moment entries at a time, through one reused
+scratch buffer.
 """
 
 from __future__ import annotations
@@ -84,26 +84,40 @@ def lr_at(schedule: Schedule, step: int) -> float:
 
 @dataclass
 class OptimizerState:
-    """AdamW moments, update count and weight decay. Moment buffers of
-    pruned coordinates stay exactly zero throughout sparse pre-training.
-    `scratch` is the one work buffer every update reuses: raw bytes of one
-    block of the update (`ADAMW_BLOCK` entries, or the largest parameter when
-    that is smaller), built on the first step and never checkpointed."""
+    """AdamW moments, update count and weight decay. A path in `index` is
+    masked: `index[path]` is the int32 flat index of its mask's 1 bits, and
+    its m and v are 1-D, the moments at those coordinates in row-major
+    order; a pruned coordinate's moments would be 0.0 for the whole run, and
+    a checkpoint stores them so. Every other path's moments have its shape.
+    `scratch` is the one work buffer every update reuses, built on the first
+    step: raw bytes of one block of the update (`ADAMW_BLOCK` moment
+    entries, or fewer when no parameter has that many), three such blocks
+    and an intp copy of the block's index for a masked path. Neither
+    `index`, built from the masks, nor `scratch` is checkpointed."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
     weight_decay: float = 0.1
+    index: dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
     scratch: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         check_ranges(vars(self))
 
     @classmethod
-    def for_params(cls, params, **hyper):
-        m = {p: np.zeros_like(t.data) for p, t in params.items()}
-        v = {p: np.zeros_like(t.data) for p, t in params.items()}
-        return cls(m=m, v=v, **hyper)
+    def for_params(cls, params, masks=None, **hyper):
+        index = _active_index(masks)
+        m = {p: np.zeros(index[p].size if p in index else t.data.shape, t.data.dtype)
+             for p, t in params.items()}
+        v = {p: np.zeros_like(a) for p, a in m.items()}
+        return cls(m=m, v=v, index=index, **hyper)
+
+
+def _active_index(masks) -> dict[str, np.ndarray]:
+    """path -> int32 flat index of the mask's 1 bits, row-major; {} without masks."""
+    paths = masks.paths() if masks is not None else []
+    return {p: np.flatnonzero(masks[p]).astype(np.int32) for p in paths}
 
 
 def adamw_step(params, grads, opt: OptimizerState, lr: float, clip_scale: float = 1.0):
@@ -119,11 +133,13 @@ def adamw_step(params, grads, opt: OptimizerState, lr: float, clip_scale: float 
 
     which is p -= lr*(m/bc1)/(sqrt(v/bc2) + eps) + lr*lambda*p with the
     bias corrections folded into scalars, so each block of `ADAMW_BLOCK`
-    entries of a parameter takes 13 in-place passes through `opt.scratch`
-    and nothing is allocated. Every entry is updated alone, so blocking does
-    not change a bit. Grads of sparse weights must be mask-filtered already
-    (`mask_gradients`): a zero gradient keeps zero moments and a zero weight
-    at exactly 0.0."""
+    moment entries takes 13 in-place passes through `opt.scratch` and
+    nothing is allocated. A masked path's blocks run over its compact
+    moments: the block's p and g entries at `opt.index` are gathered into
+    `opt.scratch` (beside an intp copy of the block's index and the work
+    block), and p is scattered back, so its gradient need not be masked and
+    a pruned weight is never touched. Every entry is updated alone, so
+    neither blocking nor gathering changes a bit."""
     opt.step += 1
     bc1 = 1.0 - ADAMW_BETA1 ** opt.step
     bc2 = 1.0 - ADAMW_BETA2 ** opt.step
@@ -132,18 +148,32 @@ def adamw_step(params, grads, opt: OptimizerState, lr: float, clip_scale: float 
     step_size = lr * math.sqrt(bc2) / bc1
     eps = ADAMW_EPS * math.sqrt(bc2)
     decay = 1.0 - lr * opt.weight_decay
-    need = max((min(t.data.size, ADAMW_BLOCK) * t.data.itemsize for t in params.values()),
-               default=0)
+    intp = np.dtype(np.intp).itemsize
+    need = max((min(opt.m[p].size, ADAMW_BLOCK)
+                * (3 * t.data.itemsize + intp if p in opt.index else t.data.itemsize)
+                for p, t in params.items()), default=0)
     if opt.scratch is None or opt.scratch.nbytes < need:
         opt.scratch = np.empty(need, dtype=np.uint8)
     for path, tensor in params.items():
         grad = grads.get(path)
         if grad is None:
             continue
-        flat = [a.reshape(-1) for a in (tensor.data, grad, opt.m[path], opt.v[path])]
-        for start in range(0, flat[0].size, ADAMW_BLOCK):
-            p, g, m, v = (a[start:start + ADAMW_BLOCK] for a in flat)
-            tmp = opt.scratch[:p.nbytes].view(p.dtype)
+        index = opt.index.get(path)
+        p_all, g_all, m_all, v_all = (a.reshape(-1) for a in (tensor.data, grad, opt.m[path],
+                                                               opt.v[path]))
+        for start in range(0, m_all.size, ADAMW_BLOCK):
+            block = slice(start, start + ADAMW_BLOCK)
+            m, v = m_all[block], v_all[block]
+            if index is None:
+                p, g = p_all[block], g_all[block]
+                tmp = opt.scratch[:m.nbytes].view(m.dtype)
+            else:
+                at = opt.scratch[:m.size * intp].view(np.intp)
+                at[...] = index[block]
+                tmp, p, g = opt.scratch[at.nbytes:][:3 * m.nbytes].view(m.dtype).reshape(3, -1)
+                # `at` lies inside the tensor: clipping never acts, and skips a buffered copy
+                np.take(p_all, at, out=p, mode="clip")
+                np.take(g_all, at, out=g, mode="clip")
             np.multiply(g, m_coef, out=tmp)
             m *= ADAMW_BETA1
             m += tmp
@@ -157,6 +187,8 @@ def adamw_step(params, grads, opt: OptimizerState, lr: float, clip_scale: float 
             tmp *= step_size
             p *= decay
             p -= tmp
+            if index is not None:
+                p_all[at] = p
     return params
 
 
@@ -203,7 +235,7 @@ def init_train_state(params, config, schedule, batch_size, seed,
     check_ranges({"seed": seed})
     state = TrainState(
         params=params, config=config, schedule=schedule,
-        opt=OptimizerState.for_params(params, weight_decay=weight_decay),
+        opt=OptimizerState.for_params(params, masks, weight_decay=weight_decay),
         rng=np.random.default_rng(seed), batch_size=batch_size,
         masks=masks, micro_batch_size=micro_batch_size,
     )
@@ -225,7 +257,9 @@ def _step(params, opt, lr, where, losses, masks=None, grad_clip=None) -> float:
     """End a pre-training or fine-tuning step and return its loss: backward on
     each (loss, batch share) pair of `losses`, a generator when each forward
     must wait for the previous backward; then, if the share-weighted loss is
-    finite, mask, clip, apply AdamW and drop every `.grad`."""
+    finite, clip, apply AdamW and drop every `.grad`. AdamW reads only a
+    masked path's active coordinates, so the gradients are masked only for
+    the clipping norm."""
     value = 0.0
     for loss, share in losses:
         value += loss.item() * share
@@ -233,10 +267,10 @@ def _step(params, opt, lr, where, losses, masks=None, grad_clip=None) -> float:
     if not math.isfinite(value):
         raise ContractError(f"{where}: training loss is {value}; training diverged")
     grads = {p: t.grad for p, t in params.items() if t.grad is not None}
-    if masks is not None:
-        mask_gradients(grads, masks)
     clip_scale = 1.0
     if grad_clip is not None:
+        if masks is not None:
+            mask_gradients(grads, masks)
         norm = _global_grad_norm(grads)
         if not math.isfinite(norm):
             raise ContractError(f"{where}: gradient norm is {norm}; training diverged")
@@ -330,7 +364,7 @@ SECTION_SHAPES = {
     "config": CONFIG_SHAPE,
     "prompt_meta": {"virtual_ids": (list[int], REQUIRED)},
     "schedule": record_shape(Schedule),
-    "opt_meta": record_shape(OptimizerState, skip=("m", "v", "step", "scratch")),
+    "opt_meta": record_shape(OptimizerState, skip=("m", "v", "step", "index", "scratch")),
     "trainer": record_shape(TrainState, skip=("params", "config", "schedule", "opt", "rng",
                                               "masks", "trace")),
     "rng": {"bit_generator": (str, REQUIRED), "has_uint32": (int, REQUIRED),
@@ -395,12 +429,28 @@ def _decode_model(sections):
     return config, params, C.decode_u64(sections["step"]), masks, prompt
 
 
+def _compact(arrays, index, what):
+    """`arrays` with each path of `index` replaced by its entries at that
+    index, in place; ContractError naming `what` and the path when a pruned
+    coordinate holds a nonzero (-0.0 passes, NaN does not)."""
+    for path, at in index.items():
+        flat = arrays[path].reshape(-1)
+        kept = np.take(flat, at)
+        if np.count_nonzero(kept) != np.count_nonzero(flat):
+            raise ContractError(f"{what}: {path!r} has a nonzero at a pruned coordinate")
+        arrays[path] = kept
+    return arrays
+
+
 def save_train_state(path, state: TrainState):
+    """Moments are written dense, +0.0 at pruned coordinates, one masked
+    tensor expanded at a time."""
     opt = state.opt
+    spread = {p: (at, state.params[p].data.shape) for p, at in opt.index.items()}
     C.save_container(path, _encode_model(state.config, state.params, state.step, state.masks) | {
         "schedule": C.encode_json(dataclasses.asdict(state.schedule)),
-        "opt_m": C.encode_tensor_map(opt.m),
-        "opt_v": C.encode_tensor_map(opt.v),
+        "opt_m": C.encode_tensor_map(opt.m, spread),
+        "opt_v": C.encode_tensor_map(opt.v, spread),
         "opt_meta": C.encode_json({key: getattr(opt, key) for key in SECTION_SHAPES["opt_meta"]}),
         "trainer": C.encode_json({key: getattr(state, key) for key in SECTION_SHAPES["trainer"]}),
         "rng": C.encode_json(state.rng.bit_generator.state),
@@ -408,15 +458,20 @@ def save_train_state(path, state: TrainState):
 
 
 def load_train_state(path) -> TrainState:
+    """The state `save_train_state` wrote; a nonzero weight or moment at a
+    pruned coordinate is refused, and a masked path's moments are compacted."""
     sections = C.load_container(path)
     with naming(path):
         _require(sections, ("schedule", "opt_m", "opt_v", "opt_meta", "trainer", "rng"))
         config, params, step, masks, _ = _decode_model(sections)
+        index = _active_index(masks)
+        _compact({p: t.data for p, t in params.items()}, index, "params section")
         shapes = {p: t.data.shape for p, t in params.items()}
-        m, v = (check_shapes(C.decode_tensor_map(sections.pop(name)), shapes,
-                             params["tok_emb"].data.dtype, f"{name} section")
+        m, v = (_compact(check_shapes(C.decode_tensor_map(sections.pop(name)), shapes,
+                                      params["tok_emb"].data.dtype, f"{name} section"),
+                         index, f"{name} section")
                 for name in ("opt_m", "opt_v"))
-        opt = _json(sections, "opt_meta", OptimizerState, m=m, v=v, step=step)
+        opt = _json(sections, "opt_meta", OptimizerState, m=m, v=v, step=step, index=index)
         rng_state = _json(sections, "rng")
         rng = np.random.default_rng()
         try:

@@ -26,7 +26,7 @@ from sparselm import training as TR
 
 from full_logits import full_logits
 from test_tensor import fd_check, op_cases
-from toytask import pretrain, toy_dataset, toy_model_config, yes_no_maybe_task
+from toytask import pretrain, stored_moments, toy_dataset, toy_model_config, yes_no_maybe_task
 
 TOY_SCHEDULE = TR.Schedule(peak_lr=3e-3, total_steps=500)
 TOY_BATCH = 8
@@ -128,10 +128,11 @@ def test_criterion_03_gradient_suite():
         assert elapsed < 30.0, f"took {elapsed:.2f}s"
 
 
-def test_criterion_04_mask_invariants(sparse_run):
+def test_criterion_04_mask_invariants(sparse_run, tmp_path):
     with criterion(4, "after 100 masked AdamW steps: exact zeros, counts, and global S"):
         cfg, state, masks = sparse_run
         assert state.step == 100
+        opt_m, opt_v = stored_moments(state, tmp_path / "state.ckpt")
         total_zeros = 0
         total_entries = 0
         for path in masks.paths():
@@ -140,8 +141,9 @@ def test_criterion_04_mask_invariants(sparse_run):
             pruned = masks[path] == 0
             assert int(pruned.sum()) == expected_zeros, path
             assert np.all(state.params[path].data[pruned] == 0.0), path
-            assert np.all(state.opt.m[path][pruned] == 0.0), path
-            assert np.all(state.opt.v[path][pruned] == 0.0), path
+            assert state.opt.m[path].size == state.opt.v[path].size == size - expected_zeros
+            assert np.all(opt_m[path][pruned] == 0.0), path
+            assert np.all(opt_v[path][pruned] == 0.0), path
             total_zeros += expected_zeros
             total_entries += size
         assert S.global_sparsity(masks) == total_zeros / total_entries

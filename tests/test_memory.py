@@ -8,6 +8,7 @@ import numpy as np
 from sparselm import model as M
 from sparselm import sparsity as S
 from sparselm import tensor as T
+from sparselm import training as TR
 
 CFG = M.ModelConfig(n_layers=2, d_model=32, n_heads=4, d_head=8, vocab_size=64,
                     context_window=32, d_ff=128)
@@ -15,6 +16,9 @@ BATCH = 4
 # Python objects per tape node: tensors, closures and array headers, about
 # 1.5 KB on CPython 3.11; a block's LayerNorm and GELU outputs are 98 KB here
 NODE_OVERHEAD = 4096
+# Python objects per parameter of a train state: its Tensor, the headers of its
+# weight and two moment arrays, dict entries and the RNG's share; about 620 bytes
+PARAM_OVERHEAD = 1024
 
 
 def held_bytes(make):
@@ -72,3 +76,21 @@ def test_a_mask_set_holds_one_bit_per_entry():
     for p in masks.paths():
         assert masks[p].dtype == np.bool_ and masks[p].shape == params[p].data.shape
         assert masks.zeros_in(p) == S.zero_count(0.5, params[p].data.size)
+
+
+def test_a_sparse_train_state_holds_moments_of_the_active_coordinates_only():
+    # at s=0.75 a masked path's moments and its int32 index of active
+    # coordinates take 2*4 + 4 bytes per active entry, against 2*4 per entry
+    # for moments of the parameter's shape
+    masks = S.build_masks(M.init_params(CFG, seed=0), S.SparsityPlan(level=0.75, seed=1))
+    state, held = held_bytes(lambda: TR.init_train_state(
+        M.init_params(CFG, seed=0), CFG, TR.Schedule(1e-3, 4), BATCH, seed=0, masks=masks))
+    entries = sum(t.data.size for t in state.params.values())
+    active = masks.total_entries() - masks.total_zeros()
+    unmasked = entries - masks.total_entries()
+    for p, t in state.params.items():
+        size = t.data.size - masks.zeros_in(p) if p in masks else t.data.size
+        assert state.opt.m[p].size == state.opt.v[p].size == size, p
+    assert state.opt.scratch is None
+    bound = 4 * entries + 2 * 4 * (active + unmasked) + 4 * active  # weights, moments, index
+    assert held <= bound + PARAM_OVERHEAD * len(state.params), (held, bound)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toytask
-from toytask import pretrain
+from toytask import pretrain, stored_moments
 from sparselm.errors import ContractError
 from sparselm import checkpoint as C
 from sparselm import cli
@@ -204,6 +204,21 @@ def test_adamw_scratch_is_one_block():
         assert store["small"].data.dtype == np.float32
 
 
+def test_masked_adamw_scratch_is_an_index_block_and_three_blocks():
+    # a masked path's block gathers its weights and gradients beside the work
+    # block, at an intp copy of the block's index; the blocks count moment
+    # entries, which are the active coordinates
+    block = TR.ADAMW_BLOCK
+    for active, entries in ((block + 3, block), (5, 5)):
+        store = M.ParamStore()
+        store["layers.0.wq"] = Tensor(np.ones(2 * active, dtype=np.float32), requires_grad=True)
+        masks = S.MaskSet({"layers.0.wq": S.pack_mask(np.arange(2 * active) % 2)})
+        opt = TR.OptimizerState.for_params(store, masks)
+        TR.adamw_step(store, {"layers.0.wq": np.ones(2 * active, dtype=np.float32)}, opt, lr=0.1)
+        assert opt.scratch.nbytes == entries * (3 * 4 + np.dtype(np.intp).itemsize)
+        assert np.array_equal(store["layers.0.wq"].data == 1.0, np.arange(2 * active) % 2 == 0)
+
+
 def unblocked_adamw_step(params, grads, opt, lr, clip_scale):
     """`adamw_step`'s 13 in-place passes over each whole parameter at once,
     through a temporary as large as the parameter."""
@@ -236,31 +251,46 @@ def unblocked_adamw_step(params, grads, opt, lr, clip_scale):
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_blocked_adamw_matches_unblocked_reference_bitwise(dtype):
     # a (3, n) weight whose size is no multiple of the block, a bias, and a
-    # pruned quarter of the weight
+    # pruned quarter of the weight; the third store's optimizer holds the
+    # weight's moments at its active coordinates only, which are more than
+    # one block and no multiple of it, and is given unmasked gradients
     rng = np.random.default_rng(6)
     n = (2 * TR.ADAMW_BLOCK + 1234) // 3
     init = {"layers.0.wq": rng.normal(size=(3, n)), "layers.0.bq": rng.normal(size=n)}
     masks = S.MaskSet({"layers.0.wq": S.pack_mask(rng.random((3, n)) > 0.25)})
+    active = np.flatnonzero(masks["layers.0.wq"])
     assert (3 * n) % TR.ADAMW_BLOCK
+    assert active.size > TR.ADAMW_BLOCK and active.size % TR.ADAMW_BLOCK
     stores, opts = [], []
-    for _ in range(2):
+    for opt_masks in (None, None, masks):
         store = M.ParamStore((p, Tensor(a, requires_grad=True, dtype=dtype))
                              for p, a in init.items())
         S.mask_gradients({p: t.data for p, t in store.items()}, masks)
         stores.append(store)
-        opts.append(TR.OptimizerState.for_params(store, weight_decay=0.1))
+        opts.append(TR.OptimizerState.for_params(store, opt_masks, weight_decay=0.1))
+    assert opts[2].m["layers.0.wq"].shape == opts[2].v["layers.0.wq"].shape == active.shape
     for step in range(4):
-        grads = S.mask_gradients({p: rng.normal(size=a.shape).astype(stores[0][p].data.dtype)
-                                  for p, a in init.items()}, masks)
+        raw = {p: rng.normal(size=a.shape).astype(stores[0][p].data.dtype)
+               for p, a in init.items()}
+        grads = S.mask_gradients({p: g.copy() for p, g in raw.items()}, masks)
         clip_scale = 0.3 if step % 2 else 1.0
         TR.adamw_step(stores[0], {p: g.copy() for p, g in grads.items()}, opts[0], 1e-2,
                       clip_scale=clip_scale)
         unblocked_adamw_step(stores[1], grads, opts[1], 1e-2, clip_scale)
+        TR.adamw_step(stores[2], raw, opts[2], 1e-2, clip_scale=clip_scale)
+    expanded = {}  # the compact moments, +0.0 at pruned coordinates, as a checkpoint has them
+    for name in ("m", "v"):
+        dense = np.zeros_like(stores[2]["layers.0.wq"].data)
+        dense.reshape(-1)[active] = getattr(opts[2], name)["layers.0.wq"]
+        expanded[name] = dict(getattr(opts[2], name), **{"layers.0.wq": dense})
     for p in init:
-        assert stores[0][p].data.dtype == np.dtype(dtype)
+        assert stores[0][p].data.dtype == stores[2][p].data.dtype == np.dtype(dtype)
         assert stores[0][p].data.tobytes() == stores[1][p].data.tobytes(), p
         assert opts[0].m[p].tobytes() == opts[1].m[p].tobytes(), p
         assert opts[0].v[p].tobytes() == opts[1].v[p].tobytes(), p
+        assert stores[2][p].data.tobytes() == stores[1][p].data.tobytes(), p
+        assert expanded["m"][p].tobytes() == opts[1].m[p].tobytes(), p
+        assert expanded["v"][p].tobytes() == opts[1].v[p].tobytes(), p
     assert not stores[0]["layers.0.wq"].data[~masks["layers.0.wq"]].any()
 
 
@@ -298,16 +328,18 @@ def test_pretrain_empty_dataset_rejected():
         pretrain(M.init_params(cfg, seed=0), cfg, empty, TR.Schedule(1e-3, 5), 4, seed=0)
 
 
-def test_mask_stationarity_through_loop():
+def test_mask_stationarity_through_loop(tmp_path):
     cfg = tiny_config()
     params = M.init_params(cfg, seed=0)
     masks = S.build_masks(params, S.SparsityPlan(level=0.5, seed=2))
     state = pretrain(params, cfg, toy_dataset(), TR.Schedule(1e-3, 30), 4, seed=0, masks=masks)
+    opt_m, opt_v = stored_moments(state, tmp_path / "state.ckpt")
     for path in masks.paths():
         pruned = masks[path] == 0
         assert np.all(state.params[path].data[pruned] == 0.0)
-        assert np.all(state.opt.m[path][pruned] == 0.0)
-        assert np.all(state.opt.v[path][pruned] == 0.0)
+        assert state.opt.m[path].size == state.opt.v[path].size == np.count_nonzero(~pruned)
+        assert np.all(opt_m[path][pruned] == 0.0)
+        assert np.all(opt_v[path][pruned] == 0.0)
         assert np.any(state.params[path].data[~pruned] != 0.0)
 
 
@@ -352,7 +384,7 @@ def test_grad_clip_runs():
         assert np.array_equal(loose.opt.v[p], unclipped.opt.v[p]), p
 
 
-def test_clipped_sparse_float32_training_keeps_pruned_coordinates_zero(monkeypatch):
+def test_clipped_sparse_float32_training_keeps_pruned_coordinates_zero(monkeypatch, tmp_path):
     norms = []
 
     def recording_norm(grads, norm=TR._global_grad_norm):
@@ -366,12 +398,14 @@ def test_clipped_sparse_float32_training_keeps_pruned_coordinates_zero(monkeypat
     state = pretrain(params, cfg, toy_dataset(), TR.Schedule(3e-3, 20), 4, seed=0,
                         masks=masks, grad_clip=0.5, micro_batch_size=2)
     assert len(norms) == 20 and any(n > 0.5 for n in norms)
+    opt_m, opt_v = stored_moments(state, tmp_path / "state.ckpt")
     for path in masks.paths():
         assert state.params[path].data.dtype == np.float32
         pruned = masks[path] == 0
         assert np.all(state.params[path].data[pruned] == 0.0), path
-        assert np.all(state.opt.m[path][pruned] == 0.0), path
-        assert np.all(state.opt.v[path][pruned] == 0.0), path
+        assert state.opt.m[path].size == state.opt.v[path].size == np.count_nonzero(~pruned)
+        assert np.all(opt_m[path][pruned] == 0.0), path
+        assert np.all(opt_v[path][pruned] == 0.0), path
         assert np.any(state.params[path].data[~pruned] != 0.0), path
 
 

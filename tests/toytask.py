@@ -13,6 +13,7 @@ import json
 
 import numpy as np
 
+from sparselm import checkpoint as C
 from sparselm import data as D
 from sparselm import finetune as FT
 from sparselm import model as M
@@ -35,6 +36,15 @@ def pretrain(params, config, dataset, schedule, batch_size, seed, masks=None,
     state = TR.init_train_state(params, config, schedule, batch_size, seed, masks=masks,
                                 micro_batch_size=micro_batch_size, weight_decay=weight_decay)
     return TR.train_steps(state, dataset, **train_kwargs)
+
+
+def stored_moments(state, path):
+    """The opt_m and opt_v tensor maps of `state`'s train checkpoint, saved
+    at `path`: dense, as the file stores them, where a masked path's moments
+    in `state.opt` hold only its active coordinates."""
+    TR.save_train_state(path, state)
+    sections = C.load_container(path)
+    return C.decode_tensor_map(sections["opt_m"]), C.decode_tensor_map(sections["opt_v"])
 
 
 def automaton_stream(n_tokens, vocab=TOY_VOCAB, n_states=64, seed=0):
