@@ -179,20 +179,22 @@ def encode_tensor_map(arrays: dict[str, np.ndarray], spread=None) -> list:
         stored = _CODE_DTYPES[_DTYPE_CODES[arr.dtype]]
         if path in spread:
             index, shape = spread[path]
-            dense = buffer[:arr.itemsize * math.prod(shape)].view(arr.dtype)
+            dense = buffer[:arr.itemsize * math.prod(shape)].view(stored)
             chunks.append(_pack_header(path, shape, arr.dtype))
-            chunks.append((dense.nbytes, functools.partial(_expand, arr, index, dense, stored)))
+            chunks.append((dense.nbytes, functools.partial(_expand, arr, index, dense)))
         else:
             chunks.append(_pack_header(path, arr.shape, arr.dtype))
             chunks.append(arr.astype(stored, copy=False).reshape(-1))
     return chunks
 
 
-def _expand(compact, index, dense, stored):
-    """`dense` zeroed, with `compact` at its flat `index`, as the dtype `stored`."""
+def _expand(compact, index, dense):
+    """The flat buffer `dense`, +0.0 but at `index`, where it holds
+    `compact`: the one expansion of a compact array, for a checkpoint's
+    moments and for `training`'s clipping norm of compact gradients."""
     dense.fill(0)
     dense[index.astype(np.intp)] = compact  # an intp index scatters several times faster
-    return dense.astype(stored, copy=False)
+    return dense
 
 
 def _utf8(raw, what):

@@ -4,14 +4,15 @@ Masks are drawn once at initialization by seeded random pruning and never
 change during pre-training. A `MaskSet` holds each as its shape and one bit
 per entry (1 = active), packed little-endian eight to a byte: the bytes of
 the checkpoint's bitset section, which are saved and loaded as they are.
+Only the six block matrices of `model.SPARSIFIABLE_ROLES` are masked.
 A mask is unpacked to bool one path at a time, where it is applied
-(`masks[path]`). `w * mask` and `g *= mask` give the bits of a 0/1 mask of
-the weights' dtype, -0.0 and NaN included. The training loop applies the
-masks to the weights up front; its AdamW update then reads and writes only
-the active coordinates (`training.OptimizerState.index`), which keeps masked
-weights exactly zero, numerically identical to multiplying mask*weights in
-every forward pass. Densification retires the mask, leaving the previously
-inactive weights at exactly 0.0 and trainable.
+(`masks[path]`). `w * mask` gives the bits of a 0/1 mask of the weights'
+dtype, -0.0 and NaN included. The training loop applies the masks to the
+weights once, up front; after that only the active coordinates
+(`training.OptimizerState.index`) get a gradient and an update, which
+keeps masked weights exactly zero, numerically identical to multiplying
+mask*weights in every forward pass. Densification retires the mask,
+leaving the previously inactive weights at exactly 0.0 and trainable.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, check_ranges
-from .model import ParamStore, clone_params, zero_count
+from .model import SPARSIFIABLE_ROLES, ParamStore, clone_params, is_sparsifiable, zero_count
 
 
 @dataclass(frozen=True)
@@ -102,11 +103,14 @@ def global_sparsity(masks: MaskSet) -> float:
 
 
 def check_masks(masks: MaskSet, params: ParamStore):
-    """ContractError unless every mask names a parameter of `params` and
-    has its shape."""
+    """ContractError unless every mask names a block matrix of `params`
+    (a path of `SPARSIFIABLE_ROLES`) and has its shape."""
     for path, (shape, _) in masks.bitsets.items():
         if path not in params:
             raise ContractError(f"mask for unknown parameter {path!r}")
+        if not is_sparsifiable(path):
+            raise ContractError(f"mask for {path!r}, which is not one of the block matrices "
+                                f"{', '.join(SPARSIFIABLE_ROLES)}")
         if shape != params[path].data.shape:
             raise ContractError(f"mask shape mismatch: mask {path!r} has shape {shape}, "
                                 f"the parameter {params[path].data.shape}")
@@ -122,11 +126,10 @@ def apply_masks(masks: MaskSet, params: ParamStore) -> ParamStore:
 
 
 def mask_gradients(grads, masks: MaskSet):
-    """Zero entries wherever the mask is False, in place: a clipped sparse
-    step's gradients, before their global norm is taken (AdamW itself reads
-    no pruned coordinate), and weights: once when a train state is built,
-    and `apply_masks`' copies.
-    Shapes are checked by `check_masks` up front, not here."""
+    """Zero the arrays of `grads` wherever the mask is False, in place: the
+    weights, once when a train state is built, and `apply_masks`' copies
+    (training forms no gradient at a pruned coordinate). Shapes are
+    checked by `check_masks` up front, not here."""
     for path, g in grads.items():
         if path in masks:
             g *= masks[path]

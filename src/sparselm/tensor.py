@@ -24,8 +24,14 @@ bias sum have read it; LayerNorm's input gradient is then added into it,
 so x.grad is formed in the order of separate residual-add and LayerNorm
 ops. `attention` keeps its q, k and v gradients in one scratch buffer and
 hands on only products and sums of it. No two leaves' `.grad` share
-memory, and in-place updates of one gradient (masking, clipping) never
-reach another.
+memory, so an in-place update of one gradient never reaches another.
+
+A leaf with a `grad_index` (a masked weight while `training._step` runs)
+keeps only its gradient's entries at that flat index, in its order, as a
+1-D `.grad`: `_accum` gathers them from each buffer it is handed, so the
+dense gradient an adjoint forms is freed once gathered. `embedding`, which
+scatters into `table.grad` itself, is never handed an indexed table:
+masks are refused outside the block matrices (`sparsity.check_masks`).
 
 What an op keeps for its backward is what that backward cannot cheaply
 recompute. `attention` keeps LayerNorm's xhat and inv, Q, K and V in one
@@ -72,7 +78,7 @@ _erf64 = np.frompyfunc(math.erf, 1, 1)
 class Tensor:
     """Row-major n-d float array, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "grad_index")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data)
@@ -87,6 +93,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
+        self.grad_index = None
 
     @property
     def shape(self):
@@ -165,9 +172,12 @@ def backward(loss, scale=1.0):
 
 def _accum(t, g):
     """Add gradient `g` into t.grad, adopting `g` as the buffer when it is
-    the first (see the module docstring for who may own it)."""
+    the first (see the module docstring for who may own it); with a
+    `t.grad_index`, only g's entries at that flat index."""
     if not t.requires_grad:
         return
+    if t.grad_index is not None:
+        g = np.take(g.reshape(-1), t.grad_index)
     if t.grad is None:
         t.grad = g
     else:

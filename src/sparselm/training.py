@@ -4,16 +4,18 @@ checkpointing and loss tracing.
 `init_train_state` starts a run that `train_steps` continues. It trains
 the tensors it is given, in place, masked or not: the masks are multiplied
 into those weights once (no copy of the store is made). A masked path's
-AdamW moments hold only its active coordinates, and the update reads and
-writes only those, so pruned weights stay exactly as masked (0.0) for the
-whole run. `_step` ends every pre-training and fine-tuning step: backward
-on each micro-batch loss; then, with clipping on, the gradient mask and the
-global norm of the masked gradients, passed as grad_clip / norm to
-`adamw_step` as `clip_scale`, which folds it into the moment coefficients
-instead of rescaling the gradients. A non-finite loss or norm stops the run
-before any update. `_step` drops every `.grad` right after `adamw_step`, so
-none is held between steps. `adamw_step` updates every parameter in place,
-one block of `ADAMW_BLOCK` moment entries at a time, through one reused
+AdamW moments and gradient hold only its active coordinates
+(`OptimizerState.index`, the one record of what trains), and the update
+reads and writes only those, so pruned weights stay exactly as masked
+(0.0) for the whole run. `_step` ends every pre-training and fine-tuning
+step: backward on each micro-batch loss, each masked weight's gradient
+gathered at its index as it is formed; then, with clipping on, the global
+norm of the gradients, passed as grad_clip / norm to `adamw_step` as
+`clip_scale`, which folds it into the moment coefficients instead of
+rescaling the gradients. A non-finite loss or norm stops the run before
+any update. `_step` drops every `.grad` right after `adamw_step`, so none
+is held between steps. `adamw_step` updates every parameter in place, one
+block of `ADAMW_BLOCK` moment entries at a time, through one reused
 scratch buffer.
 """
 
@@ -86,14 +88,15 @@ def lr_at(schedule: Schedule, step: int) -> float:
 class OptimizerState:
     """AdamW moments, update count and weight decay. A path in `index` is
     masked: `index[path]` is the int32 flat index of its mask's 1 bits, and
-    its m and v are 1-D, the moments at those coordinates in row-major
-    order; a pruned coordinate's moments would be 0.0 for the whole run, and
-    a checkpoint stores them so. Every other path's moments have its shape.
-    `scratch` is the one work buffer every update reuses, built on the first
-    step: raw bytes of one block of the update (`ADAMW_BLOCK` moment
-    entries, or fewer when no parameter has that many), three such blocks
-    and an intp copy of the block's index for a masked path. Neither
-    `index`, built from the masks, nor `scratch` is checkpointed."""
+    its m and v, like the gradient `_step` forms for it, are 1-D, the
+    entries at those coordinates in row-major order; a pruned coordinate's
+    moments would be 0.0 for the whole run, and a checkpoint stores them so.
+    Every other path's moments have its shape. `scratch` is the one work
+    buffer every update reuses, built on the first step: raw bytes of one
+    block of the update (`ADAMW_BLOCK` moment entries, or fewer when no
+    parameter has that many), two such blocks and an intp copy of the
+    block's index for a masked path. Neither `index`, built from the masks,
+    nor `scratch` is checkpointed."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
@@ -134,12 +137,13 @@ def adamw_step(params, grads, opt: OptimizerState, lr: float, clip_scale: float 
     which is p -= lr*(m/bc1)/(sqrt(v/bc2) + eps) + lr*lambda*p with the
     bias corrections folded into scalars, so each block of `ADAMW_BLOCK`
     moment entries takes 13 in-place passes through `opt.scratch` and
-    nothing is allocated. A masked path's blocks run over its compact
-    moments: the block's p and g entries at `opt.index` are gathered into
-    `opt.scratch` (beside an intp copy of the block's index and the work
-    block), and p is scattered back, so its gradient need not be masked and
-    a pruned weight is never touched. Every entry is updated alone, so
-    neither blocking nor gathering changes a bit."""
+    nothing is allocated. A masked path's gradient is compact, as its
+    moments are, and its blocks run over both: the block's p entries at
+    `opt.index` are gathered into `opt.scratch` (beside an intp copy of the
+    block's index and the work block) and scattered back, so a pruned
+    weight is never touched. A gradient of another size than its moments
+    is refused. Every entry is updated alone, so neither blocking nor
+    gathering changes a bit."""
     opt.step += 1
     bc1 = 1.0 - ADAMW_BETA1 ** opt.step
     bc2 = 1.0 - ADAMW_BETA2 ** opt.step
@@ -150,7 +154,7 @@ def adamw_step(params, grads, opt: OptimizerState, lr: float, clip_scale: float 
     decay = 1.0 - lr * opt.weight_decay
     intp = np.dtype(np.intp).itemsize
     need = max((min(opt.m[p].size, ADAMW_BLOCK)
-                * (3 * t.data.itemsize + intp if p in opt.index else t.data.itemsize)
+                * (2 * t.data.itemsize + intp if p in opt.index else t.data.itemsize)
                 for p, t in params.items()), default=0)
     if opt.scratch is None or opt.scratch.nbytes < need:
         opt.scratch = np.empty(need, dtype=np.uint8)
@@ -161,19 +165,21 @@ def adamw_step(params, grads, opt: OptimizerState, lr: float, clip_scale: float 
         index = opt.index.get(path)
         p_all, g_all, m_all, v_all = (a.reshape(-1) for a in (tensor.data, grad, opt.m[path],
                                                                opt.v[path]))
+        if g_all.size != m_all.size:
+            raise ContractError(f"{path!r}: a gradient of {g_all.size} entries for "
+                                f"{m_all.size} moments")
         for start in range(0, m_all.size, ADAMW_BLOCK):
             block = slice(start, start + ADAMW_BLOCK)
-            m, v = m_all[block], v_all[block]
+            m, v, g = m_all[block], v_all[block], g_all[block]
             if index is None:
-                p, g = p_all[block], g_all[block]
+                p = p_all[block]
                 tmp = opt.scratch[:m.nbytes].view(m.dtype)
             else:
                 at = opt.scratch[:m.size * intp].view(np.intp)
                 at[...] = index[block]
-                tmp, p, g = opt.scratch[at.nbytes:][:3 * m.nbytes].view(m.dtype).reshape(3, -1)
+                tmp, p = opt.scratch[at.nbytes:][:2 * m.nbytes].view(m.dtype).reshape(2, -1)
                 # `at` lies inside the tensor: clipping never acts, and skips a buffered copy
                 np.take(p_all, at, out=p, mode="clip")
-                np.take(g_all, at, out=g, mode="clip")
             np.multiply(g, m_coef, out=tmp)
             m *= ADAMW_BETA1
             m += tmp
@@ -249,29 +255,43 @@ def _drop_grads(params):
         t.grad = None
 
 
-def _global_grad_norm(grads):
-    return math.sqrt(sum(float(np.dot(g.ravel(), g.ravel())) for g in grads.values()))
+def _global_grad_norm(params, grads, index):
+    """The L2 norm of `grads` as np.dot of each dense gradient with itself;
+    a compact one, of a path in `index`, is expanded first into one reused
+    buffer, +0.0 off the index (a dot over the compact array would sum in
+    another order and differ in the last bits)."""
+    buffer = np.empty(max((params[p].data.nbytes for p in grads if p in index), default=0),
+                      dtype=np.uint8)
+    # a generator: each dot is taken before the next expansion reuses the buffer
+    dense = (C._expand(g, index[p], buffer[:params[p].data.nbytes].view(g.dtype))
+             if p in index else g.reshape(-1) for p, g in grads.items())
+    return math.sqrt(sum(float(np.dot(g, g)) for g in dense))
 
 
-def _step(params, opt, lr, where, losses, masks=None, grad_clip=None) -> float:
+def _step(params, opt, lr, where, losses, grad_clip=None) -> float:
     """End a pre-training or fine-tuning step and return its loss: backward on
     each (loss, batch share) pair of `losses`, a generator when each forward
-    must wait for the previous backward; then, if the share-weighted loss is
-    finite, clip, apply AdamW and drop every `.grad`. AdamW reads only a
-    masked path's active coordinates, so the gradients are masked only for
-    the clipping norm."""
+    must wait for the previous backward, each path of `opt.index` getting
+    its gradient at that index only (`Tensor.grad_index`); then, if the
+    share-weighted loss is finite, clip, apply AdamW and drop every
+    `.grad`. A pruned coordinate's gradient is never formed: it reaches
+    neither the clipping norm nor AdamW."""
+    for path, t in params.items():
+        t.grad_index = opt.index.get(path)
     value = 0.0
-    for loss, share in losses:
-        value += loss.item() * share
-        T.backward(loss, scale=share)
+    try:
+        for loss, share in losses:
+            value += loss.item() * share
+            T.backward(loss, scale=share)
+    finally:
+        for t in params.values():
+            t.grad_index = None
     if not math.isfinite(value):
         raise ContractError(f"{where}: training loss is {value}; training diverged")
     grads = {p: t.grad for p, t in params.items() if t.grad is not None}
     clip_scale = 1.0
     if grad_clip is not None:
-        if masks is not None:
-            mask_gradients(grads, masks)
-        norm = _global_grad_norm(grads)
+        norm = _global_grad_norm(params, grads, opt.index)
         if not math.isfinite(norm):
             raise ContractError(f"{where}: gradient norm is {norm}; training diverged")
         if norm > grad_clip:
@@ -304,7 +324,7 @@ def train_steps(state: TrainState, dataset: PackedDataset, n_steps=None,
         loss_value = _step(state.params, state.opt, lr, f"step {step}",
                            ((lm_loss(state.params, state.config, chunk),
                              chunk.shape[0] / state.batch_size) for chunk in chunks),
-                           state.masks, grad_clip)
+                           grad_clip)
 
         state.smoothed = (loss_value if state.smoothed is None
                           else LOSS_SMOOTHING * state.smoothed + (1 - LOSS_SMOOTHING) * loss_value)

@@ -528,6 +528,20 @@ def test_a_train_checkpoint_with_a_nonzero_at_a_pruned_coordinate_is_refused(ful
         assert S.densify(params, loaded_masks)[tensor].data.reshape(-1)[pruned] == 0.0
 
 
+@pytest.mark.parametrize("tensor", ["tok_emb", "layers.0.bq"])
+def test_a_mask_outside_the_block_matrices_is_refused_naming_the_path(base, full_ckpt, tmp_path,
+                                                                       tensor):
+    # only the six block matrices are sparsified: a mask on any other
+    # parameter, of its shape, is refused by every loader and reader
+    params = TR.load_model_checkpoint(base / "final.ckpt")[1]
+    bitsets = C.decode_bitset_map(full_ckpt["masks"])
+    bitsets[tensor] = S.pack_mask(np.ones(params[tensor].data.shape))
+    path = tmp_path / "damaged.ckpt"
+    C.save_container(path, dict(full_ckpt, masks=C.encode_bitset_map(bitsets)))
+    assert_refused(base, path, "masks", f"mask for {tensor!r}, which is not one of the block "
+                   f"matrices wq, wk, wv, wo, w_ff_in, w_ff_out", tmp_path)
+
+
 # case -> the prompt's virtual ids in a vocab of `vocab_size`, and the one outside it
 VIRTUAL_ID_CASES = {
     "far-past-the-vocab": lambda vocab_size: ([2, 100000], 100000),

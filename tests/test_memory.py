@@ -1,4 +1,5 @@
-"""What a training forward and a mask set hold, measured with tracemalloc."""
+"""What a training forward, a mask set, a train state and a sparse step hold,
+measured with tracemalloc."""
 
 import math
 import tracemalloc
@@ -9,6 +10,7 @@ from sparselm import model as M
 from sparselm import sparsity as S
 from sparselm import tensor as T
 from sparselm import training as TR
+from sparselm.data import PackedDataset
 
 CFG = M.ModelConfig(n_layers=2, d_model=32, n_heads=4, d_head=8, vocab_size=64,
                     context_window=32, d_ff=128)
@@ -94,3 +96,44 @@ def test_a_sparse_train_state_holds_moments_of_the_active_coordinates_only():
     assert state.opt.scratch is None
     bound = 4 * entries + 2 * 4 * (active + unmasked) + 4 * active  # weights, moments, index
     assert held <= bound + PARAM_OVERHEAD * len(state.params), (held, bound)
+
+
+def test_a_clipped_micro_batched_sparse_step_forms_only_compact_weight_gradients(monkeypatch):
+    # at s=0.75 a masked matrix's gradient is gathered at its active
+    # coordinates as each weight-gradient GEMM forms it, so over the state a
+    # step holds at its peak the gradients (compact for a masked path), one
+    # micro-batch's activations and one dense weight gradient with its
+    # gather (an intp copy of the index and the gathered entries: 0.75 of
+    # the dense bytes at s=0.75), under twice the largest masked matrix.
+    # Dense gradients of the masked matrices would add 3x their compact bytes.
+    cfg = M.ModelConfig(n_layers=1, d_model=256, n_heads=4, d_head=64, vocab_size=32,
+                        context_window=8)
+    batch, micro = 2, 1
+    params = M.init_params(cfg, seed=0)
+    masks = S.build_masks(params, S.SparsityPlan(level=0.75, seed=1))
+    state = TR.init_train_state(params, cfg, TR.Schedule(1e-3, 4), batch, seed=0, masks=masks,
+                                micro_batch_size=micro)
+    rows = np.random.default_rng(0).integers(0, cfg.vocab_size, size=(8, cfg.context_window))
+    data = PackedDataset(sequences=rows.astype(np.uint32), msl=cfg.context_window,
+                         offsets=np.arange(len(rows), dtype=np.uint64) * cfg.context_window)
+    scales = []
+
+    def recording_adamw_step(params, grads, opt, lr, clip_scale=1.0, step=TR.adamw_step):
+        scales.append(clip_scale)
+        return step(params, grads, opt, lr, clip_scale)
+
+    monkeypatch.setattr(TR, "adamw_step", recording_adamw_step)
+    TR.train_steps(state, data, n_steps=1, grad_clip=1e-3)  # builds the optimizer's scratch buffer
+    tracemalloc.start()
+    try:
+        TR.train_steps(state, data, n_steps=1, grad_clip=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(scales) == 2 and scales[-1] < 1.0  # clipping fired
+    active = masks.total_entries() - masks.total_zeros()
+    unmasked = sum(t.data.size for t in params.values()) - masks.total_entries()
+    largest = max(params[p].data.nbytes for p in masks.paths())
+    activations = needed_bytes(cfg, micro) + NODE_OVERHEAD * (2 * cfg.n_layers + 3)
+    bound = 4 * (unmasked + active) + 2 * largest + activations
+    assert peak <= bound, (peak, bound)

@@ -3,10 +3,12 @@ of its code: the loss from the tape-free `reference_forward`, the gradient
 from central differences of that loss, and the update from the unfused
 AdamW of `test_training.reference_adamw_step`.
 
-The step runs as `train_steps` runs it: masks, two micro-batches of unequal
+The step runs as `train_steps` runs it: masks, whose paths get gradients
+and moments at their active coordinates only, two micro-batches of unequal
 size (shares 2/3 and 1/3), each forward after the previous backward, and
 clipping that fires. The moments start nonzero at step 3, so the clip
 scale does not cancel out of the update as it would from zero moments.
+The oracles work on dense arrays, 0.0 at pruned coordinates.
 """
 
 import numpy as np
@@ -62,16 +64,24 @@ def test_one_training_step_matches_the_float64_oracles(monkeypatch):
         t.data[...] = (1.0 if path.endswith("gain") else 0.0) + rng.normal(0.0, 0.4, t.shape)
     masks = S.build_masks(params, S.SparsityPlan(level=0.5, seed=1))
     S.mask_gradients({p: t.data for p, t in params.items()}, masks)
-    opt = TR.OptimizerState.for_params(params)
+    ref_m, ref_v = {}, {}
+    for p, t in params.items():
+        ref_m[p] = rng.normal(0.0, 0.1, t.shape)
+        ref_v[p] = rng.uniform(0.01, 0.1, t.shape)
+    S.mask_gradients(ref_m, masks)
+    S.mask_gradients(ref_v, masks)
+    opt = TR.OptimizerState.for_params(params, masks)
     opt.step = 3
+
+    def active(p, a):
+        """`a`, dense, at the coordinates `opt` holds for path p."""
+        return a.reshape(-1)[opt.index[p]] if p in opt.index else a
+
     for p in params:
-        opt.m[p][...] = rng.normal(0.0, 0.1, opt.m[p].shape)
-        opt.v[p][...] = rng.uniform(0.01, 0.1, opt.v[p].shape)
-    S.mask_gradients(opt.m, masks)
-    S.mask_gradients(opt.v, masks)
+        opt.m[p][...] = active(p, ref_m[p])
+        opt.v[p][...] = active(p, ref_v[p])
     ref_params = M.clone_params(params)
-    ref_opt = TR.OptimizerState(m={p: a.copy() for p, a in opt.m.items()},
-                                v={p: a.copy() for p, a in opt.v.items()}, step=opt.step)
+    ref_opt = TR.OptimizerState(m=ref_m, v=ref_v, step=opt.step)
     tokens = rng.integers(0, cfg.vocab_size, size=(3, cfg.context_window))
 
     arrays = {p: t.data.copy() for p, t in params.items()}
@@ -91,22 +101,25 @@ def test_one_training_step_matches_the_float64_oracles(monkeypatch):
     chunks = (tokens[:2], tokens[2:])
     loss = TR._step(params, opt, LR, "step 4",
                     ((M.lm_loss(params, cfg, chunk), len(chunk) / len(tokens))
-                     for chunk in chunks), masks, grad_clip)
+                     for chunk in chunks), grad_clip)
 
     assert abs(loss - want_loss) <= TOL
     assert set(seen["grads"]) == set(want_grads)
     for p, g in seen["grads"].items():
-        assert np.abs(g - want_grads[p]).max() <= TOL, p
+        want = active(p, want_grads[p])
+        assert g.shape == want.shape, p
+        assert np.abs(g - want).max() <= TOL, p
     assert abs(seen["clip_scale"] - grad_clip / norm) <= TOL
 
     assert reference_adamw_step(ref_params, want_grads, ref_opt, LR, grad_clip)  # clipping fired
     for p, t in params.items():
         assert np.abs(t.data - ref_params[p].data).max() <= TOL, p
-        assert np.abs(opt.m[p] - ref_opt.m[p]).max() <= TOL, p
-        assert np.abs(opt.v[p] - ref_opt.v[p]).max() <= TOL, p
-        assert t.grad is None, p
+        assert np.abs(opt.m[p] - active(p, ref_opt.m[p])).max() <= TOL, p
+        assert np.abs(opt.v[p] - active(p, ref_opt.v[p])).max() <= TOL, p
+        assert t.grad is None and t.grad_index is None, p
     for p in masks.paths():
         pruned = ~masks[p]
         assert pruned.any()
-        for a in (params[p].data, opt.m[p], opt.v[p]):
+        assert opt.m[p].size == opt.v[p].size == np.count_nonzero(~pruned), p
+        for a in (params[p].data, ref_opt.m[p], ref_opt.v[p]):
             assert np.all(a[pruned] == 0.0), p

@@ -564,6 +564,18 @@ def test_grads_accumulate_across_separate_forwards():
     assert np.allclose(x.grad, 3.0)
 
 
+def test_an_indexed_leaf_keeps_its_gradient_at_the_index_only():
+    # the first gather becomes .grad and a later one is added into it, in the
+    # index's order; an entry off the index, NaN or inf here, never enters
+    x = t64(np.ones((2, 3)))
+    x.grad_index = np.array([1, 4, 5], dtype=np.int32)
+    w = np.array([[np.nan, 2.0, np.inf], [-np.inf, 3.0, 5.0]])
+    T.backward(tsum(mul(x, w)))
+    assert x.grad.tolist() == [2.0, 3.0, 5.0]
+    T.backward(tsum(mul(x, w)))
+    assert x.grad.tolist() == [4.0, 6.0, 10.0]
+
+
 def test_no_grad_suppresses_recording():
     x = t64(np.ones(4))
     with T.no_grad():

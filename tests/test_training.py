@@ -23,6 +23,7 @@ from sparselm import cli
 from sparselm import finetune as FT
 from sparselm import model as M
 from sparselm import sparsity as S
+from sparselm import tensor as T
 from sparselm import training as TR
 from sparselm.data import PackedDataset
 from sparselm.tensor import Tensor
@@ -165,7 +166,7 @@ def test_fused_adamw_matches_reference_in_float64():
         raw = {p: signs[p] * rng.uniform(0.5, 1.5, size=s) * scale for p, s in shapes.items()}
         grads = S.mask_gradients({p: g.copy() for p, g in raw.items()}, masks)
         before = {p: g.copy() for p, g in grads.items()}
-        norm = TR._global_grad_norm(grads)
+        norm = TR._global_grad_norm(fused, grads, opt.index)
         TR.adamw_step(fused, grads, opt, lr=1e-2,
                       clip_scale=grad_clip / norm if norm > grad_clip else 1.0)
         for p in grads:  # the fused step leaves the gradients as they were
@@ -204,18 +205,24 @@ def test_adamw_scratch_is_one_block():
         assert store["small"].data.dtype == np.float32
 
 
-def test_masked_adamw_scratch_is_an_index_block_and_three_blocks():
-    # a masked path's block gathers its weights and gradients beside the work
-    # block, at an intp copy of the block's index; the blocks count moment
-    # entries, which are the active coordinates
+def test_masked_adamw_scratch_is_an_index_block_and_two_blocks():
+    # a masked path's block gathers its weights beside the work block, at an
+    # intp copy of the block's index, and reads its compact gradient in
+    # place; the blocks count moment entries, which are the active
+    # coordinates. A dense gradient for a masked path is refused.
     block = TR.ADAMW_BLOCK
     for active, entries in ((block + 3, block), (5, 5)):
         store = M.ParamStore()
         store["layers.0.wq"] = Tensor(np.ones(2 * active, dtype=np.float32), requires_grad=True)
         masks = S.MaskSet({"layers.0.wq": S.pack_mask(np.arange(2 * active) % 2)})
         opt = TR.OptimizerState.for_params(store, masks)
-        TR.adamw_step(store, {"layers.0.wq": np.ones(2 * active, dtype=np.float32)}, opt, lr=0.1)
-        assert opt.scratch.nbytes == entries * (3 * 4 + np.dtype(np.intp).itemsize)
+        with pytest.raises(ContractError, match=f"'layers.0.wq': a gradient of {2 * active} "
+                                                f"entries for {active} moments"):
+            TR.adamw_step(store, {"layers.0.wq": np.ones(2 * active, dtype=np.float32)}, opt,
+                          lr=0.1)
+        assert np.all(store["layers.0.wq"].data == 1.0)
+        TR.adamw_step(store, {"layers.0.wq": np.ones(active, dtype=np.float32)}, opt, lr=0.1)
+        assert opt.scratch.nbytes == entries * (2 * 4 + np.dtype(np.intp).itemsize)
         assert np.array_equal(store["layers.0.wq"].data == 1.0, np.arange(2 * active) % 2 == 0)
 
 
@@ -253,7 +260,8 @@ def test_blocked_adamw_matches_unblocked_reference_bitwise(dtype):
     # a (3, n) weight whose size is no multiple of the block, a bias, and a
     # pruned quarter of the weight; the third store's optimizer holds the
     # weight's moments at its active coordinates only, which are more than
-    # one block and no multiple of it, and is given unmasked gradients
+    # one block and no multiple of it, and is given the weight's gradient
+    # at those coordinates only, as `_step` forms it
     rng = np.random.default_rng(6)
     n = (2 * TR.ADAMW_BLOCK + 1234) // 3
     init = {"layers.0.wq": rng.normal(size=(3, n)), "layers.0.bq": rng.normal(size=n)}
@@ -277,7 +285,8 @@ def test_blocked_adamw_matches_unblocked_reference_bitwise(dtype):
         TR.adamw_step(stores[0], {p: g.copy() for p, g in grads.items()}, opts[0], 1e-2,
                       clip_scale=clip_scale)
         unblocked_adamw_step(stores[1], grads, opts[1], 1e-2, clip_scale)
-        TR.adamw_step(stores[2], raw, opts[2], 1e-2, clip_scale=clip_scale)
+        compact = dict(raw, **{"layers.0.wq": raw["layers.0.wq"].reshape(-1)[active]})
+        TR.adamw_step(stores[2], compact, opts[2], 1e-2, clip_scale=clip_scale)
     expanded = {}  # the compact moments, +0.0 at pruned coordinates, as a checkpoint has them
     for name in ("m", "v"):
         dense = np.zeros_like(stores[2]["layers.0.wq"].data)
@@ -385,10 +394,11 @@ def test_grad_clip_runs():
 
 
 def test_clipped_sparse_float32_training_keeps_pruned_coordinates_zero(monkeypatch, tmp_path):
-    norms = []
+    norms, sizes = [], []
 
-    def recording_norm(grads, norm=TR._global_grad_norm):
-        norms.append(norm(grads))
+    def recording_norm(params, grads, index, norm=TR._global_grad_norm):
+        sizes.append({p: g.size for p, g in grads.items()})
+        norms.append(norm(params, grads, index))
         return norms[-1]
 
     monkeypatch.setattr(TR, "_global_grad_norm", recording_norm)
@@ -398,6 +408,8 @@ def test_clipped_sparse_float32_training_keeps_pruned_coordinates_zero(monkeypat
     state = pretrain(params, cfg, toy_dataset(), TR.Schedule(3e-3, 20), 4, seed=0,
                         masks=masks, grad_clip=0.5, micro_batch_size=2)
     assert len(norms) == 20 and any(n > 0.5 for n in norms)
+    # a masked path's gradient holds its active coordinates only
+    assert all(seen == {p: state.opt.m[p].size for p in state.params} for seen in sizes)
     opt_m, opt_v = stored_moments(state, tmp_path / "state.ckpt")
     for path in masks.paths():
         assert state.params[path].data.dtype == np.float32
@@ -407,6 +419,47 @@ def test_clipped_sparse_float32_training_keeps_pruned_coordinates_zero(monkeypat
         assert np.all(opt_m[path][pruned] == 0.0), path
         assert np.all(opt_v[path][pruned] == 0.0), path
         assert np.any(state.params[path].data[~pruned] != 0.0), path
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_a_compact_gradient_and_its_norm_keep_the_bits_of_the_masked_dense_gradient(
+        monkeypatch, dtype):
+    # one clipped step of two micro-batches: a masked path's gradient is the
+    # masked dense gradient at its active coordinates, byte for byte, and
+    # the clipping norm is np.dot over the masked dense gradients
+    cfg = tiny_config(n_layers=2)
+    masks = S.build_masks(M.init_params(cfg, seed=0), S.SparsityPlan(level=0.75, seed=3))
+    state = TR.init_train_state(M.init_params(cfg, seed=0, dtype=dtype), cfg,
+                                TR.Schedule(3e-3, 4), 4, seed=0, masks=masks, micro_batch_size=2)
+    tokens = toy_dataset().sequences[:4].astype(np.int64)
+    chunks = (tokens[:2], tokens[2:])
+    dense = M.clone_params(state.params)
+    for chunk in chunks:
+        T.backward(M.lm_loss(dense, cfg, chunk), scale=0.5)
+    want = S.mask_gradients({p: t.grad for p, t in dense.items()}, masks)
+    want_norm = math.sqrt(sum(float(np.dot(g.ravel(), g.ravel())) for g in want.values()))
+    seen = {}
+
+    def recording_norm(params, grads, index, norm=TR._global_grad_norm):
+        seen["norm"] = norm(params, grads, index)
+        return seen["norm"]
+
+    def recording_adamw_step(params, grads, opt, lr, clip_scale=1.0, step=TR.adamw_step):
+        seen.update(grads={p: g.copy() for p, g in grads.items()}, clip_scale=clip_scale)
+        return step(params, grads, opt, lr, clip_scale)
+
+    monkeypatch.setattr(TR, "_global_grad_norm", recording_norm)
+    monkeypatch.setattr(TR, "adamw_step", recording_adamw_step)
+    grad_clip = 0.5 * want_norm
+    TR._step(state.params, state.opt, 1e-3, "step 1",
+             ((M.lm_loss(state.params, cfg, chunk), 0.5) for chunk in chunks), grad_clip)
+    assert seen["norm"] == want_norm
+    assert seen["clip_scale"] == grad_clip / want_norm
+    assert list(seen["grads"]) == list(want)
+    for p, g in want.items():
+        expected = g.reshape(-1)[state.opt.index[p]] if p in masks else g
+        assert seen["grads"][p].dtype == np.dtype(dtype), p
+        assert seen["grads"][p].tobytes() == expected.tobytes(), p
 
 
 def test_nonfinite_loss_stops_training_at_its_step():
@@ -423,7 +476,7 @@ def test_nonfinite_gradient_norm_stops_clipped_training(monkeypatch):
     cfg = tiny_config()
     state = TR.init_train_state(M.init_params(cfg, seed=0), cfg, TR.Schedule(1e-3, 4), 4, seed=0)
     TR.train_steps(state, toy_dataset(), n_steps=1, grad_clip=1.0)
-    monkeypatch.setattr(TR, "_global_grad_norm", lambda grads: math.inf)
+    monkeypatch.setattr(TR, "_global_grad_norm", lambda params, grads, index: math.inf)
     before = {p: t.data.copy() for p, t in state.params.items()}
     with pytest.raises(ContractError, match=r"step 2: gradient norm is inf"):
         TR.train_steps(state, toy_dataset(), n_steps=1, grad_clip=1.0)
@@ -504,6 +557,7 @@ def test_init_train_state_masks_the_given_tensors_in_place():
 @pytest.mark.parametrize("mask_path,shape,error", [
     ("layers.0.wq", (1, 16), r"'layers\.0\.wq' has shape \(1, 16\)"),
     ("layers.3.wq", (16, 16), r"unknown parameter 'layers\.3\.wq'"),
+    ("tok_emb", (32, 16), r"mask for 'tok_emb', which is not one of the block matrices"),
 ])
 def test_init_train_state_rejects_a_mask_that_fits_no_parameter(mask_path, shape, error):
     cfg = tiny_config()
