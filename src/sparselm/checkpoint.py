@@ -14,7 +14,8 @@ Section payload encodings:
     tensor map   repeated [u16 path len][path][u8 dtype 0=f32/1=f64]
                  [u8 ndim][u32 extents...][raw little-endian floats]
     bitset map   repeated [u16 path len][path][u8 ndim][u32 extents...]
-                 [bits packed little-endian, one per element]; kept packed
+                 [bits packed little-endian, one per element]; read as the
+                 int32 flat index of the 1 bits
     json         UTF-8 JSON object, sorted keys (byte-stable); read against
                  a shape (`errors.check_record`)
     u64          one unsigned 64-bit integer
@@ -231,28 +232,35 @@ def decode_tensor_map(buf: bytes) -> dict[str, np.ndarray]:
     return out
 
 
-def encode_bitset_map(bitsets: dict) -> list:
+def encode_bitset_map(entries: dict) -> list:
     """Chunks of the payload, as for `encode_tensor_map`, from path ->
-    (shape, packed bits): the bits are written as they are."""
+    (shape, flat index of the 1 bits): each path's bits are packed from its
+    index only when its chunk is written."""
     chunks = []
-    for path, (shape, bits) in bitsets.items():
+    for path, (shape, index) in entries.items():
+        size = math.prod(shape)
         chunks.append(_pack_header(path, shape))
-        chunks.append(bits)
+        chunks.append(((size + 7) // 8, functools.partial(_pack_bits, index, size)))
     return chunks
 
 
+def _pack_bits(index, size):
+    bits = np.zeros(size, dtype=bool)
+    bits[index] = True
+    return np.packbits(bits, bitorder="little")
+
+
 def decode_bitset_map(buf: bytes) -> dict:
-    """path -> (shape, packed bits), the bits copied out of `buf` and kept
-    packed; bits past the last entry read as 0."""
+    """path -> (shape, int32 flat index of the 1 bits, row-major), each
+    path's bits unpacked only to build its index; bits past the last entry
+    are ignored."""
     buf, out, off = memoryview(buf), {}, 0
     while off < len(buf):
         path, _, shape, off = _read_header(buf, off, with_dtype=False)
         size = math.prod(shape)
         raw, off = _take(buf, off, (size + 7) // 8)
-        bits = np.frombuffer(raw, dtype=np.uint8).copy()
-        if size % 8:
-            bits[-1] &= (1 << size % 8) - 1
-        out[path] = (shape, bits)
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=size, bitorder="little")
+        out[path] = (shape, np.flatnonzero(bits).astype(np.int32))
     return out
 
 

@@ -185,7 +185,8 @@ def cmd_densify(args):
         dense = params
     else:
         dense = S.densify(params, masks)
-        print(f"reactivated {masks.total_zeros():,} weights at exactly 0.0")
+        pruned = sum(params[p].data.size - at.size for p, at in masks.index.items())
+        print(f"reactivated {pruned:,} weights at exactly 0.0")
     TR.save_model_checkpoint(args.out, config, dense, step=step)
     return EXIT_OK
 

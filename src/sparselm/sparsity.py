@@ -1,18 +1,18 @@
 """Static unstructured weight masks: build, apply, retire.
 
 Masks are drawn once at initialization by seeded random pruning and never
-change during pre-training. A `MaskSet` holds each as its shape and one bit
-per entry (1 = active), packed little-endian eight to a byte: the bytes of
-the checkpoint's bitset section, which are saved and loaded as they are.
-Only the six block matrices of `model.SPARSIFIABLE_ROLES` are masked.
-A mask is unpacked to bool one path at a time, where it is applied
-(`masks[path]`). `w * mask` gives the bits of a 0/1 mask of the weights'
-dtype, -0.0 and NaN included. The training loop applies the masks to the
-weights once, up front; after that only the active coordinates
-(`training.OptimizerState.index`) get a gradient and an update, which
-keeps masked weights exactly zero, numerically identical to multiplying
-mask*weights in every forward pass. Densification retires the mask,
-leaving the previously inactive weights at exactly 0.0 and trainable.
+change during pre-training. A `MaskSet` holds each as its shape and the
+int32 flat index of its active entries, row-major: the one record of what
+trains, which `training.OptimizerState.index` shares, array for array.
+Packed bits exist only in a checkpoint's bitset section, packed from the
+index as it is written and unpacked to it as it is read. Only the six block
+matrices of `model.SPARSIFIABLE_ROLES` are masked. A weight is masked
+through its index (`_zero_pruned`), which gives the bits of `w * mask`,
+-0.0 and NaN included. The training loop masks the weights once, up
+front; after that only the active coordinates get a gradient and an
+update, which keeps masked weights exactly zero, numerically identical to
+multiplying mask*weights in every forward pass. Densification retires the
+mask, leaving the previously inactive weights at exactly 0.0 and trainable.
 """
 
 from __future__ import annotations
@@ -40,43 +40,34 @@ class SparsityPlan:
         check_ranges({"sparsity": self.level, "seed": self.seed}, "a sparsity plan's {}".format)
 
 
-def pack_mask(mask):
-    """(shape, packed bits) of a 0/1 array: one bit per entry, 1 where it
-    is nonzero, in row-major order, little-endian within each byte."""
+def mask_index(mask):
+    """(shape, int32 flat index of its nonzero entries, row-major) of a 0/1
+    array: the entry a `MaskSet` holds for one path."""
     mask = np.asarray(mask)
-    return mask.shape, np.packbits(mask.reshape(-1) != 0, bitorder="little")
+    return mask.shape, np.flatnonzero(mask).astype(np.int32)
 
 
 class MaskSet:
-    """Masks keyed by parameter path (1 = active, 0 = pruned): `bitsets` maps
-    each path to its (shape, packed bits), as `pack_mask` gives them, held as
-    they are. The bits are all a MaskSet keeps; `global_sparsity` reads them."""
+    """Masks keyed by parameter path (1 = active, 0 = pruned), built from
+    path -> (shape, int32 flat index of the active entries), as `mask_index`
+    gives them: `shapes` and `index` hold the two halves. The index is all
+    a MaskSet keeps of a mask; the optimizer trains through the same arrays."""
 
-    def __init__(self, bitsets):
-        self.bitsets = dict(bitsets)
+    def __init__(self, entries):
+        self.shapes = {p: tuple(shape) for p, (shape, _) in entries.items()}
+        self.index = {p: at for p, (_, at) in entries.items()}
 
     def __contains__(self, path):
-        return path in self.bitsets
+        return path in self.index
 
     def __getitem__(self, path):
         """The mask of `path` as a fresh bool array of its shape."""
-        shape, bits = self.bitsets[path]
-        size = math.prod(shape)
-        return np.unpackbits(bits, count=size, bitorder="little").view(bool).reshape(shape)
+        mask = np.zeros(math.prod(self.shapes[path]), dtype=bool)
+        mask[self.index[path]] = True
+        return mask.reshape(self.shapes[path])
 
     def paths(self):
-        return list(self.bitsets)
-
-    def zeros_in(self, path) -> int:
-        shape, bits = self.bitsets[path]
-        # the bits past the last entry are 0
-        return math.prod(shape) - int(np.count_nonzero(np.unpackbits(bits)))
-
-    def total_zeros(self) -> int:
-        return sum(self.zeros_in(p) for p in self.bitsets)
-
-    def total_entries(self) -> int:
-        return sum(math.prod(shape) for shape, _ in self.bitsets.values())
+        return list(self.index)
 
 
 def build_masks(params: ParamStore, plan: SparsityPlan) -> MaskSet:
@@ -92,20 +83,20 @@ def build_masks(params: ParamStore, plan: SparsityPlan) -> MaskSet:
         flat = np.ones(n, dtype=bool)
         if z:
             flat[rng.permutation(n)[:z]] = False
-        masks[path] = pack_mask(flat.reshape(tensor.data.shape))
+        masks[path] = mask_index(flat.reshape(tensor.data.shape))
     return MaskSet(masks)
 
 
 def global_sparsity(masks: MaskSet) -> float:
     """Ratio of inactive entries over the sparsifiable-path total; 0.0 without masks."""
-    total = masks.total_entries()
-    return masks.total_zeros() / total if total else 0.0
+    total = sum(math.prod(shape) for shape in masks.shapes.values())
+    return (total - sum(at.size for at in masks.index.values())) / total if total else 0.0
 
 
 def check_masks(masks: MaskSet, params: ParamStore):
     """ContractError unless every mask names a block matrix of `params`
     (a path of `SPARSIFIABLE_ROLES`) and has its shape."""
-    for path, (shape, _) in masks.bitsets.items():
+    for path, shape in masks.shapes.items():
         if path not in params:
             raise ContractError(f"mask for unknown parameter {path!r}")
         if not is_sparsifiable(path):
@@ -118,22 +109,24 @@ def check_masks(masks: MaskSet, params: ParamStore):
 
 def apply_masks(masks: MaskSet, params: ParamStore) -> ParamStore:
     """Materialize mask*weights into a new store: a copy of `params`, masked
-    in place by `mask_gradients` as training masks its own weights."""
+    in place by `_zero_pruned` as training masks its own weights."""
     check_masks(masks, params)
     out = clone_params(params)
-    mask_gradients({path: t.data for path, t in out.items()}, masks)
+    _zero_pruned(out, masks)
     return out
 
 
-def mask_gradients(grads, masks: MaskSet):
-    """Zero the arrays of `grads` wherever the mask is False, in place: the
-    weights, once when a train state is built, and `apply_masks`' copies
-    (training forms no gradient at a pruned coordinate). Shapes are
-    checked by `check_masks` up front, not here."""
-    for path, g in grads.items():
-        if path in masks:
-            g *= masks[path]
-    return grads
+def _zero_pruned(params: ParamStore, masks: MaskSet):
+    """Zero each masked weight of `params` off its index, in place: the
+    active entries are gathered, the whole tensor is multiplied by 0.0 and
+    they are put back, which gives the bits of `w * mask` (-0.0 where w was
+    negative, NaN where it was NaN or infinite). Shapes are checked by
+    `check_masks` up front, not here."""
+    for path, at in masks.index.items():
+        w = params[path].data
+        keep = np.take(w, at)
+        w *= 0.0
+        np.put(w, at, keep)
 
 
 def densify(params: ParamStore, masks: MaskSet) -> ParamStore:

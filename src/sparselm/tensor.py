@@ -26,8 +26,9 @@ ops. `attention` keeps its q, k and v gradients in one scratch buffer and
 hands on only products and sums of it. No two leaves' `.grad` share
 memory, so an in-place update of one gradient never reaches another.
 
-A leaf with a `grad_index` (a masked weight while `training._step` runs)
-keeps only its gradient's entries at that flat index, in its order, as a
+A leaf with a `grad_index` (a masked weight while `training._step` runs:
+its mask set's int32 flat index of the active entries, the optimizer's own
+array) keeps only its gradient's entries at that index, in its order, as a
 1-D `.grad`: `_accum` gathers them from each buffer it is handed, so the
 dense gradient an adjoint forms is freed once gathered. `embedding`, which
 scatters into `table.grad` itself, is never handed an indexed table:

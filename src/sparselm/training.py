@@ -2,21 +2,23 @@
 checkpointing and loss tracing.
 
 `init_train_state` starts a run that `train_steps` continues. It trains
-the tensors it is given, in place, masked or not: the masks are multiplied
-into those weights once (no copy of the store is made). A masked path's
-AdamW moments and gradient hold only its active coordinates
-(`OptimizerState.index`, the one record of what trains), and the update
-reads and writes only those, so pruned weights stay exactly as masked
-(0.0) for the whole run. `_step` ends every pre-training and fine-tuning
-step: backward on each micro-batch loss, each masked weight's gradient
-gathered at its index as it is formed; then, with clipping on, the global
-norm of the gradients, passed as grad_clip / norm to `adamw_step` as
-`clip_scale`, which folds it into the moment coefficients instead of
-rescaling the gradients. A non-finite loss or norm stops the run before
-any update. `_step` drops every `.grad` right after `adamw_step`, so none
-is held between steps. `adamw_step` updates every parameter in place, one
-block of `ADAMW_BLOCK` moment entries at a time, through one reused
-scratch buffer.
+the tensors it is given, in place, masked or not: the masks are applied to
+those weights once (no copy of the store is made). A masked path's AdamW
+moments and gradient hold only its active coordinates, at the mask set's
+own int32 index (`MaskSet.index`, the one record of what trains, shared by
+`OptimizerState.index`), and the update reads and writes only those, so
+pruned weights stay exactly as masked (0.0) for the whole run. `_step`
+ends every pre-training and fine-tuning step: backward on each
+micro-batch loss, each masked weight's gradient gathered at its index as
+it is formed; then, with clipping on, the global norm of the gradients,
+passed as grad_clip / norm to `adamw_step` as `clip_scale`, which folds it
+into the moment coefficients instead of rescaling the gradients. A
+non-finite loss or norm stops the run before any update. `_step` drops
+every `.grad` right after `adamw_step`, so none is held between steps.
+`adamw_step` updates every parameter in place, one block of `ADAMW_BLOCK`
+moment entries at a time, through one work buffer that lasts the call, so
+a train state holds nothing between steps beyond its weights, moments,
+masks and RNG.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .errors import (LIBRARY_RULES, REQUIRED, ContractError, check_ranges, check
                      record_shape)
 from .model import (CONFIG_SHAPE, ModelConfig, ParamStore, SoftPrompt, check_virtual_ids,
                     lm_loss, param_specs)
-from .sparsity import MaskSet, check_masks, mask_gradients
+from .sparsity import MaskSet, _zero_pruned, check_masks
 from .tensor import Tensor
 
 # exponential moving average coefficient for the reported smoothed loss
@@ -87,40 +89,29 @@ def lr_at(schedule: Schedule, step: int) -> float:
 @dataclass
 class OptimizerState:
     """AdamW moments, update count and weight decay. A path in `index` is
-    masked: `index[path]` is the int32 flat index of its mask's 1 bits, and
-    its m and v, like the gradient `_step` forms for it, are 1-D, the
-    entries at those coordinates in row-major order; a pruned coordinate's
-    moments would be 0.0 for the whole run, and a checkpoint stores them so.
-    Every other path's moments have its shape. `scratch` is the one work
-    buffer every update reuses, built on the first step: raw bytes of one
-    block of the update (`ADAMW_BLOCK` moment entries, or fewer when no
-    parameter has that many), two such blocks and an intp copy of the
-    block's index for a masked path. Neither `index`, built from the masks,
-    nor `scratch` is checkpointed."""
+    masked: `index[path]` is its `MaskSet`'s int32 flat index of the active
+    entries, the same array, and its m and v, like the gradient `_step`
+    forms for it, are 1-D, the entries at those coordinates in row-major
+    order; a pruned coordinate's moments would be 0.0 for the whole run, and
+    a checkpoint stores them so. Every other path's moments have its shape.
+    `index` is not checkpointed: the masks section is."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
     weight_decay: float = 0.1
     index: dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
-    scratch: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         check_ranges(vars(self))
 
     @classmethod
     def for_params(cls, params, masks=None, **hyper):
-        index = _active_index(masks)
+        index = {} if masks is None else dict(masks.index)
         m = {p: np.zeros(index[p].size if p in index else t.data.shape, t.data.dtype)
              for p, t in params.items()}
         v = {p: np.zeros_like(a) for p, a in m.items()}
         return cls(m=m, v=v, index=index, **hyper)
-
-
-def _active_index(masks) -> dict[str, np.ndarray]:
-    """path -> int32 flat index of the mask's 1 bits, row-major; {} without masks."""
-    paths = masks.paths() if masks is not None else []
-    return {p: np.flatnonzero(masks[p]).astype(np.int32) for p in paths}
 
 
 def adamw_step(params, grads, opt: OptimizerState, lr: float, clip_scale: float = 1.0):
@@ -136,14 +127,15 @@ def adamw_step(params, grads, opt: OptimizerState, lr: float, clip_scale: float 
 
     which is p -= lr*(m/bc1)/(sqrt(v/bc2) + eps) + lr*lambda*p with the
     bias corrections folded into scalars, so each block of `ADAMW_BLOCK`
-    moment entries takes 13 in-place passes through `opt.scratch` and
-    nothing is allocated. A masked path's gradient is compact, as its
-    moments are, and its blocks run over both: the block's p entries at
-    `opt.index` are gathered into `opt.scratch` (beside an intp copy of the
-    block's index and the work block) and scattered back, so a pruned
-    weight is never touched. A gradient of another size than its moments
-    is refused. Every entry is updated alone, so neither blocking nor
-    gathering changes a bit."""
+    moment entries takes 13 in-place passes through one work buffer,
+    allocated once per call and freed when it returns: one block (or fewer
+    entries when no parameter has that many), and for a masked path two
+    blocks and an intp copy of the block's index. A masked path's gradient
+    is compact, as its moments are, and its blocks run over both: the
+    block's p entries at `opt.index` are gathered into the buffer and
+    scattered back, so a pruned weight is never touched. A gradient of
+    another size than its moments is refused. Every entry is updated alone,
+    so neither blocking nor gathering changes a bit."""
     opt.step += 1
     bc1 = 1.0 - ADAMW_BETA1 ** opt.step
     bc2 = 1.0 - ADAMW_BETA2 ** opt.step
@@ -156,8 +148,7 @@ def adamw_step(params, grads, opt: OptimizerState, lr: float, clip_scale: float 
     need = max((min(opt.m[p].size, ADAMW_BLOCK)
                 * (2 * t.data.itemsize + intp if p in opt.index else t.data.itemsize)
                 for p, t in params.items()), default=0)
-    if opt.scratch is None or opt.scratch.nbytes < need:
-        opt.scratch = np.empty(need, dtype=np.uint8)
+    scratch = np.empty(need, dtype=np.uint8)
     for path, tensor in params.items():
         grad = grads.get(path)
         if grad is None:
@@ -173,11 +164,11 @@ def adamw_step(params, grads, opt: OptimizerState, lr: float, clip_scale: float 
             m, v, g = m_all[block], v_all[block], g_all[block]
             if index is None:
                 p = p_all[block]
-                tmp = opt.scratch[:m.nbytes].view(m.dtype)
+                tmp = scratch[:m.nbytes].view(m.dtype)
             else:
-                at = opt.scratch[:m.size * intp].view(np.intp)
+                at = scratch[:m.size * intp].view(np.intp)
                 at[...] = index[block]
-                tmp, p = opt.scratch[at.nbytes:][:2 * m.nbytes].view(m.dtype).reshape(2, -1)
+                tmp, p = scratch[at.nbytes:][:2 * m.nbytes].view(m.dtype).reshape(2, -1)
                 # `at` lies inside the tensor: clipping never acts, and skips a buffered copy
                 np.take(p_all, at, out=p, mode="clip")
             np.multiply(g, m_coef, out=tmp)
@@ -246,7 +237,7 @@ def init_train_state(params, config, schedule, batch_size, seed,
         masks=masks, micro_batch_size=micro_batch_size,
     )
     if masks is not None:
-        mask_gradients({p: t.data for p, t in params.items()}, masks)
+        _zero_pruned(params, masks)
     return state
 
 
@@ -384,7 +375,7 @@ SECTION_SHAPES = {
     "config": CONFIG_SHAPE,
     "prompt_meta": {"virtual_ids": (list[int], REQUIRED)},
     "schedule": record_shape(Schedule),
-    "opt_meta": record_shape(OptimizerState, skip=("m", "v", "step", "index", "scratch")),
+    "opt_meta": record_shape(OptimizerState, skip=("m", "v", "step", "index")),
     "trainer": record_shape(TrainState, skip=("params", "config", "schedule", "opt", "rng",
                                               "masks", "trace")),
     "rng": {"bit_generator": (str, REQUIRED), "has_uint32": (int, REQUIRED),
@@ -414,7 +405,8 @@ def _encode_model(config, params, step, masks=None, prompt=None) -> dict[str, by
         "step": C.encode_u64(step),
     }
     if masks is not None:
-        sections["masks"] = C.encode_bitset_map(masks.bitsets)
+        sections["masks"] = C.encode_bitset_map({p: (masks.shapes[p], at)
+                                                 for p, at in masks.index.items()})
     if prompt is not None:
         sections["prompt"] = C.encode_tensor_map({"embeddings": prompt.embeddings.data})
         sections["prompt_meta"] = C.encode_json({"virtual_ids": list(prompt.virtual_ids)})
@@ -484,7 +476,7 @@ def load_train_state(path) -> TrainState:
     with naming(path):
         _require(sections, ("schedule", "opt_m", "opt_v", "opt_meta", "trainer", "rng"))
         config, params, step, masks, _ = _decode_model(sections)
-        index = _active_index(masks)
+        index = {} if masks is None else dict(masks.index)
         _compact({p: t.data for p, t in params.items()}, index, "params section")
         shapes = {p: t.data.shape for p, t in params.items()}
         m, v = (_compact(check_shapes(C.decode_tensor_map(sections.pop(name)), shapes,

@@ -1,6 +1,8 @@
 import ast
+import functools
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -99,11 +101,13 @@ def test_every_public_name_has_a_reader():
     assert unread == []
 
 
-def perfbench_tracing():
-    """perfbench/tracing.py, which loads no sparselm code, as a module."""
+@functools.cache
+def perfbench_module(name):
+    """perfbench/<name>.py as a module, loaded once from its file as it is
+    (registered first: its dataclasses look their module up)."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", next(p for p in PERFBENCH if p.name == "tracing.py"))
-    module = importlib.util.module_from_spec(spec)
+        f"perfbench_{name}", next(p for p in PERFBENCH if p.stem == name))
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
@@ -113,7 +117,7 @@ def test_the_spans_perfbench_reads_stay_direct_children():
     # the next `training.adamw_step`, both direct children of
     # `finetune.finetune_dense`, and counts `finetune.prompt_forward` children of
     # `evaluation.score_labels`; a public helper in between would empty them
-    tracing = perfbench_tracing()
+    tracing = perfbench_module("tracing")
     for layer in tracing.LAYERS:  # `Tracer.installed` wraps each of these
         importlib.import_module(f"sparselm.{layer}")
     cfg = M.ModelConfig(n_layers=1, d_model=16, n_heads=2, d_head=8, vocab_size=16,
@@ -140,3 +144,27 @@ def test_the_spans_perfbench_reads_stay_direct_children():
     for i in scores:
         children = [index.spans[c][1] for c in index.children[i]]
         assert children.count("finetune.prompt_forward") == 1
+
+
+@pytest.mark.parametrize("name", ["pretrain-small", "pretrain-wide"])
+def test_the_benchmark_workloads_set_up_and_pass_their_checks(name, tmp_path):
+    # a library change that breaks a call perfbench makes would otherwise show
+    # only as a failed benchmark run: each workload's set-up (data, masks, a
+    # train state and its warm-up step) and its output checks (pruned weights
+    # at 0.0, a train checkpoint round trip, the tokenizer's) run as they are
+    workload = perfbench_module("workloads").WORKLOADS[name]
+    ctx = workload.setup(1, str(tmp_path), perfbench_module("tracing").NullTracer())
+    checks = workload.checks(ctx, None)
+    assert {"pruned_coordinates_zero", "train_state_roundtrip"} <= checks.keys()
+    assert all(checks.values()), checks
+
+
+def test_the_benchmark_downstream_stages_pass_their_checks(tmp_path):
+    # save, load and densify an s=0.75 model, fine-tune it with a soft prompt,
+    # score and generate labels, as the benchmark's pretrain-small run does
+    downstream = perfbench_module("workloads").Downstream()
+    out = downstream.run(1, str(tmp_path), perfbench_module("tracing").NullTracer())
+    checks = downstream.checks(out)
+    assert checks.keys() == {"model_checkpoint_roundtrip", "densify_equals_mask_times_weights",
+                             "eval_accuracy_floor"}
+    assert all(checks.values()), checks

@@ -534,10 +534,10 @@ def test_a_mask_outside_the_block_matrices_is_refused_naming_the_path(base, full
     # only the six block matrices are sparsified: a mask on any other
     # parameter, of its shape, is refused by every loader and reader
     params = TR.load_model_checkpoint(base / "final.ckpt")[1]
-    bitsets = C.decode_bitset_map(full_ckpt["masks"])
-    bitsets[tensor] = S.pack_mask(np.ones(params[tensor].data.shape))
+    entries = C.decode_bitset_map(full_ckpt["masks"])
+    entries[tensor] = S.mask_index(np.ones(params[tensor].data.shape))
     path = tmp_path / "damaged.ckpt"
-    C.save_container(path, dict(full_ckpt, masks=C.encode_bitset_map(bitsets)))
+    C.save_container(path, dict(full_ckpt, masks=C.encode_bitset_map(entries)))
     assert_refused(base, path, "masks", f"mask for {tensor!r}, which is not one of the block "
                    f"matrices wq, wk, wv, wo, w_ff_in, w_ff_out", tmp_path)
 

@@ -1,7 +1,6 @@
 """What a training forward, a mask set, a train state and a sparse step hold,
 measured with tracemalloc."""
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -21,6 +20,15 @@ NODE_OVERHEAD = 4096
 # Python objects per parameter of a train state: its Tensor, the headers of its
 # weight and two moment arrays, dict entries and the RNG's share; about 620 bytes
 PARAM_OVERHEAD = 1024
+# Python objects per path of a mask set: its shape tuple, the header of its
+# index array and dict entries; about 300 bytes
+MASK_OVERHEAD = 512
+# one StepRecord with its float fields, and its slot in the trace list; about 300 bytes
+TRACE_RECORD_BYTES = 512
+# numpy keeps freed buffers under 1 KB in per-size caches for reuse, and
+# tracemalloc counts them as held: 1.5-6.5 KB over one step here, twice
+# that allowed; a kept AdamW buffer would be 256 KiB
+NUMPY_CACHE_BYTES = 16384
 
 
 def held_bytes(make):
@@ -70,14 +78,18 @@ def test_a_training_forward_holds_what_its_backward_needs():
     T.backward(loss)
 
 
-def test_a_mask_set_holds_one_bit_per_entry():
+def active_entries(masks):
+    return sum(np.count_nonzero(masks[p]) for p in masks.paths())
+
+
+def test_a_mask_set_holds_one_int32_per_active_entry():
     params = M.init_params(CFG, seed=0)
     masks, held = held_bytes(lambda: S.build_masks(params, S.SparsityPlan(level=0.5, seed=1)))
-    sizes = [params[p].data.size for p in masks.paths()]
-    assert held <= sum(math.ceil(n / 8) + 512 for n in sizes), (held, sum(sizes))
+    active = active_entries(masks)
+    assert held <= 4 * active + MASK_OVERHEAD * len(masks.paths()), (held, active)
     for p in masks.paths():
         assert masks[p].dtype == np.bool_ and masks[p].shape == params[p].data.shape
-        assert masks.zeros_in(p) == S.zero_count(0.5, params[p].data.size)
+        assert masks[p].size - np.count_nonzero(masks[p]) == S.zero_count(0.5, params[p].data.size)
 
 
 def test_a_sparse_train_state_holds_moments_of_the_active_coordinates_only():
@@ -88,12 +100,13 @@ def test_a_sparse_train_state_holds_moments_of_the_active_coordinates_only():
     state, held = held_bytes(lambda: TR.init_train_state(
         M.init_params(CFG, seed=0), CFG, TR.Schedule(1e-3, 4), BATCH, seed=0, masks=masks))
     entries = sum(t.data.size for t in state.params.values())
-    active = masks.total_entries() - masks.total_zeros()
-    unmasked = entries - masks.total_entries()
+    active = active_entries(masks)
+    unmasked = sum(t.data.size for p, t in state.params.items() if p not in masks)
     for p, t in state.params.items():
-        size = t.data.size - masks.zeros_in(p) if p in masks else t.data.size
+        size = np.count_nonzero(masks[p]) if p in masks else t.data.size
         assert state.opt.m[p].size == state.opt.v[p].size == size, p
-    assert state.opt.scratch is None
+    # the optimizer's index arrays are the mask set's: the state holds each once
+    assert all(state.opt.index[p] is masks.index[p] for p in masks.paths())
     bound = 4 * entries + 2 * 4 * (active + unmasked) + 4 * active  # weights, moments, index
     assert held <= bound + PARAM_OVERHEAD * len(state.params), (held, bound)
 
@@ -123,7 +136,7 @@ def test_a_clipped_micro_batched_sparse_step_forms_only_compact_weight_gradients
         return step(params, grads, opt, lr, clip_scale)
 
     monkeypatch.setattr(TR, "adamw_step", recording_adamw_step)
-    TR.train_steps(state, data, n_steps=1, grad_clip=1e-3)  # builds the optimizer's scratch buffer
+    TR.train_steps(state, data, n_steps=1, grad_clip=1e-3)  # first-call allocations
     tracemalloc.start()
     try:
         TR.train_steps(state, data, n_steps=1, grad_clip=1e-3)
@@ -131,9 +144,32 @@ def test_a_clipped_micro_batched_sparse_step_forms_only_compact_weight_gradients
     finally:
         tracemalloc.stop()
     assert len(scales) == 2 and scales[-1] < 1.0  # clipping fired
-    active = masks.total_entries() - masks.total_zeros()
-    unmasked = sum(t.data.size for t in params.values()) - masks.total_entries()
+    active = active_entries(masks)
+    unmasked = sum(t.data.size for p, t in params.items() if p not in masks)
     largest = max(params[p].data.nbytes for p in masks.paths())
     activations = needed_bytes(cfg, micro) + NODE_OVERHEAD * (2 * cfg.n_layers + 3)
     bound = 4 * (unmasked + active) + 2 * largest + activations
     assert peak <= bound, (peak, bound)
+
+
+def test_a_sparse_train_state_holds_nothing_new_after_a_clipped_micro_batched_step():
+    # the step's gradients are dropped and AdamW's work buffer (256 KiB
+    # here) lasts one update, so what a step leaves allocated is its trace
+    # record, one StepRecord with its floats and the trace list's slot,
+    # beside what numpy caches
+    cfg = M.ModelConfig(n_layers=1, d_model=256, n_heads=4, d_head=64, vocab_size=32,
+                        context_window=8)
+    params = M.init_params(cfg, seed=0)
+    masks = S.build_masks(params, S.SparsityPlan(level=0.75, seed=1))
+    state = TR.init_train_state(params, cfg, TR.Schedule(1e-3, 4), 2, seed=0, masks=masks,
+                                micro_batch_size=1)
+    assert state.opt.index.keys() == masks.index.keys()
+    assert all(state.opt.index[p] is masks.index[p] for p in masks.paths())
+    rows = np.random.default_rng(0).integers(0, cfg.vocab_size, size=(8, cfg.context_window))
+    data = PackedDataset(sequences=rows.astype(np.uint32), msl=cfg.context_window,
+                         offsets=np.arange(len(rows), dtype=np.uint64) * cfg.context_window)
+    for step in range(2):
+        _, held = held_bytes(lambda: TR.train_steps(state, data, n_steps=1, grad_clip=1e-3))
+        assert held <= TRACE_RECORD_BYTES + NUMPY_CACHE_BYTES, (step, held)
+    assert all(t.grad is None and t.grad_index is None for t in state.params.values())
+    assert all(state.opt.index[p] is masks.index[p] for p in masks.paths())

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from sparselm.errors import ContractError
 from sparselm import model as M
 from sparselm import sparsity as S
+from sparselm import training as TR
 from sparselm.tensor import Tensor
 
 from full_logits import full_logits
@@ -23,10 +24,15 @@ def single_path_store(n=8):
     return store
 
 
+def zeros_in(masks, path):
+    """The pruned entries of one path's mask, counted on its bool array."""
+    return masks[path].size - np.count_nonzero(masks[path])
+
+
 def test_build_masks_exact_zero_count():
     store = single_path_store(8)
     masks = S.build_masks(store, S.SparsityPlan(level=0.5, seed=0))
-    assert masks.zeros_in("layers.0.wq") == 4
+    assert zeros_in(masks, "layers.0.wq") == 4
     repeat = S.build_masks(store, S.SparsityPlan(level=0.5, seed=0))
     assert np.array_equal(masks["layers.0.wq"], repeat["layers.0.wq"])
 
@@ -64,7 +70,7 @@ def test_masks_cover_every_sparsifiable_path():
     masks = S.build_masks(store, S.SparsityPlan(level=0.25, seed=0))
     assert sorted(masks.paths()) == sorted(store.sparsifiable_paths())
     for path in masks.paths():
-        assert masks.zeros_in(path) == S.zero_count(0.25, store[path].data.size)
+        assert zeros_in(masks, path) == S.zero_count(0.25, store[path].data.size)
 
 
 def test_global_sparsity_hand_example():
@@ -100,14 +106,14 @@ def test_remaining_params_are_the_masks_active_count():
         for level in (0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 0.9):
             masks = S.build_masks(M.init_params(cfg, seed=0), S.SparsityPlan(level=level))
             assert M.sparse_matrix_params(cfg, level) == \
-                masks.total_entries() - masks.total_zeros(), (cfg, level)
+                sum(np.count_nonzero(masks[p]) for p in masks.paths()), (cfg, level)
 
 
 def test_apply_elementwise_product():
     store = M.ParamStore()
     store["layers.0.wq"] = Tensor(np.array([[1.0, 2.0, 3.0, 4.0]]), requires_grad=True)
-    masks = S.MaskSet({"layers.0.wq": S.pack_mask(np.array([[1.0, 0.0, 1.0, 0.0]],
-                                                           dtype=np.float32))})
+    masks = S.MaskSet({"layers.0.wq": S.mask_index(np.array([[1.0, 0.0, 1.0, 0.0]],
+                                                            dtype=np.float32))})
     out = S.apply_masks(masks, store)
     assert np.array_equal(out["layers.0.wq"].data, [[1.0, 0.0, 3.0, 0.0]])
 
@@ -131,17 +137,21 @@ def test_apply_idempotent(n, level):
     once = S.apply_masks(masks, store)
     twice = S.apply_masks(masks, once)
     assert np.array_equal(once["layers.0.wq"].data, twice["layers.0.wq"].data)
-    assert masks.zeros_in("layers.0.wq") == S.zero_count(level, n)
+    assert zeros_in(masks, "layers.0.wq") == S.zero_count(level, n)
 
 
-def test_masks_are_held_as_bool():
-    # held as packed bits, read one path at a time as bool
+def test_masks_are_held_as_their_int32_index_and_read_as_bool():
+    # held as the int32 flat index of the active entries, read one path at a time as bool
     masks = S.build_masks(M.init_params(tiny_config(), seed=0), S.SparsityPlan(level=0.5, seed=1))
     assert all(masks[p].dtype == np.bool_ for p in masks.paths())
-    given_float = S.MaskSet({"layers.0.wq": S.pack_mask(np.array([[1.0, 0.0]],
-                                                                 dtype=np.float32))})
+    for p in masks.paths():
+        assert masks.index[p].dtype == np.int32
+        assert np.array_equal(masks.index[p], np.flatnonzero(masks[p]))
+    given_float = S.MaskSet({"layers.0.wq": S.mask_index(np.array([[1.0, 0.0]],
+                                                                  dtype=np.float32))})
     assert given_float["layers.0.wq"].dtype == np.bool_
     assert given_float["layers.0.wq"].tolist() == [[True, False]]
+    assert given_float["layers.0.wq"] is not given_float["layers.0.wq"]  # a fresh array
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -157,18 +167,38 @@ def test_bool_mask_gives_the_bits_of_a_float_mask(dtype):
 
 
 def test_densify_rejects_a_mask_of_another_shape():
-    masks = S.MaskSet({"layers.0.wq": S.pack_mask(np.zeros((1, 1), dtype=bool))})
+    masks = S.MaskSet({"layers.0.wq": S.mask_index(np.zeros((1, 1), dtype=bool))})
     with pytest.raises(ContractError, match="mask shape"):
         S.densify(single_path_store(8), masks)
 
 
-def test_mask_gradients():
-    masks = S.MaskSet({"layers.0.wq": S.pack_mask(np.array([0.0, 1.0], dtype=np.float32))})
-    grads = {"layers.0.wq": np.array([1.0, 1.0], dtype=np.float32),
-             "tok_emb": np.array([2.0, 2.0], dtype=np.float32)}
-    out = S.mask_gradients(grads, masks)
-    assert np.array_equal(out["layers.0.wq"], [0.0, 1.0])
-    assert np.array_equal(out["tok_emb"], [2.0, 2.0])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_masking_through_the_index_keeps_the_bits_of_w_times_mask(dtype):
+    # NaN, +-inf, +0.0 and -0.0 at pruned coordinates (and among the active
+    # ones), through every way the library masks weights: apply_masks,
+    # densify and init_train_state, which masks the store it is given
+    cfg = tiny_config(n_layers=1)
+    store = M.init_params(cfg, seed=0)
+    specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, -1.5, 2.0, -np.nan], dtype=dtype)
+    for t in store.values():
+        t.data = t.data.astype(dtype)
+    for i, path in enumerate(sorted(store.sparsifiable_paths())):
+        flat = store[path].data.reshape(-1)
+        flat[:3 * len(specials)] = np.roll(np.tile(specials, 3), i)
+    masks = S.build_masks(store, S.SparsityPlan(level=0.5, seed=3))
+    for path in masks.paths():
+        mask = masks[path].reshape(-1)
+        assert not mask[:3 * len(specials)].all() and mask[:3 * len(specials)].any(), path
+    with np.errstate(invalid="ignore"):  # inf * 0 is NaN either way
+        want = {p: (t.data * masks[p].astype(dtype) if p in masks else t.data).tobytes()
+                for p, t in store.items()}
+        applied = S.apply_masks(masks, store)
+        dense = S.densify(store, masks)
+        trained = TR.init_train_state(M.clone_params(store), cfg, TR.Schedule(1e-3, 4), 2,
+                                      seed=0, masks=masks).params
+    for got in (applied, dense, trained):
+        assert {p: t.data.tobytes() for p, t in got.items()} == want
+        assert all(t.data.dtype == dtype for t in got.values())
 
 
 def masked_by_hand(store, masks):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toytask
-from toytask import pretrain, stored_moments
+from toytask import mask_by_hand, pretrain, stored_moments
 from sparselm.errors import ContractError
 from sparselm import checkpoint as C
 from sparselm import cli
@@ -102,10 +102,10 @@ def test_adamw_masked_coordinate_stays_zero():
     store = M.ParamStore()
     store["layers.0.wq"] = Tensor(np.array([3.0, 1.0], dtype=np.float32) * mask,
                                   requires_grad=True)
-    masks = S.MaskSet({"layers.0.wq": S.pack_mask(mask)})
+    masks = S.MaskSet({"layers.0.wq": S.mask_index(mask)})
     opt = TR.OptimizerState.for_params(store, weight_decay=0.1)
     for _ in range(5):
-        grads = S.mask_gradients({"layers.0.wq": np.array([1.0, 1.0], dtype=np.float32)}, masks)
+        grads = mask_by_hand({"layers.0.wq": np.array([1.0, 1.0], dtype=np.float32)}, masks)
         TR.adamw_step(store, grads, opt, lr=0.1)
     assert store["layers.0.wq"].data[0] == 0.0
     assert opt.m["layers.0.wq"][0] == 0.0 and opt.v["layers.0.wq"][0] == 0.0
@@ -142,9 +142,9 @@ def test_fused_adamw_matches_reference_in_float64():
     rng = np.random.default_rng(5)
     shapes = {"layers.0.wq": (6, 5), "layers.0.w_ff_in": (5, 7), "tok_emb": (9, 5),
               "ln_f.gain": (5,)}
-    masks = S.MaskSet({"layers.0.wq": S.pack_mask((rng.random((6, 5)) > 0.5).astype(np.float64)),
-                       "layers.0.w_ff_in": S.pack_mask((rng.random((5, 7)) > 0.75)
-                                                       .astype(np.float64))})
+    masks = S.MaskSet({"layers.0.wq": S.mask_index((rng.random((6, 5)) > 0.5).astype(np.float64)),
+                       "layers.0.w_ff_in": S.mask_index((rng.random((5, 7)) > 0.75)
+                                                        .astype(np.float64))})
     # weights of magnitude 0.5-1.5 and gradients of one sign per coordinate,
     # so no value passes near zero and a relative tolerance is meaningful
     init = {p: rng.choice([-1.0, 1.0], size=s) * rng.uniform(0.5, 1.5, size=s)
@@ -164,14 +164,14 @@ def test_fused_adamw_matches_reference_in_float64():
     for step in range(20):
         scale = 3.0 if step % 3 == 0 else 0.05
         raw = {p: signs[p] * rng.uniform(0.5, 1.5, size=s) * scale for p, s in shapes.items()}
-        grads = S.mask_gradients({p: g.copy() for p, g in raw.items()}, masks)
+        grads = mask_by_hand({p: g.copy() for p, g in raw.items()}, masks)
         before = {p: g.copy() for p, g in grads.items()}
         norm = TR._global_grad_norm(fused, grads, opt.index)
         TR.adamw_step(fused, grads, opt, lr=1e-2,
                       clip_scale=grad_clip / norm if norm > grad_clip else 1.0)
         for p in grads:  # the fused step leaves the gradients as they were
             assert np.array_equal(grads[p], before[p]), p
-        ref_grads = S.mask_gradients({p: g.copy() for p, g in raw.items()}, masks)
+        ref_grads = mask_by_hand({p: g.copy() for p, g in raw.items()}, masks)
         fired.append(reference_adamw_step(reference, ref_grads, ref_opt, 1e-2, grad_clip))
     assert any(fired) and not all(fired)
     assert opt.step == ref_opt.step == 20
@@ -185,9 +185,29 @@ def test_fused_adamw_matches_reference_in_float64():
         assert np.all(opt.m[p][pruned] == 0.0) and np.all(opt.v[p][pruned] == 0.0)
 
 
-def test_adamw_scratch_is_one_block():
+def adamw_held_and_peak(store, grads, opt):
+    """(bytes one `adamw_step` leaves allocated, its peak over what was
+    allocated before it), by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        TR.adamw_step(store, grads, opt, lr=0.1)
+        now, peak = tracemalloc.get_traced_memory()
+        return now - before, peak - before
+    finally:
+        tracemalloc.stop()
+
+
+# the Python objects of one update (block views, scalars, generators), and
+# the freed buffers under 1 KB that numpy caches for reuse, which
+# tracemalloc counts as held
+ADAMW_OVERHEAD = 4096
+
+
+def test_adamw_scratch_is_one_block_and_lasts_one_update():
     # one block of the largest dtype, or the largest parameter when that is
-    # smaller; built on the first step and reused by the next
+    # smaller, allocated by each update and freed when it returns
     block = TR.ADAMW_BLOCK
     for large, want in ((np.ones((4, 5)), 20 * 8),
                         (np.ones(2 * block + 5, dtype=np.float32), block * 4)):
@@ -195,17 +215,15 @@ def test_adamw_scratch_is_one_block():
         store["small"] = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
         store["large"] = Tensor(large, requires_grad=True)
         opt = TR.OptimizerState.for_params(store)
-        assert opt.scratch is None
         grads = {p: np.ones_like(t.data) for p, t in store.items()}
-        TR.adamw_step(store, grads, opt, lr=0.1)
-        scratch = opt.scratch
-        assert scratch.nbytes == want
-        TR.adamw_step(store, grads, opt, lr=0.1)
-        assert opt.scratch is scratch
+        for _ in range(2):
+            held, peak = adamw_held_and_peak(store, grads, opt)
+            assert held <= ADAMW_OVERHEAD and want <= peak <= want + ADAMW_OVERHEAD, \
+                (held, peak, want)
         assert store["small"].data.dtype == np.float32
 
 
-def test_masked_adamw_scratch_is_an_index_block_and_two_blocks():
+def test_masked_adamw_scratch_is_an_index_block_and_two_blocks_for_one_update():
     # a masked path's block gathers its weights beside the work block, at an
     # intp copy of the block's index, and reads its compact gradient in
     # place; the blocks count moment entries, which are the active
@@ -214,15 +232,18 @@ def test_masked_adamw_scratch_is_an_index_block_and_two_blocks():
     for active, entries in ((block + 3, block), (5, 5)):
         store = M.ParamStore()
         store["layers.0.wq"] = Tensor(np.ones(2 * active, dtype=np.float32), requires_grad=True)
-        masks = S.MaskSet({"layers.0.wq": S.pack_mask(np.arange(2 * active) % 2)})
+        masks = S.MaskSet({"layers.0.wq": S.mask_index(np.arange(2 * active) % 2)})
         opt = TR.OptimizerState.for_params(store, masks)
         with pytest.raises(ContractError, match=f"'layers.0.wq': a gradient of {2 * active} "
                                                 f"entries for {active} moments"):
             TR.adamw_step(store, {"layers.0.wq": np.ones(2 * active, dtype=np.float32)}, opt,
                           lr=0.1)
         assert np.all(store["layers.0.wq"].data == 1.0)
-        TR.adamw_step(store, {"layers.0.wq": np.ones(active, dtype=np.float32)}, opt, lr=0.1)
-        assert opt.scratch.nbytes == entries * (2 * 4 + np.dtype(np.intp).itemsize)
+        held, peak = adamw_held_and_peak(store, {"layers.0.wq": np.ones(active, dtype=np.float32)},
+                                         opt)
+        want = entries * (2 * 4 + np.dtype(np.intp).itemsize)
+        assert held <= ADAMW_OVERHEAD and want <= peak <= want + ADAMW_OVERHEAD, \
+            (held, peak, want)
         assert np.array_equal(store["layers.0.wq"].data == 1.0, np.arange(2 * active) % 2 == 0)
 
 
@@ -265,7 +286,7 @@ def test_blocked_adamw_matches_unblocked_reference_bitwise(dtype):
     rng = np.random.default_rng(6)
     n = (2 * TR.ADAMW_BLOCK + 1234) // 3
     init = {"layers.0.wq": rng.normal(size=(3, n)), "layers.0.bq": rng.normal(size=n)}
-    masks = S.MaskSet({"layers.0.wq": S.pack_mask(rng.random((3, n)) > 0.25)})
+    masks = S.MaskSet({"layers.0.wq": S.mask_index(rng.random((3, n)) > 0.25)})
     active = np.flatnonzero(masks["layers.0.wq"])
     assert (3 * n) % TR.ADAMW_BLOCK
     assert active.size > TR.ADAMW_BLOCK and active.size % TR.ADAMW_BLOCK
@@ -273,14 +294,14 @@ def test_blocked_adamw_matches_unblocked_reference_bitwise(dtype):
     for opt_masks in (None, None, masks):
         store = M.ParamStore((p, Tensor(a, requires_grad=True, dtype=dtype))
                              for p, a in init.items())
-        S.mask_gradients({p: t.data for p, t in store.items()}, masks)
+        mask_by_hand({p: t.data for p, t in store.items()}, masks)
         stores.append(store)
         opts.append(TR.OptimizerState.for_params(store, opt_masks, weight_decay=0.1))
     assert opts[2].m["layers.0.wq"].shape == opts[2].v["layers.0.wq"].shape == active.shape
     for step in range(4):
         raw = {p: rng.normal(size=a.shape).astype(stores[0][p].data.dtype)
                for p, a in init.items()}
-        grads = S.mask_gradients({p: g.copy() for p, g in raw.items()}, masks)
+        grads = mask_by_hand({p: g.copy() for p, g in raw.items()}, masks)
         clip_scale = 0.3 if step % 2 else 1.0
         TR.adamw_step(stores[0], {p: g.copy() for p, g in grads.items()}, opts[0], 1e-2,
                       clip_scale=clip_scale)
@@ -436,7 +457,7 @@ def test_a_compact_gradient_and_its_norm_keep_the_bits_of_the_masked_dense_gradi
     dense = M.clone_params(state.params)
     for chunk in chunks:
         T.backward(M.lm_loss(dense, cfg, chunk), scale=0.5)
-    want = S.mask_gradients({p: t.grad for p, t in dense.items()}, masks)
+    want = mask_by_hand({p: t.grad for p, t in dense.items()}, masks)
     want_norm = math.sqrt(sum(float(np.dot(g.ravel(), g.ravel())) for g in want.values()))
     seen = {}
 
@@ -563,8 +584,8 @@ def test_init_train_state_rejects_a_mask_that_fits_no_parameter(mask_path, shape
     cfg = tiny_config()
     params = M.init_params(cfg, seed=0)
     before = {p: t.data.copy() for p, t in params.items()}
-    masks = S.MaskSet({"layers.0.wk": S.pack_mask(np.zeros((16, 16), dtype=bool)),
-                       mask_path: S.pack_mask(np.zeros(shape, dtype=bool))})
+    masks = S.MaskSet({"layers.0.wk": S.mask_index(np.zeros((16, 16), dtype=bool)),
+                       mask_path: S.mask_index(np.zeros(shape, dtype=bool))})
     with pytest.raises(ContractError, match=error):
         TR.init_train_state(params, cfg, TR.Schedule(1e-3, 5), 2, seed=0, masks=masks)
     for p in before:  # every mask is checked before any weight is touched
@@ -675,14 +696,14 @@ def test_clipped_micro_batched_resume_is_bitwise_identical(tmp_path):
 
     state = TR.init_train_state(M.init_params(cfg, seed=0), cfg, sched, 4, seed=9, **run)
     TR.train_steps(state, toy_dataset(), n_steps=4, grad_clip=0.5)
-    assert state.opt.scratch is not None
     path = tmp_path / "mid.ckpt"
     TR.save_train_state(path, state)
-    # the optimizer's scratch buffer is not serialized: the sections are the same
     assert list(C.load_container(path)) == TRAIN_SECTIONS
     resumed = TR.load_train_state(path)
     assert resumed.step == 4 and resumed.micro_batch_size == 2
-    assert resumed.opt.scratch is None
+    # the loaded optimizer trains through the loaded mask set's own index arrays
+    assert resumed.opt.index.keys() == resumed.masks.index.keys()
+    assert all(resumed.opt.index[p] is resumed.masks.index[p] for p in resumed.masks.paths())
     TR.train_steps(resumed, toy_dataset(), n_steps=4, grad_clip=0.5)
 
     for p in uninterrupted.params:
@@ -765,7 +786,7 @@ def test_train_checkpoint_masks_load_as_bool(tmp_path):
 def test_checkpoint_mask_must_match_a_parameter(tmp_path, mask_path, shape, error):
     # the CRCs are valid: only the load's own check can catch these
     cfg = tiny_config()
-    masks = S.MaskSet({mask_path: S.pack_mask(np.ones(shape, dtype=bool))})
+    masks = S.MaskSet({mask_path: S.mask_index(np.ones(shape, dtype=bool))})
     path = tmp_path / "m.ckpt"
     TR.save_model_checkpoint(path, cfg, M.init_params(cfg, seed=0), masks=masks)
     with pytest.raises(ContractError, match=error):
@@ -775,15 +796,15 @@ def test_checkpoint_mask_must_match_a_parameter(tmp_path, mask_path, shape, erro
 def test_sparse_checkpoints_keep_their_bytes(tmp_path):
     # fixed weights and masks of 36 and 42 entries, so each mask's last byte
     # has unused bits; the digests pin the files' bytes, whose tensor sections
-    # are those from before masks were held packed, and a load keeps the bits
-    # packed and saves the same bytes
+    # are those from before masks were held packed, and a load, which holds
+    # each mask as its int32 index, saves the same bytes
     cfg = M.ModelConfig(n_layers=1, d_model=6, n_heads=2, d_head=3, vocab_size=11,
                         context_window=5, d_ff=7)
     params = M.ParamStore(
         (path, Tensor(np.arange(math.prod(shape), dtype=np.float32).reshape(shape) / 7,
                       requires_grad=True)) for path, shape, _ in M.param_specs(cfg))
-    masks = S.MaskSet({p: S.pack_mask(np.arange(params[p].data.size)
-                                      .reshape(params[p].data.shape) % 3 != 1)
+    masks = S.MaskSet({p: S.mask_index(np.arange(params[p].data.size)
+                                       .reshape(params[p].data.shape) % 3 != 1)
                        for p in params.sparsifiable_paths()})
     model, train = tmp_path / "m.ckpt", tmp_path / "t.ckpt"
     TR.save_model_checkpoint(model, cfg, params, step=3, masks=masks)

@@ -47,6 +47,14 @@ def stored_moments(state, path):
     return C.decode_tensor_map(sections["opt_m"]), C.decode_tensor_map(sections["opt_v"])
 
 
+def mask_by_hand(arrays, masks):
+    """`arrays` with each masked path multiplied in place by its bool mask."""
+    for path, a in arrays.items():
+        if path in masks:
+            a *= masks[path]
+    return arrays
+
+
 def automaton_stream(n_tokens, vocab=TOY_VOCAB, n_states=64, seed=0):
     rng = np.random.default_rng(seed)
     branching = len(EMISSION_PROBS)
