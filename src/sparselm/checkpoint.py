@@ -162,40 +162,18 @@ def _pack_header(path: str, shape, dtype=None) -> bytes:
     return b"".join(parts)
 
 
-def encode_tensor_map(arrays: dict[str, np.ndarray], spread=None) -> list:
-    """Chunks of the payload: each header, then the array itself (a
-    little-endian view where the machine's byte order allows, not a copy).
-    `spread` maps a path to (flat index, shape) when its array holds only the
-    entries at that index of a tensor of that shape: the tensor is written
-    whole, +0.0 off the index, expanded only when its chunk is written into
-    one buffer that the next such tensor reuses."""
-    spread = spread or {}
-    buffer = np.empty(max((arrays[p].itemsize * math.prod(shape)
-                           for p, (_, shape) in spread.items()), default=0), dtype=np.uint8)
+def encode_tensor_map(arrays: dict[str, np.ndarray]) -> list:
+    """Chunks of the payload: each header, then the array itself at its own
+    shape (a little-endian view where the machine's byte order allows, not a
+    copy)."""
     chunks = []
     for path, arr in arrays.items():
         arr = np.ascontiguousarray(arr)
         if arr.dtype not in _DTYPE_CODES:
             raise ContractError(f"{path}: dtype {arr.dtype} is not checkpointable")
-        stored = _CODE_DTYPES[_DTYPE_CODES[arr.dtype]]
-        if path in spread:
-            index, shape = spread[path]
-            dense = buffer[:arr.itemsize * math.prod(shape)].view(stored)
-            chunks.append(_pack_header(path, shape, arr.dtype))
-            chunks.append((dense.nbytes, functools.partial(_expand, arr, index, dense)))
-        else:
-            chunks.append(_pack_header(path, arr.shape, arr.dtype))
-            chunks.append(arr.astype(stored, copy=False).reshape(-1))
+        chunks.append(_pack_header(path, arr.shape, arr.dtype))
+        chunks.append(arr.astype(_CODE_DTYPES[_DTYPE_CODES[arr.dtype]], copy=False).reshape(-1))
     return chunks
-
-
-def _expand(compact, index, dense):
-    """The flat buffer `dense`, +0.0 but at `index`, where it holds
-    `compact`: the one expansion of a compact array, for a checkpoint's
-    moments and for `training`'s clipping norm of compact gradients."""
-    dense.fill(0)
-    dense[index.astype(np.intp)] = compact  # an intp index scatters several times faster
-    return dense
 
 
 def _utf8(raw, what):

@@ -18,7 +18,9 @@ every `.grad` right after `adamw_step`, so none is held between steps.
 `adamw_step` updates every parameter in place, one block of `ADAMW_BLOCK`
 moment entries at a time, through one work buffer that lasts the call, so
 a train state holds nothing between steps beyond its weights, moments,
-masks and RNG.
+masks and RNG. A train checkpoint stores the moments as they are held,
+compact for a masked path, so neither a save nor a load expands or
+compacts one.
 """
 
 from __future__ import annotations
@@ -92,9 +94,8 @@ class OptimizerState:
     masked: `index[path]` is its `MaskSet`'s int32 flat index of the active
     entries, the same array, and its m and v, like the gradient `_step`
     forms for it, are 1-D, the entries at those coordinates in row-major
-    order; a pruned coordinate's moments would be 0.0 for the whole run, and
-    a checkpoint stores them so. Every other path's moments have its shape.
-    `index` is not checkpointed: the masks section is."""
+    order, and a train checkpoint stores them so. Every other path's moments
+    have its shape. `index` is not checkpointed: the masks section is."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
@@ -246,6 +247,14 @@ def _drop_grads(params):
         t.grad = None
 
 
+def _expand(compact, index, dense):
+    """The flat buffer `dense`, +0.0 but at `index`, where it holds
+    `compact`: a compact gradient as `_global_grad_norm` sums it."""
+    dense.fill(0)
+    dense[index.astype(np.intp)] = compact  # an intp index scatters several times faster
+    return dense
+
+
 def _global_grad_norm(params, grads, index):
     """The L2 norm of `grads` as np.dot of each dense gradient with itself;
     a compact one, of a path in `index`, is expanded first into one reused
@@ -254,7 +263,7 @@ def _global_grad_norm(params, grads, index):
     buffer = np.empty(max((params[p].data.nbytes for p in grads if p in index), default=0),
                       dtype=np.uint8)
     # a generator: each dot is taken before the next expansion reuses the buffer
-    dense = (C._expand(g, index[p], buffer[:params[p].data.nbytes].view(g.dtype))
+    dense = (_expand(g, index[p], buffer[:params[p].data.nbytes].view(g.dtype))
              if p in index else g.reshape(-1) for p, g in grads.items())
     return math.sqrt(sum(float(np.dot(g, g)) for g in dense))
 
@@ -365,12 +374,14 @@ def parse_loss_curves(text: str, path="loss curves") -> dict[str, list[tuple[int
 
 # A model checkpoint is the sections config, params and step, plus masks when
 # sparse and prompt and prompt_meta with a soft prompt. A train checkpoint is
-# a model checkpoint plus schedule, opt_m, opt_v, opt_meta, trainer and rng.
-# Sections are read by name, so their order does not matter, and each value
-# is stored once: the step section is the optimizer's update count, so
-# opt_meta holds only the weight decay. Every JSON section is read against
-# its shape in `SECTION_SHAPES`, which the writers share; the loaders name
-# the file in every ContractError (`errors.naming`).
+# a model checkpoint plus schedule, opt_m, opt_v, opt_meta, trainer and rng;
+# opt_m and opt_v hold the moments as `OptimizerState` does, so a masked
+# path's are 1-D, one entry per active coordinate. Sections are read by name,
+# so their order does not matter, and each value is stored once: the step
+# section is the optimizer's update count, so opt_meta holds only the weight
+# decay. Every JSON section is read against its shape in `SECTION_SHAPES`,
+# which the writers share; the loaders name the file in every ContractError
+# (`errors.naming`).
 SECTION_SHAPES = {
     "config": CONFIG_SHAPE,
     "prompt_meta": {"virtual_ids": (list[int], REQUIRED)},
@@ -441,28 +452,14 @@ def _decode_model(sections):
     return config, params, C.decode_u64(sections["step"]), masks, prompt
 
 
-def _compact(arrays, index, what):
-    """`arrays` with each path of `index` replaced by its entries at that
-    index, in place; ContractError naming `what` and the path when a pruned
-    coordinate holds a nonzero (-0.0 passes, NaN does not)."""
-    for path, at in index.items():
-        flat = arrays[path].reshape(-1)
-        kept = np.take(flat, at)
-        if np.count_nonzero(kept) != np.count_nonzero(flat):
-            raise ContractError(f"{what}: {path!r} has a nonzero at a pruned coordinate")
-        arrays[path] = kept
-    return arrays
-
-
 def save_train_state(path, state: TrainState):
-    """Moments are written dense, +0.0 at pruned coordinates, one masked
-    tensor expanded at a time."""
+    """The moments are written as the optimizer holds them: a masked path's
+    1-D at its mask's index, every other path's at its parameter's shape."""
     opt = state.opt
-    spread = {p: (at, state.params[p].data.shape) for p, at in opt.index.items()}
     C.save_container(path, _encode_model(state.config, state.params, state.step, state.masks) | {
         "schedule": C.encode_json(dataclasses.asdict(state.schedule)),
-        "opt_m": C.encode_tensor_map(opt.m, spread),
-        "opt_v": C.encode_tensor_map(opt.v, spread),
+        "opt_m": C.encode_tensor_map(opt.m),
+        "opt_v": C.encode_tensor_map(opt.v),
         "opt_meta": C.encode_json({key: getattr(opt, key) for key in SECTION_SHAPES["opt_meta"]}),
         "trainer": C.encode_json({key: getattr(state, key) for key in SECTION_SHAPES["trainer"]}),
         "rng": C.encode_json(state.rng.bit_generator.state),
@@ -470,18 +467,22 @@ def save_train_state(path, state: TrainState):
 
 
 def load_train_state(path) -> TrainState:
-    """The state `save_train_state` wrote; a nonzero weight or moment at a
-    pruned coordinate is refused, and a masked path's moments are compacted."""
+    """The state `save_train_state` wrote. A weight that is nonzero at a
+    pruned coordinate is refused (-0.0 passes, NaN does not), and so is a
+    masked path's moment of any shape but (active entries,): a dense one is
+    the layout written before moments were stored compact."""
     sections = C.load_container(path)
     with naming(path):
         _require(sections, ("schedule", "opt_m", "opt_v", "opt_meta", "trainer", "rng"))
         config, params, step, masks, _ = _decode_model(sections)
         index = {} if masks is None else dict(masks.index)
-        _compact({p: t.data for p, t in params.items()}, index, "params section")
-        shapes = {p: t.data.shape for p, t in params.items()}
-        m, v = (_compact(check_shapes(C.decode_tensor_map(sections.pop(name)), shapes,
-                                      params["tok_emb"].data.dtype, f"{name} section"),
-                         index, f"{name} section")
+        for p, at in index.items():
+            flat = params[p].data.reshape(-1)
+            if np.count_nonzero(np.take(flat, at)) != np.count_nonzero(flat):
+                raise ContractError(f"params section: {p!r} has a nonzero at a pruned coordinate")
+        shapes = {p: (index[p].size,) if p in index else t.data.shape for p, t in params.items()}
+        m, v = (check_shapes(C.decode_tensor_map(sections.pop(name)), shapes,
+                             params["tok_emb"].data.dtype, f"{name} section")
                 for name in ("opt_m", "opt_v"))
         opt = _json(sections, "opt_meta", OptimizerState, m=m, v=v, step=step, index=index)
         rng_state = _json(sections, "rng")

@@ -503,29 +503,53 @@ def test_a_tensor_that_does_not_fit_the_config_is_refused_naming_the_file_and_th
     assert_refused(base, path, section, message, tmp_path)
 
 
-@pytest.mark.parametrize("section", ["params", "opt_m", "opt_v"])
-def test_a_train_checkpoint_with_a_nonzero_at_a_pruned_coordinate_is_refused(full_ckpt, tmp_path,
-                                                                              section):
-    # training never changes a pruned weight or moment, so a file where one is
-    # not 0.0 was not written by a run; -0.0 is 0.0 and loads
+def test_a_train_checkpoint_with_a_nonzero_at_a_pruned_coordinate_is_refused(full_ckpt, tmp_path):
+    # training never changes a pruned weight, so a file where one is not 0.0
+    # was not written by a run; -0.0 is 0.0 and loads
     masks = S.MaskSet(C.decode_bitset_map(full_ckpt["masks"]))
     tensor = masks.paths()[-1]
     pruned = np.flatnonzero(~masks[tensor])[-1]
-    arrays = C.decode_tensor_map(full_ckpt[section])
+    arrays = C.decode_tensor_map(full_ckpt["params"])
     path = tmp_path / "damaged.ckpt"
     for value in (-0.0, 1e-30):
         arrays[tensor].reshape(-1)[pruned] = value
-        C.save_container(path, dict(full_ckpt, **{section: C.encode_tensor_map(arrays)}))
+        C.save_container(path, dict(full_ckpt, params=C.encode_tensor_map(arrays)))
         if value == 0.0:
             assert TR.load_train_state(path).step == RUN["steps"]
     with pytest.raises(ContractError) as caught:
         TR.load_train_state(path)
     assert str(caught.value) == \
-        f"{path}: {section} section: {tensor!r} has a nonzero at a pruned coordinate"
-    if section == "params":  # a model load keeps the weight, and densify re-applies the mask
-        _, params, _, loaded_masks, _ = TR.load_model_checkpoint(path)
-        assert params[tensor].data.reshape(-1)[pruned] == np.float32(1e-30)
-        assert S.densify(params, loaded_masks)[tensor].data.reshape(-1)[pruned] == 0.0
+        f"{path}: params section: {tensor!r} has a nonzero at a pruned coordinate"
+    # a model load keeps the weight, and densify re-applies the mask
+    _, params, _, loaded_masks, _ = TR.load_model_checkpoint(path)
+    assert params[tensor].data.reshape(-1)[pruned] == np.float32(1e-30)
+    assert S.densify(params, loaded_masks)[tensor].data.reshape(-1)[pruned] == 0.0
+
+
+@pytest.mark.parametrize("section", ["opt_m", "opt_v"])
+def test_a_train_checkpoint_with_dense_masked_moments_is_refused(base, full_ckpt, tmp_path,
+                                                                  section):
+    # each masked path's moment at its parameter's shape, +0.0 at pruned
+    # coordinates, the layout written before moments were stored compact: a
+    # train load refuses it naming the first masked path, while a model load
+    # and densify, which do not read the moments, still read the file
+    masks = S.MaskSet(C.decode_bitset_map(full_ckpt["masks"]))
+    arrays = C.decode_tensor_map(full_ckpt[section])
+    for tensor in masks.paths():
+        dense = np.zeros(masks[tensor].shape, arrays[tensor].dtype)
+        dense[masks[tensor]] = arrays[tensor]
+        arrays[tensor] = dense
+    first = next(p for p in arrays if p in masks.index)
+    path = tmp_path / "dense-moments.ckpt"
+    C.save_container(path, dict(full_ckpt, **{section: C.encode_tensor_map(arrays)}))
+    with pytest.raises(ContractError) as caught:
+        TR.load_train_state(path)
+    assert str(caught.value) == (f"{path}: {section} section: {first!r} has shape "
+                                 f"{masks[first].shape}, expected ({masks.index[first].size},)")
+    assert TR.load_model_checkpoint(path)[2] == RUN["steps"]
+    code, _, err = run_cli([a.format(ckpt=path, base=base, out=tmp_path)
+                            for a in READERS["densify"]])
+    assert code == 0, err
 
 
 @pytest.mark.parametrize("tensor", ["tok_emb", "layers.0.bq"])

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 
+from sparselm import checkpoint as C
 from sparselm import model as M
 from sparselm import sparsity as S
 from sparselm import tensor as T
@@ -173,3 +174,31 @@ def test_a_sparse_train_state_holds_nothing_new_after_a_clipped_micro_batched_st
         assert held <= TRACE_RECORD_BYTES + NUMPY_CACHE_BYTES, (step, held)
     assert all(t.grad is None and t.grad_index is None for t in state.params.values())
     assert all(state.opt.index[p] is masks.index[p] for p in masks.paths())
+
+
+def test_a_sparse_train_checkpoint_loads_within_its_state_and_largest_section(tmp_path):
+    # a load reads every section's payload, then decodes the tensor sections
+    # one at a time, dropping each payload once its arrays exist: its peak,
+    # while params decodes, is the state it builds plus the params payload,
+    # since each moment section is no larger than the moments it holds
+    # (compact for a masked path) and the masks' bits are smaller than their
+    # int32 index. Dense moments on disk would add a dense copy of each
+    # masked moment, here 3x its compact bytes.
+    masks = S.build_masks(M.init_params(CFG, seed=0), S.SparsityPlan(level=0.75, seed=1))
+    path = tmp_path / "state.ckpt"
+    TR.save_train_state(path, TR.init_train_state(M.init_params(CFG, seed=0), CFG,
+                                                  TR.Schedule(1e-3, 4), BATCH, seed=0,
+                                                  masks=masks))
+    largest = max(len(payload) for payload in C.load_container(path).values())
+    TR.load_train_state(path)  # first-call allocations
+    tracemalloc.start()
+    try:
+        state = TR.load_train_state(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in [t.data for t in state.params.values()]
+               + list(state.opt.m.values()) + list(state.opt.v.values())
+               + list(state.masks.index.values()))
+    slack = PARAM_OVERHEAD * len(state.params) + MASK_OVERHEAD * len(state.masks.paths())
+    assert peak <= held + largest + slack, (peak, held, largest, slack)

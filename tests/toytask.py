@@ -40,11 +40,21 @@ def pretrain(params, config, dataset, schedule, batch_size, seed, masks=None,
 
 def stored_moments(state, path):
     """The opt_m and opt_v tensor maps of `state`'s train checkpoint, saved
-    at `path`: dense, as the file stores them, where a masked path's moments
-    in `state.opt` hold only its active coordinates."""
+    at `path`, as the file stores them."""
     TR.save_train_state(path, state)
     sections = C.load_container(path)
     return C.decode_tensor_map(sections["opt_m"]), C.decode_tensor_map(sections["opt_v"])
+
+
+def assert_stored_as_held(stored, held, masks):
+    """Each stored moment has the bits of the optimizer's own, and a masked
+    path's holds one entry per active coordinate of its mask."""
+    assert list(stored) == list(held)
+    for path, moment in held.items():
+        assert stored[path].dtype == moment.dtype and stored[path].shape == moment.shape, path
+        assert stored[path].tobytes() == moment.tobytes(), path
+    for path in masks.paths():
+        assert stored[path].shape == (masks.index[path].size,), path
 
 
 def mask_by_hand(arrays, masks):
