@@ -29,7 +29,6 @@ sections of a model and of a train checkpoint are is decided in `training`.
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 import math
 import os
@@ -68,10 +67,8 @@ def atomic_open(path, mode="wb", **kwargs):
 
 def save_container(path, sections):
     """Write `sections`, name -> payload, atomically. A payload is bytes or
-    a list of chunks, which are streamed to the file one by one under a
-    running CRC and never joined: bytes-like objects (arrays included), or
-    (size, make) pairs whose make() returns the chunk's `size` bytes only
-    when it is written."""
+    a list of bytes-like chunks (arrays included), which are streamed to the
+    file one by one under a running CRC and never joined."""
     with atomic_open(path) as fh:
         fh.write(MAGIC + struct.pack("<I", FORMAT_VERSION))
         for name, payload in sections.items():
@@ -79,13 +76,11 @@ def save_container(path, sections):
             encoded = name.encode("utf-8")
             if not encoded:
                 raise ContractError("checkpoint section names must not be empty")
-            size = sum(c[0] if isinstance(c, tuple) else memoryview(c).nbytes for c in chunks)
+            size = sum(memoryview(c).nbytes for c in chunks)
             head = struct.pack("<H", len(encoded)) + encoded + struct.pack("<Q", size)
             fh.write(head)
             crc = zlib.crc32(head)
             for chunk in chunks:
-                if isinstance(chunk, tuple):
-                    chunk = chunk[1]()
                 fh.write(chunk)
                 crc = zlib.crc32(chunk, crc)
             fh.write(struct.pack("<I", crc))
@@ -212,13 +207,12 @@ def decode_tensor_map(buf: bytes) -> dict[str, np.ndarray]:
 
 def encode_bitset_map(entries: dict) -> list:
     """Chunks of the payload, as for `encode_tensor_map`, from path ->
-    (shape, flat index of the 1 bits): each path's bits are packed from its
-    index only when its chunk is written."""
+    (shape, flat index of the 1 bits): each path's bits packed from its
+    index."""
     chunks = []
     for path, (shape, index) in entries.items():
-        size = math.prod(shape)
         chunks.append(_pack_header(path, shape))
-        chunks.append(((size + 7) // 8, functools.partial(_pack_bits, index, size)))
+        chunks.append(_pack_bits(index, math.prod(shape)))
     return chunks
 
 

@@ -5,12 +5,12 @@ change during pre-training. A `MaskSet` holds each as its shape and the
 int32 flat index of its active entries, row-major: the one record of what
 trains, which `training.OptimizerState.index` shares, array for array.
 Packed bits exist only in a checkpoint's bitset section, packed from the
-index as it is written and unpacked to it as it is read. Only the six block
-matrices of `model.SPARSIFIABLE_ROLES` are masked. A weight is masked
-through its index (`_zero_pruned`), which gives the bits of `w * mask`,
--0.0 and NaN included. The training loop masks the weights once, up
-front; after that only the active coordinates get a gradient and an
-update, which keeps masked weights exactly zero, numerically identical to
+index when the section is encoded and unpacked to it as it is read. Only
+the six block matrices of `model.SPARSIFIABLE_ROLES` are masked. A weight
+is masked through its index (`_zero_pruned`), which gives the bits of
+`w * mask`, -0.0 and NaN included. The training loop masks the weights
+once, up front; after that only the active coordinates get a gradient and
+an update, which keeps masked weights exactly zero, numerically identical to
 multiplying mask*weights in every forward pass. Densification retires the
 mask, leaving the previously inactive weights at exactly 0.0 and trainable.
 """

@@ -10,9 +10,10 @@ own int32 index (`MaskSet.index`, the one record of what trains, shared by
 pruned weights stay exactly as masked (0.0) for the whole run. `_step`
 ends every pre-training and fine-tuning step: backward on each
 micro-batch loss, each masked weight's gradient gathered at its index as
-it is formed; then, with clipping on, the global norm of the gradients,
-passed as grad_clip / norm to `adamw_step` as `clip_scale`, which folds it
-into the moment coefficients instead of rescaling the gradients. A
+it is formed; then, with clipping on, the global norm of the gradients as
+they are held (compact or not), passed as grad_clip / norm to
+`adamw_step` as `clip_scale`, which folds it into the moment coefficients
+instead of rescaling the gradients. A
 non-finite loss or norm stops the run before any update. `_step` drops
 every `.grad` right after `adamw_step`, so none is held between steps.
 `adamw_step` updates every parameter in place, one block of `ADAMW_BLOCK`
@@ -247,25 +248,10 @@ def _drop_grads(params):
         t.grad = None
 
 
-def _expand(compact, index, dense):
-    """The flat buffer `dense`, +0.0 but at `index`, where it holds
-    `compact`: a compact gradient as `_global_grad_norm` sums it."""
-    dense.fill(0)
-    dense[index.astype(np.intp)] = compact  # an intp index scatters several times faster
-    return dense
-
-
-def _global_grad_norm(params, grads, index):
-    """The L2 norm of `grads` as np.dot of each dense gradient with itself;
-    a compact one, of a path in `index`, is expanded first into one reused
-    buffer, +0.0 off the index (a dot over the compact array would sum in
-    another order and differ in the last bits)."""
-    buffer = np.empty(max((params[p].data.nbytes for p in grads if p in index), default=0),
-                      dtype=np.uint8)
-    # a generator: each dot is taken before the next expansion reuses the buffer
-    dense = (_expand(g, index[p], buffer[:params[p].data.nbytes].view(g.dtype))
-             if p in index else g.reshape(-1) for p, g in grads.items())
-    return math.sqrt(sum(float(np.dot(g, g)) for g in dense))
+def _global_grad_norm(grads):
+    """The L2 norm of `grads`: np.dot of each gradient with itself, as it
+    is held (a masked path's compact, its active coordinates only)."""
+    return math.sqrt(sum(float(np.dot(g.reshape(-1), g.reshape(-1))) for g in grads.values()))
 
 
 def _step(params, opt, lr, where, losses, grad_clip=None) -> float:
@@ -273,9 +259,10 @@ def _step(params, opt, lr, where, losses, grad_clip=None) -> float:
     each (loss, batch share) pair of `losses`, a generator when each forward
     must wait for the previous backward, each path of `opt.index` getting
     its gradient at that index only (`Tensor.grad_index`); then, if the
-    share-weighted loss is finite, clip, apply AdamW and drop every
-    `.grad`. A pruned coordinate's gradient is never formed: it reaches
-    neither the clipping norm nor AdamW."""
+    share-weighted loss is finite, clip by the norm of the gradients as
+    formed, apply AdamW and drop every `.grad`. A pruned coordinate's
+    gradient is never formed: it reaches neither the clipping norm nor
+    AdamW."""
     for path, t in params.items():
         t.grad_index = opt.index.get(path)
     value = 0.0
@@ -291,7 +278,7 @@ def _step(params, opt, lr, where, losses, grad_clip=None) -> float:
     grads = {p: t.grad for p, t in params.items() if t.grad is not None}
     clip_scale = 1.0
     if grad_clip is not None:
-        norm = _global_grad_norm(params, grads, opt.index)
+        norm = _global_grad_norm(grads)
         if not math.isfinite(norm):
             raise ContractError(f"{where}: gradient norm is {norm}; training diverged")
         if norm > grad_clip:

@@ -6,7 +6,10 @@ import math
 import os
 import re
 import struct
+import subprocess
+import sys
 import tempfile
+import textwrap
 import tracemalloc
 import zlib
 
@@ -166,7 +169,7 @@ def test_fused_adamw_matches_reference_in_float64():
         raw = {p: signs[p] * rng.uniform(0.5, 1.5, size=s) * scale for p, s in shapes.items()}
         grads = mask_by_hand({p: g.copy() for p, g in raw.items()}, masks)
         before = {p: g.copy() for p, g in grads.items()}
-        norm = TR._global_grad_norm(fused, grads, opt.index)
+        norm = TR._global_grad_norm(grads)
         TR.adamw_step(fused, grads, opt, lr=1e-2,
                       clip_scale=grad_clip / norm if norm > grad_clip else 1.0)
         for p in grads:  # the fused step leaves the gradients as they were
@@ -417,9 +420,9 @@ def test_grad_clip_runs():
 def test_clipped_sparse_float32_training_keeps_pruned_coordinates_zero(monkeypatch, tmp_path):
     norms, sizes = [], []
 
-    def recording_norm(params, grads, index, norm=TR._global_grad_norm):
+    def recording_norm(grads, norm=TR._global_grad_norm):
         sizes.append({p: g.size for p, g in grads.items()})
-        norms.append(norm(params, grads, index))
+        norms.append(norm(grads))
         return norms[-1]
 
     monkeypatch.setattr(TR, "_global_grad_norm", recording_norm)
@@ -443,11 +446,12 @@ def test_clipped_sparse_float32_training_keeps_pruned_coordinates_zero(monkeypat
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_a_compact_gradient_and_its_norm_keep_the_bits_of_the_masked_dense_gradient(
+def test_a_compact_gradient_keeps_the_masked_dense_bits_and_the_norm_sums_it_as_held(
         monkeypatch, dtype):
     # one clipped step of two micro-batches: a masked path's gradient is the
     # masked dense gradient at its active coordinates, byte for byte, and
-    # the clipping norm is np.dot over the masked dense gradients
+    # the clipping norm is np.dot over the gradients as the step holds them,
+    # which differs from the masked dense norm only by rounding
     cfg = tiny_config(n_layers=2)
     masks = S.build_masks(M.init_params(cfg, seed=0), S.SparsityPlan(level=0.75, seed=3))
     state = TR.init_train_state(M.init_params(cfg, seed=0, dtype=dtype), cfg,
@@ -461,8 +465,8 @@ def test_a_compact_gradient_and_its_norm_keep_the_bits_of_the_masked_dense_gradi
     want_norm = math.sqrt(sum(float(np.dot(g.ravel(), g.ravel())) for g in want.values()))
     seen = {}
 
-    def recording_norm(params, grads, index, norm=TR._global_grad_norm):
-        seen["norm"] = norm(params, grads, index)
+    def recording_norm(grads, norm=TR._global_grad_norm):
+        seen["norm"] = norm(grads)
         return seen["norm"]
 
     def recording_adamw_step(params, grads, opt, lr, clip_scale=1.0, step=TR.adamw_step):
@@ -474,13 +478,48 @@ def test_a_compact_gradient_and_its_norm_keep_the_bits_of_the_masked_dense_gradi
     grad_clip = 0.5 * want_norm
     TR._step(state.params, state.opt, 1e-3, "step 1",
              ((M.lm_loss(state.params, cfg, chunk), 0.5) for chunk in chunks), grad_clip)
-    assert seen["norm"] == want_norm
-    assert seen["clip_scale"] == grad_clip / want_norm
+    held = math.sqrt(sum(float(np.dot(g.reshape(-1), g.reshape(-1)))
+                         for g in seen["grads"].values()))
+    assert seen["norm"] == held
+    assert math.isclose(seen["norm"], want_norm, rel_tol=1e-6 if dtype == "float32" else 1e-12)
+    assert seen["clip_scale"] == grad_clip / seen["norm"]
     assert list(seen["grads"]) == list(want)
     for p, g in want.items():
         expected = g.reshape(-1)[state.opt.index[p]] if p in masks else g
         assert seen["grads"][p].dtype == np.dtype(dtype), p
         assert seen["grads"][p].tobytes() == expected.tobytes(), p
+
+
+# the clipping norm of pretrain-wide's float32 gradients (perfbench: d=256,
+# 4 layers, vocab 2048), compact at s=0.75 and dense, in a fresh interpreter
+# whose BLAS pool is sized before numpy loads; float32 is what every CLI run
+# trains in
+NORM_PROBE = textwrap.dedent("""
+    import math
+    import numpy as np
+    from sparselm import model as M, training as TR
+
+    cfg = M.ModelConfig(n_layers=4, d_model=256, n_heads=4, d_head=64, vocab_size=2048,
+                        context_window=128)
+    rng = np.random.default_rng(0)
+    dense = {p: rng.standard_normal(math.prod(s), dtype=np.float32)
+             for p, s, _ in M.param_specs(cfg)}
+    compact = {p: g[:g.size - M.zero_count(0.75, g.size)] if M.is_sparsifiable(p) else g
+               for p, g in dense.items()}
+    print(max(g.size for g in dense.values()), len(dense),
+          TR._global_grad_norm(compact).hex(), TR._global_grad_norm(dense).hex())
+""")
+
+
+def test_the_clipping_norm_keeps_its_bits_at_one_and_two_blas_threads():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(TR.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = [subprocess.run([sys.executable, "-c", NORM_PROBE], capture_output=True, text=True,
+                           timeout=120, check=True,
+                           env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=n)).stdout
+            for n in ("1", "2")]
+    assert runs[0].split()[:2] == ["524288", "68"]
+    assert runs[0] == runs[1]
 
 
 def test_nonfinite_loss_stops_training_at_its_step():
@@ -497,7 +536,7 @@ def test_nonfinite_gradient_norm_stops_clipped_training(monkeypatch):
     cfg = tiny_config()
     state = TR.init_train_state(M.init_params(cfg, seed=0), cfg, TR.Schedule(1e-3, 4), 4, seed=0)
     TR.train_steps(state, toy_dataset(), n_steps=1, grad_clip=1.0)
-    monkeypatch.setattr(TR, "_global_grad_norm", lambda params, grads, index: math.inf)
+    monkeypatch.setattr(TR, "_global_grad_norm", lambda grads: math.inf)
     before = {p: t.data.copy() for p, t in state.params.items()}
     with pytest.raises(ContractError, match=r"step 2: gradient norm is inf"):
         TR.train_steps(state, toy_dataset(), n_steps=1, grad_clip=1.0)
