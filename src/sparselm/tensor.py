@@ -14,10 +14,11 @@ A non-leaf keeps its `.grad` only while the caller holds the tensor; one
 the caller dropped is freed, gradient included, once its node is consumed.
 
 Gradient buffers have one owner. The first gradient a tensor receives
-becomes its `.grad` as is, and later ones are added into it in place: an
-adjoint hands on a buffer of its tensor's dtype and shape. So a
-buffer an adjoint hands to `_accum` must not go to a second tensor, nor
-be read after it is handed on. The two sublayer ops, `attention` and
+becomes its `.grad` as is, and later ones are added into it in place (a
+large weight's a block of rows at a time: `_weight_grads`): an adjoint
+hands on a buffer of its tensor's dtype and shape. So a buffer an adjoint
+hands to `_accum` must not go to a second tensor, nor be read after it is
+handed on. The two sublayer ops, `attention` and
 `feed_forward`, pass their output gradient `g` on to their input x (the
 skip connection) as is, and only after the output projection's GEMMs and
 bias sum have read it; LayerNorm's input gradient is then added into it,
@@ -35,12 +36,14 @@ scatters into `table.grad` itself, is never handed an indexed table:
 masks are refused outside the block matrices (`sparsity.check_masks`).
 
 What an op keeps for its backward is what that backward cannot cheaply
-recompute. `attention` keeps LayerNorm's xhat and inv, Q, K and V in one
-buffer, the softmax and the attention output; `feed_forward` keeps xhat,
-inv and GELU's pre-activation and CDF. Their backwards recompute the
-LayerNorm outputs (xhat * gain + bias) and the GELU output (pre * cdf)
-with the forward's expressions, so the bits are those of separate ops
-that had kept them.
+recompute. `attention` keeps LayerNorm's row mean and inv, Q, K and V in
+one buffer, the softmax and the attention output; `feed_forward` keeps
+the row mean and inv and GELU's pre-activation and CDF; `layer_norm`
+keeps the row mean and inv. Their backwards rebuild LayerNorm's xhat from
+the input x, which the tape holds anyway, then the LayerNorm outputs
+(xhat * gain + bias) and the GELU output (pre * cdf), each with the
+forward's own expressions, so the bits are those of separate ops that had
+kept them.
 
 Ops take Tensors of one dtype and do not re-check a parameter's shape or
 dtype: every store is checked where it enters (`model.init_params` builds
@@ -74,6 +77,15 @@ _ERF32_DEN = tuple(np.float32(c) for c in (
     -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
     -7.37332916720468e-03, -1.42647390514189e-02))
 _erf64 = np.frompyfunc(math.erf, 1, 1)
+
+# A float32 weight gradient added into a dense .grad of more than
+# GRAD_BLOCK bytes is formed in blocks of whole rows (`_weight_grads`): as
+# many multiples of GRAD_BLOCK_ROWS rows as fit in GRAD_BLOCK bytes, and
+# at least GRAD_BLOCK_ROWS rows. On OpenBLAS such blocks keep the bits of
+# the whole product, where some blocks of 16 rows did not, nor float64
+# blocks of an output whose width is not a multiple of 8.
+GRAD_BLOCK = 256 * 1024
+GRAD_BLOCK_ROWS = 128
 
 
 class Tensor:
@@ -193,13 +205,24 @@ def _finish(out, inputs, bwd):
 
 
 def _normalize(x, eps):
-    """(xhat, inv) of the last axis of array x: xhat = (x - mean) * inv and
-    inv = 1/sqrt(variance + eps), the variance in two passes, as the mean
-    square of the centered rows (never E[x^2] - E[x]^2)."""
-    xhat = x - x.mean(axis=-1, keepdims=True)
+    """(xhat, mean, inv) of the last axis of array x: mean is the row mean,
+    inv = 1/sqrt(variance + eps) and xhat = (x - mean) * inv, the variance
+    in two passes, as the mean square of the centered rows (never E[x^2] -
+    E[x]^2). A backward keeps mean and inv, not xhat, and rebuilds xhat
+    with `_xhat`."""
+    mean = x.mean(axis=-1, keepdims=True)
+    xhat = x - mean
     inv = 1.0 / np.sqrt(np.einsum("...i,...i->...", xhat, xhat)[..., None] / x.shape[-1] + eps)
     xhat *= inv
-    return xhat, inv
+    return xhat, mean, inv
+
+
+def _xhat(x, mean, inv):
+    """`_normalize`'s xhat of x from its mean and inv, by the forward's own
+    two expressions, so bit for bit."""
+    xhat = x - mean
+    xhat *= inv
+    return xhat
 
 
 def _normalize_grads(x, gain, bias, xhat, inv, g):
@@ -222,11 +245,11 @@ def _normalize_grads(x, gain, bias, xhat, inv, g):
 
 def layer_norm(x, gain, bias, eps=1e-5):
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    xhat, inv = _normalize(x.data, eps)
+    xhat, mean, inv = _normalize(x.data, eps)
     out = Tensor(xhat * gain.data + bias.data)
 
     def bwd(g):
-        _normalize_grads(x, gain, bias, xhat, inv, g)
+        _normalize_grads(x, gain, bias, _xhat(x.data, mean, inv), inv, g)
 
     return _finish(out, (x, gain, bias), bwd)
 
@@ -282,9 +305,29 @@ def _gelu_grad(x, cdf, g):
 def _weight_grads(rows, w, b, gy, transpose_w=False):
     """Accumulate the w and b gradients of `rows @ w + b` (w read as its
     transpose with transpose_w) from the output gradient `gy`, in that
-    order. `rows` is read only when w needs its gradient."""
+    order. `rows` is read only when w needs its gradient.
+
+    w's gradient is `a.T @ c`, with (a, c) = (rows, gy), or (gy, rows)
+    with transpose_w. A first gradient becomes w.grad as the GEMM forms it,
+    and a masked weight's is gathered at its `grad_index` (`_accum`). One
+    added into a dense float32 w.grad of more than GRAD_BLOCK bytes (the
+    tied head's on every micro-batch after the first, say) is formed and
+    added a block of whole rows at a time, `w.grad[i:j] += a[:, i:j].T @ c`,
+    so no second gradient of w's size is held; each block's entries have
+    the bits of the whole product's."""
     if w.requires_grad:
-        _accum(w, gy.T @ rows if transpose_w else rows.T @ gy)
+        a, c = (gy, rows) if transpose_w else (rows, gy)
+        grad = w.grad
+        if (grad is None or w.grad_index is not None or grad.dtype != np.float32
+                or grad.nbytes <= GRAD_BLOCK):
+            _accum(w, a.T @ c)
+        else:
+            m = len(grad)
+            step = GRAD_BLOCK_ROWS * max(1, GRAD_BLOCK // (GRAD_BLOCK_ROWS * grad[0].nbytes))
+            n_blocks = max(1, m // step)
+            for k in range(n_blocks):
+                i, j = k * step, (k + 1) * step if k + 1 < n_blocks else m
+                grad[i:j] += a[:, i:j].T @ c
     if b is not None and b.requires_grad:
         _accum(b, gy.sum(axis=0))
 
@@ -342,8 +385,9 @@ def attention(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, n_heads, logit_bias
     ws, bs = (wq, wk, wv), (bq, bk, bv)
     d = wq.data.shape[-1]
     bsz, seq, d_in = x.data.shape
-    xhat, inv = _normalize(x.data, eps)
+    xhat, mean, inv = _normalize(x.data, eps)
     rows = (xhat * gain.data + bias.data).reshape(-1, d_in)
+    del xhat
     qkv = np.empty((3, len(rows), d), dtype=rows.dtype)
     for w, b, y in zip(ws, bs, qkv):
         np.matmul(rows, w.data, out=y)
@@ -365,6 +409,7 @@ def attention(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, n_heads, logit_bias
         _accum(x, g)
         grads = _softmax_attention_grads(qkv, p, gatt, n_heads)
         del gatt
+        xhat = _xhat(x.data, mean, inv)
         rows = None
         if any(w.requires_grad for w in ws):
             rows = (xhat * gain.data + bias.data).reshape(-1, d_in)
@@ -392,8 +437,9 @@ def feed_forward(x, gain, bias, w_in, b_in, w_out, b_out, eps=1e-5):
     w_out: (d_ff, d).
     """
     d = x.data.shape[-1]
-    xhat, inv = _normalize(x.data, eps)
+    xhat, mean, inv = _normalize(x.data, eps)
     pre = (xhat * gain.data + bias.data).reshape(-1, d) @ w_in.data
+    del xhat
     pre += b_in.data
     cdf = _gelu_cdf(pre)
     y = (pre * cdf) @ w_out.data
@@ -409,6 +455,7 @@ def feed_forward(x, gain, bias, w_in, b_in, w_out, b_out, eps=1e-5):
         _accum(x, g)
         gpre = _gelu_grad(pre, cdf, gh)
         del gh
+        xhat = _xhat(x.data, mean, inv)
         rows = (xhat * gain.data + bias.data).reshape(-1, d) if w_in.requires_grad else None
         ga = gpre @ w_in.data.T
         _weight_grads(rows, w_in, b_in, gpre)

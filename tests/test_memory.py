@@ -46,19 +46,20 @@ def held_bytes(make):
 def needed_bytes(cfg, batch):
     """What the backward of the grad-mode `lm_loss` forward reads: per block
     the two sublayer ops' saved arrays and outputs, plus the embedding's
-    output, the final LayerNorm and the fused head with its logits."""
+    output, the final LayerNorm and the fused head with its logits. No
+    LayerNorm keeps its xhat, which the backward rebuilds from its input."""
     n, t, d, f = batch * cfg.context_window, cfg.context_window, cfg.d_model, cfg.d_ff
-    attention = (n * d + n            # LayerNorm's xhat and inv
+    attention = (2 * n                # LayerNorm's row mean and inv
                  + 3 * n * d          # Q, K and V
                  + batch * cfg.n_heads * t * t  # the softmax
                  + n * d              # the attention output
                  + n * d)             # the op's output
-    feed_forward = (n * d + n         # LayerNorm's xhat and inv
+    feed_forward = (2 * n             # LayerNorm's row mean and inv
                     + 2 * n * f       # GELU's pre-activation and CDF
                     + n * d)          # the op's output
     scored = batch * (t - 1)
     head = (n * d                     # the embedding's output
-            + 2 * n * d + n           # the final LayerNorm's xhat, inv and output
+            + n * d + 2 * n           # the final LayerNorm's output, row mean and inv
             + scored * cfg.vocab_size + scored * d)  # the head's logits and rows
     floats = cfg.n_layers * (attention + feed_forward) + head
     return 4 * floats + 8 * 2 * scored  # float32, and the head's int64 row and target ids
@@ -74,7 +75,8 @@ def test_a_training_forward_holds_what_its_backward_needs():
     nodes = T.tape_size()
     assert nodes == 2 * CFG.n_layers + 3
     # one sublayer op per LayerNorm: neither LayerNorm output nor the GELU
-    # output of a block is held, which would add 2*n*d + n*f floats per block
+    # output of a block is held, which would add 2*n*d + n*f floats per
+    # block, nor any LayerNorm's xhat, n*d floats each
     assert held <= needed_bytes(CFG, BATCH) + NODE_OVERHEAD * nodes, held
     T.backward(loss)
 
@@ -150,6 +152,39 @@ def test_a_clipped_micro_batched_sparse_step_forms_only_compact_weight_gradients
     largest = max(params[p].data.nbytes for p in masks.paths())
     activations = needed_bytes(cfg, micro) + NODE_OVERHEAD * (2 * cfg.n_layers + 3)
     bound = 4 * (unmasked + active) + 2 * largest + activations
+    assert peak <= bound, (peak, bound)
+
+
+def test_a_micro_batched_step_adds_the_tied_heads_gradient_a_block_at_a_time():
+    # the second micro-batch's head gradient, `gy.T @ rows` of the tied
+    # (vocab, d) table, is added into tok_emb.grad a block of rows at a
+    # time, so over the state a step holds at its peak the dense gradients,
+    # one micro-batch's activations and one block of GRAD_BLOCK bytes (with
+    # the head's input gradient, 2*n*d floats). A whole second head
+    # gradient, 1 MiB here, does not fit under the bound.
+    cfg = M.ModelConfig(n_layers=1, d_model=128, n_heads=2, d_head=64, vocab_size=2048,
+                        context_window=16)
+    batch, micro = 2, 1
+    params = M.init_params(cfg, seed=0)
+    state = TR.init_train_state(params, cfg, TR.Schedule(1e-3, 4), batch, seed=0,
+                                micro_batch_size=micro)
+    rows = np.random.default_rng(0).integers(0, cfg.vocab_size, size=(8, cfg.context_window))
+    data = PackedDataset(sequences=rows.astype(np.uint32), msl=cfg.context_window,
+                         offsets=np.arange(len(rows), dtype=np.uint64) * cfg.context_window)
+    TR.train_steps(state, data, n_steps=1)  # first-call allocations
+    tracemalloc.start()
+    try:
+        TR.train_steps(state, data, n_steps=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    head = params["tok_emb"].data.nbytes
+    n = micro * cfg.context_window
+    step_slack = T.GRAD_BLOCK + 4 * 2 * n * cfg.d_model
+    assert head > T.GRAD_BLOCK and step_slack < head
+    grads = 4 * sum(t.data.size for t in params.values())
+    activations = needed_bytes(cfg, micro) + NODE_OVERHEAD * (2 * cfg.n_layers + 3)
+    bound = grads + activations + step_slack
     assert peak <= bound, (peak, bound)
 
 

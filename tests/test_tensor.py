@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import weakref
 
 import numpy as np
@@ -124,6 +128,25 @@ def test_layer_norm_float32_rows_far_from_zero():
                            T.Tensor(np.zeros(d), dtype="float32"), eps=1e-5).data
         assert got.dtype == np.float32
         np.testing.assert_allclose(got, want, rtol=0, atol=2e-2)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_the_backward_rebuilds_the_forwards_xhat_bit_for_bit(dtype):
+    # a backward keeps LayerNorm's row mean and inv, not xhat, and rebuilds
+    # xhat from x: the bytes of the two-pass forward, also for rows far from
+    # zero and for a constant row (xhat 0)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((3, 5, 64)).astype(dtype)
+    x[0] = 1e3 + 1e-2 * x[0]
+    x[1, 2] = 7.0
+    centered = x - x.mean(axis=-1, keepdims=True)
+    want = centered * (1.0 / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) / 64 + 1e-5))
+    xhat, mean, inv = T._normalize(x, 1e-5)
+    rebuilt = T._xhat(x, mean, inv)
+    assert xhat.dtype == rebuilt.dtype == dtype
+    assert rebuilt.tobytes() == xhat.tobytes()
+    np.testing.assert_allclose(rebuilt, want, rtol=0, atol=1e-4 if dtype == np.float32 else 1e-12)
+    assert not rebuilt[1, 2].any()
 
 
 def test_gelu_values():
@@ -574,6 +597,48 @@ def test_an_indexed_leaf_keeps_its_gradient_at_the_index_only():
     assert x.grad.tolist() == [2.0, 3.0, 5.0]
     T.backward(tsum(mul(x, w)))
     assert x.grad.tolist() == [4.0, 6.0, 10.0]
+
+
+BLOCK_PROBE = textwrap.dedent("""
+    import numpy as np
+    from sparselm import tensor as T
+
+    rng = np.random.default_rng(0)
+    same = []
+    # (dtype, rows and width of the weight gradient, tied head): float32
+    # outputs above GRAD_BLOCK in 2 to 8 blocks, the last one wider when
+    # the row count is not a multiple of the block's; float64 forms the
+    # whole product
+    for dtype, m, n, tied in [(np.float32, 1024, 256, False), (np.float32, 256, 1024, False),
+                              (np.float32, 600, 300, False), (np.float32, 2048, 256, True),
+                              (np.float32, 3000, 100, True), (np.float64, 600, 300, False),
+                              (np.float64, 2048, 256, True)]:
+        for k in (7, 127, 504, 512):
+            rows = rng.standard_normal((k, n if tied else m), dtype=dtype)
+            gy = rng.standard_normal((k, m if tied else n), dtype=dtype)
+            first = rng.standard_normal((m, n), dtype=dtype)
+            assert first.nbytes > T.GRAD_BLOCK
+            want = first.copy()
+            want += gy.T @ rows if tied else rows.T @ gy
+            w = T.Tensor(np.zeros((n, m) if tied else (m, n), dtype=dtype), requires_grad=True)
+            w.grad = first.copy()
+            T._weight_grads(rows, w, None, gy, transpose_w=tied)
+            same.append(w.grad.tobytes() == want.tobytes())
+    print(len(same), sum(same))
+""")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_blocked_weight_gradient_keeps_the_bits_of_the_whole_product(threads):
+    # `grad += rows.T @ gy`, and `grad += gy.T @ rows` for a tied head, added
+    # a block of rows at a time into a gradient above GRAD_BLOCK, at 7 to 512
+    # rows of contraction, and at one and two BLAS threads
+    src = os.path.dirname(os.path.dirname(os.path.abspath(T.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", BLOCK_PROBE], capture_output=True, text=True,
+                         timeout=120, check=True,
+                         env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads))
+    assert out.stdout.split() == ["28", "28"]
 
 
 def test_no_grad_suppresses_recording():
