@@ -145,7 +145,8 @@ def cmd_pretrain(args):
 
     docs = D.filter_corpus(D.read_corpus(args.corpus))
     train_docs, _val_docs = D.split_train_val(docs, cfg["val_fraction"], cfg["seed"])
-    encoded = [vocab.encode(D.document_text(d)) for d in train_docs]
+    # a generator: each document's ids are packed and dropped before the next is encoded
+    encoded = (vocab.encode(D.document_text(d)) for d in train_docs)
     dataset = D.pack_sequences(encoded, cfg["msl"], vocab.eod_id)
     if not len(dataset):
         raise ContractError(f"{args.corpus}: the training split packs into no row of "

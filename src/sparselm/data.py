@@ -11,13 +11,13 @@ never emits for text.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import heapq
 import io
 import json
 import operator
 import re
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
@@ -146,7 +146,8 @@ class Vocab:
     def __len__(self):
         return 2 + self.n_prompt_slots + N_BYTE_TOKENS + len(self.merges)
 
-    def _encode_piece(self, piece: str) -> list[int]:
+    def _encode_piece(self, piece: str) -> bytes:
+        """The ids of one pre-token, packed as `array('I')` bytes; cached."""
         cached = self._encode_cache.get(piece)
         if cached is not None:
             return cached
@@ -161,23 +162,25 @@ class Vocab:
                 break
             rank, _ = min(ranked)
             symbols = _merge(symbols, *self.merges[rank])
-        ids = [self.token_to_id[s] for s in symbols]
+        ids = array("I", [self.token_to_id[s] for s in symbols]).tobytes()
         self._encode_cache[piece] = ids
         return ids
 
-    def encode(self, text: str) -> list[int]:
-        ids = []
-        for piece in pre_tokenize(text):
-            ids.extend(self._encode_piece(piece))
-        return ids
+    def encode(self, text: str) -> array:
+        """The ids of `text` as an `array('I')`, 4 bytes an id: it iterates as
+        Python ints and equals another array of the same ids (not a list)."""
+        ids = array("I", b"".join(map(self._encode_piece, pre_tokenize(text))))
+        return ids[:]  # a slice holds its length; `ids` holds 1/16 more for growth
 
     def decode(self, ids) -> str:
-        chunks = []
-        for i in ids:
-            i = int(i)
-            if i < 2 + self.n_prompt_slots:  # specials render as nothing
-                continue
-            chunks.append(self.id_to_token[i])
+        """The text of `ids`, specials rendered as nothing; an id outside
+        [0, len(self)) raises ContractError naming it."""
+        n_special, size, chunks = 2 + self.n_prompt_slots, len(self), []
+        for i in map(int, ids):
+            if not 0 <= i < size:
+                raise ContractError(f"token id {i} is outside the vocab [0, {size})")
+            if i >= n_special:
+                chunks.append(self.id_to_token[i])
         return b"".join(chunks).decode("utf-8", errors="replace")
 
 
@@ -334,29 +337,33 @@ class PackedDataset:
 
 def pack_sequences(encoded_docs, msl: int, eod_id: int) -> PackedDataset:
     """Concatenate each document's ids plus an end-of-document marker into
-    one stream, then chunk into msl-length rows; the final partial chunk is
-    dropped. An id that is not an integer in [0, 2**32) raises ContractError
-    naming its document."""
+    one `array('I')` stream, then chunk it into msl-length rows, a numpy view
+    of the stream; the final partial chunk is dropped. `encoded_docs` may be
+    a generator. A document is any sequence of ints (a `Vocab.encode` array
+    is copied whole; an `array` of another type code is refused). An id that
+    is not an integer in [0, 2**32) raises ContractError naming its document."""
     check_ranges({"msl": msl})
-    stream, ends = [], []
-    try:
-        for ids in encoded_docs:
-            stream.extend(map(operator.index, ids))
+    stream = array("I")
+    for doc, ids in enumerate(encoded_docs):
+        try:
+            stream.extend(ids)
             stream.append(eod_id)
-            ends.append(len(stream))
-    except TypeError as exc:  # an id that is not an integer
-        raise ContractError(f"document {len(ends)}: {exc}") from None
-    top = np.iinfo(np.uint32).max
-    try:
-        arr = np.asarray(stream, dtype=np.int64)
-        bad = arr.size and (arr.min() < 0 or arr.max() > top)
-    except OverflowError:  # an id beyond int64
-        bad = True
-    if bad:
-        at = next(k for k, i in enumerate(stream) if not 0 <= i <= top)
-        raise ContractError(f"document {bisect.bisect_right(ends, at)}: token id {stream[at]} "
-                            f"is outside [0, 2**32)")
+        except (TypeError, OverflowError) as exc:
+            raise ContractError(f"document {doc}: {_id_fault([*ids, eod_id]) or exc}") from None
     n = len(stream) // msl
-    arr = arr[: n * msl].astype(np.uint32).reshape(n, msl)
-    offsets = (np.arange(n, dtype=np.uint64) * np.uint64(msl))
-    return PackedDataset(sequences=arr, offsets=offsets, msl=msl)
+    sequences = np.frombuffer(stream, dtype=np.uintc, count=n * msl).reshape(n, msl)
+    offsets = np.arange(n, dtype=np.uint64) * np.uint64(msl)
+    return PackedDataset(sequences=sequences, offsets=offsets, msl=msl)
+
+
+def _id_fault(ids):
+    """Why the first of `ids` that is not an integer in [0, 2**32) is not, or
+    None when every one is."""
+    for i in ids:
+        try:
+            i = operator.index(i)
+        except TypeError as exc:
+            return str(exc)
+        if not 0 <= i < 2**32:
+            return f"token id {i} is outside [0, 2**32)"
+    return None

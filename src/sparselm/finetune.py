@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,8 @@ from .training import OptimizerState, Schedule, _drop_grads, _step, lr_at
 
 @dataclass
 class TaskExample:
-    source: list[int]
-    target: list[int]
+    source: Sequence[int]  # e.g. a `Vocab.encode` array
+    target: Sequence[int]
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):

@@ -337,6 +337,16 @@ def _heads(a, bsz, seq, n_heads):
     return a.reshape(-1, bsz, seq, n_heads, a.shape[-1] // n_heads).transpose(0, 1, 3, 2, 4)
 
 
+def _softmax_rows(p):
+    """Softmax over p's last axis, in place. The row maximum is read at its
+    argmax: the value `p.max` gives, which numpy reduces slowly over short
+    float rows. Where +0.0 and -0.0 tie for it, either sign only changes the
+    sign of zeros that `exp` maps to 1."""
+    p -= np.take_along_axis(p, p.argmax(axis=-1)[..., None], axis=-1)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+
 def _softmax_attention(qkv, bsz, seq, n_heads, logit_bias):
     """(p, out): p = softmax(Q Kᵀ / sqrt(d_head) + logit_bias) per head and
     out = p V, (batch, seq, d), from the (3, batch*seq, d) buffer of Q, K and V.
@@ -345,9 +355,7 @@ def _softmax_attention(qkv, bsz, seq, n_heads, logit_bias):
     p = qh @ kh.swapaxes(-1, -2)
     p *= 1.0 / math.sqrt(qkv.shape[-1] // n_heads)
     p += logit_bias
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    _softmax_rows(p)
     out = np.empty((bsz, seq, qkv.shape[-1]), dtype=qkv.dtype)
     np.matmul(p, vh, out=_heads(out, bsz, seq, n_heads)[0])
     return p, out

@@ -112,6 +112,16 @@ def test_specials_never_collide_and_never_emitted():
     assert min(vocab.token_to_id.values()) == 2 + vocab.n_prompt_slots
 
 
+def test_decode_refuses_an_id_outside_the_vocab_naming_it():
+    vocab = make_vocab(["abab abab"], extra=4)
+    text_ids = list(vocab.encode("ab"))
+    assert vocab.decode([vocab.eod_id, *text_ids, len(vocab) - 1, vocab.pad_id]) \
+        == "ab" + vocab.id_to_token[len(vocab) - 1].decode()
+    for bad in (-1, len(vocab)):
+        with pytest.raises(ContractError, match=re.escape(f"token id {bad} is outside")):
+            vocab.decode([*text_ids, bad])
+
+
 def test_vocab_is_its_merges_and_prompt_slots():
     # the id maps, merge ranks and encode cache are derived: encoding text
     # does not change what a vocab equals, and none is a constructor argument
@@ -383,6 +393,16 @@ def test_pack_rejects_an_id_that_is_not_a_uint32_naming_its_document(docs, messa
     # numpy; an id in the dropped final partial chunk is checked too
     with pytest.raises(ContractError, match=re.escape(message)):
         D.pack_sequences(docs, msl=64, eod_id=0)
+
+
+def test_pack_takes_a_generator_of_documents():
+    docs = [[1, 2, 3], [4, 5, 6, 7], [8]]
+    packed = D.pack_sequences(iter(docs), msl=3, eod_id=9)
+    want = D.pack_sequences(docs, msl=3, eod_id=9)
+    assert packed.sequences.tobytes() == want.sequences.tobytes()
+    assert packed.offsets.tobytes() == want.offsets.tobytes()
+    with pytest.raises(ContractError, match=re.escape("document 2: token id -1 is outside")):
+        D.pack_sequences((d for d in [[1], [2], [3, -1]]), msl=3, eod_id=9)
 
 
 def test_pack_short_stream_is_empty():

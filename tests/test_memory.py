@@ -2,10 +2,12 @@
 measured with tracemalloc."""
 
 import tracemalloc
+from array import array
 
 import numpy as np
 
 from sparselm import checkpoint as C
+from sparselm import data as D
 from sparselm import model as M
 from sparselm import sparsity as S
 from sparselm import tensor as T
@@ -30,6 +32,9 @@ TRACE_RECORD_BYTES = 512
 # tracemalloc counts them as held: 1.5-6.5 KB over one step here, twice
 # that allowed; a kept AdamW buffer would be 256 KiB
 NUMPY_CACHE_BYTES = 16384
+# Python objects per encoded document: the array('I') object and its list
+# slot; 88 bytes on CPython 3.11
+DOC_OVERHEAD = 128
 
 
 def held_bytes(make):
@@ -237,3 +242,48 @@ def test_a_sparse_train_checkpoint_loads_within_its_state_and_largest_section(tm
                + list(state.masks.index.values()))
     slack = PARAM_OVERHEAD * len(state.params) + MASK_OVERHEAD * len(state.masks.paths())
     assert peak <= held + largest + slack, (peak, held, largest, slack)
+
+
+def encoded_corpus():
+    """A vocab whose encode cache holds every piece, and 40 documents of about
+    1,700 tokens each."""
+    rng = np.random.default_rng(0)
+    words = ["".join(rng.choice(list("abcdefgh"), size=rng.integers(2, 9))) for _ in range(300)]
+    texts = [" ".join(rng.choice(words, size=400)) + "." for _ in range(40)]
+    vocab = D.learn_bpe(texts[:10], 2 + D.DEFAULT_PROMPT_SLOTS + D.N_BYTE_TOKENS + 40)
+    for text in texts:
+        vocab.encode(text)
+    return vocab, texts
+
+
+def test_a_token_id_is_a_4_byte_integer_from_encode_to_the_dataset():
+    assert np.dtype(np.uintc) == np.uint32 and array("I").itemsize == 4
+    vocab, texts = encoded_corpus()
+    ids = vocab.encode(texts[0])
+    assert isinstance(ids, array) and ids.typecode == "I"
+    assert D.pack_sequences([ids], 16, vocab.eod_id).sequences.dtype == np.uint32
+
+
+def test_encoded_ids_hold_4_bytes_a_token():
+    # a list held an 8-byte pointer per id, and more as it grew
+    vocab, texts = encoded_corpus()
+    encoded, held = held_bytes(lambda: [vocab.encode(text) for text in texts])
+    tokens = sum(map(len, encoded))
+    assert held <= 4 * tokens + DOC_OVERHEAD * len(texts), (held, tokens)
+
+
+def test_packing_peaks_at_its_stream():
+    # the stream is one array('I') of every id and end-of-document marker,
+    # which grows 1/16 over its length, and the rows are a view of it; only
+    # the row offsets, 8 bytes a row, are new
+    vocab, texts = encoded_corpus()
+    encoded = [vocab.encode(text) for text in texts]
+    stream = 4 * (sum(map(len, encoded)) + len(encoded))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        data = D.pack_sequences(encoded, 64, vocab.eod_id)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= stream + stream // 16 + 8 * len(data) + 4096, (peak, stream)

@@ -95,6 +95,25 @@ def test_softmax_rows_sum_to_one(row):
     assert np.all(out > 0.0) and np.all(out < 1.0)
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_softmax_rows_keeps_the_bits_of_the_max_form(dtype):
+    # the row maximum read at its argmax against `p - p.max(...)`: ties,
+    # maxima of +0.0 and -0.0 in either order, masked -1e9 entries, a
+    # constant row, and rows of the attention shapes the benchmark runs
+    rows = [[1.5, -2.0, 1.5, 0.25], [-0.0, 0.0, -3.0, -0.0], [0.0, -0.0, -1.0, -7.5],
+            [-0.0, -1e9, -1e9, -1e9], [2.0, -1e9, 2.0, -1e9], [0.3, 0.3, 0.3, 0.3]]
+    rng = np.random.default_rng(0)
+    causal = np.triu(np.full((64, 64), -1e9), 1)
+    for p in [np.array(rows), rng.standard_normal((2, 4, 64, 64)) * 4 + causal,
+              rng.integers(-3, 4, (3, 128)).astype(float)]:
+        p = p.astype(dtype)
+        want = p - p.max(axis=-1, keepdims=True)
+        np.exp(want, out=want)
+        want /= want.sum(axis=-1, keepdims=True)
+        T._softmax_rows(p)
+        assert p.tobytes() == want.tobytes()
+
+
 def test_layer_norm_constant_row_is_zero():
     x = T.Tensor(np.full((2, 4), 7.0))
     out = T.layer_norm(x, T.Tensor(np.ones(4)), T.Tensor(np.zeros(4)))
