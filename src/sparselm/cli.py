@@ -345,10 +345,8 @@ def cmd_flops(args):
     print(f"train FLOPs for {args.tokens:,} tokens: {report.train_total(args.tokens):.6g} "
           f"({report.ratio_vs_dense:.2f}x of dense)")
     if args.csv:
-        _write_text(args.csv, F.table_to_csv([F.TableRow(
-            model=args.preset or "custom", size=M.sparse_matrix_params(model_cfg, args.sparsity),
-            sparsity=args.sparsity, train_flops=report.train_total(args.tokens),
-            ratio=report.ratio_vs_dense)]))
+        _write_text(args.csv, F.table_to_csv([F.table_row(args.preset or "custom", model_cfg,
+                                                          args.sparsity, args.tokens)]))
     return EXIT_OK
 
 

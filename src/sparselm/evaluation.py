@@ -7,11 +7,12 @@ first declared label, `LabelSpace.best`). Multi-label tasks use constrained
 greedy decoding over the label vocabulary plus a stop token, since
 label-set sizes vary. Both score continuations of a non-empty context in
 `_continuation_logprobs` (the stop token is a one-token one): one
-right-padded no-grad forward per call to the final hidden state, and the
-head on the scored rows only, through the training loss's logsumexp
-(`model.head_logprobs`). The prompt is read by virtual id in the forward,
-so the padding may be any id. `evaluate` scores a dataset for `eval` and
-for fine-tuning's metric; every gold label must be a candidate.
+right-padded no-grad forward per call to the last block's output, then
+the final LayerNorm and the head on the scored rows only, by the training
+loss's expressions (`model.head_logprobs`). The prompt is read by virtual
+id in the forward, so the padding may be any id. `evaluate` scores a
+dataset for `eval` and for fine-tuning's metric; every gold label must be
+a candidate.
 """
 
 from __future__ import annotations

@@ -220,14 +220,15 @@ def _run_stages(params, config, job, prompt, trainable, sequences, metric_fn) ->
     _drop_grads(trainable)
     rng = np.random.default_rng(job.seed)
     report: list[EpochRecord] = []
+    # the selected epoch's weights: one copy, written over on each improvement
+    weights = {p: t.data.copy() for p, t in trainable.items()}
 
     for stage, (train, val) in zip(job.stages, sequences):
         schedule = Schedule(job.peak_lr, job.epochs * math.ceil(len(train) / job.batch_size))
         opt = OptimizerState.for_params(trainable)
         val_batches = _batches(val, range(len(val)), job)  # [] without a val split
 
-        selected = weights = None
-        stalled = step = 0
+        selected, stalled, step = None, 0, 0
         for epoch in range(1, job.epochs + 1):
             epoch_loss, rows = 0.0, 0
             for ids, mask in _batches(train, rng.permutation(len(train)), job):
@@ -246,14 +247,15 @@ def _run_stages(params, config, job, prompt, trainable, sequences, metric_fn) ->
             report.append(EpochRecord(stage.name, epoch, epoch_loss / rows, val_loss, metric))
 
             if selected is None or _selection(report[-1]) < _selection(selected):
-                selected, weights = report[-1], {p: t.data.copy() for p, t in trainable.items()}
-                stalled = 0
+                selected, stalled = report[-1], 0
+                for path, t in trainable.items():
+                    weights[path][...] = t.data
             else:
                 stalled += 1
                 if job.patience is not None and stalled > job.patience:
                     break
 
-        for path, data in (weights or {}).items():
+        for path, data in weights.items():
             trainable[path].data[...] = data
     return FinetuneResult(params=params, prompt=prompt, report=report, selected=selected)
 

@@ -110,21 +110,19 @@ class TableRow:
     ratio: float
 
 
+def table_row(name: str, config: ModelConfig, sparsity: float, tokens: float) -> TableRow:
+    """A cost-table row: training FLOPs of `config` at `sparsity` over
+    `tokens` train tokens, and its ratio vs dense."""
+    report = forward_flops_per_token(config, sparsity)
+    return TableRow(model=name, size=sparse_matrix_params(config, sparsity), sparsity=sparsity,
+                    train_flops=report.train_total(tokens), ratio=report.ratio_vs_dense)
+
+
 def ratio_table() -> list[TableRow]:
-    """One row per (model, sparsity) of the paper's table: training FLOPs
-    over the full-scale token budget and ratio vs dense."""
-    rows = []
-    for name in ("med", "large", "xl"):
-        for s in (0.0, 0.5, 0.75):
-            report = forward_flops_per_token(PRESETS[name], s)
-            rows.append(TableRow(
-                model=name,
-                size=sparse_matrix_params(PRESETS[name], s),
-                sparsity=s,
-                train_flops=report.train_total(FULL_SCALE_TOKEN_BUDGET),
-                ratio=report.ratio_vs_dense,
-            ))
-    return rows
+    """One row per (model, sparsity) of the paper's table, over the
+    full-scale token budget."""
+    return [table_row(name, PRESETS[name], s, FULL_SCALE_TOKEN_BUDGET)
+            for name in ("med", "large", "xl") for s in (0.0, 0.5, 0.75)]
 
 
 def human_size(n: int) -> str:

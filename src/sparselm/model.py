@@ -6,9 +6,10 @@ by default. A block is two tape ops, one per pre-norm sublayer:
 `tensor.attention` (LayerNorm, the q/k/v projections, softmax attention,
 the output projection and the residual add) and `tensor.feed_forward`
 (LayerNorm, the feed-forward input with GELU, its output and the residual
-add). The six weight matrices per block (wq, wk, wv, wo, w_ff_in, w_ff_out)
-are the sparsifiable set; embeddings, LayerNorm parameters and biases stay
-dense.
+add). The final LayerNorm and the head, a (vocab, d_model) table read
+transposed (`lm_head` when untied), are one op with the loss. The six
+weight matrices per block (wq, wk, wv, wo, w_ff_in, w_ff_out) are the
+sparsifiable set; embeddings, LayerNorm parameters and biases stay dense.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def param_specs(config: ModelConfig):
         ("ln_f.bias", (d,), "zeros"),
     ]
     if not config.tie_embeddings:
-        specs.append(("lm_head", (d, config.vocab_size), "normal"))
+        specs.append(("lm_head", (config.vocab_size, d), "normal"))
     return specs
 
 
@@ -164,12 +165,10 @@ def sparse_matrix_params(config: ModelConfig, sparsity: float) -> int:
     return sum(n - zero_count(sparsity, n) for n in sizes)
 
 
-def _head(params: ParamStore, config: ModelConfig):
-    """Output projection and whether it is read transposed: the tied head
-    is the (vocab, d_model) token-embedding table itself."""
-    if config.tie_embeddings:
-        return params["tok_emb"], True
-    return params["lm_head"], False
+def _head(params: ParamStore, config: ModelConfig) -> Tensor:
+    """The output head's (vocab, d_model) table, read transposed: the token
+    table itself when tied, else `lm_head`, which has its layout."""
+    return params["tok_emb" if config.tie_embeddings else "lm_head"]
 
 
 @dataclass
@@ -209,10 +208,10 @@ def init_soft_prompt(config: ModelConfig, n: int, virtual_ids, seed: int = 0,
 
 def forward_logits(params: ParamStore, config: ModelConfig, tokens,
                    prompt: SoftPrompt | None = None) -> Tensor:
-    """Causal decoder forward pass; returns the final normalized hidden
-    state (batch, seq, d_model), to which `lm_loss` and `head_logprobs`
-    apply the output head. The name stays while perfbench times its span
-    (ROADMAP item 1 retires it).
+    """Causal decoder forward pass; returns the last block's output
+    (batch, seq, d_model), to which `lm_loss` and `head_logprobs` apply
+    the final LayerNorm and the output head. The name stays while
+    perfbench times its span (ROADMAP item 1 retires it).
 
     With a soft prompt, row j of its embeddings replaces the token-embedding
     lookup of every occurrence of its j-th virtual id before position
@@ -239,26 +238,28 @@ def forward_logits(params: ParamStore, config: ModelConfig, tokens,
         x = T.attention(x, *(params[f"{p}.{role}"] for role in ATTENTION_ROLES),
                         config.n_heads, causal_bias, LN_EPS)
         x = T.feed_forward(x, *(params[f"{p}.{role}"] for role in FEED_FORWARD_ROLES), LN_EPS)
-
-    return T.layer_norm(x, params["ln_f.gain"], params["ln_f.bias"], LN_EPS)
+    return x
 
 
 def head_logprobs(params: ParamStore, config: ModelConfig, rows, targets) -> np.ndarray:
-    """log p(targets[i] | rows[i]) through the output head, without a tape:
-    rows are final hidden states (n, d_model), targets (n,) token ids. Only
-    these rows' logits are computed, and the logsumexp is the one of the
-    training loss (`tensor.target_nll`)."""
-    w, tied = _head(params, config)
-    return -T.target_nll(rows @ (w.data.T if tied else w.data), np.asarray(targets))
+    """log p(targets[i] | rows[i]) through the final LayerNorm and the
+    output head, without a tape: rows are last-block outputs (n, d_model)
+    of `forward_logits`, targets (n,) token ids. Only these rows are
+    normalized and their logits computed, by the expressions and the
+    logsumexp of the training loss (`tensor.cross_entropy`)."""
+    xhat = T._normalize(np.asarray(rows), LN_EPS)[0]
+    rows = xhat * params["ln_f.gain"].data + params["ln_f.bias"].data
+    return -T.target_nll(rows @ _head(params, config).data.T, np.asarray(targets))
 
 
 def lm_loss(params: ParamStore, config: ModelConfig, tokens, loss_mask=None,
             prompt: SoftPrompt | None = None) -> Tensor:
     """Mean cross-entropy of each position's prediction of the token after
-    it: the forward (`prompt` as in `forward_logits`), then the output head
-    fused with the loss (`tensor.cross_entropy`). With `loss_mask`, of the
-    tokens' shape, only the predictions of tokens whose mask is 1 count, and
-    only their logits are computed."""
+    it: the forward (`prompt` as in `forward_logits`), then the final
+    LayerNorm and the output head fused with the loss (`tensor.cross_entropy`).
+    With `loss_mask`, of the tokens' shape, only the predictions of tokens
+    whose mask is 1 count, and only their rows are normalized and their
+    logits computed."""
     tokens = np.asarray(tokens)
     if tokens.ndim != 2 or tokens.shape[1] < 2:
         raise ContractError(f"lm_loss needs (batch, seq>=2) tokens, got shape {tokens.shape}")
@@ -268,9 +269,8 @@ def lm_loss(params: ParamStore, config: ModelConfig, tokens, loss_mask=None,
     targets[:, :-1] = tokens[:, 1:]
     scored = np.zeros(tokens.shape, dtype=bool)
     scored[:, :-1] = True if loss_mask is None else np.asarray(loss_mask)[:, 1:] != 0
-    hidden = forward_logits(params, config, tokens, prompt)
-    w, tied = _head(params, config)
-    return T.cross_entropy(hidden, w, targets, scored, transpose_w=tied)
+    return T.cross_entropy(forward_logits(params, config, tokens, prompt), params["ln_f.gain"],
+                           params["ln_f.bias"], _head(params, config), targets, scored, LN_EPS)
 
 
 def clone_params(store: ParamStore) -> ParamStore:

@@ -18,14 +18,15 @@ becomes its `.grad` as is, and later ones are added into it in place (a
 large weight's a block of rows at a time: `_weight_grads`): an adjoint
 hands on a buffer of its tensor's dtype and shape. So a buffer an adjoint
 hands to `_accum` must not go to a second tensor, nor be read after it is
-handed on. The two sublayer ops, `attention` and
-`feed_forward`, pass their output gradient `g` on to their input x (the
-skip connection) as is, and only after the output projection's GEMMs and
-bias sum have read it; LayerNorm's input gradient is then added into it,
-so x.grad is formed in the order of separate residual-add and LayerNorm
-ops. `attention` keeps its q, k and v gradients in one scratch buffer and
-hands on only products and sums of it. No two leaves' `.grad` share
-memory, so an in-place update of one gradient never reaches another.
+handed on. The two sublayer ops, `attention` and `feed_forward`, pass
+their output gradient `g` on to their input x (the skip connection) as
+is, and only after the output projection's GEMMs and bias sum have read
+it, its weight gradient before its input gradient; LayerNorm's input
+gradient is then added into it, so x.grad is formed in the order of
+separate residual-add and LayerNorm ops. `attention` keeps its q, k and
+v gradients in one scratch buffer and hands on only products and sums of
+it. No two leaves' `.grad` share memory, so an in-place update of one
+gradient never reaches another.
 
 A leaf with a `grad_index` (a masked weight while `training._step` runs:
 its mask set's int32 flat index of the active entries, the optimizer's own
@@ -38,9 +39,11 @@ masks are refused outside the block matrices (`sparsity.check_masks`).
 What an op keeps for its backward is what that backward cannot cheaply
 recompute. `attention` keeps LayerNorm's row mean and inv, Q, K and V in
 one buffer, the softmax and the attention output; `feed_forward` keeps
-the row mean and inv and GELU's pre-activation and CDF; `layer_norm`
-keeps the row mean and inv. Their backwards rebuild LayerNorm's xhat from
-the input x, which the tape holds anyway, then the LayerNorm outputs
+the row mean and inv and GELU's pre-activation and CDF; `cross_entropy`
+keeps the final LayerNorm's row mean, inv and output and the logits, of
+the scored rows only, and drops the output once the table's gradient is
+formed and the logits once the output's is. Their backwards rebuild LayerNorm's xhat from the
+input x, which the tape holds anyway, then the LayerNorm outputs
 (xhat * gain + bias) and the GELU output (pre * cdf), each with the
 forward's own expressions, so the bits are those of separate ops that had
 kept them.
@@ -225,9 +228,11 @@ def _xhat(x, mean, inv):
     return xhat
 
 
-def _normalize_grads(x, gain, bias, xhat, inv, g):
+def _normalize_grads(x, gain, bias, xhat, inv, g, rows=None):
     """Accumulate the gain, bias and x gradients of `xhat * gain + bias`
-    (`_normalize` of x) from its gradient `g`, of x's shape, in that order."""
+    (`_normalize` of x) from its gradient `g`, of x's shape, in that order.
+    With `rows`, xhat, inv and g cover only those flat rows of x, and x's
+    other rows get a zero gradient."""
     d = xhat.shape[-1]
     if gain.requires_grad:
         _accum(gain, np.einsum("ij,ij->j", g.reshape(-1, d), xhat.reshape(-1, d)))
@@ -240,18 +245,10 @@ def _normalize_grads(x, gain, bias, xhat, inv, g):
         dx += gg.mean(axis=-1, keepdims=True)
         np.subtract(gg, dx, out=dx)
         dx *= inv
+        if rows is not None:
+            gx, dx = dx, np.zeros_like(x.data)
+            dx.reshape(-1, d)[rows] = gx
         _accum(x, dx)
-
-
-def layer_norm(x, gain, bias, eps=1e-5):
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    xhat, mean, inv = _normalize(x.data, eps)
-    out = Tensor(xhat * gain.data + bias.data)
-
-    def bwd(g):
-        _normalize_grads(x, gain, bias, _xhat(x.data, mean, inv), inv, g)
-
-    return _finish(out, (x, gain, bias), bwd)
 
 
 def _even_poly(coeffs, z2, out):
@@ -302,32 +299,30 @@ def _gelu_grad(x, cdf, g):
     return d
 
 
-def _weight_grads(rows, w, b, gy, transpose_w=False):
-    """Accumulate the w and b gradients of `rows @ w + b` (w read as its
-    transpose with transpose_w) from the output gradient `gy`, in that
-    order. `rows` is read only when w needs its gradient.
+def _weight_grads(rows, w, b, gy):
+    """Accumulate the w and b gradients of `rows @ w + b` from the output
+    gradient `gy`, in that order; `rows` is read only when w needs its
+    gradient. The head's table, read transposed, passes its operands
+    swapped: the gradient of `a @ w.T` is `gy.T @ a`.
 
-    w's gradient is `a.T @ c`, with (a, c) = (rows, gy), or (gy, rows)
-    with transpose_w. A first gradient becomes w.grad as the GEMM forms it,
-    and a masked weight's is gathered at its `grad_index` (`_accum`). One
-    added into a dense float32 w.grad of more than GRAD_BLOCK bytes (the
-    tied head's on every micro-batch after the first, say) is formed and
-    added a block of whole rows at a time, `w.grad[i:j] += a[:, i:j].T @ c`,
-    so no second gradient of w's size is held; each block's entries have
-    the bits of the whole product's."""
+    A first gradient `rows.T @ gy` becomes w.grad as the GEMM forms it, and
+    a masked weight's is gathered at its `grad_index` (`_accum`). One added
+    into a dense float32 w.grad of more than GRAD_BLOCK bytes (the tied
+    head's on every micro-batch after the first, say) is formed and added a
+    block of whole rows at a time, so no second gradient of w's size is
+    held; each block's entries have the bits of the whole product's."""
     if w.requires_grad:
-        a, c = (gy, rows) if transpose_w else (rows, gy)
         grad = w.grad
         if (grad is None or w.grad_index is not None or grad.dtype != np.float32
                 or grad.nbytes <= GRAD_BLOCK):
-            _accum(w, a.T @ c)
+            _accum(w, rows.T @ gy)
         else:
             m = len(grad)
             step = GRAD_BLOCK_ROWS * max(1, GRAD_BLOCK // (GRAD_BLOCK_ROWS * grad[0].nbytes))
             n_blocks = max(1, m // step)
             for k in range(n_blocks):
                 i, j = k * step, (k + 1) * step if k + 1 < n_blocks else m
-                grad[i:j] += a[:, i:j].T @ c
+                grad[i:j] += rows[:, i:j].T @ gy
     if b is not None and b.requires_grad:
         _accum(b, gy.sum(axis=0))
 
@@ -382,7 +377,7 @@ def _softmax_attention_grads(qkv, p, g, n_heads):
 def attention(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, n_heads, logit_bias, eps=1e-5):
     """A pre-norm attention sublayer as one op: x + A @ wo + bo, where A is
     multi-head softmax(Q Kᵀ / sqrt(d_head) + logit_bias) V over a = LN(x) =
-    layer_norm(x, gain, bias, eps), with Q = a @ wq + bq and K and V alike.
+    xhat * gain + bias (`_normalize`), with Q = a @ wq + bq and K and V alike.
 
     x: (batch, seq, d_in); gain, bias, bo: (d_in,); wq, wk, wv: (d_in, d)
     with the heads side by side along d, as in A; bq, bk, bv: (d,); wo:
@@ -410,8 +405,8 @@ def attention(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, n_heads, logit_bias
 
     def bwd(g):
         gy = g.reshape(-1, d_in)
-        gatt = gy @ wo.data.T
         _weight_grads(att, wo, bo, gy)
+        gatt = gy @ wo.data.T
         # x's first gradient is g itself, from the skip connection: `g` is
         # not read after this, so it may become x.grad and be added into
         _accum(x, g)
@@ -436,10 +431,10 @@ def attention(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, n_heads, logit_bias
 
 def feed_forward(x, gain, bias, w_in, b_in, w_out, b_out, eps=1e-5):
     """A pre-norm feed-forward sublayer as one op:
-    x + GELU(LN(x) @ w_in + b_in) @ w_out + b_out, LN(x) =
-    layer_norm(x, gain, bias, eps) and GELU(z) = z * Phi(z) with the erf
-    form of the normal CDF, no tanh approximation (erf as in `_erf`: double
-    precision in float64, within 4.5e-7 in float32).
+    x + GELU(LN(x) @ w_in + b_in) @ w_out + b_out, LN as in `attention` and
+    GELU(z) = z * Phi(z) with the erf form of the normal CDF, no tanh
+    approximation (erf as in `_erf`: double precision in float64, within
+    4.5e-7 in float32).
 
     x: (..., d); gain, bias, b_out: (d,); w_in: (d, d_ff); b_in: (d_ff,);
     w_out: (d_ff, d).
@@ -457,8 +452,8 @@ def feed_forward(x, gain, bias, w_in, b_in, w_out, b_out, eps=1e-5):
 
     def bwd(g):
         gy = g.reshape(-1, d)
-        gh = gy @ w_out.data.T
         _weight_grads(pre * cdf if w_out.requires_grad else None, w_out, b_out, gy)
+        gh = gy @ w_out.data.T
         # as in `attention`: `g` becomes x's first gradient, and is not read after
         _accum(x, g)
         gpre = _gelu_grad(pre, cdf, gh)
@@ -473,21 +468,20 @@ def feed_forward(x, gain, bias, w_in, b_in, w_out, b_out, eps=1e-5):
     return _finish(out, (x, gain, bias, w_in, b_in, w_out, b_out), bwd)
 
 
-def cross_entropy(x, w, targets, ignore_mask=None, transpose_w=False):
-    """Mean negative log-probability of `targets` under softmax(x @ w): the
-    output head fused with the loss.
+def cross_entropy(x, gain, bias, w, targets, ignore_mask=None, eps=1e-5):
+    """Mean negative log-probability of `targets` under softmax(LN(x) @ wᵀ),
+    LN as in `attention`: the final LayerNorm and the output head fused
+    with the loss.
 
-    x: (..., d) rows. w: (d, vocab), or with transpose_w a (vocab, d) table
-    read in place. targets: int ids of shape x.shape[:-1]. ignore_mask, of
-    the same shape, marks positions with 0 to leave out: their logits are
-    never computed and their rows get zero gradient.
+    x: (..., d) rows; gain, bias: (d,); w: a (vocab, d) table, read
+    transposed in place. targets: int ids of shape x.shape[:-1].
+    ignore_mask, of the same shape, marks positions with 0 to leave out:
+    their rows are never normalized, their logits never computed, and
+    they get zero gradient.
     """
-    if w.data.ndim != 2:
-        raise ContractError(f"cross_entropy: weight must be 2-d, got {w.shape}")
-    wm = w.data.T if transpose_w else w.data
-    d, v = wm.shape
+    d = w.data.shape[-1]
     if x.data.ndim < 2 or x.data.shape[-1] != d:
-        raise ContractError(f"cross_entropy shape mismatch: {x.shape} x {wm.shape}")
+        raise ContractError(f"cross_entropy shape mismatch: {x.shape} x {w.shape}")
     lead = x.data.shape[:-1]
     targets = np.asarray(targets)
     if targets.shape != lead:
@@ -496,27 +490,32 @@ def cross_entropy(x, w, targets, ignore_mask=None, transpose_w=False):
     if active.shape != lead:
         raise ContractError(f"cross_entropy: ignore_mask shape {active.shape} != {lead}")
     scored = np.flatnonzero(active)
-    flat = x.data.reshape(-1, d)
-    rows, picked = flat[scored], targets.reshape(-1)[scored]
-    n = rows.shape[0]
+    picked = targets.reshape(-1)[scored]
+    n = len(scored)
     if n == 0:
         raise ContractError("cross_entropy: no active positions")
 
-    ez = rows @ wm
+    xhat, mean, inv = _normalize(x.data.reshape(-1, d)[scored], eps)
+    rows = xhat * gain.data + bias.data
+    del xhat
+    ez = rows @ w.data.T
     out = Tensor(target_nll(ez, picked).sum() / x.data.dtype.type(n))
 
     def bwd(g):
-        p = ez
+        nonlocal ez, rows
+        p, ez = ez, None
         p /= p.sum(axis=1, keepdims=True)
         p[np.arange(n), picked] -= 1.0
         p *= g / x.data.dtype.type(n)
-        if x.requires_grad:
-            gx = np.zeros_like(flat)
-            gx[scored] = p @ wm.T
-            _accum(x, gx.reshape(x.data.shape))
-        _weight_grads(rows, w, None, p, transpose_w)
+        _weight_grads(p, w, None, rows)
+        rows = None
+        if x.requires_grad or gain.requires_grad or bias.requires_grad:
+            ga = p @ w.data
+            del p
+            xhat = _xhat(x.data.reshape(-1, d)[scored], mean, inv)
+            _normalize_grads(x, gain, bias, xhat, inv, ga, scored)
 
-    return _finish(out, (x, w), bwd)
+    return _finish(out, (x, gain, bias, w), bwd)
 
 
 def target_nll(logits, targets):

@@ -1,19 +1,19 @@
 """Full-vocab logits for tests that compare logits.
 
-The model's forward ends at the final hidden state and applies the output
-head only to scored rows, so a test that compares logits forms them here:
-the hidden state times the head weight, as one (rows, d_model) GEMM.
+The model's forward ends at the last block's output, and the final
+LayerNorm and the output head are applied only to scored rows, so a test
+that compares logits forms them here: the final LayerNorm of every row,
+then the (vocab, d_model) head table read transposed, as one GEMM.
 """
-
-import numpy as np
 
 from sparselm import model as M
 from sparselm import tensor as T
 
 
-def full_logits(params, config, tokens, prompt=None) -> np.ndarray:
+def full_logits(params, config, tokens, prompt=None):
     """(batch, seq, vocab) logits of `tokens`, without a tape."""
     with T.no_grad():
         hidden = M.forward_logits(params, config, tokens, prompt).data
-    head = params["tok_emb"].data.T if config.tie_embeddings else params["lm_head"].data
-    return (hidden.reshape(-1, config.d_model) @ head).reshape(hidden.shape[:-1] + (-1,))
+    normed = T._normalize(hidden, M.LN_EPS)[0] * params["ln_f.gain"].data + params["ln_f.bias"].data
+    head = M._head(params, config).data
+    return (normed.reshape(-1, config.d_model) @ head.T).reshape(hidden.shape[:-1] + (-1,))

@@ -2,7 +2,8 @@
 
 Deliberately written without the package's tensor library: explicit
 per-head loops, no tape, math derived straight from the architecture
-definition (pre-LN blocks, causal softmax attention, erf GELU, tied head).
+definition (pre-LN blocks, causal softmax attention, erf GELU, a (vocab, d)
+head table, tied or not).
 """
 
 import numpy as np
@@ -51,8 +52,8 @@ def ref_forward(params, config, tokens):
         x = x + hidden @ params[f"{p}.w_ff_out"] + params[f"{p}.b_ff_out"]
 
     x = ref_layer_norm(x, params["ln_f.gain"], params["ln_f.bias"])
-    head_w = params["tok_emb"].T if config.tie_embeddings else params["lm_head"]
-    return x @ head_w
+    head_w = params["tok_emb"] if config.tie_embeddings else params["lm_head"]  # (vocab, d)
+    return x @ head_w.T
 
 
 def ref_next_token_probs(params, config, tokens):

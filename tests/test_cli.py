@@ -19,6 +19,7 @@ from sparselm import cli
 from sparselm import data as D
 from sparselm import evaluation as E
 from sparselm import finetune as FT
+from sparselm import flops as F
 from sparselm import model as M
 from sparselm import training as TR
 from sparselm.errors import LIBRARY_RULES, SETTING_RANGES, ContractError, record_shape
@@ -325,6 +326,18 @@ def test_flops_custom_tiny_config(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "forward/token" in out and "150.0" in out
     assert "1.00x of dense" in out
+
+
+def test_flops_csv_writes_its_configs_cost_table_row(tmp_path, capsys):
+    # the row `flops.table_row` builds, as for each of the paper table's nine
+    cfg = {"n_layers": 1, "d_model": 2, "n_heads": 1, "d_head": 2,
+           "vocab_size": 4, "context_window": 2, "d_ff": 8}
+    path, out = tmp_path / "tiny.json", tmp_path / "row.csv"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["flops", "--model-config", str(path), "--sparsity", "0.5",
+                     "--tokens", "2", "--csv", str(out)]) == 0
+    assert out.read_text() == "model,size,sparsity,flops,ratio\ncustom,24,0.5,612.0,0.68\n"
+    assert out.read_text() == F.table_to_csv([F.table_row("custom", M.ModelConfig(**cfg), 0.5, 2)])
 
 
 # --------------------------------------------------------- finetune + eval

@@ -20,13 +20,13 @@ def tiny_config(**kw):
 
 
 def fixed_logit_model(cfg, logit_row):
-    """All-zero model except final-LN bias e0 and lm_head row 0, so every
+    """All-zero model except final-LN bias e0 and lm_head column 0, so every
     position emits exactly `logit_row`."""
     store = M.init_params(cfg, seed=0)
     for t in store.values():
         t.data[...] = 0.0
     store["ln_f.bias"].data[0] = 1.0
-    store["lm_head"].data[0, :] = np.asarray(logit_row, dtype=np.float32)
+    store["lm_head"].data[:, 0] = np.asarray(logit_row, dtype=np.float32)
     return store
 
 
@@ -284,7 +284,7 @@ def test_generate_matches_reference_decoder():
         store = M.init_params(cfg, seed=seed, dtype="float64")
         store["lm_head"].data *= 30.0  # sharpen the next-token distributions
         store["ln_f.bias"].data[0] = 1.0  # and favour tokens 12 and 13 everywhere
-        store["lm_head"].data[0, [12, 13]] += 2.0
+        store["lm_head"].data[[12, 13], 0] += 2.0
         source = np.random.default_rng(seed).integers(4, 16, size=3).tolist()
         out = E.generate_labels(store, cfg, None, source, sp, max_steps=3)
         assert (out.labels, out.truncated) == reference_generate(store, cfg, None, source,

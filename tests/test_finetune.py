@@ -177,8 +177,9 @@ def test_loss_mask_exactness_via_logit_grads():
     # position i predicts token i + 1; the last position predicts nothing
     targets = np.roll(ids, -1, axis=1)
     scored = np.concatenate([mask[:, 1:], np.zeros((1, 1), dtype=mask.dtype)], axis=1)
-    loss = T.cross_entropy(logits, T.Tensor(np.eye(cfg.vocab_size), dtype=logits.dtype), targets,
-                           scored)
+    # the logits through a head of unit LayerNorm and identity table
+    unit = [T.Tensor(f(cfg.vocab_size), dtype=logits.dtype) for f in (np.ones, np.zeros, np.eye)]
+    loss = T.cross_entropy(logits, *unit, targets, scored)
     T.backward(loss)
     active = mask[0, 1:].astype(bool)
     grads = logits.grad[0, : seq - 1]

@@ -503,6 +503,28 @@ def test_a_tensor_that_does_not_fit_the_config_is_refused_naming_the_file_and_th
     assert_refused(base, path, section, message, tmp_path)
 
 
+def test_an_untied_head_in_the_retired_d_by_vocab_layout_is_refused(base, tmp_path):
+    # an untied lm_head is stored (vocab, d_model), as tok_emb; a checkpoint
+    # that holds it as (d_model, vocab), the layout of earlier versions, is
+    # refused where it enters, naming the shape
+    vocab = len(D.load_vocab(base / "vocab.txt"))
+    cfg = M.ModelConfig(**dict(MODEL, vocab_size=vocab, tie_embeddings=False))
+    path = tmp_path / "untied.ckpt"
+    TR.save_model_checkpoint(path, cfg, M.init_params(cfg, seed=0))
+    sections = C.load_container(path)
+    arrays = C.decode_tensor_map(sections["params"])
+    assert arrays["lm_head"].shape == (vocab, 16)
+    arrays["lm_head"] = np.ascontiguousarray(arrays["lm_head"].T)
+    C.save_container(path, dict(sections, params=C.encode_tensor_map(arrays)))
+    message = f"params section: 'lm_head' has shape (16, {vocab}), expected ({vocab}, 16)"
+    with pytest.raises(ContractError) as caught:
+        TR.load_model_checkpoint(path)
+    assert str(caught.value) == f"{path}: {message}"
+    code, stdout, err = run_cli([a.format(ckpt=path, base=base, out=tmp_path)
+                                 for a in READERS["eval"]])
+    assert (code, stdout, err) == (2, "", f"error: {path}: {message}\n")
+
+
 def test_a_train_checkpoint_with_a_nonzero_at_a_pruned_coordinate_is_refused(full_ckpt, tmp_path):
     # training never changes a pruned weight, so a file where one is not 0.0
     # was not written by a run; -0.0 is 0.0 and loads

@@ -1,5 +1,5 @@
-"""What a training forward, a mask set, a train state and a sparse step hold,
-measured with tracemalloc."""
+"""What a training forward, a mask set, a train state, a sparse step and a
+fine-tune's epoch selection hold, measured with tracemalloc."""
 
 import tracemalloc
 from array import array
@@ -8,6 +8,7 @@ import numpy as np
 
 from sparselm import checkpoint as C
 from sparselm import data as D
+from sparselm import finetune as FT
 from sparselm import model as M
 from sparselm import sparsity as S
 from sparselm import tensor as T
@@ -28,6 +29,10 @@ PARAM_OVERHEAD = 1024
 MASK_OVERHEAD = 512
 # one StepRecord with its float fields, and its slot in the trace list; about 300 bytes
 TRACE_RECORD_BYTES = 512
+# what a fine-tune allocates between an epoch's metric and the next batch's
+# forward besides a copy of the weights: the epoch's record and the next
+# epoch's padded batches; about 2 KB here
+EPOCH_TURN_BYTES = 65536
 # numpy keeps freed buffers under 1 KB in per-size caches for reuse, and
 # tracemalloc counts them as held: 1.5-6.5 KB over one step here, twice
 # that allowed; a kept AdamW buffer would be 256 KiB
@@ -51,8 +56,9 @@ def held_bytes(make):
 def needed_bytes(cfg, batch):
     """What the backward of the grad-mode `lm_loss` forward reads: per block
     the two sublayer ops' saved arrays and outputs, plus the embedding's
-    output, the final LayerNorm and the fused head with its logits. No
-    LayerNorm keeps its xhat, which the backward rebuilds from its input."""
+    output and the head op with its logits. No LayerNorm keeps its xhat,
+    which the backward rebuilds from its input, and the final LayerNorm's
+    output exists only as the head's rows."""
     n, t, d, f = batch * cfg.context_window, cfg.context_window, cfg.d_model, cfg.d_ff
     attention = (2 * n                # LayerNorm's row mean and inv
                  + 3 * n * d          # Q, K and V
@@ -64,7 +70,7 @@ def needed_bytes(cfg, batch):
                     + n * d)          # the op's output
     scored = batch * (t - 1)
     head = (n * d                     # the embedding's output
-            + n * d + 2 * n           # the final LayerNorm's output, row mean and inv
+            + 2 * scored              # the final LayerNorm's row mean and inv, scored rows only
             + scored * cfg.vocab_size + scored * d)  # the head's logits and rows
     floats = cfg.n_layers * (attention + feed_forward) + head
     return 4 * floats + 8 * 2 * scored  # float32, and the head's int64 row and target ids
@@ -78,10 +84,11 @@ def test_a_training_forward_holds_what_its_backward_needs():
         t.grad = None
     loss, held = held_bytes(lambda: M.lm_loss(params, CFG, tokens))
     nodes = T.tape_size()
-    assert nodes == 2 * CFG.n_layers + 3
-    # one sublayer op per LayerNorm: neither LayerNorm output nor the GELU
-    # output of a block is held, which would add 2*n*d + n*f floats per
-    # block, nor any LayerNorm's xhat, n*d floats each
+    assert nodes == 2 * CFG.n_layers + 2
+    # one op per LayerNorm: neither LayerNorm output nor the GELU output of a
+    # block is held, which would add 2*n*d + n*f floats per block, nor the
+    # final LayerNorm's output beside the head's rows, nor any LayerNorm's
+    # xhat, n*d floats each
     assert held <= needed_bytes(CFG, BATCH) + NODE_OVERHEAD * nodes, held
     T.backward(loss)
 
@@ -155,7 +162,7 @@ def test_a_clipped_micro_batched_sparse_step_forms_only_compact_weight_gradients
     active = active_entries(masks)
     unmasked = sum(t.data.size for p, t in params.items() if p not in masks)
     largest = max(params[p].data.nbytes for p in masks.paths())
-    activations = needed_bytes(cfg, micro) + NODE_OVERHEAD * (2 * cfg.n_layers + 3)
+    activations = needed_bytes(cfg, micro) + NODE_OVERHEAD * (2 * cfg.n_layers + 2)
     bound = 4 * (unmasked + active) + 2 * largest + activations
     assert peak <= bound, (peak, bound)
 
@@ -188,7 +195,7 @@ def test_a_micro_batched_step_adds_the_tied_heads_gradient_a_block_at_a_time():
     step_slack = T.GRAD_BLOCK + 4 * 2 * n * cfg.d_model
     assert head > T.GRAD_BLOCK and step_slack < head
     grads = 4 * sum(t.data.size for t in params.values())
-    activations = needed_bytes(cfg, micro) + NODE_OVERHEAD * (2 * cfg.n_layers + 3)
+    activations = needed_bytes(cfg, micro) + NODE_OVERHEAD * (2 * cfg.n_layers + 2)
     bound = grads + activations + step_slack
     assert peak <= bound, (peak, bound)
 
@@ -287,3 +294,49 @@ def test_packing_peaks_at_its_stream():
     finally:
         tracemalloc.stop()
     assert peak <= stream + stream // 16 + 8 * len(data) + 4096, (peak, stream)
+
+
+def test_selecting_a_fine_tune_epoch_copies_the_weights_into_one_buffer(monkeypatch):
+    # each improving epoch's weights are copied into one buffer per trainable
+    # tensor, allocated before the first epoch, so from an epoch's metric to
+    # the next batch's forward (or the job's end), where the epoch is
+    # selected, nothing of the weights' size is allocated. A fresh copy per
+    # selection, with the previous one alive while it is made, would add the
+    # trainable bytes, 0.8 MB here, at every selection.
+    cfg = M.ModelConfig(n_layers=1, d_model=128, n_heads=2, d_head=64, vocab_size=16,
+                        context_window=16)
+    params = M.init_params(cfg, seed=0)
+    trainable = sum(t.data.nbytes for t in params.values())
+    rng = np.random.default_rng(0)
+    task = [FT.TaskExample(source=rng.integers(11, 16, size=5).tolist() + [signal],
+                           target=[signal + 3])
+            for signal in rng.integers(5, 8, size=12).tolist()]
+    job = FT.FinetuneJob(stages=[FT.FinetuneStage("task", task[:8], task[8:])], epochs=3,
+                         batch_size=4, peak_lr=1e-3)
+    turns, start = [], []
+
+    def metric(params, prompt, examples):
+        tracemalloc.reset_peak()
+        start.append(tracemalloc.get_traced_memory()[0])
+        return 0.0
+
+    def close_turn():
+        if len(turns) < len(start):
+            turns.append(tracemalloc.get_traced_memory()[1] - start[-1])
+
+    def sequence_loss(*args, loss=FT.sequence_loss):
+        close_turn()
+        return loss(*args)
+
+    monkeypatch.setattr(FT, "sequence_loss", sequence_loss)
+    tracemalloc.start()
+    try:
+        result = FT.finetune_dense(params, cfg, job, metric)
+        close_turn()
+    finally:
+        tracemalloc.stop()
+    val = [r.val_loss for r in result.report]
+    assert len(turns) == 3 and val == sorted(val, reverse=True), val  # each epoch selected
+    assert result.selected.epoch == 3
+    assert trainable > 10 * EPOCH_TURN_BYTES
+    assert max(turns) <= EPOCH_TURN_BYTES, turns

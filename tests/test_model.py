@@ -241,7 +241,7 @@ def test_lm_loss_matches_bruteforce_two_token_sequence():
 def test_lm_loss_tape_stays_small():
     # one embedding node (positions and prompt folded in), two per layer
     # (the attention and the feed-forward sublayer, each with its LayerNorm
-    # and residual add), the final norm and the fused head loss
+    # and residual add) and the head loss with the final LayerNorm fused in
     cfg = toy_model_config()
     store = M.init_params(cfg, seed=0)
     rng = np.random.default_rng(0)
@@ -258,14 +258,14 @@ def test_lm_loss_tape_stays_small():
         forward()
         nodes = T.tape_size()
         T.reset_tape()
-        assert nodes == 7
+        assert nodes == 2 * cfg.n_layers + 2 == 6
     wide = M.ModelConfig(n_layers=4, d_model=256, n_heads=4, d_head=64, vocab_size=2048,
                          context_window=128)
     T.reset_tape()
     M.lm_loss(M.init_params(wide, seed=0), wide, rng.integers(0, 2048, size=(1, 128)))
     nodes = T.tape_size()
     T.reset_tape()
-    assert nodes == 11
+    assert nodes == 2 * wide.n_layers + 2 == 10
 
 
 def test_lm_loss_needs_two_tokens():
@@ -291,6 +291,52 @@ def test_lm_loss_with_a_mask_is_the_mean_nll_of_the_masked_tokens():
     with T.no_grad():
         got = M.lm_loss(store, cfg, tokens, mask, prompt).item()
     assert got == pytest.approx(np.mean(nll), rel=1e-12)
+
+
+@pytest.mark.parametrize("tied", [True, False])
+def test_head_logprobs_on_the_scored_rows_are_the_nll_the_loss_averages(tied):
+    # float32, with a prompt and a mask: the loss is the mean of exactly the
+    # negated log-probabilities `head_logprobs` gives the scored rows, and
+    # each is the log-softmax of its row's full logits
+    cfg = tiny_config(tie_embeddings=tied)
+    store = M.init_params(cfg, seed=2)
+    rng = np.random.default_rng(5)
+    prompt = M.SoftPrompt(T.Tensor(rng.normal(size=(2, cfg.d_model)), dtype="float32"), (2, 3))
+    tokens = np.array([[2, 3, 7, 1, 9, 4], [2, 3, 5, 8, 0, 0]])
+    mask = np.array([[0, 0, 1, 0, 1, 1], [0, 0, 0, 1, 1, 0]])
+    scored = mask[:, 1:] != 0
+    with T.no_grad():
+        loss = M.lm_loss(store, cfg, tokens, mask, prompt).data
+        hidden = M.forward_logits(store, cfg, tokens, prompt).data[:, :-1]
+    logprobs = M.head_logprobs(store, cfg, hidden[scored], tokens[:, 1:][scored])
+    assert logprobs.dtype == loss.dtype == np.float32
+    assert ((-logprobs).sum() / np.float32(len(logprobs))).tobytes() == loss.tobytes()
+    logits = full_logits(store, cfg, tokens, prompt)[:, :-1][scored].astype(np.float64)
+    z = logits - logits.max(axis=1, keepdims=True)
+    want = z[np.arange(len(z)), tokens[:, 1:][scored]] - np.log(np.exp(z).sum(axis=1))
+    np.testing.assert_allclose(logprobs, want, rtol=0, atol=1e-6)
+
+
+def test_an_untied_head_holding_the_token_table_gives_the_tied_bits():
+    # an untied lm_head has tok_emb's (vocab, d_model) layout and is read as
+    # the tied table is, so a copy of the table gives the tied loss, and the
+    # two heads' gradients sum to the tied table's
+    tied = tiny_config()
+    untied = tiny_config(tie_embeddings=False)
+    store = M.init_params(tied, seed=1, dtype="float64")
+    copy = M.clone_params(store)
+    copy["lm_head"] = T.Tensor(store["tok_emb"].data.copy(), requires_grad=True)
+    assert copy.keys() == {path for path, _, _ in M.param_specs(untied)}
+    tokens = np.random.default_rng(0).integers(0, tied.vocab_size, size=(3, 6))
+    mask = np.ones(tokens.shape, dtype=int)
+    mask[0, 2:4] = 0
+    losses = []
+    for params, cfg in ((store, tied), (copy, untied)):
+        losses.append(M.lm_loss(params, cfg, tokens, mask))
+        T.backward(losses[-1])
+    assert losses[0].data.tobytes() == losses[1].data.tobytes()
+    np.testing.assert_allclose(copy["tok_emb"].grad + copy["lm_head"].grad,
+                               store["tok_emb"].grad, rtol=0, atol=1e-15)
 
 
 def test_lm_loss_refuses_a_mask_of_another_shape():

@@ -14,6 +14,8 @@ from scipy.special import erf as scipy_erf
 from sparselm.errors import ContractError
 from sparselm import tensor as T
 
+from reference_forward import ref_layer_norm
+
 
 def t64(a, grad=True):
     return T.Tensor(np.asarray(a, dtype=np.float64), requires_grad=grad, dtype="float64")
@@ -116,19 +118,19 @@ def test_softmax_rows_keeps_the_bits_of_the_max_form(dtype):
 
 def test_layer_norm_constant_row_is_zero():
     x = T.Tensor(np.full((2, 4), 7.0))
-    out = T.layer_norm(x, T.Tensor(np.ones(4)), T.Tensor(np.zeros(4)))
+    out = layer_norm(x, T.Tensor(np.ones(4)), T.Tensor(np.zeros(4)))
     assert np.allclose(out.data, 0.0)
 
 
 def test_layer_norm_hand_values():
-    out = T.layer_norm(t64([[1.0, 3.0]]), t64([1.0, 1.0]), t64([0.0, 0.0]), eps=1e-12)
+    out = layer_norm(t64([[1.0, 3.0]]), t64([1.0, 1.0]), t64([0.0, 0.0]), eps=1e-12)
     assert np.allclose(out.data, [[-1.0, 1.0]], atol=1e-6)
 
 
 def test_layer_norm_zero_gain_gives_bias():
     x = T.Tensor(np.random.default_rng(0).normal(size=(3, 5)).astype(np.float32))
     bias = T.Tensor(np.full(5, 2.5), dtype="float32")
-    out = T.layer_norm(x, T.Tensor(np.zeros(5), dtype="float32"), bias)
+    out = layer_norm(x, T.Tensor(np.zeros(5), dtype="float32"), bias)
     assert np.allclose(out.data, 2.5)
 
 
@@ -143,8 +145,8 @@ def test_layer_norm_float32_rows_far_from_zero():
         ref = x.astype(np.float64)
         centered = ref - ref.mean(axis=-1, keepdims=True)
         want = centered / np.sqrt((centered ** 2).mean(axis=-1, keepdims=True) + 1e-5)
-        got = T.layer_norm(T.Tensor(x), T.Tensor(np.ones(d), dtype="float32"),
-                           T.Tensor(np.zeros(d), dtype="float32"), eps=1e-5).data
+        got = layer_norm(T.Tensor(x), T.Tensor(np.ones(d), dtype="float32"),
+                         T.Tensor(np.zeros(d), dtype="float32"), eps=1e-5).data
         assert got.dtype == np.float32
         np.testing.assert_allclose(got, want, rtol=0, atol=2e-2)
 
@@ -250,16 +252,23 @@ def test_gelu_float32_tracks_float64():
     assert np.allclose(g32, g64, rtol=1e-5, atol=1e-6)
 
 
+def unit_norm(d, grad=False):
+    """A LayerNorm gain of ones and bias of zeros: the head reads xhat itself."""
+    return t64(np.ones(d), grad=grad), t64(np.zeros(d), grad=grad)
+
+
 def test_cross_entropy_uniform_logits():
+    # a constant row normalizes to 0, so its logits are the LayerNorm's bias
     logits = t64(np.zeros((3, 4)))
-    loss = T.cross_entropy(logits, t64(np.eye(4), grad=False), [0, 1, 3])
+    loss = T.cross_entropy(logits, *unit_norm(4), t64(np.eye(4), grad=False), [0, 1, 3])
     assert loss.item() == pytest.approx(math.log(4.0), abs=1e-12)
 
 
 def test_cross_entropy_confident_correct_class():
-    logits = np.zeros((1, 4))
-    logits[0, 2] = 1000.0
-    loss = T.cross_entropy(t64(logits), t64(np.eye(4), grad=False), [2])
+    bias = np.zeros(4)
+    bias[2] = 1000.0
+    loss = T.cross_entropy(t64(np.full((1, 4), 3.0)), t64(np.ones(4), grad=False),
+                           t64(bias, grad=False), t64(np.eye(4), grad=False), [2])
     assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
 
@@ -280,20 +289,21 @@ def test_target_nll_keeps_the_digits_of_a_confident_target():
 
 
 def test_cross_entropy_mask_selects_single_position():
-    logits = np.array([[1.0, 2.0, 0.5], [0.0, 0.0, 0.0]])
+    x = np.array([[1.0, 2.0, 0.5], [3.0, 0.0, -1.0]])
     targets = [1, 0]
-    loss = T.cross_entropy(t64(logits), t64(np.eye(3), grad=False), targets, ignore_mask=[1, 0])
-    row = logits[0]
+    loss = T.cross_entropy(t64(x), *unit_norm(3), t64(np.eye(3), grad=False), targets,
+                           ignore_mask=[1, 0])
+    row = ref_layer_norm(x[0], 1.0, 0.0)
     expected = math.log(np.exp(row).sum()) - row[1]
     assert loss.item() == pytest.approx(expected, abs=1e-12)
 
 
 def test_cross_entropy_target_out_of_range():
     with pytest.raises(ContractError, match=r"target id outside \[0, 4\)"):
-        T.cross_entropy(T.Tensor(np.zeros((2, 4))), T.Tensor(np.eye(4)), [0, 4])
+        T.cross_entropy(T.Tensor(np.zeros((2, 4))), *unit_norm(4), T.Tensor(np.eye(4)), [0, 4])
     with pytest.raises(ContractError):
-        T.cross_entropy(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4, 3))), [-1, 0],
-                        transpose_w=True)
+        T.cross_entropy(T.Tensor(np.zeros((2, 3))), *unit_norm(3), T.Tensor(np.zeros((4, 3))),
+                        [-1, 0])
 
 
 # token ids are checked by `model.forward_logits` (tests/test_model.py), a
@@ -361,7 +371,7 @@ def test_attention_is_three_linears_and_reference_attention():
     x, att, _ = sublayer_arrays(rng, d=d_in, width=d, seq=seq)
     x, (gain, bias, *wb, wo, bo) = t64(x, grad=False), [t64(a, grad=False) for a in att]
     causal = np.triu(np.full((seq, seq), -1e9), k=1)
-    a = T.layer_norm(x, gain, bias)
+    a = layer_norm(x, gain, bias)
     q, k, v = (linear(a, wb[i], wb[i + 1]).data for i in (0, 2, 4))
     heads = np.zeros((bsz, seq, d))
     for b in range(bsz):
@@ -387,8 +397,20 @@ def fused_grads(out, upstream, leaves):
     return [leaf.grad for leaf in leaves]
 
 
-# A pre-norm block as separate tape ops: `layer_norm`, and these four for
-# the matrix products, the residual add, GELU and the softmax attention core.
+# A pre-norm block as separate tape ops: these five for LayerNorm, the
+# matrix products, the residual add, GELU and the softmax attention core,
+# and `head_loss` for the output head with the loss.
+
+def layer_norm(x, gain, bias, eps=1e-5):
+    """LayerNorm of x's last axis as a tape op, by the expressions of the
+    fused ops: `_normalize` forward, `_xhat` and `_normalize_grads` backward."""
+    xhat, mean, inv = T._normalize(x.data, eps)
+
+    def bwd(g):
+        T._normalize_grads(x, gain, bias, T._xhat(x.data, mean, inv), inv, g)
+
+    return T._finish(T.Tensor(xhat * gain.data + bias.data), (x, gain, bias), bwd)
+
 
 def linear(x, w, b):
     """x @ w + b over the last axis of x as a tape op: the GEMM on x's rows
@@ -436,13 +458,13 @@ def softmax_attention(q, k, v, n_heads, logit_bias):
 
 
 def unfused_attention(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, n_heads, logit_bias):
-    a = T.layer_norm(x, gain, bias)
+    a = layer_norm(x, gain, bias)
     q, k, v = (linear(a, w, b) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
     return residual_add(x, linear(softmax_attention(q, k, v, n_heads, logit_bias), wo, bo))
 
 
 def unfused_feed_forward(x, gain, bias, w_in, b_in, w_out, b_out):
-    a = T.layer_norm(x, gain, bias)
+    a = layer_norm(x, gain, bias)
     return residual_add(x, linear(gelu(linear(a, w_in, b_in)), w_out, b_out))
 
 
@@ -475,6 +497,44 @@ def test_feed_forward_keeps_unfused_bits():
     x, _, ff = sublayer_arrays(rng)
     arrays = [a.astype(np.float32) for a in [x] + ff]
     assert_same_bits(T.feed_forward, unfused_feed_forward, arrays, f32(rng, *x.shape))
+
+
+def head_loss(x, w, targets, ignore_mask):
+    """The output head fused with the loss, after a separate LayerNorm: the
+    mean NLL of `targets` under the logits of x's unmasked rows against a
+    (vocab, d) table w, by `cross_entropy`'s expressions."""
+    d = x.data.shape[-1]
+    scored = np.flatnonzero(ignore_mask)
+    rows, picked = x.data.reshape(-1, d)[scored], np.asarray(targets).reshape(-1)[scored]
+    n = len(rows)
+    ez = rows @ w.data.T
+    out = T.Tensor(T.target_nll(ez, picked).sum() / x.data.dtype.type(n))
+
+    def bwd(g):
+        p = ez
+        p /= p.sum(axis=1, keepdims=True)
+        p[np.arange(n), picked] -= 1.0
+        p *= g / x.data.dtype.type(n)
+        gx = np.zeros_like(x.data).reshape(-1, d)
+        gx[scored] = p @ w.data
+        T._accum(x, gx.reshape(x.data.shape))
+        T._weight_grads(p, w, None, rows)
+
+    return T._finish(out, (x, w), bwd)
+
+
+@pytest.mark.parametrize("bsz, seq, d, vocab", [(2, 5, 8, 11), (8, 64, 64, 512)])
+def test_the_head_keeps_unfused_bits(bsz, seq, d, vocab):
+    # the final LayerNorm fused into the head, which normalizes the unmasked
+    # rows only, against `layer_norm` of every row and then the head
+    rng = np.random.default_rng(seq)
+    arrays = [f32(rng, bsz, seq, d), 1.0 + 0.1 * f32(rng, d), f32(rng, d), f32(rng, vocab, d)]
+    targets = rng.integers(0, vocab, size=(bsz, seq))
+    mask = rng.random((bsz, seq)) < 0.7
+    mask[:, -1] = False
+    assert_same_bits(lambda *t: T.cross_entropy(*t, targets, mask),
+                     lambda x, g, b, w: head_loss(layer_norm(x, g, b), w, targets, mask),
+                     arrays, np.float32(rng.normal()))
 
 
 def test_embedding_with_prompt_keeps_unfused_bits():
@@ -624,24 +684,23 @@ BLOCK_PROBE = textwrap.dedent("""
 
     rng = np.random.default_rng(0)
     same = []
-    # (dtype, rows and width of the weight gradient, tied head): float32
-    # outputs above GRAD_BLOCK in 2 to 8 blocks, the last one wider when
-    # the row count is not a multiple of the block's; float64 forms the
-    # whole product
-    for dtype, m, n, tied in [(np.float32, 1024, 256, False), (np.float32, 256, 1024, False),
-                              (np.float32, 600, 300, False), (np.float32, 2048, 256, True),
-                              (np.float32, 3000, 100, True), (np.float64, 600, 300, False),
-                              (np.float64, 2048, 256, True)]:
+    # (dtype, rows and width of the weight gradient): float32 outputs above
+    # GRAD_BLOCK in 2 to 8 blocks, the last one wider when the row count is
+    # not a multiple of the block's, among them the head's (vocab, d) tables;
+    # float64 forms the whole product
+    for dtype, m, n in [(np.float32, 1024, 256), (np.float32, 256, 1024), (np.float32, 600, 300),
+                        (np.float32, 2048, 256), (np.float32, 3000, 100),
+                        (np.float64, 600, 300), (np.float64, 2048, 256)]:
         for k in (7, 127, 504, 512):
-            rows = rng.standard_normal((k, n if tied else m), dtype=dtype)
-            gy = rng.standard_normal((k, m if tied else n), dtype=dtype)
+            rows = rng.standard_normal((k, m), dtype=dtype)
+            gy = rng.standard_normal((k, n), dtype=dtype)
             first = rng.standard_normal((m, n), dtype=dtype)
             assert first.nbytes > T.GRAD_BLOCK
             want = first.copy()
-            want += gy.T @ rows if tied else rows.T @ gy
-            w = T.Tensor(np.zeros((n, m) if tied else (m, n), dtype=dtype), requires_grad=True)
+            want += rows.T @ gy
+            w = T.Tensor(np.zeros((m, n), dtype=dtype), requires_grad=True)
             w.grad = first.copy()
-            T._weight_grads(rows, w, None, gy, transpose_w=tied)
+            T._weight_grads(rows, w, None, gy)
             same.append(w.grad.tobytes() == want.tobytes())
     print(len(same), sum(same))
 """)
@@ -649,9 +708,10 @@ BLOCK_PROBE = textwrap.dedent("""
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_a_blocked_weight_gradient_keeps_the_bits_of_the_whole_product(threads):
-    # `grad += rows.T @ gy`, and `grad += gy.T @ rows` for a tied head, added
-    # a block of rows at a time into a gradient above GRAD_BLOCK, at 7 to 512
-    # rows of contraction, and at one and two BLAS threads
+    # `grad += rows.T @ gy` (for the head, `p.T @ rows` of its softmax
+    # gradient p) added a block of rows at a time into a gradient above
+    # GRAD_BLOCK, at 7 to 512 rows of contraction, and at one and two BLAS
+    # threads
     src = os.path.dirname(os.path.dirname(os.path.abspath(T.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", BLOCK_PROBE], capture_output=True, text=True,
@@ -763,8 +823,8 @@ def op_cases(rng):
     targets = rng.integers(0, 4, size=3)
     mask = np.array([1.0, 0.0, 1.0])
     x234 = rng.normal(size=(2, 3, 4))
-    w45 = rng.normal(size=(4, 5))
-    rng.normal(size=35)  # the draws of the retired linear rows: later arrays keep theirs
+    # the draws of the retired (d, vocab) head and linear rows: later arrays keep theirs
+    rng.normal(size=20 + 35)
     # x (batch 2, seq 4, width 5) into 2 heads of width 3, and a hidden width of 7
     x, att, ff = sublayer_arrays(rng, d=5, width=6, d_ff=7, seq=4)
     att, ff = [x] + att, [x] + ff
@@ -774,6 +834,8 @@ def op_cases(rng):
     head_targets = rng.integers(0, 5, size=(2, 3))
     head_mask = np.array([[1, 0, 1], [1, 1, 0]])
     emb_ids = rng.integers(0, 5, size=(2, 3))
+    head_gain, head_bias = 1.0 + 0.1 * rng.normal(size=4), rng.normal(size=4)
+    head = [x234, head_gain, head_bias, w54]
 
     def embedding(t, ids=ids):
         return weighted(T.embedding(t[0], t[1], ids, t[2], (4, 5)), w_emb)
@@ -794,24 +856,25 @@ def op_cases(rng):
         return weighted(T.feed_forward(*t), w_sub)
 
     def head_loss(t):
-        return T.cross_entropy(t[0], t[1], head_targets, head_mask)
-
-    def tied_head_loss(t):
-        return T.cross_entropy(t[0], t[1], head_targets, head_mask, transpose_w=True)
+        return T.cross_entropy(*t, head_targets, head_mask)
 
     def embedding_and_tied_head(t):
         return T.cross_entropy(T.embedding(t[0], t64(np.zeros((3, 4)), grad=False), emb_ids),
-                               t[0], head_targets, head_mask, transpose_w=True)
+                               t64(head_gain, grad=False), t64(head_bias, grad=False), t[0],
+                               head_targets, head_mask)
 
     return [
+        # LayerNorm as the tests' separate op: `_normalize_grads`, which the
+        # fused ops share
         ("layer_norm_x", [a34, 1.0 + 0.1 * bias, bias], 0,
-         lambda t: weighted(T.layer_norm(t[0], t[1], t[2]), w_ln)),
+         lambda t: weighted(layer_norm(t[0], t[1], t[2]), w_ln)),
         ("layer_norm_gain", [a34, 1.0 + 0.1 * bias, bias], 1,
-         lambda t: weighted(T.layer_norm(t[0], t[1], t[2]), w_ln)),
+         lambda t: weighted(layer_norm(t[0], t[1], t[2]), w_ln)),
         ("layer_norm_bias", [a34, 1.0 + 0.1 * bias, bias], 2,
-         lambda t: weighted(T.layer_norm(t[0], t[1], t[2]), w_ln)),
+         lambda t: weighted(layer_norm(t[0], t[1], t[2]), w_ln)),
         ("cross_entropy", [a34], 0,
-         lambda t: T.cross_entropy(t[0], t64(np.eye(4), grad=False), targets, mask)),
+         lambda t: T.cross_entropy(t[0], *unit_norm(4), t64(np.eye(4), grad=False), targets,
+                                   mask)),
         ("embedding", [table], 0,
          lambda t: weighted(T.embedding(t[0], t64(pos_table, grad=False), ids), w_emb)),
         ("embedding_table", [table, pos_table, prompt], 0, embedding),
@@ -825,10 +888,8 @@ def op_cases(rng):
                                     "wo", "bo"))),
         *((f"feed_forward_{name}", ff, i, feed_forward)
           for i, name in enumerate(("x", "gain", "bias", "w_in", "b_in", "w_out", "b_out"))),
-        ("head_loss_x", [x234, w45], 0, head_loss),
-        ("head_loss_w", [x234, w45], 1, head_loss),
-        ("tied_head_loss_x", [x234, w54], 0, tied_head_loss),
-        ("tied_head_loss_w", [x234, w54], 1, tied_head_loss),
+        *((f"head_loss_{name}", head, i, head_loss)
+          for i, name in enumerate(("x", "gain", "bias", "w"))),
         ("embedding_and_tied_head", [w54], 0, embedding_and_tied_head),
     ]
 
