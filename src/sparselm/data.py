@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import atomic_open
-from .errors import ContractError, check_ranges, check_record
+from .errors import REQUIRED, ContractError, check_ranges, check_record, naming
 
 # whitespace runs / word runs / single punctuation marks; concatenation of
 # the pieces reproduces the input exactly, which round-trip identity needs
@@ -35,7 +35,7 @@ DEFAULT_PROMPT_SLOTS = 16
 FULL_SCALE_VOCAB_SIZE = 42_384
 DESK_SCALE_VOCAB_SIZE = 512
 
-VOCAB_FORMAT_VERSION = 1
+VOCAB_FORMAT = "sparselm-vocab v2"
 
 
 @dataclass
@@ -260,57 +260,36 @@ def learn_bpe(corpus, target_vocab_size: int,
     return Vocab(merges=merges, n_prompt_slots=n_prompt_slots)
 
 
-def _special_table(vocab: Vocab) -> list[str]:
-    """The `#special` lines that close a vocab file."""
-    lines = [f"#special eod {vocab.eod_id}", f"#special pad {vocab.pad_id}"]
-    if vocab.prompt_ids:
-        lines.append(f"#special prompt {vocab.prompt_ids[0]} {vocab.prompt_ids[-1]}")
-    return lines
+# the vocab file: each merge is a [left, right] pair of hex strings, which
+# `load_vocab` checks itself so that a fault names the merge, not the list
+VOCAB_SHAPE = {"format": (str, REQUIRED), "merges": (list, REQUIRED),
+               "prompt_slots": (int, REQUIRED)}
 
 
 def save_vocab(path, vocab: Vocab):
-    """Versioned text format: header, one hex-encoded merge per line, then
-    the special-token table. Written atomically (`atomic_open`)."""
+    """One JSON object of `VOCAB_SHAPE`, keys sorted, written atomically (`atomic_open`)."""
+    record = {"format": VOCAB_FORMAT, "prompt_slots": vocab.n_prompt_slots,
+              "merges": [[left.hex(), right.hex()] for left, right in vocab.merges]}
     with atomic_open(path, "w", encoding="ascii") as fh:
-        fh.write(f"sparselm-vocab v{VOCAB_FORMAT_VERSION} "
-                 f"merges={len(vocab.merges)} prompt_slots={vocab.n_prompt_slots}\n")
-        for left, right in vocab.merges:
-            fh.write(f"{left.hex()} {right.hex()}\n")
-        for line in _special_table(vocab):
-            fh.write(line + "\n")
+        fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def load_vocab(path) -> Vocab:
-    """Read a `save_vocab` file; anything else raises ContractError."""
-    try:
-        with open(path, encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise ContractError(f"{path}: not a sparselm vocab file ({exc})") from exc
-    header = lines[0].split() if lines else []
-    if (len(header) != 4 or header[0] != "sparselm-vocab"
-            or header[1] != f"v{VOCAB_FORMAT_VERSION}"
-            or not header[2].startswith("merges=") or not header[3].startswith("prompt_slots=")):
-        raise ContractError(f"{path}: not a sparselm vocab file (header {header!r})")
-    try:
-        n_merges = int(header[2].partition("=")[2])
-        n_prompt = int(header[3].partition("=")[2])
-        if n_merges < 0:
-            raise ValueError(f"negative merge count {n_merges}")
-        if len(lines) < 1 + n_merges:
-            raise ValueError(f"header promises {n_merges} merges, {len(lines) - 1} lines follow")
-        merges = []
-        for line in lines[1:1 + n_merges]:
-            left, right = line.split()
-            merges.append((bytes.fromhex(left), bytes.fromhex(right)))
-        vocab = Vocab(merges=merges, n_prompt_slots=n_prompt)
-    except ValueError as exc:  # a short merge list, a bad count, non-hex bytes, a bad Vocab
-        raise ContractError(f"{path}: truncated or malformed vocab file ({exc})") from exc
-    table, expected = lines[1 + n_merges:], _special_table(vocab)
-    if table != expected:
-        raise ContractError(f"{path}: special-token table {table[:4]!r} does not match "
-                            f"the ids of this vocab {expected!r}")
-    return vocab
+    """Read a `save_vocab` file; anything else raises ContractError naming `path`."""
+    record = read_json(path, VOCAB_SHAPE, "vocab fields")
+    if record["format"] != VOCAB_FORMAT:
+        raise ContractError(f"{path}: not a sparselm vocab file (format {record['format']!r}, "
+                            f"expected {VOCAB_FORMAT!r})")
+    merges = []
+    with naming(path):
+        for i, pair in enumerate(record["merges"]):
+            left, right = pair if isinstance(pair, list) and len(pair) == 2 else (None, None)
+            try:
+                merges.append((bytes.fromhex(left), bytes.fromhex(right)))
+            except (TypeError, ValueError):
+                raise ContractError(f"merge {i} must be a [left, right] pair of hex strings, "
+                                    f"got {pair!r}") from None
+        return Vocab(merges=merges, n_prompt_slots=record["prompt_slots"])
 
 
 def split_train_val(docs, val_fraction: float = 0.03, seed: int = 0):

@@ -30,16 +30,20 @@ from toytask import write_corpus
 WORDS = ["alpha", "beta", "gamma", "delta", "omega", "yes", "no", "maybe", "cue"]
 
 
-@pytest.fixture()
-def corpus_path(tmp_path):
+def write_desk_corpus(path):
+    """30 documents of 12 words drawn from WORDS."""
     rng = np.random.default_rng(0)
     docs = []
     for i in range(30):
         text = " ".join(rng.choice(WORDS, size=12))
         docs.append(D.Document(id=str(i), title=f"doc {i}", abstract=text))
-    path = tmp_path / "corpus.jsonl"
     write_corpus(path, docs)
     return path
+
+
+@pytest.fixture()
+def corpus_path(tmp_path):
+    return write_desk_corpus(tmp_path / "corpus.jsonl")
 
 
 @pytest.fixture()
@@ -278,8 +282,8 @@ def test_densify_truncated_checkpoint_exits_2(tmp_path, vocab_path, capsys):
 
 def test_eval_truncated_vocab_exits_2(tmp_path, vocab_path):
     ckpt = model_ckpt(tmp_path, vocab_path)
-    lines = vocab_path.read_text().splitlines(keepends=True)
-    vocab_path.write_text("".join(lines[: len(lines) // 2]))
+    blob = vocab_path.read_bytes()
+    vocab_path.write_bytes(blob[: len(blob) // 2])
     dataset = tmp_path / "d.jsonl"
     write_task_file(dataset, [("alpha", "yes", ["yes"])])
     labels = tmp_path / "labels.json"
@@ -299,6 +303,17 @@ def test_eval_non_ascii_vocab_header_exits_2(tmp_path, vocab_path, capsys):
     assert cli.main(["eval", "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
                      "--dataset", str(dataset), "--labels", str(labels)]) == 2
     assert "not a sparselm vocab file" in capsys.readouterr().err
+
+
+def test_a_text_vocab_of_earlier_versions_exits_2_naming_the_file(tmp_path, capsys):
+    # the format before the vocab was one JSON record; re-running `tokenizer` replaces it
+    path = tmp_path / "vocab.txt"
+    path.write_text("sparselm-vocab v1 merges=1 prompt_slots=16\n61 62\n"
+                    "#special eod 0\n#special pad 1\n#special prompt 2 17\n")
+    assert cli.main(["pretrain", "--config", str(run_config(tmp_path)), "--vocab", str(path),
+                     "--dry-run"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {path}: invalid JSON")
 
 
 # ------------------------------------------------------------------ flops

@@ -1,4 +1,8 @@
+import contextlib
+import errno
+import json
 import re
+import types
 from collections import Counter
 
 import numpy as np
@@ -156,20 +160,98 @@ def test_load_vocab_rejects_garbage(tmp_path):
         D.load_vocab(path)
 
 
-def test_load_vocab_rejects_truncated_merge_list(tmp_path):
-    vocab = D.learn_bpe(["abab abab cdcd cdcd"] * 3, 2 + D.DEFAULT_PROMPT_SLOTS + 256 + 3)
+def saved_vocab(tmp_path, slots=4):
+    """A saved vocab of three merges, its path and its record."""
+    path = tmp_path / "vocab.json"
+    D.save_vocab(path, make_vocab(["abab abab cdcd"], extra=3, slots=slots))
+    return path, json.loads(path.read_text())
+
+
+def test_vocab_file_is_one_json_record(tmp_path):
+    path, _ = saved_vocab(tmp_path)
+    assert path.read_bytes() == (b'{"format": "sparselm-vocab v2", '
+                                 b'"merges": [["61", "62"], ["6162", "6162"], ["63", "64"]], '
+                                 b'"prompt_slots": 4}\n')
+
+
+def test_load_vocab_refuses_a_text_vocab_of_earlier_versions(tmp_path):
     path = tmp_path / "vocab.txt"
-    D.save_vocab(path, vocab)
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(lines[:2]))  # header promises 3 merges, 1 follows
-    with pytest.raises(ContractError, match="truncated or malformed"):
+    path.write_text("sparselm-vocab v1 merges=1 prompt_slots=4\n61 62\n"
+                    "#special eod 0\n#special pad 1\n#special prompt 2 5\n")
+    with pytest.raises(ContractError, match=f"^{re.escape(str(path))}: invalid JSON"):
         D.load_vocab(path)
 
 
-def test_load_vocab_rejects_non_integer_count(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("sparselm-vocab v1 merges=three prompt_slots=16\n")
-    with pytest.raises(ContractError, match="truncated or malformed"):
+def test_load_vocab_rejects_truncated_merge_list(tmp_path):
+    path, _ = saved_vocab(tmp_path)
+    text = path.read_text()
+    path.write_text(text[:text.index('["6162"')])  # cut after the first merge
+    with pytest.raises(ContractError, match=f"^{re.escape(str(path))}: invalid JSON"):
+        D.load_vocab(path)
+
+
+@pytest.mark.parametrize("value", ["three", 4.0, True, None, [4]])
+def test_load_vocab_rejects_non_integer_prompt_slots(tmp_path, value):
+    path, record = saved_vocab(tmp_path)
+    path.write_text(json.dumps(dict(record, prompt_slots=value)))
+    message = f"{path}: 'prompt_slots' must be int, got {value!r}"
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        D.load_vocab(path)
+
+
+@pytest.mark.parametrize("value", [-1, 3, "61 62", {"61": "62"}, None])
+def test_load_vocab_rejects_merges_that_are_not_a_list(tmp_path, value):
+    path, record = saved_vocab(tmp_path)
+    path.write_text(json.dumps(dict(record, merges=value)))
+    message = f"{path}: 'merges' must be list, got {value!r}"
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        D.load_vocab(path)
+
+
+@pytest.mark.parametrize("merge", ["6162", ["61"], ["61", "62", "63"], ["6x", "62"],
+                                   ["61", "6"], ["61", 62], {"61": "62"}, ["é1", "62"], []])
+def test_load_vocab_rejects_a_merge_that_is_not_a_hex_pair_naming_its_index(tmp_path, merge):
+    path, record = saved_vocab(tmp_path)
+    record["merges"][1] = merge
+    path.write_text(json.dumps(record))
+    message = f"{path}: merge 1 must be a [left, right] pair of hex strings, got {merge!r}"
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        D.load_vocab(path)
+
+
+@pytest.mark.parametrize("tag", ["sparselm-vocab v1", "sparselm-vocab v3", "",
+                                 "SPARSELM-VOCAB V2"])
+def test_load_vocab_rejects_a_wrong_format_tag(tmp_path, tag):
+    path, record = saved_vocab(tmp_path)
+    path.write_text(json.dumps(dict(record, format=tag)))
+    message = (f"{path}: not a sparselm vocab file (format {tag!r}, "
+               f"expected 'sparselm-vocab v2')")
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        D.load_vocab(path)
+
+
+@pytest.mark.parametrize("key", ["format", "merges", "prompt_slots"])
+def test_load_vocab_rejects_a_missing_key(tmp_path, key):
+    path, record = saved_vocab(tmp_path)
+    del record[key]
+    path.write_text(json.dumps(record))
+    with pytest.raises(ContractError, match=f"^{re.escape(f'{path}: missing key {key!r}')}$"):
+        D.load_vocab(path)
+
+
+@pytest.mark.parametrize("key", ["special", "merge_count", "version"])
+def test_load_vocab_rejects_an_unknown_key(tmp_path, key):
+    path, record = saved_vocab(tmp_path)
+    path.write_text(json.dumps(dict(record, **{key: 1})))
+    with pytest.raises(ContractError, match=f"^{re.escape(f'{path}: unknown key {key!r}')}$"):
+        D.load_vocab(path)
+
+
+def test_load_vocab_rejects_a_duplicate_merge_naming_the_file(tmp_path):
+    path, record = saved_vocab(tmp_path)
+    record["merges"].append(["61", "62"])
+    path.write_text(json.dumps(record))
+    with pytest.raises(ContractError, match=f"^{re.escape(str(path))}: duplicate merge result"):
         D.load_vocab(path)
 
 
@@ -266,78 +348,101 @@ def test_learner_vocab_file_matches_full_recount_on_zipf_corpus(tmp_path):
     assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
 
 
-def test_load_vocab_rejects_negative_merge_count(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("sparselm-vocab v1 merges=-1 prompt_slots=16\n")
-    with pytest.raises(ContractError, match="negative merge count"):
-        D.load_vocab(path)
-
-
-def test_load_vocab_rejects_non_ascii_header(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_bytes("sparselm-vocab v1 merges=0 prompt_slots=16 é\n".encode("utf-8"))
-    with pytest.raises(ContractError, match="not a sparselm vocab file"):
+def test_load_vocab_rejects_non_utf8_bytes(tmp_path):
+    path, _ = saved_vocab(tmp_path)
+    path.write_bytes(path.read_bytes().replace(b"sparselm-vocab", b"sparselm-voc\xe4b"))
+    with pytest.raises(ContractError, match=f"^{re.escape(str(path))}:1: not UTF-8$"):
         D.load_vocab(path)
 
 
 def test_negative_prompt_slots_rejected(tmp_path):
     with pytest.raises(ContractError, match="prompt_slots must be >= 0, got -3"):
         D.Vocab(merges=[], n_prompt_slots=-3)
-    path = tmp_path / "bad.txt"
-    path.write_text("sparselm-vocab v1 merges=0 prompt_slots=-3\n#special eod 0\n#special pad 1\n")
-    with pytest.raises(ContractError, match="prompt_slots must be >= 0, got -3"):
+    path, record = saved_vocab(tmp_path)
+    path.write_text(json.dumps(dict(record, prompt_slots=-3)))
+    message = f"{path}: prompt_slots must be >= 0, got -3"
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
         D.load_vocab(path)
 
 
 @pytest.mark.parametrize("slots", [0, 1, 4])
-def test_vocab_file_special_table_roundtrip(tmp_path, slots):
-    vocab = make_vocab(["abab abab cdcd"], extra=3, slots=slots)
-    path = tmp_path / "vocab.txt"
-    D.save_vocab(path, vocab)
-    assert path.read_text().count("#special prompt") == (1 if slots else 0)
+def test_vocab_file_roundtrip_keeps_the_special_ids(tmp_path, slots):
+    # the file holds no id: end-of-doc, padding and the prompt block follow
+    # from the slot count alone
+    path, record = saved_vocab(tmp_path, slots=slots)
+    assert record["prompt_slots"] == slots
     loaded = D.load_vocab(path)
-    assert loaded.merges == vocab.merges
+    vocab = make_vocab(["abab abab cdcd"], extra=3, slots=slots)
+    assert loaded == vocab
     assert (loaded.eod_id, loaded.pad_id, loaded.prompt_ids) == \
-        (vocab.eod_id, vocab.pad_id, vocab.prompt_ids)
+        (vocab.eod_id, vocab.pad_id, vocab.prompt_ids) == (0, 1, tuple(range(2, 2 + slots)))
+    assert len(loaded) == 2 + slots + 256 + 3
 
 
 def test_save_vocab_failure_keeps_the_previous_file(tmp_path, monkeypatch):
-    path = tmp_path / "vocab.txt"
-    D.save_vocab(path, make_vocab(["abab abab cdcd"], extra=3))
+    path, _ = saved_vocab(tmp_path)
     before = path.read_bytes()
+    real_open = D.atomic_open
 
-    def broken_table(vocab):  # fails after the header and merges are written
-        raise RuntimeError("disk full")
+    @contextlib.contextmanager
+    def disk_full(target, *args, **kwargs):  # half the record is written, then the disk fills
+        with real_open(target, *args, **kwargs) as fh:
+            def write(text):
+                fh.write(text[:len(text) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+            yield types.SimpleNamespace(write=write)
 
-    monkeypatch.setattr(D, "_special_table", broken_table)
-    with pytest.raises(RuntimeError):
+    monkeypatch.setattr(D, "atomic_open", disk_full)
+    with pytest.raises(OSError):
         D.save_vocab(path, make_vocab(["the cat sat on the mat"], extra=5))
     assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]
+    assert [p.name for p in tmp_path.iterdir()] == ["vocab.json"]
 
 
-def test_load_vocab_rejects_missing_special_table(tmp_path):
-    path = tmp_path / "vocab.txt"
-    D.save_vocab(path, make_vocab(["abab abab cdcd"], extra=3))
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(line for line in lines if not line.startswith("#special")))
-    with pytest.raises(ContractError, match="special-token table"):
-        D.load_vocab(path)
+PROPERTY_TEXTS = ["the cat sat on the mat the cat"]
 
 
-@pytest.mark.parametrize("old, new", [
-    ("#special eod 0", "#special eod 1"),
-    ("#special prompt 2 5", "#special prompt 2 6"),
-    ("#special prompt 2 5\n", ""),
-])
-def test_load_vocab_rejects_mismatched_special_table(tmp_path, old, new):
-    path = tmp_path / "vocab.txt"
-    D.save_vocab(path, make_vocab(["abab abab cdcd"], extra=3))
-    text = path.read_text()
-    assert old in text
-    path.write_text(text.replace(old, new))
-    with pytest.raises(ContractError, match="special-token table"):
-        D.load_vocab(path)
+def property_vocab_bytes(tmp_path_factory):
+    """The bytes of a saved vocab of ten merges, the positions of its JSON
+    punctuation and digits, and a path to write damaged copies to."""
+    path = tmp_path_factory.getbasetemp() / "property-vocab.json"
+    D.save_vocab(path, make_vocab(PROPERTY_TEXTS, extra=10))
+    blob = path.read_bytes()
+    framing = [i for i, c in enumerate(blob) if c in b'{}[]",:' or chr(c).isdigit()]
+    return blob, framing, path
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cut_vocab_bytes_raise_or_load_the_same_merges(tmp_path_factory, data):
+    blob, framing, path = property_vocab_bytes(tmp_path_factory)
+    cut = data.draw(st.one_of(st.sampled_from(framing), st.integers(0, len(blob))))
+    path.write_bytes(blob[:cut])
+    if cut < len(blob) - 1:  # the object is not whole
+        with pytest.raises(ContractError):
+            D.load_vocab(path)
+    else:  # at most the final newline is gone
+        assert D.load_vocab(path) == make_vocab(PROPERTY_TEXTS, extra=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_flipped_vocab_bytes_raise_or_load_a_vocab(tmp_path_factory, data):
+    blob, framing, path = property_vocab_bytes(tmp_path_factory)
+    position = st.one_of(st.sampled_from(framing), st.integers(0, len(blob) - 1))
+    flips = data.draw(st.lists(st.tuples(position, st.integers(1, 255)), min_size=1, max_size=3))
+    bad = bytearray(blob)
+    for at, mask in flips:
+        bad[at] ^= mask
+    path.write_bytes(bytes(bad))
+    # nothing but ContractError escapes; flips that cancel load the same vocab
+    try:
+        loaded = D.load_vocab(path)
+    except ContractError:
+        return
+    assert isinstance(loaded, D.Vocab)
+    if bytes(bad) == blob:
+        assert loaded == make_vocab(PROPERTY_TEXTS, extra=10)
 
 
 # ------------------------------------------------------------------ split

@@ -4,9 +4,9 @@ configs, `loss.csv`, and model and train checkpoints.
 
 A damaged input exits 0, or exits 2 with one `error:` line and nothing on
 stdout; never 1 and never an exception. When the damaged file no longer
-parses, the error names it. The JSON inputs are parsed here to tell; the
-vocab, `loss.csv` and checkpoints have no other reader, so each of their
-errors must name the file.
+parses, the error names it. The other JSON inputs are parsed here to tell;
+the vocab, `loss.csv` and checkpoints are checked whole by their loaders, so
+each of their errors must name the file.
 
 Every JSON record, in a file or in a checkpoint section, is also mutated one
 field at a time: a value of another type, the field dropped, an unknown key
@@ -176,7 +176,7 @@ def mutations(record):
     yield "extra", "zzz", dict(record, zzz=1)
 
 
-@pytest.mark.parametrize("kind", ["corpus", "dataset", "labels", "pretrain_config",
+@pytest.mark.parametrize("kind", ["corpus", "vocab", "dataset", "labels", "pretrain_config",
                                   "model_config"])
 def test_a_json_record_with_a_mutated_field_exits_0_or_2_naming_the_file(base, tmp_path,
                                                                          kind):
